@@ -191,22 +191,6 @@ def fit_log_profile(u: GridFunction, window: tuple[float, float]) -> FitResult:
     )
 
 
-def power_fit_suggests_log_correction(u: GridFunction, window: tuple[float, float]) -> bool:
-    """Heuristic critical-regime flag: power fit near 1 that drifts upward
-    when the window shrinks toward the boundary."""
-    full = fit_boundary_exponent(u, window)
-    if full.exponent <= 0.97:
-        return False
-    lo, hi = window
-    mid = math.sqrt(lo * hi)
-    try:
-        inner = fit_boundary_exponent(u, (lo, mid))
-        outer = fit_boundary_exponent(u, (mid, hi))
-    except InsufficientWindow:
-        return False
-    return inner.exponent > outer.exponent + 0.003
-
-
 def sobolev_seminorm(u: GridFunction, tau: float) -> float:
     """(sum_cells w |Du|^tau)^(1/tau), radially weighted in the ball case."""
     if tau < 1.0:
@@ -287,7 +271,7 @@ def _solve_on_level(target, n: int, grading: float, config) -> GridFunction:
             return solve_singular(target, grid, config).solution
         grid = make_graded_grid(n, grading, INTERVAL01)
         theta = GridFunction.interior_from_callable(grid, target.theta)
-        return solve_dirichlet(theta, target.m, config).solution
+        return solve_dirichlet(theta, target.m).solution
     except Exception as exc:  # noqa: BLE001 - deliberate wrap-and-reraise
         raise SolveFailed(f"solve failed at level n={n}: {exc}") from exc
 

@@ -345,7 +345,6 @@ def certified_pair(
     spec: ProblemSpec,
     grid: Grid1D,
     base: EigenPair | None = None,
-    config=None,
     c_max: float = 2.0**20,
     slack: float = 0.0,
     skip_cells: int = 2,
@@ -358,7 +357,7 @@ def certified_pair(
     both).
     """
     if base is None:
-        base = first_eigenpair(grid, spec.m, tol=eigen_tol, config=config)
+        base = first_eigenpair(grid, spec.m, tol=eigen_tol)
     sub_fam, super_fam = regime_families(spec)
     c_sub, _ = auto_scale(
         sub_fam, SUB, spec, spec.m, base, c_max=c_max, slack=slack, skip_cells=skip_cells

@@ -96,12 +96,8 @@ KNOWN_KEYS: dict[str, tuple] = {
     "n": (int, 1025),
     "grading": (float, 3.0),
     # solver
-    "newton_tol": (float, 1e-10),
-    "max_newton_iters": (int, 60),
-    "damping": (float, 0.5),
     "picard_tol": (float, 1e-8),
     "max_picard_iters": (int, 100),
-    "eps_stages": (int, 10),
     # right-hand side selection for solve/fit/scan/barrier-check
     "rhs": (str, "singular"),  # singular | const | power | logpower
     "theta_const": (float, 1.0),
@@ -179,15 +175,7 @@ class RunConfig:
         return validate_spec(spec)
 
     def solver_config(self) -> SolverConfig:
-        stages = self["eps_stages"]
-        schedule = tuple(10.0**-j for j in range(1, stages + 1))
-        if schedule[-1] > 1e-10:
-            schedule = schedule + (1e-10,)
         return SolverConfig(
-            newton_tol=self["newton_tol"],
-            max_newton_iters=self["max_newton_iters"],
-            eps_schedule=schedule,
-            damping=self["damping"],
             picard_tol=self["picard_tol"],
             max_picard_iters=self["max_picard_iters"],
         )
@@ -332,15 +320,13 @@ def _theta_callable(cfg: RunConfig, spec: ProblemSpec | None):
 
 def _solve_from_config(cfg: RunConfig):
     """Solve per the rhs selection; returns (report, spec-or-None)."""
-    scfg = cfg.solver_config()
     if cfg["rhs"] == "singular":
         spec = cfg.problem_spec()
         grid = make_graded_grid(cfg["n"], cfg["grading"], spec.domain)
-        return solve_singular(spec, grid, scfg), spec
-    spec = None
+        return solve_singular(spec, grid, cfg.solver_config()), spec
     grid = cfg.grid()
     theta = GridFunction.interior_from_callable(grid, _theta_callable(cfg, None))
-    return solve_dirichlet(theta, cfg["m"], scfg), spec
+    return solve_dirichlet(theta, cfg["m"]), None
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +382,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_eigen(cfg: RunConfig) -> int:
     grid = cfg.grid()
-    pair = first_eigenpair(grid, cfg["m"], config=cfg.solver_config())
+    pair = first_eigenpair(grid, cfg["m"])
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         write_field_csv(out / "eigenfunction.csv", pair.eigenfunction)
@@ -443,7 +429,7 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
         spec = None
         grid = cfg.grid()
         rhs = GridFunction.interior_from_callable(grid, _theta_callable(cfg, None))
-    base = first_eigenpair(grid, cfg["m"], config=cfg.solver_config())
+    base = first_eigenpair(grid, cfg["m"])
     family = _barrier_family(cfg, spec)
     if cfg["c"] == "auto":
         try:

@@ -394,9 +394,6 @@ class GridFunction:
     def is_dirichlet(self, tol: float = 0.0) -> bool:
         return all(abs(self.values[i]) <= tol for i in self.grid.dirichlet_indices())
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def default_k_values(spec: ProblemSpec, grid: Grid1D, k0: float = 1.0) -> GridFunction:
     """Sample the default weight realization K = k0 * delta^(-q) at interior nodes.

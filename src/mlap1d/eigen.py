@@ -7,10 +7,10 @@ The eigenproblem solved is the standard one,
 
 whose first eigenfunction is positive, unimodal and normalized here to
 sup-norm 1.  Each iteration applies the inverse operator to |phi|^(m-2) phi
-(a full nonlinear Dirichlet solve for m != 2) and renormalizes; the
-eigenvalue is read off the Rayleigh quotient.  On the interval the exact
-first eigenvalue is (m-1) * pi_m^m with pi_m = 2 pi / (m sin(pi/m)), which
-the tests use as an oracle.
+(one direct Dirichlet solve by exact flux integration, for every m) and
+renormalizes; the eigenvalue is read off the Rayleigh quotient.  On the
+interval the exact first eigenvalue is (m-1) * pi_m^m with
+pi_m = 2 pi / (m sin(pi/m)), which the tests use as an oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .core import Grid1D, GridFunction
 from .errors import NonConvergence, SignChange
 from .operator import apply_mlap
-from .solver import SolverConfig, solve_dirichlet
+from .solver import solve_dirichlet
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
 
@@ -64,7 +64,6 @@ def first_eigenpair(
     grid: Grid1D,
     m: float,
     tol: float = 1e-9,
-    config: SolverConfig | None = None,
     initial: GridFunction | None = None,
     max_iters: int = 200,
 ) -> EigenPair:
@@ -77,22 +76,17 @@ def first_eigenpair(
     """
     if m <= 1.0:
         raise ValueError("m must exceed 1")
-    cfg = config or SolverConfig()
     phi = initial if initial is not None else _initial_field(grid)
     # the initial field should be positive in the interior; a sign-changing
     # start is reported through SignChange on the first iterate
     vals = phi.values / np.max(np.abs(phi.values))
     phi = GridFunction(grid, vals)
     lam = rayleigh_quotient(phi, m)
-    warm = None
     for _ in range(max_iters):
         rhs = GridFunction(grid, np.sign(phi.values) * np.abs(phi.values) ** (m - 1.0))
-        if warm is None:
-            warm = GridFunction(grid, phi.values * lam ** (-1.0 / (m - 1.0)))
-        psi = solve_dirichlet(rhs, m, cfg, initial=warm).solution
+        psi = solve_dirichlet(rhs, m).solution
         if np.any(psi.interior <= 0.0):
             raise SignChange("inverse iterate lost interior positivity")
-        warm = psi
         phi = GridFunction(grid, psi.values / psi.values.max())
         lam_new = rayleigh_quotient(phi, m)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):

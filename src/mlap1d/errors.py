@@ -25,7 +25,7 @@ class GridMismatch(MlapError):
 
 
 class NonConvergence(MlapError):
-    """An iteration exhausted its budget.
+    """An iteration exhausted its budget, or a solve failed its residual check.
 
     Carries the partial solver state in ``report`` when one is available.
     """
@@ -33,10 +33,6 @@ class NonConvergence(MlapError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class IndefiniteJacobian(MlapError):
-    """Newton Jacobian lost positive definiteness; signals a discretization bug."""
 
 
 class BarrierOrderViolation(MlapError):

@@ -2,7 +2,7 @@
 
 The scheme is a finite-volume discretization of -div(Phi) with midpoint flux
 
-    Phi = (|Du|^2 + eps^2)^((m-2)/2) Du,      Du = (u_{i+1} - u_i) / h_{i+1/2},
+    Phi = |Du|^(m-2) Du,      Du = (u_{i+1} - u_i) / h_{i+1/2},
 
 weighted by r^(N-1) in the radial case.  The interior residual at node i is
 the flux difference divided by the dual-cell measure, so that
@@ -12,50 +12,31 @@ the flux difference divided by the dual-cell measure, so that
 holds exactly (discrete summation by parts), and the residual is exactly the
 gradient of the discrete energy
 
-    E(u) = sum_cells w_cell * psi_eps(Du) - sum_nodes V_i theta_i u_i,
-    psi_eps(s) = ((s^2 + eps^2)^(m/2) - eps^m) / m,
+    E(u) = sum_cells w_cell * |Du|^m / m - sum_nodes V_i theta_i u_i,
 
-which is strictly convex in u for m > 1 and eps > 0.  The regularization eps
-smooths the degeneracy at Du = 0 (Jacobian -> 0 for m > 2, -> infinity for
-m < 2); eps = 0 restores the exact flux |Du|^(m-2) Du.
+which is strictly convex in u for m > 1, so the discrete Dirichlet problem
+has exactly one solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Grid1D, GridFunction, same_grid
+from .core import GridFunction, same_grid
 from .errors import GridMismatch
 
-__all__ = ["FluxField", "apply_mlap", "energy", "flux_field"]
+__all__ = ["apply_mlap", "energy"]
 
 
-def flux_of_gradient(du: np.ndarray, m: float, eps: float) -> np.ndarray:
-    """Regularized flux (|du|^2 + eps^2)^((m-2)/2) du, safe at du = 0."""
-    if eps == 0.0:
-        # |du|^(m-1) sign(du) avoids 0**negative for m < 2
-        return np.sign(du) * np.abs(du) ** (m - 1.0)
-    return (du * du + eps * eps) ** (0.5 * (m - 2.0)) * du
+def flux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
+    """Flux |du|^(m-2) du, written as |du|^(m-1) sign(du) to be safe at du = 0."""
+    return np.sign(du) * np.abs(du) ** (m - 1.0)
 
 
-def dflux_of_gradient(du: np.ndarray, m: float, eps: float) -> np.ndarray:
-    """Derivative of the regularized flux; positive for eps > 0, m > 1."""
-    s2 = du * du + eps * eps
-    return s2 ** (0.5 * (m - 4.0)) * ((m - 1.0) * du * du + eps * eps)
-
-
-@dataclass(frozen=True, eq=False)
-class FluxField:
-    """Midpoint fluxes Phi_{i+1/2}, one per cell (radially weighted)."""
-
-    grid: Grid1D
-    midpoint_fluxes: np.ndarray
-
-    def __post_init__(self):
-        if self.midpoint_fluxes.size != self.grid.n - 1:
-            raise GridMismatch("flux field needs one value per cell")
+def dflux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
+    """Derivative (m-1) |du|^(m-2) of the flux; infinite at du = 0 for m < 2."""
+    with np.errstate(divide="ignore"):
+        return (m - 1.0) * np.abs(du) ** (m - 2.0)
 
 
 def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
@@ -63,27 +44,15 @@ def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
         raise GridMismatch("grid functions live on different grids")
 
 
-def _weighted_fluxes(u: GridFunction, m: float, eps: float) -> np.ndarray:
-    g = u.grid
-    du = np.diff(u.values) / g.h
-    return g.flux_weights * flux_of_gradient(du, m, eps)
-
-
-def flux_field(u: GridFunction, m: float, eps: float = 0.0) -> FluxField:
-    return FluxField(u.grid, _weighted_fluxes(u, m, eps))
-
-
-def apply_mlap(u: GridFunction, m: float, regularization_eps: float = 0.0) -> GridFunction:
+def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     """Interior residual of -div(Phi) applied to ``u``.
 
     Dirichlet boundary entries of the result are 0 by convention.  In the
     radial case the flux at the symmetry center r = 0 is zero and node 0 is
     treated with its one-sided dual cell.
     """
-    if regularization_eps < 0.0:
-        raise ValueError("regularization_eps must be >= 0")
     g = u.grid
-    fw = _weighted_fluxes(u, m, regularization_eps)
+    fw = g.flux_weights * flux_of_gradient(np.diff(u.values) / g.h, m)
     out = np.zeros(g.n)
     vol = g.cell_volumes
     out[1:-1] = -(fw[1:] - fw[:-1]) / vol[1:-1]
@@ -92,22 +61,15 @@ def apply_mlap(u: GridFunction, m: float, regularization_eps: float = 0.0) -> Gr
     return GridFunction(g, out)
 
 
-def energy(
-    u: GridFunction, theta: GridFunction, m: float, regularization_eps: float = 0.0
-) -> float:
+def energy(u: GridFunction, theta: GridFunction, m: float) -> float:
     """Discrete Dirichlet energy whose minimizer solves -div(Phi) = theta.
 
-    Returns sum_cells w * psi_eps(Du) - sum_nodes V * theta * u with radial
-    weights included.  At eps = 0 the first term is sum h |Du|^m / m.
+    Returns sum_cells w * |Du|^m / m - sum_nodes V * theta * u with radial
+    weights included.
     """
     _check_same_grid(u, theta)
     g = u.grid
     du = np.diff(u.values) / g.h
-    eps = regularization_eps
-    if eps == 0.0:
-        dens = np.abs(du) ** m / m
-    else:
-        dens = ((du * du + eps * eps) ** (0.5 * m) - eps**m) / m
-    bulk = float(np.dot(g.interval_weights, dens))
+    bulk = float(np.dot(g.interval_weights, np.abs(du) ** m / m))
     load = float(np.dot(g.cell_volumes, theta.values * u.values))
     return bulk - load

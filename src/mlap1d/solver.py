@@ -1,11 +1,19 @@
-"""Damped Newton solver for -div(Phi) = theta and the singular outer iteration.
+"""Direct solver for -div(Phi) = theta and the singular outer iteration.
 
-solve_dirichlet minimizes the strictly convex discrete energy by Newton's
-method with Armijo backtracking, run as a continuation over a decreasing
-regularization schedule eps_1 > eps_2 > ... (each stage warm-starts the next).
-The tridiagonal Newton systems are solved by banded Cholesky; a failed
-factorization means the Jacobian lost positive definiteness, which for eps > 0
-can only be a discretization bug.
+In one dimension the finite-volume equations
+
+    F_{i+1/2} - F_{i-1/2} = -V_i theta_i
+
+fix every cell flux F up to one constant, so solve_dirichlet needs no
+Jacobian, line search or regularization.  On the ball the constant is zero
+(no flux crosses r = 0); on the interval it is the root c of the increasing
+scalar equation sum_j h_j phi^(-1)(c - R_j) = 0, which says that u returns to
+zero at x = 1.  The loads R_j are accumulated outward from the cell where the
+flux changes sign, because prefix sums from x = 0 would cancel
+catastrophically there when theta is large near the boundary.  Inverting the
+flux gives Du in every cell, and u is summed inward from the Dirichlet
+boundary, which leaves the rounding error of the closure in the peak cell.
+Every solution is checked a posteriori by its noise-aware scaled residual.
 
 solve_singular treats -div(Phi) = K u^(-p) by monotone iteration: freeze the
 singular term at the previous iterate and solve the resulting Dirichlet
@@ -20,11 +28,9 @@ overflow from undershoot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .core import (
     Grid1D,
@@ -36,52 +42,36 @@ from .core import (
 from .errors import (
     AdmissibilityViolation,
     BarrierOrderViolation,
-    GridMismatch,
-    IndefiniteJacobian,
     NonConvergence,
 )
-from .operator import dflux_of_gradient, energy, flux_of_gradient
+from .operator import dflux_of_gradient, flux_of_gradient
 
 __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 
-DEFAULT_EPS_SCHEDULE = tuple(10.0**-j for j in range(1, 11))
+# Bound on the noise-aware scaled residual of every Dirichlet solve.
+RESIDUAL_TOL = 1e-10
 
-# Armijo sufficient-decrease constant for the backtracking line search.
-ARMIJO_C1 = 1e-4
+# Budget of closure evaluations per root search.  Bisection alone shrinks the
+# bracket 2^200-fold in that many steps; a search that has not stopped by then
+# is judged by the residual check like any other.
+MAX_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets for the inner Newton and outer singular loops.
+    """Tolerance and budget of the outer singular loop.
 
-    ``newton_tol`` bounds the scaled residual sup_i |r_i| / (1 + |theta_i|);
-    the scaling makes the criterion meaningful when theta blows up like
-    delta^(-a) on heavily graded grids, and reduces to the absolute residual
-    for O(1) right-hand sides.  ``eps_schedule`` is the decreasing
-    regularization continuation, ending at most 1e-10.  ``picard_tol`` is the
-    sup-norm bracket width at which the outer singular iteration stops.
+    ``picard_tol`` is the sup-norm bracket width at which the outer singular
+    iteration stops; ``max_picard_iters`` bounds its Dirichlet solves.
     """
 
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 60
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
-    damping: float = 0.5
     picard_tol: float = 1e-8
     max_picard_iters: int = 100
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.picard_tol <= 0:
+        if self.picard_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
-        eps = self.eps_schedule
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise ValueError("eps_schedule must be non-empty and positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps_schedule must be strictly decreasing")
-        if eps[-1] > 1e-10:
-            raise ValueError("eps_schedule must end at or below 1e-10")
-        if self.max_newton_iters < 1 or self.max_picard_iters < 1:
+        if self.max_picard_iters < 1:
             raise ValueError("iteration budgets must be at least 1")
 
 
@@ -89,18 +79,19 @@ class SolverConfig:
 class SolveReport:
     """Outcome of a solve.
 
-    ``final_residual`` is the scaled residual of the last inner Newton stage
-    (so ``converged`` implies final_residual <= newton_tol).  For singular
-    solves ``picard_gap`` carries the final bracket width sup|hi - lo|, and
-    the certified barrier pair used to initialize and guard the iteration is
-    attached.
+    ``final_residual`` is the noise-aware scaled residual of the last
+    Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
+    ``iterations`` counts closure evaluations of the interval root search
+    for a Dirichlet solve (0 on the ball) and Dirichlet solves for a singular
+    one.  For singular solves ``picard_gap`` carries the final bracket width
+    sup|hi - lo|, and the certified barrier pair used to initialize and guard
+    the iteration is attached.
     """
 
     solution: GridFunction
     iterations: int
     final_residual: float
     converged: bool
-    energy_history: tuple[float, ...]
     picard_gap: float | None = None
     sub_barrier: GridFunction | None = None
     super_barrier: GridFunction | None = None
@@ -116,7 +107,7 @@ ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
 def _residual_parts(fw, dphi, u_scale, grid, theta_vals):
-    """Energy gradient g_i = -(F_i - F_{i-1}) - V_i theta_i and its fp noise scale.
+    """Residual g_i = -(F_i - F_{i-1}) - V_i theta_i and its fp noise scale.
 
     The noise model is first-order rounding: each flux carries an error of
     eps_mach * (|F| + phi'(Du) * u_scale / h) and the load term eps_mach * V |theta|.
@@ -140,106 +131,90 @@ def _scaled_residual(g, noise, vol, theta_vals, sl) -> float:
     return float(np.max(r / (vol[sl] * (1.0 + np.abs(theta_vals[sl])))))
 
 
-def _newton_stage(grid, theta_vals, m, eps, u, cfg, energies):
-    """Minimize the eps-regularized energy to tolerance; returns iterations."""
-    sl = grid.unknown_slice
-    lo = sl.start
-    h, fwgt, vol = grid.h, grid.flux_weights, grid.cell_volumes
-    theta_gf = GridFunction(grid, theta_vals)
-
-    e_now = energy(GridFunction(grid, u), theta_gf, m, eps)
-    for it in range(cfg.max_newton_iters + 1):
-        du = np.diff(u) / h
-        fw = fwgt * flux_of_gradient(du, m, eps)
-        dphi = dflux_of_gradient(du, m, eps)
-        u_scale = max(1e-300, float(np.max(np.abs(u))))
-        g_full, noise = _residual_parts(fw, dphi, u_scale, grid, theta_vals)
-        res = _scaled_residual(g_full, noise, vol, theta_vals, sl)
-        if res <= cfg.newton_tol:
-            return u, res, it
-        if it == cfg.max_newton_iters:
-            raise NonConvergence(
-                f"Newton budget exhausted at eps={eps:g}: residual {res:g}",
-                report=SolveReport(
-                    solution=GridFunction(grid, u),
-                    iterations=it,
-                    final_residual=res,
-                    converged=False,
-                    energy_history=tuple(energies),
-                ),
-            )
-        g = g_full[sl]
-
-        # tridiagonal Hessian in banded upper form
-        c = fwgt * dphi / h
-        nun = g.size
-        ab = np.zeros((2, nun))
-        diag_full = np.zeros(grid.n)
-        diag_full[1:-1] = c[:-1] + c[1:]
-        diag_full[0] = c[0]
-        ab[1, :] = diag_full[sl]
-        ab[0, 1:] = -c[lo : lo + nun - 1]
-        try:
-            cb = cholesky_banded(ab, lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteJacobian(
-                f"banded Cholesky failed at eps={eps:g}: {exc}"
-            ) from exc
-        d = cho_solve_banded((cb, False), -g)
-        gd = float(np.dot(g, d))
-        if gd >= 0.0:
-            raise IndefiniteJacobian("Newton direction is not a descent direction")
-
-        step = np.zeros(grid.n)
-        step[sl] = d
-        if -gd <= 1e-13 * max(1.0, abs(e_now)):
-            # predicted decrease below fp resolution of the energy: the line
-            # search cannot see it; take the full step (quadratic basin)
-            u = u + step
-            e_now = energy(GridFunction(grid, u), theta_gf, m, eps)
-            energies.append(e_now)
-            continue
-        t = 1.0
-        while True:
-            trial = u + t * step
-            e_trial = energy(GridFunction(grid, trial), theta_gf, m, eps)
-            if e_trial <= e_now + ARMIJO_C1 * t * gd:
-                break
-            t *= cfg.damping
-            if t < 1e-14:
-                raise NonConvergence(
-                    f"line search stalled at eps={eps:g}",
-                    report=SolveReport(
-                        solution=GridFunction(grid, u),
-                        iterations=it,
-                        final_residual=res,
-                        converged=False,
-                        energy_history=tuple(energies),
-                    ),
-                )
-        u = trial
-        e_now = e_trial
-        energies.append(e_now)
-    raise AssertionError("unreachable")
+def _inverse_flux(y, m):
+    """Du with |Du|^(m-2) Du = y."""
+    return np.copysign(np.abs(y) ** (1.0 / (m - 1.0)), y)
 
 
-def solve_dirichlet(
-    theta: GridFunction,
-    m: float,
-    config: SolverConfig | None = None,
-    initial: GridFunction | None = None,
-) -> SolveReport:
+def _compensated_cumsum(x):
+    """Cumulative sum of ``x`` correct to rounding at every entry.
+
+    A plain cumulative sum drifts like sqrt(n) ulps; u is summed inward from
+    both boundaries, so that drift would land in the peak cell as a jump
+    the residual check cannot tell from a wrong flux when m < 2.  The exact
+    rounding error of every step (TwoSum) is summed and added back.
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    bp = s - prev
+    err = (prev - (s - bp)) + (x - bp)
+    return s + np.cumsum(err)
+
+
+def _anchored_loads(loads, k):
+    """R_j, the sum of the node loads between cell k and cell j, signed so that
+    the cell fluxes are F_j = F_k - R_j (R_k = 0)."""
+    return np.concatenate(
+        (-np.cumsum(loads[k:0:-1])[::-1], [0.0], np.cumsum(loads[k + 1 : -1]))
+    )
+
+
+def _closure_root(big_r, h, m, c):
+    """Root of the increasing closure sum_j h_j phi^(-1)(c - R_j), from ``c``.
+
+    The root lies in [min R, max R].  Each step follows the tangent of the
+    closure and falls back to bisection of the bracket whenever that step
+    leaves the bracket or fails to halve the previous one.  The search stops
+    once the closure is at the rounding level of its sum, or the bracket is
+    down to adjacent floats, or the tangent step is below the resolution of
+    every flux c - R_j but the one closest to zero: such a step can only move
+    the peak cell, which takes the closure error anyway.  Returns the root
+    and the number of closure evaluations.
+    """
+    inv = 1.0 / (m - 1.0)
+    lo, hi = float(big_r.min()), float(big_r.max())
+    last_step = hi - lo
+    # fp resolution of c - R_j is ulp(max(|c|, |R_j|)); the flux closest to
+    # zero is exempt, so the second smallest |R_j| sets the scale
+    r2 = float(np.partition(np.abs(big_r), 1)[1])
+    for it in range(1, MAX_ROOT_STEPS + 1):
+        y = c - big_r
+        du = _inverse_flux(y, m)
+        hdu = h * du
+        val = float(np.sum(hdu))
+        if abs(val) <= 4.0 * np.finfo(float).eps * float(np.sum(np.abs(hdu))):
+            break
+        if val < 0.0:
+            lo = c
+        else:
+            hi = c
+        a = np.abs(y)
+        dinv = np.divide(np.abs(du), a, out=np.zeros_like(a), where=a > 0.0)
+        slope = inv * float(np.dot(h, dinv))
+        step = val / slope if slope > 0.0 else np.inf
+        if abs(step) <= 2.0 * np.finfo(float).eps * max(abs(c), r2):
+            break
+        nxt = c - step
+        if not (lo < nxt < hi) or abs(step) > 0.5 * abs(last_step):
+            nxt = 0.5 * (lo + hi)
+        last_step = nxt - c
+        if nxt in (lo, hi):  # the bracket is down to adjacent floats
+            break
+        c = nxt
+    return c, it
+
+
+def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = theta with homogeneous Dirichlet data.
 
     ``theta`` must be finite at the unknown nodes (boundary entries are
-    ignored).  The converged solution is the unique minimizer of the discrete
-    energy; convergence means the scaled residual is below ``newton_tol`` at
-    the final regularization eps.  Raises NonConvergence with the partial
-    state attached when a budget is exhausted.
+    ignored).  The fluxes are integrated exactly from the loads V theta (see
+    the module docstring); the result is returned only when its noise-aware
+    scaled residual is at most RESIDUAL_TOL, and NonConvergence is raised
+    with the report attached otherwise.
     """
     if m <= 1.0:
         raise ValueError("m must exceed 1")
-    cfg = config or SolverConfig()
     grid = theta.grid
     theta_vals = np.array(theta.values)
     for i in grid.dirichlet_indices():
@@ -247,28 +222,46 @@ def solve_dirichlet(
     if not np.all(np.isfinite(theta_vals)):
         raise ValueError("theta must be finite at the unknown nodes")
 
-    if initial is None:
+    h = grid.h
+    loads = grid.cell_volumes * theta_vals
+    if grid.domain.is_ball:
+        # zero flux at r = 0: F_j = -sum_{i <= j} V_i theta_i
+        hdu = h * _inverse_flux(-np.cumsum(loads[:-1]) / grid.flux_weights, m)
         u = np.zeros(grid.n)
+        u[:-1] = -_compensated_cumsum(hdu[::-1])[::-1]
+        iterations = 0
     else:
-        if not (initial.grid is grid or np.array_equal(initial.grid.nodes, grid.nodes)):
-            raise GridMismatch("initial guess lives on a different grid")
-        u = np.array(initial.values)
-        for i in grid.dirichlet_indices():
-            u[i] = 0.0
+        # flux weights are 1 on the interval; first locate the cell where
+        # the flux changes sign from prefix sums, then solve again with the
+        # loads anchored there
+        prefix = _anchored_loads(loads, 0)
+        c0 = float(np.dot(h, prefix))  # the exact root for m = 2 (sum h = 1)
+        c, its = _closure_root(prefix, h, m, c0)
+        k = int(np.argmin(np.abs(c - prefix)))
+        big_r = _anchored_loads(loads, k)
+        c, more = _closure_root(big_r, h, m, c - prefix[k])
+        iterations = its + more
+        hdu = h * _inverse_flux(c - big_r, m)
+        u = np.zeros(grid.n)
+        u[1 : k + 1] = _compensated_cumsum(hdu[:k])
+        u[k + 1 : -1] = -_compensated_cumsum(hdu[:k:-1])[::-1]
 
-    energies: list[float] = []
-    total_iters = 0
-    res = math.inf
-    for eps in cfg.eps_schedule:
-        u, res, its = _newton_stage(grid, theta_vals, m, eps, u, cfg, energies)
-        total_iters += its
-    return SolveReport(
+    du = np.diff(u) / h
+    fw = grid.flux_weights * flux_of_gradient(du, m)
+    u_scale = max(1e-300, float(np.max(np.abs(u))))
+    g, noise = _residual_parts(fw, dflux_of_gradient(du, m), u_scale, grid, theta_vals)
+    res = _scaled_residual(g, noise, grid.cell_volumes, theta_vals, grid.unknown_slice)
+    report = SolveReport(
         solution=GridFunction(grid, u),
-        iterations=total_iters,
+        iterations=iterations,
         final_residual=res,
-        converged=res <= cfg.newton_tol,
-        energy_history=tuple(energies),
+        converged=res <= RESIDUAL_TOL,
     )
+    if not report.converged:
+        raise NonConvergence(
+            f"a-posteriori check failed: scaled residual {res:g}", report=report
+        )
+    return report
 
 
 def _singular_theta(spec, grid, k_vals, v, floor):
@@ -322,24 +315,19 @@ def solve_singular(
             )
     k_vals = k_gf.values
 
-    if spec.p == 0.0:
-        # no coupling: one Dirichlet solve, still reported as a singular run
-        inner = solve_dirichlet(k_gf, spec.m, cfg)
-        pair = certified_pair(spec, grid, config=cfg)
-        return replace(
-            inner,
-            picard_gap=0.0,
-            sub_barrier=pair.sub,
-            super_barrier=pair.super_,
-            barrier_c=pair.c,
-        )
-
-    pair = certified_pair(spec, grid, config=cfg)
-
+    pair = certified_pair(spec, grid)
     # T scales like c^(-p/(m-1)) against the barrier's c, so the alternating
     # iteration contracts only for p < m - 1.  Near or beyond that line the
     # scaling mode is removed by geometric damping instead.
-    if spec.p >= 0.7 * (spec.m - 1.0):
+    if spec.p == 0.0:
+        # no coupling: one Dirichlet solve, still reported as a singular run
+        inner = solve_dirichlet(k_gf, spec.m)
+        if _escapes(inner.solution.values, pair, cfg.picard_tol):
+            raise BarrierOrderViolation(
+                "the solution lies outside the certified bracket"
+            )
+        iterations, picard_gap = 1, 0.0
+    elif spec.p >= 0.7 * (spec.m - 1.0):
         inner, iterations, picard_gap, pair = _damped_singular_loop(
             spec, grid, cfg, pair, k_vals
         )
@@ -351,11 +339,17 @@ def solve_singular(
     return replace(
         inner,
         iterations=iterations,
-        converged=inner.converged,
         picard_gap=picard_gap,
         sub_barrier=pair.sub,
         super_barrier=pair.super_,
         barrier_c=pair.c,
+    )
+
+
+def _escapes(u, pair, tol) -> bool:
+    """Whether ``u`` leaves the certified pair by more than ``tol`` anywhere."""
+    return bool(
+        np.any(u < pair.sub.values - tol) or np.any(u > pair.super_.values + tol)
     )
 
 
@@ -382,13 +376,13 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
     """
     tol = cfg.picard_tol
 
-    def t_map(v, warm):
+    def t_map(v):
         theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
-        return solve_dirichlet(theta, spec.m, cfg, initial=warm)
+        return solve_dirichlet(theta, spec.m)
 
     # Widen the bracket until T maps it into itself: T(sub) must stay below
     # the supersolution (T(sub) >= sub holds by the comparison principle).
-    inner = t_map(pair.sub.values, pair.sub)
+    inner = t_map(pair.sub.values)
     widenings = 0
     while np.any(inner.solution.values > pair.super_.values + tol):
         widenings += 1
@@ -397,7 +391,7 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
                 "could not widen the barrier bracket to contain the first iterate"
             )
         pair = pair.widened(2.0)
-        inner = t_map(pair.sub.values, pair.sub)
+        inner = t_map(pair.sub.values)
 
     lo = pair.sub.values
     hi = inner.solution.values
@@ -406,9 +400,8 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
     while picard_gap > tol:
         if iterations >= cfg.max_picard_iters:
             raise _budget_error(inner, picard_gap, pair)
-        rep_lo = t_map(hi, inner.solution)
-        new_lo = rep_lo.solution.values
-        inner = t_map(new_lo, rep_lo.solution)
+        new_lo = t_map(hi).solution.values
+        inner = t_map(new_lo)
         new_hi = inner.solution.values
         iterations += 2
         if np.any(new_lo < pair.sub.values - tol) or np.any(
@@ -434,12 +427,12 @@ def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
     sl = grid.unknown_slice
     sigma = (spec.m - 1.0) / (spec.m - 1.0 + spec.p)
 
-    def t_map(v, warm):
+    def t_map(v):
         theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
-        return solve_dirichlet(theta, spec.m, cfg, initial=warm)
+        return solve_dirichlet(theta, spec.m)
 
     u = pair.sub.values
-    inner = t_map(u, pair.sub)
+    inner = t_map(u)
     iterations = 1
     gap = float(np.max(np.abs(inner.solution.values - u)))
     while gap > tol:
@@ -457,13 +450,10 @@ def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
                 "damped iterate ran far outside the certified bracket"
             )
         u = nxt
-        inner = t_map(u, inner.solution)
+        inner = t_map(u)
         iterations += 1
         gap = float(np.max(np.abs(inner.solution.values - u)))
-    final = inner.solution.values
-    if np.any(final < pair.sub.values - tol) or np.any(
-        final > pair.super_.values + tol
-    ):
+    if _escapes(inner.solution.values, pair, tol):
         raise BarrierOrderViolation(
             "damped iteration settled outside the certified bracket"
         )

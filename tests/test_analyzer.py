@@ -21,7 +21,6 @@ from mlap1d import (
     solve_singular,
     threshold_scan,
 )
-from mlap1d.analyzer import power_fit_suggests_log_correction
 from mlap1d.errors import InsufficientWindow, InvalidConfig, NonPositiveValues
 
 from oracles import quad_integral
@@ -119,9 +118,13 @@ class TestFitLogCorrection:
             lambda x: g.domain.delta(x)
             * np.log(1.0 / g.domain.delta(x)) ** (2.0 / 3.0),
         )
-        assert power_fit_suggests_log_correction(u, (1e-14, 1e-10))
+        full = fit_boundary_exponent(u, (1e-14, 1e-10)).exponent
+        inner = fit_boundary_exponent(u, (1e-14, 1e-12)).exponent
+        outer = fit_boundary_exponent(u, (1e-12, 1e-10)).exponent
+        assert 0.97 < full < 1.0
+        assert inner > outer + 0.003
         w = sampled(g, lambda x: g.domain.delta(x) ** 0.7)
-        assert not power_fit_suggests_log_correction(w, (1e-14, 1e-10))
+        assert fit_boundary_exponent(w, (1e-14, 1e-10)).exponent <= 0.97
 
 
 class TestFitLogProfile:
