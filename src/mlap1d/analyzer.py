@@ -264,8 +264,10 @@ def _ratio_verdict(ratios: np.ndarray) -> Verdict:
     return Verdict.MARGINAL
 
 
-def _solve_on_level(target, n: int, grading: float, config) -> GridFunction:
+def _solve_on_level(target, n: int, grading: float, config, solve_level) -> GridFunction:
     try:
+        if solve_level is not None:
+            return solve_level(n)
         if isinstance(target, ProblemSpec):
             grid = make_graded_grid(n, grading, target.domain)
             return solve_singular(target, grid, config).solution
@@ -283,13 +285,17 @@ def threshold_scan(
     grading: float = 3.0,
     config: SolverConfig | None = None,
     predicted_threshold: float | None = None,
+    solve_level: Callable[[int], GridFunction] | None = None,
 ) -> ScanReport:
     """Solve on nested graded grids and classify each tau by seminorm ratios.
 
     ``refinement_levels`` is the increasing list of node counts; each level
     must refine the previous one (n - 1 doubles) so the grids are nested.
     For a ProblemSpec target the predicted threshold is filled in from the
-    regime classification unless given explicitly.
+    regime classification unless given explicitly.  ``solve_level``, when
+    given, returns the solution of ``target`` at n nodes (on the grid built
+    with ``grading``) in place of a fresh solve, so a caller can share solves
+    between the scan and its other checks.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
@@ -305,7 +311,7 @@ def threshold_scan(
 
     norms = np.empty((len(levels), len(taus)))
     for l, n in enumerate(levels):
-        u = _solve_on_level(target, n, grading, config)
+        u = _solve_on_level(target, n, grading, config, solve_level)
         for j, tau in enumerate(taus):
             norms[l, j] = sobolev_seminorm(u, tau)
     if not np.all(np.isfinite(norms)):

@@ -29,6 +29,7 @@ overflow from undershoot.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .errors import (
     NonConvergence,
 )
 from .operator import dflux_of_gradient, flux_of_gradient
+
+if TYPE_CHECKING:  # eigen sits above solver
+    from .eigen import EigenPair
 
 __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 
@@ -278,6 +282,7 @@ def solve_singular(
     config: SolverConfig | None = None,
     k_values: GridFunction | None = None,
     k0: float = 1.0,
+    base: EigenPair | None = None,
 ) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
@@ -292,6 +297,9 @@ def solve_singular(
     the first iterate stays inside the bracket, so BarrierOrderViolation
     signals a genuinely under-resolved grid or mis-scaled barrier rather than
     ordinary transient behaviour.
+
+    The barriers are built on ``base``, the first m-Laplace eigenpair on
+    ``grid``; it is computed here when not given.
 
     The grid should resolve delta^gamma boundary layers for the predicted
     exponent gamma; grading >= 2/gamma is a good default.
@@ -315,7 +323,7 @@ def solve_singular(
             )
     k_vals = k_gf.values
 
-    pair = certified_pair(spec, grid)
+    pair = certified_pair(spec, grid, base=base)
     # T scales like c^(-p/(m-1)) against the barrier's c, so the alternating
     # iteration contracts only for p < m - 1.  Near or beyond that line the
     # scaling mode is removed by geometric damping instead.

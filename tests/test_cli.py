@@ -1,14 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
+import mlap1d.analyzer
+import mlap1d.barriers
+import mlap1d.cli
 from mlap1d.cli import (
     ClaimRecord,
     ReproReport,
+    field_csv_text,
     main,
     parse_report,
     parse_repro_report,
 )
+from mlap1d.core import Domain, GridFunction, make_graded_grid
 from mlap1d.errors import InvalidConfig
 
 
@@ -92,6 +98,62 @@ class TestSolveCommand:
                 (d / "solution.csv").read_bytes() + (d / "solve.report").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # damped loop settles outside the certified bracket
+            ["solve", "--m", "1.5", "--p", "0.9", "--q", "1.0", "--n", "1025"],
+            # p = 0 solution lies above the certified supersolution
+            ["solve", "--m", "1.5", "--p", "0", "--q", "1.3", "--n", "1025"],
+            # the same failure at a scan level
+            ["scan-threshold", "--m", "1.5", "--p", "0.9", "--q", "1.0",
+             "--levels", "1025,2049,4097,8193"],
+        ],
+    )
+    def test_failed_certification_exits_1(self, tmp_path, capsys, args):
+        assert main(args + ["--output-dir", str(tmp_path / "o")]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+    def test_scan_level_with_bad_grid_is_invalid_input(self, tmp_path):
+        code = main(
+            ["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1",
+             "--grading", "0.5", "--levels", "257,513,1025,2049",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+
+
+def _reference_field_csv(u):
+    """field_csv_text written one value at a time."""
+    x, d, v = u.grid.nodes, u.grid.delta_nodes, u.values
+    du = np.empty_like(v)
+    du[1:-1] = (v[2:] - v[:-2]) / (x[2:] - x[:-2])
+    du[0] = (v[1] - v[0]) / (x[1] - x[0])
+    du[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
+    lines = ["x,delta,u,du"]
+    for i in range(x.size):
+        lines.append(f"{x[i]:.17g},{d[i]:.17g},{v[i]:.17g},{du[i]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFieldCsv:
+    def test_bytes_match_per_value_formatting(self):
+        grid = make_graded_grid(16, 1.0)
+        vals = [0.0, -0.0, 5e-324, 1e300, -2.5, 1.0 / 3.0, -1e-300, 7.0]
+        u = GridFunction(grid, np.array(vals + [-v for v in vals]))
+        text = field_csv_text(u)
+        assert text == _reference_field_csv(u)
+        assert text.splitlines()[2].split(",")[2] == "-0"
+
+    def test_bytes_match_on_a_graded_ball_field(self):
+        grid = make_graded_grid(1025, 3.0, Domain.ball(3))
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-300, 200, grid.n)
+        u = GridFunction(grid, rng.standard_normal(grid.n) * scale)
+        assert field_csv_text(u) == _reference_field_csv(u)
 
 
 class TestEigenCommand:
@@ -211,6 +273,47 @@ class TestReproduceSmall:
             ["reproduce-theorem1", "--set", "matrix=E1",
              "--set", "e3.boundary_exponent=0.5", "--output-dir", str(tmp_path / "o")]
         ) == 2
+
+
+class TestReproduceReuse:
+    """One run computes each distinct singular solve and eigenpair once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"solve_singular": 0, "first_eigenpair": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in (mlap1d.cli, mlap1d.analyzer):
+            monkeypatch.setattr(mod, "solve_singular", counted("solve_singular", mod.solve_singular))
+        for mod in (mlap1d.cli, mlap1d.barriers):
+            monkeypatch.setattr(mod, "first_eigenpair", counted("first_eigenpair", mod.first_eigenpair))
+        return calls
+
+    @staticmethod
+    def _run(tmp_path, name, *extra):
+        out = tmp_path / name
+        assert main(["reproduce-theorem1", *extra, "--output-dir", str(out)]) == 0
+        return (out / "reproduce.report").read_bytes()
+
+    def test_default_matrix_counts_and_repeat_run(self, tmp_path, counts):
+        first = self._run(tmp_path, "a")
+        assert counts == {"solve_singular": 10, "first_eigenpair": 5}
+        second = self._run(tmp_path, "b")
+        # nothing is carried over from the first run
+        assert counts == {"solve_singular": 20, "first_eigenpair": 10}
+        assert second == first
+
+    def test_entry_order_does_not_change_claims(self, tmp_path):
+        forward = self._run(tmp_path, "fwd", "--matrix", "E2,E3")
+        backward = self._run(tmp_path, "bwd", "--matrix", "E3,E2")
+        assert parse_repro_report(backward.decode()) == parse_repro_report(forward.decode())
+        assert backward == forward
 
 
 class TestRadialDomain:
