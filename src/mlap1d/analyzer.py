@@ -25,7 +25,13 @@ from .core import (
     classify_regime,
     make_graded_grid,
 )
-from .errors import InsufficientWindow, InvalidConfig, NonPositiveValues, SolveFailed
+from .errors import (
+    InsufficientWindow,
+    InvalidConfig,
+    InvalidGrading,
+    NonPositiveValues,
+    SolveFailed,
+)
 from .solver import SolverConfig, solve_dirichlet, solve_singular
 
 __all__ = [
@@ -295,7 +301,8 @@ def threshold_scan(
     regime classification unless given explicitly.  ``solve_level``, when
     given, returns the solution of ``target`` at n nodes (on the grid built
     with ``grading``) in place of a fresh solve, so a caller can share solves
-    between the scan and its other checks.
+    between the scan and its other checks.  Bad levels raise InvalidConfig
+    and a grading below 1 raises InvalidGrading, both before any solve.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
@@ -305,6 +312,8 @@ def threshold_scan(
             raise InvalidConfig(
                 f"levels must be nested by doubling: {b} does not refine {a}"
             )
+    if grading < 1.0:
+        raise InvalidGrading(f"grading must be >= 1, got {grading}")
     taus = [float(t) for t in tau_values]
     if predicted_threshold is None and isinstance(target, ProblemSpec):
         predicted_threshold = classify_regime(target).tau_sup

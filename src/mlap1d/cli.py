@@ -865,16 +865,16 @@ COMMANDS = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value configuration file")
-    sub.add_argument(
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="flat key = value configuration file")
+    parser.add_argument(
         "--set",
         action="append",
         metavar="KEY=VALUE",
         help="override any configuration key (repeatable)",
     )
     for key in KNOWN_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
 _VERIFICATION_FAILURES = (
@@ -889,7 +889,7 @@ def _failed_verification(exc: MlapError) -> bool:
     """Whether ``exc`` is a failed solve or certification (exit 1).
 
     A scan level's SolveFailed is judged by the package error it wraps, so
-    a bad grid key on a scan is still invalid input.
+    an invalid-input error raised inside a level solve is still invalid input.
     """
     if isinstance(exc, SolveFailed) and isinstance(exc.__cause__, MlapError):
         exc = exc.__cause__
@@ -905,10 +905,8 @@ def main(argv=None) -> int:
             f"Every key is also an environment variable {ENV_PREFIX}<KEY>."
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subs.add_parser(name)
-        _add_common_flags(sub)
+    parser.add_argument("command", choices=COMMANDS)
+    _add_common_flags(parser)
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)

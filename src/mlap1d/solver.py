@@ -15,15 +15,20 @@ flux gives Du in every cell, and u is summed inward from the Dirichlet
 boundary, which leaves the rounding error of the closure in the peak cell.
 Every solution is checked a posteriori by its noise-aware scaled residual.
 
-solve_singular treats -div(Phi) = K u^(-p) by monotone iteration: freeze the
-singular term at the previous iterate and solve the resulting Dirichlet
-problem.  The map T(v) = solve(K v^(-p)) is order-reversing, so starting from
-a certified discrete subsolution the even iterates increase toward the
-solution while the odd iterates decrease toward it from above; the pair
-(T(hi), T(T(hi))) brackets the solution and the bracket width is a computable
-error bound.  Iterates are kept inside the certified sub/supersolution pair
-and the singular term is clamped below at the subsolution to rule out
-overflow from undershoot.
+solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
+T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
+discrete subsolution to rule out overflow from undershoot.  T is
+order-reversing, and for p < m - 1 its linearisation in log u has its
+spectrum in [-rho, 0], rho = p/(m-1).  The bracketed loop first relaxes,
+u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
+solve.  Near the fixed point it widens u and T(u) by a relative eps to an
+order interval [a, b] and checks a <= T(b) and T(a) <= b exactly.  Then T
+maps [a, b] into [T(b), T(a)], a subset of [a, b], so by Brouwer's theorem
+and uniqueness the solution lies in [T(b), T(a)]: two solves give a
+computable error bound sup|T(a) - T(b)|.  Should that bound exceed the
+tolerance, the monotone alternation lo <- T(hi), hi <- T(lo) continues from
+(T(b), T(a)); each of its pairs brackets the solution as well.  Iterates are
+checked against the certified sub/supersolution pair.
 """
 
 from __future__ import annotations
@@ -291,12 +296,12 @@ def solve_singular(
     envelope, against which the barriers are certified.
 
     The iteration starts at a numerically certified subsolution barrier and
-    alternates T(v) = solve_dirichlet(K v^(-p)); successive (lo, hi) pairs
-    bracket the solution, and the loop stops when sup|hi - lo| <=
-    ``picard_tol``.  The barrier scaling constant is widened (doubled) until
-    the first iterate stays inside the bracket, so BarrierOrderViolation
-    signals a genuinely under-resolved grid or mis-scaled barrier rather than
-    ordinary transient behaviour.
+    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring); for
+    p < 0.7 (m - 1) it stops on a certified pair (lo, hi) that brackets the
+    solution with sup|hi - lo| <= ``picard_tol``.  The barrier scaling
+    constant is widened (doubled) until the first iterate stays inside the
+    bracket, so BarrierOrderViolation signals a genuinely under-resolved grid
+    or mis-scaled barrier rather than ordinary transient behaviour.
 
     The barriers are built on ``base``, the first m-Laplace eigenpair on
     ``grid``; it is computed here when not given.
@@ -376,13 +381,22 @@ def _budget_error(inner, gap, pair):
 
 
 def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
-    """Interleaved monotone iteration: lo <- T(hi), hi <- T(lo).
+    """Relaxed iteration to near the fixed point, then a certified bracket.
 
-    Starting from the certified subsolution the lower iterates increase and
-    the upper ones decrease, bracketing the solution; the bracket width is
-    the stopping quantity and a computable error bound.
+    With rho = p/(m-1) the linearisation of log T at the fixed point has its
+    spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
+    w = 2/(2+rho) contracts by rho/(2+rho) per solve, where the plain
+    alternation contracts by rho.  Once sup|T(u) - u| is small, the order
+    interval [a, b] around u and T(u) is certified in two solves (see
+    _certify_bracket).  Should the certified width still exceed picard_tol,
+    the interleaved monotone iteration lo <- T(hi), hi <- T(lo) shrinks it
+    further; every (lo, hi) it produces brackets the solution, so the
+    returned width is a computable error bound.
     """
     tol = cfg.picard_tol
+    sl = grid.unknown_slice
+    rho = spec.p / (spec.m - 1.0)
+    omega = 2.0 / (2.0 + rho)
 
     def t_map(v):
         theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
@@ -401,9 +415,27 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
         pair = pair.widened(2.0)
         inner = t_map(pair.sub.values)
 
-    lo = pair.sub.values
-    hi = inner.solution.values
+    u = pair.sub.values
     iterations = 1
+    gap = float(np.max(np.abs(inner.solution.values - u)))
+    # stop well inside picard_tol, so that the bracket _certify_bracket puts
+    # around u and T(u) usually meets it without further alternation
+    while gap > 0.25 * (1.0 - rho) * tol:
+        if iterations >= cfg.max_picard_iters:
+            raise _budget_error(inner, gap, pair)
+        nxt = np.zeros(grid.n)
+        nxt[sl] = np.exp(
+            (1.0 - omega) * np.log(u[sl]) + omega * np.log(inner.solution.values[sl])
+        )
+        u = nxt
+        inner = t_map(u)
+        iterations += 1
+        gap = float(np.max(np.abs(inner.solution.values - u)))
+
+    lo, inner, iterations = _certify_bracket(
+        t_map, u, inner, iterations, pair, cfg
+    )
+    hi = inner.solution.values
     picard_gap = float(np.max(np.abs(hi - lo)))
     while picard_gap > tol:
         if iterations >= cfg.max_picard_iters:
@@ -421,6 +453,49 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
         lo, hi = new_lo, new_hi
         picard_gap = float(np.max(np.abs(hi - lo)))
     return inner, iterations, picard_gap, pair
+
+
+# Attempts of _certify_bracket, each widening the interval fourfold.
+CERTIFY_TRIES = 6
+
+
+def _certify_bracket(t_map, u, inner, iterations, pair, cfg):
+    """Two solves that bracket the solution near ``u`` (``inner`` is T(u)).
+
+    a = max((1-eps) min(u, T(u)), sub) and b = (1+eps) max(u, T(u)) on the
+    unknowns, with eps a few times the relative gap between u and T(u).  T is
+    order-reversing, so a <= T(b) and T(a) <= b say that T maps the order
+    interval [a, b] into [T(b), T(a)], a subset of itself.  By Brouwer's
+    theorem it holds a fixed point, which is the solution by uniqueness, so
+    the solution lies in [T(b), T(a)] and sup|T(a) - T(b)| bounds the error.
+    Both inequalities are checked exactly; on failure eps grows fourfold, and
+    BarrierOrderViolation is raised after CERTIFY_TRIES attempts.  Returns
+    T(b), the report of T(a) and the updated solve count.
+    """
+    sl = inner.solution.grid.unknown_slice
+    t_u = inner.solution.values
+    rel = float(np.max(np.abs(t_u[sl] - u[sl]) / np.minimum(u[sl], t_u[sl])))
+    eps = max(4.0 * rel, ASSEMBLY_NOISE)
+    a = np.empty_like(u)
+    b = np.empty_like(u)
+    for _ in range(CERTIFY_TRIES):
+        if iterations >= cfg.max_picard_iters:
+            raise _budget_error(inner, float(np.max(np.abs(t_u - u))), pair)
+        # a and b vanish at the Dirichlet nodes, as do u, T(u) and sub
+        np.minimum(u, t_u, out=a)
+        a *= 1.0 - eps
+        np.maximum(a, pair.sub.values, out=a)
+        np.maximum(u, t_u, out=b)
+        b *= 1.0 + eps
+        t_b = t_map(b).solution.values
+        inner = t_map(a)
+        iterations += 2
+        if np.all(a <= t_b) and np.all(inner.solution.values <= b):
+            return t_b, inner, iterations
+        eps *= 4.0
+    raise BarrierOrderViolation(
+        f"no certified bracket around the relaxed iterate (eps up to {eps / 4.0:g})"
+    )
 
 
 def _damped_singular_loop(spec, grid, cfg, pair, k_vals):

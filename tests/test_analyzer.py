@@ -21,7 +21,12 @@ from mlap1d import (
     solve_singular,
     threshold_scan,
 )
-from mlap1d.errors import InsufficientWindow, InvalidConfig, NonPositiveValues
+from mlap1d.errors import (
+    InsufficientWindow,
+    InvalidConfig,
+    InvalidGrading,
+    NonPositiveValues,
+)
 
 from oracles import quad_integral
 
@@ -220,6 +225,16 @@ class TestThresholdScan:
             threshold_scan(spec, [2.0], [257, 513, 1025])  # too few levels
         with pytest.raises(InvalidConfig):
             threshold_scan(spec, [2.0], [257, 513, 1025, 2000])  # not nested
+
+    def test_grading_validated_before_any_solve(self):
+        spec = ProblemSpec(m=2.0, p=0.5, q=1.0)
+        solved = []
+        with pytest.raises(InvalidGrading, match="grading must be >= 1"):
+            threshold_scan(
+                spec, [2.0], [257, 513, 1025, 2049], grading=0.5,
+                solve_level=solved.append,
+            )
+        assert solved == []
 
 
 class TestDistanceIntegral:

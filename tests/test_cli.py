@@ -7,6 +7,7 @@ import mlap1d.analyzer
 import mlap1d.barriers
 import mlap1d.cli
 from mlap1d.cli import (
+    COMMANDS,
     ClaimRecord,
     ReproReport,
     field_csv_text,
@@ -16,6 +17,7 @@ from mlap1d.cli import (
 )
 from mlap1d.core import Domain, GridFunction, make_graded_grid
 from mlap1d.errors import InvalidConfig
+from mlap1d.solver import SolverConfig
 
 
 class TestClassify:
@@ -124,6 +126,41 @@ class TestExitCodes:
              "--output-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_bad_grading_is_blamed_on_the_input(self, tmp_path, capsys):
+        code = main(
+            ["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1",
+             "--grading", "0.5", "--levels", "257,513,1025,2049",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid input: grading must be >= 1" in err
+        assert "solve failed" not in err
+
+
+class TestParser:
+    def test_every_command_parses(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("q = 1\n")
+        seen = []
+        for name in COMMANDS:
+            monkeypatch.setitem(
+                COMMANDS, name,
+                lambda cfg, name=name: seen.append((name, cfg["m"], cfg["p"], cfg["q"])) or 0,
+            )
+        for name in COMMANDS:
+            argv = [name, "--config", str(cfg_file), "--m", "3", "--set", "p=0.5"]
+            assert main(argv) == 0
+        assert seen == [(name, 3.0, 0.5, 1.0) for name in COMMANDS]
+
+    @pytest.mark.parametrize(
+        "argv", [["bogus"], [], ["--m", "2"]], ids=["unknown", "missing", "flags-only"]
+    )
+    def test_unknown_or_missing_command_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def _reference_field_csv(u):
@@ -314,6 +351,46 @@ class TestReproduceReuse:
         backward = self._run(tmp_path, "bwd", "--matrix", "E3,E2")
         assert parse_repro_report(backward.decode()) == parse_repro_report(forward.decode())
         assert backward == forward
+
+
+# reproduce-theorem1 measured values of the default matrix, as the
+# plain monotone alternation computed them before the relaxed loop
+REFERENCE_MEASURED = {
+    "E1.barrier_scale_log2": 3.0,
+    "E1.boundary_exponent": 0.9898110588329754,
+    "E1.gradient_factor": 1.0001443768197418,
+    "E1.regime": 0.0,
+    "E1.sandwich_violation": 0.0,
+    "E2.barrier_scale_log2": 2.0,
+    "E2.log_exponent": 0.7119840846223744,
+    "E2.regime": 1.0,
+    "E2.sandwich_violation": 0.0,
+    "E2.tau_2": 0.0,
+    "E2.tau_4": 0.0,
+    "E2.tau_8": 0.0,
+    "E3.barrier_scale_log2": 2.0,
+    "E3.boundary_exponent": 0.6463086100019217,
+    "E3.regime": 2.0,
+    "E3.sandwich_violation": 0.0,
+    "E3.tau_2": 0.0,
+    "E3.tau_2.5": 0.0,
+    "E3.tau_2.9": 0.0,
+    "E3.tau_3": 2.0,
+    "E3.tau_3.5": 2.0,
+    "E3.tau_4": 2.0,
+}
+
+
+def test_reproduce_keeps_the_reference_answers(tmp_path):
+    out = tmp_path / "o"
+    assert main(["reproduce-theorem1", "--output-dir", str(out)]) == 0
+    report = parse_repro_report((out / "reproduce.report").read_text())
+    measured = {c.claim_id: c.measured for c in report.claims}
+    assert measured.keys() == REFERENCE_MEASURED.keys()
+    assert report.overall and all(c.passed for c in report.claims)
+    tol = SolverConfig().picard_tol
+    for claim_id, ref in REFERENCE_MEASURED.items():
+        assert abs(measured[claim_id] - ref) <= tol, claim_id
 
 
 class TestRadialDomain:

@@ -12,6 +12,7 @@ from mlap1d import (
     solve_dirichlet,
     solve_singular,
 )
+from mlap1d import solver
 from mlap1d.errors import BarrierOrderViolation, NonConvergence
 from mlap1d.solver import RESIDUAL_TOL
 
@@ -231,6 +232,57 @@ class TestSolveSingular:
         g = make_graded_grid(16385, 3.0)
         rep = solve_singular(spec, g)
         assert rep.converged and rep.final_residual <= RESIDUAL_TOL
+
+
+class TestCertifiedBracket:
+    SPEC = ProblemSpec(m=2.0, p=0.5, q=1.0)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 1e-6])
+    def test_unconverged_iterate_certifies_or_refuses(self, monkeypatch, weight):
+        # the certifier gets u^(1-weight) sub^weight in place of the relaxed
+        # iterate u; weight 1 is refused, the smaller ones certify
+        g = make_graded_grid(1025, 3.0)
+        tol = SolverConfig().picard_tol
+        ref = solve_singular(self.SPEC, g)
+        real = solver._certify_bracket
+        certified = []
+
+        def rough(t_map, u, inner, iterations, pair, cfg):
+            sl = g.unknown_slice
+            v = np.zeros_like(u)
+            v[sl] = u[sl] ** (1.0 - weight) * pair.sub.values[sl] ** weight
+            solved = []
+
+            def recorded(w):
+                rep = t_map(w)
+                solved.append((w.copy(), rep.solution.values))
+                return rep
+
+            lo, upper, its = real(recorded, v, t_map(v), iterations + 1, pair, cfg)
+            b = next(w for w, tw in solved if tw is lo)
+            a = next(w for w, tw in solved if tw is upper.solution.values)
+            certified.append((pair.sub.values, a, b, lo, upper.solution.values))
+            return lo, upper, its
+
+        monkeypatch.setattr(solver, "_certify_bracket", rough)
+        try:
+            rep = solve_singular(self.SPEC, g)
+        except BarrierOrderViolation:
+            assert certified == []
+            return
+        ((sub, a, b, t_b, t_a),) = certified
+        # T maps [a, b] into itself, exactly
+        assert np.all(sub <= a) and np.all(a <= t_b) and np.all(t_a <= b)
+        # so [T(b), T(a)] holds the solution, which ref knows within its gap
+        assert np.all(t_b <= ref.solution.values + ref.picard_gap)
+        assert np.all(ref.solution.values <= t_a + ref.picard_gap)
+        assert rep.picard_gap <= tol
+        assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= tol
+
+    def test_relaxed_loop_solve_count(self):
+        # the plain alternation needs 29 solves here
+        rep = solve_singular(self.SPEC, make_graded_grid(1025, 3.0))
+        assert rep.iterations <= 20
 
 
 class TestSolverConfig:
