@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     GridFunction,
     INTERVAL01,
+    MIN_NODES,
     ProblemSpec,
     classify_regime,
     make_graded_grid,
@@ -301,12 +302,16 @@ def threshold_scan(
     regime classification unless given explicitly.  ``solve_level``, when
     given, returns the solution of ``target`` at n nodes (on the grid built
     with ``grading``) in place of a fresh solve, so a caller can share solves
-    between the scan and its other checks.  Bad levels raise InvalidConfig
-    and a grading below 1 raises InvalidGrading, both before any solve.
+    between the scan and its other checks.  Bad levels (fewer than four, one
+    below MIN_NODES nodes, or not nested) raise InvalidConfig and a grading
+    below 1 raises InvalidGrading, all before any solve.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
         raise InvalidConfig("need at least 4 refinement levels")
+    for n in levels:
+        if n < MIN_NODES:
+            raise InvalidConfig(f"level n={n} has fewer than {MIN_NODES} nodes")
     for a, b in zip(levels, levels[1:]):
         if b - 1 != 2 * (a - 1):
             raise InvalidConfig(

@@ -49,6 +49,9 @@ __all__ = [
 # against decimal-literal noise.
 CRITICAL_EQ_TOL = 1e-12
 
+# Fewest nodes make_graded_grid builds a grid with.
+MIN_NODES = 16
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -317,8 +320,8 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     """
     if grading < 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
-    if n < 16:
-        raise ValueError(f"need at least 16 nodes, got {n}")
+    if n < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
     t = np.linspace(0.0, 1.0, n)
     if domain.is_ball:
         x = 1.0 - (1.0 - t) ** grading

@@ -19,16 +19,19 @@ solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
 discrete subsolution to rule out overflow from undershoot.  T is
 order-reversing, and for p < m - 1 its linearisation in log u has its
-spectrum in [-rho, 0], rho = p/(m-1).  The bracketed loop first relaxes,
+spectrum in [-rho, 0], rho = p/(m-1).  The bracketed loop relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
-solve.  Near the fixed point it widens u and T(u) by a relative eps to an
-order interval [a, b] and checks a <= T(b) and T(a) <= b exactly.  Then T
-maps [a, b] into [T(b), T(a)], a subset of [a, b], so by Brouwer's theorem
-and uniqueness the solution lies in [T(b), T(a)]: two solves give a
-computable error bound sup|T(a) - T(b)|.  Should that bound exceed the
-tolerance, the monotone alternation lo <- T(hi), hi <- T(lo) continues from
-(T(b), T(a)); each of its pairs brackets the solution as well.  Iterates are
-checked against the certified sub/supersolution pair.
+solve, and every solve brings its own certificate, the scaling bracket.
+-Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
+w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
+every unknown node and a subsolution if <= holds at every one.  The extreme
+scales lam_lo <= lam_hi put the solution in [lam_lo w, lam_hi w]; the loop
+stops once the width (lam_hi - lam_lo) sup w is at most picard_tol and
+returns the midpoint, within half the width of the solution.  The solve's
+scaled residual enters lam as slack, never below the assembly noise, so the
+width cannot fall below about 2 ASSEMBLY_NOISE sup u/(m-1+p): a tolerance
+under that resolution floor raises NonConvergence.  The result is checked
+against the certified sub/supersolution pair.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ MAX_ROOT_STEPS = 200
 class SolverConfig:
     """Tolerance and budget of the outer singular loop.
 
-    ``picard_tol`` is the sup-norm bracket width at which the outer singular
-    iteration stops; ``max_picard_iters`` bounds its Dirichlet solves.
+    ``picard_tol`` is the sup-norm width of the scaling bracket at which the
+    bracketed singular loop stops, and the last step sup|T(u) - u| at which
+    the damped one stops; ``max_picard_iters`` bounds their Dirichlet solves.
     """
 
     picard_tol: float = 1e-8
@@ -92,9 +96,14 @@ class SolveReport:
     Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
     ``iterations`` counts closure evaluations of the interval root search
     for a Dirichlet solve (0 on the ball) and Dirichlet solves for a singular
-    one.  For singular solves ``picard_gap`` carries the final bracket width
-    sup|hi - lo|, and the certified barrier pair used to initialize and guard
-    the iteration is attached.
+    one.  Singular solves attach the certified barrier pair used to
+    initialize and guard the iteration, and report ``picard_gap``:
+
+    - for 0 < p < 0.7 (m-1), the width of the scaling bracket, a certified
+      bound: the solution is within picard_gap/2 of ``solution``;
+    - for p = 0, 0 (a single Dirichlet solve);
+    - for p >= 0.7 (m-1), the damped loop's last step sup|T(u) - u|, which
+      is not an error bound.
     """
 
     solution: GridFunction
@@ -296,9 +305,12 @@ def solve_singular(
     envelope, against which the barriers are certified.
 
     The iteration starts at a numerically certified subsolution barrier and
-    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring); for
-    p < 0.7 (m - 1) it stops on a certified pair (lo, hi) that brackets the
-    solution with sup|hi - lo| <= ``picard_tol``.  The barrier scaling
+    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).  For
+    p < 0.7 (m - 1) it stops on a scaling bracket of width at most
+    ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
+    the error; for p >= 0.7 (m - 1) the damped loop stops once
+    sup|T(u) - u| <= ``picard_tol`` and reports that step, which is not an
+    error bound; p = 0 takes one solve and reports 0.  The barrier scaling
     constant is widened (doubled) until the first iterate stays inside the
     bracket, so BarrierOrderViolation signals a genuinely under-resolved grid
     or mis-scaled barrier rather than ordinary transient behaviour.
@@ -366,11 +378,14 @@ def _escapes(u, pair, tol) -> bool:
     )
 
 
-def _budget_error(inner, gap, pair):
+def _unconverged(
+    inner, iterations, gap, pair, why="singular iteration budget exhausted"
+):
     return NonConvergence(
-        f"singular iteration budget exhausted: bracket width {gap:g}",
+        f"{why}: bracket width {gap:g}",
         report=replace(
             inner,
+            iterations=iterations,
             converged=False,
             picard_gap=gap,
             sub_barrier=pair.sub,
@@ -380,18 +395,44 @@ def _budget_error(inner, gap, pair):
     )
 
 
+def _scaling_bracket(spec, sl, k_vals, v, floor, inner):
+    """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w].
+
+    w = T(v) is ``inner``'s solution; it solves -Delta_m w = theta with
+    theta = K vt^(-p), vt = max(v, floor), up to the scaled residual
+    r (1 + theta), where the slack r is the solve's measured residual but
+    never below ASSEMBLY_NOISE.  By (m-1)-homogeneity lam w is a
+    supersolution of -Delta_m u = K u^(-p) wherever
+    lam^(m-1+p) (1 - r (1 + theta)/theta) >= (vt/w)^p, and a subsolution
+    wherever lam^(m-1+p) (1 + r (1 + theta)/theta) <= (vt/w)^p.  K u^(-p)
+    decreases in u, so the comparison principle puts the solution between
+    the two.  Works on the unknowns only; returns (0, inf) when the slack
+    swamps the load.
+    """
+    vt = np.maximum(v[sl], floor[sl])
+    w = inner.solution.values[sl]
+    slack = max(inner.final_residual, ASSEMBLY_NOISE) * (
+        1.0 + vt**spec.p / k_vals[sl]
+    )
+    if np.any(slack >= 1.0):
+        return 0.0, np.inf
+    log_ratio = spec.p * np.log(vt / w)
+    e = 1.0 / (spec.m - 1.0 + spec.p)
+    lam_lo = float(np.exp(e * np.min(log_ratio - np.log1p(slack))))
+    lam_hi = float(np.exp(e * np.max(log_ratio - np.log1p(-slack))))
+    return lam_lo, lam_hi
+
+
 def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
-    """Relaxed iteration to near the fixed point, then a certified bracket.
+    """Relaxed iteration that stops on its own scaling bracket.
 
     With rho = p/(m-1) the linearisation of log T at the fixed point has its
     spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
-    w = 2/(2+rho) contracts by rho/(2+rho) per solve, where the plain
-    alternation contracts by rho.  Once sup|T(u) - u| is small, the order
-    interval [a, b] around u and T(u) is certified in two solves (see
-    _certify_bracket).  Should the certified width still exceed picard_tol,
-    the interleaved monotone iteration lo <- T(hi), hi <- T(lo) shrinks it
-    further; every (lo, hi) it produces brackets the solution, so the
-    returned width is a computable error bound.
+    w = 2/(2+rho) contracts by rho/(2+rho) per solve.  After every solve
+    _scaling_bracket puts the solution in [lam_lo T(u), lam_hi T(u)]; the
+    loop stops once the width (lam_hi - lam_lo) sup T(u) is at most
+    picard_tol and returns the midpoint, which is within half the width of
+    the solution.
     """
     tol = cfg.picard_tol
     sl = grid.unknown_slice
@@ -417,85 +458,33 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
 
     u = pair.sub.values
     iterations = 1
-    gap = float(np.max(np.abs(inner.solution.values - u)))
-    # stop well inside picard_tol, so that the bracket _certify_bracket puts
-    # around u and T(u) usually meets it without further alternation
-    while gap > 0.25 * (1.0 - rho) * tol:
+    while True:
+        w = inner.solution.values
+        lam_lo, lam_hi = _scaling_bracket(spec, sl, k_vals, u, pair.sub.values, inner)
+        w_max = float(np.max(w))
+        width = (lam_hi - lam_lo) * w_max
+        if width <= tol:
+            break
+        # the slack alone keeps lam_hi/lam_lo above 1 + 2 ASSEMBLY_NOISE/(m-1+p)
+        resolution = 2.0 * ASSEMBLY_NOISE / (spec.m - 1.0 + spec.p) * lam_lo * w_max
+        if resolution > tol:
+            why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
+            raise _unconverged(inner, iterations, width, pair, why)
         if iterations >= cfg.max_picard_iters:
-            raise _budget_error(inner, gap, pair)
+            raise _unconverged(inner, iterations, width, pair)
         nxt = np.zeros(grid.n)
-        nxt[sl] = np.exp(
-            (1.0 - omega) * np.log(u[sl]) + omega * np.log(inner.solution.values[sl])
-        )
+        nxt[sl] = np.exp((1.0 - omega) * np.log(u[sl]) + omega * np.log(w[sl]))
         u = nxt
         inner = t_map(u)
         iterations += 1
-        gap = float(np.max(np.abs(inner.solution.values - u)))
 
-    lo, inner, iterations = _certify_bracket(
-        t_map, u, inner, iterations, pair, cfg
-    )
-    hi = inner.solution.values
-    picard_gap = float(np.max(np.abs(hi - lo)))
-    while picard_gap > tol:
-        if iterations >= cfg.max_picard_iters:
-            raise _budget_error(inner, picard_gap, pair)
-        new_lo = t_map(hi).solution.values
-        inner = t_map(new_lo)
-        new_hi = inner.solution.values
-        iterations += 2
-        if np.any(new_lo < pair.sub.values - tol) or np.any(
-            new_hi > pair.super_.values + tol
-        ):
-            raise BarrierOrderViolation(
-                "iterate escaped the certified sub/supersolution bracket"
-            )
-        lo, hi = new_lo, new_hi
-        picard_gap = float(np.max(np.abs(hi - lo)))
-    return inner, iterations, picard_gap, pair
-
-
-# Attempts of _certify_bracket, each widening the interval fourfold.
-CERTIFY_TRIES = 6
-
-
-def _certify_bracket(t_map, u, inner, iterations, pair, cfg):
-    """Two solves that bracket the solution near ``u`` (``inner`` is T(u)).
-
-    a = max((1-eps) min(u, T(u)), sub) and b = (1+eps) max(u, T(u)) on the
-    unknowns, with eps a few times the relative gap between u and T(u).  T is
-    order-reversing, so a <= T(b) and T(a) <= b say that T maps the order
-    interval [a, b] into [T(b), T(a)], a subset of itself.  By Brouwer's
-    theorem it holds a fixed point, which is the solution by uniqueness, so
-    the solution lies in [T(b), T(a)] and sup|T(a) - T(b)| bounds the error.
-    Both inequalities are checked exactly; on failure eps grows fourfold, and
-    BarrierOrderViolation is raised after CERTIFY_TRIES attempts.  Returns
-    T(b), the report of T(a) and the updated solve count.
-    """
-    sl = inner.solution.grid.unknown_slice
-    t_u = inner.solution.values
-    rel = float(np.max(np.abs(t_u[sl] - u[sl]) / np.minimum(u[sl], t_u[sl])))
-    eps = max(4.0 * rel, ASSEMBLY_NOISE)
-    a = np.empty_like(u)
-    b = np.empty_like(u)
-    for _ in range(CERTIFY_TRIES):
-        if iterations >= cfg.max_picard_iters:
-            raise _budget_error(inner, float(np.max(np.abs(t_u - u))), pair)
-        # a and b vanish at the Dirichlet nodes, as do u, T(u) and sub
-        np.minimum(u, t_u, out=a)
-        a *= 1.0 - eps
-        np.maximum(a, pair.sub.values, out=a)
-        np.maximum(u, t_u, out=b)
-        b *= 1.0 + eps
-        t_b = t_map(b).solution.values
-        inner = t_map(a)
-        iterations += 2
-        if np.all(a <= t_b) and np.all(inner.solution.values <= b):
-            return t_b, inner, iterations
-        eps *= 4.0
-    raise BarrierOrderViolation(
-        f"no certified bracket around the relaxed iterate (eps up to {eps / 4.0:g})"
-    )
+    mid = 0.5 * (lam_lo + lam_hi) * w
+    if _escapes(mid, pair, tol):
+        raise BarrierOrderViolation(
+            "the bracketed solution lies outside the certified barrier pair"
+        )
+    inner = replace(inner, solution=GridFunction(grid, mid))
+    return inner, iterations, width, pair
 
 
 def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
@@ -520,7 +509,7 @@ def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
     gap = float(np.max(np.abs(inner.solution.values - u)))
     while gap > tol:
         if iterations >= cfg.max_picard_iters:
-            raise _budget_error(inner, gap, pair)
+            raise _unconverged(inner, iterations, gap, pair)
         t_u = inner.solution.values
         nxt = np.zeros(grid.n)
         nxt[sl] = np.exp((1.0 - sigma) * np.log(u[sl]) + sigma * np.log(t_u[sl]))

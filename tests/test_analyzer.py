@@ -236,6 +236,13 @@ class TestThresholdScan:
             )
         assert solved == []
 
+    def test_small_level_validated_before_any_solve(self):
+        spec = ProblemSpec(m=2.0, p=0.5, q=1.0)
+        solved = []
+        with pytest.raises(InvalidConfig, match="level n=9 has fewer than 16 nodes"):
+            threshold_scan(spec, [2.0], [9, 17, 33, 65], solve_level=solved.append)
+        assert solved == []
+
 
 class TestDistanceIntegral:
     @pytest.mark.parametrize("a", [0.0, 0.5, 0.9, 0.99])

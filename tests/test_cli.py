@@ -138,6 +138,15 @@ class TestExitCodes:
         assert "invalid input: grading must be >= 1" in err
         assert "solve failed" not in err
 
+    def test_scan_level_below_grid_minimum_is_invalid_input(self, tmp_path, capsys):
+        code = main(
+            ["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1",
+             "--levels", "9,17,33,65", "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid input: level n=9 has fewer than 16 nodes" in err
+
 
 class TestParser:
     def test_every_command_parses(self, tmp_path, monkeypatch):

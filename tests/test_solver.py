@@ -236,53 +236,72 @@ class TestSolveSingular:
 
 class TestCertifiedBracket:
     SPEC = ProblemSpec(m=2.0, p=0.5, q=1.0)
+    # a picard_tol every bracketed lattice point resolves at n = 1025
+    REF_TOL = 1e-13
 
     @pytest.mark.parametrize("weight", [1.0, 0.1, 1e-6])
-    def test_unconverged_iterate_certifies_or_refuses(self, monkeypatch, weight):
-        # the certifier gets u^(1-weight) sub^weight in place of the relaxed
-        # iterate u; weight 1 is refused, the smaller ones certify
+    def test_bracket_holds_the_solution(self, weight):
+        # the bracket of any iterate, here u_ref^(1-weight) sub^weight, must
+        # hold the solution, which ref knows within its own width
         g = make_graded_grid(1025, 3.0)
-        tol = SolverConfig().picard_tol
-        ref = solve_singular(self.SPEC, g)
-        real = solver._certify_bracket
-        certified = []
+        ref = solve_singular(self.SPEC, g, SolverConfig(picard_tol=self.REF_TOL))
+        sub = ref.sub_barrier.values
+        sl = g.unknown_slice
+        v = np.zeros(g.n)
+        v[sl] = ref.solution.values[sl] ** (1.0 - weight) * sub[sl] ** weight
+        k = default_k_values(self.SPEC, g).values
+        inner = solve_dirichlet(solver._singular_theta(self.SPEC, g, k, v, sub), 2.0)
+        lam_lo, lam_hi = solver._scaling_bracket(self.SPEC, sl, k, v, sub, inner)
+        w = inner.solution.values
+        assert 0.0 < lam_lo <= lam_hi < np.inf
+        assert np.all(lam_lo * w <= ref.solution.values + ref.picard_gap)
+        assert np.all(ref.solution.values <= lam_hi * w + ref.picard_gap)
 
-        def rough(t_map, u, inner, iterations, pair, cfg):
-            sl = g.unknown_slice
-            v = np.zeros_like(u)
-            v[sl] = u[sl] ** (1.0 - weight) * pair.sub.values[sl] ** weight
-            solved = []
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ("interval", 1.5, 0.2, 0.7),
+            ("ball", 2.0, 0.5, 1.0),
+            ("interval", 3.0, 0.5, 1.3),
+            ("ball", 3.0, 0.9, 0.3),
+            ("interval", 5.0, 0.2, 0.0),
+            ("ball", 5.0, 0.9, 0.7),
+        ],
+        ids=lambda pt: "-".join(map(str, pt)),
+    )
+    def test_picard_gap_bounds_the_error(self, point):
+        # the midpoint of the bracket is within half its width of the solution
+        d, m, p, q = point
+        dom = Domain.ball(3) if d == "ball" else Domain.interval()
+        spec = ProblemSpec(m=m, p=p, q=q, domain=dom)
+        g = make_graded_grid(1025, 3.0, dom)
+        rep = solve_singular(spec, g)
+        ref = solve_singular(spec, g, SolverConfig(picard_tol=self.REF_TOL))
+        assert rep.picard_gap <= SolverConfig().picard_tol
+        err = np.max(np.abs(rep.solution.values - ref.solution.values))
+        assert err <= 0.5 * (rep.picard_gap + ref.picard_gap)
 
-            def recorded(w):
-                rep = t_map(w)
-                solved.append((w.copy(), rep.solution.values))
-                return rep
-
-            lo, upper, its = real(recorded, v, t_map(v), iterations + 1, pair, cfg)
-            b = next(w for w, tw in solved if tw is lo)
-            a = next(w for w, tw in solved if tw is upper.solution.values)
-            certified.append((pair.sub.values, a, b, lo, upper.solution.values))
-            return lo, upper, its
-
-        monkeypatch.setattr(solver, "_certify_bracket", rough)
-        try:
-            rep = solve_singular(self.SPEC, g)
-        except BarrierOrderViolation:
-            assert certified == []
-            return
-        ((sub, a, b, t_b, t_a),) = certified
-        # T maps [a, b] into itself, exactly
-        assert np.all(sub <= a) and np.all(a <= t_b) and np.all(t_a <= b)
-        # so [T(b), T(a)] holds the solution, which ref knows within its gap
-        assert np.all(t_b <= ref.solution.values + ref.picard_gap)
-        assert np.all(ref.solution.values <= t_a + ref.picard_gap)
-        assert rep.picard_gap <= tol
-        assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= tol
+    def test_unreachable_tolerance_raises_with_the_width(self):
+        g = make_graded_grid(1025, 3.0)
+        with pytest.raises(NonConvergence, match="bracket width") as err:
+            solve_singular(self.SPEC, g, SolverConfig(picard_tol=1e-15))
+        report = err.value.report
+        assert report.picard_gap > 1e-15 and not report.converged
+        # the resolution floor is known after the first solve
+        assert report.iterations == 1
 
     def test_relaxed_loop_solve_count(self):
         # the plain alternation needs 29 solves here
         rep = solve_singular(self.SPEC, make_graded_grid(1025, 3.0))
-        assert rep.iterations <= 20
+        assert rep.iterations <= 11
+
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_small_rho_solve_count(self, domain):
+        spec = ProblemSpec(m=5.0, p=0.2, q=0.0, domain=domain)
+        rep = solve_singular(spec, make_graded_grid(1025, 3.0, domain))
+        assert rep.iterations <= 5
 
 
 class TestSolverConfig:
