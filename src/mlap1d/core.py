@@ -287,6 +287,16 @@ class Grid1D:
             return _freeze((mid[1:] ** nn - mid[:-1] ** nn) / nn)
         return _freeze(mid[1:] - mid[:-1])
 
+    @cached_property
+    def mirror_symmetric(self) -> bool:
+        """Whether this is an interval grid whose cell widths and dual-cell
+        volumes equal their mirror images exactly (to the last bit)."""
+        return (
+            not self.domain.is_ball
+            and np.array_equal(self.h, self.h[::-1])
+            and np.array_equal(self.cell_volumes, self.cell_volumes[::-1])
+        )
+
     @property
     def unknown_slice(self) -> slice:
         """Index range of non-Dirichlet nodes (solver unknowns)."""
@@ -317,6 +327,8 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     t <= 1/2 and the mirror image above, t = i/(n-1).  Ball: one-sided
     grading toward r = 1 via r = 1 - (1-t)^grading.  Cell widths shrink like
     delta^(1 - 1/grading) toward the graded boundary; grading = 1 is uniform.
+    For n = 2^k + 1 and integer grading 1-3 the interval nodes are exact
+    mirror images, x_i = 1 - x_(n-1-i), so ``Grid1D.mirror_symmetric`` holds.
     """
     if grading < 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")

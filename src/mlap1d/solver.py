@@ -6,13 +6,20 @@ In one dimension the finite-volume equations
 
 fix every cell flux F up to one constant, so solve_dirichlet needs no
 Jacobian, line search or regularization.  On the ball the constant is zero
-(no flux crosses r = 0); on the interval it is the root c of the increasing
-scalar equation sum_j h_j phi^(-1)(c - R_j) = 0, which says that u returns to
-zero at x = 1.  The loads R_j are accumulated outward from the cell where the
-flux changes sign, because prefix sums from x = 0 would cancel
-catastrophically there when theta is large near the boundary.  Inverting the
-flux gives Du in every cell, and u is summed inward from the Dirichlet
-boundary, which leaves the rounding error of the closure in the peak cell.
+(no flux crosses r = 0).  An interval problem whose cell widths, dual-cell
+volumes and theta all equal their mirror images exactly has a symmetric
+solution and a flux that is odd about x = 1/2, so the constant is known
+there too: the centre node of an odd grid gives F = -V_c theta_c / 2 to the
+cell on its right, and the centre cell of an even grid carries zero flux.
+Such a problem is solved on its right half by the ball's zero-flux
+integration and mirrored.  On any other interval problem the constant is the
+root c of the increasing scalar equation sum_j h_j phi^(-1)(c - R_j) = 0,
+which says that u returns to zero at x = 1.  The loads R_j are accumulated
+outward from the cell where the flux changes sign, because prefix sums from
+x = 0 would cancel catastrophically there when theta is large near the
+boundary.  Inverting the flux gives Du in every cell, and u is summed inward
+from the Dirichlet boundary, which leaves the rounding error of the closure
+in the peak cell.
 Every solution is checked a posteriori by its noise-aware scaled residual.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
@@ -95,9 +102,10 @@ class SolveReport:
     ``final_residual`` is the noise-aware scaled residual of the last
     Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
     ``iterations`` counts closure evaluations of the interval root search
-    for a Dirichlet solve (0 on the ball) and Dirichlet solves for a singular
-    one.  Singular solves attach the certified barrier pair used to
-    initialize and guard the iteration, and report ``picard_gap``:
+    for a Dirichlet solve (0 on the ball and on mirror-symmetric interval
+    problems) and Dirichlet solves for a singular one.  Singular solves
+    attach the certified barrier pair used to initialize and guard the
+    iteration, and report ``picard_gap``:
 
     - for 0 < p < 0.7 (m-1), the width of the scaling bracket, a certified
       bound: the solution is within picard_gap/2 of ``solution``;
@@ -167,6 +175,17 @@ def _compensated_cumsum(x):
     bp = s - prev
     err = (prev - (s - bp)) + (x - bp)
     return s + np.cumsum(err)
+
+
+def _zero_flux_solution(loads, h, weights, m):
+    """u at the left node of every cell of a chain that starts at a node with
+    zero flux on its left and ends at a Dirichlet node (u = 0).
+
+    The cell fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u
+    is summed inward from the Dirichlet end.
+    """
+    hdu = h * _inverse_flux(-np.cumsum(loads) / weights, m)
+    return -_compensated_cumsum(hdu[::-1])[::-1]
 
 
 def _anchored_loads(loads, k):
@@ -242,12 +261,22 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
 
     h = grid.h
     loads = grid.cell_volumes * theta_vals
+    n = grid.n
+    iterations = 0
     if grid.domain.is_ball:
-        # zero flux at r = 0: F_j = -sum_{i <= j} V_i theta_i
-        hdu = h * _inverse_flux(-np.cumsum(loads[:-1]) / grid.flux_weights, m)
-        u = np.zeros(grid.n)
-        u[:-1] = -_compensated_cumsum(hdu[::-1])[::-1]
-        iterations = 0
+        # zero flux at r = 0
+        u = np.zeros(n)
+        u[:-1] = _zero_flux_solution(loads[:-1], h, grid.flux_weights, m)
+    elif grid.mirror_symmetric and np.array_equal(theta_vals, theta_vals[::-1]):
+        # the solution is symmetric and the flux odd about x = 1/2: solve
+        # the right half from the centre, where the centre node (odd n)
+        # keeps half its load and the centre cell (even n) has zero flux
+        k = (n - 1) // 2  # the first cell of the right half
+        half = loads[k:-1].copy()
+        half[0] = 0.5 * loads[k] if n % 2 else 0.0
+        u = np.zeros(n)
+        u[k:-1] = _zero_flux_solution(half, h[k:], 1.0, m)
+        u[: n // 2] = u[::-1][: n // 2]
     else:
         # flux weights are 1 on the interval; first locate the cell where
         # the flux changes sign from prefix sums, then solve again with the
@@ -260,7 +289,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         c, more = _closure_root(big_r, h, m, c - prefix[k])
         iterations = its + more
         hdu = h * _inverse_flux(c - big_r, m)
-        u = np.zeros(grid.n)
+        u = np.zeros(n)
         u[1 : k + 1] = _compensated_cumsum(hdu[:k])
         u[k + 1 : -1] = -_compensated_cumsum(hdu[:k:-1])[::-1]
 
@@ -379,10 +408,15 @@ def _escapes(u, pair, tol) -> bool:
 
 
 def _unconverged(
-    inner, iterations, gap, pair, why="singular iteration budget exhausted"
+    inner,
+    iterations,
+    gap,
+    pair,
+    why="singular iteration budget exhausted",
+    gap_name="bracket width",
 ):
     return NonConvergence(
-        f"{why}: bracket width {gap:g}",
+        f"{why}: {gap_name} {gap:g}",
         report=replace(
             inner,
             iterations=iterations,
@@ -509,7 +543,7 @@ def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
     gap = float(np.max(np.abs(inner.solution.values - u)))
     while gap > tol:
         if iterations >= cfg.max_picard_iters:
-            raise _unconverged(inner, iterations, gap, pair)
+            raise _unconverged(inner, iterations, gap, pair, gap_name="last step")
         t_u = inner.solution.values
         nxt = np.zeros(grid.n)
         nxt[sl] = np.exp((1.0 - sigma) * np.log(u[sl]) + sigma * np.log(t_u[sl]))

@@ -147,6 +147,27 @@ class TestGradedGrid:
         g = make_graded_grid(n, grading)
         assert np.allclose(g.nodes + g.nodes[::-1], 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+    def test_dyadic_grids_are_exact_mirrors(self, grading):
+        # the solver's half-domain path triggers only on exact mirror images
+        for k in range(4, 15):
+            g = make_graded_grid(2**k + 1, grading)
+            for a in (g.h, g.cell_volumes, g.delta_nodes):
+                assert np.array_equal(a, a[::-1])
+            assert g.mirror_symmetric
+
+    @pytest.mark.parametrize(
+        "n,grading,domain",
+        [
+            (1026, 3.0, Domain.interval()),
+            (1025, 1.5, Domain.interval()),
+            (1025, 3.0, Domain.ball(3)),
+        ],
+        ids=["n1026", "grading1.5", "ball"],
+    )
+    def test_asymmetric_grids_are_not_flagged(self, n, grading, domain):
+        assert not make_graded_grid(n, grading, domain).mirror_symmetric
+
     def test_invalid_grading(self):
         with pytest.raises(InvalidGrading):
             make_graded_grid(33, 0.9)

@@ -3,6 +3,7 @@ import pytest
 
 from mlap1d import (
     Domain,
+    Grid1D,
     GridFunction,
     ProblemSpec,
     SolverConfig,
@@ -32,12 +33,15 @@ class TestSolveDirichlet:
         assert np.max(np.abs(rep.solution.values - exact)) <= 1e-10
 
     def test_m3_torsion(self):
-        g = make_graded_grid(1025, 2.0)
-        rep = solve_dirichlet(const_theta(g, 1.0), 3.0)
-        exact = torsion_exact(3.0, g.nodes)
-        assert np.max(np.abs(rep.solution.values - exact)) <= 5e-4
-        peak = rep.solution.values.max()
-        assert peak == pytest.approx((2.0 / 3.0) * 0.5**1.5, abs=5e-4)
+        # n = 1025 is an exact mirror grid (half-domain path), n = 1026 is
+        # not (closure root search)
+        for n in (1025, 1026):
+            g = make_graded_grid(n, 2.0)
+            rep = solve_dirichlet(const_theta(g, 1.0), 3.0)
+            exact = torsion_exact(3.0, g.nodes)
+            assert np.max(np.abs(rep.solution.values - exact)) <= 5e-4
+            peak = rep.solution.values.max()
+            assert peak == pytest.approx((2.0 / 3.0) * 0.5**1.5, abs=5e-4)
 
     def test_m2_sine_recovery(self):
         g = make_graded_grid(257, 1.0)
@@ -126,6 +130,52 @@ class TestSolveDirichlet:
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert min(order1, order2) >= 1.0
+
+
+def dyadic_mirror_grid():
+    """An even-n interval grid whose nodes are dyadic, so x and 1 - x, the
+    midpoints and every difference are exact and the grid mirrors exactly."""
+    t = np.linspace(0.0, 1.0, 33)[:32]
+    left = np.round(0.5 * t**2 * 2.0**20) / 2.0**20
+    return Grid1D(nodes=np.concatenate((left, 1.0 - left[::-1])), grading_exponent=2.0)
+
+
+class TestMirrorSymmetricSolve:
+    GRIDS = {
+        "n1025": lambda: make_graded_grid(1025, 3.0),
+        "n64-dyadic": dyadic_mirror_grid,
+    }
+
+    @staticmethod
+    def symmetric_theta(g):
+        # computed from delta, which is exactly symmetric on these grids
+        vals = np.zeros(g.n)
+        vals[1:-1] = 1.0 + g.delta_nodes[1:-1] ** -0.7
+        return GridFunction(g, vals)
+
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_matches_the_closure_path(self, grid, m):
+        g = self.GRIDS[grid]()
+        assert g.mirror_symmetric
+        theta = self.symmetric_theta(g)
+        rep = solve_dirichlet(theta, m)
+        u = rep.solution.values
+        assert rep.iterations == 0
+        assert np.array_equal(u, u[::-1])
+        # one ulp on one load breaks the symmetry and forces the root search
+        nudged = theta.values.copy()
+        i = g.n // 3
+        nudged[i] = np.nextafter(nudged[i], np.inf)
+        general = solve_dirichlet(GridFunction(g, nudged), m)
+        assert general.iterations > 0
+        assert np.max(np.abs(general.solution.values - u)) <= 1e-13 * u.max()
+
+    def test_asymmetric_theta_takes_the_closure_path(self):
+        g = make_graded_grid(1025, 3.0)
+        theta = GridFunction.from_callable(g, lambda x: 1.0 + x, dirichlet=True)
+        rep = solve_dirichlet(theta, 3.0)
+        assert rep.converged and rep.iterations > 0
 
 
 class TestSolveSingular:
@@ -289,6 +339,24 @@ class TestCertifiedBracket:
         assert report.picard_gap > 1e-15 and not report.converged
         # the resolution floor is known after the first solve
         assert report.iterations == 1
+
+    @pytest.mark.parametrize(
+        "spec,label,other",
+        [
+            (ProblemSpec(m=2.0, p=0.5, q=1.0), "bracket width", "last step"),
+            (ProblemSpec(m=3.0, p=1.5, q=0.3), "last step", "bracket width"),
+        ],
+        ids=["bracketed", "damped"],
+    )
+    def test_exhausted_budget_names_its_gap(self, spec, label, other):
+        # only the bracketed loop's gap is a bracket width; the damped loop
+        # reports its last step sup|T(u) - u|
+        g = make_graded_grid(1025, 3.0)
+        with pytest.raises(NonConvergence) as err:
+            solve_singular(spec, g, SolverConfig(max_picard_iters=2))
+        msg = str(err.value)
+        assert f"{label} {err.value.report.picard_gap:g}" in msg
+        assert other not in msg
 
     def test_relaxed_loop_solve_count(self):
         # the plain alternation needs 29 solves here
