@@ -25,10 +25,11 @@ Every solution is checked a posteriori by its noise-aware scaled residual.
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
 discrete subsolution to rule out overflow from undershoot.  T is
-order-reversing, and for p < m - 1 its linearisation in log u has its
-spectrum in [-rho, 0], rho = p/(m-1).  The bracketed loop relaxes,
+order-reversing, and its linearisation in log u has its spectrum in
+[-rho, 0], rho = p/(m-1).  One loop serves every p >= 0: it relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
-solve, and every solve brings its own certificate, the scaling bracket.
+solve (at p = 0, w = 1 and one solve decides), and every solve brings its
+own certificate, the scaling bracket.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -70,6 +71,12 @@ __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 # Bound on the noise-aware scaled residual of every Dirichlet solve.
 RESIDUAL_TOL = 1e-10
 
+# Barrier widening (doubling c) runs only for 0 < rho = p/(m-1) below this.
+# Doubling c lifts T(sub) by about 2^rho but the supersolution by 2, so it
+# only pays for small rho; at p = 0 T(sub) does not depend on sub, and
+# widening would only make the sandwich hold by construction.
+WIDEN_BELOW_RHO = 0.7
+
 # Budget of closure evaluations per root search.  Bisection alone shrinks the
 # bracket 2^200-fold in that many steps; a search that has not stopped by then
 # is judged by the residual check like any other.
@@ -81,8 +88,7 @@ class SolverConfig:
     """Tolerance and budget of the outer singular loop.
 
     ``picard_tol`` is the sup-norm width of the scaling bracket at which the
-    bracketed singular loop stops, and the last step sup|T(u) - u| at which
-    the damped one stops; ``max_picard_iters`` bounds their Dirichlet solves.
+    singular loop stops; ``max_picard_iters`` bounds its Dirichlet solves.
     """
 
     picard_tol: float = 1e-8
@@ -105,13 +111,9 @@ class SolveReport:
     for a Dirichlet solve (0 on the ball and on mirror-symmetric interval
     problems) and Dirichlet solves for a singular one.  Singular solves
     attach the certified barrier pair used to initialize and guard the
-    iteration, and report ``picard_gap``:
-
-    - for 0 < p < 0.7 (m-1), the width of the scaling bracket, a certified
-      bound: the solution is within picard_gap/2 of ``solution``;
-    - for p = 0, 0 (a single Dirichlet solve);
-    - for p >= 0.7 (m-1), the damped loop's last step sup|T(u) - u|, which
-      is not an error bound.
+    iteration, and report ``picard_gap``, the width of the scaling bracket,
+    for every p >= 0: a certified bound, the solution is within
+    picard_gap/2 of ``solution``.
     """
 
     solution: GridFunction
@@ -335,14 +337,13 @@ def solve_singular(
 
     The iteration starts at a numerically certified subsolution barrier and
     applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).  For
-    p < 0.7 (m - 1) it stops on a scaling bracket of width at most
+    every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; for p >= 0.7 (m - 1) the damped loop stops once
-    sup|T(u) - u| <= ``picard_tol`` and reports that step, which is not an
-    error bound; p = 0 takes one solve and reports 0.  The barrier scaling
-    constant is widened (doubled) until the first iterate stays inside the
-    bracket, so BarrierOrderViolation signals a genuinely under-resolved grid
-    or mis-scaled barrier rather than ordinary transient behaviour.
+    the error; p = 0 takes one solve.  For 0 < p < WIDEN_BELOW_RHO (m - 1)
+    the barrier scaling constant is widened (doubled) until the first
+    iterate stays inside the bracket, so BarrierOrderViolation signals a
+    genuinely under-resolved grid or mis-scaled barrier rather than ordinary
+    transient behaviour.
 
     The barriers are built on ``base``, the first m-Laplace eigenpair on
     ``grid``; it is computed here when not given.
@@ -370,26 +371,7 @@ def solve_singular(
     k_vals = k_gf.values
 
     pair = certified_pair(spec, grid, base=base)
-    # T scales like c^(-p/(m-1)) against the barrier's c, so the alternating
-    # iteration contracts only for p < m - 1.  Near or beyond that line the
-    # scaling mode is removed by geometric damping instead.
-    if spec.p == 0.0:
-        # no coupling: one Dirichlet solve, still reported as a singular run
-        inner = solve_dirichlet(k_gf, spec.m)
-        if _escapes(inner.solution.values, pair, cfg.picard_tol):
-            raise BarrierOrderViolation(
-                "the solution lies outside the certified bracket"
-            )
-        iterations, picard_gap = 1, 0.0
-    elif spec.p >= 0.7 * (spec.m - 1.0):
-        inner, iterations, picard_gap, pair = _damped_singular_loop(
-            spec, grid, cfg, pair, k_vals
-        )
-    else:
-        inner, iterations, picard_gap, pair = _bracketed_singular_loop(
-            spec, grid, cfg, pair, k_vals
-        )
-
+    inner, iterations, picard_gap, pair = _singular_loop(spec, grid, cfg, pair, k_vals)
     return replace(
         inner,
         iterations=iterations,
@@ -400,23 +382,11 @@ def solve_singular(
     )
 
 
-def _escapes(u, pair, tol) -> bool:
-    """Whether ``u`` leaves the certified pair by more than ``tol`` anywhere."""
-    return bool(
-        np.any(u < pair.sub.values - tol) or np.any(u > pair.super_.values + tol)
-    )
-
-
 def _unconverged(
-    inner,
-    iterations,
-    gap,
-    pair,
-    why="singular iteration budget exhausted",
-    gap_name="bracket width",
+    inner, iterations, gap, pair, why="singular iteration budget exhausted"
 ):
     return NonConvergence(
-        f"{why}: {gap_name} {gap:g}",
+        f"{why}: bracket width {gap:g}",
         report=replace(
             inner,
             iterations=iterations,
@@ -457,16 +427,17 @@ def _scaling_bracket(spec, sl, k_vals, v, floor, inner):
     return lam_lo, lam_hi
 
 
-def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
+def _singular_loop(spec, grid, cfg, pair, k_vals):
     """Relaxed iteration that stops on its own scaling bracket.
 
     With rho = p/(m-1) the linearisation of log T at the fixed point has its
     spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
-    w = 2/(2+rho) contracts by rho/(2+rho) per solve.  After every solve
-    _scaling_bracket puts the solution in [lam_lo T(u), lam_hi T(u)]; the
-    loop stops once the width (lam_hi - lam_lo) sup T(u) is at most
-    picard_tol and returns the midpoint, which is within half the width of
-    the solution.
+    w = 2/(2+rho) contracts by rho/(2+rho) per solve, for every rho; at
+    p = 0, w = 1 and T does not depend on u, so one solve decides.  After
+    every solve _scaling_bracket puts the solution in
+    [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
+    (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
+    midpoint, which is within half the width of the solution.
     """
     tol = cfg.picard_tol
     sl = grid.unknown_slice
@@ -477,11 +448,14 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
         theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
         return solve_dirichlet(theta, spec.m)
 
-    # Widen the bracket until T maps it into itself: T(sub) must stay below
-    # the supersolution (T(sub) >= sub holds by the comparison principle).
+    # For small rho, widen the bracket until T maps it into itself: T(sub)
+    # must stay below the supersolution (T(sub) >= sub holds by the
+    # comparison principle).
     inner = t_map(pair.sub.values)
     widenings = 0
-    while np.any(inner.solution.values > pair.super_.values + tol):
+    while 0.0 < rho < WIDEN_BELOW_RHO and np.any(
+        inner.solution.values > pair.super_.values + tol
+    ):
         widenings += 1
         if widenings > 24:
             raise BarrierOrderViolation(
@@ -513,54 +487,9 @@ def _bracketed_singular_loop(spec, grid, cfg, pair, k_vals):
         iterations += 1
 
     mid = 0.5 * (lam_lo + lam_hi) * w
-    if _escapes(mid, pair, tol):
+    if np.any(mid < pair.sub.values - tol) or np.any(mid > pair.super_.values + tol):
         raise BarrierOrderViolation(
             "the bracketed solution lies outside the certified barrier pair"
         )
     inner = replace(inner, solution=GridFunction(grid, mid))
     return inner, iterations, width, pair
-
-
-def _damped_singular_loop(spec, grid, cfg, pair, k_vals):
-    """Geometrically damped iteration u <- u^(1-sigma) T(u)^sigma.
-
-    sigma = (m-1)/(m-1+p) cancels the scaling mode exactly (by the
-    degree-(m-1) homogeneity of the operator), so the loop converges where
-    the undamped alternation does not.  Stops when sup|T(u) - u| is below
-    picard_tol, which bounds the distance to the fixed point directly.
-    """
-    tol = cfg.picard_tol
-    sl = grid.unknown_slice
-    sigma = (spec.m - 1.0) / (spec.m - 1.0 + spec.p)
-
-    def t_map(v):
-        theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
-        return solve_dirichlet(theta, spec.m)
-
-    u = pair.sub.values
-    inner = t_map(u)
-    iterations = 1
-    gap = float(np.max(np.abs(inner.solution.values - u)))
-    while gap > tol:
-        if iterations >= cfg.max_picard_iters:
-            raise _unconverged(inner, iterations, gap, pair, gap_name="last step")
-        t_u = inner.solution.values
-        nxt = np.zeros(grid.n)
-        nxt[sl] = np.exp((1.0 - sigma) * np.log(u[sl]) + sigma * np.log(t_u[sl]))
-        if (
-            np.any(nxt[sl] <= 0.0)
-            or np.any(nxt > 4.0 * pair.super_.values + tol)
-            or np.any(nxt < 0.25 * pair.sub.values - tol)
-        ):
-            raise BarrierOrderViolation(
-                "damped iterate ran far outside the certified bracket"
-            )
-        u = nxt
-        inner = t_map(u)
-        iterations += 1
-        gap = float(np.max(np.abs(inner.solution.values - u)))
-    if _escapes(inner.solution.values, pair, tol):
-        raise BarrierOrderViolation(
-            "damped iteration settled outside the certified bracket"
-        )
-    return inner, iterations, gap, pair

@@ -106,7 +106,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            # damped loop settles outside the certified bracket
+            # the singular loop's result leaves the certified bracket
             ["solve", "--m", "1.5", "--p", "0.9", "--q", "1.0", "--n", "1025"],
             # p = 0 solution lies above the certified supersolution
             ["solve", "--m", "1.5", "--p", "0", "--q", "1.3", "--n", "1025"],

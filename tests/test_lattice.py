@@ -28,7 +28,7 @@ N = 1025
 GRADING = 3.0
 
 # Raise this floor when a refusal below is mended; never lower it.
-MIN_CERTIFIED = 184
+MIN_CERTIFIED = 187
 
 # (domain, m, p, q) -> the typed error the point is allowed to raise.
 REFUSALS = {
@@ -41,7 +41,10 @@ REFUSALS = {
     ("ball", 1.2, 0.5, 0.3): NoCertifiableScale,
     ("ball", 1.2, 0.9, 0.0): NoCertifiableScale,
     ("ball", 1.2, 0.9, 1.0): NoCertifiableScale,
-    **{(d, 1.2, 1.5, q): NonConvergence for d in DOMAINS for q in (0.3, 0.7)},
+    # The loop converges here (width 1e-8 after 63 solves), but the result
+    # rises 3.6e-4 above the supersolution at nodes 1 and n-2 only, the
+    # cells next to the boundary that check_barrier skips.
+    ("interval", 1.2, 1.5, 0.7): BarrierOrderViolation,
     ("interval", 1.5, 0.9, 1.0): BarrierOrderViolation,
     ("ball", 1.2, 0.2, 1.0): BarrierOrderViolation,
     ("interval", 1.5, 0.0, 1.3): BarrierOrderViolation,

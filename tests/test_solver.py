@@ -185,7 +185,9 @@ class TestSolveSingular:
         rep = solve_singular(spec, g)
         direct = solve_dirichlet(default_k_values(spec, g), spec.m)
         assert np.max(np.abs(rep.solution.values - direct.solution.values)) <= 1e-10
-        assert rep.picard_gap == 0.0
+        # one solve, whose scaling bracket is as wide as its residual slack
+        assert rep.iterations == 1
+        assert 0.0 < rep.picard_gap <= 1e-12
 
     def test_manufactured_singular_solution(self):
         # K built so that sin(pi x)^(2/3) is the exact discrete solution
@@ -316,6 +318,10 @@ class TestCertifiedBracket:
             ("ball", 3.0, 0.9, 0.3),
             ("interval", 5.0, 0.2, 0.0),
             ("ball", 5.0, 0.9, 0.7),
+            # rho = p/(m-1) >= 0.7, including rho >= 1
+            ("interval", 2.0, 1.2, 0.0),
+            ("ball", 3.0, 1.5, 0.3),
+            ("interval", 1.2, 0.9, 0.3),
         ],
         ids=lambda pt: "-".join(map(str, pt)),
     )
@@ -333,30 +339,27 @@ class TestCertifiedBracket:
 
     def test_unreachable_tolerance_raises_with_the_width(self):
         g = make_graded_grid(1025, 3.0)
-        with pytest.raises(NonConvergence, match="bracket width") as err:
-            solve_singular(self.SPEC, g, SolverConfig(picard_tol=1e-15))
-        report = err.value.report
-        assert report.picard_gap > 1e-15 and not report.converged
-        # the resolution floor is known after the first solve
-        assert report.iterations == 1
+        for spec in (self.SPEC, ProblemSpec(m=3.0, p=1.5, q=0.3)):
+            with pytest.raises(NonConvergence, match="bracket width") as err:
+                solve_singular(spec, g, SolverConfig(picard_tol=1e-15))
+            report = err.value.report
+            assert report.picard_gap > 1e-15 and not report.converged
+            # the resolution floor is known after the first solve
+            assert report.iterations == 1
 
     @pytest.mark.parametrize(
-        "spec,label,other",
-        [
-            (ProblemSpec(m=2.0, p=0.5, q=1.0), "bracket width", "last step"),
-            (ProblemSpec(m=3.0, p=1.5, q=0.3), "last step", "bracket width"),
-        ],
-        ids=["bracketed", "damped"],
+        "spec",
+        [ProblemSpec(m=2.0, p=0.5, q=1.0), ProblemSpec(m=3.0, p=1.5, q=0.3)],
+        ids=["bracketed", "damped"],  # p below and above 0.7 (m-1)
     )
-    def test_exhausted_budget_names_its_gap(self, spec, label, other):
-        # only the bracketed loop's gap is a bracket width; the damped loop
-        # reports its last step sup|T(u) - u|
+    def test_exhausted_budget_names_its_gap(self, spec):
+        # every gap is a bracket width, whatever rho
         g = make_graded_grid(1025, 3.0)
         with pytest.raises(NonConvergence) as err:
             solve_singular(spec, g, SolverConfig(max_picard_iters=2))
         msg = str(err.value)
-        assert f"{label} {err.value.report.picard_gap:g}" in msg
-        assert other not in msg
+        assert f"bracket width {err.value.report.picard_gap:g}" in msg
+        assert "last step" not in msg
 
     def test_relaxed_loop_solve_count(self):
         # the plain alternation needs 29 solves here
@@ -371,6 +374,13 @@ class TestCertifiedBracket:
         rep = solve_singular(spec, make_graded_grid(1025, 3.0, domain))
         assert rep.iterations <= 5
 
+    def test_large_rho_solve_count(self):
+        # rho = 1.2; damping by (m-1)/(m-1+p), which only cancels the
+        # scaling mode, needs 21 solves here
+        spec = ProblemSpec(m=2.0, p=1.2, q=0.0)
+        rep = solve_singular(spec, make_graded_grid(1025, 3.0))
+        assert rep.iterations <= 14
+
 
 class TestSolverConfig:
     def test_positive_tolerances(self):
@@ -382,8 +392,8 @@ class TestSolverConfig:
 
 class TestStrongCouplingAndOtherM:
     def test_strong_coupling_damped_path(self):
-        # p >= m-1: the undamped alternation is non-contractive; the damped
-        # branch must still converge and stay inside the certified bracket
+        # p >= m-1: the plain alternation is non-contractive; the relaxed
+        # loop must still converge and stay inside the certified bracket
         spec = ProblemSpec(m=2.0, p=1.2, q=0.0)
         g = make_graded_grid(1025, 3.0)
         rep = solve_singular(spec, g)
