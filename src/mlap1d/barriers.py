@@ -9,10 +9,13 @@ families:
 with the same constant c > 1 scaling the supersolution up and the subsolution
 down.  A candidate w is numerically certified as a subsolution of
 -div(Phi) = rhs when the discrete residual -div(Phi(w)) - rhs(w) is <= slack
-at every checked node, and as a supersolution when it is >= -slack; the
-innermost cells next to each Dirichlet boundary are skipped because the
-one-sided stencil meets the boundary singularity there and the inequalities
-being certified are interior statements.  For the singular problem the
+at every checked node, and as a supersolution when it is >= -slack.  By
+default check_barrier skips the innermost cells next to each Dirichlet
+boundary, where the one-sided stencil meets the boundary singularity, so
+that a refinement study compares interior statements.  certified_pair, which
+guards the singular solve, checks every unknown node instead: the discrete
+comparison principle places the solution between the barriers only when
+both inequalities hold at every node.  For the singular problem the
 right-hand side is evaluated at the candidate itself, K * w^(-p), which is
 the definition of a sub/supersolution of that equation.
 
@@ -26,7 +29,7 @@ violation zone hides below the resolved scale, but refinement exposes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,28 +320,6 @@ class BarrierPair:
     c: float
     sub_cert: BarrierCertificate
     super_cert: BarrierCertificate
-    sub_spec: BarrierSpec
-    super_spec: BarrierSpec
-    rhs_spec: ProblemSpec
-
-    def widened(self, factor: float) -> "BarrierPair":
-        """Rescale by ``factor`` > 1; certification is preserved by monotonicity."""
-        grid = self.sub.grid
-        c = self.c * factor
-        sub_spec = replace(self.sub_spec, c=c)
-        super_spec = replace(self.super_spec, c=c)
-        sub = build_barrier(sub_spec, grid)
-        sup = build_barrier(super_spec, grid)
-        return BarrierPair(
-            sub=sub,
-            super_=sup,
-            c=c,
-            sub_cert=self.sub_cert,
-            super_cert=self.super_cert,
-            sub_spec=sub_spec,
-            super_spec=super_spec,
-            rhs_spec=self.rhs_spec,
-        )
 
 
 def certified_pair(
@@ -346,36 +327,29 @@ def certified_pair(
     grid: Grid1D,
     base: EigenPair | None = None,
     c_max: float = 2.0**20,
-    slack: float = 0.0,
-    skip_cells: int = 2,
-    eigen_tol: float = 1e-9,
 ) -> BarrierPair:
     """Certified sub/supersolution pair for the singular problem on ``grid``.
 
-    Both sides use the smallest common power-of-two constant (certification
-    is monotone in c, so the maximum of the per-side constants certifies
-    both).
+    Both sides are certified at every unknown node (no skipped boundary
+    cells), so the comparison principle puts the discrete solution between
+    them everywhere.  Both use the smallest common power-of-two constant
+    (certification is monotone in c, so the maximum of the per-side
+    constants certifies both).
     """
     if base is None:
-        base = first_eigenpair(grid, spec.m, tol=eigen_tol)
+        base = first_eigenpair(grid, spec.m)
     sub_fam, super_fam = regime_families(spec)
-    c_sub, _ = auto_scale(
-        sub_fam, SUB, spec, spec.m, base, c_max=c_max, slack=slack, skip_cells=skip_cells
-    )
-    c_sup, _ = auto_scale(
-        super_fam, SUPER, spec, spec.m, base, c_max=c_max, slack=slack, skip_cells=skip_cells
-    )
+    c_sub, _ = auto_scale(sub_fam, SUB, spec, spec.m, base, c_max=c_max, skip_cells=0)
+    c_sup, _ = auto_scale(super_fam, SUPER, spec, spec.m, base, c_max=c_max, skip_cells=0)
     c = max(c_sub, c_sup)
-    sub_spec = BarrierSpec(family=sub_fam, c=c, side=SUB, base=base)
-    super_spec = BarrierSpec(family=super_fam, c=c, side=SUPER, base=base)
-    sub = build_barrier(sub_spec, grid)
-    sup = build_barrier(super_spec, grid)
+    sub = build_barrier(BarrierSpec(family=sub_fam, c=c, side=SUB, base=base), grid)
+    sup = build_barrier(BarrierSpec(family=super_fam, c=c, side=SUPER, base=base), grid)
     sub_cert = check_barrier(
-        sub, SUB, spec, spec.m, slack=slack, skip_cells=skip_cells,
+        sub, SUB, spec, spec.m, skip_cells=0,
         description=f"{sub_fam.describe()} c={c:g} sub",
     )
     super_cert = check_barrier(
-        sup, SUPER, spec, spec.m, slack=slack, skip_cells=skip_cells,
+        sup, SUPER, spec, spec.m, skip_cells=0,
         description=f"{super_fam.describe()} c={c:g} super",
     )
     if not (sub_cert.certified and super_cert.certified):
@@ -383,13 +357,4 @@ def certified_pair(
             "shared constant failed re-certification; certification is expected "
             "to be monotone in c"
         )
-    return BarrierPair(
-        sub=sub,
-        super_=sup,
-        c=c,
-        sub_cert=sub_cert,
-        super_cert=super_cert,
-        sub_spec=sub_spec,
-        super_spec=super_spec,
-        rhs_spec=spec,
-    )
+    return BarrierPair(sub=sub, super_=sup, c=c, sub_cert=sub_cert, super_cert=super_cert)

@@ -1,4 +1,4 @@
-"""Discrete m-Laplacian in conservative (flux) form, and its energy functional.
+"""Discrete m-Laplacian in conservative (flux) form.
 
 The scheme is a finite-volume discretization of -div(Phi) with midpoint flux
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GridFunction, same_grid
-from .errors import GridMismatch
+from .core import GridFunction
 
-__all__ = ["apply_mlap", "energy"]
+__all__ = ["apply_mlap"]
 
 
 def flux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
@@ -37,11 +36,6 @@ def dflux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
     """Derivative (m-1) |du|^(m-2) of the flux; infinite at du = 0 for m < 2."""
     with np.errstate(divide="ignore"):
         return (m - 1.0) * np.abs(du) ** (m - 2.0)
-
-
-def _check_same_grid(a: GridFunction, b: GridFunction) -> None:
-    if not same_grid(a.grid, b.grid):
-        raise GridMismatch("grid functions live on different grids")
 
 
 def apply_mlap(u: GridFunction, m: float) -> GridFunction:
@@ -60,16 +54,3 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
         out[0] = -fw[0] / vol[0]  # zero flux across r = 0
     return GridFunction(g, out)
 
-
-def energy(u: GridFunction, theta: GridFunction, m: float) -> float:
-    """Discrete Dirichlet energy whose minimizer solves -div(Phi) = theta.
-
-    Returns sum_cells w * |Du|^m / m - sum_nodes V * theta * u with radial
-    weights included.
-    """
-    _check_same_grid(u, theta)
-    g = u.grid
-    du = np.diff(u.values) / g.h
-    bulk = float(np.dot(g.interval_weights, np.abs(du) ** m / m))
-    load = float(np.dot(g.cell_volumes, theta.values * u.values))
-    return bulk - load

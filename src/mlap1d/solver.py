@@ -36,10 +36,11 @@ every unknown node and a subsolution if <= holds at every one.  The extreme
 scales lam_lo <= lam_hi put the solution in [lam_lo w, lam_hi w]; the loop
 stops once the width (lam_hi - lam_lo) sup w is at most picard_tol and
 returns the midpoint, within half the width of the solution.  The solve's
-scaled residual enters lam as slack, never below the assembly noise, so the
-width cannot fall below about 2 ASSEMBLY_NOISE sup u/(m-1+p): a tolerance
-under that resolution floor raises NonConvergence.  The result is checked
-against the certified sub/supersolution pair.
+scaled residual r enters lam as slack s = r (1 + u^p/K), r never below the
+assembly noise, so the width cannot fall below about 2 max s sup u/(m-1+p):
+a tolerance under that resolution floor raises NonConvergence.  Both
+barriers are certified at every unknown node, so the comparison principle
+puts the solution between them; the result is checked against that pair.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 
 # Bound on the noise-aware scaled residual of every Dirichlet solve.
 RESIDUAL_TOL = 1e-10
-
-# Barrier widening (doubling c) runs only for 0 < rho = p/(m-1) below this.
-# Doubling c lifts T(sub) by about 2^rho but the supersolution by 2, so it
-# only pays for small rho; at p = 0 T(sub) does not depend on sub, and
-# widening would only make the sandwich hold by construction.
-WIDEN_BELOW_RHO = 0.7
 
 # Budget of closure evaluations per root search.  Bisection alone shrinks the
 # bracket 2^200-fold in that many steps; a search that has not stopped by then
@@ -339,11 +334,11 @@ def solve_singular(
     applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).  For
     every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; p = 0 takes one solve.  For 0 < p < WIDEN_BELOW_RHO (m - 1)
-    the barrier scaling constant is widened (doubled) until the first
-    iterate stays inside the bracket, so BarrierOrderViolation signals a
-    genuinely under-resolved grid or mis-scaled barrier rather than ordinary
-    transient behaviour.
+    the error; p = 0 takes one solve.  Both barriers are certified at every
+    unknown node, so the comparison principle puts the discrete solution
+    between them; BarrierOrderViolation, raised when the result leaves the
+    pair by more than ``picard_tol``, names the side, the node and the
+    excess, and signals a defect rather than a property of the input.
 
     The barriers are built on ``base``, the first m-Laplace eigenpair on
     ``grid``; it is computed here when not given.
@@ -371,7 +366,7 @@ def solve_singular(
     k_vals = k_gf.values
 
     pair = certified_pair(spec, grid, base=base)
-    inner, iterations, picard_gap, pair = _singular_loop(spec, grid, cfg, pair, k_vals)
+    inner, iterations, picard_gap = _singular_loop(spec, grid, cfg, pair, k_vals)
     return replace(
         inner,
         iterations=iterations,
@@ -433,11 +428,14 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
     With rho = p/(m-1) the linearisation of log T at the fixed point has its
     spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
     w = 2/(2+rho) contracts by rho/(2+rho) per solve, for every rho; at
-    p = 0, w = 1 and T does not depend on u, so one solve decides.  After
-    every solve _scaling_bracket puts the solution in
-    [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
-    (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
-    midpoint, which is within half the width of the solution.
+    p = 0, w = 1 and T does not depend on u, so one solve decides.  The
+    iteration starts at the subsolution.  After every solve
+    _scaling_bracket puts the solution in [lam_lo T(u), lam_hi T(u)]; the
+    loop stops once the width (lam_hi - lam_lo) sup T(u) is at most
+    picard_tol and returns the midpoint, which is within half the width of
+    the solution.  The comparison principle already puts that solution
+    between the barriers, which are certified at every unknown node; the
+    exit check confirms it.
     """
     tol = cfg.picard_tol
     sl = grid.unknown_slice
@@ -448,23 +446,8 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
         return solve_dirichlet(theta, spec.m)
 
-    # For small rho, widen the bracket until T maps it into itself: T(sub)
-    # must stay below the supersolution (T(sub) >= sub holds by the
-    # comparison principle).
-    inner = t_map(pair.sub.values)
-    widenings = 0
-    while 0.0 < rho < WIDEN_BELOW_RHO and np.any(
-        inner.solution.values > pair.super_.values + tol
-    ):
-        widenings += 1
-        if widenings > 24:
-            raise BarrierOrderViolation(
-                "could not widen the barrier bracket to contain the first iterate"
-            )
-        pair = pair.widened(2.0)
-        inner = t_map(pair.sub.values)
-
     u = pair.sub.values
+    inner = t_map(u)
     iterations = 1
     while True:
         w = inner.solution.values
@@ -473,8 +456,14 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         width = (lam_hi - lam_lo) * w_max
         if width <= tol:
             break
-        # the slack alone keeps lam_hi/lam_lo above 1 + 2 ASSEMBLY_NOISE/(m-1+p)
-        resolution = 2.0 * ASSEMBLY_NOISE / (spec.m - 1.0 + spec.p) * lam_lo * w_max
+        # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),
+        # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
+        # at the certified lower bracket v = lam_lo w, not at the iterate:
+        # early iterates overshoot the solution and would overstate it
+        load = lam_lo**spec.p * float(np.max(w[sl] ** spec.p / k_vals[sl]))
+        resolution = (
+            2.0 * ASSEMBLY_NOISE * (1.0 + load) / (spec.m - 1.0 + spec.p) * lam_lo * w_max
+        )
         if resolution > tol:
             why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
             raise _unconverged(inner, iterations, width, pair, why)
@@ -487,9 +476,15 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         iterations += 1
 
     mid = 0.5 * (lam_lo + lam_hi) * w
-    if np.any(mid < pair.sub.values - tol) or np.any(mid > pair.super_.values + tol):
-        raise BarrierOrderViolation(
-            "the bracketed solution lies outside the certified barrier pair"
-        )
+    for side, excess in (
+        ("below the subsolution", pair.sub.values - mid),
+        ("above the supersolution", mid - pair.super_.values),
+    ):
+        i = int(np.argmax(excess))
+        if excess[i] > tol:
+            raise BarrierOrderViolation(
+                f"the bracketed solution lies {side} of the certified pair "
+                f"at node {i} by {excess[i]:g}"
+            )
     inner = replace(inner, solution=GridFunction(grid, mid))
-    return inner, iterations, width, pair
+    return inner, iterations, width

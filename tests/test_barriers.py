@@ -217,6 +217,8 @@ class TestCertifiedPair:
         g = make_graded_grid(1025, 3.0)
         pair = certified_pair(spec, g)
         assert pair.sub_cert.certified and pair.super_cert.certified
+        # every unknown node is checked, the cells next to the boundary too
+        assert pair.sub_cert.checked_nodes == pair.super_cert.checked_nodes == g.n - 2
         assert np.all(pair.sub.values <= pair.super_.values + 1e-15)
         assert pair.c > 1.0
 
@@ -258,14 +260,3 @@ class TestCertifiedPair:
         fit = fit_boundary_exponent(u, (1e-6, 1e-4))
         assert fit.exponent == pytest.approx(2.0 / 3.0, abs=0.03)
 
-
-def test_widened_pair_doubles_constant():
-    g = make_graded_grid(513, 3.0)
-    pair = certified_pair(E3, g)
-    wide = pair.widened(2.0)
-    assert wide.c == 2.0 * pair.c
-    assert np.allclose(wide.sub.values, pair.sub.values / 2.0, rtol=1e-14)
-    assert np.allclose(wide.super_.values, pair.super_.values * 2.0, rtol=1e-14)
-    # monotonicity: the widened pair still certifies
-    for gf, side in ((wide.sub, SUB), (wide.super_, SUPER)):
-        assert check_barrier(gf, side, E3, 2.0).certified

@@ -106,12 +106,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            # the singular loop's result leaves the certified bracket
-            ["solve", "--m", "1.5", "--p", "0.9", "--q", "1.0", "--n", "1025"],
-            # p = 0 solution lies above the certified supersolution
-            ["solve", "--m", "1.5", "--p", "0", "--q", "1.3", "--n", "1025"],
+            # no power-of-two constant certifies the supersolution
+            ["solve", "--m", "1.2", "--p", "0", "--q", "0"],
+            # the same on the ball, where the centre node fails
+            ["solve", "--m", "1.2", "--p", "0.5", "--q", "0", "--domain", "ball"],
             # the same failure at a scan level
-            ["scan-threshold", "--m", "1.5", "--p", "0.9", "--q", "1.0",
+            ["scan-threshold", "--m", "1.2", "--p", "0", "--q", "0.3",
              "--levels", "1025,2049,4097,8193"],
         ],
     )

@@ -1,11 +1,12 @@
 """Robustness ratchet over the admissible lattice.
 
 Every admissible (m, p, q) of the lattice, on the interval and the N = 3
-ball at n = 1025, must either return a certified solution or raise the typed
-error recorded for it below.  A certified solution has converged, its Picard
-gap is at most ``picard_tol`` and it lies between its barriers.  A point that
-now certifies where it used to be refused is progress; the floor on the
-number of certified points only ever rises.
+ball at n = 1025 and gradings 3 and 4, must either return a certified
+solution or raise the typed error recorded for it below.  A certified
+solution has converged, its Picard gap is at most ``picard_tol`` and it lies
+between its barriers.  A point that now certifies where it used to be
+refused is progress; the floors on the number of certified points only ever
+rise.
 """
 
 import itertools
@@ -13,12 +14,7 @@ import itertools
 import numpy as np
 
 from mlap1d import Domain, ProblemSpec, SolverConfig, make_graded_grid, solve_singular
-from mlap1d.errors import (
-    BarrierOrderViolation,
-    MlapError,
-    NoCertifiableScale,
-    NonConvergence,
-)
+from mlap1d.errors import MlapError, NoCertifiableScale
 
 LATTICE_M = (1.2, 1.5, 2.0, 3.0, 5.0)
 LATTICE_P = (0.0, 0.2, 0.5, 0.9, 1.5)
@@ -27,11 +23,13 @@ DOMAINS = ("interval", "ball")
 N = 1025
 GRADING = 3.0
 
-# Raise this floor when a refusal below is mended; never lower it.
-MIN_CERTIFIED = 187
+# Raise a floor when a refusal below is mended; never lower it.
+MIN_CERTIFIED = 192
+MIN_CERTIFIED_GRADING_4 = 194
 
-# (domain, m, p, q) -> the typed error the point is allowed to raise.
-REFUSALS = {
+# (domain, m, p, q) -> the typed error the point is allowed to raise.  At
+# grading 4 the lattice runs a second time, with fewer refusals.
+REFUSALS_GRADING_4 = {
     **{
         (d, 1.2, 0.0, q): NoCertifiableScale
         for d in DOMAINS
@@ -39,16 +37,11 @@ REFUSALS = {
     },
     ("ball", 1.2, 0.5, 0.0): NoCertifiableScale,
     ("ball", 1.2, 0.5, 0.3): NoCertifiableScale,
+}
+REFUSALS = {
+    **REFUSALS_GRADING_4,
     ("ball", 1.2, 0.9, 0.0): NoCertifiableScale,
     ("ball", 1.2, 0.9, 1.0): NoCertifiableScale,
-    # The loop converges here (width 1e-8 after 63 solves), but the result
-    # rises 3.6e-4 above the supersolution at nodes 1 and n-2 only, the
-    # cells next to the boundary that check_barrier skips.
-    ("interval", 1.2, 1.5, 0.7): BarrierOrderViolation,
-    ("interval", 1.5, 0.9, 1.0): BarrierOrderViolation,
-    ("ball", 1.2, 0.2, 1.0): BarrierOrderViolation,
-    ("interval", 1.5, 0.0, 1.3): BarrierOrderViolation,
-    ("ball", 1.5, 0.0, 1.3): BarrierOrderViolation,
 }
 
 
@@ -75,11 +68,15 @@ def _certification_failure(report, tol):
 
 
 def test_lattice_has_every_recorded_refusal():
-    assert set(REFUSALS) <= set(admissible_lattice())
-    assert len(admissible_lattice()) - len(REFUSALS) == MIN_CERTIFIED
+    for refusals, floor in (
+        (REFUSALS, MIN_CERTIFIED),
+        (REFUSALS_GRADING_4, MIN_CERTIFIED_GRADING_4),
+    ):
+        assert set(refusals) <= set(admissible_lattice())
+        assert len(admissible_lattice()) - len(refusals) == floor
 
 
-def test_every_point_certifies_or_refuses_as_recorded():
+def _check_lattice(grading, refusals, floor):
     tol = SolverConfig().picard_tol
     certified, problems = 0, []
     for d, m, p, q in admissible_lattice():
@@ -87,9 +84,9 @@ def test_every_point_certifies_or_refuses_as_recorded():
         spec = ProblemSpec(m=m, p=p, q=q, domain=dom)
         point = (d, m, p, q)
         try:
-            report = solve_singular(spec, make_graded_grid(N, GRADING, dom))
+            report = solve_singular(spec, make_graded_grid(N, grading, dom))
         except MlapError as exc:
-            expected = REFUSALS.get(point)
+            expected = refusals.get(point)
             if expected is None or type(exc) is not expected:
                 problems.append(f"{point}: unexpected {type(exc).__name__}: {exc}")
             continue
@@ -99,5 +96,12 @@ def test_every_point_certifies_or_refuses_as_recorded():
             continue
         certified += 1
     assert not problems, "\n".join(problems)
-    assert certified >= MIN_CERTIFIED
+    assert certified >= floor
 
+
+def test_every_point_certifies_or_refuses_as_recorded():
+    _check_lattice(GRADING, REFUSALS, MIN_CERTIFIED)
+
+
+def test_every_point_certifies_or_refuses_at_grading_4():
+    _check_lattice(4.0, REFUSALS_GRADING_4, MIN_CERTIFIED_GRADING_4)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from mlap1d import (
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d import solver
+from mlap1d import barriers, solver
 from mlap1d.errors import BarrierOrderViolation, NonConvergence
 from mlap1d.solver import RESIDUAL_TOL
 
@@ -268,13 +270,42 @@ class TestSolveSingular:
     @pytest.mark.parametrize(
         "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
     )
-    def test_p_zero_outside_bracket_raises(self, domain):
-        # at (1.5, 0, 1.3) the solution on this grid rises above the
-        # certified supersolution next to the boundary; that must not pass
+    def test_p_zero_certifies_inside_its_barriers(self, domain):
+        # with the barriers certified at every unknown node, the comparison
+        # principle holds the solution between them next to the boundary too
         spec = ProblemSpec(m=1.5, p=0.0, q=1.3, domain=domain)
         g = make_graded_grid(1025, 3.0, domain)
-        with pytest.raises(BarrierOrderViolation):
+        rep = solve_singular(spec, g)
+        tol = SolverConfig().picard_tol
+        assert rep.converged and rep.picard_gap <= tol
+        assert np.all(rep.solution.values >= rep.sub_barrier.values - tol)
+        assert np.all(rep.solution.values <= rep.super_barrier.values + tol)
+
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_p_zero_outside_bracket_raises(self, domain, monkeypatch):
+        # a supersolution below the solution must not pass the exit check,
+        # and the error names the side, the node and the excess; at p = 0
+        # the solution does not depend on the barriers
+        spec = ProblemSpec(m=1.5, p=0.0, q=1.3, domain=domain)
+        g = make_graded_grid(1025, 3.0, domain)
+        rep = solve_singular(spec, g)
+        excess = rep.solution.values - rep.sub_barrier.values
+        node = int(np.argmax(excess))
+        certified_pair = barriers.certified_pair
+        monkeypatch.setattr(
+            barriers,
+            "certified_pair",
+            lambda *a, **kw: dataclasses.replace(
+                certified_pair(*a, **kw), super_=rep.sub_barrier
+            ),
+        )
+        with pytest.raises(BarrierOrderViolation) as err:
             solve_singular(spec, g)
+        msg = str(err.value)
+        assert f"above the supersolution of the certified pair at node {node} " in msg
+        assert float(msg.rpartition(" by ")[2]) == pytest.approx(excess[node], rel=1e-5)
 
     def test_large_boundary_load_converges(self):
         # sum V theta reaches ~1e7 here while the peak flux is ~1e-3: loads
@@ -346,6 +377,16 @@ class TestCertifiedBracket:
             assert report.picard_gap > 1e-15 and not report.converged
             # the resolution floor is known after the first solve
             assert report.iterations == 1
+
+    def test_resolution_floor_counts_the_load_slack(self):
+        # here the width stalls at 1.36e-13, twice the floor 2 ASSEMBLY_NOISE
+        # sup w/(m-1+p): the slack's 1 + u^p/K factor is about 2 at the peak.
+        # Leaving it out spends the whole budget instead of raising early
+        g = make_graded_grid(1025, 3.0)
+        spec = ProblemSpec(m=1.2, p=0.9, q=1.0)
+        with pytest.raises(NonConvergence, match="below the resolution") as err:
+            solve_singular(spec, g, SolverConfig(picard_tol=1e-13))
+        assert err.value.report.iterations <= 2
 
     @pytest.mark.parametrize(
         "spec",
