@@ -1,5 +1,6 @@
-"""Command-line interface: configuration, report/CSV serialization, and the
-end-to-end three-regime reproduction runner.
+"""Command-line interface: configuration, report and scan CSV serialization,
+and the end-to-end three-regime reproduction runner.  Field CSVs are written
+by ``fieldcsv``.
 
 Configuration is flat ``key = value`` text (diff-friendly experiment records)
 with three override layers, in increasing precedence: config file, environment
@@ -53,6 +54,7 @@ from .errors import (
     NonConvergence,
     SolveFailed,
 )
+from .fieldcsv import field_csv_text, write_field_csv  # noqa: F401 (cli API)
 from .solver import SolveReport, SolverConfig, solve_dirichlet, solve_singular
 
 ENV_PREFIX = "MLAP1D_"
@@ -263,29 +265,6 @@ def parse_report(text: str) -> list[dict[str, str]]:
         if block:
             blocks.append(block)
     return blocks
-
-
-def field_csv_text(u: GridFunction) -> str:
-    """CSV dump of a grid function: x, delta, u, du (17 significant digits).
-
-    du is the centered difference quotient at interior nodes and the one-sided
-    quotient at the endpoints.
-    """
-    x = u.grid.nodes
-    d = u.grid.delta_nodes
-    v = u.values
-    du = np.empty_like(v)
-    du[1:-1] = (v[2:] - v[:-2]) / (x[2:] - x[:-2])
-    du[0] = (v[1] - v[0]) / (x[1] - x[0])
-    du[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
-    # one %-format over all rows: the bytes of per-value f"{:.17g}", at about
-    # half the cost
-    rows = np.column_stack((x, d, v, du)).ravel().tolist()
-    return "x,delta,u,du\n" + ("%.17g,%.17g,%.17g,%.17g\n" * x.size) % tuple(rows)
-
-
-def write_field_csv(path: Path, u: GridFunction) -> None:
-    path.write_text(field_csv_text(u), encoding="utf-8")
 
 
 def scan_csv_text(report) -> str:
