@@ -28,7 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AdmissibilityViolation, GridMismatch, InvalidGrading, NonPositiveK
+from .errors import (
+    AdmissibilityViolation,
+    GridMismatch,
+    InvalidGrading,
+    NonPositiveK,
+    TooFewNodes,
+)
 
 __all__ = [
     "Domain",
@@ -329,11 +335,15 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     delta^(1 - 1/grading) toward the graded boundary; grading = 1 is uniform.
     For n = 2^k + 1 and integer grading 1-3 the interval nodes are exact
     mirror images, x_i = 1 - x_(n-1-i), so ``Grid1D.mirror_symmetric`` holds.
+
+    Raises TooFewNodes for n < MIN_NODES, and InvalidGrading for a grading
+    below 1 or one that makes the nodes next to the graded boundary collapse
+    at double precision.
     """
     if grading < 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
     if n < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
+        raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
     t = np.linspace(0.0, 1.0, n)
     if domain.is_ball:
         x = 1.0 - (1.0 - t) ** grading
@@ -345,6 +355,14 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
             1.0 - 0.5 * (2.0 * (1.0 - t)) ** grading,
         )
     x[0], x[-1] = 0.0, 1.0
+    flat = np.flatnonzero(np.diff(x) <= 0.0)
+    if flat.size:
+        i = int(flat[0]) + 1
+        raise InvalidGrading(
+            f"grading {grading} collapses the graded nodes at double precision "
+            f"for n = {n}: node {i} (x = {float(x[i])!r}) is not above node "
+            f"{i - 1} (x = {float(x[i - 1])!r})"
+        )
     return Grid1D(nodes=x, grading_exponent=float(grading), domain=domain)
 
 

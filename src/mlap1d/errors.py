@@ -17,7 +17,16 @@ class NonPositiveK(MlapError):
 
 
 class InvalidGrading(MlapError):
-    """Grid grading exponent below 1."""
+    """Grid grading exponent below 1, or so large for the node count that the
+    graded nodes collapse at double precision.
+
+    A collapse names n, the grading and the first node that is not above its
+    left neighbour.
+    """
+
+
+class TooFewNodes(MlapError):
+    """A grid was requested with fewer nodes than ``core.MIN_NODES``."""
 
 
 class GridMismatch(MlapError):

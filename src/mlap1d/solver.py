@@ -17,9 +17,13 @@ root c of the increasing scalar equation sum_j h_j phi^(-1)(c - R_j) = 0,
 which says that u returns to zero at x = 1.  The loads R_j are accumulated
 outward from the cell where the flux changes sign, because prefix sums from
 x = 0 would cancel catastrophically there when theta is large near the
-boundary.  Inverting the flux gives Du in every cell, and u is summed inward
-from the Dirichlet boundary, which leaves the rounding error of the closure
-in the peak cell.
+boundary.  One root search finds c.  It starts in the cell where the m = 2
+flux, known in closed form, changes sign, and moves its anchor to the cell
+of smallest |flux| as it goes.  Each step keeps that peak cell's term exact:
+for m > 2, phi^(-1) has an infinite slope at zero flux, so the step is
+solved in the peak cell's gradient, where that term is linear.  Inverting
+the flux gives Du in every cell, and u is summed inward from the Dirichlet
+boundary, which leaves the rounding error of the closure in the peak cell.
 Every solution is checked a posteriori by its noise-aware scaled residual.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
@@ -72,7 +76,7 @@ __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 # Bound on the noise-aware scaled residual of every Dirichlet solve.
 RESIDUAL_TOL = 1e-10
 
-# Budget of closure evaluations per root search.  Bisection alone shrinks the
+# Budget of closure evaluations per solve.  Bisection alone shrinks the
 # bracket 2^200-fold in that many steps; a search that has not stopped by then
 # is judged by the residual check like any other.
 MAX_ROOT_STEPS = 200
@@ -102,10 +106,10 @@ class SolveReport:
 
     ``final_residual`` is the noise-aware scaled residual of the last
     Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
-    ``iterations`` counts closure evaluations of the interval root search
-    for a Dirichlet solve (0 on the ball and on mirror-symmetric interval
-    problems) and Dirichlet solves for a singular one.  Singular solves
-    attach the certified barrier pair used to initialize and guard the
+    ``iterations`` counts the closure evaluations of the one interval root
+    search for a Dirichlet solve (0 on the ball and on mirror-symmetric
+    interval problems) and Dirichlet solves for a singular one.  Singular
+    solves attach the certified barrier pair used to initialize and guard the
     iteration, and report ``picard_gap``, the width of the scaling bracket,
     for every p >= 0: a certified bound, the solution is within
     picard_gap/2 of ``solution``.
@@ -193,49 +197,106 @@ def _anchored_loads(loads, k):
     )
 
 
-def _closure_root(big_r, h, m, c):
-    """Root of the increasing closure sum_j h_j phi^(-1)(c - R_j), from ``c``.
+def _power_root(a, b, q, tau):
+    """The x >= 0 with a x + b x^q = tau, for a, b >= 0 not both zero, q >= 1
+    and tau >= 0.
 
-    The root lies in [min R, max R].  Each step follows the tangent of the
-    closure and falls back to bisection of the bracket whenever that step
-    leaves the bracket or fails to halve the previous one.  The search stops
-    once the closure is at the rounding level of its sum, or the bracket is
-    down to adjacent floats, or the tangent step is below the resolution of
-    every flux c - R_j but the one closest to zero: such a step can only move
-    the peak cell, which takes the closure error anyway.  Returns the root
-    and the number of closure evaluations.
+    At the root both terms are at most tau and one is at least tau/2, so the
+    smaller of tau/a and (tau/b)^(1/q) lies in [x, 2x].  The left side is
+    convex, so Newton's method falls from there monotonically to x; it stops
+    when rounding halts the fall.
     """
+    x = min(
+        tau / a if a > 0.0 else np.inf, (tau / b) ** (1.0 / q) if b > 0.0 else np.inf
+    )
+    while x > 0.0:
+        xq1 = x ** (q - 1.0)
+        nxt = x - (a * x + b * xq1 * x - tau) / (a + q * b * xq1)
+        if not nxt < x:
+            break
+        x = nxt
+    return x
+
+
+def _closure_root(loads, h, m, k, c):
+    """One root search for the closure G(c) = sum_j h_j phi^(-1)(c - R_j).
+
+    G increases in c.  The loads start anchored at cell k, and c is the flux
+    F_k.  After every closure evaluation the loads are re-anchored at the
+    cell whose flux is closest to zero, the peak cell, by translating R, c
+    and the bracket [min R, max R] that safeguards the search.  Each step
+    solves a model of G that keeps the peak cell's term exact and follows the
+    tangent of the others.  For m > 2, phi^(-1) has an infinite slope at zero
+    flux, which no tangent in c follows; in the peak cell's gradient s, with
+    c = phi(s), that term is just h_k s, so the model is solved for s.  For
+    m <= 2 it is solved for c.  A step that leaves the bracket or fails to
+    halve the previous one is replaced by bisection.  The search stops once
+    G is at the rounding level of its sum, or the bracket is down to
+    adjacent floats, or the step is below the resolution of every flux but
+    the peak cell's; such a step is applied to the peak cell alone.  Returns
+    the peak cell, h_j Du_j at the root and the number of closure
+    evaluations.
+    """
+    eps = np.finfo(float).eps
     inv = 1.0 / (m - 1.0)
+    big_r = _anchored_loads(loads, k)
     lo, hi = float(big_r.min()), float(big_r.max())
     last_step = hi - lo
-    # fp resolution of c - R_j is ulp(max(|c|, |R_j|)); the flux closest to
-    # zero is exempt, so the second smallest |R_j| sets the scale
-    r2 = float(np.partition(np.abs(big_r), 1)[1])
+    r2 = None
+    y, a, t, hdu = (np.empty_like(big_r) for _ in range(4))
     for it in range(1, MAX_ROOT_STEPS + 1):
-        y = c - big_r
-        du = _inverse_flux(y, m)
-        hdu = h * du
+        np.subtract(c, big_r, out=y)
+        np.abs(y, out=a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.power(a, inv - 1.0, out=t)  # |Du_j|/|y_j|
+            np.multiply(y, t, out=hdu)
+        hdu *= h
         val = float(np.sum(hdu))
-        if abs(val) <= 4.0 * np.finfo(float).eps * float(np.sum(np.abs(hdu))):
+        if np.isnan(val):  # 0 * inf at a flux that is exactly zero, m > 2
+            zero = a == 0.0
+            hdu[zero] = 0.0
+            t[zero] = 0.0
+            val = float(np.sum(hdu))
+        # y's storage is free now: it takes |Du_j| for the rounding level
+        if abs(val) <= 4.0 * eps * float(np.dot(h, np.multiply(a, t, out=y))):
             break
         if val < 0.0:
             lo = c
         else:
             hi = c
-        a = np.abs(y)
-        dinv = np.divide(np.abs(du), a, out=np.zeros_like(a), where=a > 0.0)
-        slope = inv * float(np.dot(h, dinv))
-        step = val / slope if slope > 0.0 else np.inf
-        if abs(step) <= 2.0 * np.finfo(float).eps * max(abs(c), r2):
+        j = int(np.argmin(a))
+        if j != k:
+            shift = float(big_r[j])
+            big_r -= shift
+            c, lo, hi, k, r2 = c - shift, lo - shift, hi - shift, j, None
+        t[k] = 0.0
+        rest = inv * float(np.dot(h, t))  # the other cells' slope dG/dc
+        # the model h_k phi^(-1)(c') + rest c' = tau
+        tau = rest * c - (val - float(hdu[k]))
+        sign = 1.0 if tau >= 0.0 else -1.0
+        if m > 2.0:
+            x = _power_root(float(h[k]), rest, m - 1.0, abs(tau))  # |s|
+            du_k, nxt = sign * x, sign * x ** (m - 1.0)
+        else:
+            x = _power_root(rest, float(h[k]), inv, abs(tau))  # |c'|
+            du_k, nxt = sign * x**inv, sign * x
+        step = c - nxt
+        if r2 is None:
+            # fp resolution of c - R_j is ulp(max(|c|, |R_j|)); the peak
+            # cell's flux is exempt, so the smallest other |R_j| sets the scale
+            np.abs(big_r, out=a)
+            a[k] = np.inf
+            r2 = float(a.min())
+        if abs(step) <= 2.0 * eps * max(abs(c), r2):
+            hdu[k] = h[k] * du_k
             break
-        nxt = c - step
         if not (lo < nxt < hi) or abs(step) > 0.5 * abs(last_step):
             nxt = 0.5 * (lo + hi)
         last_step = nxt - c
         if nxt in (lo, hi):  # the bracket is down to adjacent floats
             break
         c = nxt
-    return c, it
+    return k, hdu, it
 
 
 def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
@@ -275,17 +336,12 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         u[k:-1] = _zero_flux_solution(half, h[k:], 1.0, m)
         u[: n // 2] = u[::-1][: n // 2]
     else:
-        # flux weights are 1 on the interval; first locate the cell where
-        # the flux changes sign from prefix sums, then solve again with the
-        # loads anchored there
+        # flux weights are 1 on the interval; the search starts anchored at
+        # the cell where the m = 2 flux is closest to zero
         prefix = _anchored_loads(loads, 0)
         c0 = float(np.dot(h, prefix))  # the exact root for m = 2 (sum h = 1)
-        c, its = _closure_root(prefix, h, m, c0)
-        k = int(np.argmin(np.abs(c - prefix)))
-        big_r = _anchored_loads(loads, k)
-        c, more = _closure_root(big_r, h, m, c - prefix[k])
-        iterations = its + more
-        hdu = h * _inverse_flux(c - big_r, m)
+        k = int(np.argmin(np.abs(c0 - prefix)))
+        k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
         u = np.zeros(n)
         u[1 : k + 1] = _compensated_cumsum(hdu[:k])
         u[k + 1 : -1] = -_compensated_cumsum(hdu[:k:-1])[::-1]

@@ -138,6 +138,20 @@ class TestExitCodes:
         assert "invalid input: grading must be >= 1" in err
         assert "solve failed" not in err
 
+    @pytest.mark.parametrize(
+        "args,msg",
+        [
+            (["--n", "8"], "invalid input: need at least 16 nodes, got 8"),
+            (["--n", "8193", "--grading", "4.65", "--p", "0.2", "--q", "1.2"],
+             "invalid input: grading 4.65 collapses the graded nodes"),
+        ],
+        ids=["too-few-nodes", "collapsing-grading"],
+    )
+    def test_unbuildable_grid_is_invalid_input(self, tmp_path, capsys, args, msg):
+        code = main(["solve", "--m", "1.5"] + args + ["--output-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert msg in capsys.readouterr().err
+
     def test_scan_level_below_grid_minimum_is_invalid_input(self, tmp_path, capsys):
         code = main(
             ["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1",

@@ -15,7 +15,13 @@ from mlap1d import (
     make_graded_grid,
     validate_spec,
 )
-from mlap1d.errors import AdmissibilityViolation, GridMismatch, InvalidGrading, NonPositiveK
+from mlap1d.errors import (
+    AdmissibilityViolation,
+    GridMismatch,
+    InvalidGrading,
+    NonPositiveK,
+    TooFewNodes,
+)
 
 
 def admissible(m, p, q):
@@ -173,8 +179,27 @@ class TestGradedGrid:
             make_graded_grid(33, 0.9)
 
     def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TooFewNodes, match="need at least 16 nodes, got 8"):
             make_graded_grid(8, 2.0)
+
+    @pytest.mark.parametrize(
+        "n,grading,domain,node",
+        [
+            (8193, 4.65, Domain.interval(), 8192),
+            (2049, 6.0, Domain.interval(), 2047),
+            (16385, 4.3, Domain.interval(), 16384),
+            (1025, 8.0, Domain.ball(3), 1016),
+        ],
+    )
+    def test_collapsing_grading_is_named(self, n, grading, domain, node):
+        # the cells next to the graded boundary fall below ulp(1), so nodes
+        # coincide there
+        with pytest.raises(InvalidGrading) as err:
+            make_graded_grid(n, grading, domain)
+        msg = str(err.value)
+        assert f"grading {grading} collapses" in msg
+        assert f"n = {n}" in msg
+        assert f"node {node} (x = 1.0) is not above node {node - 1}" in msg
 
     def test_ball_grid(self):
         g = make_graded_grid(33, 2.0, Domain.ball(3))

@@ -45,6 +45,15 @@ class TestSolveDirichlet:
             peak = rep.solution.values.max()
             assert peak == pytest.approx((2.0 / 3.0) * 0.5**1.5, abs=5e-4)
 
+    def test_m5_torsion_even_n(self):
+        # n = 1026 puts the flux zero inside the centre cell, where phi^(-1)
+        # has an infinite slope for m > 2
+        g = make_graded_grid(1026, 2.0)
+        rep = solve_dirichlet(const_theta(g, 1.0), 5.0)
+        assert rep.iterations > 0
+        exact = torsion_exact(5.0, g.nodes)
+        assert np.max(np.abs(rep.solution.values - exact)) <= 1e-5
+
     def test_m2_sine_recovery(self):
         g = make_graded_grid(257, 1.0)
         theta = GridFunction.from_callable(
@@ -155,7 +164,7 @@ class TestMirrorSymmetricSolve:
         vals[1:-1] = 1.0 + g.delta_nodes[1:-1] ** -0.7
         return GridFunction(g, vals)
 
-    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 2.05, 3.0, 5.0, 8.0])
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_matches_the_closure_path(self, grid, m):
         g = self.GRIDS[grid]()
@@ -178,6 +187,43 @@ class TestMirrorSymmetricSolve:
         theta = GridFunction.from_callable(g, lambda x: 1.0 + x, dirichlet=True)
         rep = solve_dirichlet(theta, 3.0)
         assert rep.converged and rep.iterations > 0
+
+
+class TestClosureSearch:
+    """The one root search of interval problems that are not exact mirrors."""
+
+    @staticmethod
+    def near_symmetric_thetas(g):
+        sl = g.unknown_slice
+        flat = np.zeros(g.n)
+        flat[sl] = 1.0
+        singular = np.zeros(g.n)
+        singular[sl] = 1.0 + g.delta_nodes[sl] ** -0.7
+        return flat, singular
+
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 2.05, 2.5, 3.0, 5.0, 8.0])
+    def test_near_symmetric_loads_take_few_evaluations(self, m):
+        # the m = 2 root starts the search in or next to the peak cell, and
+        # a step that keeps that cell exact lands on the root
+        for n in (1026, 1027, 4098, 4099):
+            for grading in (1.0, 2.0, 3.0):
+                g = make_graded_grid(n, grading)
+                assert not g.mirror_symmetric
+                for theta in self.near_symmetric_thetas(g):
+                    rep = solve_dirichlet(GridFunction(g, theta), m)
+                    assert rep.iterations <= 3, (n, grading)
+
+    @pytest.mark.parametrize("m", [2.05, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("n", [1026, 1027])
+    def test_asymmetric_loads_converge(self, n, m):
+        rng = np.random.default_rng(n)
+        for grading in (1.0, 2.0, 3.0):
+            g = make_graded_grid(n, grading)
+            for theta in (1.0 + g.nodes, rng.uniform(0.2, 1.0, g.n)):
+                rep = solve_dirichlet(GridFunction(g, theta), m)
+                assert rep.converged and rep.final_residual <= RESIDUAL_TOL
+                # at most 9 were measured; the peak moves with m on these loads
+                assert rep.iterations <= 10, grading
 
 
 class TestSolveSingular:
