@@ -201,7 +201,7 @@ def fit_log_profile(u: GridFunction, window: tuple[float, float]) -> FitResult:
 def sobolev_seminorm(u: GridFunction, tau: float) -> float:
     """(sum_cells w |Du|^tau)^(1/tau), radially weighted in the ball case."""
     if tau < 1.0:
-        raise ValueError("tau must be >= 1")
+        raise InvalidConfig(f"tau must be >= 1, got {tau}")
     g = u.grid
     du = np.diff(u.values) / g.h
     return float(np.dot(g.interval_weights, np.abs(du) ** tau) ** (1.0 / tau))
@@ -286,7 +286,7 @@ def _solve_on_level(target, n: int, grading: float, config, solve_level) -> Grid
 
 
 def threshold_scan(
-    target: ProblemSpec | FixedRHS,
+    target: ProblemSpec | FixedRHS | None,
     tau_values,
     refinement_levels,
     grading: float = 3.0,
@@ -302,7 +302,8 @@ def threshold_scan(
     regime classification unless given explicitly.  ``solve_level``, when
     given, returns the solution of ``target`` at n nodes (on the grid built
     with ``grading``) in place of a fresh solve, so a caller can share solves
-    between the scan and its other checks.  Bad levels (fewer than four, one
+    between the scan and its other checks or solve a problem of its own
+    building; ``target`` may then be None.  Bad levels (fewer than four, one
     below MIN_NODES nodes, or not nested) raise InvalidConfig and a grading
     below 1 raises InvalidGrading, all before any solve.
     """

@@ -118,9 +118,9 @@ class BarrierSpec:
 
     def __post_init__(self):
         if self.side not in (SUB, SUPER):
-            raise ValueError(f"side must be {SUB!r} or {SUPER!r}")
+            raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
         if self.c < 1.0:
-            raise ValueError(f"scaling constant must be >= 1, got {self.c}")
+            raise DomainError(f"scaling constant must be >= 1, got {self.c}")
 
     @property
     def scale(self) -> float:
@@ -183,7 +183,7 @@ def _checked_indices(grid: Grid1D, skip_cells: int) -> np.ndarray:
     hi = n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
     lo = 0 if grid.domain.is_ball else skip_cells + 1
     if hi < lo:
-        raise ValueError("grid too coarse for the requested skip zone")
+        raise DomainError(f"grid too coarse for skip_cells = {skip_cells}")
     return np.arange(lo, hi + 1)
 
 
@@ -229,7 +229,7 @@ def check_barrier(
     super iff it is >= -slack.
     """
     if side not in (SUB, SUPER):
-        raise ValueError(f"side must be {SUB!r} or {SUPER!r}")
+        raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
     grid = candidate.grid
     res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side)
     idx = _checked_indices(grid, skip_cells)

@@ -1,12 +1,14 @@
-"""Command-line interface: configuration, report and scan CSV serialization,
-and the end-to-end three-regime reproduction runner.  Field CSVs are written
-by ``fieldcsv``.
+"""Command-line interface: configuration parsing, problem building, and the
+report and scan CSV files.  Field CSVs are written by ``fieldcsv``; the
+reproduction matrix, its claims and its runner live in ``repro``.
 
 Configuration is flat ``key = value`` text (diff-friendly experiment records)
 with three override layers, in increasing precedence: config file, environment
 variables prefixed ``MLAP1D_``, and command-line flags (including generic
-``--set key=value``).  Unknown keys are rejected.  All outputs are
-deterministic: identical configuration yields bit-identical files.
+``--set key=value``).  Unknown keys and malformed values are rejected.  Every
+command that solves builds its problem with ``_problem``: the singular or
+fixed right-hand side on the configured domain (interval or ball).  All
+outputs are deterministic: identical configuration yields bit-identical files.
 
 Subcommands: classify, solve, eigen, barrier-check, fit-exponent,
 scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
@@ -26,26 +28,21 @@ import numpy as np
 
 from . import barriers
 from .analyzer import (
-    FixedRHS,
-    Verdict,
-    VERDICT_CODE,
     distance_integral_classify,
     fit_boundary_exponent,
     fit_log_correction,
     fit_log_profile,
-    gradient_bound_check,
     threshold_scan,
 )
 from .core import (
     Domain,
     GridFunction,
     ProblemSpec,
-    Regime,
     classify_regime,
     make_graded_grid,
     validate_spec,
 )
-from .eigen import EigenPair, first_eigenpair
+from .eigen import first_eigenpair
 from .errors import (
     BarrierOrderViolation,
     InvalidConfig,
@@ -55,11 +52,16 @@ from .errors import (
     SolveFailed,
 )
 from .fieldcsv import field_csv_text, write_field_csv  # noqa: F401 (cli API)
-from .solver import SolveReport, SolverConfig, solve_dirichlet, solve_singular
+from .repro import (  # noqa: F401 (_entry_claims: cli API, timed by bench/)
+    ClaimRecord,
+    ReproReport,
+    _entry_claims,
+    predicted_verdict,
+    reproduce,
+)
+from .solver import SolverConfig, solve_dirichlet, solve_singular
 
 ENV_PREFIX = "MLAP1D_"
-
-REGIME_CODE = {Regime.SUBCRITICAL: 0, Regime.CRITICAL: 1, Regime.SUPERCRITICAL: 2}
 
 
 def _fmt(x) -> str:
@@ -90,6 +92,19 @@ def _parse_strs(s: str) -> tuple[str, ...]:
     return tuple(t.strip() for t in s.split(",") if t.strip())
 
 
+def _parse_formats(s: str) -> tuple[str, ...]:
+    kinds = _parse_strs(s)
+    unknown = [t for t in kinds if t not in ("csv", "report")]
+    if unknown:
+        raise ValueError(f"unknown output formats {unknown}; expected csv, report")
+    return kinds
+
+
+def _float_or(word: str):
+    """Parser of a float key that also accepts the literal ``word``."""
+    return lambda s: s if s == word else float(s)
+
+
 # key -> (parser, default).  Every key can come from config file, environment
 # (MLAP1D_<KEY>), or flags; unknown keys are rejected.
 KNOWN_KEYS: dict[str, tuple] = {
@@ -118,7 +133,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "levels": (_parse_ints, (257, 513, 1025, 2049)),
     "int_levels": (int, 6),
     "fit_kind": (str, "power"),  # power | log | logaffine
-    "expect": (str, ""),
+    "expect": (_float_or(""), ""),
     "expect_tol": (float, 0.05),
     "verify": (_parse_bool, False),
     # barriers
@@ -127,13 +142,13 @@ KNOWN_KEYS: dict[str, tuple] = {
     "log_s": (float, 0.5),
     "log_a": (float, 0.0),  # 0 = default scale
     "side": (str, "super"),
-    "c": (str, "auto"),
+    "c": (_float_or("auto"), "auto"),
     "c_max": (float, 2.0**20),
     "slack": (float, 0.0),
     "skip_cells": (int, 2),
     # output
     "output_dir": (str, "mlap1d-out"),
-    "formats": (_parse_strs, ("csv", "report")),
+    "formats": (_parse_formats, ("csv", "report")),
     # reproduce
     "matrix": (_parse_strs, ("E1", "E2", "E3")),
 }
@@ -167,19 +182,22 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise InvalidConfig(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
+    def domain(self) -> Domain:
+        kind = self["domain"]
+        if kind == "interval":
+            return Domain.interval()
+        if kind == "ball":
+            return Domain.ball(self["ball_dim"])
+        raise InvalidConfig(f"unknown domain {kind!r}; expected interval or ball")
+
     def problem_spec(self) -> ProblemSpec:
-        dom = (
-            Domain.ball(self["ball_dim"])
-            if self["domain"] == "ball"
-            else Domain.interval()
-        )
         spec = ProblemSpec(
             m=self["m"],
             p=self["p"],
             q=self["q"],
             k_low=self["k_low"],
             k_high=self["k_high"],
-            domain=dom,
+            domain=self.domain(),
         )
         return validate_spec(spec)
 
@@ -190,12 +208,7 @@ class RunConfig:
         )
 
     def grid(self):
-        dom = (
-            Domain.ball(self["ball_dim"])
-            if self["domain"] == "ball"
-            else Domain.interval()
-        )
-        return make_graded_grid(self["n"], self["grading"], dom)
+        return make_graded_grid(self["n"], self["grading"], self.domain())
 
     def window(self) -> tuple[float, float]:
         return (self["window_lo"], self["window_hi"])
@@ -213,12 +226,11 @@ def load_config_file(cfg: RunConfig, path: str) -> None:
         cfg.set(key, raw)
 
 
-def load_env(cfg: RunConfig, environ=None) -> None:
-    env = os.environ if environ is None else environ
+def load_env(cfg: RunConfig) -> None:
     for key in KNOWN_KEYS:
         var = ENV_PREFIX + key.upper()
-        if var in env:
-            cfg.set(key, env[var])
+        if var in os.environ:
+            cfg.set(key, os.environ[var])
 
 
 def build_config(args) -> RunConfig:
@@ -227,9 +239,8 @@ def build_config(args) -> RunConfig:
         load_config_file(cfg, args.config)
     load_env(cfg)
     for key in KNOWN_KEYS:
-        flag = key
-        if hasattr(args, flag) and getattr(args, flag) is not None:
-            cfg.set(key, getattr(args, flag))
+        if getattr(args, key, None) is not None:
+            cfg.set(key, getattr(args, key))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise InvalidConfig(f"--set expects key=value, got {item!r}")
@@ -285,34 +296,49 @@ def _wants(cfg: RunConfig, kind: str) -> bool:
     return kind in cfg["formats"]
 
 
+def _emit(cfg: RunConfig, name: str, block: list[tuple[str, object]]) -> None:
+    """Write ``block`` to ``<name>.report`` when reports are wanted, and print it."""
+    out = _outdir(cfg)
+    if _wants(cfg, "report"):
+        write_report(out / f"{name}.report", [block])
+    for k, v in block:
+        print(f"{k} = {_fmt(v)}")
+
+
 # ---------------------------------------------------------------------------
-# right-hand sides
+# the configured problem
 # ---------------------------------------------------------------------------
 
 
-def _theta_callable(cfg: RunConfig, spec: ProblemSpec | None):
-    kind = cfg["rhs"]
-    if kind == "const":
-        const = cfg["theta_const"]
-        return lambda x: np.full_like(np.asarray(x, dtype=float), const)
-    dom = spec.domain if spec is not None else Domain.interval()
-    a = cfg["a"]
-    if kind == "power":
-        return lambda x: dom.delta(x) ** (-a)
-    if kind == "logpower":
-        return lambda x: dom.delta(x) ** (-1.0) * np.log(1.0 / dom.delta(x)) ** (-a)
-    raise InvalidConfig(f"unknown rhs kind {cfg['rhs']!r}")
+def _problem(cfg: RunConfig, n: int):
+    """The configured problem at n nodes: (spec or None, grid, rhs).
 
-
-def _solve_from_config(cfg: RunConfig):
-    """Solve per the rhs selection; returns (report, spec-or-None)."""
+    For the singular right-hand side spec and rhs are both the ProblemSpec;
+    for a fixed one spec is None and rhs is theta sampled at the unknown
+    nodes with the distance to the boundary of the grid's own domain.
+    """
     if cfg["rhs"] == "singular":
         spec = cfg.problem_spec()
-        grid = make_graded_grid(cfg["n"], cfg["grading"], spec.domain)
-        return solve_singular(spec, grid, cfg.solver_config()), spec
-    grid = cfg.grid()
-    theta = GridFunction.interior_from_callable(grid, _theta_callable(cfg, None))
-    return solve_dirichlet(theta, cfg["m"]), None
+        return spec, make_graded_grid(n, cfg["grading"], spec.domain), spec
+    grid = make_graded_grid(n, cfg["grading"], cfg.domain())
+    dom, kind, a = grid.domain, cfg["rhs"], cfg["a"]
+    if kind == "const":
+        theta = lambda x: np.full_like(x, cfg["theta_const"])  # noqa: E731
+    elif kind == "power":
+        theta = lambda x: dom.delta(x) ** (-a)  # noqa: E731
+    elif kind == "logpower":
+        theta = lambda x: dom.delta(x) ** (-1.0) * np.log(1.0 / dom.delta(x)) ** (-a)  # noqa: E731
+    else:
+        raise InvalidConfig(f"unknown rhs kind {kind!r}")
+    return None, grid, GridFunction.interior_from_callable(grid, theta)
+
+
+def _solve(cfg: RunConfig, n: int):
+    """Solve the configured problem at n nodes; returns its SolveReport."""
+    spec, grid, rhs = _problem(cfg, n)
+    if spec is None:
+        return solve_dirichlet(rhs, cfg["m"])
+    return solve_singular(spec, grid, cfg.solver_config())
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +361,13 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig) -> int:
     try:
-        report, spec = _solve_from_config(cfg)
+        report = _solve(cfg, cfg["n"])
     except NonConvergence as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     u = report.solution
-    out = _outdir(cfg)
     if _wants(cfg, "csv"):
-        write_field_csv(out / "solution.csv", u)
+        write_field_csv(_outdir(cfg) / "solution.csv", u)
     peak = int(np.argmax(u.values))
     block = [
         ("command", "solve"),
@@ -359,19 +384,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     if report.picard_gap is not None:
         block.append(("picard_gap", report.picard_gap))
         block.append(("barrier_c", report.barrier_c))
-    if _wants(cfg, "report"):
-        write_report(out / "solve.report", [block])
-    for k, v in block:
-        print(f"{k} = {_fmt(v)}")
+    _emit(cfg, "solve", block)
     return 0 if report.converged else 1
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    pair = first_eigenpair(grid, cfg["m"])
-    out = _outdir(cfg)
+    pair = first_eigenpair(cfg.grid(), cfg["m"])
     if _wants(cfg, "csv"):
-        write_field_csv(out / "eigenfunction.csv", pair.eigenfunction)
+        write_field_csv(_outdir(cfg) / "eigenfunction.csv", pair.eigenfunction)
     block = [
         ("command", "eigen"),
         ("m", cfg["m"]),
@@ -380,10 +400,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
         ("lambda", pair.eigenvalue),
         ("residual", pair.residual),
     ]
-    if _wants(cfg, "report"):
-        write_report(out / "eigen.report", [block])
-    for k, v in block:
-        print(f"{k} = {_fmt(v)}")
+    _emit(cfg, "eigen", block)
     return 0
 
 
@@ -392,8 +409,7 @@ def _barrier_family(cfg: RunConfig, spec: ProblemSpec | None):
     if kind == "power":
         return barriers.PowerOfEigen(cfg["gamma"])
     if kind == "logpower":
-        dom = spec.domain if spec is not None else Domain.interval()
-        big_a = cfg["log_a"] or barriers.default_log_scale(dom, cfg["log_s"])
+        big_a = cfg["log_a"] or barriers.default_log_scale(cfg.domain(), cfg["log_s"])
         return barriers.LogPowerOfEigen(cfg["log_s"], big_a)
     if kind == "regime":
         if spec is None:
@@ -407,14 +423,7 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     side = cfg["side"]
     if side not in (barriers.SUB, barriers.SUPER):
         raise InvalidConfig(f"side must be sub or super, got {side!r}")
-    if cfg["rhs"] == "singular":
-        spec = cfg.problem_spec()
-        grid = make_graded_grid(cfg["n"], cfg["grading"], spec.domain)
-        rhs = spec
-    else:
-        spec = None
-        grid = cfg.grid()
-        rhs = GridFunction.interior_from_callable(grid, _theta_callable(cfg, None))
+    spec, grid, rhs = _problem(cfg, cfg["n"])
     base = first_eigenpair(grid, cfg["m"])
     family = _barrier_family(cfg, spec)
     if cfg["c"] == "auto":
@@ -427,7 +436,7 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
             print(f"barrier-check: {exc}", file=sys.stderr)
             return 1
     else:
-        c = float(cfg["c"])
+        c = cfg["c"]
         bspec = barriers.BarrierSpec(family=family, c=c, side=side, base=base)
         cand = barriers.build_barrier(bspec, grid)
         cert = barriers.check_barrier(
@@ -436,32 +445,24 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
         )
     block = [("command", "barrier-check"), ("family", family.describe()), ("c", c)]
     block += cert.report_items()
-    out = _outdir(cfg)
-    if _wants(cfg, "report"):
-        write_report(out / "barrier.report", [block])
-    for k, v in block:
-        print(f"{k} = {_fmt(v)}")
+    _emit(cfg, "barrier", block)
     return 0 if cert.certified else 1
 
 
+FITS = {"power": fit_boundary_exponent, "log": fit_log_correction, "logaffine": fit_log_profile}
+
+
 def cmd_fit_exponent(cfg: RunConfig) -> int:
+    kind = cfg["fit_kind"]
+    if kind not in FITS:
+        raise InvalidConfig(f"unknown fit kind {kind!r}")
     try:
-        report, _spec = _solve_from_config(cfg)
+        report = _solve(cfg, cfg["n"])
     except NonConvergence as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
-    kind = cfg["fit_kind"]
-    if kind == "power":
-        fit = fit_boundary_exponent(report.solution, cfg.window())
-        measured = fit.exponent
-    elif kind == "log":
-        fit = fit_log_correction(report.solution, cfg.window())
-        measured = fit.log_exponent
-    elif kind == "logaffine":
-        fit = fit_log_profile(report.solution, cfg.window())
-        measured = fit.log_exponent
-    else:
-        raise InvalidConfig(f"unknown fit kind {kind!r}")
+    fit = FITS[kind](report.solution, cfg.window())
+    measured = fit.exponent if kind == "power" else fit.log_exponent
     block = [
         ("command", "fit-exponent"),
         ("fit_kind", kind),
@@ -472,8 +473,8 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
         ("window_hi", fit.window[1]),
     ]
     code = 0
-    if cfg["expect"]:
-        expected = float(cfg["expect"])
+    if cfg["expect"] != "":
+        expected = cfg["expect"]
         ok = abs(measured - expected) <= cfg["expect_tol"]
         block += [
             ("expected", expected),
@@ -481,30 +482,23 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
             ("pass", ok),
         ]
         code = 0 if ok else 1
-    out = _outdir(cfg)
     if _wants(cfg, "csv"):
         log_exp = "" if fit.log_exponent is None else f"{fit.log_exponent:.17g}"
-        (out / "fit.csv").write_text(
+        (_outdir(cfg) / "fit.csv").write_text(
             "exponent,log_exponent,r_squared,window_lo,window_hi\n"
             f"{fit.exponent:.17g},{log_exp},{fit.r_squared:.17g},"
             f"{fit.window[0]:.17g},{fit.window[1]:.17g}\n",
             encoding="utf-8",
         )
-    if _wants(cfg, "report"):
-        write_report(out / "fit.report", [block])
-    for k, v in block:
-        print(f"{k} = {_fmt(v)}")
+    _emit(cfg, "fit", block)
     return code
 
 
 def cmd_scan_threshold(cfg: RunConfig) -> int:
-    if cfg["rhs"] == "singular":
-        target = cfg.problem_spec()
-    else:
-        target = FixedRHS(_theta_callable(cfg, None), cfg["m"])
     scan = threshold_scan(
-        target, cfg["taus"], cfg["levels"], grading=cfg["grading"],
-        config=cfg.solver_config(),
+        cfg.problem_spec() if cfg["rhs"] == "singular" else None,
+        cfg["taus"], cfg["levels"], grading=cfg["grading"],
+        solve_level=lambda n: _solve(cfg, n).solution,
     )
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
@@ -522,12 +516,8 @@ def cmd_scan_threshold(cfg: RunConfig) -> int:
         print(f"tau = {_fmt(tau)}: {scan.verdicts[j].value}")
     code = 0
     if cfg["verify"] and scan.predicted_threshold is not None:
-        tstar = scan.predicted_threshold
-        for j, tau in enumerate(scan.tau_values):
-            v = scan.verdicts[j]
-            if tau < tstar - 0.05 and v is not Verdict.CONVERGENT:
-                code = 1
-            if tau > tstar + 0.05 and v is not Verdict.DIVERGENT:
+        for tau, verdict in zip(scan.tau_values, scan.verdicts):
+            if predicted_verdict(tau, scan.predicted_threshold) not in (None, verdict):
                 code = 1
     return code
 
@@ -542,57 +532,13 @@ def cmd_lemma_integral(cfg: RunConfig) -> int:
     ]
     if res.finite:
         block.append(("value", res.value))
-    out = _outdir(cfg)
-    if _wants(cfg, "report"):
-        write_report(out / "lemma-integral.report", [block])
-    for k, v in block:
-        print(f"{k} = {_fmt(v)}")
+    _emit(cfg, "lemma-integral", block)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # reproduce-theorem1
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    claim_id: str
-    predicted: float
-    measured: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.measured - self.predicted) <= self.tolerance
-
-
-@dataclass(frozen=True)
-class ReproReport:
-    claims: tuple[ClaimRecord, ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-    def blocks(self) -> list[list[tuple[str, object]]]:
-        head = [
-            ("report", "reproduce-theorem1"),
-            ("overall", "pass" if self.overall else "fail"),
-            ("claims", len(self.claims)),
-        ]
-        out = [head]
-        for c in sorted(self.claims, key=lambda c: c.claim_id):
-            out.append(
-                [
-                    ("claim", c.claim_id),
-                    ("predicted", c.predicted),
-                    ("measured", c.measured),
-                    ("tolerance", c.tolerance),
-                    ("pass", c.passed),
-                ]
-            )
-        return out
 
 
 def parse_repro_report(text: str) -> ReproReport:
@@ -618,206 +564,9 @@ def parse_repro_report(text: str) -> ReproReport:
     return rep
 
 
-@dataclass(frozen=True)
-class MatrixEntry:
-    """One row of the regime test matrix with its measurement resolutions."""
-
-    entry_id: str
-    spec: ProblemSpec
-    fit_n: int
-    grading: float
-    window: tuple[float, float]
-    scan_taus: tuple[float, ...]
-    scan_levels: tuple[int, ...]
-    gradient_ns: tuple[int, int] | None
-
-
-def default_matrix() -> dict[str, MatrixEntry]:
-    return {
-        "E1": MatrixEntry(
-            entry_id="E1",
-            spec=ProblemSpec(m=2.0, p=0.3, q=0.3),
-            fit_n=8193,
-            grading=3.0,
-            window=(1e-5, 1e-3),
-            scan_taus=(),
-            scan_levels=(),
-            gradient_ns=(4097, 8193),
-        ),
-        "E2": MatrixEntry(
-            entry_id="E2",
-            spec=ProblemSpec(m=2.0, p=0.5, q=0.5),
-            fit_n=16385,
-            grading=3.0,
-            window=(1e-5, 1e-2),
-            scan_taus=(2.0, 4.0, 8.0),
-            scan_levels=(2049, 4097, 8193, 16385),
-            gradient_ns=None,
-        ),
-        "E3": MatrixEntry(
-            entry_id="E3",
-            spec=ProblemSpec(m=2.0, p=0.5, q=1.0),
-            fit_n=8193,
-            grading=3.0,
-            window=(1e-4, 1e-2),
-            scan_taus=(2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
-            scan_levels=(1025, 2049, 4097, 8193),
-            gradient_ns=None,
-        ),
-    }
-
-
-def _entry_claims(
-    entry: MatrixEntry, cfg: RunConfig, eigenpairs: dict[tuple, EigenPair]
-) -> list[ClaimRecord]:
-    """Run one matrix entry end to end and emit its claim records.
-
-    Every singular solve of the entry goes through one memo keyed on n, so
-    the fit solve, the gradient check and the scan levels share their grids;
-    the barriers' eigenpairs come from the run-wide store ``eigenpairs``,
-    keyed on (domain, n, grading, m).
-    """
-    eid = entry.entry_id.lower()
-    spec = entry.spec
-    regime = classify_regime(spec)
-    scfg = cfg.solver_config()
-    solves: dict[int, SolveReport] = {}
-
-    def solve_at(n: int) -> SolveReport:
-        if n not in solves:
-            key = (spec.domain, n, entry.grading, spec.m)
-            if key not in eigenpairs:
-                grid = make_graded_grid(n, entry.grading, spec.domain)
-                eigenpairs[key] = first_eigenpair(grid, spec.m)
-            base = eigenpairs[key]
-            solves[n] = solve_singular(spec, base.grid, scfg, base=base)
-        return solves[n]
-
-    def override(fld: str, default: float) -> float:
-        raw = cfg.overrides.get(f"{eid}.{fld}")
-        return default if raw is None else float(raw)
-
-    claims: list[ClaimRecord] = []
-    solve = solve_at(entry.fit_n)
-    u = solve.solution
-
-    # regime classification is exact
-    claims.append(
-        ClaimRecord(
-            claim_id=f"{entry.entry_id}.regime",
-            predicted=override("regime", REGIME_CODE[regime.regime]),
-            measured=REGIME_CODE[regime.regime],
-            tolerance=0.0,
-        )
-    )
-
-    if regime.regime is Regime.CRITICAL:
-        fit = fit_log_correction(u, entry.window)
-        claims.append(
-            ClaimRecord(
-                claim_id=f"{entry.entry_id}.log_exponent",
-                predicted=override("log_exponent", regime.log_exponent),
-                measured=fit.log_exponent,
-                tolerance=0.1,
-            )
-        )
-    else:
-        fit = fit_boundary_exponent(u, entry.window)
-        claims.append(
-            ClaimRecord(
-                claim_id=f"{entry.entry_id}.boundary_exponent",
-                predicted=override("boundary_exponent", regime.boundary_exponent),
-                measured=fit.exponent,
-                tolerance=0.03,
-            )
-        )
-
-    # barrier certification and the solution sandwiched between the barriers
-    claims.append(
-        ClaimRecord(
-            claim_id=f"{entry.entry_id}.barrier_scale_log2",
-            predicted=0.0,
-            measured=math.log2(solve.barrier_c),
-            tolerance=20.0,
-        )
-    )
-    below = float(np.max(solve.sub_barrier.values - u.values))
-    above = float(np.max(u.values - solve.super_barrier.values))
-    claims.append(
-        ClaimRecord(
-            claim_id=f"{entry.entry_id}.sandwich_violation",
-            predicted=0.0,
-            measured=max(0.0, below, above),
-            tolerance=scfg.picard_tol,
-        )
-    )
-
-    if entry.gradient_ns is not None:
-        n0, n1 = entry.gradient_ns
-        gb = gradient_bound_check(
-            solve_at(n0).solution, a=1.0, refined=solve_at(n1).solution
-        )
-        factor = max(gb.ratio, 1.0 / gb.ratio)
-        claims.append(
-            ClaimRecord(
-                claim_id=f"{entry.entry_id}.gradient_factor",
-                predicted=1.0,
-                measured=factor,
-                tolerance=0.5,
-            )
-        )
-
-    if entry.scan_taus:
-        scan = threshold_scan(
-            spec, entry.scan_taus, entry.scan_levels, grading=entry.grading,
-            config=scfg, solve_level=lambda n: solve_at(n).solution,
-        )
-        tstar = regime.tau_sup
-        for j, tau in enumerate(entry.scan_taus):
-            code = VERDICT_CODE[scan.verdicts[j]]
-            if math.isinf(tstar) or tau < tstar - 0.05:
-                predicted, tol = float(VERDICT_CODE[Verdict.CONVERGENT]), 0.0
-            elif tau > tstar + 0.05:
-                predicted, tol = float(VERDICT_CODE[Verdict.DIVERGENT]), 0.0
-            else:
-                # at the threshold itself: Marginal or Divergent both acceptable
-                predicted, tol = 1.5, 0.5
-            claims.append(
-                ClaimRecord(
-                    claim_id=f"{entry.entry_id}.tau_{tau:g}",
-                    predicted=predicted,
-                    measured=float(code),
-                    tolerance=tol,
-                )
-            )
-    return claims
-
-
 def cmd_reproduce(cfg: RunConfig) -> int:
-    matrix = default_matrix()
-    wanted = cfg["matrix"]
-    if not wanted:
-        raise InvalidConfig("empty test matrix")
-    unknown = [w for w in wanted if w not in matrix]
-    if unknown:
-        raise InvalidConfig(f"unknown matrix entries: {unknown}")
-    for key in cfg.overrides:
-        entry, _, fld = key.partition(".")
-        if entry.upper() not in wanted:
-            raise InvalidConfig(f"override {key!r} targets an entry not in the matrix")
-
-    # Eigenpairs live for this run only, and each entry's solves only inside
-    # its _entry_claims call, so nothing outlives the command.
-    eigenpairs: dict[tuple, EigenPair] = {}
-    claims: list[ClaimRecord] = []
-    for name in wanted:
-        claims.extend(_entry_claims(matrix[name], cfg, eigenpairs))
-    ids = [c.claim_id for c in claims]
-    if len(ids) != len(set(ids)):
-        raise InvalidConfig("duplicate claim ids in reproduction run")
-    report = ReproReport(tuple(claims))
-    out = _outdir(cfg)
-    write_report(out / "reproduce.report", report.blocks())
+    report = reproduce(cfg["matrix"], cfg.overrides, cfg.solver_config())
+    write_report(_outdir(cfg) / "reproduce.report", report.blocks())
     for c in sorted(report.claims, key=lambda c: c.claim_id):
         status = "PASS" if c.passed else "FAIL"
         print(
@@ -890,9 +639,6 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
-    except (InvalidConfig,) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
     except MlapError as exc:
         # admissibility and other domain errors are invalid input; solver
         # and certification failures are verification failures

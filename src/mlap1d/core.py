@@ -32,6 +32,7 @@ from .errors import (
     AdmissibilityViolation,
     GridMismatch,
     InvalidGrading,
+    InvalidGrid,
     NonPositiveK,
     TooFewNodes,
 )
@@ -234,11 +235,11 @@ class Grid1D:
         object.__setattr__(self, "nodes", _freeze(self.nodes))
         x = self.nodes
         if x.ndim != 1 or x.size < 2:
-            raise ValueError("grid needs at least two nodes")
+            raise TooFewNodes("grid needs at least two nodes")
         if x[0] != 0.0 or x[-1] != 1.0:
-            raise ValueError("grid endpoints must be exactly 0 and 1")
+            raise InvalidGrid("grid endpoints must be exactly 0 and 1")
         if not np.all(np.diff(x) > 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
+            raise InvalidGrid("grid nodes must be strictly increasing")
 
     @property
     def n(self) -> int:
@@ -416,9 +417,6 @@ class GridFunction:
         sl = grid.unknown_slice
         v[sl] = f(grid.nodes[sl])
         return GridFunction(grid, v)
-
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.grid, values)
 
     @property
     def interior(self) -> np.ndarray:

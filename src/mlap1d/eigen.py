@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid1D, GridFunction
-from .errors import NonConvergence, SignChange
+from .errors import AdmissibilityViolation, NonConvergence, SignChange
 from .operator import apply_mlap
 from .solver import solve_dirichlet
 
@@ -75,7 +75,7 @@ def first_eigenpair(
     NonConvergence if ``max_iters`` inverse iterations are not enough.
     """
     if m <= 1.0:
-        raise ValueError("m must exceed 1")
+        raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
     phi = initial if initial is not None else _initial_field(grid)
     # the initial field should be positive in the interior; a sign-changing
     # start is reported through SignChange on the first iterate

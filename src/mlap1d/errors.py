@@ -25,8 +25,13 @@ class InvalidGrading(MlapError):
     """
 
 
+class InvalidGrid(MlapError):
+    """Grid nodes that do not rise strictly from exactly 0 to exactly 1."""
+
+
 class TooFewNodes(MlapError):
-    """A grid was requested with fewer nodes than ``core.MIN_NODES``."""
+    """A grid was requested with fewer nodes than ``core.MIN_NODES``, or
+    built directly from fewer than two."""
 
 
 class GridMismatch(MlapError):

@@ -64,6 +64,7 @@ from .core import (
 from .errors import (
     AdmissibilityViolation,
     BarrierOrderViolation,
+    InvalidConfig,
     NonConvergence,
 )
 from .operator import dflux_of_gradient, flux_of_gradient
@@ -95,9 +96,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.picard_tol <= 0:
-            raise ValueError("tolerances must be positive")
+            raise InvalidConfig(f"picard_tol must be positive, got {self.picard_tol}")
         if self.max_picard_iters < 1:
-            raise ValueError("iteration budgets must be at least 1")
+            raise InvalidConfig(
+                f"max_picard_iters must be at least 1, got {self.max_picard_iters}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +312,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     with the report attached otherwise.
     """
     if m <= 1.0:
-        raise ValueError("m must exceed 1")
+        raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
     grid = theta.grid
     theta_vals = np.array(theta.values)
     for i in grid.dirichlet_indices():
@@ -377,12 +380,11 @@ def solve_singular(
     grid: Grid1D,
     config: SolverConfig | None = None,
     k_values: GridFunction | None = None,
-    k0: float = 1.0,
     base: EigenPair | None = None,
 ) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
-    K defaults to k0 * delta^(-q); a custom weight can be supplied through
+    K defaults to delta^(-q); a custom weight can be supplied through
     ``k_values`` as long as it stays inside the spec's (k_low, k_high)
     envelope, against which the barriers are certified.
 
@@ -407,7 +409,7 @@ def solve_singular(
     validate_spec(spec)
     cfg = config or SolverConfig()
     if k_values is None:
-        k_gf = default_k_values(spec, grid, k0=k0)
+        k_gf = default_k_values(spec, grid)
     else:
         k_gf = k_values
         sl = grid.unknown_slice

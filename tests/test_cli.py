@@ -6,10 +6,10 @@ import pytest
 import mlap1d.analyzer
 import mlap1d.barriers
 import mlap1d.cli
+import mlap1d.repro
+from mlap1d.analyzer import Verdict
 from mlap1d.cli import (
     COMMANDS,
-    ClaimRecord,
-    ReproReport,
     field_csv_text,
     main,
     parse_report,
@@ -17,7 +17,8 @@ from mlap1d.cli import (
 )
 from mlap1d.core import Domain, GridFunction, make_graded_grid
 from mlap1d.errors import InvalidConfig
-from mlap1d.solver import SolverConfig
+from mlap1d.repro import ClaimRecord, ReproReport, predicted_verdict
+from mlap1d.solver import SolverConfig, solve_dirichlet
 
 
 class TestClassify:
@@ -349,9 +350,9 @@ class TestReproduceReuse:
 
             return wrapper
 
-        for mod in (mlap1d.cli, mlap1d.analyzer):
+        for mod in (mlap1d.repro, mlap1d.analyzer):
             monkeypatch.setattr(mod, "solve_singular", counted("solve_singular", mod.solve_singular))
-        for mod in (mlap1d.cli, mlap1d.barriers):
+        for mod in (mlap1d.repro, mlap1d.barriers):
             monkeypatch.setattr(mod, "first_eigenpair", counted("first_eigenpair", mod.first_eigenpair))
         return calls
 
@@ -442,6 +443,104 @@ class TestRadialDomain:
         out = capsys.readouterr().out
         lam = float([l for l in out.splitlines() if l.startswith("lambda")][0].split("=")[1])
         assert lam == pytest.approx(math.pi**2, rel=1e-3)
+
+
+class TestFixedRhsOnTheBall:
+    """A fixed right-hand side is sampled and solved on the configured domain."""
+
+    @pytest.fixture
+    def domains(self, monkeypatch):
+        seen = []
+
+        def spy(theta, m):
+            seen.append(theta.grid.domain)
+            return solve_dirichlet(theta, m)
+
+        monkeypatch.setattr(mlap1d.cli, "solve_dirichlet", spy)
+        return seen
+
+    @pytest.mark.parametrize("command", ["solve", "fit-exponent"])
+    def test_power_rhs(self, tmp_path, domains, command):
+        out = tmp_path / "o"
+        code = main(
+            [command, "--domain", "ball", "--rhs", "power", "--a", "0.5",
+             "--n", "1025", "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert domains == [Domain.ball(3)]
+        if command == "solve":
+            # the first node is the centre r = 0, at distance 1 from the boundary
+            first = (out / "solution.csv").read_text().splitlines()[1].split(",")
+            assert float(first[1]) == 1.0 and float(first[2]) > 0.0
+
+    def test_scan_levels(self, tmp_path, domains):
+        code = main(
+            ["scan-threshold", "--domain", "ball", "--rhs", "const", "--taus", "2",
+             "--levels", "257,513,1025,2049", "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 0
+        assert domains == [Domain.ball(3)] * 4
+
+    def test_logpower_barrier_uses_the_ball_scale(self, tmp_path, capsys):
+        code = main(
+            ["barrier-check", "--domain", "ball", "--rhs", "const", "--family", "logpower",
+             "--n", "257", "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 0
+        assert "family = logpower(s=0.5, A=4)\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,msg",
+    [
+        (["eigen", "--m", "1.0"], "m > 1 fails: m = 1.0"),
+        (["solve", "--rhs", "const", "--m", "0.8"], "m > 1 fails: m = 0.8"),
+        (["solve", "--picard-tol", "0"], "picard_tol must be positive"),
+        (["solve", "--max-picard-iters", "0"], "max_picard_iters must be at least 1"),
+        (["scan-threshold", "--rhs", "power", "--taus", "0.5"], "tau must be >= 1"),
+        (["barrier-check", "--p", "0.5", "--q", "1", "--n", "257", "--c", "0.5"],
+         "scaling constant must be >= 1"),
+        (["barrier-check", "--rhs", "const", "--family", "power", "--n", "257",
+          "--skip-cells", "1000"], "grid too coarse for skip_cells = 1000"),
+        (["barrier-check", "--c", "big"], "bad value for 'c'"),
+        (["fit-exponent", "--expect", "two"], "bad value for 'expect'"),
+        (["solve", "--domain", "bal"], "unknown domain 'bal'"),
+        (["eigen", "--formats", "cvs"], "unknown output formats ['cvs']"),
+        (["reproduce-theorem1", "--set", "e3.boundary_exponent=half"],
+         "bad value for override 'e3.boundary_exponent'"),
+    ],
+    ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
+         "domain", "formats", "override-text"],
+)
+def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
+    out = tmp_path / "o"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and msg in err
+    if argv[0] != "scan-threshold":  # the scan rejects tau after its first level
+        assert not out.exists()
+
+
+def test_cli_keeps_the_names_the_benchmark_reads():
+    """bench/ drives the program through these names on mlap1d.cli."""
+    for name in ("_entry_claims", "parse_repro_report", "write_report", "parse_report",
+                 "solve_singular", "MlapError", "main"):
+        assert hasattr(mlap1d.cli, name), name
+    # the theorem1 timing replaces the runner wherever it is bound
+    assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
+
+
+def test_repro_imports_nothing_from_cli():
+    owners = {getattr(v, "__module__", None) for v in vars(mlap1d.repro).values()}
+    assert "mlap1d.cli" not in owners
+
+
+def test_threshold_band_predictions():
+    assert predicted_verdict(2.9, 3.0) is Verdict.CONVERGENT
+    assert predicted_verdict(2.96, 3.0) is None
+    assert predicted_verdict(3.04, 3.0) is None
+    assert predicted_verdict(3.1, 3.0) is Verdict.DIVERGENT
+    assert predicted_verdict(1e6, math.inf) is Verdict.CONVERGENT
 
 
 def test_filesystem_error_exit_2(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mlap1d import (
     Domain,
+    Grid1D,
     GridFunction,
     ProblemSpec,
     Regime,
@@ -19,6 +20,7 @@ from mlap1d.errors import (
     AdmissibilityViolation,
     GridMismatch,
     InvalidGrading,
+    InvalidGrid,
     NonPositiveK,
     TooFewNodes,
 )
@@ -181,6 +183,19 @@ class TestGradedGrid:
     def test_too_few_nodes(self):
         with pytest.raises(TooFewNodes, match="need at least 16 nodes, got 8"):
             make_graded_grid(8, 2.0)
+
+    @pytest.mark.parametrize(
+        "nodes,error,msg",
+        [
+            ([0.0], TooFewNodes, "at least two nodes"),
+            ([0.0, 0.5, 0.9], InvalidGrid, "endpoints must be exactly 0 and 1"),
+            ([0.0, 0.5, 0.5, 1.0], InvalidGrid, "strictly increasing"),
+        ],
+        ids=["one-node", "endpoint", "repeated-node"],
+    )
+    def test_direct_construction_is_validated(self, nodes, error, msg):
+        with pytest.raises(error, match=msg):
+            Grid1D(nodes=np.array(nodes), grading_exponent=1.0)
 
     @pytest.mark.parametrize(
         "n,grading,domain,node",

@@ -16,7 +16,7 @@ from mlap1d import (
     solve_singular,
 )
 from mlap1d import barriers, solver
-from mlap1d.errors import BarrierOrderViolation, NonConvergence
+from mlap1d.errors import BarrierOrderViolation, InvalidConfig, NonConvergence
 from mlap1d.solver import RESIDUAL_TOL
 
 from oracles import torsion_exact
@@ -471,9 +471,9 @@ class TestCertifiedBracket:
 
 class TestSolverConfig:
     def test_positive_tolerances(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SolverConfig(picard_tol=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SolverConfig(picard_tol=-1e-8)
 
 
