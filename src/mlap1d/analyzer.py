@@ -27,6 +27,7 @@ from .core import (
     make_graded_grid,
 )
 from .errors import (
+    DomainError,
     InsufficientWindow,
     InvalidConfig,
     InvalidGrading,
@@ -71,15 +72,18 @@ class FitResult:
     window: tuple[float, float]
 
 
-def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _r_squared(dy: np.ndarray, resid: np.ndarray) -> float:
+    """1 - SSres/SStot from the centred data ``dy`` and the fit residuals."""
+    sst = float(np.dot(dy, dy))
+    return 1.0 if sst == 0.0 else 1.0 - float(np.dot(resid, resid)) / sst
+
+
+def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of y against x, and the fit's r^2."""
     xm, ym = x.mean(), y.mean()
     dx, dy = x - xm, y - ym
-    sxx = float(np.dot(dx, dx))
-    slope = float(np.dot(dx, dy)) / sxx
-    resid = dy - slope * dx
-    sst = float(np.dot(dy, dy))
-    r2 = 1.0 if sst == 0.0 else 1.0 - float(np.dot(resid, resid)) / sst
-    return slope, ym - slope * xm, r2
+    slope = float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+    return slope, _r_squared(dy, dy - slope * dx)
 
 
 def _window_samples(
@@ -123,24 +127,27 @@ def _window_samples(
     return sides
 
 
+def _per_side_fit(u: GridFunction, window: tuple[float, float], fit_side, log: bool) -> FitResult:
+    """Fit each boundary side of the window with ``fit_side(delta, u) ->
+    (slope, r^2)``; the mean slope is the exponent (the log exponent, the
+    power fixed to 1, with ``log``) and the weaker r^2 is reported."""
+    fits = [fit_side(d, vals) for d, vals in _window_samples(u, window)]
+    slope = float(np.mean([s for s, _ in fits]))
+    return FitResult(
+        exponent=1.0 if log else slope,
+        log_exponent=slope if log else None,
+        r_squared=float(min(r2 for _, r2 in fits)),
+        window=(float(window[0]), float(window[1])),
+    )
+
+
 def fit_boundary_exponent(u: GridFunction, window: tuple[float, float]) -> FitResult:
     """Fit gamma in u ~ delta^gamma by log-log least squares on the window.
 
     On the interval the two boundary sides are fitted separately and the
     slopes averaged (the reported r^2 is the weaker of the two).
     """
-    sides = _window_samples(u, window)
-    slopes, r2s = [], []
-    for d, vals in sides:
-        s, _, r2 = _linfit(np.log(d), np.log(vals))
-        slopes.append(s)
-        r2s.append(r2)
-    return FitResult(
-        exponent=float(np.mean(slopes)),
-        log_exponent=None,
-        r_squared=float(min(r2s)),
-        window=(float(window[0]), float(window[1])),
-    )
+    return _per_side_fit(u, window, lambda d, vals: _linfit(np.log(d), np.log(vals)), log=False)
 
 
 def fit_log_correction(u: GridFunction, window: tuple[float, float]) -> FitResult:
@@ -149,17 +156,8 @@ def fit_log_correction(u: GridFunction, window: tuple[float, float]) -> FitResul
     Least squares of log(u/delta) against log log(1/delta); exact when u is
     exactly of that form.
     """
-    sides = _window_samples(u, window)
-    slopes, r2s = [], []
-    for d, vals in sides:
-        s, _, r2 = _linfit(np.log(np.log(1.0 / d)), np.log(vals / d))
-        slopes.append(s)
-        r2s.append(r2)
-    return FitResult(
-        exponent=1.0,
-        log_exponent=float(np.mean(slopes)),
-        r_squared=float(min(r2s)),
-        window=(float(window[0]), float(window[1])),
+    return _per_side_fit(
+        u, window, lambda d, vals: _linfit(np.log(np.log(1.0 / d)), np.log(vals / d)), log=True
     )
 
 
@@ -175,27 +173,16 @@ def fit_log_profile(u: GridFunction, window: tuple[float, float]) -> FitResult:
     """
     from scipy.optimize import curve_fit
 
-    sides = _window_samples(u, window)
-
     def model(big_l, c0, s, b0):
         return c0 * big_l**s + b0
 
-    slopes, r2s = [], []
-    for d, vals in sides:
+    def fit_side(d, vals):
         big_l = np.log(1.0 / d)
         y = vals / d
         popt, _ = curve_fit(model, big_l, y, p0=(1.0, 0.5, 0.0), maxfev=20000)
-        resid = y - model(big_l, *popt)
-        sst = float(np.dot(y - y.mean(), y - y.mean()))
-        r2 = 1.0 if sst == 0.0 else 1.0 - float(np.dot(resid, resid)) / sst
-        slopes.append(float(popt[1]))
-        r2s.append(r2)
-    return FitResult(
-        exponent=1.0,
-        log_exponent=float(np.mean(slopes)),
-        r_squared=float(min(r2s)),
-        window=(float(window[0]), float(window[1])),
-    )
+        return float(popt[1]), _r_squared(y - y.mean(), y - model(big_l, *popt))
+
+    return _per_side_fit(u, window, fit_side, log=True)
 
 
 def sobolev_seminorm(u: GridFunction, tau: float) -> float:
@@ -402,7 +389,7 @@ def _gradient_constant(w: GridFunction, a: float, skip_cells: int) -> float:
     lo = 0 if g.domain.is_ball else skip_cells
     hi = g.h.size - skip_cells
     if hi <= lo:
-        raise ValueError("grid too coarse for the requested skip zone")
+        raise DomainError("grid too coarse for the requested skip zone")
     return float(np.max(du[lo:hi] * weights[lo:hi]))
 
 

@@ -20,10 +20,12 @@ right-hand side is evaluated at the candidate itself, K * w^(-p), which is
 the definition of a sub/supersolution of that equation.
 
 Certification is monotone in c on both sides, so the smallest certifying
-power of two is found by walking the ladder c = 2, 4, 8, ...  A certificate
-obtained on a coarse grid is only trusted after it survives refinement:
-a wrong boundary exponent can look certified on a fixed grid because its
-violation zone hides below the resolved scale, but refinement exposes it.
+power of two is found by walking the ladder c = 2, 4, 8, ...: auto_scale
+walks it for one side, certified_pair for both at once, each rung checking
+first the side that failed the rung before.  A certificate obtained on a
+coarse grid is only trusted after it survives refinement: a wrong boundary
+exponent can look certified on a fixed grid because its violation zone hides
+below the resolved scale, but refinement exposes it.
 """
 
 from __future__ import annotations
@@ -250,6 +252,39 @@ def check_barrier(
     )
 
 
+def _ladder(families: dict[str, Family], rhs, m, base, grid, c_max, slack, skip_cells):
+    """Walk c = 2, 4, ... <= c_max to the first rung where the barrier of
+    every {side: family} certifies; return that c and {side: (candidate,
+    certificate)}.  A rung stops at its first failing side, and the next
+    rung checks that side first.
+    """
+    order = list(families)
+    c, last = 2.0, None
+    while c <= c_max:
+        found = {}
+        for side in order:
+            family = families[side]
+            cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base), grid)
+            cert = check_barrier(
+                cand, side, rhs, m, slack=slack, skip_cells=skip_cells,
+                description=f"{family.describe()} c={c:g} {side}",
+            )
+            if not cert.certified:
+                last = (f"{family.describe()} ({side}); last margin "
+                        f"{cert.worst_margin:g} at node {cert.worst_node}")
+                order.remove(side)
+                order.insert(0, side)
+                break
+            found[side] = (cand, cert)
+        else:
+            return c, found
+        c *= 2.0
+    raise NoCertifiableScale(
+        f"no certifying c <= {c_max:g} for {last}" if last
+        else f"c_max {c_max:g} below the first ladder rung"
+    )
+
+
 def auto_scale(
     family: Family,
     side: str,
@@ -262,32 +297,14 @@ def auto_scale(
 ) -> tuple[float, BarrierCertificate]:
     """Smallest power-of-two c in (1, c_max] whose barrier certifies.
 
-    Certification is monotone in c for both sides (the properly scaled side
-    of the inequality strengthens as c grows), so the first certifying rung
-    of the ladder is the smallest certifying power of two.  Raises
-    NoCertifiableScale when c_max is reached, which signals a wrong profile
-    exponent or an under-resolved grid.
+    Walks the ladder for this one side.  Certification is monotone in c
+    (the properly scaled side of the inequality strengthens as c grows), so
+    the first certifying rung is the smallest certifying power of two.
+    Raises NoCertifiableScale when c_max is reached, which signals a wrong
+    profile exponent or an under-resolved grid.
     """
-    grid = base.grid
-    c = 2.0
-    last = None
-    while c <= c_max:
-        bspec = BarrierSpec(family=family, c=c, side=side, base=base)
-        cand = build_barrier(bspec, grid)
-        cert = check_barrier(
-            cand, side, rhs, m, slack=slack, skip_cells=skip_cells,
-            description=f"{family.describe()} c={c:g} {side}",
-        )
-        if cert.certified:
-            return c, cert
-        last = cert
-        c *= 2.0
-    raise NoCertifiableScale(
-        f"no certifying c <= {c_max:g} for {family.describe()} ({side}); "
-        f"last margin {last.worst_margin:g} at node {last.worst_node}"
-        if last
-        else f"c_max {c_max:g} below the first ladder rung"
-    )
+    c, found = _ladder({side: family}, rhs, m, base, base.grid, c_max, slack, skip_cells)
+    return c, found[side][1]
 
 
 def regime_families(spec: ProblemSpec) -> tuple[Family, Family]:
@@ -332,29 +349,15 @@ def certified_pair(
 
     Both sides are certified at every unknown node (no skipped boundary
     cells), so the comparison principle puts the discrete solution between
-    them everywhere.  Both use the smallest common power-of-two constant
-    (certification is monotone in c, so the maximum of the per-side
-    constants certifies both).
+    them everywhere.  One ladder walk checks both sides on each rung and
+    returns the first rung where both certify: the smallest common
+    power-of-two constant, since certification is monotone in c.
     """
     if base is None:
         base = first_eigenpair(grid, spec.m)
     sub_fam, super_fam = regime_families(spec)
-    c_sub, _ = auto_scale(sub_fam, SUB, spec, spec.m, base, c_max=c_max, skip_cells=0)
-    c_sup, _ = auto_scale(super_fam, SUPER, spec, spec.m, base, c_max=c_max, skip_cells=0)
-    c = max(c_sub, c_sup)
-    sub = build_barrier(BarrierSpec(family=sub_fam, c=c, side=SUB, base=base), grid)
-    sup = build_barrier(BarrierSpec(family=super_fam, c=c, side=SUPER, base=base), grid)
-    sub_cert = check_barrier(
-        sub, SUB, spec, spec.m, skip_cells=0,
-        description=f"{sub_fam.describe()} c={c:g} sub",
+    c, found = _ladder(
+        {SUB: sub_fam, SUPER: super_fam}, spec, spec.m, base, grid, c_max, 0.0, 0
     )
-    super_cert = check_barrier(
-        sup, SUPER, spec, spec.m, skip_cells=0,
-        description=f"{super_fam.describe()} c={c:g} super",
-    )
-    if not (sub_cert.certified and super_cert.certified):
-        raise NoCertifiableScale(
-            "shared constant failed re-certification; certification is expected "
-            "to be monotone in c"
-        )
+    (sub, sub_cert), (sup, super_cert) = found[SUB], found[SUPER]
     return BarrierPair(sub=sub, super_=sup, c=c, sub_cert=sub_cert, super_cert=super_cert)

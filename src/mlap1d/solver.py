@@ -66,6 +66,7 @@ from .errors import (
     BarrierOrderViolation,
     InvalidConfig,
     NonConvergence,
+    NonFiniteTheta,
 )
 from .operator import dflux_of_gradient, flux_of_gradient
 
@@ -318,7 +319,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     for i in grid.dirichlet_indices():
         theta_vals[i] = 0.0
     if not np.all(np.isfinite(theta_vals)):
-        raise ValueError("theta must be finite at the unknown nodes")
+        raise NonFiniteTheta("theta must be finite at the unknown nodes")
 
     h = grid.h
     loads = grid.cell_volumes * theta_vals

@@ -22,6 +22,7 @@ from mlap1d import (
     threshold_scan,
 )
 from mlap1d.errors import (
+    DomainError,
     InsufficientWindow,
     InvalidConfig,
     InvalidGrading,
@@ -283,6 +284,12 @@ class TestGradientBound:
         profile = du * g.delta_mid ** (a - 1.0)
         mid = g.n // 2
         assert profile[mid - 5 : mid + 5] == pytest.approx(2.0 - a, rel=1e-6)
+
+    def test_skip_zone_wider_than_the_grid_is_a_domain_error(self):
+        g = make_graded_grid(33, 1.0)
+        w = sampled(g, lambda x: x * (1 - x))
+        with pytest.raises(DomainError, match="grid too coarse"):
+            gradient_bound_check(w, 1.0, skip_cells=16)
 
     def test_quadratic_bounded_by_one(self):
         g = make_graded_grid(1025, 1.0)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import mlap1d
 from mlap1d import (
     BarrierSpec,
+    Domain,
     GridFunction,
     LogPowerOfEigen,
     PowerOfEigen,
@@ -260,3 +262,83 @@ class TestCertifiedPair:
         fit = fit_boundary_exponent(u, (1e-6, 1e-4))
         assert fit.exponent == pytest.approx(2.0 / 3.0, abs=0.03)
 
+
+
+def _reference_pair(spec, base, c_max=2.0**20):
+    """Each side's smallest certifying power of two, found on its own ladder,
+    then both sides built and checked at the larger of the two constants.
+
+    Returns (c, [(candidate, certificate) for sub, super], [R_sub, R_super])
+    with each side first certifying at 2^R.
+    """
+    sides = list(zip(regime_families(spec), (SUB, SUPER)))
+
+    def build(family, side, c):
+        return build_barrier(BarrierSpec(family=family, c=c, side=side, base=base), base.grid)
+
+    def check(family, side, c):
+        return check_barrier(
+            build(family, side, c), side, spec, spec.m, skip_cells=0,
+            description=f"{family.describe()} c={c:g} {side}",
+        )
+
+    rungs = []
+    for family, side in sides:
+        r = 1
+        while not check(family, side, 2.0**r).certified:
+            r += 1
+            assert 2.0**r <= c_max
+        rungs.append(r)
+    c = 2.0 ** max(rungs)
+    return c, [(build(f, s, c), check(f, s, c)) for f, s in sides], rungs
+
+
+WALK_CASES = {
+    "E3": E3,
+    "interval-1.2": ProblemSpec(m=1.2, p=0.2, q=1.0),
+    "ball-1.2": ProblemSpec(m=1.2, p=0.2, q=1.0, domain=Domain.ball(3)),
+}
+
+
+@pytest.fixture(scope="module")
+def walk_bases():
+    return {
+        name: first_eigenpair(make_graded_grid(1025, 3.0, spec.domain), spec.m)
+        for name, spec in WALK_CASES.items()
+    }
+
+
+class TestLadderWalk:
+    """certified_pair walks one ladder for both sides."""
+
+    @pytest.mark.parametrize("name", WALK_CASES)
+    def test_matches_two_ladders_and_a_shared_check(self, walk_bases, name):
+        spec, base = WALK_CASES[name], walk_bases[name]
+        c, [(sub, sub_cert), (sup, super_cert)], _ = _reference_pair(spec, base)
+        pair = certified_pair(spec, base.grid, base=base)
+        assert pair.c == c
+        assert pair.sub.values.tobytes() == sub.values.tobytes()
+        assert pair.super_.values.tobytes() == sup.values.tobytes()
+        for got, want in ((pair.sub_cert, sub_cert), (pair.super_cert, super_cert)):
+            assert got.certified
+            assert got.worst_margin == want.worst_margin
+            assert got.report_items() == want.report_items()
+
+    @pytest.mark.parametrize("name", WALK_CASES)
+    def test_checks_at_most_one_per_rung_plus_two(self, walk_bases, monkeypatch, name):
+        spec, base = WALK_CASES[name], walk_bases[name]
+        _, _, rungs = _reference_pair(spec, base)
+        calls = []
+        check = mlap1d.barriers.check_barrier
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(mlap1d.barriers, "check_barrier", counted)
+        certified_pair(spec, base.grid, base=base)
+        assert len(calls) <= max(rungs) + 2
+        if name == "interval-1.2":
+            # the sub side certifies at 4, the super side at 512: two
+            # ladders and a shared re-check take 2 + 9 + 2 = 13 checks
+            assert rungs == [2, 9] and len(calls) == 11

@@ -114,6 +114,12 @@ class TestExitCodes:
             # the same failure at a scan level
             ["scan-threshold", "--m", "1.2", "--p", "0", "--q", "0.3",
              "--levels", "1025,2049,4097,8193"],
+            # the singular loop exhausts its budget
+            ["solve", "--m", "3", "--p", "1.5", "--q", "0.3", "--max-picard-iters", "1"],
+            # no power-of-two constant up to c_max certifies a wrong exponent
+            ["barrier-check", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1",
+             "--family", "power", "--gamma", "0.3", "--side", "sub", "--c-max", "64",
+             "--n", "4097"],
         ],
     )
     def test_failed_certification_exits_1(self, tmp_path, capsys, args):
@@ -335,6 +341,23 @@ class TestReproduceSmall:
              "--set", "e3.boundary_exponent=0.5", "--output-dir", str(tmp_path / "o")]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "key", ["e1.boundary_exponnt", "e3.log_exponent", "e1.sandwich_violation"]
+    )
+    def test_override_of_no_prediction_rejected_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        solves = []
+        monkeypatch.setattr(mlap1d.repro, "solve_singular", lambda *a, **k: solves.append(a))
+        code = main(["reproduce-theorem1", "--set", f"{key}=0.5",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2 and solves == []
+        assert f"override {key!r} names no prediction" in capsys.readouterr().err
+
+    def test_override_of_a_prediction_is_a_negative_control(self, tmp_path):
+        assert main(["reproduce-theorem1", "--matrix", "E3", "--set",
+                     "e3.boundary_exponent=0.5", "--output-dir", str(tmp_path / "o")]) == 1
+
 
 class TestReproduceReuse:
     """One run computes each distinct singular solve and eigenpair once."""
@@ -508,9 +531,10 @@ class TestFixedRhsOnTheBall:
         (["eigen", "--formats", "cvs"], "unknown output formats ['cvs']"),
         (["reproduce-theorem1", "--set", "e3.boundary_exponent=half"],
          "bad value for override 'e3.boundary_exponent'"),
+        (["solve", "--rhs", "power", "--a", "400"], "theta must be finite at the unknown nodes"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
-         "domain", "formats", "override-text"],
+         "domain", "formats", "override-text", "theta-overflow"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"

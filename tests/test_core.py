@@ -19,6 +19,7 @@ from mlap1d import (
 from mlap1d.errors import (
     AdmissibilityViolation,
     GridMismatch,
+    InvalidConfig,
     InvalidGrading,
     InvalidGrid,
     NonPositiveK,
@@ -275,3 +276,8 @@ def test_grid_function_values_immutable():
     u = GridFunction.zeros(g)
     with pytest.raises(ValueError):
         u.values[0] = 1.0
+
+
+def test_unknown_domain_kind_is_invalid_config():
+    with pytest.raises(InvalidConfig, match="unknown domain kind 'bal'"):
+        Domain("bal")

@@ -16,7 +16,12 @@ from mlap1d import (
     solve_singular,
 )
 from mlap1d import barriers, solver
-from mlap1d.errors import BarrierOrderViolation, InvalidConfig, NonConvergence
+from mlap1d.errors import (
+    BarrierOrderViolation,
+    InvalidConfig,
+    NonConvergence,
+    NonFiniteTheta,
+)
 from mlap1d.solver import RESIDUAL_TOL
 
 from oracles import torsion_exact
@@ -27,6 +32,14 @@ def const_theta(grid, value):
 
 
 class TestSolveDirichlet:
+    def test_non_finite_theta_is_a_typed_value_error(self):
+        g = make_graded_grid(33, 1.0)
+        theta = const_theta(g, 1.0).values.copy()
+        theta[5] = np.inf
+        with pytest.raises(NonFiniteTheta, match="theta must be finite") as info:
+            solve_dirichlet(GridFunction(g, theta), 2.0)
+        assert isinstance(info.value, ValueError)
+
     def test_m2_quadratic_exact(self):
         g = make_graded_grid(33, 1.0)
         rep = solve_dirichlet(const_theta(g, 2.0), 2.0)
