@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveValues,
     SolveFailed,
 )
-from .solver import SolverConfig, solve_dirichlet, solve_singular
+from .solver import solve_dirichlet, solve_singular
 
 __all__ = [
     "FitResult",
@@ -55,6 +55,9 @@ __all__ = [
 # Verdict bands for refinement ratios of Sobolev seminorms (see threshold_scan).
 CONVERGENT_BAND = 0.02
 DIVERGENT_FLOOR = 1.05
+
+# Cells next to each Dirichlet boundary that gradient_bound_check skips.
+GRADIENT_SKIP_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,14 @@ def _window_samples(
             f"window must stay strictly inside (0, {max_delta / 4.0:g})"
         )
     lo = max(lo, 10.0 * grid.min_h)
-    x = grid.nodes
-    sides = []
+    delta = grid.delta_nodes
+    near = (delta >= lo) & (delta <= hi)
     if grid.domain.is_ball:
-        d = 1.0 - x
-        mask = (d >= lo) & (d <= hi)
-        sides.append((d[mask], u.values[mask]))
+        masks = [near]
     else:
-        half = x <= 0.5
-        for d in (np.where(half, x, np.inf), np.where(~half, 1.0 - x, np.inf)):
-            mask = (d >= lo) & (d <= hi)
-            sides.append((d[mask], u.values[mask]))
+        half = grid.nodes <= 0.5
+        masks = [near & half, near & ~half]
+    sides = [(delta[mask], u.values[mask]) for mask in masks]
     total = sum(d.size for d, _ in sides)
     if total < 10 or any(d.size < 2 for d, _ in sides):
         raise InsufficientWindow(
@@ -258,13 +258,13 @@ def _ratio_verdict(ratios: np.ndarray) -> Verdict:
     return Verdict.MARGINAL
 
 
-def _solve_on_level(target, n: int, grading: float, config, solve_level) -> GridFunction:
+def _solve_on_level(target, n: int, grading: float, solve_level) -> GridFunction:
     try:
         if solve_level is not None:
             return solve_level(n)
         if isinstance(target, ProblemSpec):
             grid = make_graded_grid(n, grading, target.domain)
-            return solve_singular(target, grid, config).solution
+            return solve_singular(target, grid).solution
         grid = make_graded_grid(n, grading, INTERVAL01)
         theta = GridFunction.interior_from_callable(grid, target.theta)
         return solve_dirichlet(theta, target.m).solution
@@ -277,7 +277,6 @@ def threshold_scan(
     tau_values,
     refinement_levels,
     grading: float = 3.0,
-    config: SolverConfig | None = None,
     predicted_threshold: float | None = None,
     solve_level: Callable[[int], GridFunction] | None = None,
 ) -> ScanReport:
@@ -288,11 +287,12 @@ def threshold_scan(
     For a ProblemSpec target the predicted threshold is filled in from the
     regime classification unless given explicitly.  ``solve_level``, when
     given, returns the solution of ``target`` at n nodes (on the grid built
-    with ``grading``) in place of a fresh solve, so a caller can share solves
-    between the scan and its other checks or solve a problem of its own
-    building; ``target`` may then be None.  Bad levels (fewer than four, one
-    below MIN_NODES nodes, or not nested) raise InvalidConfig and a grading
-    below 1 raises InvalidGrading, all before any solve.
+    with ``grading``) in place of a fresh solve with the default
+    SolverConfig, so a caller can share solves between the scan and its
+    other checks or solve a problem of its own building; ``target`` may then
+    be None.  Bad levels (fewer than four, one below MIN_NODES nodes, or not
+    nested) raise InvalidConfig and a grading below 1 raises InvalidGrading,
+    all before any solve.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
@@ -313,7 +313,7 @@ def threshold_scan(
 
     norms = np.empty((len(levels), len(taus)))
     for l, n in enumerate(levels):
-        u = _solve_on_level(target, n, grading, config, solve_level)
+        u = _solve_on_level(target, n, grading, solve_level)
         for j, tau in enumerate(taus):
             norms[l, j] = sobolev_seminorm(u, tau)
     if not np.all(np.isfinite(norms)):
@@ -344,12 +344,12 @@ class DistanceIntegralResult:
 
 
 def distance_integral_classify(
-    a: float, refinement_levels: int = 6, grading: float = 3.0, n0: int = 257
+    a: float, refinement_levels: int = 6, grading: float = 3.0
 ) -> DistanceIntegralResult:
     """Decide whether the integral of delta^(-a) over (0,1) is finite.
 
-    Midpoint quadrature on nested graded grids; the geometric decay rate of
-    the quadrature increments estimates the exponent (increments scale like
+    Midpoint quadrature on nested graded grids of 257, 513, ... nodes; the
+    geometric decay rate of the quadrature increments estimates the exponent (increments scale like
     delta_min^(1-a) and delta_min shrinks by 2^(-grading) per level), and the
     integral is classified finite iff that estimate stays below 1.  When
     finite, the value is completed with the geometric tail extrapolation.
@@ -358,7 +358,7 @@ def distance_integral_classify(
         raise InvalidConfig("need at least 4 refinement levels")
     q = []
     for l in range(refinement_levels):
-        grid = make_graded_grid((n0 - 1) * 2**l + 1, grading, INTERVAL01)
+        grid = make_graded_grid(256 * 2**l + 1, grading, INTERVAL01)
         q.append(float(np.dot(grid.h, grid.delta_mid ** (-a))))
     d = np.diff(q)
     if np.max(np.abs(d)) <= 1e-13 * max(1.0, abs(q[-1])):
@@ -376,45 +376,38 @@ class GradientBoundReport:
     """sup |Du| delta^(a-1) over checked cells, with refinement stability."""
 
     constant: float
-    refined_constant: float | None
-    ratio: float | None
+    refined_constant: float
+    ratio: float
     passed: bool
-    skip_cells: int
 
 
-def _gradient_constant(w: GridFunction, a: float, skip_cells: int) -> float:
+def _gradient_constant(w: GridFunction, a: float) -> float:
     g = w.grid
     du = np.abs(np.diff(w.values)) / g.h
     weights = g.delta_mid ** (a - 1.0)
-    lo = 0 if g.domain.is_ball else skip_cells
-    hi = g.h.size - skip_cells
+    lo = 0 if g.domain.is_ball else GRADIENT_SKIP_CELLS
+    hi = g.h.size - GRADIENT_SKIP_CELLS
     if hi <= lo:
-        raise DomainError("grid too coarse for the requested skip zone")
+        raise DomainError("grid too coarse for the skipped boundary cells")
     return float(np.max(du[lo:hi] * weights[lo:hi]))
 
 
 def gradient_bound_check(
-    w: GridFunction,
-    a: float,
-    skip_cells: int = 2,
-    refined: GridFunction | None = None,
+    w: GridFunction, a: float, refined: GridFunction
 ) -> GradientBoundReport:
     """Check the gradient bound |grad w| <= c delta^(1-a) by its sup constant.
 
-    The constant is sup over interior cells of |Dw| * delta^(a-1).  With a
-    ``refined`` companion solve the check passes iff the constant is stable
-    within a factor of 2 across the refinement; without one only the constant
-    is reported (and the check passes vacuously).
+    The constant is sup |Dw| * delta^(a-1) over the cells clear of the
+    GRADIENT_SKIP_CELLS next to each Dirichlet boundary.  One grid always
+    gives a finite constant, so the check passes iff the constant of the
+    ``refined`` companion solve is within a factor of 2 of it.
     """
-    c0 = _gradient_constant(w, a, skip_cells)
-    if refined is None:
-        return GradientBoundReport(c0, None, None, True, skip_cells)
-    c1 = _gradient_constant(refined, a, skip_cells)
+    c0 = _gradient_constant(w, a)
+    c1 = _gradient_constant(refined, a)
     ratio = c1 / c0
     return GradientBoundReport(
         constant=c0,
         refined_constant=c1,
         ratio=ratio,
         passed=bool(0.5 <= ratio <= 2.0),
-        skip_cells=skip_cells,
     )

@@ -167,15 +167,16 @@ class BarrierCertificate:
     skip_cells: int
     description: str = ""
 
-    def report_items(self) -> list[tuple[str, str]]:
+    def report_items(self) -> list[tuple[str, object]]:
+        """(key, value) rows of the certificate, values unformatted."""
         return [
             ("side", self.side),
-            ("certified", "true" if self.certified else "false"),
-            ("worst_node", str(self.worst_node)),
-            ("worst_margin", f"{self.worst_margin:.17g}"),
-            ("checked_nodes", str(self.checked_nodes)),
-            ("slack", f"{self.slack:.17g}"),
-            ("skip_cells", str(self.skip_cells)),
+            ("certified", self.certified),
+            ("worst_node", self.worst_node),
+            ("worst_margin", self.worst_margin),
+            ("checked_nodes", self.checked_nodes),
+            ("slack", self.slack),
+            ("skip_cells", self.skip_cells),
             ("description", self.description),
         ]
 

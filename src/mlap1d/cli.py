@@ -330,7 +330,9 @@ def _problem(cfg: RunConfig, n: int):
         theta = lambda x: dom.delta(x) ** (-1.0) * np.log(1.0 / dom.delta(x)) ** (-a)  # noqa: E731
     else:
         raise InvalidConfig(f"unknown rhs kind {kind!r}")
-    return None, grid, GridFunction.interior_from_callable(grid, theta)
+    # an overflow to inf is refused by the solve with NonFiniteTheta
+    with np.errstate(over="ignore"):
+        return None, grid, GridFunction.interior_from_callable(grid, theta)
 
 
 def _solve(cfg: RunConfig, n: int):

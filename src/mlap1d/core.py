@@ -423,19 +423,20 @@ class GridFunction:
     def interior(self) -> np.ndarray:
         return self.values[self.grid.unknown_slice]
 
-    def is_dirichlet(self, tol: float = 0.0) -> bool:
-        return all(abs(self.values[i]) <= tol for i in self.grid.dirichlet_indices())
+    def is_dirichlet(self) -> bool:
+        return all(self.values[i] == 0.0 for i in self.grid.dirichlet_indices())
 
 
-def default_k_values(spec: ProblemSpec, grid: Grid1D, k0: float = 1.0) -> GridFunction:
-    """Sample the default weight realization K = k0 * delta^(-q) at interior nodes.
+def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
+    """Sample the default weight K = delta^(-q) at the unknown nodes.
 
-    ``k0`` must stay inside the [k_low, k_high] envelope of the spec.
+    K delta^q = 1 must lie in the spec's [k_low, k_high] envelope; other
+    weights go to solve_singular as ``k_values``.
     """
-    if not (spec.k_low <= k0 <= spec.k_high):
+    if not (spec.k_low <= 1.0 <= spec.k_high):
         raise AdmissibilityViolation(
-            f"k0 = {k0} outside the envelope [{spec.k_low}, {spec.k_high}]"
+            f"the default K = delta^(-q) leaves the envelope [{spec.k_low}, {spec.k_high}]"
         )
     return GridFunction.interior_from_callable(
-        grid, lambda x: k0 * spec.domain.delta(x) ** (-spec.q)
+        grid, lambda x: spec.domain.delta(x) ** (-spec.q)
     )

@@ -26,6 +26,9 @@ from .solver import solve_dirichlet
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
 
+# Budget of inverse iterations per eigenpair.
+MAX_ITERS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
@@ -65,14 +68,14 @@ def first_eigenpair(
     m: float,
     tol: float = 1e-9,
     initial: GridFunction | None = None,
-    max_iters: int = 200,
 ) -> EigenPair:
     """Inverse power iteration for the first m-Laplace Dirichlet eigenpair.
 
-    Stops when the Rayleigh-quotient eigenvalue changes by at most
+    Starts from ``initial`` (by default a positive unimodal polynomial) and
+    stops when the Rayleigh-quotient eigenvalue changes by at most
     ``tol * max(1, lambda)`` between iterations.  Raises SignChange if an
     iterate loses interior positivity (the grid is too coarse) and
-    NonConvergence if ``max_iters`` inverse iterations are not enough.
+    NonConvergence if MAX_ITERS inverse iterations are not enough.
     """
     if m <= 1.0:
         raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
@@ -82,7 +85,7 @@ def first_eigenpair(
     vals = phi.values / np.max(np.abs(phi.values))
     phi = GridFunction(grid, vals)
     lam = rayleigh_quotient(phi, m)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         rhs = GridFunction(grid, np.sign(phi.values) * np.abs(phi.values) ** (m - 1.0))
         psi = solve_dirichlet(rhs, m).solution
         if np.any(psi.interior <= 0.0):
@@ -94,7 +97,7 @@ def first_eigenpair(
             break
         lam = lam_new
     else:
-        raise NonConvergence(f"eigen iteration did not settle in {max_iters} steps")
+        raise NonConvergence(f"eigen iteration did not settle in {MAX_ITERS} steps")
     res_field = apply_mlap(phi, m).values - lam * np.sign(phi.values) * np.abs(
         phi.values
     ) ** (m - 1.0)

@@ -137,29 +137,26 @@ class SolveReport:
 ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
-def _residual_parts(fw, dphi, u_scale, grid, theta_vals):
-    """Residual g_i = -(F_i - F_{i-1}) - V_i theta_i and its fp noise scale.
+def _scaled_residual(grid, u, m, loads, theta_vals) -> float:
+    """sup over the unknowns of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)).
 
-    The noise model is first-order rounding: each flux carries an error of
-    eps_mach * (|F| + phi'(Du) * u_scale / h) and the load term eps_mach * V |theta|.
+    g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
+    enters the ball's node 0).  The noise model is first-order rounding:
+    each flux carries an error of eps_mach * (|F| + phi'(Du) * sup|u| / h)
+    and the load one of eps_mach * V |theta|.
     """
-    vol = grid.cell_volumes
-    n = vol.size
-    g = np.zeros(n)
-    g[1:-1] = -(fw[1:] - fw[:-1]) - vol[1:-1] * theta_vals[1:-1]
-    g[0] = -fw[0] - vol[0] * theta_vals[0]
-    flux_noise = np.abs(fw) + grid.flux_weights * dphi * (u_scale / grid.h)
-    noise = np.zeros(n)
-    noise[1:-1] = flux_noise[1:] + flux_noise[:-1]
-    noise[0] = flux_noise[0]
-    noise += vol * np.abs(theta_vals)
-    return g, ASSEMBLY_NOISE * noise
-
-
-def _scaled_residual(g, noise, vol, theta_vals, sl) -> float:
-    """sup_i max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)) over the unknowns."""
-    r = np.maximum(np.abs(g[sl]) - noise[sl], 0.0)
-    return float(np.max(r / (vol[sl] * (1.0 + np.abs(theta_vals[sl])))))
+    du = np.diff(u) / grid.h
+    fw = grid.flux_weights * flux_of_gradient(du, m)
+    u_scale = max(1e-300, float(np.max(np.abs(u))))
+    fn = grid.flux_weights * dflux_of_gradient(du, m) * (u_scale / grid.h) + np.abs(fw)
+    if grid.domain.is_ball:
+        fw, fn = np.concatenate(([0.0], fw)), np.concatenate(([0.0], fn))
+    # the k-th unknown node sits between entries k and k + 1 of fw and fn
+    sl = grid.unknown_slice
+    g = np.abs(fw[:-1] - fw[1:] - loads[sl])
+    noise = ASSEMBLY_NOISE * (fn[:-1] + fn[1:] + np.abs(loads[sl]))
+    den = grid.cell_volumes[sl] * (1.0 + np.abs(theta_vals[sl]))
+    return float(np.max(np.maximum(g - noise, 0.0) / den))
 
 
 def _inverse_flux(y, m):
@@ -350,11 +347,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         u[1 : k + 1] = _compensated_cumsum(hdu[:k])
         u[k + 1 : -1] = -_compensated_cumsum(hdu[:k:-1])[::-1]
 
-    du = np.diff(u) / h
-    fw = grid.flux_weights * flux_of_gradient(du, m)
-    u_scale = max(1e-300, float(np.max(np.abs(u))))
-    g, noise = _residual_parts(fw, dflux_of_gradient(du, m), u_scale, grid, theta_vals)
-    res = _scaled_residual(g, noise, grid.cell_volumes, theta_vals, grid.unknown_slice)
+    res = _scaled_residual(grid, u, m, loads, theta_vals)
     report = SolveReport(
         solution=GridFunction(grid, u),
         iterations=iterations,
@@ -410,11 +403,10 @@ def solve_singular(
     validate_spec(spec)
     cfg = config or SolverConfig()
     if k_values is None:
-        k_gf = default_k_values(spec, grid)
+        k_values = default_k_values(spec, grid)
     else:
-        k_gf = k_values
         sl = grid.unknown_slice
-        envelope = k_gf.values[sl] * grid.delta_nodes[sl] ** spec.q
+        envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
         if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(
             envelope > spec.k_high * (1 + 1e-12)
         ):
@@ -422,34 +414,22 @@ def solve_singular(
                 "custom K leaves the (k_low, k_high) envelope: "
                 f"K delta^q in [{envelope.min():g}, {envelope.max():g}]"
             )
-    k_vals = k_gf.values
 
     pair = certified_pair(spec, grid, base=base)
-    inner, iterations, picard_gap = _singular_loop(spec, grid, cfg, pair, k_vals)
+    return _singular_loop(spec, grid, cfg, pair, k_values.values)
+
+
+def _singular_report(inner, pair, iterations, gap, **changes) -> SolveReport:
+    """The last Dirichlet solve's report as a singular one: the loop's
+    solve count and bracket width, and the certified barrier pair."""
     return replace(
         inner,
         iterations=iterations,
-        picard_gap=picard_gap,
+        picard_gap=gap,
         sub_barrier=pair.sub,
         super_barrier=pair.super_,
         barrier_c=pair.c,
-    )
-
-
-def _unconverged(
-    inner, iterations, gap, pair, why="singular iteration budget exhausted"
-):
-    return NonConvergence(
-        f"{why}: bracket width {gap:g}",
-        report=replace(
-            inner,
-            iterations=iterations,
-            converged=False,
-            picard_gap=gap,
-            sub_barrier=pair.sub,
-            super_barrier=pair.super_,
-            barrier_c=pair.c,
-        ),
+        **changes,
     )
 
 
@@ -523,11 +503,16 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         resolution = (
             2.0 * ASSEMBLY_NOISE * (1.0 + load) / (spec.m - 1.0 + spec.p) * lam_lo * w_max
         )
+        why = None
         if resolution > tol:
             why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
-            raise _unconverged(inner, iterations, width, pair, why)
-        if iterations >= cfg.max_picard_iters:
-            raise _unconverged(inner, iterations, width, pair)
+        elif iterations >= cfg.max_picard_iters:
+            why = "singular iteration budget exhausted"
+        if why:
+            raise NonConvergence(
+                f"{why}: bracket width {width:g}",
+                report=_singular_report(inner, pair, iterations, width, converged=False),
+            )
         nxt = np.zeros(grid.n)
         nxt[sl] = np.exp((1.0 - omega) * np.log(u[sl]) + omega * np.log(w[sl]))
         u = nxt
@@ -545,5 +530,4 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
                 f"the bracketed solution lies {side} of the certified pair "
                 f"at node {i} by {excess[i]:g}"
             )
-    inner = replace(inner, solution=GridFunction(grid, mid))
-    return inner, iterations, width
+    return _singular_report(inner, pair, iterations, width, solution=GridFunction(grid, mid))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mlap1d import (
     FixedRHS,
+    Grid1D,
     GridFunction,
     ProblemSpec,
     Verdict,
@@ -276,26 +277,33 @@ class TestGradientBound:
         # checked cells carry O(1) difference-quotient distortion, the
         # interior profile matches tightly
         a = 4.0 / 3.0
-        g = make_graded_grid(2049, 3.0)
+        g, g2 = make_graded_grid(2049, 3.0), make_graded_grid(4097, 3.0)
         w = sampled(g, lambda x: g.domain.delta(x) ** (2.0 - a))
-        rep = gradient_bound_check(w, a)
+        w2 = sampled(g2, lambda x: g2.domain.delta(x) ** (2.0 - a))
+        rep = gradient_bound_check(w, a, refined=w2)
         assert rep.constant == pytest.approx(2.0 - a, rel=0.05)
+        assert rep.refined_constant == pytest.approx(2.0 - a, rel=0.05)
+        assert rep.passed
         du = np.abs(np.diff(w.values)) / g.h
         profile = du * g.delta_mid ** (a - 1.0)
         mid = g.n // 2
         assert profile[mid - 5 : mid + 5] == pytest.approx(2.0 - a, rel=1e-6)
 
     def test_skip_zone_wider_than_the_grid_is_a_domain_error(self):
-        g = make_graded_grid(33, 1.0)
+        # 4 cells, 2 skipped at each boundary: none left to check
+        g = Grid1D(nodes=np.linspace(0.0, 1.0, 5), grading_exponent=1.0)
         w = sampled(g, lambda x: x * (1 - x))
+        fine = sampled(make_graded_grid(33, 1.0), lambda x: x * (1 - x))
         with pytest.raises(DomainError, match="grid too coarse"):
-            gradient_bound_check(w, 1.0, skip_cells=16)
+            gradient_bound_check(w, 1.0, refined=fine)
 
     def test_quadratic_bounded_by_one(self):
-        g = make_graded_grid(1025, 1.0)
+        g, g2 = make_graded_grid(1025, 1.0), make_graded_grid(2049, 1.0)
         w = sampled(g, lambda x: x * (1 - x))
-        rep = gradient_bound_check(w, 1.0)
+        w2 = sampled(g2, lambda x: x * (1 - x))
+        rep = gradient_bound_check(w, 1.0, refined=w2)
         assert rep.constant <= 1.0 + 1e-12
+        assert rep.refined_constant <= 1.0 + 1e-12
 
     def test_solved_field_stable_across_refinement(self):
         def theta(g):

@@ -267,8 +267,9 @@ class TestGridFunction:
         k = default_k_values(spec, g)
         d = g.delta_nodes[1:-1]
         assert np.allclose(k.values[1:-1] * d, 1.0)
-        with pytest.raises(AdmissibilityViolation):
-            default_k_values(spec, g, k0=2.0)  # outside [1, 1]
+        with pytest.raises(AdmissibilityViolation, match="envelope"):
+            # K delta^q = 1 lies outside [2, 3]
+            default_k_values(ProblemSpec(m=2, p=0.5, q=1.0, k_low=2.0, k_high=3.0), g)
 
 
 def test_grid_function_values_immutable():

@@ -11,6 +11,7 @@ from mlap1d import (
     SolverConfig,
     apply_mlap,
     default_k_values,
+    first_eigenpair,
     make_graded_grid,
     solve_dirichlet,
     solve_singular,
@@ -460,6 +461,32 @@ class TestCertifiedBracket:
         msg = str(err.value)
         assert f"bracket width {err.value.report.picard_gap:g}" in msg
         assert "last step" not in msg
+
+    @pytest.mark.parametrize(
+        "config, why",
+        [
+            (SolverConfig(max_picard_iters=2), "budget exhausted"),
+            (SolverConfig(picard_tol=1e-15), "below the resolution"),
+        ],
+        ids=["budget", "resolution"],
+    )
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_error_reports_carry_the_certified_pair(self, domain, config, why):
+        # a failed singular solve reports the barrier pair that guarded it,
+        # exactly as a successful one does
+        spec = ProblemSpec(m=3.0, p=1.5, q=0.3, domain=domain)
+        g = make_graded_grid(1025, 3.0, domain)
+        base = first_eigenpair(g, spec.m)
+        pair = barriers.certified_pair(spec, g, base=base)
+        with pytest.raises(NonConvergence, match=why) as err:
+            solve_singular(spec, g, config, base=base)
+        report = err.value.report
+        assert not report.converged
+        assert report.barrier_c == pair.c
+        assert np.array_equal(report.sub_barrier.values, pair.sub.values)
+        assert np.array_equal(report.super_barrier.values, pair.super_.values)
 
     def test_relaxed_loop_solve_count(self):
         # the plain alternation needs 29 solves here
