@@ -5,8 +5,9 @@ The asymptotic relations under test are two-sided bounds (u ~ delta^gamma,
 u ~ delta log^s(1/delta)), so everything here is fitted on a window of
 boundary distances well inside the resolved range and judged by behaviour
 under mesh refinement, never by a single-grid number: any single grid gives a
-finite Sobolev seminorm whether or not the integral diverges, but refinement
-ratios separate the cases.
+finite Sobolev seminorm whether or not the integral diverges, but the decay
+rate of its refinement increments separates the cases, and one rule on that
+rate (_rate_verdict) makes every integrability call.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ __all__ = [
     "gradient_bound_check",
 ]
 
-# Verdict bands for refinement ratios of Sobolev seminorms (see threshold_scan).
-CONVERGENT_BAND = 0.02
-DIVERGENT_FLOOR = 1.05
+# Increment rates at or below this read Divergent (see _rate_verdict).
+RATE_BAND = 0.005
 
 # Cells next to each Dirichlet boundary that gradient_bound_check skips.
 GRADIENT_SKIP_CELLS = 2
@@ -220,6 +220,7 @@ class ScanReport:
     level_ns: tuple[int, ...]
     norms: np.ndarray  # (levels, taus)
     ratios: np.ndarray  # (levels - 1, taus)
+    rates: tuple[float, ...]  # the increment rate behind each verdict
     verdicts: tuple[Verdict, ...]
     predicted_threshold: float | None
 
@@ -235,27 +236,24 @@ class ScanReport:
         return rows
 
 
-def _ratio_verdict(ratios: np.ndarray) -> Verdict:
-    """Classify a sequence of refinement ratios of one seminorm.
+def _increment_rate(values, grading: float) -> float:
+    """e = -log2(d_L/d_(L-1))/grading of the last two increments d_l = v_(l+1) - v_l
+    (e > 0 when v tends to a limit like delta_min^e); +inf at rounding level of
+    v_L, nan (no rate) when the two differ in sign or the earlier one is zero."""
+    d = np.diff(values)
+    if d[-1] == 0.0 or np.max(np.abs(d)) <= 1e-13 * abs(float(values[-1])):
+        return math.inf
+    if np.sign(d[-1]) != np.sign(d[-2]):
+        return math.nan
+    return -math.log2(float(d[-1] / d[-2])) / grading
 
-    Convergent: the finest-pair ratio sits in the band 1 +- 0.02.
-    Divergent: ratios stay at or above 1.05, or they grow, or they stay above
-    the convergent band while their excess over 1 stops decaying (the
-    signature of logarithmic divergence, whose norm grows by a constant
-    increment per refinement).  Marginal otherwise; marginal verdicts are
-    expected exactly at thresholds.
-    """
-    last = float(ratios[-1])
-    if abs(last - 1.0) <= CONVERGENT_BAND:
-        return Verdict.CONVERGENT
-    if float(ratios.min()) >= DIVERGENT_FLOOR:
-        return Verdict.DIVERGENT
-    if last >= float(ratios[0]) - 1e-12 and last > 1.0 + CONVERGENT_BAND:
-        return Verdict.DIVERGENT
-    excess = ratios - 1.0
-    if np.all(excess > CONVERGENT_BAND) and excess[-1] >= 0.6 * excess[0]:
-        return Verdict.DIVERGENT
-    return Verdict.MARGINAL
+
+def _rate_verdict(e: float) -> Verdict:
+    """Convergent for e > RATE_BAND, Divergent for e <= RATE_BAND (e = 0 is
+    logarithmic divergence), Marginal when there is no rate."""
+    if math.isnan(e):
+        return Verdict.MARGINAL
+    return Verdict.CONVERGENT if e > RATE_BAND else Verdict.DIVERGENT
 
 
 def _solve_on_level(target, n: int, grading: float, solve_level) -> GridFunction:
@@ -280,7 +278,9 @@ def threshold_scan(
     predicted_threshold: float | None = None,
     solve_level: Callable[[int], GridFunction] | None = None,
 ) -> ScanReport:
-    """Solve on nested graded grids and classify each tau by seminorm ratios.
+    """Solve on nested graded grids and classify each tau by the increment
+    rate e of ||Du||_tau^tau (_rate_verdict).  e tracks 1 - tau/tau*, so the
+    verdict flips to Divergent at tau = tau*(1 - RATE_BAND).
 
     ``refinement_levels`` is the increasing list of node counts; each level
     must refine the previous one (n - 1 doubles) so the grids are nested.
@@ -318,14 +318,14 @@ def threshold_scan(
             norms[l, j] = sobolev_seminorm(u, tau)
     if not np.all(np.isfinite(norms)):
         raise SolveFailed("non-finite seminorm in scan")
-    ratios = norms[1:] / norms[:-1]
-    verdicts = tuple(_ratio_verdict(ratios[:, j]) for j in range(len(taus)))
+    rates = tuple(_increment_rate(norms[:, j] ** t, grading) for j, t in enumerate(taus))
     return ScanReport(
         tau_values=tuple(taus),
         level_ns=tuple(levels),
         norms=norms,
-        ratios=ratios,
-        verdicts=verdicts,
+        ratios=norms[1:] / norms[:-1],
+        rates=rates,
+        verdicts=tuple(_rate_verdict(e) for e in rates),
         predicted_threshold=predicted_threshold,
     )
 
@@ -349,10 +349,10 @@ def distance_integral_classify(
     """Decide whether the integral of delta^(-a) over (0,1) is finite.
 
     Midpoint quadrature on nested graded grids of 257, 513, ... nodes; the
-    geometric decay rate of the quadrature increments estimates the exponent (increments scale like
-    delta_min^(1-a) and delta_min shrinks by 2^(-grading) per level), and the
-    integral is classified finite iff that estimate stays below 1.  When
-    finite, the value is completed with the geometric tail extrapolation.
+    increments scale like delta_min^(1-a), so their increment rate e gives
+    the estimated exponent 1 - e, and threshold_scan's rule decides: Infinite
+    iff e <= RATE_BAND (_rate_verdict).  When finite, the value is completed
+    with the geometric tail extrapolation.
     """
     if refinement_levels < 4:
         raise InvalidConfig("need at least 4 refinement levels")
@@ -361,14 +361,11 @@ def distance_integral_classify(
         grid = make_graded_grid(256 * 2**l + 1, grading, INTERVAL01)
         q.append(float(np.dot(grid.h, grid.delta_mid ** (-a))))
     d = np.diff(q)
-    if np.max(np.abs(d)) <= 1e-13 * max(1.0, abs(q[-1])):
-        return DistanceIntegralResult(True, q[-1], -math.inf, tuple(d))
-    rho = d[-1] / d[-2]
-    est = 1.0 + math.log2(abs(rho)) / grading if rho > 0 else -math.inf
-    if rho > 0 and est >= 0.995:
-        return DistanceIntegralResult(False, None, est, tuple(d))
-    tail = d[-1] * rho / (1.0 - rho) if abs(rho) < 1.0 else 0.0
-    return DistanceIntegralResult(True, q[-1] + tail, est, tuple(d))
+    e = _increment_rate(q, grading)
+    if _rate_verdict(e) is Verdict.DIVERGENT:
+        return DistanceIntegralResult(False, None, 1.0 - e, tuple(d))
+    rho = d[-1] / d[-2] if math.isfinite(e) else 0.0
+    return DistanceIntegralResult(True, q[-1] + d[-1] * rho / (1.0 - rho), 1.0 - e, tuple(d))
 
 
 @dataclass(frozen=True)

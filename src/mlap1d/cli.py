@@ -498,7 +498,7 @@ def cmd_scan_threshold(cfg: RunConfig) -> int:
                 or math.isinf(scan.predicted_threshold)
                 else scan.predicted_threshold)]]
     for j, tau in enumerate(scan.tau_values):
-        blocks.append([("tau", tau), ("verdict", scan.verdicts[j].value)])
+        blocks.append([("tau", tau), ("verdict", scan.verdicts[j].value), ("rate", scan.rates[j])])
     if _wants(cfg, "report"):
         write_report(out / "scan.report", blocks)
     for j, tau in enumerate(scan.tau_values):

@@ -383,10 +383,6 @@ class GridFunction:
             )
 
     @staticmethod
-    def zeros(grid: Grid1D) -> "GridFunction":
-        return GridFunction(grid, np.zeros(grid.n))
-
-    @staticmethod
     def from_callable(
         grid: Grid1D,
         f: Callable[[np.ndarray], np.ndarray],
@@ -422,9 +418,6 @@ class GridFunction:
     @property
     def interior(self) -> np.ndarray:
         return self.values[self.grid.unknown_slice]
-
-    def is_dirichlet(self) -> bool:
-        return all(self.values[i] == 0.0 for i in self.grid.dirichlet_indices())
 
 
 def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:

@@ -22,16 +22,16 @@ from .analyzer import (
     gradient_bound_check,
     threshold_scan,
 )
-from .core import ProblemSpec, Regime, classify_regime, make_graded_grid
+from .core import Domain, ProblemSpec, Regime, classify_regime, make_graded_grid
 from .eigen import EigenPair, first_eigenpair
 from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
 REGIME_CODE = {Regime.SUBCRITICAL: 0, Regime.CRITICAL: 1, Regime.SUPERCRITICAL: 2}
 
-# A scan verdict is predicted only for tau farther than this from tau*; at
-# the threshold itself the seminorm diverges logarithmically, so Marginal and
-# Divergent are both consistent with the theorem.
+# A scan verdict is predicted only for tau farther than this from tau*.  The
+# rule flips at tau*(1 - RATE_BAND), inside this band while tau* < 10; at tau*
+# itself (logarithmic divergence) Marginal and Divergent both pass.
 THRESHOLD_BAND = 0.05
 
 
@@ -123,6 +123,16 @@ def default_matrix() -> dict[str, MatrixEntry]:
             window=(1e-4, 1e-2),
             scan_taus=(2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
             scan_levels=(1025, 2049, 4097, 8193),
+        ),
+        # m != 2, run on request only (--matrix E4,E5)
+        "E4": MatrixEntry(
+            "E4", ProblemSpec(m=3.0, p=0.5, q=1.0), fit_n=8193, window=(1e-4, 1e-2),
+            scan_taus=(4.0, 4.75, 5.0, 5.25, 6.0), scan_levels=(1025, 2049, 4097, 8193),
+        ),
+        "E5": MatrixEntry(
+            "E5", ProblemSpec(m=1.5, p=0.5, q=1.0, domain=Domain.ball(3)),
+            fit_n=8193, window=(1e-6, 1e-4),
+            scan_taus=(1.5, 1.75, 2.0, 2.25, 2.5), scan_levels=(1025, 2049, 4097, 8193),
         ),
     }
 

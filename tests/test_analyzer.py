@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlap1d import (
+    INTERVAL01,
+    Domain,
     FixedRHS,
     Grid1D,
     GridFunction,
@@ -164,7 +166,7 @@ class TestSobolevSeminorm:
 
     def test_zero_field(self):
         g = make_graded_grid(65, 1.0)
-        assert sobolev_seminorm(GridFunction.zeros(g), 3.0) == 0.0
+        assert sobolev_seminorm(GridFunction(g, np.zeros(g.n)), 3.0) == 0.0
 
     def test_sine(self):
         g = make_graded_grid(4097, 1.0)
@@ -319,31 +321,94 @@ class TestGradientBound:
         assert 0.5 <= rep.ratio <= 2.0
 
 
-class TestRatioVerdictRule:
-    def test_convergent_band(self):
-        from mlap1d.analyzer import _ratio_verdict
+class TestIncrementRateRule:
+    """The one rule behind scan verdicts and the distance-integral verdict."""
 
-        assert _ratio_verdict(np.array([1.04, 1.03, 1.015])) is Verdict.CONVERGENT
-        assert _ratio_verdict(np.array([0.999, 0.9995, 0.9999])) is Verdict.CONVERGENT
+    @staticmethod
+    def verdict(values, grading=3.0):
+        from mlap1d.analyzer import _increment_rate, _rate_verdict
 
-    def test_divergent_floor_and_growth(self):
-        from mlap1d.analyzer import _ratio_verdict
+        e = _increment_rate(np.asarray(values, dtype=float), grading)
+        return e, _rate_verdict(e)
 
-        assert _ratio_verdict(np.array([1.10, 1.11, 1.10])) is Verdict.DIVERGENT
-        assert _ratio_verdict(np.array([1.03, 1.035, 1.04])) is Verdict.DIVERGENT
+    def test_geometric_increments_converge(self):
+        # d_l = 2^(-3 * 0.1 l): the rate the limit of a tau = 0.9 tau* scan has
+        e, v = self.verdict(5.0 + np.cumsum(2.0 ** (-0.3 * np.arange(5))))
+        assert e == pytest.approx(0.1, rel=1e-12)
+        assert v is Verdict.CONVERGENT
 
-    def test_divergent_sustained_excess(self):
-        from mlap1d.analyzer import _ratio_verdict
+    def test_constant_increments_diverge(self):
+        # a logarithmically divergent integral gains the same amount per level
+        e, v = self.verdict([1.0, 1.5, 2.0, 2.5])
+        assert e == 0.0 and v is Verdict.DIVERGENT
+        # rounding level is relative: a tiny field's divergence still shows
+        e, v = self.verdict(1e-20 * np.array([1.0, 1.5, 2.0, 2.5]))
+        assert e == pytest.approx(0.0, abs=1e-12) and v is Verdict.DIVERGENT
 
-        # log-divergence signature: all ratios above the band, excess decays
-        # but does not collapse
-        assert _ratio_verdict(np.array([1.032, 1.029, 1.027])) is Verdict.DIVERGENT
+    def test_growing_increments_diverge(self):
+        e, v = self.verdict([1.0, 1.1, 1.3, 1.7])
+        assert e == pytest.approx(-1.0 / 3.0) and v is Verdict.DIVERGENT
 
-    def test_marginal_between(self):
-        from mlap1d.analyzer import _ratio_verdict
+    def test_sign_change_is_marginal(self):
+        e, v = self.verdict([1.0, 1.2, 1.3, 1.25])
+        assert math.isnan(e) and v is Verdict.MARGINAL
+        e, v = self.verdict([1.0, 1.2, 1.2, 1.3])  # earlier increment zero
+        assert math.isnan(e) and v is Verdict.MARGINAL
 
-        # excess collapsing fast but last ratio still outside the band
-        assert _ratio_verdict(np.array([1.08, 1.04, 1.025])) is Verdict.MARGINAL
+    def test_rounding_level_increments_converge(self):
+        e, v = self.verdict([3.0, 3.0 + 4e-16, 3.0 - 4e-16, 3.0 + 8e-16])
+        assert e == math.inf and v is Verdict.CONVERGENT
+
+    def test_rate_band_edge(self):
+        from mlap1d.analyzer import RATE_BAND
+
+        # increment ratio 2^(-3 RATE_BAND) at grading 3 is the flip point
+        band = 2.0 ** (-3.0 * RATE_BAND)
+        assert self.verdict([0.0, 1.0, 1.0 + 0.999 * band])[1] is Verdict.CONVERGENT
+        assert self.verdict([0.0, 1.0, 1.0 + 1.001 * band])[1] is Verdict.DIVERGENT
+
+    @pytest.mark.parametrize("a", [0.5, 0.9, 0.995, 1.0, 1.1])
+    def test_scan_and_distance_integral_classify_alike(self, a):
+        # a scan at tau = 1 of the tent u = q_l min(x, 1 - x) has ||Du||_1 =
+        # q_l, the quadrature sum distance_integral_classify refines
+        grids = {256 * 2**l + 1: make_graded_grid(256 * 2**l + 1, 3.0) for l in range(6)}
+        sums = {n: float(np.dot(g.h, g.delta_mid ** (-a))) for n, g in grids.items()}
+        scan = threshold_scan(
+            None, [1.0], list(grids),
+            solve_level=lambda n: GridFunction(grids[n], sums[n] * grids[n].delta_nodes),
+        )
+        res = distance_integral_classify(a)
+        assert np.diff(scan.norms[:, 0]) == pytest.approx(res.increments, rel=1e-9)
+        assert scan.verdicts[0] is (Verdict.CONVERGENT if res.finite else Verdict.DIVERGENT)
+        assert 1.0 - scan.rates[0] == pytest.approx(res.estimated_exponent, abs=1e-6)
+
+
+THRESHOLD_CASES = [
+    ((3.0, 0.5, 1.0), "interval"),
+    ((3.0, 0.5, 1.0), "ball"),
+    ((5.0, 0.2, 1.5), "interval"),
+    ((1.5, 0.5, 1.0), "interval"),
+    ((1.5, 0.5, 1.0), "ball"),
+    ((2.0, 0.5, 1.0), "ball"),
+]
+
+
+@pytest.mark.parametrize(
+    ("mpq", "domain"), THRESHOLD_CASES,
+    ids=[f"{m:g},{p:g},{q:g}-{d}" for (m, p, q), d in THRESHOLD_CASES],
+)
+def test_scan_rate_tracks_the_sharp_index_for_every_m(mpq, domain):
+    # I_l = ||Du||_tau^tau converges like delta_min^(1 - tau/tau*), so the
+    # rate reads 1 - tau/tau*: Convergent below tau*, Divergent from tau* on
+    # (logarithmically at tau* itself)
+    m, p, q = mpq
+    spec = ProblemSpec(m=m, p=p, q=q, domain=Domain.ball(3) if domain == "ball" else INTERVAL01)
+    tstar = (m + p - 1.0) / (p + q - 1.0)
+    factors = (0.8, 0.95, 1.0, 1.05, 1.2)
+    scan = threshold_scan(spec, [tstar * f for f in factors], [1025, 2049, 4097, 8193])
+    assert [v.value[0] for v in scan.verdicts] == ["C", "C", "D", "D", "D"]
+    for f, e in zip(factors, scan.rates):
+        assert abs(e - (1.0 - f)) <= 2e-3, (f, e)
 
 
 def test_radial_supercritical_exponent():

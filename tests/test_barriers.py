@@ -115,13 +115,13 @@ class TestCheckBarrier:
     def test_zero_candidate_is_subsolution_for_fixed_theta(self):
         g = make_graded_grid(65, 2.0)
         theta = GridFunction(g, np.full(g.n, 1.0))
-        cert = check_barrier(GridFunction.zeros(g), SUB, theta, 2.0)
+        cert = check_barrier(GridFunction(g, np.zeros(g.n)), SUB, theta, 2.0)
         assert cert.certified
 
     def test_zero_candidate_rejected_for_singular_rhs(self):
         g = make_graded_grid(65, 2.0)
         with pytest.raises(NonPositiveCandidate):
-            check_barrier(GridFunction.zeros(g), SUB, E3, 2.0)
+            check_barrier(GridFunction(g, np.zeros(g.n)), SUB, E3, 2.0)
 
     def test_power_law_rhs_construction_certifies(self):
         # theta = delta^(-4/3), candidate c * phi^(2/3): both sides certify

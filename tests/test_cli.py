@@ -287,6 +287,10 @@ class TestScanCommand:
         rows = (out / "scan.csv").read_text().strip().splitlines()
         assert rows[0] == "tau,n,seminorm,ratio,verdict"
         assert len(rows) == 1 + 2 * 4  # one row per (tau, level)
+        # each tau block names the increment rate behind its verdict
+        blocks = parse_report((out / "scan.report").read_text())[1:]
+        assert [b["verdict"] for b in blocks] == ["Convergent", "Divergent"]
+        assert float(blocks[0]["rate"]) > 0.005 >= float(blocks[1]["rate"])
 
 
 class TestLemmaIntegralCommand:
@@ -353,6 +357,16 @@ class TestReproduceSmall:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2 and solves == []
         assert f"override {key!r} names no prediction" in capsys.readouterr().err
+
+    def test_m_other_than_2_entries_pass(self, tmp_path):
+        # E4 (m = 3, interval) and E5 (m = 1.5, ball) are not in the default
+        # matrix; at tau* both scans must read the logarithmic divergence
+        out = tmp_path / "o"
+        assert main(["reproduce-theorem1", "--matrix", "E4,E5", "--output-dir", str(out)]) == 0
+        report = parse_repro_report((out / "reproduce.report").read_text())
+        measured = {c.claim_id: c.measured for c in report.claims}
+        assert len(measured) == 18
+        assert measured["E4.tau_5"] == measured["E5.tau_2"] == 2.0
 
     def test_override_of_a_prediction_is_a_negative_control(self, tmp_path):
         assert main(["reproduce-theorem1", "--matrix", "E3", "--set",
