@@ -25,6 +25,9 @@ solved in the peak cell's gradient, where that term is linear.  Inverting
 the flux gives Du in every cell, and u is summed inward from the Dirichlet
 boundary, which leaves the rounding error of the closure in the peak cell.
 Every solution is checked a posteriori by its noise-aware scaled residual.
+A mirror-solved problem is checked from the centre node on: its fluxes are
+exactly odd and its noise terms exactly even, so that value is the whole
+grid's to the last bit.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
@@ -33,7 +36,11 @@ order-reversing, and its linearisation in log u has its spectrum in
 [-rho, 0], rho = p/(m-1).  One loop serves every p >= 0: it relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
 solve (at p = 0, w = 1 and one solve decides), and every solve brings its
-own certificate, the scaling bracket.
+own certificate, the scaling bracket.  The loop holds its iterate as
+L = log u on the unknowns, in one block it allocates once, so a sweep takes
+four full-length transcendental passes: exp for theta = K exp(-p Lt) with
+Lt = max(L, log sub), one log of the solve's result shared by the bracket
+and the relaxation, and the bracket's two log1p.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -137,31 +144,56 @@ class SolveReport:
 ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals) -> float:
-    """sup over the unknowns of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)).
+def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
+    """sup over the unknowns from node ``first`` on (all of them by default)
+    of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)).
 
     g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
     enters the ball's node 0).  The noise model is first-order rounding:
     each flux carries an error of eps_mach * (|F| + phi'(Du) * sup|u| / h)
-    and the load one of eps_mach * V |theta|.
+    and the load one of eps_mach * V |theta|.  sup|u| is taken over the
+    cells that bound those nodes, which on a mirror-symmetric solution from
+    the centre on is the whole grid's.
     """
-    du = np.diff(u) / grid.h
-    fw = grid.flux_weights * flux_of_gradient(du, m)
-    u_scale = max(1e-300, float(np.max(np.abs(u))))
-    fn = grid.flux_weights * dflux_of_gradient(du, m) * (u_scale / grid.h) + np.abs(fw)
-    if grid.domain.is_ball:
-        fw, fn = np.concatenate(([0.0], fw)), np.concatenate(([0.0], fn))
-    # the k-th unknown node sits between entries k and k + 1 of fw and fn
-    sl = grid.unknown_slice
-    g = np.abs(fw[:-1] - fw[1:] - loads[sl])
-    noise = ASSEMBLY_NOISE * (fn[:-1] + fn[1:] + np.abs(loads[sl]))
-    den = grid.cell_volumes[sl] * (1.0 + np.abs(theta_vals[sl]))
-    return float(np.max(np.maximum(g - noise, 0.0) / den))
+    sl = grid.unknown_slice if first is None else slice(first, grid.n - 1)
+    c = max(sl.start - 1, 0)  # the first cell that bounds a node in sl
+    h, weights = grid.h[c:], grid.flux_weights[c:]
+    # the arithmetic of the formula above, written into few arrays
+    du = np.diff(u[c:])
+    du /= h
+    fw = flux_of_gradient(du, m)
+    fw *= weights
+    u_scale = max(1e-300, float(u[c:].max()), -float(u[c:].min()))
+    fn = dflux_of_gradient(du, m)
+    fn *= weights
+    fn *= np.divide(u_scale, h, out=du)
+    fn += np.abs(fw, out=du)
+    res = 0.0
+    if sl.start == 0:  # the ball's node 0, where no flux enters
+        g0 = abs(fw[0] + loads[0]) - ASSEMBLY_NOISE * (fn[0] + abs(loads[0]))
+        res = float(max(g0, 0.0) / (grid.cell_volumes[0] * (1.0 + abs(theta_vals[0]))))
+    # node k of ``between`` lies between entries k and k + 1 of fw and fn
+    between = slice(c + 1, grid.n - 1)
+    g = np.subtract(fw[:-1], fw[1:], out=du[:-1])
+    g -= loads[between]
+    np.abs(g, out=g)
+    noise = np.add(fn[:-1], fn[1:])
+    noise += np.abs(loads[between], out=fw[:-1])
+    noise *= ASSEMBLY_NOISE
+    g -= noise
+    np.maximum(g, 0.0, out=g)
+    den = np.abs(theta_vals[between], out=noise)
+    den += 1.0
+    den *= grid.cell_volumes[between]
+    g /= den
+    return max(res, float(g.max()))
 
 
 def _inverse_flux(y, m):
     """Du with |Du|^(m-2) Du = y."""
-    return np.copysign(np.abs(y) ** (1.0 / (m - 1.0)), y)
+    du = np.abs(y)
+    np.power(du, 1.0 / (m - 1.0), out=du)
+    return np.copysign(du, y, out=du)
 
 
 def _compensated_cumsum(x):
@@ -173,10 +205,15 @@ def _compensated_cumsum(x):
     rounding error of every step (TwoSum) is summed and added back.
     """
     s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s[:-1]))
-    bp = s - prev
-    err = (prev - (s - bp)) + (x - bp)
-    return s + np.cumsum(err)
+    err = np.empty_like(s)  # the partial sum before each step, at first
+    err[:1] = 0.0
+    err[1:] = s[:-1]
+    bp = s - err
+    t = s - bp
+    err -= t
+    err += np.subtract(x, bp, out=t)
+    s += np.cumsum(err, out=err)
+    return s
 
 
 def _zero_flux_solution(loads, h, weights, m):
@@ -186,8 +223,13 @@ def _zero_flux_solution(loads, h, weights, m):
     The cell fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u
     is summed inward from the Dirichlet end.
     """
-    hdu = h * _inverse_flux(-np.cumsum(loads) / weights, m)
-    return -_compensated_cumsum(hdu[::-1])[::-1]
+    flux = np.cumsum(loads)
+    np.negative(flux, out=flux)
+    flux /= weights
+    hdu = _inverse_flux(flux, m)
+    hdu *= h
+    u = _compensated_cumsum(hdu[::-1])
+    return np.negative(u, out=u)[::-1]
 
 
 def _anchored_loads(loads, k):
@@ -312,21 +354,22 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     if m <= 1.0:
         raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
     grid = theta.grid
-    theta_vals = np.array(theta.values)
-    for i in grid.dirichlet_indices():
-        theta_vals[i] = 0.0
-    if not np.all(np.isfinite(theta_vals)):
+    sl = grid.unknown_slice
+    theta_vals = theta.values  # read at the unknowns only
+    if not np.all(np.isfinite(theta_vals[sl])):
         raise NonFiniteTheta("theta must be finite at the unknown nodes")
 
     h = grid.h
-    loads = grid.cell_volumes * theta_vals
     n = grid.n
+    loads = np.zeros(n)
+    np.multiply(grid.cell_volumes[sl], theta_vals[sl], out=loads[sl])
     iterations = 0
+    first = None  # the residual check covers every unknown
     if grid.domain.is_ball:
         # zero flux at r = 0
         u = np.zeros(n)
         u[:-1] = _zero_flux_solution(loads[:-1], h, grid.flux_weights, m)
-    elif grid.mirror_symmetric and np.array_equal(theta_vals, theta_vals[::-1]):
+    elif grid.mirror_symmetric and np.array_equal(theta_vals[sl], theta_vals[sl][::-1]):
         # the solution is symmetric and the flux odd about x = 1/2: solve
         # the right half from the centre, where the centre node (odd n)
         # keeps half its load and the centre cell (even n) has zero flux
@@ -336,6 +379,10 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         u = np.zeros(n)
         u[k:-1] = _zero_flux_solution(half, h[k:], 1.0, m)
         u[: n // 2] = u[::-1][: n // 2]
+        # u, h, V and theta are exact mirrors, so the fluxes are exactly odd
+        # and the noise terms exactly even: the check from the centre node
+        # on equals the full one to the last bit
+        first = n // 2
     else:
         # flux weights are 1 on the interval; the search starts anchored at
         # the cell where the m = 2 flux is closest to zero
@@ -345,9 +392,9 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
         u = np.zeros(n)
         u[1 : k + 1] = _compensated_cumsum(hdu[:k])
-        u[k + 1 : -1] = -_compensated_cumsum(hdu[:k:-1])[::-1]
+        np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
 
-    res = _scaled_residual(grid, u, m, loads, theta_vals)
+    res = _scaled_residual(grid, u, m, loads, theta_vals, first)
     report = SolveReport(
         solution=GridFunction(grid, u),
         iterations=iterations,
@@ -359,14 +406,6 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
             f"a-posteriori check failed: scaled residual {res:g}", report=report
         )
     return report
-
-
-def _singular_theta(spec, grid, k_vals, v, floor):
-    """Sample K * v^(-p) with v clamped below at the subsolution floor."""
-    sl = grid.unknown_slice
-    vals = np.zeros(grid.n)
-    vals[sl] = k_vals[sl] * np.maximum(v[sl], floor[sl]) ** (-spec.p)
-    return GridFunction(grid, vals)
 
 
 def solve_singular(
@@ -433,31 +472,44 @@ def _singular_report(inner, pair, iterations, gap, **changes) -> SolveReport:
     )
 
 
-def _scaling_bracket(spec, sl, k_vals, v, floor, inner):
+def _singular_theta(p, k, lt, out):
+    """theta = K exp(-p Lt) on the unknowns, written into ``out`` (which may
+    be ``lt``), where Lt = max(log v, log sub) is the log iterate clamped at
+    the subsolution."""
+    np.multiply(lt, -p, out=out)
+    np.exp(out, out=out)
+    out *= k
+    return out
+
+
+def _scaling_bracket(spec, log_ratio, theta, residual, out):
     """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w].
 
-    w = T(v) is ``inner``'s solution; it solves -Delta_m w = theta with
-    theta = K vt^(-p), vt = max(v, floor), up to the scaled residual
-    r (1 + theta), where the slack r is the solve's measured residual but
-    never below ASSEMBLY_NOISE.  By (m-1)-homogeneity lam w is a
-    supersolution of -Delta_m u = K u^(-p) wherever
-    lam^(m-1+p) (1 - r (1 + theta)/theta) >= (vt/w)^p, and a subsolution
-    wherever lam^(m-1+p) (1 + r (1 + theta)/theta) <= (vt/w)^p.  K u^(-p)
-    decreases in u, so the comparison principle puts the solution between
-    the two.  Works on the unknowns only; returns (0, inf) when the slack
-    swamps the load.
+    w = T(v) solves -Delta_m w = theta with theta = K vt^(-p),
+    vt = max(v, sub), up to the scaled residual r (1 + theta), where the
+    slack r is the solve's measured ``residual`` but never below
+    ASSEMBLY_NOISE.  By (m-1)-homogeneity lam w is a supersolution of
+    -Delta_m u = K u^(-p) wherever lam^(m-1+p) (1 - s) >= (vt/w)^p, with
+    s = r (1 + 1/theta) (vt^p/K is 1/theta), and a subsolution wherever
+    lam^(m-1+p) (1 + s) <= (vt/w)^p.  K u^(-p) decreases in u, so the
+    comparison principle puts the solution between the two.  Takes the
+    unknowns only, and (vt/w)^p in log space: ``log_ratio`` = p log(vt/w).
+    Overwrites ``theta`` and uses ``out`` as scratch.  Returns (0, inf)
+    when the slack swamps the load.
     """
-    vt = np.maximum(v[sl], floor[sl])
-    w = inner.solution.values[sl]
-    slack = max(inner.final_residual, ASSEMBLY_NOISE) * (
-        1.0 + vt**spec.p / k_vals[sl]
-    )
-    if np.any(slack >= 1.0):
+    s = np.divide(1.0, theta, out=theta)  # the slack, in theta's storage
+    s += 1.0
+    s *= max(residual, ASSEMBLY_NOISE)
+    if float(s.max()) >= 1.0:
         return 0.0, np.inf
-    log_ratio = spec.p * np.log(vt / w)
     e = 1.0 / (spec.m - 1.0 + spec.p)
-    lam_lo = float(np.exp(e * np.min(log_ratio - np.log1p(slack))))
-    lam_hi = float(np.exp(e * np.max(log_ratio - np.log1p(-slack))))
+    np.log1p(s, out=out)
+    np.subtract(log_ratio, out, out=out)
+    lam_lo = float(np.exp(e * out.min()))
+    np.negative(s, out=s)
+    np.log1p(s, out=s)
+    np.subtract(log_ratio, s, out=s)
+    lam_hi = float(np.exp(e * s.max()))
     return lam_lo, lam_hi
 
 
@@ -468,29 +520,57 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
     spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
     w = 2/(2+rho) contracts by rho/(2+rho) per solve, for every rho; at
     p = 0, w = 1 and T does not depend on u, so one solve decides.  The
-    iteration starts at the subsolution.  After every solve
-    _scaling_bracket puts the solution in [lam_lo T(u), lam_hi T(u)]; the
-    loop stops once the width (lam_hi - lam_lo) sup T(u) is at most
-    picard_tol and returns the midpoint, which is within half the width of
-    the solution.  The comparison principle already puts that solution
-    between the barriers, which are certified at every unknown node; the
-    exit check confirms it.
+    iteration starts at the subsolution and is held as L = log u on the
+    unknowns, where the step is L <- (1-w) L + w log T(u).  The loop takes
+    log sub and log K once and reuses four more arrays, theta among them, so
+    each sweep makes four transcendental passes: the exp in theta, the log
+    of T(u) that the bracket and the step share, and the bracket's two
+    log1p.  After every solve _scaling_bracket puts the solution in
+    [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
+    (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
+    midpoint, which is within half the width of the solution.  The
+    comparison principle already puts that solution between the barriers,
+    which are certified at every unknown node; the exit check confirms it.
     """
     tol = cfg.picard_tol
+    m, p = spec.m, spec.p
     sl = grid.unknown_slice
-    rho = spec.p / (spec.m - 1.0)
-    omega = 2.0 / (2.0 + rho)
-
-    def t_map(v):
-        theta = _singular_theta(spec, grid, k_vals, v, pair.sub.values)
-        return solve_dirichlet(theta, spec.m)
-
-    u = pair.sub.values
-    inner = t_map(u)
-    iterations = 1
+    omega = 2.0 / (2.0 + p / (m - 1.0))
+    k = k_vals[sl]
+    # every array the sweeps reuse, in one block: six separate arrays that
+    # outlive the solves fragment the heap and raise the peak resident size.
+    # Rows are full length so that the last can be theta, zero at the
+    # boundary; solve_dirichlet does not keep theta, so every sweep rewrites
+    # it under the read-only view it hands over
+    work = np.zeros((6, grid.n))
+    log_k, log_sub, big_l, log_w, log_ratio = (row[sl] for row in work[:5])
+    theta, theta_sl = work[5], work[5, sl]
+    np.log(k, out=log_k)
+    np.log(pair.sub.values[sl], out=log_sub)
+    big_l[:] = log_sub
+    iterations = 0
     while True:
+        np.maximum(big_l, log_sub, out=theta_sl)
+        _singular_theta(p, k, theta_sl, theta_sl)
+        inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
+        iterations += 1
         w = inner.solution.values
-        lam_lo, lam_hi = _scaling_bracket(spec, sl, k_vals, u, pair.sub.values, inner)
+        np.log(w[sl], out=log_w)
+        # max log (w^p/K), for the resolution floor below
+        np.multiply(log_w, p, out=log_ratio)
+        log_ratio -= log_k
+        log_load = float(log_ratio.max())
+        np.maximum(big_l, log_sub, out=log_ratio)
+        log_ratio -= log_w
+        log_ratio *= p  # p log (max(u, sub)/w)
+        # the relaxed step, taken before the bracket so that it can use
+        # log_w's storage; the loop returns w, not the stepped iterate
+        big_l *= 1.0 - omega
+        log_w *= omega
+        big_l += log_w
+        lam_lo, lam_hi = _scaling_bracket(
+            spec, log_ratio, theta_sl, inner.final_residual, log_w
+        )
         w_max = float(np.max(w))
         width = (lam_hi - lam_lo) * w_max
         if width <= tol:
@@ -499,10 +579,8 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
         # at the certified lower bracket v = lam_lo w, not at the iterate:
         # early iterates overshoot the solution and would overstate it
-        load = lam_lo**spec.p * float(np.max(w[sl] ** spec.p / k_vals[sl]))
-        resolution = (
-            2.0 * ASSEMBLY_NOISE * (1.0 + load) / (spec.m - 1.0 + spec.p) * lam_lo * w_max
-        )
+        load = lam_lo**p * float(np.exp(log_load))
+        resolution = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
         why = None
         if resolution > tol:
             why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
@@ -513,11 +591,6 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
                 f"{why}: bracket width {width:g}",
                 report=_singular_report(inner, pair, iterations, width, converged=False),
             )
-        nxt = np.zeros(grid.n)
-        nxt[sl] = np.exp((1.0 - omega) * np.log(u[sl]) + omega * np.log(w[sl]))
-        u = nxt
-        inner = t_map(u)
-        iterations += 1
 
     mid = 0.5 * (lam_lo + lam_hi) * w
     for side, excess in (

@@ -202,6 +202,48 @@ class TestMirrorSymmetricSolve:
         rep = solve_dirichlet(theta, 3.0)
         assert rep.converged and rep.iterations > 0
 
+    @staticmethod
+    def check_half_grid_residual(g, monkeypatch):
+        # a mirror-symmetric solve checks its residual from the centre node
+        # on; the value must be the full grid's to the last bit
+        assert g.mirror_symmetric
+        check = solver._scaled_residual
+        firsts = []
+
+        def spy(grid, u, m, loads, theta_vals, first=None):
+            firsts.append(first)
+            return check(grid, u, m, loads, theta_vals, first)
+
+        monkeypatch.setattr(solver, "_scaled_residual", spy)
+        # two symmetric perturbations: a smooth one, and one at the centre
+        # node(s), where the largest residual then sits
+        bump = 1e-6 * (g.nodes + g.nodes[::-1] * g.nodes[::-1])
+        bumps = [bump + bump[::-1], np.zeros(g.n)]
+        bumps[1][(g.n - 1) // 2 : g.n // 2 + 1] = 1e-6
+        for a in (0.0, 0.7, 1.3):  # theta = 1, delta^-0.7, delta^-1.3
+            theta = GridFunction.interior_from_callable(g, lambda x: g.domain.delta(x) ** -a)
+            loads = g.cell_volumes * theta.values
+            for m in (1.2, 1.5, 2.0, 3.0, 5.0):
+                rep = solve_dirichlet(theta, m)
+                u = rep.solution.values
+                assert rep.iterations == 0
+                assert rep.final_residual == check(g, u, m, loads, theta.values)
+                # the solve's residual is 0 here, so its check is replayed on
+                # symmetric u's with residuals well above the noise too
+                for b in bumps:
+                    v = u * (1.0 + b)
+                    assert np.array_equal(v, v[::-1])
+                    half = check(g, v, m, loads, theta.values, firsts[-1])
+                    assert half == check(g, v, m, loads, theta.values) > 0.0
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2**k + 1 for k in range(6, 15)])
+    def test_half_grid_residual_is_the_full_one(self, n, grading, monkeypatch):
+        self.check_half_grid_residual(make_graded_grid(n, grading), monkeypatch)
+
+    def test_half_grid_residual_is_the_full_one_at_even_n(self, monkeypatch):
+        self.check_half_grid_residual(dyadic_mirror_grid(), monkeypatch)
+
 
 class TestClosureSearch:
     """The one root search of interval problems that are not exact mirrors."""
@@ -287,17 +329,22 @@ class TestSolveSingular:
         g = make_graded_grid(513, 3.0)
         rep = solve_singular(spec, g)
         tol = SolverConfig().picard_tol
-        k = default_k_values(spec, g).values
+        sl = g.unknown_slice
+        k = default_k_values(spec, g).values[sl]
         sub = rep.sub_barrier
+        log_sub = np.log(sub.values[sl])
+
+        def t_map(v):
+            theta = np.zeros(g.n)
+            lt = np.maximum(np.log(v[sl]), log_sub)
+            _singular_theta(spec.p, k, lt, theta[sl])
+            return solve_dirichlet(GridFunction(g, theta), spec.m).solution.values
+
         lo = sub.values
         prev = lo
         for _ in range(4):
-            hi = solve_dirichlet(
-                _singular_theta(spec, g, k, prev, sub.values), spec.m
-            ).solution.values
-            nxt = solve_dirichlet(
-                _singular_theta(spec, g, k, hi, sub.values), spec.m
-            ).solution.values
+            hi = t_map(prev)
+            nxt = t_map(hi)
             assert np.all(nxt >= prev - tol)
             prev = nxt
 
@@ -392,13 +439,55 @@ class TestCertifiedBracket:
         sl = g.unknown_slice
         v = np.zeros(g.n)
         v[sl] = ref.solution.values[sl] ** (1.0 - weight) * sub[sl] ** weight
-        k = default_k_values(self.SPEC, g).values
-        inner = solve_dirichlet(solver._singular_theta(self.SPEC, g, k, v, sub), 2.0)
-        lam_lo, lam_hi = solver._scaling_bracket(self.SPEC, sl, k, v, sub, inner)
+        k = default_k_values(self.SPEC, g).values[sl]
+        lt = np.maximum(np.log(v[sl]), np.log(sub[sl]))
+        theta = np.zeros(g.n)
+        solver._singular_theta(self.SPEC.p, k, lt, theta[sl])
+        inner = solve_dirichlet(GridFunction(g, theta.copy()), 2.0)
         w = inner.solution.values
+        log_ratio = self.SPEC.p * (lt - np.log(w[sl]))
+        lam_lo, lam_hi = solver._scaling_bracket(
+            self.SPEC, log_ratio, theta[sl], inner.final_residual, np.empty_like(lt)
+        )
         assert 0.0 < lam_lo <= lam_hi < np.inf
         assert np.all(lam_lo * w <= ref.solution.values + ref.picard_gap)
         assert np.all(ref.solution.values <= lam_hi * w + ref.picard_gap)
+
+    @pytest.mark.parametrize("residual", [0.0, 1e-9, 1e-4])
+    @pytest.mark.parametrize(
+        "spec", [SPEC, ProblemSpec(m=3.0, p=1.5, q=0.3)], ids=["2-0.5-1", "3-1.5-0.3"]
+    )
+    def test_log_space_helpers_match_the_direct_formulas(self, spec, residual):
+        # theta = K max(v, sub)^(-p) and the bracket's formulas in u, against
+        # the loop's log-space helpers; logs and exps round differently, so
+        # the two agree to a tolerance set from the dtype, not bit for bit
+        g = make_graded_grid(1025, 3.0)
+        rep = solve_singular(spec, g)
+        sl = g.unknown_slice
+        sub = rep.sub_barrier.values[sl]
+        k = default_k_values(spec, g).values[sl]
+        v = rep.solution.values[sl] * 10.0 ** np.cos(40.0 * g.nodes[sl])
+        assert np.any(v < sub) and np.any(v > sub)
+        vt = np.maximum(v, sub)
+        theta_ref = k * vt ** (-spec.p)
+        lt = np.maximum(np.log(v), np.log(sub))
+        theta = solver._singular_theta(spec.p, k, lt, np.empty_like(lt))
+        rtol = 1e3 * np.finfo(float).eps
+        np.testing.assert_allclose(theta, theta_ref, rtol=rtol, atol=0.0)
+
+        full = np.zeros(g.n)
+        full[sl] = theta_ref
+        w = solve_dirichlet(GridFunction(g, full), spec.m).solution.values[sl]
+        slack = max(residual, solver.ASSEMBLY_NOISE) * (1.0 + vt**spec.p / k)
+        log_ratio = spec.p * np.log(vt / w)
+        e = 1.0 / (spec.m - 1.0 + spec.p)
+        ref = (
+            np.exp(e * np.min(log_ratio - np.log1p(slack))),
+            np.exp(e * np.max(log_ratio - np.log1p(-slack))),
+        )
+        log_ratio_lt = spec.p * (lt - np.log(w))
+        lam = solver._scaling_bracket(spec, log_ratio_lt, theta, residual, np.empty_like(lt))
+        np.testing.assert_allclose(lam, ref, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize(
         "point",
@@ -487,6 +576,27 @@ class TestCertifiedBracket:
         assert report.barrier_c == pair.c
         assert np.array_equal(report.sub_barrier.values, pair.sub.values)
         assert np.array_equal(report.super_barrier.values, pair.super_.values)
+
+    @pytest.mark.parametrize(
+        "point, domain, solves",
+        [
+            ((2.0, 0.3, 0.3), "interval", {4097: 7, 8193: 7}),
+            ((2.0, 0.5, 0.5), "interval", {2049: 9, 4097: 9, 8193: 9, 16385: 9}),
+            ((2.0, 0.5, 1.0), "interval", {1025: 10, 2049: 10, 4097: 10, 8193: 11}),
+            ((3.0, 1.5, 0.3), "interval", {16385: 13}),
+            ((3.0, 1.5, 0.3), "ball", {16385: 13}),
+            ((1.5, 0.2, 0.7), "interval", {16385: 9}),
+        ],
+        ids=["E1", "E2", "E3", "3-1.5-0.3-interval", "3-1.5-0.3-ball", "1.5-0.2-0.7"],
+    )
+    def test_sweep_counts_at_grading_3(self, point, domain, solves):
+        # the Dirichlet solves each singular loop takes, pinned exactly: a
+        # faster sweep must not come with more of them
+        m, p, q = point
+        dom = Domain.ball(3) if domain == "ball" else Domain.interval()
+        spec = ProblemSpec(m=m, p=p, q=q, domain=dom)
+        counts = {n: solve_singular(spec, make_graded_grid(n, 3.0, dom)).iterations for n in solves}
+        assert counts == solves
 
     def test_relaxed_loop_solve_count(self):
         # the plain alternation needs 29 solves here
