@@ -49,8 +49,8 @@ def rayleigh_quotient(u: GridFunction, m: float) -> float:
     """sum_cells w |Du|^m / sum_nodes V |u|^m on the grid of ``u``."""
     g = u.grid
     du = np.diff(u.values) / g.h
-    num = float(np.dot(g.interval_weights, np.abs(du) ** m))
-    den = float(np.dot(g.cell_volumes, np.abs(u.values) ** m))
+    num = float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** m))
+    den = float(np.einsum("i,i->", g.cell_volumes, np.abs(u.values) ** m))
     return num / den
 
 

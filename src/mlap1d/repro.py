@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import (
-    VERDICT_CODE,
+    RATE_BAND,
+    ScanReport,
     Verdict,
     fit_boundary_exponent,
     fit_log_correction,
@@ -28,21 +29,23 @@ from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
 REGIME_CODE = {Regime.SUBCRITICAL: 0, Regime.CRITICAL: 1, Regime.SUPERCRITICAL: 2}
+VERDICT_CODE = {Verdict.CONVERGENT: 0, Verdict.MARGINAL: 1, Verdict.DIVERGENT: 2}
 
-# A scan verdict is predicted only for tau farther than this from tau*.  The
-# rule flips at tau*(1 - RATE_BAND), inside this band while tau* < 10; at tau*
-# itself (logarithmic divergence) Marginal and Divergent both pass.
-THRESHOLD_BAND = 0.05
+# A scan's rate tracks 1 - tau/tau* within 8e-4 at levels 1025-8193 (README)
+RATE_ERROR = 1e-3
 
 
-def predicted_verdict(tau: float, tstar: float) -> Verdict | None:
-    """The scan verdict Theorem 1 predicts for ``tau`` below or above the
-    sharp index ``tstar``; None inside THRESHOLD_BAND of it."""
-    if math.isinf(tstar) or tau < tstar - THRESHOLD_BAND:
-        return Verdict.CONVERGENT
-    if tau > tstar + THRESHOLD_BAND:
-        return Verdict.DIVERGENT
-    return None
+def predicted_verdict(tau: float, tstar: float) -> tuple[float, float] | None:
+    """(verdict code, tolerance) Theorem 1 predicts for a scan at ``tau``: by
+    the rate e = 1 - tau/tstar, Convergent (0 +- 0) above the rule's flip
+    point RATE_BAND, Marginal or Divergent (1.5 +- 0.5) below it up to tstar,
+    Divergent (2 +- 0) beyond; None within RATE_ERROR of the flip point."""
+    e = 1.0 - tau / tstar
+    if e > RATE_BAND + RATE_ERROR:
+        return 0.0, 0.0
+    if e >= RATE_BAND - RATE_ERROR:
+        return None
+    return (1.5, 0.5) if tau <= tstar else (2.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,21 @@ class ReproReport:
                 ]
             )
         return out
+
+
+def scan_claims(scan: ScanReport, tstar: float, prefix: str = "") -> list[ClaimRecord]:
+    """One claim per scanned tau, ``<prefix>tau_<tau>``: its verdict code
+    against predicted_verdict.  At the flip point, where that predicts none,
+    ``<prefix>tau_<tau>_rate`` claims the rate 1 - tau/tau* +- RATE_ERROR."""
+    claims = []
+    for tau, verdict, rate in zip(scan.tau_values, scan.verdicts, scan.rates):
+        name, expected = f"{prefix}tau_{tau:g}", predicted_verdict(tau, tstar)
+        if expected is None:
+            claims.append(ClaimRecord(f"{name}_rate", 1.0 - tau / tstar, rate, RATE_ERROR))
+        else:
+            code = float(VERDICT_CODE[verdict])
+            claims.append(ClaimRecord(name, expected[0], code, expected[1]))
+    return claims
 
 
 @dataclass(frozen=True)
@@ -213,17 +231,9 @@ def _entry_claims(
 
     if entry.scan_taus:
         scan = threshold_scan(
-            spec, entry.scan_taus, entry.scan_levels, grading=entry.grading,
-            solve_level=lambda n: solve_at(n).solution,
+            lambda n: solve_at(n).solution, entry.scan_taus, entry.scan_levels, entry.grading
         )
-        for tau, verdict in zip(entry.scan_taus, scan.verdicts):
-            expected = predicted_verdict(tau, regime.tau_sup)
-            if expected is None:
-                # at the threshold itself: Marginal or Divergent both acceptable
-                predicted, tol = 1.5, 0.5
-            else:
-                predicted, tol = float(VERDICT_CODE[expected]), 0.0
-            claim(f"tau_{tau:g}", predicted, float(VERDICT_CODE[verdict]), tol)
+        claims += scan_claims(scan, regime.tau_sup, f"{entry.entry_id}.")
     return claims
 
 

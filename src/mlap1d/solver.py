@@ -301,7 +301,7 @@ def _closure_root(loads, h, m, k, c):
             t[zero] = 0.0
             val = float(np.sum(hdu))
         # y's storage is free now: it takes |Du_j| for the rounding level
-        if abs(val) <= 4.0 * eps * float(np.dot(h, np.multiply(a, t, out=y))):
+        if abs(val) <= 4.0 * eps * float(np.einsum("i,i->", h, np.multiply(a, t, out=y))):
             break
         if val < 0.0:
             lo = c
@@ -313,7 +313,7 @@ def _closure_root(loads, h, m, k, c):
             big_r -= shift
             c, lo, hi, k, r2 = c - shift, lo - shift, hi - shift, j, None
         t[k] = 0.0
-        rest = inv * float(np.dot(h, t))  # the other cells' slope dG/dc
+        rest = inv * float(np.einsum("i,i->", h, t))  # the other cells' slope dG/dc
         # the model h_k phi^(-1)(c') + rest c' = tau
         tau = rest * c - (val - float(hdu[k]))
         sign = 1.0 if tau >= 0.0 else -1.0
@@ -387,7 +387,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         # flux weights are 1 on the interval; the search starts anchored at
         # the cell where the m = 2 flux is closest to zero
         prefix = _anchored_loads(loads, 0)
-        c0 = float(np.dot(h, prefix))  # the exact root for m = 2 (sum h = 1)
+        c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
         k = int(np.argmin(np.abs(c0 - prefix)))
         k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
         u = np.zeros(n)

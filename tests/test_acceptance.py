@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mlap1d import (
-    FixedRHS,
     GridFunction,
     ProblemSpec,
     SUB,
@@ -48,6 +47,18 @@ E2 = ProblemSpec(m=2.0, p=0.5, q=0.5)
 E3 = ProblemSpec(m=2.0, p=0.5, q=1.0)
 
 PICARD_TOL = SolverConfig().picard_tol
+
+
+def singular_levels(spec):
+    """Scan level solver: the singular problem on the n-node grid graded 3."""
+    return lambda n: solve_singular(spec, make_graded_grid(n, 3.0)).solution
+
+
+def fixed_rhs_levels(theta, m):
+    """Scan level solver: the Dirichlet problem for theta on the n-node grid graded 3."""
+    return lambda n: solve_dirichlet(
+        GridFunction.interior_from_callable(make_graded_grid(n, 3.0), theta), m
+    ).solution
 
 
 def report(num, passed, detail):
@@ -90,7 +101,8 @@ def test_criterion_1_supercritical_exponent():
 def test_criterion_2_supercritical_threshold():
     t0 = time.monotonic()
     scan = threshold_scan(
-        E3, [2.0, 2.5, 2.9, 3.0, 3.5, 4.0], [1025, 2049, 4097, 8193], grading=3.0
+        singular_levels(E3), [2.0, 2.5, 2.9, 3.0, 3.5, 4.0], [1025, 2049, 4097, 8193],
+        grading=3.0,
     )
     elapsed = time.monotonic() - t0
     expectations = {
@@ -118,7 +130,9 @@ def test_criterion_3_critical_regime():
     t0 = time.monotonic()
     rep = solve_singular(E2, make_graded_grid(16385, 3.0))
     fit = fit_log_correction(rep.solution, (1e-5, 1e-2))
-    scan = threshold_scan(E2, [2.0, 4.0, 8.0], [2049, 4097, 8193, 16385], grading=3.0)
+    scan = threshold_scan(
+        singular_levels(E2), [2.0, 4.0, 8.0], [2049, 4097, 8193, 16385], grading=3.0
+    )
     elapsed = time.monotonic() - t0
     all_conv = all(v is Verdict.CONVERGENT for v in scan.verdicts)
     ok = abs(fit.log_exponent - 2.0 / 3.0) <= 0.1 and all_conv and elapsed <= 120.0
@@ -156,11 +170,10 @@ def test_criterion_5_power_rhs_optimality():
     w_exact = np.sin(np.pi * grid.nodes) ** (2.0 / 3.0)
     err = float(np.max(np.abs(rep.solution.values - w_exact)))
     scan = threshold_scan(
-        FixedRHS(_optimality_theta, 2.0),
+        fixed_rhs_levels(_optimality_theta, 2.0),
         [2.0, 2.5, 3.0, 3.5],
         [1025, 2049, 4097, 8193],
         grading=3.0,
-        predicted_threshold=3.0,
     )
     want = {
         2.0: Verdict.CONVERGENT,
@@ -189,7 +202,7 @@ def test_criterion_6_log_rhs_profile():
     rep = solve_dirichlet(theta, 2.0)
     fit = fit_log_profile(rep.solution, (1e-8, 1e-4))
     scan = threshold_scan(
-        FixedRHS(_prop_ii_theta, 2.0), [2.0, 5.0, 10.0], [1025, 2049, 4097, 8193],
+        fixed_rhs_levels(_prop_ii_theta, 2.0), [2.0, 5.0, 10.0], [1025, 2049, 4097, 8193],
         grading=3.0,
     )
     all_conv = all(v is Verdict.CONVERGENT for v in scan.verdicts)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mlap1d.analyzer
 import mlap1d.barriers
 import mlap1d.cli
 import mlap1d.repro
-from mlap1d.analyzer import Verdict
+from mlap1d.analyzer import threshold_scan
 from mlap1d.cli import (
     COMMANDS,
     field_csv_text,
@@ -15,10 +19,17 @@ from mlap1d.cli import (
     parse_report,
     parse_repro_report,
 )
-from mlap1d.core import Domain, GridFunction, make_graded_grid
+from mlap1d.core import Domain, GridFunction, ProblemSpec, make_graded_grid
 from mlap1d.errors import InvalidConfig
-from mlap1d.repro import ClaimRecord, ReproReport, predicted_verdict
-from mlap1d.solver import SolverConfig, solve_dirichlet
+from mlap1d.repro import (
+    RATE_ERROR,
+    ClaimRecord,
+    ReproReport,
+    _entry_claims,
+    default_matrix,
+    predicted_verdict,
+)
+from mlap1d.solver import SolverConfig, solve_dirichlet, solve_singular
 
 
 class TestClassify:
@@ -103,6 +114,24 @@ class TestSolveCommand:
         assert outs[0] == outs[1]
 
 
+def test_output_is_independent_of_the_blas_thread_count(tmp_path):
+    # grid-length inner products above 10000 entries are where a threaded
+    # BLAS splits its sum; the report bytes must not depend on it
+    src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "mlap1d", "eigen", "--m", "3", "--n", "16385",
+             "--formats", "report", "--output-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        reports.append((out / "eigen.report").read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
@@ -158,6 +187,22 @@ class TestExitCodes:
         code = main(["solve", "--m", "1.5"] + args + ["--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert msg in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,code,msg",
+        [
+            (["--m", "2", "--p", "0.5", "--q", "1", "--levels", "257,513,1025,2049",
+              "--picard-tol", "1e-30"], 1,
+             "verification failed: solve failed at level n=257: "
+             "picard_tol 1e-30 is below the resolution"),
+            (["--rhs", "power", "--a", "400", "--m", "2"], 2,
+             "invalid input: solve failed at level n=257: theta must be finite"),
+        ],
+        ids=["unreachable-picard-tol", "theta-overflow"],
+    )
+    def test_failed_scan_level_is_named(self, tmp_path, capsys, args, code, msg):
+        assert main(["scan-threshold", *args, "--output-dir", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(msg)
 
     def test_scan_level_below_grid_minimum_is_invalid_input(self, tmp_path, capsys):
         code = main(
@@ -292,6 +337,39 @@ class TestScanCommand:
         assert [b["verdict"] for b in blocks] == ["Convergent", "Divergent"]
         assert float(blocks[0]["rate"]) > 0.005 >= float(blocks[1]["rate"])
 
+    @pytest.mark.parametrize(
+        "args,tstar",
+        [(["--m", "2", "--p", "0.5", "--q", "1"], "3"), (["--rhs", "const", "--m", "2"], "inf")],
+        ids=["singular", "const"],
+    )
+    def test_predicted_threshold(self, tmp_path, args, tstar):
+        out = tmp_path / "o"
+        code = main(["scan-threshold", *args, "--taus", "2", "--levels", "17,33,65,129",
+                     "--output-dir", str(out)])
+        assert code == 0
+        head = parse_report((out / "scan.report").read_text())[0]
+        assert head == {"command": "scan-threshold", "predicted_threshold": tstar}
+
+    def test_scan_csv_rows(self, tmp_path):
+        out = tmp_path / "o"
+        levels = (17, 33, 65, 129)
+        code = main(["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1", "--taus", "2,3.5",
+                     "--levels", "17,33,65,129", "--output-dir", str(out)])
+        assert code == 0
+        spec = ProblemSpec(m=2.0, p=0.5, q=1.0)
+        scan = threshold_scan(
+            lambda n: solve_singular(spec, make_graded_grid(n, 3.0)).solution, (2.0, 3.5), levels
+        )
+        rows = (out / "scan.csv").read_text().splitlines()
+        assert rows[0] == "tau,n,seminorm,ratio,verdict"
+        want = []
+        for j, tau in enumerate(("2", "3.5")):
+            for l, n in enumerate(levels):
+                ratio = "" if l == 0 else f"{scan.norms[l, j] / scan.norms[l - 1, j]:.17g}"
+                want.append(f"{tau},{n},{scan.norms[l, j]:.17g},{ratio},{scan.verdicts[j].value}")
+        assert rows[1:] == want
+        assert [r.split(",")[3] for r in rows[1::4]] == ["", ""]
+
 
 class TestLemmaIntegralCommand:
     def test_infinite_verdict_exit_0(self, tmp_path, capsys):
@@ -387,8 +465,9 @@ class TestReproduceReuse:
 
             return wrapper
 
-        for mod in (mlap1d.repro, mlap1d.analyzer):
-            monkeypatch.setattr(mod, "solve_singular", counted("solve_singular", mod.solve_singular))
+        monkeypatch.setattr(
+            mlap1d.repro, "solve_singular", counted("solve_singular", mlap1d.repro.solve_singular)
+        )
         for mod in (mlap1d.repro, mlap1d.barriers):
             monkeypatch.setattr(mod, "first_eigenpair", counted("first_eigenpair", mod.first_eigenpair))
         return calls
@@ -574,11 +653,42 @@ def test_repro_imports_nothing_from_cli():
 
 
 def test_threshold_band_predictions():
-    assert predicted_verdict(2.9, 3.0) is Verdict.CONVERGENT
-    assert predicted_verdict(2.96, 3.0) is None
-    assert predicted_verdict(3.04, 3.0) is None
-    assert predicted_verdict(3.1, 3.0) is Verdict.DIVERGENT
-    assert predicted_verdict(1e6, math.inf) is Verdict.CONVERGENT
+    # (verdict code, tolerance): 0 Convergent, 1 Marginal, 2 Divergent
+    assert predicted_verdict(2.9, 3.0) == (0.0, 0.0)
+    assert predicted_verdict(2.96, 3.0) == (0.0, 0.0)
+    assert predicted_verdict(2.985, 3.0) is None  # the rule's flip point
+    assert predicted_verdict(2.99, 3.0) == (1.5, 0.5)
+    assert predicted_verdict(3.0, 3.0) == (1.5, 0.5)
+    assert predicted_verdict(3.04, 3.0) == (2.0, 0.0)
+    assert predicted_verdict(19.8, 20.0) == (0.0, 0.0)
+    assert predicted_verdict(1e6, math.inf) == (0.0, 0.0)
+
+
+def test_no_scan_prediction_is_vacuous():
+    # no (predicted, tolerance) admits all three verdict codes
+    for tstar in (1.5, 2.0, 3.0, 5.0, 20.0, math.inf):
+        for tau in np.linspace(1.0, 30.0, 2901):
+            expected = predicted_verdict(float(tau), tstar)
+            if expected is not None:
+                predicted, tol = expected
+                assert sum(abs(c - predicted) <= tol for c in (0, 1, 2)) <= 2, (tau, tstar)
+
+
+@pytest.mark.parametrize(
+    "taus,ids",
+    [((2.9, 2.96, 2.99, 3.0), ["tau_2.9", "tau_2.96", "tau_2.99", "tau_3"]),
+     ((2.985,), ["tau_2.985_rate"])],
+    ids=["in-band", "flip-point"],
+)
+def test_in_band_scan_claims_pass(taus, ids):
+    # E3 (tau* = 3) scanned within 0.05 below tau*, and at the rule's flip
+    # point 3 (1 - RATE_BAND), where the rate itself is claimed
+    entry = dataclasses.replace(default_matrix()["E3"], scan_taus=taus)
+    claims = [c for c in _entry_claims(entry, {}, SolverConfig(), {}) if c.claim_id[3:6] == "tau"]
+    assert [c.claim_id[3:] for c in claims] == ids
+    assert all(c.passed for c in claims), claims
+    if ids == ["tau_2.985_rate"]:
+        assert claims[0].predicted == pytest.approx(0.005) and claims[0].tolerance == RATE_ERROR
 
 
 def test_filesystem_error_exit_2(tmp_path):
