@@ -44,6 +44,12 @@ class TestClassify:
         assert main(["classify", "--m", "2", "--p", "0", "--q", "0"]) == 0
         assert "Subcritical" in capsys.readouterr().out
 
+    def test_critical_prints_the_log_exponent(self, capsys):
+        assert main(["classify", "--m", "2", "--p", "0.5", "--q", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "regime = Critical\n" in out
+        assert "log_exponent = 0.666667\n" in out and "tau_sup = inf\n" in out
+
     def test_inadmissible_exits_2(self, capsys):
         assert main(["classify", "--m", "2", "--p", "0", "--q", "1.6"]) == 2
         assert "p + q" in capsys.readouterr().err
@@ -112,6 +118,30 @@ class TestSolveCommand:
                 (d / "solution.csv").read_bytes() + (d / "solve.report").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "rhs,domain,theta",
+    [
+        ("power", "interval", lambda d: d ** -0.7),
+        ("power", "ball", lambda d: d ** -0.7),
+        ("logpower", "interval", lambda d: d ** -1.0 * np.log(1.0 / d) ** -0.7),
+    ],
+    ids=["power-interval", "power-ball", "logpower-interval"],
+)
+def test_fixed_rhs_is_a_function_of_the_distance(tmp_path, monkeypatch, rhs, domain, theta):
+    solved = []
+    monkeypatch.setattr(
+        mlap1d.cli, "solve_dirichlet", lambda t, m: solved.append(t) or solve_dirichlet(t, m)
+    )
+    args = ["solve", "--rhs", rhs, "--a", "0.7", "--domain", domain, "--n", "257"]
+    assert main(args + ["--output-dir", str(tmp_path / "o")]) == 0
+    (got,) = solved
+    grid = make_graded_grid(257, 3.0, got.grid.domain)
+    assert got.grid.domain.kind == domain and np.array_equal(got.grid.nodes, grid.nodes)
+    sl = grid.unknown_slice
+    assert np.array_equal(got.values[sl], theta(grid.delta_nodes[sl]))
+    assert all(got.values[i] == 0.0 for i in grid.dirichlet_indices())
 
 
 def test_output_is_independent_of_the_blas_thread_count(tmp_path):
@@ -291,6 +321,19 @@ class TestBarrierCheckCommand:
         )
         assert code == 0
 
+    def test_fixed_c_checks_that_constant(self, tmp_path):
+        base = ["barrier-check", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1",
+                "--n", "257", "--family", "regime", "--side", "super"]
+        rows = {}
+        for c, code in (("auto", 0), ("2", 0), ("1", 1)):
+            assert main(base + ["--c", c, "--output-dir", str(tmp_path / c)]) == code
+            rows[c] = parse_report((tmp_path / c / "barrier.report").read_text())[0]
+        # the ladder stops at c = 2, and a fixed c = 2 gives the same certificate
+        assert rows["auto"].pop("description") == "power(gamma=0.666667) c=2 super"
+        assert rows["2"].pop("description") == "power(gamma=0.666667)"
+        assert rows["2"] == rows["auto"]
+        assert (rows["1"]["c"], rows["1"]["certified"]) == ("1", "false")
+
     def test_wrong_exponent_exit_1(self, tmp_path):
         code = main(
             [
@@ -339,8 +382,9 @@ class TestScanCommand:
 
     @pytest.mark.parametrize(
         "args,tstar",
-        [(["--m", "2", "--p", "0.5", "--q", "1"], "3"), (["--rhs", "const", "--m", "2"], "inf")],
-        ids=["singular", "const"],
+        [(["--m", "2", "--p", "0.5", "--q", "1"], "3"), (["--rhs", "const", "--m", "2"], "inf"),
+         (["--rhs", "const", "--m", "2", "--verify", "no"], "inf")],
+        ids=["singular", "const", "const-unverified"],
     )
     def test_predicted_threshold(self, tmp_path, args, tstar):
         out = tmp_path / "o"
