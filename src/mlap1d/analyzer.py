@@ -103,15 +103,10 @@ def _window_samples(
         raise InsufficientWindow(
             f"window must stay strictly inside (0, {max_delta / 4.0:g})"
         )
-    lo = max(lo, 10.0 * grid.min_h)
+    lo = max(lo, 10.0 * float(grid.h.min()))
     delta = grid.delta_nodes
     near = (delta >= lo) & (delta <= hi)
-    if grid.domain.is_ball:
-        masks = [near]
-    else:
-        half = grid.nodes <= 0.5
-        masks = [near & half, near & ~half]
-    sides = [(delta[mask], u.values[mask]) for mask in masks]
+    sides = [(delta[s][near[s]], u.values[s][near[s]]) for s in grid.boundary_sides]
     total = sum(d.size for d, _ in sides)
     if total < 10 or any(d.size < 2 for d, _ in sides):
         raise InsufficientWindow(
@@ -242,8 +237,8 @@ def threshold_scan(
     ``grading``; the caller builds the problem and its grids, so it can share
     solves with its other checks.  ``refinement_levels`` are increasing node
     counts, each refining the last (n - 1 doubles).  Fewer than four levels,
-    one below MIN_NODES nodes or unnested ones raise InvalidConfig and a
-    grading below 1 InvalidGrading, all before any solve.  A level whose
+    one below MIN_NODES nodes, unnested ones or a tau below 1 raise
+    InvalidConfig and a grading below 1 InvalidGrading, all before any solve.  A level whose
     solve raises becomes SolveFailed naming n, the error chained; a field on
     a grid of another node count or grading raises GridMismatch.
     """
@@ -258,6 +253,8 @@ def threshold_scan(
     if grading < 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
     taus = [float(t) for t in tau_values]
+    if any(t < 1.0 for t in taus):
+        raise InvalidConfig(f"tau must be >= 1, got {min(taus)}")
 
     norms = np.empty((len(levels), len(taus)))
     for l, n in enumerate(levels):
@@ -331,7 +328,7 @@ def _gradient_constant(w: GridFunction, a: float) -> float:
     g = w.grid
     du = np.abs(np.diff(w.values)) / g.h
     weights = g.delta_mid ** (a - 1.0)
-    lo = 0 if g.domain.is_ball else GRADIENT_SKIP_CELLS
+    lo = GRADIENT_SKIP_CELLS if 0 in g.dirichlet_indices() else 0
     hi = g.h.size - GRADIENT_SKIP_CELLS
     if hi <= lo:
         raise DomainError("grid too coarse for the skipped boundary cells")

@@ -184,7 +184,7 @@ class BarrierCertificate:
 def _checked_indices(grid: Grid1D, skip_cells: int) -> np.ndarray:
     n = grid.n
     hi = n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
-    lo = 0 if grid.domain.is_ball else skip_cells + 1
+    lo = skip_cells + 1 if 0 in grid.dirichlet_indices() else 0
     if hi < lo:
         raise DomainError(f"grid too coarse for skip_cells = {skip_cells}")
     return np.arange(lo, hi + 1)

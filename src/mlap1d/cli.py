@@ -318,25 +318,27 @@ def _problem(cfg: RunConfig, n: int):
     """The configured problem at n nodes: (spec or None, grid, rhs).
 
     For the singular right-hand side spec and rhs are both the ProblemSpec;
-    for a fixed one spec is None and rhs is theta sampled at the unknown
-    nodes with the distance to the boundary of the grid's own domain.
+    for a fixed one spec is None and rhs is theta, a function of the
+    grid's distance to the boundary, sampled at the unknown nodes.
     """
     if cfg["rhs"] == "singular":
         spec = cfg.problem_spec()
         return spec, make_graded_grid(n, cfg["grading"], spec.domain), spec
     grid = make_graded_grid(n, cfg["grading"], cfg.domain())
-    dom, kind, a = grid.domain, cfg["rhs"], cfg["a"]
-    if kind == "const":
-        theta = lambda x: np.full_like(x, cfg["theta_const"])  # noqa: E731
-    elif kind == "power":
-        theta = lambda x: dom.delta(x) ** (-a)  # noqa: E731
-    elif kind == "logpower":
-        theta = lambda x: dom.delta(x) ** (-1.0) * np.log(1.0 / dom.delta(x)) ** (-a)  # noqa: E731
-    else:
-        raise InvalidConfig(f"unknown rhs kind {kind!r}")
+    kind, a = cfg["rhs"], cfg["a"]
+    sl = grid.unknown_slice
+    d, theta = grid.delta_nodes[sl], np.zeros(grid.n)
     # an overflow to inf is refused by the solve with NonFiniteTheta
     with np.errstate(over="ignore"):
-        return None, grid, GridFunction.interior_from_callable(grid, theta)
+        if kind == "const":
+            theta[sl] = cfg["theta_const"]
+        elif kind == "power":
+            theta[sl] = d ** (-a)
+        elif kind == "logpower":
+            theta[sl] = d ** (-1.0) * np.log(1.0 / d) ** (-a)
+        else:
+            raise InvalidConfig(f"unknown rhs kind {kind!r}")
+    return None, grid, GridFunction(grid, theta)
 
 
 def _solve(cfg: RunConfig, n: int):
@@ -490,6 +492,8 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
 def cmd_scan_threshold(cfg: RunConfig) -> int:
     # tau* is predicted for the singular right-hand side only
     spec = cfg.problem_spec() if cfg["rhs"] == "singular" else None
+    if cfg["verify"] and spec is None:
+        raise InvalidConfig("verify needs rhs = singular: a fixed theta predicts no threshold")
     tstar = math.inf if spec is None else classify_regime(spec).tau_sup
     scan = threshold_scan(
         lambda n: _solve(cfg, n).solution, cfg["taus"], cfg["levels"], cfg["grading"]
@@ -504,7 +508,7 @@ def cmd_scan_threshold(cfg: RunConfig) -> int:
         write_report(out / "scan.report", blocks)
     for j, tau in enumerate(scan.tau_values):
         print(f"tau = {_fmt(tau)}: {scan.verdicts[j].value}")
-    if cfg["verify"] and spec is not None:
+    if cfg["verify"]:
         return 0 if all(c.passed for c in scan_claims(scan, tstar)) else 1
     return 0
 

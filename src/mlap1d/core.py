@@ -66,8 +66,8 @@ class Domain:
     """Computational domain: the open unit interval or the radial unit ball.
 
     ``ball_dim`` is the ambient dimension N of the ball (N >= 2); it is 1 for
-    the interval.  The radial reduction keeps only r in [0, 1] with the
-    Dirichlet condition at r = 1 and a symmetry (zero-flux) condition at r = 0.
+    the interval, whose cell weights are the radial ones at N = 1.  The radial
+    reduction keeps r in [0, 1], Dirichlet at r = 1 and zero flux at r = 0.
     """
 
     kind: str
@@ -265,35 +265,26 @@ class Grid1D:
 
     @cached_property
     def interval_weights(self) -> np.ndarray:
-        """Measure of each cell: h on the interval, h * r_mid^(N-1) radially."""
-        if self.domain.is_ball:
-            nm1 = self.domain.ball_dim - 1
-            return _freeze(self.h * self.midpoints**nm1)
-        return self.h
+        """Measure of each cell, h * r_mid^(N-1); on the interval (N = 1) the
+        array h itself, so no copy is cached."""
+        return _freeze(self.h * self.flux_weights) if self.domain.is_ball else self.h
 
     @cached_property
     def flux_weights(self) -> np.ndarray:
-        """Per-cell weight of the midpoint flux: 1 on the interval, r_mid^(N-1)
-        radially (the cell width enters through the dual-cell volume, not here)."""
-        if self.domain.is_ball:
-            nm1 = self.domain.ball_dim - 1
-            return _freeze(self.midpoints**nm1)
-        return _freeze(np.ones(self.n - 1))
+        """Per-cell weight r_mid^(N-1) of the midpoint flux, 1 on the interval
+        (the cell width enters through the dual-cell volume, not here)."""
+        return _freeze(self.midpoints ** (self.domain.ball_dim - 1))
 
     @cached_property
     def cell_volumes(self) -> np.ndarray:
-        """Dual-cell measure around each node.
-
-        Interval: half-sums of adjacent widths.  Ball: the exact integral of
-        r^(N-1) over the dual cell, which keeps the discrete divergence in
-        exact summation-by-parts duality with the interval weights.
+        """Dual-cell measure around each node: the exact integral of r^(N-1)
+        over the dual cell, which keeps the discrete divergence in exact
+        summation-by-parts duality with the interval weights.  At N = 1 it is
+        exactly the half-sum of the adjacent widths.
         """
-        x = self.nodes
+        x, nn = self.nodes, self.domain.ball_dim
         mid = np.concatenate(([x[0]], self.midpoints, [x[-1]]))
-        if self.domain.is_ball:
-            nn = self.domain.ball_dim
-            return _freeze((mid[1:] ** nn - mid[:-1] ** nn) / nn)
-        return _freeze(mid[1:] - mid[:-1])
+        return _freeze((mid[1:] ** nn - mid[:-1] ** nn) / nn)
 
     @cached_property
     def mirror_symmetric(self) -> bool:
@@ -305,16 +296,21 @@ class Grid1D:
             and np.array_equal(self.cell_volumes, self.cell_volumes[::-1])
         )
 
+    @cached_property
+    def boundary_sides(self) -> tuple[slice, ...]:
+        """Node ranges nearest each Dirichlet boundary, one per boundary:
+        x <= 1/2 and x > 1/2 on the interval, every node on the ball."""
+        if self.domain.is_ball:
+            return (slice(0, self.n),)
+        half = int(np.searchsorted(self.nodes, 0.5, side="right"))
+        return (slice(0, half), slice(half, self.n))
+
     @property
     def unknown_slice(self) -> slice:
         """Index range of non-Dirichlet nodes (solver unknowns)."""
         if self.domain.is_ball:
             return slice(0, self.n - 1)
         return slice(1, self.n - 1)
-
-    @property
-    def min_h(self) -> float:
-        return float(self.h.min())
 
     def dirichlet_indices(self) -> tuple[int, ...]:
         return (self.n - 1,) if self.domain.is_ball else (0, self.n - 1)
@@ -430,6 +426,21 @@ def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
         raise AdmissibilityViolation(
             f"the default K = delta^(-q) leaves the envelope [{spec.k_low}, {spec.k_high}]"
         )
-    return GridFunction.interior_from_callable(
-        grid, lambda x: spec.domain.delta(x) ** (-spec.q)
-    )
+    k, sl = np.zeros(grid.n), grid.unknown_slice
+    k[sl] = grid.delta_nodes[sl] ** (-spec.q)
+    return GridFunction(grid, k)
+
+
+def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | None) -> GridFunction:
+    """The weight K of a singular solve: the default, or ``k_values`` once
+    K delta^q is checked to lie in the spec's [k_low, k_high] envelope."""
+    if k_values is None:
+        return default_k_values(spec, grid)
+    sl = grid.unknown_slice
+    envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
+    if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(envelope > spec.k_high * (1 + 1e-12)):
+        raise AdmissibilityViolation(
+            "custom K leaves the (k_low, k_high) envelope: "
+            f"K delta^q in [{envelope.min():g}, {envelope.max():g}]"
+        )
+    return k_values

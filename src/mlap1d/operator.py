@@ -41,16 +41,14 @@ def dflux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
 def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     """Interior residual of -div(Phi) applied to ``u``.
 
-    Dirichlet boundary entries of the result are 0 by convention.  In the
-    radial case the flux at the symmetry center r = 0 is zero and node 0 is
-    treated with its one-sided dual cell.
+    Dirichlet boundary entries of the result are 0 by convention.  No flux
+    enters node 0, so where it is an unknown (the radial symmetry center
+    r = 0) it is treated with its one-sided dual cell.
     """
     g = u.grid
     fw = g.flux_weights * flux_of_gradient(np.diff(u.values) / g.h, m)
     out = np.zeros(g.n)
-    vol = g.cell_volumes
-    out[1:-1] = -(fw[1:] - fw[:-1]) / vol[1:-1]
-    if g.domain.is_ball:
-        out[0] = -fw[0] / vol[0]  # zero flux across r = 0
+    sl = g.unknown_slice
+    out[sl] = -np.diff(fw, prepend=0.0)[sl] / g.cell_volumes[sl]
     return GridFunction(g, out)
 

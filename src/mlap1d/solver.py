@@ -65,7 +65,7 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
-    default_k_values,
+    _k_in_envelope,
     validate_spec,
 )
 from .errors import (
@@ -441,19 +441,7 @@ def solve_singular(
 
     validate_spec(spec)
     cfg = config or SolverConfig()
-    if k_values is None:
-        k_values = default_k_values(spec, grid)
-    else:
-        sl = grid.unknown_slice
-        envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
-        if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(
-            envelope > spec.k_high * (1 + 1e-12)
-        ):
-            raise AdmissibilityViolation(
-                "custom K leaves the (k_low, k_high) envelope: "
-                f"K delta^q in [{envelope.min():g}, {envelope.max():g}]"
-            )
-
+    k_values = _k_in_envelope(spec, grid, k_values)
     pair = certified_pair(spec, grid, base=base)
     return _singular_loop(spec, grid, cfg, pair, k_values.values)
 

@@ -252,6 +252,13 @@ class TestThresholdScan:
             threshold_scan(solved.append, [2.0], [9, 17, 33, 65])
         assert solved == []
 
+    def test_tau_below_one_validated_before_any_solve(self):
+        def solve(n):
+            raise AssertionError(f"level n={n} solved before tau was checked")
+
+        with pytest.raises(InvalidConfig, match="tau must be >= 1, got 0.5"):
+            threshold_scan(solve, [2.0, 0.5], [257, 513, 1025, 2049])
+
     def test_failed_level_names_n_and_chains_the_cause(self):
         def solve(n):
             if n == 513:

@@ -669,17 +669,18 @@ class TestFixedRhsOnTheBall:
         (["reproduce-theorem1", "--set", "e3.boundary_exponent=half"],
          "bad value for override 'e3.boundary_exponent'"),
         (["solve", "--rhs", "power", "--a", "400"], "theta must be finite at the unknown nodes"),
+        (["scan-threshold", "--rhs", "power", "--a", "1.5", "--taus", "2,4", "--verify", "true"],
+         "verify needs rhs = singular: a fixed theta predicts no threshold"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
-         "domain", "formats", "override-text", "theta-overflow"],
+         "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
     assert main(argv + ["--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and msg in err
-    if argv[0] != "scan-threshold":  # the scan rejects tau after its first level
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_cli_keeps_the_names_the_benchmark_reads():

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,30 @@ class TestGradedGrid:
         g = make_graded_grid(33, 1.0)
         assert np.allclose(g.delta_nodes, np.minimum(g.nodes, 1 - g.nodes))
 
+    @pytest.mark.parametrize("n,grading", [(33, 1.0), (1026, 3.0), (4097, 2.5)])
+    def test_interval_weights_are_the_radial_ones_at_n_1(self, n, grading):
+        g = make_graded_grid(n, grading)
+        assert g.domain.ball_dim == 1
+        assert np.array_equal(g.flux_weights, np.ones(n - 1))
+        assert g.interval_weights is g.h
+        # half-sums of the adjacent widths (half a width at each end), to rounding
+        half_sums = 0.5 * (np.append(g.h, 0.0) + np.insert(g.h, 0, 0.0))
+        assert np.allclose(g.cell_volumes, half_sums, rtol=0.0, atol=np.finfo(float).eps)
+        mid = np.concatenate(([0.0], g.midpoints, [1.0]))
+        assert np.array_equal(g.cell_volumes, mid[1:] - mid[:-1])
+
+    @pytest.mark.parametrize(
+        "domain,sides",
+        [(Domain.interval(), ((0, 17), (17, 33))), (Domain.ball(3), ((0, 33),))],
+        ids=["interval", "ball"],
+    )
+    def test_boundary_sides(self, domain, sides):
+        g = make_graded_grid(33, 2.0, domain)
+        assert tuple((s.start, s.stop) for s in g.boundary_sides) == sides
+        # each side holds the nodes nearest its boundary, x = 1/2 on the left
+        for s, end in zip(g.boundary_sides, g.dirichlet_indices()):
+            assert np.array_equal(g.delta_nodes[s], np.abs(g.nodes[s] - g.nodes[end]))
+
     def test_nodes_immutable(self):
         g = make_graded_grid(33, 1.0)
         with pytest.raises(ValueError):
@@ -281,3 +307,28 @@ def test_grid_function_values_immutable():
 def test_unknown_domain_kind_is_invalid_config():
     with pytest.raises(InvalidConfig, match="unknown domain kind 'bal'"):
         Domain("bal")
+
+
+def test_only_core_reads_the_domain_shape():
+    """The domain's kind is decided in core: outside it, ``is_ball`` appears
+    only in the two places that run a different algorithm on the ball, and
+    no module computes the distance to the boundary itself."""
+    allowed = {("solver.py", "solve_dirichlet"), ("eigen.py", "_initial_field")}
+    found = []
+    for path in sorted(Path(__file__).resolve().parents[1].joinpath("src", "mlap1d").glob("*.py")):
+        if path.name == "core.py":
+            continue
+
+        def visit(node, func):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "is_ball":
+                if (path.name, func) not in allowed:
+                    found.append(f"{path.name}:{node.lineno} reads is_ball in {func}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "delta":
+                found.append(f"{path.name}:{node.lineno} calls Domain.delta")
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert found == []
