@@ -73,15 +73,16 @@ class FitResult:
 
 def _r_squared(dy: np.ndarray, resid: np.ndarray) -> float:
     """1 - SSres/SStot from the centred data ``dy`` and the fit residuals."""
-    sst = float(np.dot(dy, dy))
-    return 1.0 if sst == 0.0 else 1.0 - float(np.dot(resid, resid)) / sst
+    # einsum sums on one thread; np.dot's BLAS sum depends on the thread count
+    sst = float(np.einsum("i,i->", dy, dy))
+    return 1.0 if sst == 0.0 else 1.0 - float(np.einsum("i,i->", resid, resid)) / sst
 
 
 def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of y against x, and the fit's r^2."""
     xm, ym = x.mean(), y.mean()
     dx, dy = x - xm, y - ym
-    slope = float(np.dot(dx, dy)) / float(np.dot(dx, dx))
+    slope = float(np.einsum("i,i->", dx, dy)) / float(np.einsum("i,i->", dx, dx))
     return slope, _r_squared(dy, dy - slope * dx)
 
 
@@ -182,7 +183,6 @@ def sobolev_seminorm(u: GridFunction, tau: float) -> float:
         raise InvalidConfig(f"tau must be >= 1, got {tau}")
     g = u.grid
     du = np.diff(u.values) / g.h
-    # einsum sums on one thread; np.dot's BLAS sum depends on the thread count
     return float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** tau) ** (1.0 / tau))
 
 

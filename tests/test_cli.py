@@ -148,18 +148,25 @@ def test_output_is_independent_of_the_blas_thread_count(tmp_path):
     # grid-length inner products above 10000 entries are where a threaded
     # BLAS splits its sum; the report bytes must not depend on it
     src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
-    reports = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "mlap1d", "eigen", "--m", "3", "--n", "16385",
-             "--formats", "report", "--output-dir", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        reports.append((out / "eigen.report").read_bytes())
-    assert reports[0] == reports[1]
+    commands = {
+        "eigen": ["eigen", "--m", "3", "--n", "16385"],
+        # a fit window of about 30000 nodes
+        "fit": ["fit-exponent", "--rhs", "power", "--a", "0.5", "--m", "2", "--n", "65537",
+                "--window-lo", "1e-4", "--window-hi", "0.12"],
+    }
+    for name, argv in commands.items():
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out = tmp_path / f"{name}{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "mlap1d", *argv, "--formats", "report",
+                 "--output-dir", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            reports.append((out / f"{name}.report").read_bytes())
+        assert reports[0] == reports[1], name
 
 
 class TestExitCodes:
