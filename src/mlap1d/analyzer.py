@@ -96,8 +96,8 @@ def _window_samples(
     the first cells.
     """
     lo, hi = window
-    grid = u.grid
-    max_delta = float(grid.delta_nodes.max())
+    grid, delta = u.grid, u.grid.delta_nodes
+    max_delta = float(delta.max())
     if not 0.0 < lo < hi:
         raise InsufficientWindow(f"window ({lo}, {hi}) is not an interval in (0, inf)")
     if hi > max_delta / 4.0:
@@ -105,7 +105,6 @@ def _window_samples(
             f"window must stay strictly inside (0, {max_delta / 4.0:g})"
         )
     lo = max(lo, 10.0 * float(grid.h.min()))
-    delta = grid.delta_nodes
     near = (delta >= lo) & (delta <= hi)
     sides = [(delta[s][near[s]], u.values[s][near[s]]) for s in grid.boundary_sides]
     total = sum(d.size for d, _ in sides)
@@ -238,9 +237,10 @@ def threshold_scan(
     solves with its other checks.  ``refinement_levels`` are increasing node
     counts, each refining the last (n - 1 doubles).  Fewer than four levels,
     one below MIN_NODES nodes, unnested ones or a tau below 1 raise
-    InvalidConfig and a grading below 1 InvalidGrading, all before any solve.  A level whose
-    solve raises becomes SolveFailed naming n, the error chained; a field on
-    a grid of another node count or grading raises GridMismatch.
+    InvalidConfig and a grading below 1 InvalidGrading, all before any
+    solve.  A level whose solve raises becomes SolveFailed naming n, the
+    error chained; a field on a grid of another node count or grading
+    raises GridMismatch.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
