@@ -438,9 +438,7 @@ def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | Non
         return default_k_values(spec, grid)
     sl = grid.unknown_slice
     envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
-    if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(
-        envelope > spec.k_high * (1 + 1e-12)
-    ):
+    if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(envelope > spec.k_high * (1 + 1e-12)):
         raise AdmissibilityViolation(
             "custom K leaves the (k_low, k_high) envelope: "
             f"K delta^q in [{envelope.min():g}, {envelope.max():g}]"

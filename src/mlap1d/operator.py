@@ -46,9 +46,10 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     r = 0) it is treated with its one-sided dual cell.
     """
     g = u.grid
-    fw = g.flux_weights * flux_of_gradient(np.diff(u.values) / g.h, m)
+    fw = np.zeros(g.n)  # fw[i]: the weighted flux of the cell left of node i
+    np.multiply(g.flux_weights, flux_of_gradient(np.diff(u.values) / g.h, m), out=fw[1:])
     out = np.zeros(g.n)
     sl = g.unknown_slice
-    out[sl] = -np.diff(fw, prepend=0.0)[sl] / g.cell_volumes[sl]
+    out[sl] = -(fw[1:][sl] - fw[sl]) / g.cell_volumes[sl]
     return GridFunction(g, out)
 
