@@ -283,8 +283,9 @@ class Grid1D:
         exactly the half-sum of the adjacent widths.
         """
         x, nn = self.nodes, self.domain.ball_dim
-        mid = np.concatenate(([x[0]], self.midpoints, [x[-1]]))
-        return _freeze((mid[1:] ** nn - mid[:-1] ** nn) / nn)
+        v = np.diff(np.concatenate(([x[0]], self.midpoints, [x[-1]])) ** nn)
+        v /= nn
+        return _freeze(v)
 
     @cached_property
     def mirror_symmetric(self) -> bool:
