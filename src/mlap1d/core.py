@@ -284,7 +284,7 @@ class Grid1D:
         """
         x, nn = self.nodes, self.domain.ball_dim
         v = np.diff(np.concatenate(([x[0]], self.midpoints, [x[-1]])) ** nn)
-        v /= nn
+        v /= nn  # in place: a third live full-length temporary raised the peak RSS
         return _freeze(v)
 
     @cached_property
@@ -433,8 +433,7 @@ def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
 
 
 def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | None) -> GridFunction:
-    """The weight K of a singular solve: the default, or ``k_values`` once
-    K delta^q is checked to lie in the spec's [k_low, k_high] envelope."""
+    """The default K, or ``k_values`` once K delta^q is checked to lie in the envelope."""
     if k_values is None:
         return default_k_values(spec, grid)
     sl = grid.unknown_slice
