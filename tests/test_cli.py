@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mlap1d.analyzer
 import mlap1d.barriers
 import mlap1d.cli
 import mlap1d.repro
@@ -367,6 +368,19 @@ class TestFitCommand:
                            "--output-dir", str(tmp_path / "b")])
         assert bad == 1
 
+    @pytest.mark.parametrize("kind,fit", [("log", "fit_log_correction"), ("logaffine", "fit_log_profile")])
+    def test_log_fit_kinds_expect_the_log_exponent(self, tmp_path, kind, fit):
+        # E2 (critical): u ~ delta log^(2/3)(1/delta), so the power exponent
+        # is 1 and --expect is compared with the log exponent
+        base = ["fit-exponent", "--fit-kind", kind, "--m", "2", "--p", "0.5", "--q", "0.5",
+                "--n", "2049", "--expect-tol", "0.1"]
+        assert main(base + ["--expect", "0.6667", "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(base + ["--expect", "1", "--output-dir", str(tmp_path / "b")]) == 1
+        u = solve_singular(ProblemSpec(m=2.0, p=0.5, q=0.5), make_graded_grid(2049, 3.0)).solution
+        want = getattr(mlap1d.analyzer, fit)(u, (1e-4, 1e-2))
+        row = (tmp_path / "a" / "fit.csv").read_text().splitlines()[1].split(",")
+        assert row[:2] == [f"{want.exponent:.17g}", f"{want.log_exponent:.17g}"]
+
 
 class TestScanCommand:
     def test_scan_csv_and_verify(self, tmp_path):
@@ -457,6 +471,18 @@ class TestReports:
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidConfig):
             parse_repro_report("nonsense\n")
+
+    @pytest.mark.parametrize(
+        "head,msg",
+        [("report = solve\nclaims = 1\noverall = pass", "not a reproduce-theorem1 report"),
+         ("report = reproduce-theorem1\nclaims = 2\noverall = pass", "claim count mismatch"),
+         ("report = reproduce-theorem1\nclaims = 1\noverall = fail", "overall verdict mismatch")],
+        ids=["kind", "count", "overall"],
+    )
+    def test_parse_rejects_an_inconsistent_report(self, head, msg):
+        claim = "claim = E3.regime\npredicted = 2\nmeasured = 2\ntolerance = 0"
+        with pytest.raises(InvalidConfig, match=msg):
+            parse_repro_report(f"{head}\n\n{claim}\n")
 
 
 class TestReproduceSmall:
@@ -678,9 +704,21 @@ class TestFixedRhsOnTheBall:
         (["solve", "--rhs", "power", "--a", "400"], "theta must be finite at the unknown nodes"),
         (["scan-threshold", "--rhs", "power", "--a", "1.5", "--taus", "2,4", "--verify", "true"],
          "verify needs rhs = singular: a fixed theta predicts no threshold"),
+        (["scan-threshold", "--verify", "maybe"], "not a boolean: 'maybe'"),
+        (["reproduce-theorem1", "--set", ".boundary_exponent=0.5"],
+         "malformed override key '.boundary_exponent'"),
+        (["solve", "--set", "m"], "--set expects key=value, got 'm'"),
+        (["solve", "--rhs", "cubic"], "unknown rhs kind 'cubic'"),
+        (["barrier-check", "--rhs", "const", "--n", "257"],
+         "family=regime requires a singular rhs"),
+        (["barrier-check", "--family", "cubic", "--n", "257"], "unknown barrier family 'cubic'"),
+        (["barrier-check", "--side", "both"], "side must be sub or super, got 'both'"),
+        (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
-         "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta"],
+         "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
+         "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
+         "side", "fit-kind"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"

@@ -309,6 +309,11 @@ def test_unknown_domain_kind_is_invalid_config():
         Domain("bal")
 
 
+def test_ball_of_dimension_one_is_refused():
+    with pytest.raises(AdmissibilityViolation, match="ball domain requires dimension N >= 2"):
+        Domain("ball", 1)
+
+
 def test_only_core_reads_the_domain_shape():
     """The domain's kind is decided in core: outside it, ``is_ball`` appears
     only in the two places that run a different algorithm on the ball, and

@@ -89,3 +89,12 @@ def test_sign_changing_start_raises():
     bad = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x), dirichlet=True)
     with pytest.raises(SignChange):
         first_eigenpair(g, 2.0, tol=1e-8, initial=bad)
+
+
+def test_exhausted_budget_raises(monkeypatch):
+    import mlap1d.eigen
+    from mlap1d.errors import NonConvergence
+
+    monkeypatch.setattr(mlap1d.eigen, "MAX_ITERS", 1)
+    with pytest.raises(NonConvergence, match="eigen iteration did not settle in 1 steps"):
+        first_eigenpair(make_graded_grid(129, 1.0), 2.0)

@@ -281,6 +281,19 @@ class TestClosureSearch:
                 # at most 9 were measured; the peak moves with m on these loads
                 assert rep.iterations <= 10, grading
 
+    @pytest.mark.parametrize(
+        "m,theta",
+        [(1.05, lambda x: np.eye(x.size)[x.size // 3]), (1.02, lambda x: np.exp(5.0 * x))],
+        ids=["sub-resolution-step", "adjacent-floats"],
+    )
+    def test_stalled_searches_end_at_the_root(self, m, theta):
+        # near m = 1 these loads end the search on its two stall exits: a
+        # step below the resolution of every flux but the peak cell's, and a
+        # bracket down to adjacent floats
+        g = make_graded_grid(65, 1.0)
+        rep = solve_dirichlet(GridFunction(g, theta(g.nodes)), m)
+        assert rep.converged and rep.iterations > 0
+
 
 class TestSolveSingular:
     def test_p_zero_reduces_to_dirichlet(self):
@@ -516,6 +529,21 @@ class TestCertifiedBracket:
         assert rep.picard_gap <= SolverConfig().picard_tol
         err = np.max(np.abs(rep.solution.values - ref.solution.values))
         assert err <= 0.5 * (rep.picard_gap + ref.picard_gap)
+
+    def test_slack_that_swamps_the_load_gives_no_bracket(self, monkeypatch):
+        # theta ~ K^((m-1)/(m-1+p)) = 1e-15 at K = 1e-20 is below the assembly
+        # noise, so no scale brackets the solution and no width is reached
+        spec = ProblemSpec(m=4.0, p=1.0, q=0.0, k_low=1e-20, k_high=1e-20)
+        g = make_graded_grid(257, 3.0)
+        brackets = []
+        bracket = solver._scaling_bracket
+        monkeypatch.setattr(
+            solver, "_scaling_bracket", lambda *a: brackets.append(bracket(*a)) or brackets[-1]
+        )
+        k = GridFunction(g, np.full(g.n, 1e-20))
+        with pytest.raises(NonConvergence, match="bracket width inf"):
+            solve_singular(spec, g, SolverConfig(max_picard_iters=3), k_values=k)
+        assert brackets == [(0.0, np.inf)] * 3
 
     def test_unreachable_tolerance_raises_with_the_width(self):
         g = make_graded_grid(1025, 3.0)
