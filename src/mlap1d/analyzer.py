@@ -26,6 +26,7 @@ from .errors import (
     InsufficientWindow,
     InvalidConfig,
     InvalidGrading,
+    MlapError,
     NonPositiveValues,
     SolveFailed,
 )
@@ -238,9 +239,9 @@ def threshold_scan(
     counts, each refining the last (n - 1 doubles).  Fewer than four levels,
     one below MIN_NODES nodes, unnested ones or a tau below 1 raise
     InvalidConfig and a grading below 1 InvalidGrading, all before any
-    solve.  A level whose solve raises becomes SolveFailed naming n, the
-    error chained; a field on a grid of another node count or grading
-    raises GridMismatch.
+    solve.  A level whose solve raises a package error becomes SolveFailed
+    naming n, the error chained; any other exception propagates as itself.
+    A field on a grid of another node count or grading raises GridMismatch.
     """
     levels = [int(n) for n in refinement_levels]
     if len(levels) < 4:
@@ -260,7 +261,7 @@ def threshold_scan(
     for l, n in enumerate(levels):
         try:
             u = solve_level(n)
-        except Exception as exc:  # noqa: BLE001 - deliberate wrap-and-reraise
+        except MlapError as exc:
             raise SolveFailed(f"solve failed at level n={n}: {exc}") from exc
         g = u.grid
         if g.n != n or g.grading_exponent != grading:

@@ -40,17 +40,9 @@ from .core import (
     ProblemSpec,
     classify_regime,
     make_graded_grid,
-    validate_spec,
 )
 from .eigen import first_eigenpair
-from .errors import (
-    BarrierOrderViolation,
-    InvalidConfig,
-    MlapError,
-    NoCertifiableScale,
-    NonConvergence,
-    SolveFailed,
-)
+from .errors import InvalidConfig, MlapError
 from .fieldcsv import field_csv_text, write_field_csv  # noqa: F401 (cli API)
 from .repro import (  # noqa: F401 (_entry_claims: cli API, timed by bench/)
     ClaimRecord,
@@ -191,7 +183,7 @@ class RunConfig:
         raise InvalidConfig(f"unknown domain {kind!r}; expected interval or ball")
 
     def problem_spec(self) -> ProblemSpec:
-        spec = ProblemSpec(
+        return ProblemSpec(
             m=self["m"],
             p=self["p"],
             q=self["q"],
@@ -199,7 +191,6 @@ class RunConfig:
             k_high=self["k_high"],
             domain=self.domain(),
         )
-        return validate_spec(spec)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(
@@ -596,25 +587,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
-_VERIFICATION_FAILURES = (
-    NonConvergence,
-    NoCertifiableScale,
-    BarrierOrderViolation,
-    SolveFailed,
-)
-
-
-def _failed_verification(exc: MlapError) -> bool:
-    """Whether ``exc`` is a failed solve or certification (exit 1).
-
-    A scan level's SolveFailed is judged by the package error it wraps, so
-    an invalid-input error raised inside a level solve is still invalid input.
-    """
-    if isinstance(exc, SolveFailed) and isinstance(exc.__cause__, MlapError):
-        exc = exc.__cause__
-    return isinstance(exc, _VERIFICATION_FAILURES)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mlap1d",
@@ -631,13 +603,9 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)
     except MlapError as exc:
-        # admissibility and other domain errors are invalid input; solver
-        # and certification failures are verification failures
-        if _failed_verification(exc):
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return 1
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+        what = "verification failed" if exc.exit_status == 1 else "invalid input"
+        print(f"{what}: {exc}", file=sys.stderr)
+        return exc.exit_status
     except OSError as exc:
         print(f"filesystem error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2

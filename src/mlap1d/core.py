@@ -46,7 +46,6 @@ __all__ = [
     "RegimeReport",
     "Grid1D",
     "GridFunction",
-    "validate_spec",
     "classify_regime",
     "make_graded_grid",
     "same_grid",
@@ -114,6 +113,10 @@ class ProblemSpec:
     ``k_low`` and ``k_high`` bound K(x) * delta(x)^q from below and above; the
     default realization used by the solver is K(x) = delta(x)^(-q), i.e. both
     bounds 1.  Regime classification depends only on (m, p, q).
+
+    Only admissible specs are built: construction raises
+    AdmissibilityViolation naming the failed inequality, or NonPositiveK
+    when the reaction-weight envelope is not positive.
     """
 
     m: float
@@ -123,36 +126,29 @@ class ProblemSpec:
     k_high: float = 1.0
     domain: Domain = INTERVAL01
 
+    def __post_init__(self):
+        if not self.m > 1.0:
+            raise AdmissibilityViolation(f"m > 1 fails: m = {self.m}")
+        if not self.p >= 0.0:
+            raise AdmissibilityViolation(f"p >= 0 fails: p = {self.p}")
+        if not self.q >= 0.0:
+            raise AdmissibilityViolation(f"q >= 0 fails: q = {self.q}")
+        bound = self.admissibility_bound
+        if not self.p + self.q < bound:
+            raise AdmissibilityViolation(
+                f"p + q < 2 - (1 - p)/m fails: p + q = {self.p + self.q} >= {bound}"
+            )
+        if not self.k_low > 0.0:
+            raise NonPositiveK(f"k_low must be positive, got {self.k_low}")
+        if not self.k_low <= self.k_high:
+            raise AdmissibilityViolation(
+                f"k_low <= k_high fails: {self.k_low} > {self.k_high}"
+            )
+
     @property
     def admissibility_bound(self) -> float:
         """Right-hand side of the constraint p + q < 2 - (1 - p)/m."""
         return 2.0 - (1.0 - self.p) / self.m
-
-
-def validate_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Return ``spec`` unchanged iff every admissibility constraint holds.
-
-    Raises AdmissibilityViolation naming the failed inequality, or
-    NonPositiveK when the reaction-weight envelope is not positive.
-    """
-    if not spec.m > 1.0:
-        raise AdmissibilityViolation(f"m > 1 fails: m = {spec.m}")
-    if not spec.p >= 0.0:
-        raise AdmissibilityViolation(f"p >= 0 fails: p = {spec.p}")
-    if not spec.q >= 0.0:
-        raise AdmissibilityViolation(f"q >= 0 fails: q = {spec.q}")
-    bound = spec.admissibility_bound
-    if not spec.p + spec.q < bound:
-        raise AdmissibilityViolation(
-            f"p + q < 2 - (1 - p)/m fails: p + q = {spec.p + spec.q} >= {bound}"
-        )
-    if not spec.k_low > 0.0:
-        raise NonPositiveK(f"k_low must be positive, got {spec.k_low}")
-    if not spec.k_low <= spec.k_high:
-        raise AdmissibilityViolation(
-            f"k_low <= k_high fails: {spec.k_low} > {spec.k_high}"
-        )
-    return spec
 
 
 class Regime(enum.Enum):
@@ -183,7 +179,6 @@ class RegimeReport:
 
 def classify_regime(spec: ProblemSpec) -> RegimeReport:
     """Classify ``spec`` and evaluate the closed-form exponent predictions."""
-    validate_spec(spec)
     m, p, q = spec.m, spec.p, spec.q
     s = p + q
     if abs(s - 1.0) <= CRITICAL_EQ_TOL:

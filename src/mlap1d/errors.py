@@ -2,7 +2,14 @@
 
 
 class MlapError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``exit_status`` is the command line's exit status for the error: 2,
+    invalid input, unless the class is a failed solve or certification,
+    which exits 1.
+    """
+
+    exit_status = 2
 
 
 class AdmissibilityViolation(MlapError):
@@ -48,6 +55,8 @@ class NonConvergence(MlapError):
     Carries the partial solver state in ``report`` when one is available.
     """
 
+    exit_status = 1
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -55,6 +64,8 @@ class NonConvergence(MlapError):
 
 class BarrierOrderViolation(MlapError):
     """A monotone-iteration iterate escaped the sub/supersolution bracket."""
+
+    exit_status = 1
 
 
 class SignChange(MlapError):
@@ -68,6 +79,8 @@ class DomainError(MlapError):
 
 class NoCertifiableScale(MlapError):
     """No barrier scaling constant up to c_max certifies the inequality."""
+
+    exit_status = 1
 
 
 class NonPositiveCandidate(MlapError):
@@ -83,7 +96,13 @@ class NonPositiveValues(MlapError):
 
 
 class SolveFailed(MlapError):
-    """A solve inside a multi-level scan failed; wraps the original error."""
+    """A solve inside a multi-level scan failed; wraps the original error and
+    takes its exit status (1 when there is none: the scan itself failed)."""
+
+    @property
+    def exit_status(self) -> int:
+        cause = self.__cause__
+        return cause.exit_status if isinstance(cause, MlapError) else 1
 
 
 class InvalidConfig(MlapError):

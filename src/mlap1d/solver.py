@@ -66,7 +66,6 @@ from .core import (
     GridFunction,
     ProblemSpec,
     _k_in_envelope,
-    validate_spec,
 )
 from .errors import (
     AdmissibilityViolation,
@@ -439,7 +438,6 @@ def solve_singular(
     """
     from .barriers import certified_pair  # deferred: barriers sit above solver
 
-    validate_spec(spec)
     cfg = config or SolverConfig()
     k_values = _k_in_envelope(spec, grid, k_values)
     pair = certified_pair(spec, grid, base=base)

@@ -16,7 +16,6 @@ from mlap1d import (
     classify_regime,
     default_k_values,
     make_graded_grid,
-    validate_spec,
 )
 from mlap1d.errors import (
     AdmissibilityViolation,
@@ -48,15 +47,14 @@ admissible_specs = (
 
 class TestValidateSpec:
     def test_supercritical_example_valid(self):
-        spec = ProblemSpec(m=2, p=0.5, q=1.0)
-        assert validate_spec(spec) is spec  # 1.5 < 2 - 0.5/2 = 1.75
+        ProblemSpec(m=2, p=0.5, q=1.0)  # 1.5 < 2 - 0.5/2 = 1.75
 
     def test_poisson_case_valid(self):
-        validate_spec(ProblemSpec(m=2, p=0.0, q=0.0))
+        ProblemSpec(m=2, p=0.0, q=0.0)
 
     def test_admissibility_violation(self):
         with pytest.raises(AdmissibilityViolation) as err:
-            validate_spec(ProblemSpec(m=2, p=0.0, q=1.6))  # 1.6 >= 1.5
+            ProblemSpec(m=2, p=0.0, q=1.6)  # 1.6 >= 1.5
         assert "p + q" in str(err.value)
 
     @pytest.mark.parametrize(
@@ -70,12 +68,12 @@ class TestValidateSpec:
     )
     def test_each_inequality_identified(self, kwargs, name):
         with pytest.raises(AdmissibilityViolation) as err:
-            validate_spec(ProblemSpec(**kwargs))
+            ProblemSpec(**kwargs)
         assert name in str(err.value)
 
     def test_nonpositive_k(self):
         with pytest.raises(NonPositiveK):
-            validate_spec(ProblemSpec(m=2, p=0.0, q=0.0, k_low=0.0))
+            ProblemSpec(m=2, p=0.0, q=0.0, k_low=0.0)
 
 
 class TestClassifyRegime:
