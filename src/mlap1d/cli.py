@@ -271,12 +271,13 @@ def parse_report(text: str) -> list[dict[str, str]]:
 
 def scan_csv_text(scan) -> str:
     """``scan.csv``: one row per (tau, level) of a ScanReport, with the
-    seminorm's ratio to the previous level (empty on the coarsest)."""
+    seminorm's ratio to the previous level (empty on the coarsest, and
+    after a level whose seminorm is 0)."""
     lines = ["tau,n,seminorm,ratio,verdict"]
     for j, tau in enumerate(scan.tau_values):
         norms = scan.norms[:, j]
         for l, n in enumerate(scan.level_ns):
-            ratio = f"{norms[l] / norms[l - 1]:.17g}" if l > 0 else ""
+            ratio = f"{norms[l] / norms[l - 1]:.17g}" if l > 0 and norms[l - 1] != 0.0 else ""
             lines.append(f"{tau:.17g},{n},{norms[l]:.17g},{ratio},{scan.verdicts[j].value}")
     return "\n".join(lines) + "\n"
 
@@ -326,6 +327,12 @@ def _problem(cfg: RunConfig, n: int):
         elif kind == "power":
             theta[sl] = d ** (-a)
         elif kind == "logpower":
+            if a > 0.0 and cfg["domain"] == "ball":
+                # log(1/delta) is 0 at the centre r = 0
+                raise InvalidConfig(
+                    f"rhs = logpower with a = {a:g} > 0 is infinite at the centre "
+                    "of the ball, where delta = 1"
+                )
             theta[sl] = d ** (-1.0) * np.log(1.0 / d) ** (-a)
         else:
             raise InvalidConfig(f"unknown rhs kind {kind!r}")

@@ -242,10 +242,10 @@ def reproduce(
 ) -> ReproReport:
     """Run the named entries of the default matrix, in order, into one report.
 
-    ``overrides`` maps ``<entry>.<claim>`` keys to numeric text.  An empty or
-    unknown entry list, an override of an entry not run, of a claim without
-    an overridable prediction (see _predictions) or with a non-numeric value
-    raises InvalidConfig before any solve.
+    ``overrides`` maps ``<entry>.<claim>`` keys to numeric text.  An empty
+    entry list, an unknown or repeated entry, an override of an entry not
+    run, of a claim without an overridable prediction (see _predictions) or
+    with a non-numeric value raises InvalidConfig before any solve.
     """
     matrix = default_matrix()
     if not names:
@@ -253,6 +253,9 @@ def reproduce(
     unknown = [w for w in names if w not in matrix]
     if unknown:
         raise InvalidConfig(f"unknown matrix entries: {unknown}")
+    repeated = sorted({w for w in names if names.count(w) > 1})
+    if repeated:
+        raise InvalidConfig(f"repeated matrix entries: {repeated}")
     predictions = {}
     for key, raw in overrides.items():
         entry, _, name = key.partition(".")

@@ -415,6 +415,15 @@ class TestScanCommand:
         head = parse_report((out / "scan.report").read_text())[0]
         assert head == {"command": "scan-threshold", "predicted_threshold": tstar}
 
+    def test_zero_field_leaves_every_ratio_empty(self, tmp_path):
+        # theta = 0 solves to u = 0: every seminorm is 0, and 0/0 is no ratio
+        out = tmp_path / "o"
+        code = main(["scan-threshold", "--rhs", "const", "--theta-const", "0", "--taus", "2",
+                     "--levels", "17,33,65,129", "--output-dir", str(out)])
+        assert code == 0
+        rows = (out / "scan.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2:4] for r in rows] == [["0", ""]] * 4
+
     def test_scan_csv_rows(self, tmp_path):
         out = tmp_path / "o"
         levels = (17, 33, 65, 129)
@@ -512,6 +521,14 @@ class TestReproduceSmall:
                      "--output-dir", str(tmp_path / "o")])
         assert code == 2 and solves == []
         assert f"override {key!r} names no prediction" in capsys.readouterr().err
+
+    def test_repeated_entry_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(mlap1d.repro, "solve_singular", lambda *a, **k: solves.append(a))
+        code = main(["reproduce-theorem1", "--matrix", "E1,E3,E1",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 2 and solves == []
+        assert "repeated matrix entries: ['E1']" in capsys.readouterr().err
 
     def test_m_other_than_2_entries_pass(self, tmp_path):
         # E4 (m = 3, interval) and E5 (m = 1.5, ball) are not in the default
@@ -714,11 +731,13 @@ class TestFixedRhsOnTheBall:
         (["barrier-check", "--family", "cubic", "--n", "257"], "unknown barrier family 'cubic'"),
         (["barrier-check", "--side", "both"], "side must be sub or super, got 'both'"),
         (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
+        (["solve", "--rhs", "logpower", "--domain", "ball"],
+         "rhs = logpower with a = 0.5 > 0 is infinite at the centre of the ball"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
-         "side", "fit-kind"],
+         "side", "fit-kind", "logpower-ball"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
