@@ -368,7 +368,9 @@ class TestFitCommand:
                            "--output-dir", str(tmp_path / "b")])
         assert bad == 1
 
-    @pytest.mark.parametrize("kind,fit", [("log", "fit_log_correction"), ("logaffine", "fit_log_profile")])
+    @pytest.mark.parametrize(
+        "kind,fit", [("log", "fit_log_correction"), ("logaffine", "fit_log_profile")]
+    )
     def test_log_fit_kinds_expect_the_log_exponent(self, tmp_path, kind, fit):
         # E2 (critical): u ~ delta log^(2/3)(1/delta), so the power exponent
         # is 1 and --expect is compared with the log exponent
