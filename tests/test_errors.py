@@ -77,7 +77,6 @@ def test_a_programming_error_in_a_level_solve_is_not_wrapped():
 
 
 def test_an_inadmissible_spec_cannot_be_built():
-    # once accepted, and default_k_values then sampled K up to 1.2e24 from it
     with pytest.raises(errors.AdmissibilityViolation, match="m > 1 fails: m = 0.5"):
         ProblemSpec(m=0.5, p=-1.0, q=5.0)
     spec = ProblemSpec(m=2.0, p=0.5, q=1.0)
