@@ -12,10 +12,12 @@ down.  A candidate w is numerically certified as a subsolution of
 at every checked node, and as a supersolution when it is >= -slack.  By
 default check_barrier skips the innermost cells next to each Dirichlet
 boundary, where the one-sided stencil meets the boundary singularity, so
-that a refinement study compares interior statements.  certified_pair, which
-guards the singular solve, checks every unknown node instead: the discrete
-comparison principle places the solution between the barriers only when
-both inequalities hold at every node.  For the singular problem the
+that a refinement study compares interior statements.  certified_pair
+checks every unknown node instead: the discrete comparison principle places
+the solution between the barriers only when both inequalities hold at every
+node.  These are the paper's barriers, the device of its proof; the
+singular solve does not use them, and certifies its own pair from its first
+Dirichlet solve (solver.solve_singular).  For the singular problem the
 right-hand side is evaluated at the candidate itself, K * w^(-p), which is
 the definition of a sub/supersolution of that equation.
 
@@ -30,12 +32,19 @@ below the resolved scale, but refinement exposes it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, GridFunction, ProblemSpec, Regime, classify_regime, same_grid
+from .core import (
+    Grid1D,
+    GridFunction,
+    ProblemSpec,
+    Regime,
+    classify_regime,
+    default_log_scale,
+    same_grid,
+)
 from .eigen import EigenPair, first_eigenpair
 from .errors import (
     DomainError,
@@ -97,16 +106,6 @@ class LogPowerOfEigen:
 
 
 Family = PowerOfEigen | LogPowerOfEigen
-
-
-def default_log_scale(domain, s: float) -> float:
-    """Default A for the log-power family.
-
-    Exceeds 1 + diam(domain), and also e^s so that the profile stays concave
-    at the eigenfunction maximum (log^s(A/phi) needs log(A) > s there for the
-    supersolution inequality to have the right sign at interior maxima).
-    """
-    return max(domain.diameter + 2.0, math.e**s + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +300,19 @@ def auto_scale(
     Walks the ladder for this one side.  Certification is monotone in c
     (the properly scaled side of the inequality strengthens as c grows), so
     the first certifying rung is the smallest certifying power of two.
-    Raises NoCertifiableScale when c_max is reached, which signals a wrong
-    profile exponent or an under-resolved grid.
+    Raises NoCertifiableScale when c_max is reached.  That signals a wrong
+    profile exponent or an under-resolved grid, or one of two limits of the
+    eigenfunction profiles themselves:
+
+      * the flat top: for m < 2, 1 - phi ~ |x - x_max|^(m/(m-1)), so next to
+        the maximum phi is 1 to within a few ulps (1 - 8.2e-15 at m = 1.2,
+        n = 1025).  The rounding of the profile there has the wrong sign on
+        both sides, and the flux |Dw|^(m-1) turns it into a residual that no
+        c removes; the worst node is one where |Dw| is at the rounding level
+        (on the ball, w_0 = w_1 and the residual at r = 0 is -K w^(-p));
+      * the ladder's reach: c enters the operator as c^(m-1), so at m = 1.05
+        c = 2^20 scales it by only 2, too little even for the subsolution
+        phi/c at (1.05, 0, 0).
     """
     c, found = _ladder({side: family}, rhs, m, base, base.grid, c_max, slack, skip_cells)
     return c, found[side][1]

@@ -206,6 +206,17 @@ def classify_regime(spec: ProblemSpec) -> RegimeReport:
     )
 
 
+def default_log_scale(domain: Domain, s: float) -> float:
+    """Default A for the log-power profile f * log^s(A / f) of a profile f
+    with sup f <= 1.
+
+    Exceeds 1 + diam(domain), and also e^s so that the profile stays concave
+    at the maximum of f (log^s(A/f) needs log(A) > s there for the
+    supersolution inequality to have the right sign at interior maxima).
+    """
+    return max(domain.diameter + 2.0, math.e**s + 1.0)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)

@@ -24,7 +24,6 @@ from .analyzer import (
     threshold_scan,
 )
 from .core import Domain, ProblemSpec, Regime, classify_regime, make_graded_grid
-from .eigen import EigenPair, first_eigenpair
 from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
@@ -168,15 +167,13 @@ def _entry_claims(
     entry: MatrixEntry,
     overrides: dict[str, float],
     config: SolverConfig,
-    eigenpairs: dict[tuple, EigenPair],
 ) -> list[ClaimRecord]:
     """Run one matrix entry end to end and emit its claim records.
 
     ``overrides`` maps lower-case ``<entry>.<claim>`` keys to predictions
     that replace the theorem's.  Every singular solve of the entry goes
     through one memo keyed on n, so the fit solve, the gradient check and
-    the scan levels share their grids; the barriers' eigenpairs come from
-    the run-wide store ``eigenpairs``, keyed on (domain, n, grading, m).
+    the scan levels share their solves.
     """
     eid = entry.entry_id.lower()
     spec = entry.spec
@@ -189,12 +186,8 @@ def _entry_claims(
 
     def solve_at(n: int) -> SolveReport:
         if n not in solves:
-            key = (spec.domain, n, entry.grading, spec.m)
-            if key not in eigenpairs:
-                grid = make_graded_grid(n, entry.grading, spec.domain)
-                eigenpairs[key] = first_eigenpair(grid, spec.m)
-            base = eigenpairs[key]
-            solves[n] = solve_singular(spec, base.grid, config, base=base)
+            grid = make_graded_grid(n, entry.grading, spec.domain)
+            solves[n] = solve_singular(spec, grid, config)
         return solves[n]
 
     claims: list[ClaimRecord] = []
@@ -270,12 +263,9 @@ def reproduce(
         except ValueError as exc:
             raise InvalidConfig(f"bad value for override {key!r}: {raw!r}") from exc
 
-    # Eigenpairs live for this run only, and each entry's solves only inside
-    # its _entry_claims call, so nothing outlives the run.
-    eigenpairs: dict[tuple, EigenPair] = {}
     claims: list[ClaimRecord] = []
     for name in names:
-        claims.extend(_entry_claims(matrix[name], predictions, config, eigenpairs))
+        claims.extend(_entry_claims(matrix[name], predictions, config))
     ids = [c.claim_id for c in claims]
     if len(ids) != len(set(ids)):
         raise InvalidConfig("duplicate claim ids in reproduction run")

@@ -31,7 +31,7 @@ grid's to the last bit.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
-discrete subsolution to rule out overflow from undershoot.  T is
+lower bound of the solution to rule out overflow from undershoot.  T is
 order-reversing, and its linearisation in log u has its spectrum in
 [-rho, 0], rho = p/(m-1).  One loop serves every p >= 0: it relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
@@ -49,15 +49,18 @@ stops once the width (lam_hi - lam_lo) sup w is at most picard_tol and
 returns the midpoint, within half the width of the solution.  The solve's
 scaled residual r enters lam as slack s = r (1 + u^p/K), r never below the
 assembly noise, so the width cannot fall below about 2 max s sup u/(m-1+p):
-a tolerance under that resolution floor raises NonConvergence.  Both
-barriers are certified at every unknown node, so the comparison principle
-puts the solution between them; the result is checked against that pair.
+a tolerance under that resolution floor raises NonConvergence.  The first
+solve, w0 = T(v0) with v0 an explicit profile in delta with the predicted
+boundary behaviour, gives the pair: lam_lo w0 and lam_hi w0 are a sub- and
+a supersolution at every unknown node, for the K being solved, so the
+comparison principle puts the solution between them.  The pair is the
+clamp, the loop's start and the check its result must pass; it costs one
+solve, and no eigenpair or search over scaling constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,7 +68,10 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
+    Regime,
     _k_in_envelope,
+    classify_regime,
+    default_log_scale,
 )
 from .errors import (
     AdmissibilityViolation,
@@ -75,9 +81,6 @@ from .errors import (
     NonFiniteTheta,
 )
 from .operator import dflux_of_gradient, flux_of_gradient
-
-if TYPE_CHECKING:  # eigen sits above solver
-    from .eigen import EigenPair
 
 __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 
@@ -412,48 +415,75 @@ def solve_singular(
     grid: Grid1D,
     config: SolverConfig | None = None,
     k_values: GridFunction | None = None,
-    base: EigenPair | None = None,
 ) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
     K defaults to delta^(-q); a custom weight can be supplied through
     ``k_values`` as long as it stays inside the spec's (k_low, k_high)
-    envelope, against which the barriers are certified.
+    envelope.
 
-    The iteration starts at a numerically certified subsolution barrier and
-    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).  For
-    every p >= 0 it stops on a scaling bracket of width at most
+    The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
+    delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
+    and lam_hi w0 are a sub- and a supersolution for this K at every unknown
+    node, so the comparison principle puts the discrete solution between
+    them.  That pair clamps the iteration, which starts at lam_lo w0 and
+    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).
+    For every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; p = 0 takes one solve.  Both barriers are certified at every
-    unknown node, so the comparison principle puts the discrete solution
-    between them; BarrierOrderViolation, raised when the result leaves the
-    pair by more than ``picard_tol``, names the side, the node and the
+    the error; p = 0 takes one solve.  ``iterations`` counts every
+    Dirichlet solve, the first included, and ``barrier_c`` is the first
+    bracket's ratio lam_hi/lam_lo.  A first solve with no bracket raises
+    NonConvergence.  BarrierOrderViolation, raised when the result leaves
+    the pair by more than ``picard_tol``, names the side, the node and the
     excess, and signals a defect rather than a property of the input.
-
-    The barriers are built on ``base``, the first m-Laplace eigenpair on
-    ``grid``; it is computed here when not given.
 
     The grid should resolve delta^gamma boundary layers for the predicted
     exponent gamma; grading >= 2/gamma is a good default.
     """
-    from .barriers import certified_pair  # deferred: barriers sit above solver
-
     cfg = config or SolverConfig()
     k_values = _k_in_envelope(spec, grid, k_values)
-    pair = certified_pair(spec, grid, base=base)
-    return _singular_loop(spec, grid, cfg, pair, k_values.values)
+    return _singular_loop(spec, grid, cfg, k_values.values)
+
+
+@dataclass(frozen=True, eq=False)
+class _Pair:
+    """The certified bracket of the first solve: sub = lam_lo w0,
+    super_ = lam_hi w0 and c = lam_hi/lam_lo."""
+
+    sub: GridFunction
+    super_: GridFunction
+    c: float
+
+
+def _first_pair(grid, w, lam_lo, lam_hi) -> _Pair:
+    return _Pair(GridFunction(grid, lam_lo * w), GridFunction(grid, lam_hi * w), lam_hi / lam_lo)
+
+
+def _log_profile(spec, grid, out):
+    """log v0 on the unknowns, written into ``out``.  v0 is the regime's
+    barrier profile (barriers.regime_families) with delta in place of phi:
+    delta^gamma when supercritical, delta when subcritical and
+    delta log^s(A/delta) when critical, s = 1/(m+p-1) and A the default
+    log scale."""
+    report = classify_regime(spec)
+    np.log(grid.delta_nodes[grid.unknown_slice], out=out)
+    if report.regime is Regime.SUPERCRITICAL:
+        out *= report.boundary_exponent
+    elif report.regime is Regime.CRITICAL:
+        s = report.log_exponent
+        out += s * np.log(np.log(default_log_scale(spec.domain, s)) - out)
 
 
 def _singular_report(inner, pair, iterations, gap, **changes) -> SolveReport:
     """The last Dirichlet solve's report as a singular one: the loop's
-    solve count and bracket width, and the certified barrier pair."""
+    solve count and bracket width, and the certified pair if there is one."""
     return replace(
         inner,
         iterations=iterations,
         picard_gap=gap,
-        sub_barrier=pair.sub,
-        super_barrier=pair.super_,
-        barrier_c=pair.c,
+        sub_barrier=pair and pair.sub,
+        super_barrier=pair and pair.super_,
+        barrier_c=pair and pair.c,
         **changes,
     )
 
@@ -499,24 +529,26 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     return lam_lo, lam_hi
 
 
-def _singular_loop(spec, grid, cfg, pair, k_vals):
+def _singular_loop(spec, grid, cfg, k_vals):
     """Relaxed iteration that stops on its own scaling bracket.
 
     With rho = p/(m-1) the linearisation of log T at the fixed point has its
     spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
     w = 2/(2+rho) contracts by rho/(2+rho) per solve, for every rho; at
     p = 0, w = 1 and T does not depend on u, so one solve decides.  The
-    iteration starts at the subsolution and is held as L = log u on the
-    unknowns, where the step is L <- (1-w) L + w log T(u).  The loop takes
-    log sub and log K once and reuses four more arrays, theta among them, so
-    each sweep makes four transcendental passes: the exp in theta, the log
-    of T(u) that the bracket and the step share, and the bracket's two
-    log1p.  After every solve _scaling_bracket puts the solution in
+    first solve takes v0 = exp(_log_profile) unclamped, and its bracket
+    gives the certified pair (lam_lo w0, lam_hi w0); the iteration then
+    starts at the pair's sub and is held as L = log u on the unknowns, where
+    the step is L <- (1-w) L + w log T(u).  The loop takes log sub and
+    log K once and reuses four more arrays, theta among them, so each sweep
+    makes four transcendental passes: the exp in theta, the log of T(u)
+    that the bracket and the step share, and the bracket's two log1p.  After
+    every solve _scaling_bracket puts the solution in
     [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
     (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
     midpoint, which is within half the width of the solution.  The
-    comparison principle already puts that solution between the barriers,
-    which are certified at every unknown node; the exit check confirms it.
+    comparison principle already puts that solution inside the pair, which
+    is certified at every unknown node; the exit check confirms it.
     """
     tol = cfg.picard_tol
     m, p = spec.m, spec.p
@@ -532,8 +564,9 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
     log_k, log_sub, big_l, log_w, log_ratio = (row[sl] for row in work[:5])
     theta, theta_sl = work[5], work[5, sl]
     np.log(k, out=log_k)
-    np.log(pair.sub.values[sl], out=log_sub)
-    big_l[:] = log_sub
+    _log_profile(spec, grid, big_l)
+    log_sub.fill(-np.inf)  # nothing clamps the first solve
+    pair = None
     iterations = 0
     while True:
         np.maximum(big_l, log_sub, out=theta_sl)
@@ -550,7 +583,8 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         log_ratio -= log_w
         log_ratio *= p  # p log (max(u, sub)/w)
         # the relaxed step, taken before the bracket so that it can use
-        # log_w's storage; the loop returns w, not the stepped iterate
+        # log_w's storage; the loop returns w, not the stepped iterate, and
+        # the first solve's step is replaced by the start at the pair's sub
         big_l *= 1.0 - omega
         log_w *= omega
         big_l += log_w
@@ -559,6 +593,16 @@ def _singular_loop(spec, grid, cfg, pair, k_vals):
         )
         w_max = float(np.max(w))
         width = (lam_hi - lam_lo) * w_max
+        if lam_lo == 0.0:
+            raise NonConvergence(
+                "no scale brackets the solve: the slack swamps the load "
+                f"(bracket width {width:g})",
+                report=_singular_report(inner, pair, iterations, width, converged=False),
+            )
+        if pair is None:
+            pair = _first_pair(grid, w, lam_lo, lam_hi)
+            np.log(pair.sub.values[sl], out=log_sub)
+            big_l[:] = log_sub
         if width <= tol:
             break
         # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),

@@ -11,6 +11,7 @@ import pytest
 import mlap1d.analyzer
 import mlap1d.barriers
 import mlap1d.cli
+import mlap1d.eigen
 import mlap1d.repro
 from mlap1d.analyzer import threshold_scan
 from mlap1d.cli import (
@@ -174,13 +175,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            # no power-of-two constant certifies the supersolution
-            ["solve", "--m", "1.2", "--p", "0", "--q", "0"],
-            # the same on the ball, where the centre node fails
-            ["solve", "--m", "1.2", "--p", "0.5", "--q", "0", "--domain", "ball"],
+            # a picard_tol below the resolution of the bracket
+            ["solve", "--domain", "ball", "--picard-tol", "1e-15"],
             # the same failure at a scan level
-            ["scan-threshold", "--m", "1.2", "--p", "0", "--q", "0.3",
-             "--levels", "1025,2049,4097,8193"],
+            ["scan-threshold", "--p", "0.5", "--q", "1", "--picard-tol", "1e-15"],
+            # the same failure in a reproduction entry
+            ["reproduce-theorem1", "--matrix", "E1", "--picard-tol", "1e-15"],
             # the singular loop exhausts its budget
             ["solve", "--m", "3", "--p", "1.5", "--q", "0.3", "--max-picard-iters", "1"],
             # no power-of-two constant up to c_max certifies a wrong exponent
@@ -192,6 +192,29 @@ class TestExitCodes:
     def test_failed_certification_exits_1(self, tmp_path, capsys, args):
         assert main(args + ["--output-dir", str(tmp_path / "o")]) == 1
         assert "verification failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # no scaled eigenfunction profile certifies these (the flat top
+            # in barriers.auto_scale): on the interval, on the ball and at a
+            # scan level
+            ["solve", "--m", "1.2", "--p", "0", "--q", "0"],
+            ["solve", "--m", "1.2", "--p", "0.5", "--q", "0", "--domain", "ball"],
+            ["scan-threshold", "--m", "1.2", "--p", "0", "--q", "0.3",
+             "--levels", "1025,2049,4097,8193"],
+        ],
+    )
+    def test_small_m_certifies(self, tmp_path, capsys, monkeypatch, args):
+        reports = []
+        solve = mlap1d.cli.solve_singular
+        monkeypatch.setattr(
+            mlap1d.cli, "solve_singular", lambda *a: reports.append(solve(*a)) or reports[-1]
+        )
+        assert main(args + ["--output-dir", str(tmp_path / "o")]) == 0
+        if args[0] == "solve":
+            assert "converged = true\n" in capsys.readouterr().out
+        assert reports and all(r.converged for r in reports)
 
     def test_scan_level_with_bad_grid_is_invalid_input(self, tmp_path):
         code = main(
@@ -548,7 +571,7 @@ class TestReproduceSmall:
 
 
 class TestReproduceReuse:
-    """One run computes each distinct singular solve and eigenpair once."""
+    """One run computes each distinct singular solve once, and no eigenpair."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -564,7 +587,7 @@ class TestReproduceReuse:
         monkeypatch.setattr(
             mlap1d.repro, "solve_singular", counted("solve_singular", mlap1d.repro.solve_singular)
         )
-        for mod in (mlap1d.repro, mlap1d.barriers):
+        for mod in (mlap1d.eigen, mlap1d.barriers):
             monkeypatch.setattr(mod, "first_eigenpair", counted("first_eigenpair", mod.first_eigenpair))
         return calls
 
@@ -576,10 +599,10 @@ class TestReproduceReuse:
 
     def test_default_matrix_counts_and_repeat_run(self, tmp_path, counts):
         first = self._run(tmp_path, "a")
-        assert counts == {"solve_singular": 10, "first_eigenpair": 5}
+        assert counts == {"solve_singular": 10, "first_eigenpair": 0}
         second = self._run(tmp_path, "b")
         # nothing is carried over from the first run
-        assert counts == {"solve_singular": 20, "first_eigenpair": 10}
+        assert counts == {"solve_singular": 20, "first_eigenpair": 0}
         assert second == first
 
     def test_entry_order_does_not_change_claims(self, tmp_path):
@@ -589,22 +612,41 @@ class TestReproduceReuse:
         assert backward == forward
 
 
+def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):
+    # a singular solve certifies its pair from its first Dirichlet solve, so
+    # neither a solve nor a reproduction entry reaches the eigenfunction
+    # barriers, wherever their names are bound
+    calls = []
+
+    def spied(name, fn):
+        return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+
+    for mod in (mlap1d, mlap1d.eigen, mlap1d.barriers, mlap1d.cli, mlap1d.repro):
+        for name in ("first_eigenpair", "certified_pair", "check_barrier"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spied(name, getattr(mod, name)))
+    assert solve_singular(ProblemSpec(m=2.0, p=0.5, q=1.0), make_graded_grid(1025, 3.0)).converged
+    assert main(["reproduce-theorem1", "--matrix", "E1", "--output-dir", str(tmp_path / "o")]) == 0
+    assert calls == []
+
+
 # reproduce-theorem1 measured values of the default matrix, as the
-# plain monotone alternation computed them before the relaxed loop
+# plain monotone alternation computed them before the relaxed loop; the
+# barrier_scale_log2 values are log2 of the first solve's bracket ratio
 REFERENCE_MEASURED = {
-    "E1.barrier_scale_log2": 3.0,
+    "E1.barrier_scale_log2": 0.4170870231375284,
     "E1.boundary_exponent": 0.9898110588329754,
     "E1.gradient_factor": 1.0001443768197418,
     "E1.regime": 0.0,
     "E1.sandwich_violation": 0.0,
-    "E2.barrier_scale_log2": 2.0,
+    "E2.barrier_scale_log2": 0.4911796005960552,
     "E2.log_exponent": 0.7119840846223744,
     "E2.regime": 1.0,
     "E2.sandwich_violation": 0.0,
     "E2.tau_2": 0.0,
     "E2.tau_4": 0.0,
     "E2.tau_8": 0.0,
-    "E3.barrier_scale_log2": 2.0,
+    "E3.barrier_scale_log2": 0.6679786291485037,
     "E3.boundary_exponent": 0.6463086100019217,
     "E3.regime": 2.0,
     "E3.sandwich_violation": 0.0,
@@ -795,7 +837,7 @@ def test_in_band_scan_claims_pass(taus, ids):
     # E3 (tau* = 3) scanned within 0.05 below tau*, and at the rule's flip
     # point 3 (1 - RATE_BAND), where the rate itself is claimed
     entry = dataclasses.replace(default_matrix()["E3"], scan_taus=taus)
-    claims = [c for c in _entry_claims(entry, {}, SolverConfig(), {}) if c.claim_id[3:6] == "tau"]
+    claims = [c for c in _entry_claims(entry, {}, SolverConfig()) if c.claim_id[3:6] == "tau"]
     assert [c.claim_id[3:] for c in claims] == ids
     assert all(c.passed for c in claims), claims
     if ids == ["tau_2.985_rate"]:

@@ -11,12 +11,11 @@ from mlap1d import (
     SolverConfig,
     apply_mlap,
     default_k_values,
-    first_eigenpair,
     make_graded_grid,
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d import barriers, solver
+from mlap1d import eigen, solver
 from mlap1d.errors import (
     BarrierOrderViolation,
     InvalidConfig,
@@ -407,19 +406,20 @@ class TestSolveSingular:
     def test_p_zero_outside_bracket_raises(self, domain, monkeypatch):
         # a supersolution below the solution must not pass the exit check,
         # and the error names the side, the node and the excess; at p = 0
-        # the solution does not depend on the barriers
+        # the solution does not depend on the barriers.  There the first
+        # solve's pair is tight to rounding, so half the solution stands in
+        # for a supersolution below it
         spec = ProblemSpec(m=1.5, p=0.0, q=1.3, domain=domain)
         g = make_graded_grid(1025, 3.0, domain)
         rep = solve_singular(spec, g)
-        excess = rep.solution.values - rep.sub_barrier.values
+        low = GridFunction(g, 0.5 * rep.solution.values)
+        excess = rep.solution.values - low.values
         node = int(np.argmax(excess))
-        certified_pair = barriers.certified_pair
+        first_pair = solver._first_pair
         monkeypatch.setattr(
-            barriers,
-            "certified_pair",
-            lambda *a, **kw: dataclasses.replace(
-                certified_pair(*a, **kw), super_=rep.sub_barrier
-            ),
+            solver,
+            "_first_pair",
+            lambda *a: dataclasses.replace(first_pair(*a), super_=low),
         )
         with pytest.raises(BarrierOrderViolation) as err:
             solve_singular(spec, g)
@@ -532,7 +532,7 @@ class TestCertifiedBracket:
 
     def test_slack_that_swamps_the_load_gives_no_bracket(self, monkeypatch):
         # theta ~ K^((m-1)/(m-1+p)) = 1e-15 at K = 1e-20 is below the assembly
-        # noise, so no scale brackets the solution and no width is reached
+        # noise, so no scale brackets the first solve and there is no pair
         spec = ProblemSpec(m=4.0, p=1.0, q=0.0, k_low=1e-20, k_high=1e-20)
         g = make_graded_grid(257, 3.0)
         brackets = []
@@ -541,9 +541,12 @@ class TestCertifiedBracket:
             solver, "_scaling_bracket", lambda *a: brackets.append(bracket(*a)) or brackets[-1]
         )
         k = GridFunction(g, np.full(g.n, 1e-20))
-        with pytest.raises(NonConvergence, match="bracket width inf"):
+        with pytest.raises(NonConvergence, match="the slack swamps the load") as err:
             solve_singular(spec, g, SolverConfig(max_picard_iters=3), k_values=k)
-        assert brackets == [(0.0, np.inf)] * 3
+        assert brackets == [(0.0, np.inf)]
+        report = err.value.report
+        assert report.iterations == 1 and report.picard_gap == np.inf
+        assert report.sub_barrier is None and report.barrier_c is None
 
     def test_unreachable_tolerance_raises_with_the_width(self):
         g = make_graded_grid(1025, 3.0)
@@ -590,15 +593,19 @@ class TestCertifiedBracket:
     @pytest.mark.parametrize(
         "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
     )
-    def test_error_reports_carry_the_certified_pair(self, domain, config, why):
+    def test_error_reports_carry_the_certified_pair(self, domain, config, why, monkeypatch):
         # a failed singular solve reports the barrier pair that guarded it,
         # exactly as a successful one does
         spec = ProblemSpec(m=3.0, p=1.5, q=0.3, domain=domain)
         g = make_graded_grid(1025, 3.0, domain)
-        base = first_eigenpair(g, spec.m)
-        pair = barriers.certified_pair(spec, g, base=base)
+        pairs = []
+        first_pair = solver._first_pair
+        monkeypatch.setattr(
+            solver, "_first_pair", lambda *a: pairs.append(first_pair(*a)) or pairs[-1]
+        )
         with pytest.raises(NonConvergence, match=why) as err:
-            solve_singular(spec, g, config, base=base)
+            solve_singular(spec, g, config)
+        [pair] = pairs
         report = err.value.report
         assert not report.converged
         assert report.barrier_c == pair.c
@@ -610,20 +617,32 @@ class TestCertifiedBracket:
         [
             ((2.0, 0.3, 0.3), "interval", {4097: 7, 8193: 7}),
             ((2.0, 0.5, 0.5), "interval", {2049: 9, 4097: 9, 8193: 9, 16385: 9}),
-            ((2.0, 0.5, 1.0), "interval", {1025: 10, 2049: 10, 4097: 10, 8193: 11}),
-            ((3.0, 1.5, 0.3), "interval", {16385: 13}),
-            ((3.0, 1.5, 0.3), "ball", {16385: 13}),
+            ((2.0, 0.5, 1.0), "interval", {1025: 11, 2049: 11, 4097: 11, 8193: 11}),
+            ((3.0, 1.5, 0.3), "interval", {16385: 14}),
+            ((3.0, 1.5, 0.3), "ball", {16385: 14}),
             ((1.5, 0.2, 0.7), "interval", {16385: 9}),
         ],
         ids=["E1", "E2", "E3", "3-1.5-0.3-interval", "3-1.5-0.3-ball", "1.5-0.2-0.7"],
     )
-    def test_sweep_counts_at_grading_3(self, point, domain, solves):
-        # the Dirichlet solves each singular loop takes, pinned exactly: a
-        # faster sweep must not come with more of them
+    def test_sweep_counts_at_grading_3(self, point, domain, solves, monkeypatch):
+        # every Dirichlet solve of one singular solve, pinned exactly: a
+        # faster sweep must not come with more of them.  The spy sits in
+        # eigen too, so an eigenpair's inner solves would count
+        calls = []
+        dirichlet = solver.solve_dirichlet
+        for mod in (solver, eigen):
+            monkeypatch.setattr(
+                mod, "solve_dirichlet", lambda *a: calls.append(1) or dirichlet(*a)
+            )
         m, p, q = point
         dom = Domain.ball(3) if domain == "ball" else Domain.interval()
         spec = ProblemSpec(m=m, p=p, q=q, domain=dom)
-        counts = {n: solve_singular(spec, make_graded_grid(n, 3.0, dom)).iterations for n in solves}
+        counts = {}
+        for n in solves:
+            calls.clear()
+            rep = solve_singular(spec, make_graded_grid(n, 3.0, dom))
+            assert rep.iterations == len(calls)
+            counts[n] = len(calls)
         assert counts == solves
 
     def test_relaxed_loop_solve_count(self):
