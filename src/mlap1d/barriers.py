@@ -40,9 +40,8 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
-    Regime,
-    classify_regime,
     default_log_scale,
+    regime_profiles,
     same_grid,
 )
 from .eigen import EigenPair, first_eigenpair
@@ -321,6 +320,7 @@ def auto_scale(
 def regime_families(spec: ProblemSpec) -> tuple[Family, Family]:
     """Barrier profiles (sub, super) appropriate for the spec's regime.
 
+    The regime's profiles (core.regime_profiles) in the eigenfunction.
     Supercritical: both sides share the power profile with the predicted
     boundary exponent.  Critical: both sides share the log-power profile with
     the predicted log exponent.  Subcritical: the subsolution is the plain
@@ -328,15 +328,12 @@ def regime_families(spec: ProblemSpec) -> tuple[Family, Family]:
     supersolution needs unbounded curvature at the boundary and uses the
     log-power profile, an upper bound one log factor above u ~ delta.
     """
-    report = classify_regime(spec)
-    if report.regime is Regime.SUPERCRITICAL:
-        fam = PowerOfEigen(report.boundary_exponent)
-        return fam, fam
-    s = 1.0 / (spec.m + spec.p - 1.0)
-    logfam = LogPowerOfEigen(s=s, big_a=default_log_scale(spec.domain, s))
-    if report.regime is Regime.CRITICAL:
-        return logfam, logfam
-    return PowerOfEigen(1.0), logfam
+    return tuple(
+        LogPowerOfEigen(s=prof.log_exponent, big_a=prof.log_scale)
+        if prof.log_exponent
+        else PowerOfEigen(prof.exponent)
+        for prof in regime_profiles(spec)
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -217,6 +217,40 @@ def default_log_scale(domain: Domain, s: float) -> float:
     return max(domain.diameter + 2.0, math.e**s + 1.0)
 
 
+@dataclass(frozen=True)
+class BoundaryProfile:
+    """The profile f^exponent log^log_exponent(log_scale / f) of a positive
+    f with sup f <= 1 that vanishes like delta at the boundary;
+    log_exponent = 0 is the plain power f^exponent, and a log profile has
+    exponent 1."""
+
+    exponent: float
+    log_exponent: float = 0.0
+    log_scale: float = 1.0
+
+
+def regime_profiles(spec: ProblemSpec) -> tuple[BoundaryProfile, BoundaryProfile]:
+    """(sub, super) boundary profiles for the spec's regime.
+
+    Supercritical: both sides are f^gamma with the predicted boundary
+    exponent.  Critical: both sides are f log^s(A/f) with the predicted log
+    exponent s = 1/(m+p-1) and A the default log scale.  Subcritical: the
+    lower side is f (u ~ delta) and the upper side the critical one's log
+    profile, one log factor above u ~ delta.  The paper's barriers take the
+    first eigenfunction for f (barriers.regime_families), the singular
+    solve's starting profile takes delta (solver.solve_singular).
+    """
+    report = classify_regime(spec)
+    if report.regime is Regime.SUPERCRITICAL:
+        power = BoundaryProfile(report.boundary_exponent)
+        return power, power
+    s = 1.0 / (spec.m + spec.p - 1.0)
+    log_power = BoundaryProfile(1.0, s, default_log_scale(spec.domain, s))
+    if report.regime is Regime.CRITICAL:
+        return log_power, log_power
+    return BoundaryProfile(1.0), log_power
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)

@@ -68,10 +68,8 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
-    Regime,
     _k_in_envelope,
-    classify_regime,
-    default_log_scale,
+    regime_profiles,
 )
 from .errors import (
     AdmissibilityViolation,
@@ -461,17 +459,14 @@ def _first_pair(grid, w, lam_lo, lam_hi) -> _Pair:
 
 def _log_profile(spec, grid, out):
     """log v0 on the unknowns, written into ``out``.  v0 is the regime's
-    barrier profile (barriers.regime_families) with delta in place of phi:
-    delta^gamma when supercritical, delta when subcritical and
-    delta log^s(A/delta) when critical, s = 1/(m+p-1) and A the default
-    log scale."""
-    report = classify_regime(spec)
+    lower profile (core.regime_profiles) in delta: delta^gamma when
+    supercritical, delta when subcritical and delta log^s(A/delta) when
+    critical."""
+    prof = regime_profiles(spec)[0]
     np.log(grid.delta_nodes[grid.unknown_slice], out=out)
-    if report.regime is Regime.SUPERCRITICAL:
-        out *= report.boundary_exponent
-    elif report.regime is Regime.CRITICAL:
-        s = report.log_exponent
-        out += s * np.log(np.log(default_log_scale(spec.domain, s)) - out)
+    out *= prof.exponent
+    if prof.log_exponent:  # exponent 1: out is log delta
+        out += prof.log_exponent * np.log(np.log(prof.log_scale) - out)
 
 
 def _singular_report(inner, pair, iterations, gap, **changes) -> SolveReport:

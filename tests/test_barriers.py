@@ -13,6 +13,7 @@ from mlap1d import (
     ProblemSpec,
     SUB,
     SUPER,
+    SolverConfig,
     auto_scale,
     build_barrier,
     certified_pair,
@@ -32,6 +33,16 @@ E3 = ProblemSpec(m=2.0, p=0.5, q=1.0)
 @pytest.fixture(scope="module")
 def eig_1025():
     return first_eigenpair(make_graded_grid(1025, 3.0), 2.0, tol=1e-10)
+
+
+def assert_between_paper_barriers(spec, grid, rep):
+    """The singular solve's answer lies within picard_tol of the paper's
+    certified phi-barrier pair on the same grid."""
+    pair = certified_pair(spec, grid)
+    assert pair.sub_cert.certified and pair.super_cert.certified
+    u, tol = rep.solution.values, SolverConfig().picard_tol
+    assert np.all(u >= pair.sub.values - tol)
+    assert np.all(u <= pair.super_.values + tol)
 
 
 def synthetic_sine_pair(n=13):
@@ -225,16 +236,30 @@ class TestCertifiedPair:
         assert pair.c > 1.0
 
     def test_sandwich_for_all_regimes(self):
+        # the solve certifies its own pair; the paper's phi-barriers, built
+        # independently, must bracket its answer too
         for spec in (
             ProblemSpec(m=2.0, p=0.3, q=0.3),
             ProblemSpec(m=2.0, p=0.5, q=0.5),
             E3,
         ):
             g = make_graded_grid(1025, 3.0)
-            rep = solve_singular(spec, g)
-            tol = 1e-8
-            assert np.all(rep.solution.values >= rep.sub_barrier.values - tol)
-            assert np.all(rep.solution.values <= rep.super_barrier.values + tol)
+            assert_between_paper_barriers(spec, g, solve_singular(spec, g))
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (ProblemSpec(m=2.0, p=0.3, q=0.3), 4097),
+            (ProblemSpec(m=2.0, p=0.3, q=0.3), 8193),
+            (ProblemSpec(m=2.0, p=0.5, q=0.5), 16385),
+            (E3, 8193),
+        ],
+        ids=["E1-4097", "E1-8193", "E2-16385", "E3-8193"],
+    )
+    def test_reference_solves_lie_between_the_paper_barriers(self, spec, n):
+        # the E1-E3 solves of the acceptance suite, on their own grids
+        g = make_graded_grid(n, 3.0)
+        assert_between_paper_barriers(spec, g, solve_singular(spec, g))
 
     def test_regime_families_shapes(self):
         sub, sup = regime_families(E3)
