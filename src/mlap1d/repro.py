@@ -23,7 +23,7 @@ from .analyzer import (
     gradient_bound_check,
     threshold_scan,
 )
-from .core import Domain, ProblemSpec, Regime, classify_regime, make_graded_grid
+from .core import Domain, Grid1D, ProblemSpec, Regime, classify_regime, make_graded_grid
 from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
@@ -167,13 +167,16 @@ def _entry_claims(
     entry: MatrixEntry,
     overrides: dict[str, float],
     config: SolverConfig,
+    grids: dict[tuple[Domain, int, float], Grid1D] | None = None,
 ) -> list[ClaimRecord]:
     """Run one matrix entry end to end and emit its claim records.
 
     ``overrides`` maps lower-case ``<entry>.<claim>`` keys to predictions
     that replace the theorem's.  Every singular solve of the entry goes
     through one memo keyed on n, so the fit solve, the gradient check and
-    the scan levels share their solves.
+    the scan levels share their solves.  Grids come from ``grids``, keyed on
+    (domain, n, grading), which entries run together may share, so each grid
+    and its cached geometry is built once.
     """
     eid = entry.entry_id.lower()
     spec = entry.spec
@@ -183,11 +186,14 @@ def _entry_claims(
         for name, value in _predictions(spec).items()
     }
     solves: dict[int, SolveReport] = {}
+    grids = {} if grids is None else grids
 
     def solve_at(n: int) -> SolveReport:
         if n not in solves:
-            grid = make_graded_grid(n, entry.grading, spec.domain)
-            solves[n] = solve_singular(spec, grid, config)
+            key = (spec.domain, n, entry.grading)
+            if key not in grids:
+                grids[key] = make_graded_grid(n, entry.grading, spec.domain)
+            solves[n] = solve_singular(spec, grids[key], config)
         return solves[n]
 
     claims: list[ClaimRecord] = []
@@ -264,8 +270,9 @@ def reproduce(
             raise InvalidConfig(f"bad value for override {key!r}: {raw!r}") from exc
 
     claims: list[ClaimRecord] = []
+    grids: dict[tuple[Domain, int, float], Grid1D] = {}
     for name in names:
-        claims.extend(_entry_claims(matrix[name], predictions, config))
+        claims.extend(_entry_claims(matrix[name], predictions, config, grids))
     ids = [c.claim_id for c in claims]
     if len(ids) != len(set(ids)):
         raise InvalidConfig("duplicate claim ids in reproduction run")

@@ -38,9 +38,10 @@ u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
 solve (at p = 0, w = 1 and one solve decides), and every solve brings its
 own certificate, the scaling bracket.  The loop holds its iterate as
 L = log u on the unknowns, in one block it allocates once, so a sweep takes
-four full-length transcendental passes: exp for theta = K exp(-p Lt) with
-Lt = max(L, log sub), one log of the solve's result shared by the bracket
-and the relaxation, and the bracket's two log1p.
+four transcendental passes over the unknowns: exp for
+theta = K exp(-p Lt) with Lt = max(L, log sub), one log of the solve's
+result shared by the bracket and the relaxation, and the bracket's two
+log1p.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -56,11 +57,22 @@ a supersolution at every unknown node, for the K being solved, so the
 comparison principle puts the solution between them.  The pair is the
 clamp, the loop's start and the check its result must pass; it costs one
 solve, and no eigenpair or search over scaling constants.
+
+The solution is unique, so an interval problem whose grid, K and v0 equal
+their mirror images to the last bit is symmetric, and the loop runs every
+sweep on the right half, nodes (n-1)//2 to n - 2, solving there with
+_mirror_solve.  The condition is checked once per solve, from the inputs.
+Every step is elementwise, so by induction every theta, w and iterate is an
+exact mirror, and every min and max over the half is the whole grid's: the
+answers are those of the whole-grid loop to the last bit.  w is mirrored
+into a full-length array only where one leaves the loop: the first pair,
+the returned solution and the report of an error.  Any other input, the
+ball or one ulp of asymmetry, keeps the whole-grid loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -342,6 +354,60 @@ def _closure_root(loads, h, m, k, c):
     return k, hdu, it
 
 
+def _loads(grid, theta_vals, sl, out):
+    """The loads V theta at the nodes of ``sl``, written into ``out``, once
+    theta is checked finite there."""
+    if not np.all(np.isfinite(theta_vals[sl])):
+        raise NonFiniteTheta("theta must be finite at the unknown nodes")
+    np.multiply(grid.cell_volumes[sl], theta_vals[sl], out=out[sl])
+    return out
+
+
+def _mirror_solve(grid, loads, theta_vals, m, u):
+    """Solve a mirror-symmetric interval problem on its right half.
+
+    The solution is symmetric and the flux odd about x = 1/2, so the right
+    half is a chain with zero flux on its left: the centre node (odd n)
+    keeps half its load, and the centre cell (even n) carries no flux.
+    Reads ``loads`` and ``theta_vals`` from node (n-1)//2 on, writes u from
+    node n//2 - 1 to node n - 2 (u[n-1] = 0 is left to the caller) and
+    returns the scaled residual from the centre node n//2 on.  u, h, V and
+    theta are exact mirrors, so the fluxes are exactly odd and the noise
+    terms exactly even: that residual is the whole grid's to the last bit.
+    """
+    n = grid.n
+    k = (n - 1) // 2  # the first cell of the right half
+    half = loads[k:-1].copy()
+    half[0] = 0.5 * loads[k] if n % 2 else 0.0
+    u[k:-1] = _zero_flux_solution(half, grid.h[k:], 1.0, m)
+    if n % 2:  # the check from the centre node reads u one node to its left
+        u[k - 1] = u[k + 1]
+    return _scaled_residual(grid, u, m, loads, theta_vals, n // 2)
+
+
+def _mirror_left(u):
+    """Fill the left half of ``u`` with the mirror image of its right half."""
+    n = u.size
+    u[: n // 2] = u[::-1][: n // 2]
+    return u
+
+
+def _checked(grid, u, iterations, res) -> SolveReport:
+    """The Dirichlet solve's report, or NonConvergence with it attached when
+    the scaled residual ``res`` exceeds RESIDUAL_TOL."""
+    report = SolveReport(
+        solution=GridFunction(grid, u),
+        iterations=iterations,
+        final_residual=res,
+        converged=res <= RESIDUAL_TOL,
+    )
+    if not report.converged:
+        raise NonConvergence(
+            f"a-posteriori check failed: scaled residual {res:g}", report=report
+        )
+    return report
+
+
 def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = theta with homogeneous Dirichlet data.
 
@@ -356,56 +422,29 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     grid = theta.grid
     sl = grid.unknown_slice
     theta_vals = theta.values  # read at the unknowns only
-    if not np.all(np.isfinite(theta_vals[sl])):
-        raise NonFiniteTheta("theta must be finite at the unknown nodes")
-
     h = grid.h
     n = grid.n
-    loads = np.zeros(n)
-    np.multiply(grid.cell_volumes[sl], theta_vals[sl], out=loads[sl])
+    loads = _loads(grid, theta_vals, sl, np.zeros(n))
     iterations = 0
-    first = None  # the residual check covers every unknown
-    if grid.domain.is_ball:
-        # zero flux at r = 0
-        u = np.zeros(n)
-        u[:-1] = _zero_flux_solution(loads[:-1], h, grid.flux_weights, m)
-    elif grid.mirror_symmetric and np.array_equal(theta_vals[sl], theta_vals[sl][::-1]):
-        # the solution is symmetric and the flux odd about x = 1/2: solve
-        # the right half from the centre, where the centre node (odd n)
-        # keeps half its load and the centre cell (even n) has zero flux
-        k = (n - 1) // 2  # the first cell of the right half
-        half = loads[k:-1].copy()
-        half[0] = 0.5 * loads[k] if n % 2 else 0.0
-        u = np.zeros(n)
-        u[k:-1] = _zero_flux_solution(half, h[k:], 1.0, m)
-        u[: n // 2] = u[::-1][: n // 2]
-        # u, h, V and theta are exact mirrors, so the fluxes are exactly odd
-        # and the noise terms exactly even: the check from the centre node
-        # on equals the full one to the last bit
-        first = n // 2
+    u = np.zeros(n)
+    if grid.mirror_symmetric and np.array_equal(theta_vals[sl], theta_vals[sl][::-1]):
+        res = _mirror_solve(grid, loads, theta_vals, m, u)
+        _mirror_left(u)
     else:
-        # flux weights are 1 on the interval; the search starts anchored at
-        # the cell where the m = 2 flux is closest to zero
-        prefix = _anchored_loads(loads, 0)
-        c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
-        k = int(np.argmin(np.abs(c0 - prefix)))
-        k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
-        u = np.zeros(n)
-        u[1 : k + 1] = _compensated_cumsum(hdu[:k])
-        np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
-
-    res = _scaled_residual(grid, u, m, loads, theta_vals, first)
-    report = SolveReport(
-        solution=GridFunction(grid, u),
-        iterations=iterations,
-        final_residual=res,
-        converged=res <= RESIDUAL_TOL,
-    )
-    if not report.converged:
-        raise NonConvergence(
-            f"a-posteriori check failed: scaled residual {res:g}", report=report
-        )
-    return report
+        if grid.domain.is_ball:
+            # zero flux at r = 0
+            u[:-1] = _zero_flux_solution(loads[:-1], h, grid.flux_weights, m)
+        else:
+            # flux weights are 1 on the interval; the search starts anchored
+            # at the cell where the m = 2 flux is closest to zero
+            prefix = _anchored_loads(loads, 0)
+            c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
+            k = int(np.argmin(np.abs(c0 - prefix)))
+            k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
+            u[1 : k + 1] = _compensated_cumsum(hdu[:k])
+            np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
+        res = _scaled_residual(grid, u, m, loads, theta_vals)
+    return _checked(grid, u, iterations, res)
 
 
 def solve_singular(
@@ -469,18 +508,33 @@ def _log_profile(spec, grid, out):
         out += prof.log_exponent * np.log(np.log(prof.log_scale) - out)
 
 
-def _singular_report(inner, pair, iterations, gap, **changes) -> SolveReport:
-    """The last Dirichlet solve's report as a singular one: the loop's
-    solve count and bracket width, and the certified pair if there is one."""
-    return replace(
-        inner,
+def _singular_report(grid, u, residual, pair, iterations, gap, converged):
+    """A singular solve's report: ``u`` with the last Dirichlet solve's
+    residual, the loop's solve count and bracket width, and the certified
+    pair if there is one."""
+    return SolveReport(
+        solution=GridFunction(grid, u),
         iterations=iterations,
+        final_residual=residual,
+        converged=converged,
         picard_gap=gap,
         sub_barrier=pair and pair.sub,
         super_barrier=pair and pair.super_,
         barrier_c=pair and pair.c,
-        **changes,
     )
+
+
+def _mirror_half(grid, k_vals, log_v0):
+    """The first node of the right half, (n-1)//2, when the singular loop
+    may run on it: the grid is a mirror (Grid1D.mirror_symmetric) and K and
+    log v0 equal their mirror images to the last bit at the unknowns.
+    None otherwise, which keeps the loop on the whole grid."""
+    sl = grid.unknown_slice
+    if grid.mirror_symmetric and all(
+        np.array_equal(a[sl], a[sl][::-1]) for a in (k_vals, log_v0)
+    ):
+        return (grid.n - 1) // 2
+    return None
 
 
 def _singular_theta(p, k, lt, out):
@@ -544,31 +598,57 @@ def _singular_loop(spec, grid, cfg, k_vals):
     midpoint, which is within half the width of the solution.  The
     comparison principle already puts that solution inside the pair, which
     is certified at every unknown node; the exit check confirms it.
+
+    When the grid, K and v0 equal their mirror images to the last bit
+    (_mirror_half), every sweep runs on the right half, nodes (n-1)//2 to
+    n - 2, and solves there by _mirror_solve.  Each step is elementwise, so
+    by induction every theta, w and iterate is an exact mirror too: the
+    whole-grid loop would take solve_dirichlet's mirror branch every sweep,
+    and its mins and maxes equal the half's.  The answers are the same to
+    the last bit, and so are the checks: theta finite, the residual from
+    the centre node, the bracket, the resolution floor and the exit check.
+    w is mirrored into a full-length array only where one leaves the loop:
+    the first pair, the returned solution and the report of an error.
     """
     tol = cfg.picard_tol
     m, p = spec.m, spec.p
-    sl = grid.unknown_slice
+    n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
-    k = k_vals[sl]
-    # every array the sweeps reuse, in one block: six separate arrays that
+    # every array the sweeps reuse, in one block: eight separate arrays that
     # outlive the solves fragment the heap and raise the peak resident size.
-    # Rows are full length so that the last can be theta, zero at the
-    # boundary; solve_dirichlet does not keep theta, so every sweep rewrites
-    # it under the read-only view it hands over
-    work = np.zeros((6, grid.n))
+    # Rows are full length so that theta (row 5) is zero at the boundary and
+    # the half sweep's loads and w (rows 6 and 7, untouched on the whole
+    # grid) index by node, as the residual check does; solve_dirichlet does
+    # not keep theta, so every sweep rewrites it under the read-only view it
+    # hands over
+    work = np.zeros((8, n))
+    _log_profile(spec, grid, work[2, grid.unknown_slice])
+    half = _mirror_half(grid, k_vals, work[2])
+    sl = grid.unknown_slice if half is None else slice(half, n - 1)
+    k = k_vals[sl]
     log_k, log_sub, big_l, log_w, log_ratio = (row[sl] for row in work[:5])
     theta, theta_sl = work[5], work[5, sl]
+    loads, w = work[6], work[7]
     np.log(k, out=log_k)
-    _log_profile(spec, grid, big_l)
     log_sub.fill(-np.inf)  # nothing clamps the first solve
     pair = None
     iterations = 0
+
+    def whole(w):
+        """w on the whole grid: the half sweep fills in its left half."""
+        return w if half is None else _mirror_left(w)
+
     while True:
         np.maximum(big_l, log_sub, out=theta_sl)
         _singular_theta(p, k, theta_sl, theta_sl)
-        inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
+        if half is None:
+            inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
+            w, residual = inner.solution.values, inner.final_residual
+        else:
+            residual = _mirror_solve(grid, _loads(grid, theta, sl, loads), theta, m, w)
+            if not residual <= RESIDUAL_TOL:
+                _checked(grid, whole(w).copy(), 0, residual)  # raises
         iterations += 1
-        w = inner.solution.values
         np.log(w[sl], out=log_w)
         # max log (w^p/K), for the resolution floor below
         np.multiply(log_w, p, out=log_ratio)
@@ -583,19 +663,19 @@ def _singular_loop(spec, grid, cfg, k_vals):
         big_l *= 1.0 - omega
         log_w *= omega
         big_l += log_w
-        lam_lo, lam_hi = _scaling_bracket(
-            spec, log_ratio, theta_sl, inner.final_residual, log_w
-        )
-        w_max = float(np.max(w))
+        lam_lo, lam_hi = _scaling_bracket(spec, log_ratio, theta_sl, residual, log_w)
+        w_max = float(w[sl.start :].max())  # left of sl: 0 or mirror images
         width = (lam_hi - lam_lo) * w_max
         if lam_lo == 0.0:
             raise NonConvergence(
                 "no scale brackets the solve: the slack swamps the load "
                 f"(bracket width {width:g})",
-                report=_singular_report(inner, pair, iterations, width, converged=False),
+                report=_singular_report(
+                    grid, whole(w).copy(), residual, pair, iterations, width, False
+                ),
             )
         if pair is None:
-            pair = _first_pair(grid, w, lam_lo, lam_hi)
+            pair = _first_pair(grid, whole(w), lam_lo, lam_hi)
             np.log(pair.sub.values[sl], out=log_sub)
             big_l[:] = log_sub
         if width <= tol:
@@ -614,10 +694,12 @@ def _singular_loop(spec, grid, cfg, k_vals):
         if why:
             raise NonConvergence(
                 f"{why}: bracket width {width:g}",
-                report=_singular_report(inner, pair, iterations, width, converged=False),
+                report=_singular_report(
+                    grid, whole(w).copy(), residual, pair, iterations, width, False
+                ),
             )
 
-    mid = 0.5 * (lam_lo + lam_hi) * w
+    mid = 0.5 * (lam_lo + lam_hi) * whole(w)
     for side, excess in (
         ("below the subsolution", pair.sub.values - mid),
         ("above the supersolution", mid - pair.super_.values),
@@ -628,4 +710,4 @@ def _singular_loop(spec, grid, cfg, k_vals):
                 f"the bracketed solution lies {side} of the certified pair "
                 f"at node {i} by {excess[i]:g}"
             )
-    return _singular_report(inner, pair, iterations, width, solution=GridFunction(grid, mid))
+    return _singular_report(grid, mid, residual, pair, iterations, width, True)

@@ -13,6 +13,7 @@ import mlap1d.barriers
 import mlap1d.cli
 import mlap1d.eigen
 import mlap1d.repro
+import mlap1d.solver
 from mlap1d.analyzer import threshold_scan
 from mlap1d.cli import (
     COMMANDS,
@@ -610,6 +611,41 @@ class TestReproduceReuse:
         backward = self._run(tmp_path, "bwd", "--matrix", "E3,E2")
         assert parse_repro_report(backward.decode()) == parse_repro_report(forward.decode())
         assert backward == forward
+
+    def test_one_grid_per_node_count(self, tmp_path, monkeypatch):
+        # E1-E3 solve on 10 grids of 5 node counts, all at grading 3 on the
+        # interval; the entries of one run share them, and a second run
+        # builds its own
+        built = []
+        make = mlap1d.repro.make_graded_grid
+        monkeypatch.setattr(
+            mlap1d.repro, "make_graded_grid", lambda *a: built.append(a) or make(*a)
+        )
+        self._run(tmp_path, "a")
+        assert sorted(a[0] for a in built) == [1025, 2049, 4097, 8193, 16385]
+        self._run(tmp_path, "b")
+        assert len(built) == 10
+
+    def test_every_sweep_of_e1_runs_on_the_right_half(self, tmp_path, monkeypatch):
+        # E1's grids, K and start profile are exact mirrors, so every sweep
+        # solves on the right half and none calls solve_dirichlet; a silent
+        # fallback to the whole grid would fail here
+        calls = {"sweeps": 0, "half": 0, "dirichlet": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        solver = mlap1d.solver
+        monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
+        monkeypatch.setattr(solver, "_mirror_solve", counted("half", solver._mirror_solve))
+        monkeypatch.setattr(solver, "solve_dirichlet", counted("dirichlet", solver.solve_dirichlet))
+        self._run(tmp_path, "a", "--matrix", "E1")
+        assert calls["sweeps"] == calls["half"] == 14  # 7 sweeps at n = 4097 and 8193
+        assert calls["dirichlet"] == 0
 
 
 def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):

@@ -626,14 +626,19 @@ class TestCertifiedBracket:
     )
     def test_sweep_counts_at_grading_3(self, point, domain, solves, monkeypatch):
         # every Dirichlet solve of one singular solve, pinned exactly: a
-        # faster sweep must not come with more of them.  The spy sits in
-        # eigen too, so an eigenpair's inner solves would count
+        # faster sweep must not come with more of them.  Each sweep, on the
+        # whole grid or on the right half of a mirror problem, brackets its
+        # solve once.  A spy sits on eigen's solves too, so an eigenpair's
+        # inner solves would count
         calls = []
-        dirichlet = solver.solve_dirichlet
-        for mod in (solver, eigen):
-            monkeypatch.setattr(
-                mod, "solve_dirichlet", lambda *a: calls.append(1) or dirichlet(*a)
-            )
+        bracket = solver._scaling_bracket
+        monkeypatch.setattr(
+            solver, "_scaling_bracket", lambda *a: calls.append(1) or bracket(*a)
+        )
+        dirichlet = eigen.solve_dirichlet
+        monkeypatch.setattr(
+            eigen, "solve_dirichlet", lambda *a: calls.append(1) or dirichlet(*a)
+        )
         m, p, q = point
         dom = Domain.ball(3) if domain == "ball" else Domain.interval()
         spec = ProblemSpec(m=m, p=p, q=q, domain=dom)
@@ -664,6 +669,109 @@ class TestCertifiedBracket:
         spec = ProblemSpec(m=2.0, p=1.2, q=0.0)
         rep = solve_singular(spec, make_graded_grid(1025, 3.0))
         assert rep.iterations <= 14
+
+
+class TestMirrorHalfLoop:
+    """The singular loop on the right half of a mirror problem, against the
+    same loop forced onto the whole grid."""
+
+    SPECS = {
+        "subcritical": ProblemSpec(m=2.0, p=0.3, q=0.3),
+        "critical": ProblemSpec(m=2.0, p=0.5, q=0.5),
+        "supercritical": ProblemSpec(m=3.0, p=1.5, q=0.3),
+        "p0": ProblemSpec(m=1.5, p=0.0, q=1.3),
+    }
+    GRIDS = {
+        "n1025-g1": lambda: make_graded_grid(1025, 1.0),
+        "n1025-g2": lambda: make_graded_grid(1025, 2.0),
+        "n1025-g3": lambda: make_graded_grid(1025, 3.0),
+        "n16385-g3": lambda: make_graded_grid(16385, 3.0),
+        "n64-dyadic": dyadic_mirror_grid,
+    }
+
+    @staticmethod
+    def outcome(spec, g, config=None, k_values=None):
+        """The report, or the error and its report, of one singular solve."""
+        try:
+            return None, solve_singular(spec, g, config, k_values)
+        except NonConvergence as exc:
+            return str(exc), exc.report
+
+    @staticmethod
+    def assert_identical(a, b):
+        assert a[0] == b[0]
+        ra, rb = a[1], b[1]
+        for name in ("solution", "sub_barrier", "super_barrier"):
+            va, vb = getattr(ra, name), getattr(rb, name)
+            assert (va is None) == (vb is None), name
+            if va is not None:
+                assert np.array_equal(va.values, vb.values), name
+        for name in ("iterations", "picard_gap", "barrier_c", "final_residual", "converged"):
+            assert getattr(ra, name) == getattr(rb, name), name
+
+    def half_and_whole(self, spec, g, monkeypatch, config=None):
+        halves = []
+        mirror_solve = solver._mirror_solve
+        monkeypatch.setattr(
+            solver, "_mirror_solve", lambda *a: halves.append(1) or mirror_solve(*a)
+        )
+        half = self.outcome(spec, g, config)
+        # the loop solves on the half only; solve_dirichlet is not called
+        assert len(halves) == half[1].iterations
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_mirror_half", lambda *a: None)
+            whole = self.outcome(spec, g, config)
+        return half, whole
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_half_loop_is_the_whole_loop_to_the_last_bit(self, spec, grid, monkeypatch):
+        g = self.GRIDS[grid]()
+        half, whole = self.half_and_whole(self.SPECS[spec], g, monkeypatch)
+        assert half[0] is None and half[1].converged
+        self.assert_identical(half, whole)
+
+    @pytest.mark.parametrize(
+        "config, why",
+        [
+            (SolverConfig(picard_tol=1e-15), "below the resolution"),
+            (SolverConfig(max_picard_iters=3), "budget exhausted"),
+        ],
+        ids=["resolution", "budget"],
+    )
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_errors_and_their_reports_match(self, spec, config, why, monkeypatch):
+        g = make_graded_grid(1025, 3.0)
+        half, whole = self.half_and_whole(self.SPECS[spec], g, monkeypatch, config)
+        if spec == "p0" and why == "budget exhausted":  # p = 0 decides in one solve
+            assert half[0] is None and half[1].iterations == 1
+        else:
+            assert why in half[0]
+        self.assert_identical(half, whole)
+
+    def test_one_ulp_of_asymmetric_k_takes_the_whole_grid(self, monkeypatch):
+        # the half loop checks residuals from the centre on only, so this
+        # guard alone keeps it from solving a symmetrised problem
+        spec = self.SPECS["critical"]
+        g = make_graded_grid(1025, 3.0)
+        k = default_k_values(spec, g).values.copy()
+        i = g.n // 3
+        k[i] = np.nextafter(k[i], np.inf)
+        halves = []
+        mirror_solve = solver._mirror_solve
+        monkeypatch.setattr(
+            solver, "_mirror_solve", lambda *a: halves.append(1) or mirror_solve(*a)
+        )
+        rep = solve_singular(spec, g, k_values=GridFunction(g, k))
+        assert halves == []
+        tol = SolverConfig().picard_tol
+        assert rep.converged and rep.picard_gap <= tol
+        assert np.all(rep.solution.values >= rep.sub_barrier.values - tol)
+        assert np.all(rep.solution.values <= rep.super_barrier.values + tol)
+        u = rep.solution.values
+        assert not np.array_equal(u, u[::-1])
+        sym = solve_singular(spec, g).solution.values
+        assert np.max(np.abs(u - sym)) <= rep.picard_gap + 1e-13 * sym.max()
 
 
 class TestSolverConfig:
