@@ -266,6 +266,16 @@ class Grid1D:
     center r = 0.  Nodes are strictly increasing with exact endpoints.
     Derived quantities (cell widths, dual-cell volumes, radially weighted
     interval measures) are cached on first use.
+
+    On the interval they are derived from ``delta_nodes``, the distance to
+    the nearer boundary, with formulas that map to themselves under the
+    mirror x -> 1 - x: a cell on one side of x = 1/2 takes the difference of
+    its nodes' distances, so a grid whose distances are exact mirrors has
+    exact mirror widths, volumes and midpoint distances.  make_graded_grid
+    supplies the distances in closed form, and its nodes, 1 - delta on the
+    right half, are kept for output and validation.  For nodes given
+    directly the distance is min(x, 1 - x), which is exact, and the widths
+    are then the node differences to the last bit.
     """
 
     nodes: np.ndarray
@@ -287,9 +297,25 @@ class Grid1D:
         return self.nodes.size
 
     @cached_property
+    def _centre(self) -> tuple[int, int]:
+        """The first node at x >= 1/2 and the first at x > 1/2.  Cells left
+        of the second lie on the left of x = 1/2, cells from the first on
+        lie on its right, and when the two are equal the cell between them
+        straddles x = 1/2."""
+        x = self.nodes
+        return int(np.searchsorted(x, 0.5, "left")), int(np.searchsorted(x, 0.5, "right"))
+
+    @cached_property
     def h(self) -> np.ndarray:
         """Interval widths, one per cell."""
-        return _freeze(np.diff(self.nodes))
+        if self.domain.is_ball:
+            return _freeze(np.diff(self.nodes))
+        right, past = self._centre
+        h = np.diff(self.delta_nodes)
+        np.negative(h[right:], out=h[right:])
+        if right == past:  # the straddling cell
+            h[right - 1] = self.nodes[right] - self.nodes[right - 1]
+        return _freeze(h)
 
     @cached_property
     def midpoints(self) -> np.ndarray:
@@ -301,7 +327,15 @@ class Grid1D:
 
     @cached_property
     def delta_mid(self) -> np.ndarray:
-        return _freeze(self.domain.delta(self.midpoints))
+        """Distance of each cell's midpoint to the nearer boundary."""
+        if self.domain.is_ball:
+            return _freeze(self.domain.delta(self.midpoints))
+        right, past = self._centre
+        d = self.delta_nodes
+        dm = 0.5 * (d[1:] + d[:-1])
+        if right == past:  # the straddling cell's midpoint is 1/2 + (d_l - d_r)/2
+            dm[right - 1] = 0.5 - 0.5 * abs(d[right - 1] - d[right])
+        return _freeze(dm)
 
     @cached_property
     def interval_weights(self) -> np.ndarray:
@@ -320,17 +354,33 @@ class Grid1D:
         """Dual-cell measure around each node: the exact integral of r^(N-1)
         over the dual cell, which keeps the discrete divergence in exact
         summation-by-parts duality with the interval weights.  At N = 1 it is
-        exactly the half-sum of the adjacent widths.
+        the half-sum of the adjacent widths, the distance between the
+        adjacent midpoints, taken from their distances to the boundary.
         """
+        if not self.domain.is_ball:
+            return self._interval_volumes()
         x, nn = self.nodes, self.domain.ball_dim
         v = np.diff(np.concatenate(([x[0]], self.midpoints, [x[-1]])) ** nn)
         v /= nn  # in place: a third live full-length temporary raised the peak RSS
         return _freeze(v)
 
+    def _interval_volumes(self) -> np.ndarray:
+        # midpoints left of 1/2 come before index r (r >= 1, as x_1 > 0 =
+        # delta_0); the ends count as midpoints at distance 0, one per side
+        right, past = self._centre
+        d, dm = self.delta_nodes, self.delta_mid
+        r = right - 1 if right == past and d[right - 1] > d[right] else right
+        v = np.diff(dm, prepend=0.0, append=0.0)
+        np.negative(v[r + 1 :], out=v[r + 1 :])
+        # the node between the two sides: (1/2 - dm_(r-1)) + (1/2 - dm_r)
+        v[r] = (0.5 - dm[r - 1]) + (0.5 - dm[r])
+        return _freeze(v)
+
     @cached_property
     def mirror_symmetric(self) -> bool:
         """Whether this is an interval grid whose cell widths and dual-cell
-        volumes equal their mirror images exactly (to the last bit)."""
+        volumes equal their mirror images exactly (to the last bit), as
+        every interval grid of make_graded_grid does."""
         return (
             not self.domain.is_ball
             and np.array_equal(self.h, self.h[::-1])
@@ -362,18 +412,23 @@ def same_grid(a: Grid1D, b: Grid1D) -> bool:
         a.domain == b.domain
         and a.nodes.size == b.nodes.size
         and np.array_equal(a.nodes, b.nodes)
+        and np.array_equal(a.delta_nodes, b.delta_nodes)
     )
 
 
 def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Grid1D:
     """Build a boundary-graded grid with ``n`` nodes.
 
-    Interval: symmetric two-sided grading via x = 0.5 (2t)^grading for
-    t <= 1/2 and the mirror image above, t = i/(n-1).  Ball: one-sided
-    grading toward r = 1 via r = 1 - (1-t)^grading.  Cell widths shrink like
-    delta^(1 - 1/grading) toward the graded boundary; grading = 1 is uniform.
-    For n = 2^k + 1 and integer grading 1-3 the interval nodes are exact
-    mirror images, x_i = 1 - x_(n-1-i), so ``Grid1D.mirror_symmetric`` holds.
+    Interval: symmetric two-sided grading.  The distance to the boundary is
+    delta = 0.5 (2t)^grading, t = i/(n-1), on the left half (the centre node
+    of an odd grid at exactly 1/2), and the right half is its exact mirror;
+    the nodes are delta on the left and 1 - delta on the right.  Every
+    derived quantity comes from delta (see Grid1D), so for every n and
+    grading ``Grid1D.mirror_symmetric`` holds.  For n = 2^k + 1 and integer
+    grading 1-3 every value is exact, and 1 - delta is the node itself.
+    Ball: one-sided grading toward r = 1 via r = 1 - (1-t)^grading.  Cell
+    widths shrink like delta^(1 - 1/grading) toward the graded boundary;
+    grading = 1 is uniform.
 
     Raises TooFewNodes for n < MIN_NODES, and InvalidGrading for a grading
     below 1 or one that makes the nodes next to the graded boundary collapse
@@ -384,16 +439,17 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
     t = np.linspace(0.0, 1.0, n)
+    delta = None
     if domain.is_ball:
         x = 1.0 - (1.0 - t) ** grading
     else:
-        lower = t <= 0.5
-        x = np.where(
-            lower,
-            0.5 * (2.0 * t) ** grading,
-            1.0 - 0.5 * (2.0 * (1.0 - t)) ** grading,
-        )
-    x[0], x[-1] = 0.0, 1.0
+        left = 0.5 * (2.0 * t[: (n + 1) // 2]) ** grading
+        if n % 2:
+            left[-1] = 0.5
+        delta = np.concatenate((left, left[: n // 2][::-1]))
+        x = delta.copy()
+        np.subtract(1.0, delta[left.size :], out=x[left.size :])
+    x[-1] = 1.0
     flat = np.flatnonzero(np.diff(x) <= 0.0)
     if flat.size:
         i = int(flat[0]) + 1
@@ -402,7 +458,12 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
             f"for n = {n}: node {i} (x = {float(x[i])!r}) is not above node "
             f"{i - 1} (x = {float(x[i - 1])!r})"
         )
-    return Grid1D(nodes=x, grading_exponent=float(grading), domain=domain)
+    grid = Grid1D(nodes=x, grading_exponent=float(grading), domain=domain)
+    if delta is not None:
+        # the closed-form distances replace min(x, 1 - x), which loses the
+        # right half's digits to the rounding of 1 - delta
+        object.__setattr__(grid, "delta_nodes", _freeze(delta))
+    return grid
 
 
 @dataclass(frozen=True, eq=False)

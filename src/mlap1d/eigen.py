@@ -55,11 +55,14 @@ def rayleigh_quotient(u: GridFunction, m: float) -> float:
 
 
 def _initial_field(grid: Grid1D) -> GridFunction:
-    # positive, unimodal, satisfies the boundary conditions
+    # positive, unimodal, satisfies the boundary conditions; on the interval
+    # delta (1 - delta) = x (1 - x), taken from delta so that it mirrors
+    # exactly wherever the grid does
     if grid.domain.is_ball:
         vals = 1.0 - grid.nodes**2
     else:
-        vals = grid.nodes * (1.0 - grid.nodes)
+        d = grid.delta_nodes
+        vals = d * (1.0 - d)
     return GridFunction(grid, vals / vals.max())
 
 

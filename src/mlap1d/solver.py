@@ -158,7 +158,8 @@ ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     """sup over the unknowns from node ``first`` on (all of them by default)
-    of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)).
+    of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
+    NaN, so that a solution that overflowed fails the check.
 
     g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
     enters the ball's node 0).  The noise model is first-order rounding:
@@ -198,7 +199,7 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     den += 1.0
     den *= grid.cell_volumes[between]
     g /= den
-    return max(res, float(g.max()))
+    return float(np.maximum(res, g.max()))  # NaN, unlike max(), propagates
 
 
 def _inverse_flux(y, m):

@@ -648,6 +648,38 @@ class TestReproduceReuse:
         assert calls["dirichlet"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--rhs", "singular", "--m", "3", "--p", "1.5", "--q", "0.3", "--n", "16390"],
+        ["eigen", "--m", "1.5", "--n", "16391"],
+    ],
+    ids=["solve", "eigen"],
+)
+def test_interval_solves_off_dyadic_n_run_on_the_right_half(tmp_path, monkeypatch, argv):
+    # every graded interval grid is an exact mirror, so at any n each
+    # singular sweep and each Dirichlet solve of the inverse iteration runs
+    # on the right half, and the closure search is never entered
+    calls = {"sweeps": 0, "half": 0, "dirichlet": 0, "closure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    solver = mlap1d.solver
+    monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
+    monkeypatch.setattr(solver, "_mirror_solve", counted("half", solver._mirror_solve))
+    monkeypatch.setattr(solver, "_closure_root", counted("closure", solver._closure_root))
+    for mod in (solver, mlap1d.eigen):
+        monkeypatch.setattr(mod, "solve_dirichlet", counted("dirichlet", mod.solve_dirichlet))
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert calls["closure"] == 0
+    assert calls["half"] == calls["sweeps"] + calls["dirichlet"] > 0
+
+
 def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):
     # a singular solve certifies its pair from its first Dirichlet solve, so
     # neither a solve nor a reproduction entry reaches the eigenfunction

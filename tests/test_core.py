@@ -17,6 +17,7 @@ from mlap1d import (
     default_k_values,
     make_graded_grid,
 )
+from mlap1d.core import same_grid
 from mlap1d.errors import (
     AdmissibilityViolation,
     GridMismatch,
@@ -26,6 +27,8 @@ from mlap1d.errors import (
     NonPositiveK,
     TooFewNodes,
 )
+
+from oracles import node_graded_nodes
 
 
 def admissible(m, p, q):
@@ -165,17 +168,63 @@ class TestGradedGrid:
                 assert np.array_equal(a, a[::-1])
             assert g.mirror_symmetric
 
+    @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+    def test_dyadic_grids_match_the_node_formula(self, grading):
+        # at n = 2^k + 1 the grid built from delta is the one built from x,
+        # with widths, volumes and distances taken from the nodes, bit for bit
+        for k in range(4, 15):
+            g = make_graded_grid(2**k + 1, grading)
+            x = node_graded_nodes(2**k + 1, grading)
+            mid = 0.5 * (x[1:] + x[:-1])
+            assert np.array_equal(g.nodes, x)
+            assert np.array_equal(g.h, np.diff(x))
+            assert np.array_equal(g.cell_volumes, np.diff(np.concatenate(([0.0], mid, [1.0]))))
+            assert np.array_equal(g.delta_nodes, np.minimum(x, 1.0 - x))
+
+    @pytest.mark.parametrize("grading", [1.0, 1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [1026, 1027, 4098, 16390])
+    def test_every_graded_interval_grid_is_a_mirror(self, n, grading):
+        g = make_graded_grid(n, grading)
+        assert g.mirror_symmetric
+        for a in (g.delta_nodes, g.delta_mid):
+            assert np.array_equal(a, a[::-1])
+        # the nodes are the distances on the left and 1 - delta on the right
+        left = (n + 1) // 2
+        assert np.array_equal(g.nodes[:left], g.delta_nodes[:left])
+        assert np.array_equal(g.nodes[left:], 1.0 - g.delta_nodes[left:])
+
     @pytest.mark.parametrize(
-        "n,grading,domain",
+        "grid",
         [
-            (1026, 3.0, Domain.interval()),
-            (1025, 1.5, Domain.interval()),
-            (1025, 3.0, Domain.ball(3)),
+            lambda: make_graded_grid(1025, 3.0, Domain.ball(3)),
+            lambda: Grid1D(nodes=node_graded_nodes(1026, 3.0), grading_exponent=3.0),
         ],
-        ids=["n1026", "grading1.5", "ball"],
+        ids=["ball", "asymmetric-nodes"],
     )
-    def test_asymmetric_grids_are_not_flagged(self, n, grading, domain):
-        assert not make_graded_grid(n, grading, domain).mirror_symmetric
+    def test_asymmetric_grids_are_not_flagged(self, grid):
+        assert not grid().mirror_symmetric
+
+    @given(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=40, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_given_nodes_keep_their_node_geometry(self, inner):
+        # for nodes given directly the distances are min(x, 1 - x), exact,
+        # so the widths are the node differences bit for bit and the
+        # midpoint distances and volumes the node-based ones to rounding
+        x = np.concatenate(([0.0], np.sort(inner), [1.0]))
+        g = Grid1D(nodes=x, grading_exponent=1.0)
+        mid = 0.5 * (x[1:] + x[:-1])
+        eps = np.finfo(float).eps
+        assert np.array_equal(g.h, np.diff(x))
+        assert np.allclose(g.delta_mid, np.minimum(mid, 1.0 - mid), rtol=0.0, atol=eps)
+        volumes = np.diff(np.concatenate(([0.0], mid, [1.0])))
+        assert np.allclose(g.cell_volumes, volumes, rtol=0.0, atol=2.0 * eps)
+
+    def test_same_nodes_with_other_distances_are_another_grid(self):
+        # off n = 2^k + 1 the nodes 1 - delta round away the right half's
+        # distances, which a grid rebuilt from those nodes does not have
+        for n, same in ((1025, True), (1026, False)):
+            g = make_graded_grid(n, 3.0)
+            assert same_grid(g, Grid1D(nodes=g.nodes, grading_exponent=3.0)) is same
 
     def test_invalid_grading(self):
         with pytest.raises(InvalidGrading):
@@ -238,8 +287,13 @@ class TestGradedGrid:
         # half-sums of the adjacent widths (half a width at each end), to rounding
         half_sums = 0.5 * (np.append(g.h, 0.0) + np.insert(g.h, 0, 0.0))
         assert np.allclose(g.cell_volumes, half_sums, rtol=0.0, atol=np.finfo(float).eps)
+        # the dual cells end at the midpoints, exactly on the left half,
+        # where the nodes are the distances to the boundary; the right half
+        # is its exact mirror
+        k = (n - 1) // 2  # nodes left of the centre, both midpoints below 1/2
         mid = np.concatenate(([0.0], g.midpoints, [1.0]))
-        assert np.array_equal(g.cell_volumes, mid[1:] - mid[:-1])
+        assert np.array_equal(g.cell_volumes[:k], (mid[1:] - mid[:-1])[:k])
+        assert np.array_equal(g.cell_volumes, g.cell_volumes[::-1])
 
     @pytest.mark.parametrize(
         "domain,sides",

@@ -30,6 +30,15 @@ class TestFirstEigenpair:
         pair = first_eigenpair(g, m, tol=1e-9)
         assert pair.eigenvalue == pytest.approx(lam_shoot, rel=1e-2)
 
+    @pytest.mark.parametrize("m", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [1030, 1031])
+    def test_eigenfunction_mirrors_exactly_off_dyadic_n(self, n, m):
+        # the start field and every inverse iterate are exact mirrors on a
+        # graded interval grid, so each solve takes the half-domain path
+        g = make_graded_grid(n, 2.5)
+        phi = first_eigenpair(g, m).eigenfunction.values
+        assert np.array_equal(phi, phi[::-1])
+
     def test_normalization_exact(self):
         g = make_graded_grid(257, 2.0)
         pair = first_eigenpair(g, 2.5, tol=1e-8)

@@ -24,11 +24,17 @@ from mlap1d.errors import (
 )
 from mlap1d.solver import RESIDUAL_TOL
 
-from oracles import torsion_exact
+from oracles import node_graded_nodes, torsion_exact
 
 
 def const_theta(grid, value):
     return GridFunction(grid, np.full(grid.n, float(value)))
+
+
+def node_graded_grid(n, grading):
+    """A graded interval grid built from its nodes, which at these n is not
+    an exact mirror, so its problems take the closure search."""
+    return Grid1D(nodes=node_graded_nodes(n, grading), grading_exponent=grading)
 
 
 class TestSolveDirichlet:
@@ -48,8 +54,8 @@ class TestSolveDirichlet:
         assert np.max(np.abs(rep.solution.values - exact)) <= 1e-10
 
     def test_m3_torsion(self):
-        # n = 1025 is an exact mirror grid (half-domain path), n = 1026 is
-        # not (closure root search)
+        # both grids are exact mirrors (half-domain path): n = 1025 has a
+        # centre node and n = 1026 a centre cell
         for n in (1025, 1026):
             g = make_graded_grid(n, 2.0)
             rep = solve_dirichlet(const_theta(g, 1.0), 3.0)
@@ -60,8 +66,9 @@ class TestSolveDirichlet:
 
     def test_m5_torsion_even_n(self):
         # n = 1026 puts the flux zero inside the centre cell, where phi^(-1)
-        # has an infinite slope for m > 2
-        g = make_graded_grid(1026, 2.0)
+        # has an infinite slope for m > 2; nodes built from x are not an
+        # exact mirror there, so the closure search runs
+        g = node_graded_grid(1026, 2.0)
         rep = solve_dirichlet(const_theta(g, 1.0), 5.0)
         assert rep.iterations > 0
         exact = torsion_exact(5.0, g.nodes)
@@ -80,6 +87,22 @@ class TestSolveDirichlet:
         g = make_graded_grid(129, 2.0)
         rep = solve_dirichlet(const_theta(g, 1.0), 2.5)
         assert rep.converged and rep.final_residual <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize(
+        "grid,theta",
+        [(lambda: make_graded_grid(65, 1.0), 1e100), (lambda: node_graded_grid(66, 1.0), 1e80)],
+        ids=["mirror", "closure"],
+    )
+    def test_overflow_to_nan_fails_the_check(self, grid, theta):
+        # at m = 1.2 these loads overflow Du, and u turns NaN; a NaN residual
+        # must fail the check, not read as 0
+        g = grid()
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="residual nan") as err:
+            solve_dirichlet(const_theta(g, theta), 1.2)
+        rep = err.value.report
+        assert not rep.converged and np.isnan(rep.final_residual)
+        assert np.isnan(rep.solution.values).any()
+        assert (rep.iterations == 0) == g.mirror_symmetric
 
     def test_nonconvergence_carries_partial_state(self, monkeypatch):
         # a residual check no solution can pass must raise with the report
@@ -262,7 +285,7 @@ class TestClosureSearch:
         # a step that keeps that cell exact lands on the root
         for n in (1026, 1027, 4098, 4099):
             for grading in (1.0, 2.0, 3.0):
-                g = make_graded_grid(n, grading)
+                g = node_graded_grid(n, grading)
                 assert not g.mirror_symmetric
                 for theta in self.near_symmetric_thetas(g):
                     rep = solve_dirichlet(GridFunction(g, theta), m)
