@@ -486,12 +486,17 @@ class GridFunction:
         f: Callable[[np.ndarray], np.ndarray],
         dirichlet: bool = False,
     ) -> "GridFunction":
-        """Sample ``f`` at the nodes.
+        """Sample ``f`` at ``grid.nodes``.
 
         With ``dirichlet=True`` the boundary entries are forced to exactly 0,
         which also suppresses sampling artifacts of functions singular at the
         boundary (f is still evaluated there; use interior_from_callable to
         avoid that).
+
+        On a graded interval grid the right-half nodes are 1 − delta, which
+        rounds delta to ulp(1) off n = 2^k + 1, so a function of the distance
+        sampled here is not an exact mirror.  Build such a function from
+        ``grid.delta_nodes`` instead.
         """
         v = np.asarray(f(grid.nodes), dtype=float).copy()
         if dirichlet:
@@ -503,10 +508,14 @@ class GridFunction:
     def interior_from_callable(
         grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]
     ) -> "GridFunction":
-        """Sample ``f`` at non-Dirichlet nodes only; boundary entries are 0.
+        """Sample ``f`` at the non-Dirichlet ``grid.nodes`` only; boundary
+        entries are 0.
 
         This is how singular right-hand sides are realized: they are sampled
-        on the graded grid, never at the boundary itself.
+        on the graded grid, never at the boundary itself.  As in
+        from_callable, the right-half nodes 1 − delta of a graded interval
+        grid round delta to ulp(1), so a function of the distance meant to be
+        an exact mirror is built from ``grid.delta_nodes``.
         """
         v = np.zeros(grid.n)
         sl = grid.unknown_slice

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import mlap1d
 from mlap1d import fieldcsv
 from mlap1d.cli import field_csv_text, write_field_csv
-from mlap1d.core import Domain, GridFunction, ProblemSpec, make_graded_grid
+from mlap1d.core import Domain, Grid1D, GridFunction, ProblemSpec, make_graded_grid
+from mlap1d.eigen import first_eigenpair
 from mlap1d.solver import solve_singular
 
 from test_cli import _reference_field_csv
@@ -70,6 +71,51 @@ NEAR_TIES = [
 ]
 
 
+# decimal exponents of every fixed/scientific switch and point position, and
+# some with three digits
+CORNER_EXPONENTS = list(range(-5, 18)) + [-308, -300, -123, -100, 100, 250, 308]
+
+
+def _corner_value(exponent, zeros):
+    """A positive double whose %.17g has decimal exponent ``exponent`` and
+    exactly ``zeros`` trailing zeros among its 17 significant digits, or None
+    if none of the significands tried has a double that prints as itself."""
+    width = 17 - zeros
+    low, high = 10 ** (width - 1), 10**width
+    for lead in range(low + 1, high, max(1, (high - low) // 997)):
+        if lead % 10:
+            digits = str(lead) + "0" * zeros
+            text = f"{digits[0]}.{digits[1:]}e{exponent:+03d}"
+            value = float(text)
+            if "%.16e" % value == text:
+                return value
+    return None
+
+
+def test_power_rows_are_exact_for_every_exponent():
+    for i in range(2 * fieldcsv._X_MAX + 1):
+        hi, hh, hl, lo, shift = fieldcsv._power(i)
+        s = int(np.float64(shift).view(np.int64)) >> 52
+        power = Fraction(10) ** (16 + fieldcsv._X_MAX - i)
+        assert 1 <= hi < 2 and hh + hl == hi
+        assert abs((Fraction(hi) + Fraction(lo)) * Fraction(2) ** s - power) < power / 2**100
+
+
+class TestLayoutCorners:
+    """Every point position and trailing-zero count, which random draws
+    rarely reach."""
+
+    @pytest.mark.parametrize("exponent", CORNER_EXPONENTS)
+    def test_every_trailing_zero_count_and_sign(self, exponent):
+        values = [_corner_value(exponent, zeros) for zeros in range(17)]
+        # only a lone digit d·10^X may have no double that prints as itself
+        assert None not in values[:16]
+        row = np.array([s * v for v in values if v is not None for s in (1.0, -1.0)])
+        # each value once in each column: before a comma and before a newline
+        table = row[(np.arange(row.size)[:, None] + np.arange(4)) % row.size]
+        assert _rows_text(table) == _reference_rows(table)
+
+
 class TestByteIdentity:
     @given(st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 4), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
@@ -112,6 +158,13 @@ class TestByteIdentity:
         assert text == _reference_rows(table)
         assert text.count("\n") == rows
 
+    def test_blocks_whose_exponents_leave_gaps(self):
+        # decimal exponents 0 and 2 only: every block after the first finds
+        # an unused exponent between them and nothing new to build
+        rows = 2 * fieldcsv.ROWS_PER_BLOCK + 1
+        table = np.resize([1.5, -150.25, 3.0, 999.5, 7.125], 4 * rows).reshape(rows, 4)
+        assert _rows_text(table) == _reference_rows(table)
+
 
 class TestWorkloadFields:
     """Solutions shaped like the benchmark's: n near 16385, grading 3."""
@@ -130,6 +183,62 @@ class TestWorkloadFields:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert np.array_equal(table[:, 2], u.values)
 
+    @pytest.mark.parametrize("n", [16389, 16390])
+    @pytest.mark.parametrize("m", [1.5, 3.0])
+    def test_interval_eigenfunction_csv_bytes(self, m, n):
+        u = first_eigenpair(make_graded_grid(n, 3.0), m).eigenfunction
+        assert _writes_mirror_blocks(u)
+        assert field_csv_text(u) == _reference_field_csv(u)
+
+
+def _writes_mirror_blocks(u):
+    x, d, v = u.grid.nodes, u.grid.delta_nodes, u.values
+    return fieldcsv._mirror_blocks(x, d, v, fieldcsv._du(x, v)) is not None
+
+
+# a mirror block pairs ROWS_PER_BLOCK // 2 left rows with their mirror rows
+HALF_BLOCK = fieldcsv.ROWS_PER_BLOCK // 2
+
+
+class TestMirrorReuse:
+    """Exact mirrors format each repeated value once; one ulp off, every
+    value is formatted."""
+
+    @pytest.mark.parametrize(
+        "n", [2 * HALF_BLOCK - 1, 2 * HALF_BLOCK, 4 * HALF_BLOCK + 1, 4 * HALF_BLOCK + 2]
+    )
+    def test_exact_mirror_across_block_boundaries(self, n):
+        grid = make_graded_grid(n, 3.0)
+        u = GridFunction(grid, grid.delta_nodes**0.4)
+        assert _writes_mirror_blocks(u)
+        assert field_csv_text(u) == _reference_field_csv(u)
+
+    @pytest.mark.parametrize("n", [4 * HALF_BLOCK + 1, 4 * HALF_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "node",
+        [1, HALF_BLOCK - 1, HALF_BLOCK, 2 * HALF_BLOCK, -HALF_BLOCK - 1, -HALF_BLOCK, -2],
+    )
+    def test_one_ulp_off_in_u(self, n, node):
+        grid = make_graded_grid(n, 3.0)
+        values = grid.delta_nodes**0.4
+        values[node] = np.nextafter(values[node], 1.0)
+        u = GridFunction(grid, values)
+        # the centre of an odd grid is its own mirror
+        assert _writes_mirror_blocks(u) == (node == (n - 1) / 2)
+        assert field_csv_text(u) == _reference_field_csv(u)
+
+    @pytest.mark.parametrize("n", [4 * HALF_BLOCK + 1, 4 * HALF_BLOCK + 2])
+    @pytest.mark.parametrize("node", [HALF_BLOCK, 2 * HALF_BLOCK - 1, -HALF_BLOCK - 1])
+    def test_one_ulp_off_in_the_nodes(self, n, node):
+        # nodes given directly: delta = min(x, 1 − x), so one nudged node
+        # breaks the mirror of delta, and on the left half x = delta still
+        nodes = make_graded_grid(n, 3.0).nodes.copy()
+        nodes[node] = np.nextafter(nodes[node], 1.0)
+        grid = Grid1D(nodes, 3.0)
+        u = GridFunction(grid, np.sin(np.pi * nodes))
+        assert not _writes_mirror_blocks(u)
+        assert field_csv_text(u) == _reference_field_csv(u)
+
 
 def test_write_peak_memory(tmp_path):
     grid = make_graded_grid(16385, 3.0)
@@ -142,9 +251,9 @@ def test_write_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     # One %-format over all rows peaked at 4.65 MiB on this field (2 CPUs,
-    # Python 3.11.7, numpy 2.4.6); the block formatter peaks at 3.94 MiB
-    # there, most of it the text itself and its blocks before the join.
-    assert peak < 4.3 * 2**20
+    # Python 3.11.7, numpy 2.4.6); the block formatter peaks at 3.68 MiB
+    # there, most of it the text blocks and the work arrays of one block.
+    assert peak < 4.04 * 2**20
 
 
 def test_cli_import_loads_no_scipy_fractions_or_decimal():
@@ -158,3 +267,26 @@ def test_cli_import_loads_no_scipy_fractions_or_decimal():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
     )
     assert out.stdout.strip() == ""
+
+
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter on this mlap1d."""
+    src = str(Path(mlap1d.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60, env=env
+    )
+    return out.stdout
+
+
+def test_commands_without_a_field_build_no_formatter_tables(tmp_path):
+    code = (
+        "import mlap1d.cli as cli, mlap1d.fieldcsv as f; "
+        "built = lambda: f._tables.cache_info().currsize + f._power.cache_info().currsize; "
+        "print(built()); "
+        "cli.main(['classify', '--m', '2', '--p', '0.5', '--q', '1']); "
+        f"cli.main(['reproduce-theorem1', '--output-dir', {str(tmp_path)!r}]); "
+        "print(built())"
+    )
+    out = _fresh_interpreter(code).split()
+    assert out[0] == "0" and out[-1] == "0"
