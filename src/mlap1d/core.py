@@ -106,6 +106,14 @@ class Domain:
 INTERVAL01 = Domain("interval")
 
 
+def _check_m(m: float) -> None:
+    """Raise AdmissibilityViolation unless 1 < m < inf; a NaN m fails too."""
+    if not m > 1.0:
+        raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
+    if not m < math.inf:
+        raise AdmissibilityViolation(f"m < inf fails: m = {m}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters (m, p, q, K-envelope, domain) of the singular problem.
@@ -127,8 +135,7 @@ class ProblemSpec:
     domain: Domain = INTERVAL01
 
     def __post_init__(self):
-        if not self.m > 1.0:
-            raise AdmissibilityViolation(f"m > 1 fails: m = {self.m}")
+        _check_m(self.m)
         if not self.p >= 0.0:
             raise AdmissibilityViolation(f"p >= 0 fails: p = {self.p}")
         if not self.q >= 0.0:
@@ -377,15 +384,17 @@ class Grid1D:
         return _freeze(v)
 
     @cached_property
-    def mirror_symmetric(self) -> bool:
-        """Whether this is an interval grid whose cell widths and dual-cell
-        volumes equal their mirror images exactly (to the last bit), as
-        every interval grid of make_graded_grid does."""
-        return (
-            not self.domain.is_ball
-            and np.array_equal(self.h, self.h[::-1])
-            and np.array_equal(self.cell_volumes, self.cell_volumes[::-1])
-        )
+    def chain_start(self) -> int | None:
+        """The first node of the zero-flux chain to the Dirichlet node: 0 on
+        the ball (no flux crosses r = 0), the centre (n-1)//2 on an interval
+        grid whose cell widths and dual-cell volumes equal their mirror
+        images to the last bit, as make_graded_grid's do, None otherwise."""
+        if self.domain.is_ball:
+            return 0
+        h, v = self.h, self.cell_volumes
+        if np.array_equal(h, h[::-1]) and np.array_equal(v, v[::-1]):
+            return (self.n - 1) // 2
+        return None
 
     @cached_property
     def boundary_sides(self) -> tuple[slice, ...]:
@@ -424,8 +433,9 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     of an odd grid at exactly 1/2), and the right half is its exact mirror;
     the nodes are delta on the left and 1 - delta on the right.  Every
     derived quantity comes from delta (see Grid1D), so for every n and
-    grading ``Grid1D.mirror_symmetric`` holds.  For n = 2^k + 1 and integer
-    grading 1-3 every value is exact, and 1 - delta is the node itself.
+    grading the grid is an exact mirror, and ``Grid1D.chain_start`` is its
+    centre (n-1)//2.  For n = 2^k + 1 and integer grading 1-3 every value
+    is exact, and 1 - delta is the node itself.
     Ball: one-sided grading toward r = 1 via r = 1 - (1-t)^grading.  Cell
     widths shrink like delta^(1 - 1/grading) toward the graded boundary;
     grading = 1 is uniform.

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid1D, GridFunction
-from .errors import AdmissibilityViolation, NonConvergence, SignChange
+from .core import Grid1D, GridFunction, _check_m
+from .errors import NonConvergence, SignChange
 from .operator import apply_mlap
 from .solver import solve_dirichlet
 
@@ -76,12 +76,12 @@ def first_eigenpair(
 
     Starts from ``initial`` (by default a positive unimodal polynomial) and
     stops when the Rayleigh-quotient eigenvalue changes by at most
-    ``tol * max(1, lambda)`` between iterations.  Raises SignChange if an
-    iterate loses interior positivity (the grid is too coarse) and
-    NonConvergence if MAX_ITERS inverse iterations are not enough.
+    ``tol * max(1, lambda)`` between iterations.  Raises
+    AdmissibilityViolation unless 1 < m < inf, SignChange if an iterate
+    loses interior positivity (the grid is too coarse) and NonConvergence
+    if MAX_ITERS inverse iterations are not enough.
     """
-    if m <= 1.0:
-        raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
+    _check_m(m)
     phi = initial if initial is not None else _initial_field(grid)
     # the initial field should be positive in the interior; a sign-changing
     # start is reported through SignChange on the first iterate

@@ -337,12 +337,6 @@ def _blocks(table: np.ndarray):
         yield _text(buf, rows, len(block))
 
 
-def _rows(table: np.ndarray):
-    """The CSV rows of a (rows, 4) float table, one block of text at a time."""
-    for block in _blocks(table):
-        yield block.decode("ascii")
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 

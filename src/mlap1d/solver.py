@@ -5,14 +5,15 @@ In one dimension the finite-volume equations
     F_{i+1/2} - F_{i-1/2} = -V_i theta_i
 
 fix every cell flux F up to one constant, so solve_dirichlet needs no
-Jacobian, line search or regularization.  On the ball the constant is zero
-(no flux crosses r = 0).  An interval problem whose cell widths, dual-cell
-volumes and theta all equal their mirror images exactly has a symmetric
-solution and a flux that is odd about x = 1/2, so the constant is known
-there too: the centre node of an odd grid gives F = -V_c theta_c / 2 to the
-cell on its right, and the centre cell of an even grid carries zero flux.
-Such a problem is solved on its right half by the ball's zero-flux
-integration and mirrored.  On any other interval problem the constant is the
+Jacobian, line search or regularization.  Where the constant is known, the
+problem is a zero-flux chain from node k = Grid1D.chain_start to the
+Dirichlet node, solved by _chain_solve.  On the ball k = 0: no flux crosses
+r = 0.  An interval problem whose widths, dual-cell volumes and theta all
+equal their mirror images exactly has a symmetric solution and a flux odd
+about x = 1/2, so its right half is a chain from the centre k = (n-1)//2:
+the centre node of an odd grid gives F = -V_c theta_c / 2 to the cell on
+its right, the centre cell of an even grid carries zero flux, and the left
+half is mirrored.  On any other interval problem the constant is the
 root c of the increasing scalar equation sum_j h_j phi^(-1)(c - R_j) = 0,
 which says that u returns to zero at x = 1.  The loads R_j are accumulated
 outward from the cell where the flux changes sign, because prefix sums from
@@ -25,7 +26,7 @@ solved in the peak cell's gradient, where that term is linear.  Inverting
 the flux gives Du in every cell, and u is summed inward from the Dirichlet
 boundary, which leaves the rounding error of the closure in the peak cell.
 Every solution is checked a posteriori by its noise-aware scaled residual.
-A mirror-solved problem is checked from the centre node on: its fluxes are
+An interval chain is checked from the centre node on: its fluxes are
 exactly odd and its noise terms exactly even, so that value is the whole
 grid's to the last bit.
 
@@ -58,16 +59,16 @@ comparison principle puts the solution between them.  The pair is the
 clamp, the loop's start and the check its result must pass; it costs one
 solve, and no eigenpair or search over scaling constants.
 
-The solution is unique, so an interval problem whose grid, K and v0 equal
-their mirror images to the last bit is symmetric, and the loop runs every
-sweep on the right half, nodes (n-1)//2 to n - 2, solving there with
-_mirror_solve.  The condition is checked once per solve, from the inputs.
-Every step is elementwise, so by induction every theta, w and iterate is an
-exact mirror, and every min and max over the half is the whole grid's: the
-answers are those of the whole-grid loop to the last bit.  w is mirrored
-into a full-length array only where one leaves the loop: the first pair,
-the returned solution and the report of an error.  Any other input, the
-ball or one ulp of asymmetry, keeps the whole-grid loop.
+Every ball problem is a chain, and so is every interval problem whose grid,
+K and v0 equal their mirror images to the last bit, since its unique
+solution is symmetric.  That is checked once per solve, from the inputs,
+and every sweep then runs on the chain, nodes k to n - 2, by _chain_solve
+in the loop's workspace.  On the interval every step is elementwise, so by
+induction every theta, w and iterate is an exact mirror, and every min and
+max over the right half is the whole grid's: the answers are those of the
+whole-grid loop to the last bit.  w is mirrored into a full-length array
+only where one leaves the loop: the first pair, the returned solution and
+the report of an error.  Other interval inputs solve by solve_dirichlet.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
+    _check_m,
     _k_in_envelope,
     regime_profiles,
 )
 from .errors import (
-    AdmissibilityViolation,
     BarrierOrderViolation,
     InvalidConfig,
     NonConvergence,
@@ -115,7 +116,7 @@ class SolverConfig:
     max_picard_iters: int = 100
 
     def __post_init__(self):
-        if self.picard_tol <= 0:
+        if not self.picard_tol > 0:
             raise InvalidConfig(f"picard_tol must be positive, got {self.picard_tol}")
         if self.max_picard_iters < 1:
             raise InvalidConfig(
@@ -130,12 +131,11 @@ class SolveReport:
     ``final_residual`` is the noise-aware scaled residual of the last
     Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
     ``iterations`` counts the closure evaluations of the one interval root
-    search for a Dirichlet solve (0 on the ball and on mirror-symmetric
-    interval problems) and Dirichlet solves for a singular one.  Singular
-    solves attach the certified barrier pair used to initialize and guard the
-    iteration, and report ``picard_gap``, the width of the scaling bracket,
-    for every p >= 0: a certified bound, the solution is within
-    picard_gap/2 of ``solution``.
+    search for a Dirichlet solve (0 on a zero-flux chain) and Dirichlet
+    solves for a singular one.  Singular solves attach the certified
+    barrier pair used to initialize and guard the iteration, and report
+    ``picard_gap``, the width of the scaling bracket, for every p >= 0: a
+    certified bound, the solution is within picard_gap/2 of ``solution``.
     """
 
     solution: GridFunction
@@ -165,8 +165,8 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     enters the ball's node 0).  The noise model is first-order rounding:
     each flux carries an error of eps_mach * (|F| + phi'(Du) * sup|u| / h)
     and the load one of eps_mach * V |theta|.  sup|u| is taken over the
-    cells that bound those nodes, which on a mirror-symmetric solution from
-    the centre on is the whole grid's.
+    cells that bound those nodes, which on an interval chain's symmetric
+    solution from the centre on is the whole grid's.
     """
     sl = grid.unknown_slice if first is None else slice(first, grid.n - 1)
     c = max(sl.start - 1, 0)  # the first cell that bounds a node in sl
@@ -364,32 +364,43 @@ def _loads(grid, theta_vals, sl, out):
     return out
 
 
-def _mirror_solve(grid, loads, theta_vals, m, u):
-    """Solve a mirror-symmetric interval problem on its right half.
+def _chain_start(grid, *arrays):
+    """Grid1D.chain_start, or None on an interval grid where one of ``arrays``
+    is not its own mirror image to the last bit at the unknowns."""
+    k = grid.chain_start
+    sl = grid.unknown_slice
+    if k and not all(np.array_equal(a[sl], a[sl][::-1]) for a in arrays):
+        return None
+    return k
 
-    The solution is symmetric and the flux odd about x = 1/2, so the right
-    half is a chain with zero flux on its left: the centre node (odd n)
-    keeps half its load, and the centre cell (even n) carries no flux.
-    Reads ``loads`` and ``theta_vals`` from node (n-1)//2 on, writes u from
-    node n//2 - 1 to node n - 2 (u[n-1] = 0 is left to the caller) and
-    returns the scaled residual from the centre node n//2 on.  u, h, V and
-    theta are exact mirrors, so the fluxes are exactly odd and the noise
-    terms exactly even: that residual is the whole grid's to the last bit.
+
+def _chain_solve(grid, loads, theta_vals, m, u, k):
+    """Solve the zero-flux chain from node k (_chain_start) to the Dirichlet
+    node n - 1: k = 0 on the ball, and on the interval k = (n-1)//2, where
+    the centre node (odd n) keeps half its load and the centre cell (even n)
+    carries no flux.  Reads ``loads`` and ``theta_vals`` from node k on,
+    writes u from node k to node n - 2 (u[n-1] = 0 is left to the caller),
+    and on an odd interval grid u[k-1] too.  Returns the scaled residual
+    from node 0 on the ball and from the centre node n//2 on the interval,
+    where the flux weights are exact ones and u, h, V and theta exact
+    mirrors, so the fluxes are exactly odd and the noise terms exactly
+    even: that residual is the whole grid's to the last bit.
     """
     n = grid.n
-    k = (n - 1) // 2  # the first cell of the right half
-    half = loads[k:-1].copy()
-    half[0] = 0.5 * loads[k] if n % 2 else 0.0
-    u[k:-1] = _zero_flux_solution(half, grid.h[k:], 1.0, m)
-    if n % 2:  # the check from the centre node reads u one node to its left
+    chain = loads[k:-1].copy()
+    if k:
+        chain[0] = 0.5 * loads[k] if n % 2 else 0.0
+    u[k:-1] = _zero_flux_solution(chain, grid.h[k:], grid.flux_weights[k:], m)
+    if k and n % 2:  # the check from the centre node reads u one node to its left
         u[k - 1] = u[k + 1]
-    return _scaled_residual(grid, u, m, loads, theta_vals, n // 2)
+    return _scaled_residual(grid, u, m, loads, theta_vals, n // 2 if k else 0)
 
 
-def _mirror_left(u):
-    """Fill the left half of ``u`` with the mirror image of its right half."""
-    n = u.size
-    u[: n // 2] = u[::-1][: n // 2]
+def _mirror_left(u, k):
+    """Mirror the right half of ``u`` onto its left after an interval chain (k > 0)."""
+    if k:
+        n = u.size
+        u[: n // 2] = u[::-1][: n // 2]
     return u
 
 
@@ -412,38 +423,33 @@ def _checked(grid, u, iterations, res) -> SolveReport:
 def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = theta with homogeneous Dirichlet data.
 
-    ``theta`` must be finite at the unknown nodes (boundary entries are
-    ignored).  The fluxes are integrated exactly from the loads V theta (see
+    1 < m < inf, and ``theta`` must be finite at the unknown nodes
+    (boundary entries are ignored).  The fluxes are integrated exactly from the loads V theta (see
     the module docstring); the result is returned only when its noise-aware
     scaled residual is at most RESIDUAL_TOL, and NonConvergence is raised
     with the report attached otherwise.
     """
-    if m <= 1.0:
-        raise AdmissibilityViolation(f"m > 1 fails: m = {m}")
+    _check_m(m)
     grid = theta.grid
-    sl = grid.unknown_slice
     theta_vals = theta.values  # read at the unknowns only
     h = grid.h
     n = grid.n
-    loads = _loads(grid, theta_vals, sl, np.zeros(n))
+    loads = _loads(grid, theta_vals, grid.unknown_slice, np.zeros(n))
     iterations = 0
     u = np.zeros(n)
-    if grid.mirror_symmetric and np.array_equal(theta_vals[sl], theta_vals[sl][::-1]):
-        res = _mirror_solve(grid, loads, theta_vals, m, u)
-        _mirror_left(u)
+    k = _chain_start(grid, theta_vals)
+    if k is not None:
+        res = _chain_solve(grid, loads, theta_vals, m, u, k)
+        _mirror_left(u, k)
     else:
-        if grid.domain.is_ball:
-            # zero flux at r = 0
-            u[:-1] = _zero_flux_solution(loads[:-1], h, grid.flux_weights, m)
-        else:
-            # flux weights are 1 on the interval; the search starts anchored
-            # at the cell where the m = 2 flux is closest to zero
-            prefix = _anchored_loads(loads, 0)
-            c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
-            k = int(np.argmin(np.abs(c0 - prefix)))
-            k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
-            u[1 : k + 1] = _compensated_cumsum(hdu[:k])
-            np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
+        # flux weights are 1 on the interval; the search starts anchored
+        # at the cell where the m = 2 flux is closest to zero
+        prefix = _anchored_loads(loads, 0)
+        c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
+        k = int(np.argmin(np.abs(c0 - prefix)))
+        k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
+        u[1 : k + 1] = _compensated_cumsum(hdu[:k])
+        np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
         res = _scaled_residual(grid, u, m, loads, theta_vals)
     return _checked(grid, u, iterations, res)
 
@@ -525,19 +531,6 @@ def _singular_report(grid, u, residual, pair, iterations, gap, converged):
     )
 
 
-def _mirror_half(grid, k_vals, log_v0):
-    """The first node of the right half, (n-1)//2, when the singular loop
-    may run on it: the grid is a mirror (Grid1D.mirror_symmetric) and K and
-    log v0 equal their mirror images to the last bit at the unknowns.
-    None otherwise, which keeps the loop on the whole grid."""
-    sl = grid.unknown_slice
-    if grid.mirror_symmetric and all(
-        np.array_equal(a[sl], a[sl][::-1]) for a in (k_vals, log_v0)
-    ):
-        return (grid.n - 1) // 2
-    return None
-
-
 def _singular_theta(p, k, lt, out):
     """theta = K exp(-p Lt) on the unknowns, written into ``out`` (which may
     be ``lt``), where Lt = max(log v, log sub) is the log iterate clamped at
@@ -600,16 +593,16 @@ def _singular_loop(spec, grid, cfg, k_vals):
     comparison principle already puts that solution inside the pair, which
     is certified at every unknown node; the exit check confirms it.
 
-    When the grid, K and v0 equal their mirror images to the last bit
-    (_mirror_half), every sweep runs on the right half, nodes (n-1)//2 to
-    n - 2, and solves there by _mirror_solve.  Each step is elementwise, so
-    by induction every theta, w and iterate is an exact mirror too: the
-    whole-grid loop would take solve_dirichlet's mirror branch every sweep,
-    and its mins and maxes equal the half's.  The answers are the same to
-    the last bit, and so are the checks: theta finite, the residual from
-    the centre node, the bracket, the resolution floor and the exit check.
-    w is mirrored into a full-length array only where one leaves the loop:
-    the first pair, the returned solution and the report of an error.
+    On the ball, and on the interval when the grid, K and v0 equal their
+    mirror images to the last bit (_chain_start), every sweep runs on the
+    zero-flux chain, nodes k to n - 2, by _chain_solve in the loop's
+    workspace, where solve_dirichlet would take the same chain.  On the
+    interval each step is elementwise, so by induction every theta, w and
+    iterate is an exact mirror too, and the whole grid's mins and maxes are
+    the right half's.  The answers and the checks (theta finite, the
+    residual, the bracket, the resolution floor and the exit check) are
+    those of the loop through solve_dirichlet to the last bit.  w is
+    mirrored into a full-length array only where one leaves the loop.
     """
     tol = cfg.picard_tol
     m, p = spec.m, spec.p
@@ -618,14 +611,14 @@ def _singular_loop(spec, grid, cfg, k_vals):
     # every array the sweeps reuse, in one block: eight separate arrays that
     # outlive the solves fragment the heap and raise the peak resident size.
     # Rows are full length so that theta (row 5) is zero at the boundary and
-    # the half sweep's loads and w (rows 6 and 7, untouched on the whole
-    # grid) index by node, as the residual check does; solve_dirichlet does
-    # not keep theta, so every sweep rewrites it under the read-only view it
-    # hands over
+    # the chain's loads and w (rows 6 and 7, untouched when solve_dirichlet
+    # solves) index by node, as the residual check does; solve_dirichlet
+    # does not keep theta, so every sweep rewrites it under the read-only
+    # view it hands over
     work = np.zeros((8, n))
     _log_profile(spec, grid, work[2, grid.unknown_slice])
-    half = _mirror_half(grid, k_vals, work[2])
-    sl = grid.unknown_slice if half is None else slice(half, n - 1)
+    chain = _chain_start(grid, k_vals, work[2])
+    sl = grid.unknown_slice if chain is None else slice(chain, n - 1)
     k = k_vals[sl]
     log_k, log_sub, big_l, log_w, log_ratio = (row[sl] for row in work[:5])
     theta, theta_sl = work[5], work[5, sl]
@@ -634,21 +627,16 @@ def _singular_loop(spec, grid, cfg, k_vals):
     log_sub.fill(-np.inf)  # nothing clamps the first solve
     pair = None
     iterations = 0
-
-    def whole(w):
-        """w on the whole grid: the half sweep fills in its left half."""
-        return w if half is None else _mirror_left(w)
-
     while True:
         np.maximum(big_l, log_sub, out=theta_sl)
         _singular_theta(p, k, theta_sl, theta_sl)
-        if half is None:
+        if chain is None:
             inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
             w, residual = inner.solution.values, inner.final_residual
         else:
-            residual = _mirror_solve(grid, _loads(grid, theta, sl, loads), theta, m, w)
+            residual = _chain_solve(grid, _loads(grid, theta, sl, loads), theta, m, w, chain)
             if not residual <= RESIDUAL_TOL:
-                _checked(grid, whole(w).copy(), 0, residual)  # raises
+                _checked(grid, _mirror_left(w, chain).copy(), 0, residual)  # raises
         iterations += 1
         np.log(w[sl], out=log_w)
         # max log (w^p/K), for the resolution floor below
@@ -672,11 +660,11 @@ def _singular_loop(spec, grid, cfg, k_vals):
                 "no scale brackets the solve: the slack swamps the load "
                 f"(bracket width {width:g})",
                 report=_singular_report(
-                    grid, whole(w).copy(), residual, pair, iterations, width, False
+                    grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width, False
                 ),
             )
         if pair is None:
-            pair = _first_pair(grid, whole(w), lam_lo, lam_hi)
+            pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
             np.log(pair.sub.values[sl], out=log_sub)
             big_l[:] = log_sub
         if width <= tol:
@@ -696,11 +684,11 @@ def _singular_loop(spec, grid, cfg, k_vals):
             raise NonConvergence(
                 f"{why}: bracket width {width:g}",
                 report=_singular_report(
-                    grid, whole(w).copy(), residual, pair, iterations, width, False
+                    grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width, False
                 ),
             )
 
-    mid = 0.5 * (lam_lo + lam_hi) * whole(w)
+    mid = 0.5 * (lam_lo + lam_hi) * _mirror_left(w, chain)
     for side, excess in (
         ("below the subsolution", pair.sub.values - mid),
         ("above the supersolution", mid - pair.super_.values),

@@ -630,7 +630,7 @@ class TestReproduceReuse:
         # E1's grids, K and start profile are exact mirrors, so every sweep
         # solves on the right half and none calls solve_dirichlet; a silent
         # fallback to the whole grid would fail here
-        calls = {"sweeps": 0, "half": 0, "dirichlet": 0}
+        calls = {"sweeps": 0, "chain": 0, "dirichlet": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -641,10 +641,10 @@ class TestReproduceReuse:
 
         solver = mlap1d.solver
         monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
-        monkeypatch.setattr(solver, "_mirror_solve", counted("half", solver._mirror_solve))
+        monkeypatch.setattr(solver, "_chain_solve", counted("chain", solver._chain_solve))
         monkeypatch.setattr(solver, "solve_dirichlet", counted("dirichlet", solver.solve_dirichlet))
         self._run(tmp_path, "a", "--matrix", "E1")
-        assert calls["sweeps"] == calls["half"] == 14  # 7 sweeps at n = 4097 and 8193
+        assert calls["sweeps"] == calls["chain"] == 14  # 7 sweeps at n = 4097 and 8193
         assert calls["dirichlet"] == 0
 
 
@@ -653,14 +653,17 @@ class TestReproduceReuse:
     [
         ["solve", "--rhs", "singular", "--m", "3", "--p", "1.5", "--q", "0.3", "--n", "16390"],
         ["eigen", "--m", "1.5", "--n", "16391"],
+        ["solve", "--rhs", "singular", "--m", "3", "--p", "1.5", "--q", "0.3", "--n", "16391",
+         "--domain", "ball"],
     ],
-    ids=["solve", "eigen"],
+    ids=["solve", "eigen", "ball-solve"],
 )
-def test_interval_solves_off_dyadic_n_run_on_the_right_half(tmp_path, monkeypatch, argv):
+def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, argv):
     # every graded interval grid is an exact mirror, so at any n each
     # singular sweep and each Dirichlet solve of the inverse iteration runs
-    # on the right half, and the closure search is never entered
-    calls = {"sweeps": 0, "half": 0, "dirichlet": 0, "closure": 0}
+    # on the chain over the right half, and the closure search is never
+    # entered; on the ball every sweep runs on the chain from r = 0
+    calls = {"sweeps": 0, "chain": 0, "dirichlet": 0, "closure": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -671,13 +674,15 @@ def test_interval_solves_off_dyadic_n_run_on_the_right_half(tmp_path, monkeypatc
 
     solver = mlap1d.solver
     monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
-    monkeypatch.setattr(solver, "_mirror_solve", counted("half", solver._mirror_solve))
+    monkeypatch.setattr(solver, "_chain_solve", counted("chain", solver._chain_solve))
     monkeypatch.setattr(solver, "_closure_root", counted("closure", solver._closure_root))
     for mod in (solver, mlap1d.eigen):
         monkeypatch.setattr(mod, "solve_dirichlet", counted("dirichlet", mod.solve_dirichlet))
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0
     assert calls["closure"] == 0
-    assert calls["half"] == calls["sweeps"] + calls["dirichlet"] > 0
+    assert calls["chain"] == calls["sweeps"] + calls["dirichlet"] > 0
+    if argv[0] == "solve":  # the loop solves on the chain itself
+        assert calls["dirichlet"] == 0
 
 
 def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):
@@ -818,6 +823,13 @@ class TestFixedRhsOnTheBall:
         (["eigen", "--m", "1.0"], "m > 1 fails: m = 1.0"),
         (["solve", "--rhs", "const", "--m", "0.8"], "m > 1 fails: m = 0.8"),
         (["solve", "--picard-tol", "0"], "picard_tol must be positive"),
+        (["solve", "--picard-tol", "nan"], "picard_tol must be positive, got nan"),
+        (["solve", "--rhs", "singular", "--m", "inf", "--p", "0.5", "--q", "0.5", "--n", "65"],
+         "m < inf fails: m = inf"),
+        (["solve", "--rhs", "const", "--m", "inf"], "m < inf fails: m = inf"),
+        (["solve", "--rhs", "const", "--m", "nan"], "m > 1 fails: m = nan"),
+        (["eigen", "--m", "inf"], "m < inf fails: m = inf"),
+        (["eigen", "--m", "nan"], "m > 1 fails: m = nan"),
         (["solve", "--max-picard-iters", "0"], "max_picard_iters must be at least 1"),
         (["scan-threshold", "--rhs", "power", "--taus", "0.5"], "tau must be >= 1"),
         (["barrier-check", "--p", "0.5", "--q", "1", "--n", "257", "--c", "0.5"],
@@ -846,7 +858,8 @@ class TestFixedRhsOnTheBall:
         (["solve", "--rhs", "logpower", "--domain", "ball"],
          "rhs = logpower with a = 0.5 > 0 is infinite at the centre of the ball"),
     ],
-    ids=["eigen-m", "solve-m", "picard-tol", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
+    ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
+         "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "side", "fit-kind", "logpower-ball"],

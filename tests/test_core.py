@@ -15,7 +15,9 @@ from mlap1d import (
     Regime,
     classify_regime,
     default_k_values,
+    first_eigenpair,
     make_graded_grid,
+    solve_dirichlet,
 )
 from mlap1d.core import same_grid
 from mlap1d.errors import (
@@ -77,6 +79,27 @@ class TestValidateSpec:
     def test_nonpositive_k(self):
         with pytest.raises(NonPositiveK):
             ProblemSpec(m=2, p=0.0, q=0.0, k_low=0.0)
+
+    @pytest.mark.parametrize(
+        "m,msg",
+        [(math.inf, "m < inf fails: m = inf"), (math.nan, "m > 1 fails: m = nan"),
+         (1.0, "m > 1 fails: m = 1.0")],
+        ids=["inf", "nan", "one"],
+    )
+    def test_m_outside_one_to_inf_is_refused_by_every_entry(self, m, msg):
+        # one check serves the spec, the Dirichlet solve and the eigenpair;
+        # an infinite m once passed a guard written m <= 1 and solved to
+        # u = delta, a NaN one failed later with an unrelated message
+        g = make_graded_grid(33, 1.0)
+        theta = GridFunction(g, np.ones(g.n))
+        for call in (
+            lambda: ProblemSpec(m=m, p=0.5, q=0.5),
+            lambda: solve_dirichlet(theta, m),
+            lambda: first_eigenpair(g, m),
+        ):
+            with pytest.raises(AdmissibilityViolation) as err:
+                call()
+            assert str(err.value) == msg
 
 
 class TestClassifyRegime:
@@ -161,12 +184,12 @@ class TestGradedGrid:
 
     @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
     def test_dyadic_grids_are_exact_mirrors(self, grading):
-        # the solver's half-domain path triggers only on exact mirror images
+        # the solver's chain over the right half needs exact mirror images
         for k in range(4, 15):
             g = make_graded_grid(2**k + 1, grading)
             for a in (g.h, g.cell_volumes, g.delta_nodes):
                 assert np.array_equal(a, a[::-1])
-            assert g.mirror_symmetric
+            assert g.chain_start == 2 ** (k - 1)
 
     @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
     def test_dyadic_grids_match_the_node_formula(self, grading):
@@ -185,7 +208,7 @@ class TestGradedGrid:
     @pytest.mark.parametrize("n", [1026, 1027, 4098, 16390])
     def test_every_graded_interval_grid_is_a_mirror(self, n, grading):
         g = make_graded_grid(n, grading)
-        assert g.mirror_symmetric
+        assert g.chain_start == (n - 1) // 2
         for a in (g.delta_nodes, g.delta_mid):
             assert np.array_equal(a, a[::-1])
         # the nodes are the distances on the left and 1 - delta on the right
@@ -194,15 +217,17 @@ class TestGradedGrid:
         assert np.array_equal(g.nodes[left:], 1.0 - g.delta_nodes[left:])
 
     @pytest.mark.parametrize(
-        "grid",
+        "grid,start",
         [
-            lambda: make_graded_grid(1025, 3.0, Domain.ball(3)),
-            lambda: Grid1D(nodes=node_graded_nodes(1026, 3.0), grading_exponent=3.0),
+            (lambda: make_graded_grid(1025, 3.0, Domain.ball(3)), 0),
+            (lambda: Grid1D(nodes=node_graded_nodes(1026, 3.0), grading_exponent=3.0), None),
         ],
         ids=["ball", "asymmetric-nodes"],
     )
-    def test_asymmetric_grids_are_not_flagged(self, grid):
-        assert not grid().mirror_symmetric
+    def test_chain_start_of_the_ball_and_of_an_asymmetric_grid(self, grid, start):
+        # the ball's chain starts at r = 0; an interval grid that is not an
+        # exact mirror has no chain
+        assert grid().chain_start == start
 
     @given(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=40, unique=True))
     @settings(max_examples=100, deadline=None)
@@ -368,9 +393,9 @@ def test_ball_of_dimension_one_is_refused():
 
 def test_only_core_reads_the_domain_shape():
     """The domain's kind is decided in core: outside it, ``is_ball`` appears
-    only in the two places that run a different algorithm on the ball, and
+    only in the one place that builds a different field on the ball, and
     no module computes the distance to the boundary itself."""
-    allowed = {("solver.py", "solve_dirichlet"), ("eigen.py", "_initial_field")}
+    allowed = {("eigen.py", "_initial_field")}
     found = []
     for path in sorted(Path(__file__).resolve().parents[1].joinpath("src", "mlap1d").glob("*.py")):
         if path.name == "core.py":

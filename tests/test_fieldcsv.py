@@ -28,7 +28,8 @@ def _reference_rows(table):
 
 
 def _rows_text(table):
-    return "".join(fieldcsv._rows(np.asarray(table, dtype=np.float64).reshape(-1, 4)))
+    table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
+    return b"".join(fieldcsv._blocks(table)).decode("ascii")
 
 
 _TINY = np.finfo(np.float64).smallest_normal

@@ -102,7 +102,7 @@ class TestSolveDirichlet:
         rep = err.value.report
         assert not rep.converged and np.isnan(rep.final_residual)
         assert np.isnan(rep.solution.values).any()
-        assert (rep.iterations == 0) == g.mirror_symmetric
+        assert (rep.iterations == 0) == (g.chain_start is not None)
 
     def test_nonconvergence_carries_partial_state(self, monkeypatch):
         # a residual check no solution can pass must raise with the report
@@ -204,7 +204,7 @@ class TestMirrorSymmetricSolve:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_matches_the_closure_path(self, grid, m):
         g = self.GRIDS[grid]()
-        assert g.mirror_symmetric
+        assert g.chain_start == (g.n - 1) // 2
         theta = self.symmetric_theta(g)
         rep = solve_dirichlet(theta, m)
         u = rep.solution.values
@@ -228,7 +228,7 @@ class TestMirrorSymmetricSolve:
     def check_half_grid_residual(g, monkeypatch):
         # a mirror-symmetric solve checks its residual from the centre node
         # on; the value must be the full grid's to the last bit
-        assert g.mirror_symmetric
+        assert g.chain_start == (g.n - 1) // 2
         check = solver._scaled_residual
         firsts = []
 
@@ -286,7 +286,7 @@ class TestClosureSearch:
         for n in (1026, 1027, 4098, 4099):
             for grading in (1.0, 2.0, 3.0):
                 g = node_graded_grid(n, grading)
-                assert not g.mirror_symmetric
+                assert g.chain_start is None
                 for theta in self.near_symmetric_thetas(g):
                     rep = solve_dirichlet(GridFunction(g, theta), m)
                     assert rep.iterations <= 3, (n, grading)
@@ -694,9 +694,10 @@ class TestCertifiedBracket:
         assert rep.iterations <= 14
 
 
-class TestMirrorHalfLoop:
-    """The singular loop on the right half of a mirror problem, against the
-    same loop forced onto the whole grid."""
+class TestChainLoop:
+    """The singular loop on the zero-flux chain, the ball's or the right half
+    of a mirror interval problem, against the same loop forced through
+    solve_dirichlet."""
 
     SPECS = {
         "subcritical": ProblemSpec(m=2.0, p=0.3, q=0.3),
@@ -710,6 +711,12 @@ class TestMirrorHalfLoop:
         "n1025-g3": lambda: make_graded_grid(1025, 3.0),
         "n16385-g3": lambda: make_graded_grid(16385, 3.0),
         "n64-dyadic": dyadic_mirror_grid,
+        "ball2-n1025": lambda: make_graded_grid(1025, 3.0, Domain.ball(2)),
+        "ball3-n1025": lambda: make_graded_grid(1025, 3.0, Domain.ball(3)),
+        "ball2-n16387": lambda: make_graded_grid(16387, 3.0, Domain.ball(2)),
+        "ball3-n16387": lambda: make_graded_grid(16387, 3.0, Domain.ball(3)),
+        "ball2-n16390": lambda: make_graded_grid(16390, 3.0, Domain.ball(2)),
+        "ball3-n16390": lambda: make_graded_grid(16390, 3.0, Domain.ball(3)),
     }
 
     @staticmethod
@@ -732,27 +739,40 @@ class TestMirrorHalfLoop:
         for name in ("iterations", "picard_gap", "barrier_c", "final_residual", "converged"):
             assert getattr(ra, name) == getattr(rb, name), name
 
-    def half_and_whole(self, spec, g, monkeypatch, config=None):
-        halves = []
-        mirror_solve = solver._mirror_solve
+    def chain_and_reference(self, spec, g, monkeypatch, config=None):
+        spec = dataclasses.replace(spec, domain=g.domain)
+        chains, dirichlets = [], []
+        chain_solve, dirichlet = solver._chain_solve, solver.solve_dirichlet
         monkeypatch.setattr(
-            solver, "_mirror_solve", lambda *a: halves.append(1) or mirror_solve(*a)
+            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
         )
-        half = self.outcome(spec, g, config)
-        # the loop solves on the half only; solve_dirichlet is not called
-        assert len(halves) == half[1].iterations
+        monkeypatch.setattr(
+            solver, "solve_dirichlet", lambda *a: dirichlets.append(1) or dirichlet(*a)
+        )
+        chain = self.outcome(spec, g, config)
+        # the loop solves on the chain only; solve_dirichlet is not called
+        assert len(chains) == chain[1].iterations
+        assert dirichlets == []
+        chain_start = solver._chain_start
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_mirror_half", lambda *a: None)
-            whole = self.outcome(spec, g, config)
-        return half, whole
+            # the loop asks with K and log v0, solve_dirichlet with theta
+            # alone: only the loop is forced off the chain
+            mp.setattr(
+                solver,
+                "_chain_start",
+                lambda grid, *arrays: None if len(arrays) == 2 else chain_start(grid, *arrays),
+            )
+            reference = self.outcome(spec, g, config)
+        assert len(dirichlets) == reference[1].iterations
+        return chain, reference
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("spec", sorted(SPECS))
-    def test_half_loop_is_the_whole_loop_to_the_last_bit(self, spec, grid, monkeypatch):
+    def test_chain_loop_is_the_whole_loop_to_the_last_bit(self, spec, grid, monkeypatch):
         g = self.GRIDS[grid]()
-        half, whole = self.half_and_whole(self.SPECS[spec], g, monkeypatch)
-        assert half[0] is None and half[1].converged
-        self.assert_identical(half, whole)
+        chain, reference = self.chain_and_reference(self.SPECS[spec], g, monkeypatch)
+        assert chain[0] is None and chain[1].converged
+        self.assert_identical(chain, reference)
 
     @pytest.mark.parametrize(
         "config, why",
@@ -762,31 +782,32 @@ class TestMirrorHalfLoop:
         ],
         ids=["resolution", "budget"],
     )
+    @pytest.mark.parametrize("grid", ["n1025-g3", "ball2-n1025", "ball3-n1025"])
     @pytest.mark.parametrize("spec", sorted(SPECS))
-    def test_errors_and_their_reports_match(self, spec, config, why, monkeypatch):
-        g = make_graded_grid(1025, 3.0)
-        half, whole = self.half_and_whole(self.SPECS[spec], g, monkeypatch, config)
+    def test_errors_and_their_reports_match(self, spec, grid, config, why, monkeypatch):
+        g = self.GRIDS[grid]()
+        chain, reference = self.chain_and_reference(self.SPECS[spec], g, monkeypatch, config)
         if spec == "p0" and why == "budget exhausted":  # p = 0 decides in one solve
-            assert half[0] is None and half[1].iterations == 1
+            assert chain[0] is None and chain[1].iterations == 1
         else:
-            assert why in half[0]
-        self.assert_identical(half, whole)
+            assert why in chain[0]
+        self.assert_identical(chain, reference)
 
     def test_one_ulp_of_asymmetric_k_takes_the_whole_grid(self, monkeypatch):
-        # the half loop checks residuals from the centre on only, so this
-        # guard alone keeps it from solving a symmetrised problem
+        # the interval chain checks residuals from the centre on only, so
+        # this guard alone keeps it from solving a symmetrised problem
         spec = self.SPECS["critical"]
         g = make_graded_grid(1025, 3.0)
         k = default_k_values(spec, g).values.copy()
         i = g.n // 3
         k[i] = np.nextafter(k[i], np.inf)
-        halves = []
-        mirror_solve = solver._mirror_solve
+        chains = []
+        chain_solve = solver._chain_solve
         monkeypatch.setattr(
-            solver, "_mirror_solve", lambda *a: halves.append(1) or mirror_solve(*a)
+            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
         )
         rep = solve_singular(spec, g, k_values=GridFunction(g, k))
-        assert halves == []
+        assert chains == []
         tol = SolverConfig().picard_tol
         assert rep.converged and rep.picard_gap <= tol
         assert np.all(rep.solution.values >= rep.sub_barrier.values - tol)
@@ -803,6 +824,12 @@ class TestSolverConfig:
             SolverConfig(picard_tol=0.0)
         with pytest.raises(InvalidConfig):
             SolverConfig(picard_tol=-1e-8)
+
+    def test_nan_tolerance_is_refused(self):
+        # a NaN width never compares below a NaN tolerance, so such a loop
+        # once spent its whole budget before failing
+        with pytest.raises(InvalidConfig, match="picard_tol must be positive, got nan"):
+            SolverConfig(picard_tol=float("nan"))
 
 
 class TestStrongCouplingAndOtherM:
