@@ -1,4 +1,4 @@
-"""Sub/supersolution barrier families, scaling search, and certification.
+"""Sub/supersolution barrier families, exact scales, and certification.
 
 Barriers are built from the first eigenfunction phi (sup-norm 1) in two
 families:
@@ -6,7 +6,7 @@ families:
   * power:      c^(+-1) * phi^gamma,              gamma in (0, 1]
   * log-power:  c^(+-1) * phi * log^s (A / phi),   s > 0, A > sup phi
 
-with the same constant c > 1 scaling the supersolution up and the subsolution
+with the same constant c >= 1 scaling the supersolution up and the subsolution
 down.  A candidate w is numerically certified as a subsolution of
 -div(Phi) = rhs when the discrete residual -div(Phi(w)) - rhs(w) is <= slack
 at every checked node, and as a supersolution when it is >= -slack.  By
@@ -21,10 +21,9 @@ Dirichlet solve (solver.solve_singular).  For the singular problem the
 right-hand side is evaluated at the candidate itself, K * w^(-p), which is
 the definition of a sub/supersolution of that equation.
 
-Certification is monotone in c on both sides, so the smallest certifying
-power of two is found by walking the ladder c = 2, 4, 8, ...: auto_scale
-walks it for one side, certified_pair for both at once, each rung checking
-first the side that failed the rung before.  A certificate obtained on a
+Both sides of the inequality are homogeneous in c, so auto_scale gives a
+side's smallest certifying c in closed form, and certified_pair checks both
+sides at the larger of their two scales.  A certificate obtained on a
 coarse grid is only trusted after it survives refinement: a wrong boundary
 exponent can look certified on a fixed grid because its violation zone hides
 below the resolved scale, but refinement exposes it.
@@ -32,6 +31,7 @@ below the resolved scale, but refinement exposes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +63,7 @@ __all__ = [
     "SUPER",
     "build_barrier",
     "check_barrier",
+    "check_scaled",
     "auto_scale",
     "regime_families",
     "certified_pair",
@@ -71,6 +72,7 @@ __all__ = [
 
 SUB = "sub"
 SUPER = "super"
+_LOG_MAX = math.log(np.finfo(float).max)  # a larger log c overflows
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,8 @@ class BarrierSpec:
     def __post_init__(self):
         if self.side not in (SUB, SUPER):
             raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
-        if self.c < 1.0:
-            raise DomainError(f"scaling constant must be >= 1, got {self.c}")
+        if not 1.0 <= self.c < math.inf:
+            raise DomainError(f"scaling constant must be >= 1 and finite, got {self.c}")
 
     @property
     def scale(self) -> float:
@@ -180,8 +182,9 @@ class BarrierCertificate:
 
 
 def _checked_indices(grid: Grid1D, skip_cells: int) -> np.ndarray:
-    n = grid.n
-    hi = n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
+    if skip_cells < 0:
+        raise DomainError(f"skip_cells must be >= 0, got {skip_cells}")
+    hi = grid.n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
     lo = skip_cells + 1 if 0 in grid.dirichlet_indices() else 0
     if hi < lo:
         raise DomainError(f"grid too coarse for skip_cells = {skip_cells}")
@@ -231,13 +234,9 @@ def check_barrier(
     """
     if side not in (SUB, SUPER):
         raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
-    grid = candidate.grid
     res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side)
-    idx = _checked_indices(grid, skip_cells)
-    if side == SUB:
-        margins = slack - res[idx]
-    else:
-        margins = res[idx] + slack
+    idx = _checked_indices(candidate.grid, skip_cells)
+    margins = (1.0 if side == SUPER else -1.0) * res[idx] + slack
     k = int(np.argmin(margins))
     return BarrierCertificate(
         side=side,
@@ -251,37 +250,10 @@ def check_barrier(
     )
 
 
-def _ladder(families: dict[str, Family], rhs, m, base, grid, c_max, slack, skip_cells):
-    """Walk c = 2, 4, ... <= c_max to the first rung where the barrier of
-    every {side: family} certifies; return that c and {side: (candidate,
-    certificate)}.  A rung stops at its first failing side, and the next
-    rung checks that side first.
-    """
-    order = list(families)
-    c, last = 2.0, None
-    while c <= c_max:
-        found = {}
-        for side in order:
-            family = families[side]
-            cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base), grid)
-            cert = check_barrier(
-                cand, side, rhs, m, slack=slack, skip_cells=skip_cells,
-                description=f"{family.describe()} c={c:g} {side}",
-            )
-            if not cert.certified:
-                last = (f"{family.describe()} ({side}); last margin "
-                        f"{cert.worst_margin:g} at node {cert.worst_node}")
-                order.remove(side)
-                order.insert(0, side)
-                break
-            found[side] = (cand, cert)
-        else:
-            return c, found
-        c *= 2.0
-    raise NoCertifiableScale(
-        f"no certifying c <= {c_max:g} for {last}" if last
-        else f"c_max {c_max:g} below the first ladder rung"
-    )
+def check_scaled(family, side, c, rhs, m, base, grid, slack, skip_cells):
+    """The barrier of ``family`` at scale c on ``grid`` and its certificate."""
+    cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base), grid)
+    return cand, check_barrier(cand, side, rhs, m, slack, skip_cells, family.describe())
 
 
 def auto_scale(
@@ -290,31 +262,63 @@ def auto_scale(
     rhs,
     m: float,
     base: EigenPair,
-    c_max: float = 2.0**20,
     slack: float = 0.0,
     skip_cells: int = 2,
 ) -> tuple[float, BarrierCertificate]:
-    """Smallest power-of-two c in (1, c_max] whose barrier certifies.
+    """Smallest c >= 1 whose barrier certifies, with its certificate.
 
-    Walks the ladder for this one side.  Certification is monotone in c
-    (the properly scaled side of the inequality strengthens as c grows), so
-    the first certifying rung is the smallest certifying power of two.
-    Raises NoCertifiableScale when c_max is reached.  That signals a wrong
-    profile exponent or an under-resolved grid, or one of two limits of the
-    eigenfunction profiles themselves:
+    With A = -div(Phi(P)) and R the rhs of the unit barrier P (c = 1) at the
+    checked nodes, the barrier certifies at slack 0 iff c^(m-1+p) x >= y at
+    every node, (x, y) = (A, R) on the super side and (R, A) on the sub side
+    (p = 0 for a fixed theta); with slack, log c is bisected on A and R.  The
+    check confirms c, stepped up where rounding breaks the homogeneity by a
+    doubling count of ulps up to 2^32, a relative 1e-6 at most.
 
-      * the flat top: for m < 2, 1 - phi ~ |x - x_max|^(m/(m-1)), so next to
-        the maximum phi is 1 to within a few ulps (1 - 8.2e-15 at m = 1.2,
-        n = 1025).  The rounding of the profile there has the wrong sign on
-        both sides, and the flux |Dw|^(m-1) turns it into a residual that no
-        c removes; the worst node is one where |Dw| is at the rounding level
-        (on the ball, w_0 = w_1 and the residual at r = 0 is -K w^(-p));
-      * the ladder's reach: c enters the operator as c^(m-1), so at m = 1.05
-        c = 2^20 scales it by only 2, too little even for the subsolution
-        phi/c at (1.05, 0, 0).
+    Raises NoCertifiableScale, naming the node, when no finite c certifies
+    or the check refuses the exact scale.  That signals a wrong profile
+    exponent or an under-resolved grid, or the flat top of the eigenfunction
+    profiles: for m < 2, 1 - phi ~ |x - x_max|^(m/(m-1)), so next to the
+    maximum phi is 1 to within a few ulps (1 - 8.2e-15 at m = 1.2,
+    n = 1025).  The rounding of the profile there has the wrong sign on both
+    sides, and the flux |Dw|^(m-1) turns it into a residual that no c
+    removes; the worst node is one where |Dw| is at the rounding level (on
+    the ball, w_0 = w_1 and the residual at r = 0 is -K w^(-p)).
     """
-    c, found = _ladder({side: family}, rhs, m, base, base.grid, c_max, slack, skip_cells)
-    return c, found[side][1]
+    unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base), base.grid)
+    idx = _checked_indices(base.grid, skip_cells)
+    a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side)[idx]
+    p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if slack == 0.0:
+            x, y = (a, r) if side == SUPER else (r, a)
+            need = np.where(x > 0.0, y / x, np.where(y > 0.0, np.inf, 0.0))
+            k = int(np.argmax(need))
+            log_c = math.log(max(need[k], 1.0)) / (m - 1.0 + p)
+        else:
+            s = 1.0 if side == SUPER else -1.0
+
+            def margins(log_c):
+                return s * (np.exp(s * (m - 1.0) * log_c) * a - np.exp(-s * p * log_c) * r) + slack
+
+            lo, hi = 0.0, 0.0 if np.all(margins(0.0) >= 0.0) else _LOG_MAX
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (lo, mid) if np.all(margins(mid) >= 0.0) else (mid, hi)
+            k = int(np.argmin(margins(hi)))
+            log_c = hi if margins(hi)[k] >= 0.0 else math.inf
+    if not log_c <= _LOG_MAX:
+        raise NoCertifiableScale(
+            f"no finite c certifies {family.describe()} ({side}): the unit barrier has "
+            f"-div(Phi) = {a[k]:g} against the rhs {r[k]:g} at node {idx[k]}"
+        )
+    c0 = math.exp(log_c)
+    for c in (c0, *(c0 + 2.0**j * math.ulp(c0) for j in range(33))):
+        _, cert = check_scaled(family, side, c, rhs, m, base, base.grid, slack, skip_cells)
+        if cert.certified:
+            return c, cert
+    raise NoCertifiableScale(
+        f"{family.describe()} ({side}) fails its check up to 2^32 ulps above its exact "
+        f"scale c = {c0:g}; last margin {cert.worst_margin:g} at node {cert.worst_node}"
+    )
 
 
 def regime_families(spec: ProblemSpec) -> tuple[Family, Family]:
@@ -351,21 +355,21 @@ def certified_pair(
     spec: ProblemSpec,
     grid: Grid1D,
     base: EigenPair | None = None,
-    c_max: float = 2.0**20,
 ) -> BarrierPair:
     """Certified sub/supersolution pair for the singular problem on ``grid``.
 
-    Both sides are certified at every unknown node (no skipped boundary
-    cells), so the comparison principle puts the discrete solution between
-    them everywhere.  One ladder walk checks both sides on each rung and
-    returns the first rung where both certify: the smallest common
-    power-of-two constant, since certification is monotone in c.
+    Both sides are checked at every unknown node (no skipped boundary cells),
+    at the larger of their two scales (auto_scale), so the comparison
+    principle puts the discrete solution between them everywhere.
     """
     if base is None:
         base = first_eigenpair(grid, spec.m)
-    sub_fam, super_fam = regime_families(spec)
-    c, found = _ladder(
-        {SUB: sub_fam, SUPER: super_fam}, spec, spec.m, base, grid, c_max, 0.0, 0
+    families = dict(zip((SUB, SUPER), regime_families(spec)))
+    c = max(auto_scale(f, s, spec, spec.m, base, skip_cells=0)[0] for s, f in families.items())
+    (sub, sub_cert), (sup, super_cert) = (
+        check_scaled(f, s, c, spec, spec.m, base, grid, 0.0, 0) for s, f in families.items()
     )
-    (sub, sub_cert), (sup, super_cert) = found[SUB], found[SUPER]
+    for cert in (sub_cert, super_cert):
+        if not cert.certified:
+            raise NoCertifiableScale(f"{cert.side} fails at c = {c:g} at node {cert.worst_node}")
     return BarrierPair(sub=sub, super_=sup, c=c, sub_cert=sub_cert, super_cert=super_cert)

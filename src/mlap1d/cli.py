@@ -135,7 +135,6 @@ KNOWN_KEYS: dict[str, tuple] = {
     "log_a": (float, 0.0),  # 0 = default scale
     "side": (str, "super"),
     "c": (_float_or("auto"), "auto"),
-    "c_max": (float, 2.0**20),
     "slack": (float, 0.0),
     "skip_cells": (int, 2),
     # output
@@ -430,16 +429,12 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     family = _barrier_family(cfg, spec)
     if cfg["c"] == "auto":
         c, cert = barriers.auto_scale(
-            family, side, rhs, cfg["m"], base,
-            c_max=cfg["c_max"], slack=cfg["slack"], skip_cells=cfg["skip_cells"],
+            family, side, rhs, cfg["m"], base, slack=cfg["slack"], skip_cells=cfg["skip_cells"]
         )
     else:
         c = cfg["c"]
-        bspec = barriers.BarrierSpec(family=family, c=c, side=side, base=base)
-        cand = barriers.build_barrier(bspec, grid)
-        cert = barriers.check_barrier(
-            cand, side, rhs, cfg["m"], slack=cfg["slack"],
-            skip_cells=cfg["skip_cells"], description=family.describe(),
+        _, cert = barriers.check_scaled(
+            family, side, c, rhs, cfg["m"], base, grid, cfg["slack"], cfg["skip_cells"]
         )
     block = [("command", "barrier-check"), ("family", family.describe()), ("c", c)]
     block += cert.report_items()

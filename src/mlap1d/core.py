@@ -292,8 +292,8 @@ class Grid1D:
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(self.nodes))
         x = self.nodes
-        if x.ndim != 1 or x.size < 2:
-            raise TooFewNodes("grid needs at least two nodes")
+        if x.ndim != 1 or x.size < 3:  # an unknown node between two cells
+            raise TooFewNodes("grid needs at least three nodes")
         if x[0] != 0.0 or x[-1] != 1.0:
             raise InvalidGrid("grid endpoints must be exactly 0 and 1")
         if not np.all(np.diff(x) > 0.0):

@@ -38,7 +38,7 @@ class InvalidGrid(MlapError):
 
 class TooFewNodes(MlapError):
     """A grid was requested with fewer nodes than ``core.MIN_NODES``, or
-    built directly from fewer than two."""
+    built directly from fewer than three."""
 
 
 class GridMismatch(MlapError):
@@ -74,11 +74,11 @@ class SignChange(MlapError):
 
 class DomainError(MlapError):
     """Barrier or check parameter outside its valid range (e.g. log scale
-    A <= max phi, or a skip zone that leaves no cell to check)."""
+    A <= max phi, c outside [1, inf), or skip_cells < 0 or leaving no cell)."""
 
 
 class NoCertifiableScale(MlapError):
-    """No barrier scaling constant up to c_max certifies the inequality."""
+    """No finite barrier scaling constant certifies; the message names the node."""
 
     exit_status = 1
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -184,10 +185,9 @@ class TestExitCodes:
             ["reproduce-theorem1", "--matrix", "E1", "--picard-tol", "1e-15"],
             # the singular loop exhausts its budget
             ["solve", "--m", "3", "--p", "1.5", "--q", "0.3", "--max-picard-iters", "1"],
-            # no power-of-two constant up to c_max certifies a wrong exponent
-            ["barrier-check", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1",
-             "--family", "power", "--gamma", "0.3", "--side", "sub", "--c-max", "64",
-             "--n", "4097"],
+            # no finite c certifies the supersolution at the flat top
+            ["barrier-check", "--rhs", "singular", "--m", "1.05", "--p", "0", "--q", "0",
+             "--family", "regime", "--side", "super", "--n", "1025"],
         ],
     )
     def test_failed_certification_exits_1(self, tmp_path, capsys, args):
@@ -357,13 +357,16 @@ class TestBarrierCheckCommand:
         base = ["barrier-check", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1",
                 "--n", "257", "--family", "regime", "--side", "super"]
         rows = {}
-        for c, code in (("auto", 0), ("2", 0), ("1", 1)):
-            assert main(base + ["--c", c, "--output-dir", str(tmp_path / c)]) == code
-            rows[c] = parse_report((tmp_path / c / "barrier.report").read_text())[0]
-        # the ladder stops at c = 2, and a fixed c = 2 gives the same certificate
-        assert rows["auto"].pop("description") == "power(gamma=0.666667) c=2 super"
-        assert rows["2"].pop("description") == "power(gamma=0.666667)"
-        assert rows["2"] == rows["auto"]
+        assert main(base + ["--output-dir", str(tmp_path / "auto")]) == 0
+        rows["auto"] = parse_report((tmp_path / "auto" / "barrier.report").read_text())[0]
+        c = rows["auto"]["c"]
+        for fixed, code in ((c, 0), ("1", 1)):
+            assert main(base + ["--c", fixed, "--output-dir", str(tmp_path / fixed)]) == code
+            rows[fixed] = parse_report((tmp_path / fixed / "barrier.report").read_text())[0]
+        # --c auto prints the exact scale, and that c given as a fixed
+        # constant gives the same rows
+        assert 1.0 < float(c) < 2.0
+        assert rows[c] == rows["auto"]
         assert (rows["1"]["c"], rows["1"]["certified"]) == ("1", "false")
 
     def test_wrong_exponent_exit_1(self, tmp_path):
@@ -371,7 +374,7 @@ class TestBarrierCheckCommand:
             [
                 "barrier-check", "--rhs", "singular", "--m", "2", "--p", "0.5",
                 "--q", "1", "--n", "4097", "--grading", "3", "--family", "power",
-                "--gamma", "0.3", "--side", "sub", "--c-max", "64",
+                "--gamma", "0.3", "--side", "sub", "--c", "64",
                 "--output-dir", str(tmp_path / "o"),
             ]
         )
@@ -834,8 +837,20 @@ class TestFixedRhsOnTheBall:
         (["scan-threshold", "--rhs", "power", "--taus", "0.5"], "tau must be >= 1"),
         (["barrier-check", "--p", "0.5", "--q", "1", "--n", "257", "--c", "0.5"],
          "scaling constant must be >= 1"),
+        (["barrier-check", "--rhs", "const", "--m", "2", "--family", "power", "--gamma", "1",
+          "--side", "sub", "--c", "inf", "--n", "65"],
+         "scaling constant must be >= 1 and finite, got inf"),
+        (["barrier-check", "--p", "0.5", "--q", "1", "--n", "65", "--c", "nan"],
+         "scaling constant must be >= 1 and finite, got nan"),
+        (["barrier-check", "--p", "0.5", "--q", "1", "--n", "65", "--c", "inf"],
+         "scaling constant must be >= 1 and finite, got inf"),
         (["barrier-check", "--rhs", "const", "--family", "power", "--n", "257",
           "--skip-cells", "1000"], "grid too coarse for skip_cells = 1000"),
+        (["barrier-check", "--rhs", "const", "--family", "power", "--n", "65",
+          "--skip-cells", "-1"], "skip_cells must be >= 0, got -1"),
+        (["barrier-check", "--rhs", "const", "--family", "power", "--n", "65",
+          "--skip-cells", "-5"], "skip_cells must be >= 0, got -5"),
+        (["barrier-check", "--set", "c_max=64"], "unknown configuration key 'c_max'"),
         (["barrier-check", "--c", "big"], "bad value for 'c'"),
         (["fit-exponent", "--expect", "two"], "bad value for 'expect'"),
         (["solve", "--domain", "bal"], "unknown domain 'bal'"),
@@ -859,7 +874,9 @@ class TestFixedRhsOnTheBall:
          "rhs = logpower with a = 0.5 > 0 is infinite at the centre of the ball"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
-         "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c", "skip-cells", "c-text", "expect-text",
+         "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c",
+         "c-inf-const", "c-nan-singular", "c-inf-singular", "skip-cells", "skip-cells-minus-1",
+         "skip-cells-minus-5", "c-max-key", "c-text", "expect-text",
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "side", "fit-kind", "logpower-ball"],
@@ -879,6 +896,21 @@ def test_cli_keeps_the_names_the_benchmark_reads():
         assert hasattr(mlap1d.cli, name), name
     # the theorem1 timing replaces the runner wherever it is bound
     assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
+
+
+def test_every_known_key_is_read():
+    """Each configuration key is read as cfg[...] or self[...] in cli.py, so
+    a removed option leaves no orphaned key behind."""
+    tree = ast.parse(Path(mlap1d.cli.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("cfg", "self")
+        and isinstance(node.slice, ast.Constant)
+    }
+    assert set(mlap1d.cli.KNOWN_KEYS) - read == set()
 
 
 def test_repro_imports_nothing_from_cli():

@@ -19,7 +19,7 @@ from mlap1d import (
     make_graded_grid,
     solve_dirichlet,
 )
-from mlap1d.core import same_grid
+from mlap1d.core import INTERVAL01, same_grid
 from mlap1d.errors import (
     AdmissibilityViolation,
     GridMismatch,
@@ -260,17 +260,19 @@ class TestGradedGrid:
             make_graded_grid(8, 2.0)
 
     @pytest.mark.parametrize(
-        "nodes,error,msg",
+        "nodes,domain,error,msg",
         [
-            ([0.0], TooFewNodes, "at least two nodes"),
-            ([0.0, 0.5, 0.9], InvalidGrid, "endpoints must be exactly 0 and 1"),
-            ([0.0, 0.5, 0.5, 1.0], InvalidGrid, "strictly increasing"),
+            ([0.0], INTERVAL01, TooFewNodes, "at least three nodes"),
+            ([0.0, 1.0], INTERVAL01, TooFewNodes, "at least three nodes"),
+            ([0.0, 1.0], Domain.ball(3), TooFewNodes, "at least three nodes"),
+            ([0.0, 0.5, 0.9], INTERVAL01, InvalidGrid, "endpoints must be exactly 0 and 1"),
+            ([0.0, 0.5, 0.5, 1.0], INTERVAL01, InvalidGrid, "strictly increasing"),
         ],
-        ids=["one-node", "endpoint", "repeated-node"],
+        ids=["one-node", "two-node", "two-node-ball", "endpoint", "repeated-node"],
     )
-    def test_direct_construction_is_validated(self, nodes, error, msg):
+    def test_direct_construction_is_validated(self, nodes, domain, error, msg):
         with pytest.raises(error, match=msg):
-            Grid1D(nodes=np.array(nodes), grading_exponent=1.0)
+            Grid1D(nodes=np.array(nodes), grading_exponent=1.0, domain=domain)
 
     @pytest.mark.parametrize(
         "n,grading,domain,node",
