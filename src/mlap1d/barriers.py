@@ -21,9 +21,9 @@ Dirichlet solve (solver.solve_singular).  For the singular problem the
 right-hand side is evaluated at the candidate itself, K * w^(-p), which is
 the definition of a sub/supersolution of that equation.
 
-Both sides of the inequality are homogeneous in c, so auto_scale gives a
-side's smallest certifying c in closed form, and certified_pair checks both
-sides at the larger of their two scales.  A certificate obtained on a
+Both sides of the inequality are homogeneous in c, so auto_scale finds a
+side's scale from one operator application to the unit barrier, and
+certified_pair checks both at the larger of the two.  A certificate from a
 coarse grid is only trusted after it survives refinement: a wrong boundary
 exponent can look certified on a fixed grid because its violation zone hides
 below the resolved scale, but refinement exposes it.
@@ -72,7 +72,7 @@ __all__ = [
 
 SUB = "sub"
 SUPER = "super"
-_LOG_MAX = math.log(np.finfo(float).max)  # a larger log c overflows
+_LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
 
 @dataclass(frozen=True)
@@ -265,59 +265,56 @@ def auto_scale(
     slack: float = 0.0,
     skip_cells: int = 2,
 ) -> tuple[float, BarrierCertificate]:
-    """Smallest c >= 1 whose barrier certifies, with its certificate.
+    """The barrier's scale c >= 1 and its certificate.
 
     With A = -div(Phi(P)) and R the rhs of the unit barrier P (c = 1) at the
-    checked nodes, the barrier certifies at slack 0 iff c^(m-1+p) x >= y at
-    every node, (x, y) = (A, R) on the super side and (R, A) on the sub side
-    (p = 0 for a fixed theta); with slack, log c is bisected on A and R.  The
-    check confirms c, stepped up where rounding breaks the homogeneity by a
-    doubling count of ulps up to 2^32, a relative 1e-6 at most.
+    checked nodes, the residual at scale c is c^(m-1) A - c^(-p) R on the
+    super side and c^(1-m) A - c^p R on the sub side (p = 0 for a fixed
+    theta).  log2 c is bisected on these to the smallest value where every
+    margin, slack included, is >= 0.  One check confirms it, a doubling
+    count of ulps higher (up to 2^32, a relative 1e-6) where rounding breaks
+    the homogeneity, or else at the next power of two, which scales P
+    exactly.  So c is an upper bound on the smallest certifying scale,
+    sharp to 1e-6 unless a node's residual is rounding noise.
 
-    Raises NoCertifiableScale, naming the node, when no finite c certifies
-    or the check refuses the exact scale.  That signals a wrong profile
-    exponent or an under-resolved grid, or the flat top of the eigenfunction
-    profiles: for m < 2, 1 - phi ~ |x - x_max|^(m/(m-1)), so next to the
-    maximum phi is 1 to within a few ulps (1 - 8.2e-15 at m = 1.2,
-    n = 1025).  The rounding of the profile there has the wrong sign on both
-    sides, and the flux |Dw|^(m-1) turns it into a residual that no c
-    removes; the worst node is one where |Dw| is at the rounding level (on
-    the ball, w_0 = w_1 and the residual at r = 0 is -K w^(-p)).
+    Raises NoCertifiableScale, naming the node, when no c certifies (a node
+    that caps c from above, as a negative theta can, fails at c = 2^1023).
+    That signals a wrong profile exponent or an under-resolved grid, or the
+    flat top of the eigenfunction profiles: for m < 2 phi is 1 to within a
+    few ulps next to its maximum (1 - 8.2e-15 at m = 1.2, n = 1025), and the
+    flux |Dw|^(m-1) turns the profile's rounding there into a residual of
+    the wrong sign on both sides, which only a power of two may outweigh
+    and none does as m nears 1 (on the ball, w_0 = w_1 and the residual at
+    r = 0 is -K w^(-p)).
     """
     unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base), base.grid)
     idx = _checked_indices(base.grid, skip_cells)
     a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side)[idx]
     p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if slack == 0.0:
-            x, y = (a, r) if side == SUPER else (r, a)
-            need = np.where(x > 0.0, y / x, np.where(y > 0.0, np.inf, 0.0))
-            k = int(np.argmax(need))
-            log_c = math.log(max(need[k], 1.0)) / (m - 1.0 + p)
-        else:
-            s = 1.0 if side == SUPER else -1.0
+    s = 1.0 if side == SUPER else -1.0
 
-            def margins(log_c):
-                return s * (np.exp(s * (m - 1.0) * log_c) * a - np.exp(-s * p * log_c) * r) + slack
+    def margins(log2_c):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return s * (np.exp2(s * (m - 1.0) * log2_c) * a - np.exp2(-s * p * log2_c) * r) + slack
 
-            lo, hi = 0.0, 0.0 if np.all(margins(0.0) >= 0.0) else _LOG_MAX
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                lo, hi = (lo, mid) if np.all(margins(mid) >= 0.0) else (mid, hi)
-            k = int(np.argmin(margins(hi)))
-            log_c = hi if margins(hi)[k] >= 0.0 else math.inf
-    if not log_c <= _LOG_MAX:
+    lo, hi = 0.0, 0.0 if np.all(margins(0.0) >= 0.0) else _LOG2_MAX
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if np.all(margins(mid) >= 0.0) else (mid, hi)
+    k = int(np.argmin(worst := margins(hi)))
+    if not worst[k] >= 0.0:
         raise NoCertifiableScale(
             f"no finite c certifies {family.describe()} ({side}): the unit barrier has "
             f"-div(Phi) = {a[k]:g} against the rhs {r[k]:g} at node {idx[k]}"
         )
-    c0 = math.exp(log_c)
-    for c in (c0, *(c0 + 2.0**j * math.ulp(c0) for j in range(33))):
+    c0 = 2.0**hi
+    steps = (c0 + 2.0**j * math.ulp(c0) for j in range(33))
+    for c in (c0, *steps, 2.0 ** math.ceil(hi)):
         _, cert = check_scaled(family, side, c, rhs, m, base, base.grid, slack, skip_cells)
         if cert.certified:
             return c, cert
     raise NoCertifiableScale(
-        f"{family.describe()} ({side}) fails its check up to 2^32 ulps above its exact "
-        f"scale c = {c0:g}; last margin {cert.worst_margin:g} at node {cert.worst_node}"
+        f"{family.describe()} ({side}) fails its check from c = {c0:g} to {c:g}; "
+        f"last margin {cert.worst_margin:g} at node {cert.worst_node}"
     )
 
 
@@ -360,16 +357,22 @@ def certified_pair(
 
     Both sides are checked at every unknown node (no skipped boundary cells),
     at the larger of their two scales (auto_scale), so the comparison
-    principle puts the discrete solution between them everywhere.
+    principle puts the discrete solution between them everywhere; the side
+    that set that scale keeps its certificate.
     """
     if base is None:
         base = first_eigenpair(grid, spec.m)
     families = dict(zip((SUB, SUPER), regime_families(spec)))
-    c = max(auto_scale(f, s, spec, spec.m, base, skip_cells=0)[0] for s, f in families.items())
-    (sub, sub_cert), (sup, super_cert) = (
-        check_scaled(f, s, c, spec, spec.m, base, grid, 0.0, 0) for s, f in families.items()
-    )
-    for cert in (sub_cert, super_cert):
+    scales = {s: auto_scale(f, s, spec, spec.m, base, skip_cells=0) for s, f in families.items()}
+    c = max(c for c, _ in scales.values())
+    found = {
+        s: (build_barrier(BarrierSpec(family=f, c=c, side=s, base=base), grid), scales[s][1])
+        if scales[s][0] == c
+        else check_scaled(f, s, c, spec, spec.m, base, grid, 0.0, 0)
+        for s, f in families.items()
+    }
+    for _, cert in found.values():
         if not cert.certified:
             raise NoCertifiableScale(f"{cert.side} fails at c = {c:g} at node {cert.worst_node}")
+    (sub, sub_cert), (sup, super_cert) = found[SUB], found[SUPER]
     return BarrierPair(sub=sub, super_=sup, c=c, sub_cert=sub_cert, super_cert=super_cert)

@@ -427,15 +427,12 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     spec, grid, rhs = _problem(cfg, cfg["n"])
     base = first_eigenpair(grid, cfg["m"])
     family = _barrier_family(cfg, spec)
+    slack, skip = cfg["slack"], cfg["skip_cells"]
     if cfg["c"] == "auto":
-        c, cert = barriers.auto_scale(
-            family, side, rhs, cfg["m"], base, slack=cfg["slack"], skip_cells=cfg["skip_cells"]
-        )
+        c, cert = barriers.auto_scale(family, side, rhs, cfg["m"], base, slack, skip)
     else:
         c = cfg["c"]
-        _, cert = barriers.check_scaled(
-            family, side, c, rhs, cfg["m"], base, grid, cfg["slack"], cfg["skip_cells"]
-        )
+        _, cert = barriers.check_scaled(family, side, c, rhs, cfg["m"], base, grid, slack, skip)
     block = [("command", "barrier-check"), ("family", family.describe()), ("c", c)]
     block += cert.report_items()
     _emit(cfg, "barrier", block)
