@@ -1,15 +1,18 @@
-"""Sub/supersolution barrier families, exact scales, and certification.
+"""Sub/supersolution barriers, exact scales, and certification.
 
-Barriers are built from the first eigenfunction phi (sup-norm 1) in two
-families:
+A barrier is a core.BoundaryProfile of the first eigenfunction phi
+(sup-norm 1), sampled on the grid of that eigenpair:
 
   * power:      c^(+-1) * phi^gamma,              gamma in (0, 1]
   * log-power:  c^(+-1) * phi * log^s (A / phi),   s > 0, A > sup phi
 
 with the same constant c >= 1 scaling the supersolution up and the subsolution
-down.  A candidate w is numerically certified as a subsolution of
--div(Phi) = rhs when the discrete residual -div(Phi(w)) - rhs(w) is <= slack
-at every checked node, and as a supersolution when it is >= -slack.  By
+down.  core.regime_profiles picks each regime's (sub, super) profiles, the
+same ones the singular solve starts from with delta in place of phi.
+
+A candidate w is numerically certified as a subsolution of -div(Phi) = rhs
+when the discrete residual -div(Phi(w)) - rhs(w) is <= slack at every
+checked node, and as a supersolution when it is >= -slack.  By
 default check_barrier skips the innermost cells next to each Dirichlet
 boundary, where the one-sided stencil meets the boundary singularity, so
 that a refinement study compares interior statements.  certified_pair
@@ -37,10 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BoundaryProfile,
     Grid1D,
     GridFunction,
     ProblemSpec,
-    default_log_scale,
     regime_profiles,
     same_grid,
 )
@@ -54,8 +57,6 @@ from .errors import (
 from .operator import apply_mlap
 
 __all__ = [
-    "PowerOfEigen",
-    "LogPowerOfEigen",
     "BarrierSpec",
     "BarrierCertificate",
     "BarrierPair",
@@ -65,9 +66,7 @@ __all__ = [
     "check_barrier",
     "check_scaled",
     "auto_scale",
-    "regime_families",
     "certified_pair",
-    "default_log_scale",
 ]
 
 SUB = "sub"
@@ -75,45 +74,11 @@ SUPER = "super"
 _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
 
-@dataclass(frozen=True)
-class PowerOfEigen:
-    """Barrier profile phi^gamma."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise DomainError(f"power barrier exponent must be in (0, 1], got {self.gamma}")
-
-    def describe(self) -> str:
-        return f"power(gamma={self.gamma:g})"
-
-
-@dataclass(frozen=True)
-class LogPowerOfEigen:
-    """Barrier profile phi * log^s(A / phi)."""
-
-    s: float
-    big_a: float
-
-    def __post_init__(self):
-        if self.s <= 0.0:
-            raise DomainError(f"log barrier exponent must be positive, got {self.s}")
-        if self.big_a <= 1.0:
-            raise DomainError(f"log scale A must exceed 1, got {self.big_a}")
-
-    def describe(self) -> str:
-        return f"logpower(s={self.s:g}, A={self.big_a:g})"
-
-
-Family = PowerOfEigen | LogPowerOfEigen
-
-
 @dataclass(frozen=True, eq=False)
 class BarrierSpec:
     """One barrier: profile family, scaling c, side, and the base eigenpair."""
 
-    family: Family
+    family: BoundaryProfile
     c: float
     side: str
     base: EigenPair
@@ -129,23 +94,16 @@ class BarrierSpec:
         return 1.0 / self.c if self.side == SUB else self.c
 
 
-def build_barrier(spec: BarrierSpec, grid: Grid1D) -> GridFunction:
-    """Sample the barrier on ``grid`` (the base eigenpair's own grid)."""
-    if not same_grid(spec.base.grid, grid):
-        raise GridMismatch("barrier base eigenpair was computed on a different grid")
+def build_barrier(spec: BarrierSpec) -> GridFunction:
+    """Sample the barrier on the grid of its base eigenpair."""
     phi = spec.base.eigenfunction.values
+    grid = spec.base.grid
+    prof = spec.family
+    if prof.log_exponent is not None and prof.log_scale <= phi.max():
+        raise DomainError(f"log scale A={prof.log_scale:g} must exceed max phi = {phi.max():g}")
     vals = np.zeros(grid.n)
     sl = grid.unknown_slice
-    p_int = phi[sl]
-    fam = spec.family
-    if isinstance(fam, PowerOfEigen):
-        vals[sl] = spec.scale * p_int**fam.gamma
-    else:
-        if fam.big_a <= phi.max():
-            raise DomainError(
-                f"log scale A={fam.big_a:g} must exceed max phi = {phi.max():g}"
-            )
-        vals[sl] = spec.scale * p_int * np.log(fam.big_a / p_int) ** fam.s
+    vals[sl] = prof.scaled(phi[sl], spec.scale)
     return GridFunction(grid, vals)
 
 
@@ -250,14 +208,14 @@ def check_barrier(
     )
 
 
-def check_scaled(family, side, c, rhs, m, base, grid, slack, skip_cells):
-    """The barrier of ``family`` at scale c on ``grid`` and its certificate."""
-    cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base), grid)
+def check_scaled(family, side, c, rhs, m, base, slack, skip_cells):
+    """The barrier of ``family`` at scale c and its certificate."""
+    cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base))
     return cand, check_barrier(cand, side, rhs, m, slack, skip_cells, family.describe())
 
 
 def auto_scale(
-    family: Family,
+    family: BoundaryProfile,
     side: str,
     rhs,
     m: float,
@@ -287,7 +245,7 @@ def auto_scale(
     and none does as m nears 1 (on the ball, w_0 = w_1 and the residual at
     r = 0 is -K w^(-p)).
     """
-    unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base), base.grid)
+    unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base))
     idx = _checked_indices(base.grid, skip_cells)
     a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side)[idx]
     p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
@@ -309,31 +267,12 @@ def auto_scale(
     c0 = 2.0**hi
     steps = (c0 + 2.0**j * math.ulp(c0) for j in range(33))
     for c in (c0, *steps, 2.0 ** math.ceil(hi)):
-        _, cert = check_scaled(family, side, c, rhs, m, base, base.grid, slack, skip_cells)
+        _, cert = check_scaled(family, side, c, rhs, m, base, slack, skip_cells)
         if cert.certified:
             return c, cert
     raise NoCertifiableScale(
         f"{family.describe()} ({side}) fails its check from c = {c0:g} to {c:g}; "
         f"last margin {cert.worst_margin:g} at node {cert.worst_node}"
-    )
-
-
-def regime_families(spec: ProblemSpec) -> tuple[Family, Family]:
-    """Barrier profiles (sub, super) appropriate for the spec's regime.
-
-    The regime's profiles (core.regime_profiles) in the eigenfunction.
-    Supercritical: both sides share the power profile with the predicted
-    boundary exponent.  Critical: both sides share the log-power profile with
-    the predicted log exponent.  Subcritical: the subsolution is the plain
-    eigenfunction (gamma = 1, matching u ~ delta from below) while the
-    supersolution needs unbounded curvature at the boundary and uses the
-    log-power profile, an upper bound one log factor above u ~ delta.
-    """
-    return tuple(
-        LogPowerOfEigen(s=prof.log_exponent, big_a=prof.log_scale)
-        if prof.log_exponent
-        else PowerOfEigen(prof.exponent)
-        for prof in regime_profiles(spec)
     )
 
 
@@ -362,13 +301,15 @@ def certified_pair(
     """
     if base is None:
         base = first_eigenpair(grid, spec.m)
-    families = dict(zip((SUB, SUPER), regime_families(spec)))
+    elif not same_grid(base.grid, grid):
+        raise GridMismatch("barrier base eigenpair was computed on a different grid")
+    families = dict(zip((SUB, SUPER), regime_profiles(spec)))
     scales = {s: auto_scale(f, s, spec, spec.m, base, skip_cells=0) for s, f in families.items()}
     c = max(c for c, _ in scales.values())
     found = {
-        s: (build_barrier(BarrierSpec(family=f, c=c, side=s, base=base), grid), scales[s][1])
+        s: (build_barrier(BarrierSpec(family=f, c=c, side=s, base=base)), scales[s][1])
         if scales[s][0] == c
-        else check_scaled(f, s, c, spec, spec.m, base, grid, 0.0, 0)
+        else check_scaled(f, s, c, spec, spec.m, base, 0.0, 0)
         for s, f in families.items()
     }
     for _, cert in found.values():

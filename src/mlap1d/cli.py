@@ -35,11 +35,14 @@ from .analyzer import (
     threshold_scan,
 )
 from .core import (
+    BoundaryProfile,
     Domain,
     GridFunction,
     ProblemSpec,
     classify_regime,
+    default_log_scale,
     make_graded_grid,
+    regime_profiles,
 )
 from .eigen import first_eigenpair
 from .errors import InvalidConfig, MlapError
@@ -408,15 +411,15 @@ def cmd_eigen(cfg: RunConfig) -> int:
 def _barrier_family(cfg: RunConfig, spec: ProblemSpec | None):
     kind = cfg["family"]
     if kind == "power":
-        return barriers.PowerOfEigen(cfg["gamma"])
+        return BoundaryProfile.power(cfg["gamma"])
     if kind == "logpower":
-        big_a = cfg["log_a"] or barriers.default_log_scale(cfg.domain(), cfg["log_s"])
-        return barriers.LogPowerOfEigen(cfg["log_s"], big_a)
+        big_a = cfg["log_a"] or default_log_scale(cfg.domain(), cfg["log_s"])
+        return BoundaryProfile.logpower(cfg["log_s"], big_a)
     if kind == "regime":
         if spec is None:
             raise InvalidConfig("family=regime requires a singular rhs")
-        sub_fam, super_fam = barriers.regime_families(spec)
-        return sub_fam if cfg["side"] == "sub" else super_fam
+        sub, sup = regime_profiles(spec)
+        return sub if cfg["side"] == "sub" else sup
     raise InvalidConfig(f"unknown barrier family {kind!r}")
 
 
@@ -432,7 +435,7 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
         c, cert = barriers.auto_scale(family, side, rhs, cfg["m"], base, slack, skip)
     else:
         c = cfg["c"]
-        _, cert = barriers.check_scaled(family, side, c, rhs, cfg["m"], base, grid, slack, skip)
+        _, cert = barriers.check_scaled(family, side, c, rhs, cfg["m"], base, slack, skip)
     block = [("command", "barrier-check"), ("family", family.describe()), ("c", c)]
     block += cert.report_items()
     _emit(cfg, "barrier", block)
@@ -586,6 +589,29 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a ``--flag`` with no value
+    written as ``--flag=value``: argparse takes a word like -1e-3 for an
+    option.  Every long flag but --help takes a value."""
+    out: list[str] = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        bare = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+        if bare and word.startswith("-") and _is_number(word):
+            out[-1] = f"{flag}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mlap1d",
@@ -597,7 +623,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     _add_common_flags(parser)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = build_config(args)
         return COMMANDS[args.command](cfg)

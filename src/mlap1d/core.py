@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import (
     AdmissibilityViolation,
+    DomainError,
     GridMismatch,
     InvalidConfig,
     InvalidGrading,
@@ -46,8 +47,12 @@ __all__ = [
     "RegimeReport",
     "Grid1D",
     "GridFunction",
+    "BoundaryProfile",
     "classify_regime",
+    "default_log_scale",
+    "default_k_values",
     "make_graded_grid",
+    "regime_profiles",
     "same_grid",
 ]
 
@@ -226,14 +231,58 @@ def default_log_scale(domain: Domain, s: float) -> float:
 
 @dataclass(frozen=True)
 class BoundaryProfile:
-    """The profile f^exponent log^log_exponent(log_scale / f) of a positive
-    f with sup f <= 1 that vanishes like delta at the boundary;
-    log_exponent = 0 is the plain power f^exponent, and a log profile has
-    exponent 1."""
+    """A boundary profile of a positive f with sup f <= 1 that vanishes like
+    delta at the boundary: the power f^exponent, 0 < exponent <= 1, or, when
+    log_exponent s is given, f log^s(A / f) with A = log_scale > 1 (its
+    exponent is 1).
+
+    The paper's barriers take the first eigenfunction for f
+    (barriers.build_barrier), the singular solve's starting profile takes
+    delta (solver.solve_singular).  Construction raises DomainError for
+    values outside these ranges.
+    """
 
     exponent: float
-    log_exponent: float = 0.0
-    log_scale: float = 1.0
+    log_exponent: float | None = None
+    log_scale: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.exponent <= 1.0:
+            raise DomainError(f"power barrier exponent must be in (0, 1], got {self.exponent}")
+        if self.log_exponent is None:
+            return
+        if self.exponent != 1.0:
+            raise DomainError(f"a log profile has exponent 1, got {self.exponent}")
+        if not self.log_exponent > 0.0:
+            raise DomainError(f"log barrier exponent must be positive, got {self.log_exponent}")
+        if not self.log_scale > 1.0:
+            raise DomainError(f"log scale A must exceed 1, got {self.log_scale}")
+
+    @staticmethod
+    def power(gamma: float) -> "BoundaryProfile":
+        return BoundaryProfile(gamma)
+
+    @staticmethod
+    def logpower(s: float, A: float) -> "BoundaryProfile":  # noqa: N803 (the paper's A)
+        return BoundaryProfile(1.0, s, A)
+
+    def describe(self) -> str:
+        if self.log_exponent is None:
+            return f"power(gamma={self.exponent:g})"
+        return f"logpower(s={self.log_exponent:g}, A={self.log_scale:g})"
+
+    def scaled(self, f: np.ndarray, scale: float) -> np.ndarray:
+        """scale times the profile of f (f > 0)."""
+        if self.log_exponent is None:
+            return scale * f**self.exponent
+        return scale * f * np.log(self.log_scale / f) ** self.log_exponent
+
+    def log_of(self, log_f: np.ndarray) -> np.ndarray:
+        """The log of the profile, written over ``log_f`` = log f and returned."""
+        log_f *= self.exponent
+        if self.log_exponent is not None:  # exponent 1: log_f is still log f
+            log_f += self.log_exponent * np.log(np.log(self.log_scale) - log_f)
+        return log_f
 
 
 def regime_profiles(spec: ProblemSpec) -> tuple[BoundaryProfile, BoundaryProfile]:
@@ -243,19 +292,17 @@ def regime_profiles(spec: ProblemSpec) -> tuple[BoundaryProfile, BoundaryProfile
     exponent.  Critical: both sides are f log^s(A/f) with the predicted log
     exponent s = 1/(m+p-1) and A the default log scale.  Subcritical: the
     lower side is f (u ~ delta) and the upper side the critical one's log
-    profile, one log factor above u ~ delta.  The paper's barriers take the
-    first eigenfunction for f (barriers.regime_families), the singular
-    solve's starting profile takes delta (solver.solve_singular).
+    profile, one log factor above u ~ delta.
     """
     report = classify_regime(spec)
     if report.regime is Regime.SUPERCRITICAL:
-        power = BoundaryProfile(report.boundary_exponent)
+        power = BoundaryProfile.power(report.boundary_exponent)
         return power, power
     s = 1.0 / (spec.m + spec.p - 1.0)
-    log_power = BoundaryProfile(1.0, s, default_log_scale(spec.domain, s))
+    log_power = BoundaryProfile.logpower(s, default_log_scale(spec.domain, s))
     if report.regime is Regime.CRITICAL:
         return log_power, log_power
-    return BoundaryProfile(1.0), log_power
+    return BoundaryProfile.power(1.0), log_power
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid1D, GridFunction, _check_m
-from .errors import NonConvergence, SignChange
+from .errors import NonConvergence
 from .operator import apply_mlap
 from .solver import solve_dirichlet
 
@@ -66,33 +66,21 @@ def _initial_field(grid: Grid1D) -> GridFunction:
     return GridFunction(grid, vals / vals.max())
 
 
-def first_eigenpair(
-    grid: Grid1D,
-    m: float,
-    tol: float = 1e-9,
-    initial: GridFunction | None = None,
-) -> EigenPair:
+def first_eigenpair(grid: Grid1D, m: float, tol: float = 1e-9) -> EigenPair:
     """Inverse power iteration for the first m-Laplace Dirichlet eigenpair.
 
-    Starts from ``initial`` (by default a positive unimodal polynomial) and
-    stops when the Rayleigh-quotient eigenvalue changes by at most
-    ``tol * max(1, lambda)`` between iterations.  Raises
-    AdmissibilityViolation unless 1 < m < inf, SignChange if an iterate
-    loses interior positivity (the grid is too coarse) and NonConvergence
-    if MAX_ITERS inverse iterations are not enough.
+    Starts from a positive unimodal polynomial and stops when the
+    Rayleigh-quotient eigenvalue changes by at most ``tol * max(1, lambda)``
+    between iterations.  Every iterate is positive inside: its load
+    phi^(m-1) is, and a positive load gives a positive solve.  Raises
+    AdmissibilityViolation unless 1 < m < inf, and NonConvergence if
+    MAX_ITERS inverse iterations are not enough.
     """
     _check_m(m)
-    phi = initial if initial is not None else _initial_field(grid)
-    # the initial field should be positive in the interior; a sign-changing
-    # start is reported through SignChange on the first iterate
-    vals = phi.values / np.max(np.abs(phi.values))
-    phi = GridFunction(grid, vals)
+    phi = _initial_field(grid)
     lam = rayleigh_quotient(phi, m)
     for _ in range(MAX_ITERS):
-        rhs = GridFunction(grid, np.sign(phi.values) * np.abs(phi.values) ** (m - 1.0))
-        psi = solve_dirichlet(rhs, m).solution
-        if np.any(psi.interior <= 0.0):
-            raise SignChange("inverse iterate lost interior positivity")
+        psi = solve_dirichlet(GridFunction(grid, phi.values ** (m - 1.0)), m).solution
         phi = GridFunction(grid, psi.values / psi.values.max())
         lam_new = rayleigh_quotient(phi, m)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
@@ -101,8 +89,6 @@ def first_eigenpair(
         lam = lam_new
     else:
         raise NonConvergence(f"eigen iteration did not settle in {MAX_ITERS} steps")
-    res_field = apply_mlap(phi, m).values - lam * np.sign(phi.values) * np.abs(
-        phi.values
-    ) ** (m - 1.0)
+    res_field = apply_mlap(phi, m).values - lam * phi.values ** (m - 1.0)
     residual = float(np.max(np.abs(res_field[grid.unknown_slice])))
     return EigenPair(eigenfunction=phi, eigenvalue=lam, m=m, residual=residual)

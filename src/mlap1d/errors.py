@@ -68,10 +68,6 @@ class BarrierOrderViolation(MlapError):
     exit_status = 1
 
 
-class SignChange(MlapError):
-    """An eigen-iterate lost interior positivity (grid too coarse)."""
-
-
 class DomainError(MlapError):
     """Barrier or check parameter outside its valid range (e.g. log scale
     A <= max phi, c outside [1, inf), or skip_cells < 0 or leaving no cell)."""

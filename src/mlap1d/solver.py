@@ -508,11 +508,8 @@ def _log_profile(spec, grid, out):
     lower profile (core.regime_profiles) in delta: delta^gamma when
     supercritical, delta when subcritical and delta log^s(A/delta) when
     critical."""
-    prof = regime_profiles(spec)[0]
     np.log(grid.delta_nodes[grid.unknown_slice], out=out)
-    out *= prof.exponent
-    if prof.log_exponent:  # exponent 1: out is log delta
-        out += prof.log_exponent * np.log(np.log(prof.log_scale) - out)
+    regime_profiles(spec)[0].log_of(out)
 
 
 def _singular_report(grid, u, residual, pair, iterations, gap, converged):

@@ -30,7 +30,7 @@ from mlap1d import (
     solve_singular,
     threshold_scan,
 )
-from mlap1d.barriers import PowerOfEigen
+from mlap1d.core import BoundaryProfile
 from mlap1d.cli import main
 from mlap1d.errors import NoCertifiableScale
 from mlap1d.solver import SolverConfig
@@ -313,19 +313,18 @@ def test_criterion_11_negative_controls(tmp_path):
     # refinement: the coarse-grid scale is destroyed on the fine grid, where
     # no c <= 2^6 certifies
     eig_coarse = first_eigenpair(make_graded_grid(257, 3.0), 2.0, tol=1e-10)
-    c_coarse, _ = auto_scale(PowerOfEigen(0.3), SUB, E3, 2.0, eig_coarse)
+    c_coarse, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_coarse)
     assert c_coarse <= 2.0**6
     eig_fine = first_eigenpair(make_graded_grid(4097, 3.0), 2.0, tol=1e-10)
     try:
-        c_fine, _ = auto_scale(PowerOfEigen(0.3), SUB, E3, 2.0, eig_fine)
+        c_fine, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_fine)
     except NoCertifiableScale:
         c_fine = math.inf
     assert c_fine > 2.0**6
     from mlap1d.barriers import BarrierSpec, build_barrier, check_barrier
 
     stale = build_barrier(
-        BarrierSpec(family=PowerOfEigen(0.3), c=c_coarse, side=SUB, base=eig_fine),
-        eig_fine.grid,
+        BarrierSpec(family=BoundaryProfile.power(0.3), c=c_coarse, side=SUB, base=eig_fine),
     )
     refinement_kills_it = not check_barrier(stale, SUB, E3, 2.0).certified
 

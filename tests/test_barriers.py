@@ -8,9 +8,8 @@ import mlap1d
 from mlap1d import (
     BarrierSpec,
     Domain,
+    BoundaryProfile,
     GridFunction,
-    LogPowerOfEigen,
-    PowerOfEigen,
     ProblemSpec,
     SUB,
     SUPER,
@@ -22,12 +21,13 @@ from mlap1d import (
     check_barrier,
     first_eigenpair,
     make_graded_grid,
-    regime_families,
+    regime_profiles,
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d.barriers import check_scaled, default_log_scale
-from mlap1d.errors import DomainError, NoCertifiableScale, NonPositiveCandidate
+from mlap1d.barriers import check_scaled
+from mlap1d.core import default_log_scale
+from mlap1d.errors import DomainError, GridMismatch, NoCertifiableScale, NonPositiveCandidate
 
 E3 = ProblemSpec(m=2.0, p=0.5, q=1.0)
 
@@ -59,14 +59,14 @@ def synthetic_sine_pair(n=13):
 class TestBuildBarrier:
     def test_identity_scaling(self):
         base = synthetic_sine_pair(33)
-        spec = BarrierSpec(family=PowerOfEigen(1.0), c=1.0, side=SUPER, base=base)
-        w = build_barrier(spec, base.grid)
+        spec = BarrierSpec(family=BoundaryProfile.power(1.0), c=1.0, side=SUPER, base=base)
+        w = build_barrier(spec)
         assert np.allclose(w.values, base.eigenfunction.values, atol=0)
 
     def test_power_two_thirds(self):
         base = synthetic_sine_pair(33)  # odd n: node at x = 1/2
-        spec = BarrierSpec(family=PowerOfEigen(2.0 / 3.0), c=2.0, side=SUPER, base=base)
-        w = build_barrier(spec, base.grid)
+        spec = BarrierSpec(family=BoundaryProfile.power(2.0 / 3.0), c=2.0, side=SUPER, base=base)
+        w = build_barrier(spec)
         mid = base.grid.n // 2
         assert w.values[mid] == pytest.approx(2.0, abs=1e-12)
         expected = 2.0 * np.sin(np.pi * base.grid.nodes[1]) ** (2.0 / 3.0)
@@ -76,9 +76,9 @@ class TestBuildBarrier:
         # at the node where phi = 1/2: (1/2) log^(1/3)(4) = 0.5575 (about 0.5567)
         base = synthetic_sine_pair(25)  # x = 1/6 gives sin = 1/2
         spec = BarrierSpec(
-            family=LogPowerOfEigen(s=1.0 / 3.0, big_a=2.0), c=1.0, side=SUPER, base=base
+            family=BoundaryProfile.logpower(s=1.0 / 3.0, A=2.0), c=1.0, side=SUPER, base=base
         )
-        w = build_barrier(spec, base.grid)
+        w = build_barrier(spec)
         i = 4  # x = 4/24 = 1/6
         phi_i = base.eigenfunction.values[i]
         assert phi_i == pytest.approx(0.5, abs=1e-12)
@@ -89,33 +89,33 @@ class TestBuildBarrier:
     def test_dirichlet_zeros_exact(self):
         base = synthetic_sine_pair(33)
         spec = BarrierSpec(
-            family=LogPowerOfEigen(s=0.5, big_a=3.0), c=4.0, side=SUB, base=base
+            family=BoundaryProfile.logpower(s=0.5, A=3.0), c=4.0, side=SUB, base=base
         )
-        w = build_barrier(spec, base.grid)
+        w = build_barrier(spec)
         assert w.values[0] == 0.0 and w.values[-1] == 0.0
 
     def test_log_scale_must_exceed_max_phi(self):
         base = synthetic_sine_pair(33)
         with pytest.raises(DomainError):
-            LogPowerOfEigen(s=0.5, big_a=1.0 - 1e-9)
+            BoundaryProfile.logpower(s=0.5, A=1.0 - 1e-9)
         # A above 1 but at or below max phi is caught at build time
         tall = GridFunction(base.grid, 1.5 * base.eigenfunction.values)
         from mlap1d.eigen import EigenPair
 
         tall_base = EigenPair(eigenfunction=tall, eigenvalue=np.pi**2, m=2.0, residual=0.0)
         spec = BarrierSpec(
-            family=LogPowerOfEigen(s=0.5, big_a=1.2), c=2.0, side=SUB, base=tall_base
+            family=BoundaryProfile.logpower(s=0.5, A=1.2), c=2.0, side=SUB, base=tall_base
         )
         with pytest.raises(DomainError):
-            build_barrier(spec, base.grid)
+            build_barrier(spec)
 
     def test_family_parameter_validation(self):
         with pytest.raises(DomainError):
-            PowerOfEigen(0.0)
+            BoundaryProfile.power(0.0)
         with pytest.raises(DomainError):
-            PowerOfEigen(1.2)
+            BoundaryProfile.power(1.2)
         with pytest.raises(DomainError):
-            LogPowerOfEigen(s=-0.1, big_a=3.0)
+            BoundaryProfile.logpower(s=-0.1, A=3.0)
 
     def test_default_log_scale_exceeds_one_plus_diameter(self):
         from mlap1d import Domain, INTERVAL01
@@ -143,7 +143,7 @@ class TestCheckBarrier:
         theta = GridFunction.interior_from_callable(
             g, lambda x: g.domain.delta(x) ** (-4.0 / 3.0)
         )
-        fam = PowerOfEigen(2.0 / 3.0)
+        fam = BoundaryProfile.power(2.0 / 3.0)
         c_sup, cert_sup = auto_scale(fam, SUPER, theta, 2.0, eig)
         c_sub, cert_sub = auto_scale(fam, SUB, theta, 2.0, eig)
         assert cert_sup.certified and cert_sub.certified
@@ -172,7 +172,7 @@ class TestCheckBarrier:
 class TestAutoScale:
     def test_regime_family_certifies_both_sides(self, eig_1025):
         for side in (SUB, SUPER):
-            c, cert = auto_scale(PowerOfEigen(2.0 / 3.0), side, E3, 2.0, eig_1025)
+            c, cert = auto_scale(BoundaryProfile.power(2.0 / 3.0), side, E3, 2.0, eig_1025)
             assert cert.certified and c <= 2.0**10
 
     def test_certification_monotone_in_c(self):
@@ -180,16 +180,16 @@ class TestAutoScale:
         eig = synthetic_sine_pair(129)
         g = eig.grid
         theta = GridFunction(g, np.full(g.n, 5.0))
-        c_star, _ = auto_scale(PowerOfEigen(1.0), SUPER, theta, 2.0, eig)
+        c_star, _ = auto_scale(BoundaryProfile.power(1.0), SUPER, theta, 2.0, eig)
         for c in (c_star, 2 * c_star, 8 * c_star, 64 * c_star):
-            bspec = BarrierSpec(family=PowerOfEigen(1.0), c=c, side=SUPER, base=eig)
-            cert = check_barrier(build_barrier(bspec, g), SUPER, theta, 2.0)
+            bspec = BarrierSpec(family=BoundaryProfile.power(1.0), c=c, side=SUPER, base=eig)
+            cert = check_barrier(build_barrier(bspec), SUPER, theta, 2.0)
             assert cert.certified
 
     def test_wrong_exponent_fails_under_refinement(self):
         # gamma = 0.3 instead of 2/3 for E3: a coarse-grid certificate is
         # destroyed by refinement, and no c <= 2^6 certifies on the fine grid
-        wrong = PowerOfEigen(0.3)
+        wrong = BoundaryProfile.power(0.3)
         c_by_n = {}
         for n in (257, 1025, 4097):
             eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0, tol=1e-10)
@@ -202,14 +202,14 @@ class TestAutoScale:
         # and the coarse-certified constant fails the fine-grid check
         eig4 = first_eigenpair(make_graded_grid(4097, 3.0), 2.0, tol=1e-10)
         bspec = BarrierSpec(family=wrong, c=c_by_n[257], side=SUB, base=eig4)
-        cert = check_barrier(build_barrier(bspec, eig4.grid), SUB, E3, 2.0)
+        cert = check_barrier(build_barrier(bspec), SUB, E3, 2.0)
         assert not cert.certified
 
     def test_correct_exponent_stable_under_refinement(self):
         cs = []
         for n in (257, 1025, 4097):
             eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0, tol=1e-10)
-            c, _ = auto_scale(PowerOfEigen(2.0 / 3.0), SUB, E3, 2.0, eig)
+            c, _ = auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, E3, 2.0, eig)
             cs.append(c)
         assert max(cs) - min(cs) <= 1e-3 * min(cs)
 
@@ -259,16 +259,16 @@ class TestCertifiedPair:
         g = make_graded_grid(n, 3.0)
         assert_between_paper_barriers(spec, g, solve_singular(spec, g))
 
-    def test_regime_families_shapes(self):
-        sub, sup = regime_families(E3)
-        assert isinstance(sub, PowerOfEigen) and sub.gamma == pytest.approx(2 / 3)
-        assert isinstance(sup, PowerOfEigen)
-        sub, sup = regime_families(ProblemSpec(m=2.0, p=0.5, q=0.5))
-        assert isinstance(sub, LogPowerOfEigen)
-        assert sub.s == pytest.approx(2 / 3)
-        sub, sup = regime_families(ProblemSpec(m=2.0, p=0.3, q=0.3))
-        assert isinstance(sub, PowerOfEigen) and sub.gamma == 1.0
-        assert isinstance(sup, LogPowerOfEigen)
+    def test_regime_profiles_shapes(self):
+        sub, sup = regime_profiles(E3)
+        assert sub.log_exponent is None and sub.exponent == pytest.approx(2 / 3)
+        assert sup.log_exponent is None
+        sub, sup = regime_profiles(ProblemSpec(m=2.0, p=0.5, q=0.5))
+        assert sub.log_exponent is not None
+        assert sub.log_exponent == pytest.approx(2 / 3)
+        sub, sup = regime_profiles(ProblemSpec(m=2.0, p=0.3, q=0.3))
+        assert sub.log_exponent is None and sub.exponent == 1.0
+        assert sup.log_exponent is not None
 
     def test_fitted_exponent_matches_barrier_exponent(self):
         # the two-sided bracket pins the boundary exponent of the solution
@@ -287,7 +287,7 @@ class TestCertifiedPair:
 
 
 def _check_at(family, side, c, spec, base, skip_cells):
-    _, cert = check_scaled(family, side, c, spec, spec.m, base, base.grid, 0.0, skip_cells)
+    _, cert = check_scaled(family, side, c, spec, spec.m, base, 0.0, skip_cells)
     return cert.certified
 
 
@@ -320,7 +320,7 @@ class TestExactScale:
     @pytest.mark.parametrize("name", SCALE_CASES)
     def test_scale_certifies_and_just_below_does_not(self, scale_bases, name, side, skip_cells):
         spec, base = SCALE_CASES[name], scale_bases[name]
-        family = dict(zip((SUB, SUPER), regime_families(spec)))[side]
+        family = dict(zip((SUB, SUPER), regime_profiles(spec)))[side]
         c, cert = auto_scale(family, side, spec, spec.m, base, skip_cells=skip_cells)
         assert cert.certified and cert.skip_cells == skip_cells
         assert _check_at(family, side, c, spec, base, skip_cells)
@@ -339,12 +339,12 @@ class TestExactScale:
         spec, base = SCALE_CASES[name], scale_bases[name]
         scales = [
             auto_scale(family, side, spec, spec.m, base, skip_cells=0)[0]
-            for family, side in zip(regime_families(spec), (SUB, SUPER))
+            for family, side in zip(regime_profiles(spec), (SUB, SUPER))
         ]
         pair = certified_pair(spec, base.grid, base=base)
         assert pair.c == max(scales)
         assert pair.sub_cert.certified and pair.super_cert.certified
-        assert pair.sub_cert.description == regime_families(spec)[0].describe()
+        assert pair.sub_cert.description == regime_profiles(spec)[0].describe()
 
     @pytest.mark.parametrize("name", ["interval-2", "ball-1.2"])
     def test_pair_checks_only_the_smaller_side_again(self, scale_bases, monkeypatch, name):
@@ -365,14 +365,14 @@ class TestExactScale:
         # on the ball's flat top w_0 = w_1, so node 0's residual is noise
         spec = ProblemSpec(m=1.2, p=0.2, q=0.3, domain=Domain.ball(3))
         base = first_eigenpair(make_graded_grid(1025, 3.0, spec.domain), spec.m)
-        sub, _ = regime_families(spec)
+        sub, _ = regime_profiles(spec)
         c, cert = auto_scale(sub, SUB, spec, spec.m, base, skip_cells=0)
         assert cert.certified and c == pytest.approx(52.4091, rel=1e-5)
         assert _check_at(sub, SUB, 0.9 * c, spec, base, 0)
         assert not _check_at(sub, SUB, 0.8 * c, spec, base, 0)
 
     def test_e3_scales(self, eig_1025):
-        sub, sup = regime_families(E3)
+        sub, sup = regime_profiles(E3)
         c_sub, _ = auto_scale(sub, SUB, E3, 2.0, eig_1025)
         c_super, _ = auto_scale(sup, SUPER, E3, 2.0, eig_1025)
         c_super_0, _ = auto_scale(sup, SUPER, E3, 2.0, eig_1025, skip_cells=0)
@@ -384,7 +384,7 @@ class TestExactScale:
     def test_flat_top_at_m_1_05(self):
         spec = ProblemSpec(m=1.05, p=0.0, q=0.0)
         base = first_eigenpair(make_graded_grid(1025, 3.0), spec.m)
-        sub, sup = regime_families(spec)
+        sub, sup = regime_profiles(spec)
         # the super side has A <= 0 on the flat top (nodes 401 to 623), so no
         # c serves; the refusal names the node where A is most negative
         with pytest.raises(NoCertifiableScale, match="-div.Phi. = -5298.25 .* at node 416$"):
@@ -393,7 +393,7 @@ class TestExactScale:
         # 481; the next power of two keeps the unit barrier's rounding
         c, cert = auto_scale(sub, SUB, spec, spec.m, base, skip_cells=0)
         assert c == 2.0**128 and cert.certified
-        _, near = check_scaled(sub, SUB, 2.41e38, spec, spec.m, base, base.grid, 0.0, 0)
+        _, near = check_scaled(sub, SUB, 2.41e38, spec, spec.m, base, 0.0, 0)
         assert not near.certified and near.worst_node == 481
 
     def test_a_scale_the_check_refuses_is_not_returned(self, eig_1025, monkeypatch):
@@ -403,7 +403,7 @@ class TestExactScale:
             return dataclasses.replace(check(*args), certified=False)
 
         monkeypatch.setattr(mlap1d.barriers, "check_barrier", refusing)
-        sub, _ = regime_families(E3)
+        sub, _ = regime_profiles(E3)
         with pytest.raises(NoCertifiableScale, match="fails its check .* at node \\d+$"):
             auto_scale(sub, SUB, E3, 2.0, eig_1025)
 
@@ -423,28 +423,28 @@ class TestExactScale:
     def test_a_node_capping_c_from_above_is_named(self, eig_1025):
         # the profile dips at the top (log(1.5) < s), so A < 0 there; a theta
         # of 16 A where A > 0 and 2 A where A < 0 asks c >= 16 and c <= 2
-        family = LogPowerOfEigen(s=1.0, big_a=1.5)
-        unit = build_barrier(BarrierSpec(family, 1.0, SUPER, eig_1025), eig_1025.grid)
+        family = BoundaryProfile.logpower(s=1.0, A=1.5)
+        unit = build_barrier(BarrierSpec(family, 1.0, SUPER, eig_1025))
         a = apply_mlap(unit, 2.0).values
         theta = GridFunction(eig_1025.grid, np.where(a > 0.0, 16.0, 2.0) * a)
         with pytest.raises(NoCertifiableScale, match=r"-div\(Phi\) = -[\d.]+ .* at node \d+$"):
             auto_scale(family, SUPER, theta, 2.0, eig_1025)
 
     def test_slack_bisects_to_the_smallest_scale(self, eig_1025):
-        sub, _ = regime_families(E3)
+        sub, _ = regime_profiles(E3)
         c0, _ = auto_scale(sub, SUB, E3, 2.0, eig_1025)
         for slack in (1e-3, -1e-3):
             c, cert = auto_scale(sub, SUB, E3, 2.0, eig_1025, slack=slack)
             assert cert.certified and cert.slack == slack
             assert (c < c0) if slack > 0 else (c > c0)
             _, below = check_scaled(
-                sub, SUB, c * (1 - 1e-6), E3, 2.0, eig_1025, eig_1025.grid, slack, 2
+                sub, SUB, c * (1 - 1e-6), E3, 2.0, eig_1025, slack, 2
             )
             assert not below.certified
         # -div(Phi(phi/c)) > 0 is never <= theta + slack = -1
         theta = GridFunction(eig_1025.grid, np.full(eig_1025.grid.n, 1.0))
         with pytest.raises(NoCertifiableScale, match="no finite c .* at node"):
-            auto_scale(PowerOfEigen(1.0), SUB, theta, 2.0, eig_1025, slack=-2.0)
+            auto_scale(BoundaryProfile.power(1.0), SUB, theta, 2.0, eig_1025, slack=-2.0)
 
     @pytest.mark.parametrize("skip_cells", [-1, -5])
     def test_negative_skip_cells_is_refused(self, eig_1025, skip_cells):
@@ -455,4 +455,25 @@ class TestExactScale:
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.5])
     def test_scale_must_be_finite_and_at_least_one(self, eig_1025, c):
         with pytest.raises(DomainError, match="scaling constant must be >= 1 and finite"):
-            BarrierSpec(family=PowerOfEigen(1.0), c=c, side=SUB, base=eig_1025)
+            BarrierSpec(family=BoundaryProfile.power(1.0), c=c, side=SUB, base=eig_1025)
+
+
+class TestRefusals:
+    def test_unknown_side_is_refused(self, eig_1025):
+        with pytest.raises(DomainError, match="side must be 'sub' or 'super'"):
+            BarrierSpec(family=BoundaryProfile.power(1.0), c=1.0, side="both", base=eig_1025)
+        cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
+        with pytest.raises(DomainError, match="side must be 'sub' or 'super'"):
+            check_barrier(cand, "both", E3, 2.0)
+
+    def test_pair_refuses_a_base_from_another_grid(self, eig_1025):
+        grid = make_graded_grid(1025, 2.0)
+        with pytest.raises(GridMismatch, match="base eigenpair was computed on a different grid"):
+            certified_pair(E3, grid, base=eig_1025)
+
+    def test_a_barrier_lives_on_its_base_grid(self, eig_1025):
+        spec = BarrierSpec(family=BoundaryProfile.power(0.5), c=2.0, side=SUB, base=eig_1025)
+        w = build_barrier(spec)
+        assert w.grid is eig_1025.grid
+        phi = eig_1025.eigenfunction.values
+        assert np.array_equal(w.values[1:-1], 0.5 * phi[1:-1] ** 0.5)

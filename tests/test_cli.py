@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +300,35 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("word", ["-1e-3", "-1E-3", "-0.5"])
+    def test_a_negative_value_parses_like_flag_equals_value(self, capsys, word):
+        # -1e-3 looks like an option to argparse; it is the value of --p
+        assert main(["classify", "--p", word]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: p >= 0 fails: p = " + repr(float(word)) + "\n"
+        assert main(["classify", f"--p={word}"]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_a_negative_slack_written_apart_is_the_slack(self, tmp_path, capsys):
+        base = ["barrier-check", "--m", "2", "--p", "0.5", "--q", "1", "--n", "257"]
+        reports = []
+        for slack in (["--slack", "-1e-3"], ["--slack=-1e-3"]):
+            out = tmp_path / str(len(reports))
+            assert main(base + slack + ["--output-dir", str(out)]) == 0
+            reports.append((out / "barrier.report").read_text())
+        assert reports[0] == reports[1] and "\nslack = -0.001\n" in reports[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "--p"], ["classify", "--p", "--m", "2"], ["classify", "--m", "2", "-1e-3"]],
+        ids=["last", "before-a-flag", "stray-number"],
+    )
+    def test_a_flag_without_a_value_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: mlap1d" in capsys.readouterr().err
 
 
 def _reference_field_csv(u):
@@ -868,6 +899,14 @@ class TestFixedRhsOnTheBall:
         (["barrier-check", "--rhs", "const", "--n", "257"],
          "family=regime requires a singular rhs"),
         (["barrier-check", "--family", "cubic", "--n", "257"], "unknown barrier family 'cubic'"),
+        (["barrier-check", "--family", "power", "--gamma", "1.2", "--n", "65"],
+         "power barrier exponent must be in (0, 1], got 1.2"),
+        (["barrier-check", "--family", "logpower", "--log-s", "0", "--n", "65"],
+         "log barrier exponent must be positive, got 0.0"),
+        (["barrier-check", "--family", "logpower", "--log-s", "nan", "--n", "65"],
+         "log barrier exponent must be positive, got nan"),
+        (["barrier-check", "--family", "logpower", "--log-a", "1", "--n", "65"],
+         "log scale A must exceed 1, got 1.0"),
         (["barrier-check", "--side", "both"], "side must be sub or super, got 'both'"),
         (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
         (["solve", "--rhs", "logpower", "--domain", "ball"],
@@ -879,6 +918,7 @@ class TestFixedRhsOnTheBall:
          "skip-cells-minus-5", "c-max-key", "c-text", "expect-text",
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
+         "gamma-above-1", "log-s-0", "log-s-nan", "log-a-1",
          "side", "fit-kind", "logpower-ball"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
@@ -896,6 +936,27 @@ def test_cli_keeps_the_names_the_benchmark_reads():
         assert hasattr(mlap1d.cli, name), name
     # the theorem1 timing replaces the runner wherever it is bound
     assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "mlap1d", "classify", "--m", "2", "--p", "0.5", "--q", "1"],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("regime = Supercritical\n")
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["mlap1d"] + [f"mlap1d.{m.name}" for m in pkgutil.iter_modules(mlap1d.__path__)
+                  if m.name != "__main__"],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_every_known_key_is_read():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlap1d import (
+    BoundaryProfile,
     Domain,
     Grid1D,
     GridFunction,
@@ -22,6 +23,7 @@ from mlap1d import (
 from mlap1d.core import INTERVAL01, same_grid
 from mlap1d.errors import (
     AdmissibilityViolation,
+    DomainError,
     GridMismatch,
     InvalidConfig,
     InvalidGrading,
@@ -157,6 +159,46 @@ class TestClassifyRegime:
     @settings(max_examples=80, deadline=None)
     def test_tau_sup_exceeds_m(self, spec):
         assert classify_regime(spec).tau_sup > spec.m
+
+
+class TestBoundaryProfile:
+    @pytest.mark.parametrize(
+        "make, msg",
+        [
+            (lambda: BoundaryProfile.power(gamma=0.0),
+             "power barrier exponent must be in (0, 1], got 0.0"),
+            (lambda: BoundaryProfile.power(gamma=1.2),
+             "power barrier exponent must be in (0, 1], got 1.2"),
+            (lambda: BoundaryProfile.logpower(s=0.0, A=3.0),
+             "log barrier exponent must be positive, got 0.0"),
+            (lambda: BoundaryProfile.logpower(s=math.nan, A=3.0),
+             "log barrier exponent must be positive, got nan"),
+            (lambda: BoundaryProfile.logpower(s=0.5, A=1.0), "log scale A must exceed 1, got 1.0"),
+            (lambda: BoundaryProfile(0.5, 1.0, 3.0), "a log profile has exponent 1, got 0.5"),
+        ],
+        ids=["gamma-0", "gamma-1.2", "s-0", "s-nan", "A-1", "log-exponent-0.5"],
+    )
+    def test_values_are_checked_at_construction(self, make, msg):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert str(err.value) == msg
+
+    def test_describe(self):
+        assert BoundaryProfile.power(gamma=2.0 / 3.0).describe() == "power(gamma=0.666667)"
+        assert BoundaryProfile.logpower(s=0.5, A=3.0).describe() == "logpower(s=0.5, A=3)"
+
+    @pytest.mark.parametrize(
+        "profile",
+        [BoundaryProfile.power(gamma=0.3), BoundaryProfile.power(gamma=1.0),
+         BoundaryProfile.logpower(s=2.0 / 3.0, A=4.0)],
+        ids=["power-0.3", "power-1", "logpower"],
+    )
+    def test_log_space_is_the_log_of_value_space(self, profile):
+        f = np.geomspace(1e-12, 1.0, 97)
+        log_f = np.log(f)
+        assert profile.log_of(log_f) is log_f
+        assert np.allclose(log_f, np.log(profile.scaled(f, 1.0)), rtol=1e-14, atol=1e-14)
+        assert np.allclose(profile.scaled(f, 3.0), 3.0 * np.exp(log_f), rtol=1e-13)
 
 
 class TestGradedGrid:

@@ -23,7 +23,6 @@ EXIT_STATUS = {
     "NonFiniteTheta": 2,
     "NonConvergence": 1,
     "BarrierOrderViolation": 1,
-    "SignChange": 2,
     "DomainError": 2,
     "NoCertifiableScale": 1,
     "NonPositiveCandidate": 2,

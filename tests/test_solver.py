@@ -793,6 +793,37 @@ class TestChainLoop:
             assert why in chain[0]
         self.assert_identical(chain, reference)
 
+    @pytest.mark.parametrize("grid", ["n1025-g3", "n64-dyadic", "ball3-n1025"])
+    def test_a_failed_residual_check_on_the_chain_reports_the_whole_field(
+        self, grid, monkeypatch
+    ):
+        g = self.GRIDS[grid]()
+        spec = dataclasses.replace(self.SPECS["critical"], domain=g.domain)
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", -1.0)  # below every residual
+        chains = []
+        chain_solve = solver._chain_solve
+        monkeypatch.setattr(
+            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
+        )
+        chain = self.outcome(spec, g)
+        assert chains == [1] and chain[0].startswith("a-posteriori check failed")
+        rep = chain[1]
+        u = rep.solution.values
+        assert u.shape == (g.n,) and not rep.converged and rep.final_residual >= 0.0
+        assert np.all(u[g.unknown_slice] > 0.0)
+        if not g.domain.is_ball:
+            assert np.array_equal(u, u[::-1])
+        # the first solve through solve_dirichlet, which takes the same chain
+        # for theta alone, fails the same check with the same report
+        chain_start = solver._chain_start
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                solver,
+                "_chain_start",
+                lambda grid, *arrays: None if len(arrays) == 2 else chain_start(grid, *arrays),
+            )
+            self.assert_identical(chain, self.outcome(spec, g))
+
     def test_one_ulp_of_asymmetric_k_takes_the_whole_grid(self, monkeypatch):
         # the interval chain checks residuals from the centre on only, so
         # this guard alone keeps it from solving a symmetrised problem
