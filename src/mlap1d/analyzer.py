@@ -177,10 +177,17 @@ def fit_log_profile(u: GridFunction, window: tuple[float, float]) -> FitResult:
     return _per_side_fit(u, window, fit_side, log=True)
 
 
+def _check_tau(tau: float) -> None:
+    """Raise InvalidConfig unless 1 <= tau < inf; a NaN tau fails too."""
+    if not tau >= 1.0:
+        raise InvalidConfig(f"tau must be >= 1, got {tau}")
+    if not tau < math.inf:
+        raise InvalidConfig(f"tau must be finite, got {tau}")
+
+
 def sobolev_seminorm(u: GridFunction, tau: float) -> float:
     """(sum_cells w |Du|^tau)^(1/tau), radially weighted in the ball case."""
-    if tau < 1.0:
-        raise InvalidConfig(f"tau must be >= 1, got {tau}")
+    _check_tau(tau)
     g = u.grid
     du = np.diff(u.values) / g.h
     return float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** tau) ** (1.0 / tau))
@@ -237,7 +244,7 @@ def threshold_scan(
     ``grading``; the caller builds the problem and its grids, so it can share
     solves with its other checks.  ``refinement_levels`` are increasing node
     counts, each refining the last (n - 1 doubles).  Fewer than four levels,
-    one below MIN_NODES nodes, unnested ones or a tau below 1 raise
+    one below MIN_NODES nodes, unnested ones or a tau not in [1, inf) raise
     InvalidConfig and a grading below 1 InvalidGrading, all before any
     solve.  A level whose solve raises a package error becomes SolveFailed
     naming n, the error chained; any other exception propagates as itself.
@@ -251,11 +258,11 @@ def threshold_scan(
             raise InvalidConfig(f"levels must be nested by doubling: {b} does not refine {a}")
     if levels[0] < MIN_NODES:  # the smallest of nested levels
         raise InvalidConfig(f"level n={levels[0]} has fewer than {MIN_NODES} nodes")
-    if grading < 1.0:
+    if not grading >= 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
     taus = [float(t) for t in tau_values]
-    if any(t < 1.0 for t in taus):
-        raise InvalidConfig(f"tau must be >= 1, got {min(taus)}")
+    for t in taus:
+        _check_tau(t)
 
     norms = np.empty((len(levels), len(taus)))
     for l, n in enumerate(levels):
@@ -300,8 +307,11 @@ def distance_integral_classify(
     increments scale like delta_min^(1-a), so their increment rate e gives
     the estimated exponent 1 - e, and threshold_scan's rule decides: Infinite
     iff e <= RATE_BAND (_rate_verdict).  When finite, the value is completed
-    with the geometric tail extrapolation.
+    with the geometric tail extrapolation.  A non-finite a raises
+    InvalidConfig.
     """
+    if not math.isfinite(a):
+        raise InvalidConfig(f"exponent a must be finite, got {a}")
     if refinement_levels < 4:
         raise InvalidConfig("need at least 4 refinement levels")
     q = []

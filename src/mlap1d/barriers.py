@@ -139,7 +139,10 @@ class BarrierCertificate:
         ]
 
 
-def _checked_indices(grid: Grid1D, skip_cells: int) -> np.ndarray:
+def _checked_indices(grid: Grid1D, skip_cells: int, slack: float) -> np.ndarray:
+    """The nodes a check reads, once its skip_cells and slack are valid."""
+    if not math.isfinite(slack):
+        raise DomainError(f"slack must be finite, got {slack}")
     if skip_cells < 0:
         raise DomainError(f"skip_cells must be >= 0, got {skip_cells}")
     hi = grid.n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
@@ -188,12 +191,12 @@ def check_barrier(
     case the singular right-hand side K * candidate^(-p) is used (candidate
     must then be positive at interior nodes).  Sub is certified iff the
     residual -div(Phi(candidate)) - rhs is <= slack at every checked node,
-    super iff it is >= -slack.
+    super iff it is >= -slack.  A non-finite slack raises DomainError.
     """
     if side not in (SUB, SUPER):
         raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
     res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side)
-    idx = _checked_indices(candidate.grid, skip_cells)
+    idx = _checked_indices(candidate.grid, skip_cells, slack)
     margins = (1.0 if side == SUPER else -1.0) * res[idx] + slack
     k = int(np.argmin(margins))
     return BarrierCertificate(
@@ -246,7 +249,7 @@ def auto_scale(
     r = 0 is -K w^(-p)).
     """
     unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base))
-    idx = _checked_indices(base.grid, skip_cells)
+    idx = _checked_indices(base.grid, skip_cells, slack)
     a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side)[idx]
     p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
     s = 1.0 if side == SUPER else -1.0

@@ -3,12 +3,13 @@ report and scan CSV files.  Field CSVs are written by ``fieldcsv``; the
 reproduction matrix, its claims and its runner live in ``repro``.
 
 Configuration is flat ``key = value`` text (diff-friendly experiment records)
-with three override layers, in increasing precedence: config file, environment
-variables prefixed ``MLAP1D_``, and command-line flags (including generic
-``--set key=value``).  Unknown keys and malformed values are rejected.  Every
-command that solves builds its problem with ``_problem``: the singular or
-fixed right-hand side on the configured domain (interval or ball).  All
-outputs are deterministic: identical configuration yields bit-identical files.
+in four layers, in increasing precedence: config file, environment variables
+prefixed ``MLAP1D_``, ``--key value`` flags, and generic ``--set key=value``.
+Every value goes through ``RunConfig.set``; unknown or abbreviated keys and
+malformed values are rejected.  Every command that solves builds its problem
+with ``_problem``: the singular or fixed right-hand side on the configured
+domain (interval or ball).  All outputs are deterministic: identical
+configuration yields bit-identical files.
 
 Subcommands: classify, solve, eigen, barrier-check, fit-exponent,
 scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
@@ -17,10 +18,10 @@ scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import textwrap
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,20 +76,13 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in s.split(",") if t.strip())
-
-
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in s.split(",") if t.strip())
-
-
-def _parse_strs(s: str) -> tuple[str, ...]:
-    return tuple(t.strip() for t in s.split(",") if t.strip())
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values."""
+    return lambda s: tuple(kind(t.strip()) for t in s.split(",") if t.strip())
 
 
 def _parse_formats(s: str) -> tuple[str, ...]:
-    kinds = _parse_strs(s)
+    kinds = _list_of(str)(s)
     unknown = [t for t in kinds if t not in ("csv", "report")]
     if unknown:
         raise ValueError(f"unknown output formats {unknown}; expected csv, report")
@@ -124,8 +118,8 @@ KNOWN_KEYS: dict[str, tuple] = {
     # analyzer
     "window_lo": (float, 1e-4),
     "window_hi": (float, 1e-2),
-    "taus": (_parse_floats, (2.0, 2.5, 3.0, 3.5, 4.0)),
-    "levels": (_parse_ints, (257, 513, 1025, 2049)),
+    "taus": (_list_of(float), (2.0, 2.5, 3.0, 3.5, 4.0)),
+    "levels": (_list_of(int), (257, 513, 1025, 2049)),
     "int_levels": (int, 6),
     "fit_kind": (str, "power"),  # power | log | logaffine
     "expect": (_float_or(""), ""),
@@ -144,7 +138,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "output_dir": (str, "mlap1d-out"),
     "formats": (_parse_formats, ("csv", "report")),
     # reproduce
-    "matrix": (_parse_strs, ("E1", "E2", "E3")),
+    "matrix": (_list_of(str), ("E1", "E2", "E3")),
 }
 
 
@@ -200,11 +194,6 @@ class RunConfig:
             max_picard_iters=self["max_picard_iters"],
         )
 
-    def grid(self):
-        return make_graded_grid(self["n"], self["grading"], self.domain())
-
-    def window(self) -> tuple[float, float]:
-        return (self["window_lo"], self["window_hi"])
 
 
 def load_config_file(cfg: RunConfig, path: str) -> None:
@@ -224,22 +213,6 @@ def load_env(cfg: RunConfig) -> None:
         var = ENV_PREFIX + key.upper()
         if var in os.environ:
             cfg.set(key, os.environ[var])
-
-
-def build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        load_config_file(cfg, args.config)
-    load_env(cfg)
-    for key in KNOWN_KEYS:
-        if getattr(args, key, None) is not None:
-            cfg.set(key, getattr(args, key))
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise InvalidConfig(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        cfg.set(key, raw)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +263,10 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _wants(cfg: RunConfig, kind: str) -> bool:
-    return kind in cfg["formats"]
-
-
 def _emit(cfg: RunConfig, name: str, block: list[tuple[str, object]]) -> None:
     """Write ``block`` to ``<name>.report`` when reports are wanted, and print it."""
     out = _outdir(cfg)
-    if _wants(cfg, "report"):
+    if "report" in cfg["formats"]:
         write_report(out / f"{name}.report", [block])
     for k, v in block:
         print(f"{k} = {_fmt(v)}")
@@ -370,7 +339,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     report = _solve(cfg, cfg["n"])
     u = report.solution
-    if _wants(cfg, "csv"):
+    if "csv" in cfg["formats"]:
         write_field_csv(_outdir(cfg) / "solution.csv", u)
     peak = int(np.argmax(u.values))
     block = [
@@ -393,8 +362,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
-    pair = first_eigenpair(cfg.grid(), cfg["m"])
-    if _wants(cfg, "csv"):
+    pair = first_eigenpair(make_graded_grid(cfg["n"], cfg["grading"], cfg.domain()), cfg["m"])
+    if "csv" in cfg["formats"]:
         write_field_csv(_outdir(cfg) / "eigenfunction.csv", pair.eigenfunction)
     block = [
         ("command", "eigen"),
@@ -449,7 +418,7 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
     kind = cfg["fit_kind"]
     if kind not in FITS:
         raise InvalidConfig(f"unknown fit kind {kind!r}")
-    fit = FITS[kind](_solve(cfg, cfg["n"]).solution, cfg.window())
+    fit = FITS[kind](_solve(cfg, cfg["n"]).solution, (cfg["window_lo"], cfg["window_hi"]))
     measured = fit.exponent if kind == "power" else fit.log_exponent
     block = [
         ("command", "fit-exponent"),
@@ -470,7 +439,7 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
             ("pass", ok),
         ]
         code = 0 if ok else 1
-    if _wants(cfg, "csv"):
+    if "csv" in cfg["formats"]:
         log_exp = "" if fit.log_exponent is None else f"{fit.log_exponent:.17g}"
         (_outdir(cfg) / "fit.csv").write_text(
             "exponent,log_exponent,r_squared,window_lo,window_hi\n"
@@ -492,12 +461,12 @@ def cmd_scan_threshold(cfg: RunConfig) -> int:
         lambda n: _solve(cfg, n).solution, cfg["taus"], cfg["levels"], cfg["grading"]
     )
     out = _outdir(cfg)
-    if _wants(cfg, "csv"):
+    if "csv" in cfg["formats"]:
         (out / "scan.csv").write_text(scan_csv_text(scan), encoding="utf-8")
     blocks = [[("command", "scan-threshold"), ("predicted_threshold", tstar)]]
     for j, tau in enumerate(scan.tau_values):
         blocks.append([("tau", tau), ("verdict", scan.verdicts[j].value), ("rate", scan.rates[j])])
-    if _wants(cfg, "report"):
+    if "report" in cfg["formats"]:
         write_report(out / "scan.report", blocks)
     for j, tau in enumerate(scan.tau_values):
         print(f"tau = {_fmt(tau)}: {scan.verdicts[j].value}")
@@ -577,56 +546,70 @@ COMMANDS = {
 }
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override any configuration key (repeatable)",
-    )
-    for key in KNOWN_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+def usage() -> str:
+    """The ``--help`` text: the commands, every key and the layers."""
+    fill = textwrap.TextWrapper(78, initial_indent="  ", subsequent_indent="  ",
+                                break_on_hyphens=False).fill
+    flags = " ".join("--" + key.replace("_", "-") for key in KNOWN_KEYS)
+    return (f"usage: mlap1d COMMAND [--KEY VALUE | --KEY=VALUE]...\n\ncommands:\n"
+            f"{fill(' '.join(COMMANDS))}\nkeys, each also an environment variable "
+            f"{ENV_PREFIX}<KEY>:\n{fill(flags)}\n"
+            "--config FILE (key = value lines) is read first, --set KEY=VALUE last.\n")
 
 
-def _is_number(word: str) -> bool:
-    try:
-        float(word)
-    except ValueError:
-        return False
-    return True
+def parse_argv(argv) -> tuple[str, RunConfig]:
+    """The command (the one bare word) and the configuration of argv.
 
-
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """argv with each negative number that follows a ``--flag`` with no value
-    written as ``--flag=value``: argparse takes a word like -1e-3 for an
-    option.  Every long flag but --help takes a value."""
-    out: list[str] = []
-    for word in argv:
-        flag = out[-1] if out else ""
-        bare = flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
-        if bare and word.startswith("-") and _is_number(word):
-            out[-1] = f"{flag}={word}"
+    Every other word is ``--key value`` or ``--key=value``: a configuration
+    key with - for _, ``config`` or ``set``.  A value is the next word unless
+    that starts with --.  The layers apply file < environment < flags < --set
+    in any order in argv, each value through RunConfig.set.
+    """
+    command, config, flags, sets = None, None, [], []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("--"):
+            if command is not None:
+                raise InvalidConfig(f"unexpected argument {word!r} after the command {command!r}")
+            command = word
+            continue
+        flag, eq, raw = word.partition("=")
+        if not eq:
+            raw = next(words, None)
+            if raw is None or raw.startswith("--"):
+                raise InvalidConfig(f"{flag} expects a value")
+        key = flag[2:].replace("-", "_")
+        if flag == "--config":
+            config = raw
+        elif flag == "--set":
+            key, eq, raw = raw.partition("=")
+            if not eq:
+                raise InvalidConfig(f"--set expects key=value, got {key!r}")
+            sets.append((key, raw))
+        elif key in KNOWN_KEYS and "_" not in flag:
+            flags.append((key, raw))
         else:
-            out.append(word)
-    return out
+            raise InvalidConfig(f"unknown flag {flag!r}; a flag is a whole configuration key")
+    if command not in COMMANDS:
+        what = "missing command" if command is None else f"unknown command {command!r}"
+        raise InvalidConfig(f"{what}; expected one of {', '.join(COMMANDS)}")
+    cfg = RunConfig()
+    if config is not None:
+        load_config_file(cfg, config)
+    load_env(cfg)
+    for key, raw in flags + sets:
+        cfg.set(key, raw)
+    return command, cfg
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="mlap1d",
-        description=(
-            "Solve and verify degenerate m-Laplace Dirichlet problems with "
-            "boundary-singular reaction terms (unit interval / radial ball). "
-            f"Every key is also an environment variable {ENV_PREFIX}<KEY>."
-        ),
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    _add_common_flags(parser)
-    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage(), end="")
+        return 0
     try:
-        cfg = build_config(args)
-        return COMMANDS[args.command](cfg)
+        command, cfg = parse_argv(argv)
+        return COMMANDS[command](cfg)
     except MlapError as exc:
         what = "verification failed" if exc.exit_status == 1 else "invalid input"
         print(f"{what}: {exc}", file=sys.stderr)

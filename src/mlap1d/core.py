@@ -491,7 +491,7 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     below 1 or one that makes the nodes next to the graded boundary collapse
     at double precision.
     """
-    if grading < 1.0:
+    if not grading >= 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")

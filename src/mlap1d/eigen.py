@@ -26,8 +26,10 @@ from .solver import solve_dirichlet
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
 
-# Budget of inverse iterations per eigenpair.
+# Budget of inverse iterations per eigenpair, and the relative change of the
+# eigenvalue at which they stop.
 MAX_ITERS = 200
+TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +68,11 @@ def _initial_field(grid: Grid1D) -> GridFunction:
     return GridFunction(grid, vals / vals.max())
 
 
-def first_eigenpair(grid: Grid1D, m: float, tol: float = 1e-9) -> EigenPair:
+def first_eigenpair(grid: Grid1D, m: float) -> EigenPair:
     """Inverse power iteration for the first m-Laplace Dirichlet eigenpair.
 
     Starts from a positive unimodal polynomial and stops when the
-    Rayleigh-quotient eigenvalue changes by at most ``tol * max(1, lambda)``
+    Rayleigh-quotient eigenvalue changes by at most ``TOL * max(1, lambda)``
     between iterations.  Every iterate is positive inside: its load
     phi^(m-1) is, and a positive load gives a positive solve.  Raises
     AdmissibilityViolation unless 1 < m < inf, and NonConvergence if
@@ -83,7 +85,7 @@ def first_eigenpair(grid: Grid1D, m: float, tol: float = 1e-9) -> EigenPair:
         psi = solve_dirichlet(GridFunction(grid, phi.values ** (m - 1.0)), m).solution
         phi = GridFunction(grid, psi.values / psi.values.max())
         lam_new = rayleigh_quotient(phi, m)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new

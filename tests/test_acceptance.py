@@ -233,12 +233,12 @@ def test_criterion_7_distance_integral_dichotomy():
 
 
 def test_criterion_8_eigen_oracles():
-    pair2 = first_eigenpair(make_graded_grid(2049, 1.0), 2.0, tol=1e-10)
+    pair2 = first_eigenpair(make_graded_grid(2049, 1.0), 2.0)
     rel2 = abs(pair2.eigenvalue - math.pi**2) / math.pi**2
     lam3_closed = eigenvalue_closed_form(3.0)
     lam3_shoot = eigenvalue_shooting(3.0)
     oracle_agree = abs(lam3_closed - lam3_shoot) / lam3_closed <= 1e-8
-    pair3 = first_eigenpair(make_graded_grid(2049, 2.0), 3.0, tol=1e-9)
+    pair3 = first_eigenpair(make_graded_grid(2049, 2.0), 3.0)
     rel3 = abs(pair3.eigenvalue - lam3_closed) / lam3_closed
     pi3 = generalized_pi(3.0)
     ok = rel2 <= 1e-4 and rel3 <= 1e-2 and oracle_agree and abs(pi3 - 2.4184) <= 1e-4
@@ -312,10 +312,10 @@ def test_criterion_11_negative_controls(tmp_path):
     # wrong exponent gamma = 0.3 for E3 fails subsolution certification under
     # refinement: the coarse-grid scale is destroyed on the fine grid, where
     # no c <= 2^6 certifies
-    eig_coarse = first_eigenpair(make_graded_grid(257, 3.0), 2.0, tol=1e-10)
+    eig_coarse = first_eigenpair(make_graded_grid(257, 3.0), 2.0)
     c_coarse, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_coarse)
     assert c_coarse <= 2.0**6
-    eig_fine = first_eigenpair(make_graded_grid(4097, 3.0), 2.0, tol=1e-10)
+    eig_fine = first_eigenpair(make_graded_grid(4097, 3.0), 2.0)
     try:
         c_fine, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_fine)
     except NoCertifiableScale:

@@ -259,6 +259,18 @@ class TestThresholdScan:
         with pytest.raises(InvalidConfig, match="tau must be >= 1, got 0.5"):
             threshold_scan(solve, [2.0, 0.5], [257, 513, 1025, 2049])
 
+    @pytest.mark.parametrize("tau,msg", [(math.inf, "tau must be finite, got inf"),
+                                         (math.nan, "tau must be >= 1, got nan")])
+    def test_non_finite_tau_refused_before_any_solve(self, tau, msg):
+        def solve(n):
+            raise AssertionError(f"level n={n} solved before tau was checked")
+
+        with pytest.raises(InvalidConfig, match=msg):
+            threshold_scan(solve, [2.0, tau], [257, 513, 1025, 2049])
+        g = make_graded_grid(65, 1.0)
+        with pytest.raises(InvalidConfig, match=msg):
+            sobolev_seminorm(GridFunction(g, g.delta_nodes), tau)
+
     def test_failed_level_names_n_and_chains_the_cause(self):
         def solve(n):
             if n == 513:

@@ -34,7 +34,7 @@ E3 = ProblemSpec(m=2.0, p=0.5, q=1.0)
 
 @pytest.fixture(scope="module")
 def eig_1025():
-    return first_eigenpair(make_graded_grid(1025, 3.0), 2.0, tol=1e-10)
+    return first_eigenpair(make_graded_grid(1025, 3.0), 2.0)
 
 
 def assert_between_paper_barriers(spec, grid, rep):
@@ -138,7 +138,7 @@ class TestCheckBarrier:
 
     def test_power_law_rhs_construction_certifies(self):
         # theta = delta^(-4/3), candidate c * phi^(2/3): both sides certify
-        eig = first_eigenpair(make_graded_grid(513, 3.0), 2.0, tol=1e-10)
+        eig = first_eigenpair(make_graded_grid(513, 3.0), 2.0)
         g = eig.grid
         theta = GridFunction.interior_from_callable(
             g, lambda x: g.domain.delta(x) ** (-4.0 / 3.0)
@@ -192,7 +192,7 @@ class TestAutoScale:
         wrong = BoundaryProfile.power(0.3)
         c_by_n = {}
         for n in (257, 1025, 4097):
-            eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0, tol=1e-10)
+            eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0)
             try:
                 c_by_n[n], _ = auto_scale(wrong, SUB, E3, 2.0, eig)
             except NoCertifiableScale:
@@ -200,7 +200,7 @@ class TestAutoScale:
         assert c_by_n[257] <= 2.0**6  # spuriously certified when coarse
         assert c_by_n[4097] > 2.0**6  # exposed by refinement
         # and the coarse-certified constant fails the fine-grid check
-        eig4 = first_eigenpair(make_graded_grid(4097, 3.0), 2.0, tol=1e-10)
+        eig4 = first_eigenpair(make_graded_grid(4097, 3.0), 2.0)
         bspec = BarrierSpec(family=wrong, c=c_by_n[257], side=SUB, base=eig4)
         cert = check_barrier(build_barrier(bspec), SUB, E3, 2.0)
         assert not cert.certified
@@ -208,7 +208,7 @@ class TestAutoScale:
     def test_correct_exponent_stable_under_refinement(self):
         cs = []
         for n in (257, 1025, 4097):
-            eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0, tol=1e-10)
+            eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0)
             c, _ = auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, E3, 2.0, eig)
             cs.append(c)
         assert max(cs) - min(cs) <= 1e-3 * min(cs)

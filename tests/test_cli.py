@@ -294,16 +294,35 @@ class TestParser:
         assert seen == [(name, 3.0, 0.5, 1.0) for name in COMMANDS]
 
     @pytest.mark.parametrize(
-        "argv", [["bogus"], [], ["--m", "2"]], ids=["unknown", "missing", "flags-only"]
+        "argv,msg",
+        [(["bogus"], "unknown command 'bogus'"), ([], "missing command"),
+         (["--m", "2"], "missing command")],
+        ids=["unknown", "missing", "flags-only"],
     )
-    def test_unknown_or_missing_command_exits_2(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+    def test_unknown_or_missing_command_exits_2(self, capsys, argv, msg):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: " + msg) and "reproduce-theorem1" in err
+
+    @pytest.mark.parametrize("flag", ["--picard", "--k-h", "--ball", "--picard_tol", "--e1.m"])
+    def test_abbreviated_or_unknown_keys_exit_2(self, capsys, flag):
+        assert main(["classify", flag, "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: unknown flag '{flag}'")
+        assert main(["classify", f"{flag}=1"]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: unknown flag '{flag}'")
+
+    def test_set_wins_over_a_flag_whatever_the_order(self, capsys):
+        for argv in (["--set", "m=3", "--m", "2"], ["--m", "2", "--set", "m=3"]):
+            assert main(["classify", *argv, "--p", "0.5", "--q", "1"]) == 0
+            assert "boundary_exponent = 0.800000\n" in capsys.readouterr().out  # m = 3
+
+    def test_the_last_setting_of_a_flag_wins(self, capsys):
+        assert main(["classify", "--q", "0.5", "--p", "0.5", "--m", "2", "--q=1"]) == 0
+        assert "Supercritical" in capsys.readouterr().out
 
     @pytest.mark.parametrize("word", ["-1e-3", "-1E-3", "-0.5"])
     def test_a_negative_value_parses_like_flag_equals_value(self, capsys, word):
-        # -1e-3 looks like an option to argparse; it is the value of --p
+        # a value is the next word unless it starts with --
         assert main(["classify", "--p", word]) == 2
         err = capsys.readouterr().err
         assert err == "invalid input: p >= 0 fails: p = " + repr(float(word)) + "\n"
@@ -320,15 +339,15 @@ class TestParser:
         assert reports[0] == reports[1] and "\nslack = -0.001\n" in reports[0]
 
     @pytest.mark.parametrize(
-        "argv",
-        [["classify", "--p"], ["classify", "--p", "--m", "2"], ["classify", "--m", "2", "-1e-3"]],
+        "argv,msg",
+        [(["classify", "--p"], "--p expects a value"),
+         (["classify", "--p", "--m", "2"], "--p expects a value"),
+         (["classify", "--m", "2", "-1e-3"], "unexpected argument '-1e-3'")],
         ids=["last", "before-a-flag", "stray-number"],
     )
-    def test_a_flag_without_a_value_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "usage: mlap1d" in capsys.readouterr().err
+    def test_a_flag_without_a_value_exits_2(self, capsys, argv, msg):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("invalid input: " + msg)
 
 
 def _reference_field_csv(u):
@@ -911,6 +930,18 @@ class TestFixedRhsOnTheBall:
         (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
         (["solve", "--rhs", "logpower", "--domain", "ball"],
          "rhs = logpower with a = 0.5 > 0 is infinite at the centre of the ball"),
+        (["lemma-integral", "--a", "nan"], "exponent a must be finite, got nan"),
+        (["lemma-integral", "--a", "inf"], "exponent a must be finite, got inf"),
+        (["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1", "--taus", "inf",
+          "--levels", "257,513,1025,2049"], "tau must be finite, got inf"),
+        (["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1", "--taus", "2,nan",
+          "--levels", "257,513,1025,2049"], "tau must be >= 1, got nan"),
+        (["solve", "--grading", "nan"], "grading must be >= 1, got nan"),
+        (["scan-threshold", "--grading", "nan"], "grading must be >= 1, got nan"),
+        (["barrier-check", "--p", "0.5", "--q", "1", "--n", "65", "--slack", "nan"],
+         "slack must be finite, got nan"),
+        (["barrier-check", "--rhs", "const", "--family", "power", "--n", "65", "--c", "2",
+          "--slack", "inf"], "slack must be finite, got inf"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
          "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c",
@@ -919,7 +950,8 @@ class TestFixedRhsOnTheBall:
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "gamma-above-1", "log-s-0", "log-s-nan", "log-a-1",
-         "side", "fit-kind", "logpower-ball"],
+         "side", "fit-kind", "logpower-ball", "lemma-a-nan", "lemma-a-inf", "tau-inf",
+         "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
@@ -947,6 +979,18 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("regime = Supercritical\n")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_command_and_key(tmp_path, flag):
+    src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "mlap1d", flag], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr == ""
+    words = set(run.stdout.split())
+    assert set(COMMANDS) <= words and "MLAP1D_<KEY>:" in words
+    assert {"--" + key.replace("_", "-") for key in mlap1d.cli.KNOWN_KEYS} <= words
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from oracles import eigenvalue_closed_form, eigenvalue_shooting
 class TestFirstEigenpair:
     def test_m2_interval(self):
         g = make_graded_grid(2049, 1.0)
-        pair = first_eigenpair(g, 2.0, tol=1e-10)
+        pair = first_eigenpair(g, 2.0)
         assert pair.eigenvalue == pytest.approx(np.pi**2, rel=1e-4)
         phi = pair.eigenfunction.values
         assert np.max(np.abs(phi - np.sin(np.pi * g.nodes))) <= 1e-4
@@ -27,7 +27,7 @@ class TestFirstEigenpair:
         # the two independent oracles agree tightly with each other
         assert lam_shoot == pytest.approx(lam_closed, rel=1e-9)
         g = make_graded_grid(2049, 2.0)
-        pair = first_eigenpair(g, m, tol=1e-9)
+        pair = first_eigenpair(g, m)
         assert pair.eigenvalue == pytest.approx(lam_shoot, rel=1e-2)
 
     @pytest.mark.parametrize("m", [1.5, 3.0])
@@ -41,13 +41,13 @@ class TestFirstEigenpair:
 
     def test_normalization_exact(self):
         g = make_graded_grid(257, 2.0)
-        pair = first_eigenpair(g, 2.5, tol=1e-8)
+        pair = first_eigenpair(g, 2.5)
         assert pair.eigenfunction.values.max() == 1.0
 
     def test_positivity_and_unimodality(self):
         g = make_graded_grid(513, 2.0)
         for m in (1.5, 2.0, 3.0):
-            pair = first_eigenpair(g, m, tol=1e-8)
+            pair = first_eigenpair(g, m)
             phi = pair.eigenfunction.values
             assert np.all(phi[1:-1] > 0)
             signs = np.sign(np.diff(phi))
@@ -57,21 +57,21 @@ class TestFirstEigenpair:
     def test_rayleigh_minimality(self):
         g = make_graded_grid(513, 1.0)
         for m in (2.0, 3.0):
-            pair = first_eigenpair(g, m, tol=1e-9)
+            pair = first_eigenpair(g, m)
             for f in (lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)):
                 trial = GridFunction.from_callable(g, f, dirichlet=True)
                 assert pair.eigenvalue <= rayleigh_quotient(trial, m) * (1 + 1e-9)
 
     def test_residual_small(self):
         g = make_graded_grid(1025, 1.0)
-        pair = first_eigenpair(g, 2.0, tol=1e-11)
+        pair = first_eigenpair(g, 2.0)
         assert pair.residual <= 1e-4 * pair.eigenvalue
 
     def test_radial_m2(self):
         # first radial eigenpair of the Laplacian in the unit ball (N = 3):
         # phi = sin(pi r)/(pi r), lambda = pi^2
         g = make_graded_grid(2049, 1.0, Domain.ball(3))
-        pair = first_eigenpair(g, 2.0, tol=1e-10)
+        pair = first_eigenpair(g, 2.0)
         assert pair.eigenvalue == pytest.approx(np.pi**2, rel=1e-3)
         r = g.nodes[1:-1]
         sinc = np.sin(np.pi * r) / (np.pi * r)
