@@ -243,16 +243,19 @@ def threshold_scan(
     ``solve_level(n)`` returns the field at n nodes on the grid graded with
     ``grading``; the caller builds the problem and its grids, so it can share
     solves with its other checks.  ``refinement_levels`` are increasing node
-    counts, each refining the last (n - 1 doubles).  Fewer than four levels,
-    one below MIN_NODES nodes, unnested ones or a tau not in [1, inf) raise
+    counts, each refining the last (n - 1 doubles).  The rate reads the last
+    two increments, so three levels suffice; the earlier levels of a longer
+    scan fill rows of ``norms`` and enter only _increment_rate's
+    rounding-level test.  Fewer than three levels, one below MIN_NODES
+    nodes, unnested ones, no tau or a tau not in [1, inf) raise
     InvalidConfig and a grading below 1 InvalidGrading, all before any
     solve.  A level whose solve raises a package error becomes SolveFailed
     naming n, the error chained; any other exception propagates as itself.
     A field on a grid of another node count or grading raises GridMismatch.
     """
     levels = [int(n) for n in refinement_levels]
-    if len(levels) < 4:
-        raise InvalidConfig("need at least 4 refinement levels")
+    if len(levels) < 3:
+        raise InvalidConfig("need at least 3 refinement levels")
     for a, b in zip(levels, levels[1:]):
         if b - 1 != 2 * (a - 1):
             raise InvalidConfig(f"levels must be nested by doubling: {b} does not refine {a}")
@@ -261,6 +264,8 @@ def threshold_scan(
     if not grading >= 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
     taus = [float(t) for t in tau_values]
+    if not taus:
+        raise InvalidConfig("need at least one tau")
     for t in taus:
         _check_tau(t)
 

@@ -418,6 +418,12 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
     kind = cfg["fit_kind"]
     if kind not in FITS:
         raise InvalidConfig(f"unknown fit kind {kind!r}")
+    # no measurement meets a NaN or infinite expectation, and every one meets
+    # an infinite tolerance: both would make the pass line vacuous
+    if cfg["expect"] != "" and not math.isfinite(cfg["expect"]):
+        raise InvalidConfig(f"expect must be finite, got {cfg['expect']}")
+    if not 0.0 <= cfg["expect_tol"] < math.inf:
+        raise InvalidConfig(f"expect_tol must be finite and >= 0, got {cfg['expect_tol']}")
     fit = FITS[kind](_solve(cfg, cfg["n"]).solution, (cfg["window_lo"], cfg["window_hi"]))
     measured = fit.exponent if kind == "power" else fit.log_exponent
     block = [

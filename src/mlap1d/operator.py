@@ -32,12 +32,6 @@ def flux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
     return np.sign(du) * np.abs(du) ** (m - 1.0)
 
 
-def dflux_of_gradient(du: np.ndarray, m: float) -> np.ndarray:
-    """Derivative (m-1) |du|^(m-2) of the flux; infinite at du = 0 for m < 2."""
-    with np.errstate(divide="ignore"):
-        return (m - 1.0) * np.abs(du) ** (m - 2.0)
-
-
 def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     """Interior residual of -div(Phi) applied to ``u``.
 

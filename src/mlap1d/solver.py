@@ -63,7 +63,10 @@ Every ball problem is a chain, and so is every interval problem whose grid,
 K and v0 equal their mirror images to the last bit, since its unique
 solution is symmetric.  That is checked once per solve, from the inputs,
 and every sweep then runs on the chain, nodes k to n - 2, by _chain_solve
-in the loop's workspace.  On the interval every step is elementwise, so by
+in the loop's workspace, which its residual check and the bracket share,
+so a sweep allocates nothing.  At m = 2 the flux is Du itself, and the
+chain and the check skip the powers, which would be exact there.  On the
+interval every step is elementwise, so by
 induction every theta, w and iterate is an exact mirror, and every min and
 max over the right half is the whole grid's: the answers are those of the
 whole-grid loop to the last bit.  w is mirrored into a full-length array
@@ -73,6 +76,8 @@ the report of an error.  Other interval inputs solve by solve_dirichlet.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +96,6 @@ from .errors import (
     NonConvergence,
     NonFiniteTheta,
 )
-from .operator import dflux_of_gradient, flux_of_gradient
-
 __all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
 
 # Bound on the noise-aware scaled residual of every Dirichlet solve.
@@ -109,7 +112,9 @@ class SolverConfig:
     """Tolerance and budget of the outer singular loop.
 
     ``picard_tol`` is the sup-norm width of the scaling bracket at which the
-    singular loop stops; ``max_picard_iters`` bounds its Dirichlet solves.
+    singular loop stops, positive and finite: at inf the first solve would
+    stop with no claim on the answer; ``max_picard_iters`` bounds its
+    Dirichlet solves.
     """
 
     picard_tol: float = 1e-8
@@ -118,6 +123,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.picard_tol > 0:
             raise InvalidConfig(f"picard_tol must be positive, got {self.picard_tol}")
+        if not self.picard_tol < math.inf:
+            raise InvalidConfig(f"picard_tol must be finite, got {self.picard_tol}")
         if self.max_picard_iters < 1:
             raise InvalidConfig(
                 f"max_picard_iters must be at least 1, got {self.max_picard_iters}"
@@ -156,7 +163,7 @@ class SolveReport:
 ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
+def _scaled_residual(grid, u, m, loads, theta_vals, first=None, rows=None) -> float:
     """sup over the unknowns from node ``first`` on (all of them by default)
     of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
     NaN, so that a solution that overflowed fails the check.
@@ -167,19 +174,40 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     and the load one of eps_mach * V |theta|.  sup|u| is taken over the
     cells that bound those nodes, which on an interval chain's symmetric
     solution from the centre on is the whole grid's.
+
+    ``rows`` is scratch for four arrays over those cells (n - first + 1
+    wide will do): the singular loop passes its workspace and holds
+    np.errstate(divide="ignore") for phi'(0) = inf when m < 2.  Without
+    ``rows`` the check allocates both itself.
     """
     sl = grid.unknown_slice if first is None else slice(first, grid.n - 1)
     c = max(sl.start - 1, 0)  # the first cell that bounds a node in sl
-    h, weights = grid.h[c:], grid.flux_weights[c:]
-    # the arithmetic of the formula above, written into few arrays
-    du = np.diff(u[c:])
+    cells = grid.n - 1 - c
+    state = contextlib.nullcontext()
+    if rows is None:
+        rows, state = np.empty((4, cells)), np.errstate(divide="ignore")
+    du, fw, fn, noise = rows[:4, :cells]
+    h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
+    u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
+    # the arithmetic of the formula above, written into the four rows:
+    # F = w sign(Du) |Du|^(m-1) and phi'(Du) = (m-1) |Du|^(m-2)
+    np.subtract(uc[1:], uc[:-1], out=du)
     du /= h
-    fw = flux_of_gradient(du, m)
-    fw *= weights
-    u_scale = max(1e-300, float(u[c:].max()), -float(u[c:].min()))
-    fn = dflux_of_gradient(du, m)
-    fn *= weights
-    fn *= np.divide(u_scale, h, out=du)
+    if m == 2.0:  # F = w Du and phi' = 1, which the powers give exactly
+        np.multiply(du, weights, out=fw)
+        np.divide(u_scale, h, out=fn)
+        fn *= weights
+    else:
+        np.abs(du, out=fw)
+        np.power(fw, m - 1.0, out=fw)
+        np.copysign(fw, du, out=fw)
+        fw *= weights
+        np.abs(du, out=fn)
+        with state:
+            np.power(fn, m - 2.0, out=fn)
+        fn *= m - 1.0
+        fn *= weights
+        fn *= np.divide(u_scale, h, out=du)
     fn += np.abs(fw, out=du)
     res = 0.0
     if sl.start == 0:  # the ball's node 0, where no flux enters
@@ -190,7 +218,7 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     g = np.subtract(fw[:-1], fw[1:], out=du[:-1])
     g -= loads[between]
     np.abs(g, out=g)
-    noise = np.add(fn[:-1], fn[1:])
+    noise = np.add(fn[:-1], fn[1:], out=noise[:-1])
     noise += np.abs(loads[between], out=fw[:-1])
     noise *= ASSEMBLY_NOISE
     g -= noise
@@ -199,50 +227,62 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None) -> float:
     den += 1.0
     den *= grid.cell_volumes[between]
     g /= den
-    return float(np.maximum(res, g.max()))  # NaN, unlike max(), propagates
+    return float(np.maximum(res, np.maximum.reduce(g)))  # NaN, unlike max(), propagates
 
 
-def _inverse_flux(y, m):
-    """Du with |Du|^(m-2) Du = y."""
-    du = np.abs(y)
+def _inverse_flux(y, m, out):
+    """Du with |Du|^(m-2) Du = y, written into ``out``."""
+    du = np.abs(y, out=out)
     np.power(du, 1.0 / (m - 1.0), out=du)
     return np.copysign(du, y, out=du)
 
 
-def _compensated_cumsum(x):
-    """Cumulative sum of ``x`` correct to rounding at every entry.
+def _compensated_cumsum(x, s, err, bp, t):
+    """Cumulative sum of ``x`` correct to rounding at every entry, written
+    into ``s``; ``err``, ``bp`` and ``t`` are scratch as long as ``x``.
 
     A plain cumulative sum drifts like sqrt(n) ulps; u is summed inward from
     both boundaries, so that drift would land in the peak cell as a jump
     the residual check cannot tell from a wrong flux when m < 2.  The exact
     rounding error of every step (TwoSum) is summed and added back.
     """
-    s = np.cumsum(x)
-    err = np.empty_like(s)  # the partial sum before each step, at first
-    err[:1] = 0.0
+    np.add.accumulate(x, out=s)
+    err[:1] = 0.0  # the partial sum before each step, at first
     err[1:] = s[:-1]
-    bp = s - err
-    t = s - bp
+    np.subtract(s, err, out=bp)
+    np.subtract(s, bp, out=t)
     err -= t
     err += np.subtract(x, bp, out=t)
-    s += np.cumsum(err, out=err)
+    s += np.add.accumulate(err, out=err)
     return s
 
 
-def _zero_flux_solution(loads, h, weights, m):
-    """u at the left node of every cell of a chain that starts at a node with
-    zero flux on its left and ends at a Dirichlet node (u = 0).
+def _zero_flux_solution(grid, loads, m, u, k, rows):
+    """u from node k to node n - 2, written into ``u``, on the chain that
+    starts at node k with zero flux on its left (Grid1D.chain_start) and
+    ends at the Dirichlet node n - 1 (u = 0).
 
-    The cell fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u
-    is summed inward from the Dirichlet end.
+    On the interval (k > 0) the centre node of an odd grid keeps half its
+    load and the centre cell of an even grid carries no flux.  The cell
+    fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
+    summed inward from the Dirichlet end.  ``rows``: five scratch rows of at
+    least n - 1 - k.
     """
-    flux = np.cumsum(loads)
+    n = grid.n
+    flux, hdu, s, err, bp = rows[:5, : n - 1 - k]
+    np.copyto(flux, loads[k:-1])
+    if k:
+        flux[0] = 0.5 * loads[k] if n % 2 else 0.0
+    np.add.accumulate(flux, out=flux)
     np.negative(flux, out=flux)
-    flux /= weights
-    hdu = _inverse_flux(flux, m)
-    hdu *= h
-    u = _compensated_cumsum(hdu[::-1])
-    return np.negative(u, out=u)[::-1]
+    flux /= grid.flux_weights[k:]
+    if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
+        np.multiply(flux, grid.h[k:], out=hdu)
+    else:
+        _inverse_flux(flux, m, hdu)
+        hdu *= grid.h[k:]
+    _compensated_cumsum(hdu[::-1], s, err, bp, flux)
+    np.negative(s[::-1], out=u[k:-1])
 
 
 def _anchored_loads(loads, k):
@@ -357,8 +397,9 @@ def _closure_root(loads, h, m, k, c):
 
 def _loads(grid, theta_vals, sl, out):
     """The loads V theta at the nodes of ``sl``, written into ``out``, once
-    theta is checked finite there."""
-    if not np.all(np.isfinite(theta_vals[sl])):
+    theta is checked finite there (its max and min are: NaN propagates)."""
+    if not (math.isfinite(np.maximum.reduce(theta_vals[sl]))
+            and math.isfinite(np.minimum.reduce(theta_vals[sl]))):
         raise NonFiniteTheta("theta must be finite at the unknown nodes")
     np.multiply(grid.cell_volumes[sl], theta_vals[sl], out=out[sl])
     return out
@@ -374,7 +415,7 @@ def _chain_start(grid, *arrays):
     return k
 
 
-def _chain_solve(grid, loads, theta_vals, m, u, k):
+def _chain_solve(grid, loads, theta_vals, m, u, k, rows=None):
     """Solve the zero-flux chain from node k (_chain_start) to the Dirichlet
     node n - 1: k = 0 on the ball, and on the interval k = (n-1)//2, where
     the centre node (odd n) keeps half its load and the centre cell (even n)
@@ -385,15 +426,18 @@ def _chain_solve(grid, loads, theta_vals, m, u, k):
     where the flux weights are exact ones and u, h, V and theta exact
     mirrors, so the fluxes are exactly odd and the noise terms exactly
     even: that residual is the whole grid's to the last bit.
+
+    ``rows``, five rows of n - k, is the singular loop's scratch, which the
+    solve and its residual check share; a lone solve allocates its own.
     """
     n = grid.n
-    chain = loads[k:-1].copy()
-    if k:
-        chain[0] = 0.5 * loads[k] if n % 2 else 0.0
-    u[k:-1] = _zero_flux_solution(chain, grid.h[k:], grid.flux_weights[k:], m)
+    _zero_flux_solution(grid, loads, m, u, k, np.empty((5, n - k)) if rows is None else rows)
     if k and n % 2:  # the check from the centre node reads u one node to its left
         u[k - 1] = u[k + 1]
-    return _scaled_residual(grid, u, m, loads, theta_vals, n // 2 if k else 0)
+    first = n // 2 if k else 0
+    if rows is None:
+        return _scaled_residual(grid, u, m, loads, theta_vals, first)
+    return _scaled_residual(grid, u, m, loads, theta_vals, first, rows)
 
 
 def _mirror_left(u, k):
@@ -448,8 +492,9 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
         c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
         k = int(np.argmin(np.abs(c0 - prefix)))
         k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
-        u[1 : k + 1] = _compensated_cumsum(hdu[:k])
-        np.negative(_compensated_cumsum(hdu[:k:-1])[::-1], out=u[k + 1 : -1])
+        _compensated_cumsum(hdu[:k], u[1 : k + 1], *np.empty((3, k)))
+        s = _compensated_cumsum(hdu[:k:-1], *np.empty((4, n - 2 - k)))
+        np.negative(s[::-1], out=u[k + 1 : -1])
         res = _scaled_residual(grid, u, m, loads, theta_vals)
     return _checked(grid, u, iterations, res)
 
@@ -556,16 +601,16 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     s = np.divide(1.0, theta, out=theta)  # the slack, in theta's storage
     s += 1.0
     s *= max(residual, ASSEMBLY_NOISE)
-    if float(s.max()) >= 1.0:
+    if float(np.maximum.reduce(s)) >= 1.0:
         return 0.0, np.inf
     e = 1.0 / (spec.m - 1.0 + spec.p)
     np.log1p(s, out=out)
     np.subtract(log_ratio, out, out=out)
-    lam_lo = float(np.exp(e * out.min()))
+    lam_lo = float(np.exp(e * np.minimum.reduce(out)))
     np.negative(s, out=s)
     np.log1p(s, out=s)
     np.subtract(log_ratio, s, out=s)
-    lam_hi = float(np.exp(e * s.max()))
+    lam_hi = float(np.exp(e * np.maximum.reduce(s)))
     return lam_lo, lam_hi
 
 
@@ -580,9 +625,15 @@ def _singular_loop(spec, grid, cfg, k_vals):
     gives the certified pair (lam_lo w0, lam_hi w0); the iteration then
     starts at the pair's sub and is held as L = log u on the unknowns, where
     the step is L <- (1-w) L + w log T(u).  The loop takes log sub and
-    log K once and reuses four more arrays, theta among them, so each sweep
-    makes four transcendental passes: the exp in theta, the log of T(u)
-    that the bracket and the step share, and the bracket's two log1p.  After
+    log K once and the clamp Lt = max(L, log sub) once a sweep, so each
+    sweep makes four transcendental passes: the exp in theta, the log of
+    T(u) that the bracket and the step share, and the bracket's two log1p.
+    It allocates one workspace per solve, ``work``, whose rows hold every
+    array of a sweep: theta, the loads and w at full length, and log K,
+    log sub, L, Lt and the scratch of _chain_solve, its residual check and
+    the bracket over the chain's n - k nodes, half the grid on the
+    interval.  The exit check writes into the block too.  No sweep on the
+    chain allocates, and np.errstate is entered once per solve.  After
     every solve _scaling_bracket puts the solution in
     [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
     (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
@@ -605,91 +656,109 @@ def _singular_loop(spec, grid, cfg, k_vals):
     m, p = spec.m, spec.p
     n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
-    # every array the sweeps reuse, in one block: eight separate arrays that
-    # outlive the solves fragment the heap and raise the peak resident size.
-    # Rows are full length so that theta (row 5) is zero at the boundary and
-    # the chain's loads and w (rows 6 and 7, untouched when solve_dirichlet
-    # solves) index by node, as the residual check does; solve_dirichlet
-    # does not keep theta, so every sweep rewrites it under the read-only
-    # view it hands over
-    work = np.zeros((8, n))
-    _log_profile(spec, grid, work[2, grid.unknown_slice])
-    chain = _chain_start(grid, k_vals, work[2])
+    log_v0 = np.zeros(n)
+    _log_profile(spec, grid, log_v0[grid.unknown_slice])
+    chain = _chain_start(grid, k_vals, log_v0)
     sl = grid.unknown_slice if chain is None else slice(chain, n - 1)
+    size = n - 1 - sl.start
+    # every array the sweeps reuse, in one block: separate arrays that
+    # outlive the solves fragment the heap and raise the peak resident size.
+    # theta, the chain's loads and w are full length, index by node as the
+    # residual check does, and keep zeros at the boundary; solve_dirichlet
+    # does not keep theta, so every sweep rewrites it under the read-only
+    # view it hands over.  The other rows span sl and one node more: four
+    # hold log K, log sub, L and Lt, and the rest are scratch, five that
+    # _chain_solve and its residual check share and that then take log w,
+    # or on the whole grid log w alone
+    short = 4 + (1 if chain is None else 5)
+    work = np.zeros(3 * n + short * (size + 1))
+    theta, loads, w = work[: 3 * n].reshape(3, n)
+    block = work[3 * n :].reshape(short, size + 1)
+    log_k, log_sub, big_l, lt = block[:4, :size]
+    scratch = block[4:]
+    log_w = scratch[0, :size]
+    theta_sl = theta[sl]
     k = k_vals[sl]
-    log_k, log_sub, big_l, log_w, log_ratio = (row[sl] for row in work[:5])
-    theta, theta_sl = work[5], work[5, sl]
-    loads, w = work[6], work[7]
     np.log(k, out=log_k)
     log_sub.fill(-np.inf)  # nothing clamps the first solve
+    big_l[:] = log_v0[sl]
+    del log_v0
     pair = None
     iterations = 0
-    while True:
-        np.maximum(big_l, log_sub, out=theta_sl)
-        _singular_theta(p, k, theta_sl, theta_sl)
-        if chain is None:
-            inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
-            w, residual = inner.solution.values, inner.final_residual
-        else:
-            residual = _chain_solve(grid, _loads(grid, theta, sl, loads), theta, m, w, chain)
-            if not residual <= RESIDUAL_TOL:
-                _checked(grid, _mirror_left(w, chain).copy(), 0, residual)  # raises
-        iterations += 1
-        np.log(w[sl], out=log_w)
-        # max log (w^p/K), for the resolution floor below
-        np.multiply(log_w, p, out=log_ratio)
-        log_ratio -= log_k
-        log_load = float(log_ratio.max())
-        np.maximum(big_l, log_sub, out=log_ratio)
-        log_ratio -= log_w
-        log_ratio *= p  # p log (max(u, sub)/w)
-        # the relaxed step, taken before the bracket so that it can use
-        # log_w's storage; the loop returns w, not the stepped iterate, and
-        # the first solve's step is replaced by the start at the pair's sub
-        big_l *= 1.0 - omega
-        log_w *= omega
-        big_l += log_w
-        lam_lo, lam_hi = _scaling_bracket(spec, log_ratio, theta_sl, residual, log_w)
-        w_max = float(w[sl.start :].max())  # left of sl: 0 or mirror images
-        width = (lam_hi - lam_lo) * w_max
-        if lam_lo == 0.0:
-            raise NonConvergence(
-                "no scale brackets the solve: the slack swamps the load "
-                f"(bracket width {width:g})",
-                report=_singular_report(
-                    grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width, False
-                ),
-            )
-        if pair is None:
-            pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
-            np.log(pair.sub.values[sl], out=log_sub)
-            big_l[:] = log_sub
-        if width <= tol:
-            break
-        # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),
-        # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
-        # at the certified lower bracket v = lam_lo w, not at the iterate:
-        # early iterates overshoot the solution and would overstate it
-        load = lam_lo**p * float(np.exp(log_load))
-        resolution = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
-        why = None
-        if resolution > tol:
-            why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
-        elif iterations >= cfg.max_picard_iters:
-            why = "singular iteration budget exhausted"
-        if why:
-            raise NonConvergence(
-                f"{why}: bracket width {width:g}",
-                report=_singular_report(
-                    grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width, False
-                ),
-            )
+    # phi'(0) = inf in the residual check when m < 2, once for every sweep
+    with np.errstate(divide="ignore"):
+        while True:
+            np.maximum(big_l, log_sub, out=lt)
+            _singular_theta(p, k, lt, theta_sl)
+            if chain is None:
+                inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
+                w, residual = inner.solution.values, inner.final_residual
+            else:
+                residual = _chain_solve(
+                    grid, _loads(grid, theta, sl, loads), theta, m, w, chain, scratch
+                )
+                if not residual <= RESIDUAL_TOL:
+                    _checked(grid, _mirror_left(w, chain).copy(), 0, residual)  # raises
+            iterations += 1
+            np.log(w[sl], out=log_w)
+            # max log (w^p/K), for the resolution floor below, in the loads'
+            # storage, which no one reads until the next solve
+            log_load = np.multiply(log_w, p, out=loads[sl])
+            log_load -= log_k
+            log_load = float(np.maximum.reduce(log_load))
+            lt -= log_w
+            lt *= p  # p log (max(u, sub)/w)
+            # the relaxed step, taken before the bracket so that it can use
+            # log_w's storage; the loop returns w, not the stepped iterate, and
+            # the first solve's step is replaced by the start at the pair's sub
+            big_l *= 1.0 - omega
+            log_w *= omega
+            big_l += log_w
+            lam_lo, lam_hi = _scaling_bracket(spec, lt, theta_sl, residual, log_w)
+            w_max = float(np.maximum.reduce(w[sl.start :]))  # left of sl: 0 or mirror images
+            width = (lam_hi - lam_lo) * w_max
+            if lam_lo == 0.0:
+                raise NonConvergence(
+                    "no scale brackets the solve: the slack swamps the load "
+                    f"(bracket width {width:g})",
+                    report=_singular_report(
+                        grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width,
+                        False,
+                    ),
+                )
+            if pair is None:
+                pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
+                np.log(pair.sub.values[sl], out=log_sub)
+                big_l[:] = log_sub
+            if width <= tol:
+                break
+            # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),
+            # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
+            # at the certified lower bracket v = lam_lo w, not at the iterate:
+            # early iterates overshoot the solution and would overstate it
+            load = lam_lo**p * float(np.exp(log_load))
+            resolution = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
+            why = None
+            if resolution > tol:
+                why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
+            elif iterations >= cfg.max_picard_iters:
+                why = "singular iteration budget exhausted"
+            if why:
+                raise NonConvergence(
+                    f"{why}: bracket width {width:g}",
+                    report=_singular_report(
+                        grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width,
+                        False,
+                    ),
+                )
 
     mid = 0.5 * (lam_lo + lam_hi) * _mirror_left(w, chain)
-    for side, excess in (
-        ("below the subsolution", pair.sub.values - mid),
-        ("above the supersolution", mid - pair.super_.values),
+    # each side's excess in the loads' row, which no solve reads again
+    for side, a, b in (
+        ("below the subsolution", pair.sub.values, mid),
+        ("above the supersolution", mid, pair.super_.values),
     ):
+        excess = np.subtract(a, b, out=loads)
         i = int(np.argmax(excess))
         if excess[i] > tol:
             raise BarrierOrderViolation(

@@ -235,10 +235,40 @@ class TestThresholdScan:
 
     def test_level_validation(self):
         solve = singular_levels(ProblemSpec(m=2.0, p=0.5, q=1.0))
-        with pytest.raises(InvalidConfig):
-            threshold_scan(solve, [2.0], [257, 513, 1025])  # too few levels
+        with pytest.raises(InvalidConfig, match="need at least 3 refinement levels"):
+            threshold_scan(solve, [2.0], [257, 513])  # too few levels
+        assert threshold_scan(solve, [2.0], [257, 513, 1025]).level_ns == (257, 513, 1025)
         with pytest.raises(InvalidConfig):
             threshold_scan(solve, [2.0], [257, 513, 1025, 2000])  # not nested
+
+    @pytest.mark.parametrize(
+        "spec, taus, levels",
+        [
+            (ProblemSpec(m=2.0, p=0.5, q=1.0), (2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
+             (1025, 2049, 4097, 8193)),
+            (ProblemSpec(m=2.0, p=0.5, q=0.5), (2.0, 4.0, 8.0), (1025, 2049, 4097, 8193)),
+            (ProblemSpec(m=1.5, p=0.5, q=1.0, domain=Domain.ball(3)),
+             (1.5, 1.75, 2.0, 2.25, 2.5), (513, 1025, 2049, 4097)),
+        ],
+        ids=["supercritical", "critical", "ball-m1.5"],
+    )
+    def test_three_levels_are_the_last_three_of_four(self, spec, taus, levels):
+        # the verdict reads the last two increments only, so dropping the
+        # coarsest level changes no verdict, rate or seminorm to the last bit
+        solve = singular_levels(spec)
+        four = threshold_scan(solve, taus, levels)
+        three = threshold_scan(solve, taus, levels[1:])
+        assert three.level_ns == four.level_ns[1:]
+        assert three.verdicts == four.verdicts
+        assert np.array_equal(np.array(three.rates), np.array(four.rates), equal_nan=True)
+        assert np.array_equal(three.norms, four.norms[1:])
+
+    def test_empty_tau_list_refused_before_any_solve(self):
+        def solve(n):
+            raise AssertionError(f"level n={n} solved with no tau to scan")
+
+        with pytest.raises(InvalidConfig, match="need at least one tau"):
+            threshold_scan(solve, [], [257, 513, 1025])
 
     def test_grading_validated_before_any_solve(self):
         solved = []

@@ -653,10 +653,10 @@ class TestReproduceReuse:
 
     def test_default_matrix_counts_and_repeat_run(self, tmp_path, counts):
         first = self._run(tmp_path, "a")
-        assert counts == {"solve_singular": 10, "first_eigenpair": 0}
+        assert counts == {"solve_singular": 8, "first_eigenpair": 0}
         second = self._run(tmp_path, "b")
         # nothing is carried over from the first run
-        assert counts == {"solve_singular": 20, "first_eigenpair": 0}
+        assert counts == {"solve_singular": 16, "first_eigenpair": 0}
         assert second == first
 
     def test_entry_order_does_not_change_claims(self, tmp_path):
@@ -666,18 +666,18 @@ class TestReproduceReuse:
         assert backward == forward
 
     def test_one_grid_per_node_count(self, tmp_path, monkeypatch):
-        # E1-E3 solve on 10 grids of 5 node counts, all at grading 3 on the
-        # interval; the entries of one run share them, and a second run
-        # builds its own
+        # E1-E3 make 8 solves on grids of 4 node counts, all at grading 3
+        # on the interval; the entries of one run share them, and a second
+        # run builds its own
         built = []
         make = mlap1d.repro.make_graded_grid
         monkeypatch.setattr(
             mlap1d.repro, "make_graded_grid", lambda *a: built.append(a) or make(*a)
         )
         self._run(tmp_path, "a")
-        assert sorted(a[0] for a in built) == [1025, 2049, 4097, 8193, 16385]
+        assert sorted(a[0] for a in built) == [2049, 4097, 8193, 16385]
         self._run(tmp_path, "b")
-        assert len(built) == 10
+        assert len(built) == 8
 
     def test_every_sweep_of_e1_runs_on_the_right_half(self, tmp_path, monkeypatch):
         # E1's grids, K and start profile are exact mirrors, so every sweep
@@ -942,6 +942,20 @@ class TestFixedRhsOnTheBall:
          "slack must be finite, got nan"),
         (["barrier-check", "--rhs", "const", "--family", "power", "--n", "65", "--c", "2",
           "--slack", "inf"], "slack must be finite, got inf"),
+        (["fit-exponent", "--m", "2", "--p", "0.5", "--q", "1", "--n", "1025", "--expect", "0.5",
+          "--expect-tol", "inf"], "expect_tol must be finite and >= 0, got inf"),
+        (["fit-exponent", "--m", "2", "--p", "0.5", "--q", "1", "--n", "1025", "--expect", "0.5",
+          "--expect-tol", "nan"], "expect_tol must be finite and >= 0, got nan"),
+        (["fit-exponent", "--m", "2", "--p", "0.5", "--q", "1", "--n", "1025", "--expect", "0.5",
+          "--expect-tol", "-1"], "expect_tol must be finite and >= 0, got -1.0"),
+        (["fit-exponent", "--m", "2", "--p", "0.5", "--q", "1", "--n", "1025", "--expect", "nan"],
+         "expect must be finite, got nan"),
+        (["fit-exponent", "--m", "2", "--p", "0.5", "--q", "1", "--n", "1025", "--expect", "inf"],
+         "expect must be finite, got inf"),
+        (["reproduce-theorem1", "--matrix", "E1", "--picard-tol", "inf"],
+         "picard_tol must be finite, got inf"),
+        (["scan-threshold", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1", "--taus", "",
+          "--levels", "257,513,1025,2049", "--verify", "true"], "need at least one tau"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
          "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c",
@@ -951,7 +965,9 @@ class TestFixedRhsOnTheBall:
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "gamma-above-1", "log-s-0", "log-s-nan", "log-a-1",
          "side", "fit-kind", "logpower-ball", "lemma-a-nan", "lemma-a-inf", "tau-inf",
-         "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c"],
+         "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c",
+         "expect-tol-inf", "expect-tol-nan", "expect-tol-negative", "expect-nan", "expect-inf",
+         "picard-tol-inf", "scan-no-tau"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"

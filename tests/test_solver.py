@@ -824,6 +824,31 @@ class TestChainLoop:
             )
             self.assert_identical(chain, self.outcome(spec, g))
 
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            (ProblemSpec(m=2.0, p=0.5, q=0.5), 11.6),
+            (ProblemSpec(m=3.0, p=1.5, q=0.3, domain=Domain.ball(3)), 16.1),
+        ],
+        ids=["interval", "ball3"],
+    )
+    def test_traced_peak_of_one_solve(self, spec, bound):
+        # one singular solve at n = 16385, in full-length arrays: the loop's
+        # block, the pair, K and the returned midpoint.  The sweeps allocate
+        # nothing, and the exit check writes into the block (the interval's
+        # chain rows are half length)
+        import tracemalloc
+
+        g = make_graded_grid(16385, 3.0, spec.domain)
+        solve_singular(spec, g)  # the grid's cached geometry is not the solve's
+        tracemalloc.start()
+        try:
+            solve_singular(spec, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * g.n) <= bound
+
     def test_one_ulp_of_asymmetric_k_takes_the_whole_grid(self, monkeypatch):
         # the interval chain checks residuals from the centre on only, so
         # this guard alone keeps it from solving a symmetrised problem
@@ -861,6 +886,12 @@ class TestSolverConfig:
         # once spent its whole budget before failing
         with pytest.raises(InvalidConfig, match="picard_tol must be positive, got nan"):
             SolverConfig(picard_tol=float("nan"))
+
+    def test_infinite_tolerance_is_refused(self):
+        # an infinite width bound stops the loop after its first solve, and
+        # the sandwich claim measured against it could not fail
+        with pytest.raises(InvalidConfig, match="picard_tol must be finite, got inf"):
+            SolverConfig(picard_tol=float("inf"))
 
 
 class TestStrongCouplingAndOtherM:
