@@ -42,7 +42,6 @@ __all__ = [
     "DistanceIntegralResult",
     "GradientBoundReport",
     "fit_boundary_exponent",
-    "fit_log_correction",
     "fit_log_profile",
     "sobolev_seminorm",
     "threshold_scan",
@@ -72,19 +71,14 @@ class FitResult:
     window: tuple[float, float]
 
 
-def _r_squared(dy: np.ndarray, resid: np.ndarray) -> float:
-    """1 - SSres/SStot from the centred data ``dy`` and the fit residuals."""
-    # einsum sums on one thread; np.dot's BLAS sum depends on the thread count
-    sst = float(np.einsum("i,i->", dy, dy))
-    return 1.0 if sst == 0.0 else 1.0 - float(np.einsum("i,i->", resid, resid)) / sst
-
-
 def _linfit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of y against x, and the fit's r^2."""
+    """Least-squares slope of y against x, and the fit's r^2 = 1 - SSres/SStot."""
+    # einsum sums on one thread; np.dot's BLAS sum depends on the thread count
     xm, ym = x.mean(), y.mean()
     dx, dy = x - xm, y - ym
     slope = float(np.einsum("i,i->", dx, dy)) / float(np.einsum("i,i->", dx, dx))
-    return slope, _r_squared(dy, dy - slope * dx)
+    sst, resid = float(np.einsum("i,i->", dy, dy)), dy - slope * dx
+    return slope, 1.0 if sst == 0.0 else 1.0 - float(np.einsum("i,i->", resid, resid)) / sst
 
 
 def _window_samples(
@@ -142,37 +136,45 @@ def fit_boundary_exponent(u: GridFunction, window: tuple[float, float]) -> FitRe
     return _per_side_fit(u, window, lambda d, vals: _linfit(np.log(d), np.log(vals)), log=False)
 
 
-def fit_log_correction(u: GridFunction, window: tuple[float, float]) -> FitResult:
-    """Fit s in u ~ C delta log^s(1/delta), the linear factor held fixed.
-
-    Least squares of log(u/delta) against log log(1/delta); exact when u is
-    exactly of that form.
-    """
-    return _per_side_fit(
-        u, window, lambda d, vals: _linfit(np.log(np.log(1.0 / d)), np.log(vals / d)), log=True
-    )
-
-
 def fit_log_profile(u: GridFunction, window: tuple[float, float]) -> FitResult:
-    """Fit s in u/delta ~ C log^s(1/delta) + B with the affine offset free.
+    """Fit s in u/delta ~ C log^s(1/delta) + B, with C and the offset B free.
 
-    Solutions of -u'' = delta^(-1) log^(-a)(1/delta) have gradients of the
-    form C' log^s + B with an O(1) offset B from global matching; the
-    two-parameter fit of fit_log_correction then converges to s only like
-    log^(-s)(1/delta), far too slowly for any reachable grid.  Freeing the
-    offset removes that bias: this fit is exact on C delta log^s(1/delta)
-    + B delta and still distinguishes wrong exponents.
+    Solutions of -u'' = delta^(-1) log^(-a)(1/delta) carry an O(1) offset B
+    that biases any fit without it.  For fixed s, C and B are linear least
+    squares; each side's s is the zero in (0, 64] (L^s stays finite) of the
+    derivative of their residual (variable projection), or else InsufficientWindow.
     """
-    from scipy.optimize import curve_fit
-
-    def model(big_l, c0, s, b0):
-        return c0 * big_l**s + b0
 
     def fit_side(d, vals):
-        big_l = np.log(1.0 / d)
-        y = vals / d
-        popt, _ = curve_fit(model, big_l, y, p0=(1.0, 0.5, 0.0), maxfev=20000)
-        return float(popt[1]), _r_squared(y - y.mean(), y - model(big_l, *popt))
+        ell = np.log(np.log(1.0 / d))
+        yc = vals / d
+        yc -= yc.mean()
+
+        def slope(s):  # (-1/2 dRSS/ds, C, centred L^s) at s, with C and B fitted
+            x = np.expm1(s * ell) if s else ell.copy()  # L^s - 1, or (L^s - 1)/s -> log L at 0
+            dx = ell * (x + 1.0) if s else 0.5 * ell * ell
+            x -= x.sum() / x.size
+            c = np.einsum("i,i->", x, yc) / np.einsum("i,i->", x, x)
+            return c * (np.einsum("i,i->", dx, yc) - c * np.einsum("i,i->", dx, x)), c, x
+
+        lo, hi, f_lo, f_hi = 0.0, 1.0, slope(0.0)[0], slope(1.0)[0]
+        while f_lo > 0.0 and f_hi > 0.0 and hi < 64.0:
+            lo, f_lo, hi, f_hi = hi, f_hi, 2.0 * hi, slope(2.0 * hi)[0]
+        if not f_lo > 0.0 >= f_hi:
+            raise InsufficientWindow(
+                f"no log profile optimum for s in (0, 64] on [{d.min():g}, {d.max():g}]"
+            )
+        # Illinois false position (an end kept twice has its value halved)
+        kept, f, s, last = 0, 1.0, hi, lo
+        while f != 0.0 and min(hi - lo, abs(s - last)) > 1e-9 * hi:
+            s, last = (lo * f_hi - hi * f_lo) / (f_hi - f_lo), s
+            f, c, x = slope(s)
+            if f > 0.0:
+                lo, f_lo, f_hi, kept = s, f, f_hi * (0.5 if kept > 0 else 1.0), 1
+            else:
+                hi, f_hi, f_lo, kept = s, f, f_lo * (0.5 if kept < 0 else 1.0), -1
+        r = yc - c * x
+        return float(s), 1.0 - float(np.einsum("i,i->", r, r) / np.einsum("i,i->", yc, yc))
 
     return _per_side_fit(u, window, fit_side, log=True)
 
@@ -215,9 +217,9 @@ class ScanReport:
 
 def _increment_rate(values, grading: float) -> float:
     """e = -log2(d_L/d_(L-1))/grading of the last two increments d_l = v_(l+1) - v_l
-    (e > 0 when v tends to a limit like delta_min^e); +inf at rounding level of
-    v_L, nan (no rate) when the two differ in sign or the earlier one is zero."""
-    d = np.diff(values)
+    (e > 0 when v tends to a limit like delta_min^e); +inf when both are at rounding
+    level of v_L, nan (no rate) when the two differ in sign or the earlier one is zero."""
+    d = np.diff(values[-3:])
     if d[-1] == 0.0 or np.max(np.abs(d)) <= 1e-13 * abs(float(values[-1])):
         return math.inf
     if np.sign(d[-1]) != np.sign(d[-2]):
@@ -245,9 +247,8 @@ def threshold_scan(
     solves with its other checks.  ``refinement_levels`` are increasing node
     counts, each refining the last (n - 1 doubles).  The rate reads the last
     two increments, so three levels suffice; the earlier levels of a longer
-    scan fill rows of ``norms`` and enter only _increment_rate's
-    rounding-level test.  Fewer than three levels, one below MIN_NODES
-    nodes, unnested ones, no tau or a tau not in [1, inf) raise
+    scan only fill rows of ``norms``.  Fewer than three levels, one below
+    MIN_NODES nodes, unnested ones, no tau or a tau not in [1, inf) raise
     InvalidConfig and a grading below 1 InvalidGrading, all before any
     solve.  A level whose solve raises a package error becomes SolveFailed
     naming n, the error chained; any other exception propagates as itself.

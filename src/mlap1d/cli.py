@@ -31,7 +31,6 @@ from . import barriers
 from .analyzer import (
     distance_integral_classify,
     fit_boundary_exponent,
-    fit_log_correction,
     fit_log_profile,
     threshold_scan,
 )
@@ -121,7 +120,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "taus": (_list_of(float), (2.0, 2.5, 3.0, 3.5, 4.0)),
     "levels": (_list_of(int), (257, 513, 1025, 2049)),
     "int_levels": (int, 6),
-    "fit_kind": (str, "power"),  # power | log | logaffine
+    "fit_kind": (str, "power"),  # power | logaffine
     "expect": (_float_or(""), ""),
     "expect_tol": (float, 0.05),
     "verify": (_parse_bool, False),
@@ -411,13 +410,13 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     return 0 if cert.certified else 1
 
 
-FITS = {"power": fit_boundary_exponent, "log": fit_log_correction, "logaffine": fit_log_profile}
+FITS = {"power": fit_boundary_exponent, "logaffine": fit_log_profile}
 
 
 def cmd_fit_exponent(cfg: RunConfig) -> int:
     kind = cfg["fit_kind"]
     if kind not in FITS:
-        raise InvalidConfig(f"unknown fit kind {kind!r}")
+        raise InvalidConfig(f"unknown fit kind {kind!r}; expected {' or '.join(FITS)}")
     # no measurement meets a NaN or infinite expectation, and every one meets
     # an infinite tolerance: both would make the pass line vacuous
     if cfg["expect"] != "" and not math.isfinite(cfg["expect"]):

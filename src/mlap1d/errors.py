@@ -85,7 +85,7 @@ class NonPositiveCandidate(MlapError):
 
 
 class InsufficientWindow(MlapError):
-    """A fit window contains too few usable nodes."""
+    """A fit window contains too few usable nodes, or no log-profile optimum."""
 
 
 class NonPositiveValues(MlapError):

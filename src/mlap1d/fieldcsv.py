@@ -173,11 +173,11 @@ def _power(i: int) -> tuple[float, ...]:
 
 
 class _Work:
-    """Arrays for up to ``n`` values, reused block after block, of rows whose
-    columns end in ``seps``; and the rows of _power a field has used."""
+    """Arrays for up to ``n`` values, reused block after block, of whole rows
+    whose columns end in ``seps``; and the rows of _power a field has used."""
 
     def __init__(self, n: int, seps: list[int]):
-        self.seps = np.resize(_NX * np.array(seps), n)
+        self.seps = np.tile(_NX * np.array(seps), n // len(seps))
         self.powers = np.zeros((_NX, 5))
         self.built = np.zeros(_NX, dtype=bool)
         self.f = np.empty((6, n))

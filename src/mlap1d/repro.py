@@ -19,7 +19,7 @@ from .analyzer import (
     ScanReport,
     Verdict,
     fit_boundary_exponent,
-    fit_log_correction,
+    fit_log_profile,
     gradient_bound_check,
     threshold_scan,
 )
@@ -216,8 +216,9 @@ def _entry_claims(
     claim("regime", prediction["regime"], code, 0.0)
 
     if regime.regime is Regime.CRITICAL:
-        fit = fit_log_correction(u, entry.window)
-        claim("log_exponent", prediction["log_exponent"], fit.log_exponent, 0.1)
+        # on E2's window the fit reads 2/3 + 0.017 from n = 4097 to 32769
+        fit = fit_log_profile(u, entry.window)
+        claim("log_exponent", prediction["log_exponent"], fit.log_exponent, 0.03)
     else:
         fit = fit_boundary_exponent(u, entry.window)
         claim("boundary_exponent", prediction["boundary_exponent"], fit.exponent, 0.03)

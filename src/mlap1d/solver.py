@@ -222,6 +222,8 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None, rows=None) -> fl
     noise += np.abs(loads[between], out=fw[:-1])
     noise *= ASSEMBLY_NOISE
     g -= noise
+    if np.maximum.reduce(g) <= 0.0:  # every term is 0; a NaN takes the full path
+        return res
     np.maximum(g, 0.0, out=g)
     den = np.abs(theta_vals[between], out=noise)
     den += 1.0
@@ -247,12 +249,12 @@ def _compensated_cumsum(x, s, err, bp, t):
     rounding error of every step (TwoSum) is summed and added back.
     """
     np.add.accumulate(x, out=s)
-    err[:1] = 0.0  # the partial sum before each step, at first
-    err[1:] = s[:-1]
-    np.subtract(s, err, out=bp)
-    np.subtract(s, bp, out=t)
-    err -= t
-    err += np.subtract(x, bp, out=t)
+    err[:1] = 0.0  # the first step is exact; prev holds the sum before each later one
+    prev, cur, e, bp, t = s[:-1], s[1:], err[1:], bp[1:], t[1:]
+    np.subtract(cur, prev, out=bp)
+    np.subtract(cur, bp, out=t)
+    np.subtract(prev, t, out=e)
+    e += np.subtract(x[1:], bp, out=t)
     s += np.add.accumulate(err, out=err)
     return s
 
@@ -265,24 +267,23 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     On the interval (k > 0) the centre node of an odd grid keeps half its
     load and the centre cell of an even grid carries no flux.  The cell
     fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
-    summed inward from the Dirichlet end.  ``rows``: five scratch rows of at
-    least n - 1 - k.
+    summed inward from the Dirichlet end, both sums on the negations (exact
+    under rounding).  ``rows``: four scratch rows of at least n - 1 - k.
     """
     n = grid.n
-    flux, hdu, s, err, bp = rows[:5, : n - 1 - k]
+    flux, hdu, err, bp = rows[:4, : n - 1 - k]
     np.copyto(flux, loads[k:-1])
     if k:
         flux[0] = 0.5 * loads[k] if n % 2 else 0.0
     np.add.accumulate(flux, out=flux)
-    np.negative(flux, out=flux)
-    flux /= grid.flux_weights[k:]
+    if not k:  # the interval's flux weights, from its centre on, are ones
+        flux /= grid.flux_weights
     if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
         np.multiply(flux, grid.h[k:], out=hdu)
     else:
         _inverse_flux(flux, m, hdu)
         hdu *= grid.h[k:]
-    _compensated_cumsum(hdu[::-1], s, err, bp, flux)
-    np.negative(s[::-1], out=u[k:-1])
+    _compensated_cumsum(hdu[::-1], u[k:-1][::-1], err, bp, flux)
 
 
 def _anchored_loads(loads, k):
@@ -427,11 +428,11 @@ def _chain_solve(grid, loads, theta_vals, m, u, k, rows=None):
     mirrors, so the fluxes are exactly odd and the noise terms exactly
     even: that residual is the whole grid's to the last bit.
 
-    ``rows``, five rows of n - k, is the singular loop's scratch, which the
+    ``rows``, four rows of n - k, is the singular loop's scratch, which the
     solve and its residual check share; a lone solve allocates its own.
     """
     n = grid.n
-    _zero_flux_solution(grid, loads, m, u, k, np.empty((5, n - k)) if rows is None else rows)
+    _zero_flux_solution(grid, loads, m, u, k, np.empty((4, n - k)) if rows is None else rows)
     if k and n % 2:  # the check from the centre node reads u one node to its left
         u[k - 1] = u[k + 1]
     first = n // 2 if k else 0
@@ -667,10 +668,10 @@ def _singular_loop(spec, grid, cfg, k_vals):
     # residual check does, and keep zeros at the boundary; solve_dirichlet
     # does not keep theta, so every sweep rewrites it under the read-only
     # view it hands over.  The other rows span sl and one node more: four
-    # hold log K, log sub, L and Lt, and the rest are scratch, five that
+    # hold log K, log sub, L and Lt, and the rest are scratch, four that
     # _chain_solve and its residual check share and that then take log w,
     # or on the whole grid log w alone
-    short = 4 + (1 if chain is None else 5)
+    short = 4 + (1 if chain is None else 4)
     work = np.zeros(3 * n + short * (size + 1))
     theta, loads, w = work[: 3 * n].reshape(3, n)
     block = work[3 * n :].reshape(short, size + 1)

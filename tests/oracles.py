@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import curve_fit
 
 
 def torsion_exact(m: float, x: np.ndarray) -> np.ndarray:
@@ -84,3 +85,13 @@ def node_graded_nodes(n: int, grading: float) -> np.ndarray:
     )
     x[0], x[-1] = 0.0, 1.0
     return x
+
+
+def log_profile_exponent(delta: np.ndarray, u: np.ndarray) -> float:
+    """s of the least-squares fit u/delta ~ C log^s(1/delta) + B by scipy's
+    Levenberg-Marquardt over (C, s, B) from (1, 0.5, 0)."""
+    big_l = np.log(1.0 / delta)
+    popt, _ = curve_fit(
+        lambda x, c, s, b: c * x**s + b, big_l, u / delta, p0=(1.0, 0.5, 0.0), maxfev=20000
+    )
+    return float(popt[1])

@@ -22,7 +22,6 @@ from mlap1d import (
     distance_integral_classify,
     first_eigenpair,
     fit_boundary_exponent,
-    fit_log_correction,
     fit_log_profile,
     gradient_bound_check,
     make_graded_grid,
@@ -129,17 +128,17 @@ def test_criterion_2_supercritical_threshold():
 def test_criterion_3_critical_regime():
     t0 = time.monotonic()
     rep = solve_singular(E2, make_graded_grid(16385, 3.0))
-    fit = fit_log_correction(rep.solution, (1e-5, 1e-2))
+    fit = fit_log_profile(rep.solution, (1e-5, 1e-2))
     scan = threshold_scan(
         singular_levels(E2), [2.0, 4.0, 8.0], [2049, 4097, 8193, 16385], grading=3.0
     )
     elapsed = time.monotonic() - t0
     all_conv = all(v is Verdict.CONVERGENT for v in scan.verdicts)
-    ok = abs(fit.log_exponent - 2.0 / 3.0) <= 0.1 and all_conv and elapsed <= 120.0
+    ok = abs(fit.log_exponent - 2.0 / 3.0) <= 0.03 and all_conv and elapsed <= 120.0
     report(
         3,
         ok,
-        f"log exponent {fit.log_exponent:.4f} vs 2/3 +- 0.1; "
+        f"log exponent {fit.log_exponent:.4f} vs 2/3 +- 0.03; "
         f"tau verdicts {[v.value for v in scan.verdicts]}; {elapsed:.1f}s (<= 120s)",
     )
 

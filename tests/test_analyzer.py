@@ -14,7 +14,6 @@ from mlap1d import (
     Verdict,
     distance_integral_classify,
     fit_boundary_exponent,
-    fit_log_correction,
     fit_log_profile,
     gradient_bound_check,
     make_graded_grid,
@@ -23,6 +22,7 @@ from mlap1d import (
     solve_singular,
     threshold_scan,
 )
+from mlap1d.analyzer import _window_samples
 from mlap1d.errors import (
     DomainError,
     GridMismatch,
@@ -34,7 +34,7 @@ from mlap1d.errors import (
     SolveFailed,
 )
 
-from oracles import quad_integral
+from oracles import log_profile_exponent, quad_integral
 
 
 def sampled(grid, f):
@@ -106,32 +106,6 @@ class TestFitBoundaryExponent:
         fit = fit_boundary_exponent(u, (1e-4, 1e-2))
         assert fit.exponent == pytest.approx(0.6, abs=1e-12)
 
-
-class TestFitLogCorrection:
-    def test_exact_model(self):
-        g = make_graded_grid(4097, 3.0)
-        u = GridFunction.interior_from_callable(
-            g,
-            lambda x: g.domain.delta(x)
-            * np.log(1.0 / g.domain.delta(x)) ** (2.0 / 3.0),
-        )
-        fit = fit_log_correction(u, (1e-4, 1e-2))
-        assert fit.log_exponent == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-
-    def test_no_correction_gives_zero(self):
-        g = make_graded_grid(4097, 3.0)
-        u = sampled(g, lambda x: g.domain.delta(x))
-        fit = fit_log_correction(u, (1e-4, 1e-2))
-        assert abs(fit.log_exponent) <= 0.02
-
-    def test_critical_solution(self):
-        spec = ProblemSpec(m=2.0, p=0.5, q=0.5)
-        g = make_graded_grid(16385, 3.0)
-        u = solve_singular(spec, g).solution
-        fit = fit_log_correction(u, (1e-5, 1e-2))
-        assert fit.log_exponent == pytest.approx(2.0 / 3.0, abs=0.1)
-
     def test_power_fit_flags_log_suspicion(self):
         # a pure power fit of delta log^(2/3) runs just below 1 and drifts
         # upward as the window moves toward the boundary
@@ -151,14 +125,21 @@ class TestFitLogCorrection:
 
 
 class TestFitLogProfile:
-    def test_exact_affine_model(self):
-        g = make_graded_grid(8193, 3.0)
+    @pytest.mark.parametrize(
+        "n,c,s,b,window",
+        [(8193, 3.0, 1.0 / 3.0, -2.6, (1e-8, 1e-4)), (4097, 1.0, 2.0 / 3.0, 0.0, (1e-4, 1e-2))],
+        ids=["offset", "no-offset"],
+    )
+    def test_exact_affine_model(self, n, c, s, b, window):
+        g = make_graded_grid(n, 3.0)
         d = g.domain.delta
         u = GridFunction.interior_from_callable(
-            g, lambda x: d(x) * (3.0 * np.log(1.0 / d(x)) ** (1.0 / 3.0) - 2.6)
+            g, lambda x: d(x) * (c * np.log(1.0 / d(x)) ** s + b)
         )
-        fit = fit_log_profile(u, (1e-8, 1e-4))
-        assert fit.log_exponent == pytest.approx(1.0 / 3.0, abs=1e-6)
+        fit = fit_log_profile(u, window)
+        assert fit.exponent == 1.0
+        assert fit.log_exponent == pytest.approx(s, abs=1e-9)
+        assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_distinguishes_exponents(self):
         # feeding a log^(2/3) profile must not report 1/3
@@ -168,6 +149,38 @@ class TestFitLogProfile:
         fit = fit_log_profile(u, (1e-8, 1e-4))
         assert fit.log_exponent == pytest.approx(2.0 / 3.0, abs=0.1)
         assert abs(fit.log_exponent - 1.0 / 3.0) > 0.2
+
+    @pytest.mark.parametrize(
+        "n,window,a",
+        [(2049, (1e-4, 1e-2), None), (16385, (1e-5, 1e-2), None), (16385, (1e-8, 1e-4), None),
+         (16385, (1e-8, 1e-4), 2.0 / 3.0)],
+        ids=["E2-2049", "E2-16385-outer", "E2-16385-inner", "log-rhs"],
+    )
+    def test_matches_levenberg_marquardt(self, n, window, a):
+        # the same least-squares problem solved over (C, s, B) by scipy
+        g = make_graded_grid(n, 3.0)
+        if a is None:
+            u = solve_singular(ProblemSpec(m=2.0, p=0.5, q=0.5), g).solution
+        else:  # -u'' = delta^-1 log^-a(1/delta), whose s is 1 - a
+            dist = g.domain.delta
+            theta = GridFunction.interior_from_callable(
+                g, lambda x: dist(x) ** -1.0 * np.log(1.0 / dist(x)) ** -a
+            )
+            u = solve_dirichlet(theta, 2.0).solution
+        want = np.mean([log_profile_exponent(d, v) for d, v in _window_samples(u, window)])
+        assert fit_log_profile(u, window).log_exponent == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [lambda d: d * (2.0 - 1.0 / np.log(1.0 / d)), lambda d: d, lambda d: d * (1.0 + d)],
+        ids=["decaying-log", "linear", "quadratic"],
+    )
+    def test_no_optimum_in_s_is_refused(self, profile):
+        # the residual grows from s = 0 on: no exponent in (0, 64] fits best
+        g = make_graded_grid(4097, 3.0)
+        u = GridFunction.interior_from_callable(g, lambda x: profile(g.domain.delta(x)))
+        with pytest.raises(InsufficientWindow, match=r"no log profile optimum for s in \(0, 64\]"):
+            fit_log_profile(u, (1e-4, 1e-2))
 
 
 class TestSobolevSeminorm:
@@ -440,6 +453,13 @@ class TestIncrementRateRule:
     def test_rounding_level_increments_converge(self):
         e, v = self.verdict([3.0, 3.0 + 4e-16, 3.0 - 4e-16, 3.0 + 8e-16])
         assert e == math.inf and v is Verdict.CONVERGENT
+
+    def test_rounding_level_reads_only_the_last_two_increments(self):
+        # an earlier increment the rate never reads must not decide: four
+        # levels read as their last three do
+        ulp = np.spacing(2.0)
+        values = [1.0, 2.0, 2.0 + ulp, 2.0 + 2.0 * ulp]
+        assert self.verdict(values) == self.verdict(values[1:]) == (math.inf, Verdict.CONVERGENT)
 
     def test_rate_band_edge(self):
         from mlap1d.analyzer import RATE_BAND

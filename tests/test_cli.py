@@ -445,18 +445,15 @@ class TestFitCommand:
                            "--output-dir", str(tmp_path / "b")])
         assert bad == 1
 
-    @pytest.mark.parametrize(
-        "kind,fit", [("log", "fit_log_correction"), ("logaffine", "fit_log_profile")]
-    )
-    def test_log_fit_kinds_expect_the_log_exponent(self, tmp_path, kind, fit):
+    def test_log_fit_kind_expects_the_log_exponent(self, tmp_path):
         # E2 (critical): u ~ delta log^(2/3)(1/delta), so the power exponent
         # is 1 and --expect is compared with the log exponent
-        base = ["fit-exponent", "--fit-kind", kind, "--m", "2", "--p", "0.5", "--q", "0.5",
+        base = ["fit-exponent", "--fit-kind", "logaffine", "--m", "2", "--p", "0.5", "--q", "0.5",
                 "--n", "2049", "--expect-tol", "0.1"]
         assert main(base + ["--expect", "0.6667", "--output-dir", str(tmp_path / "a")]) == 0
         assert main(base + ["--expect", "1", "--output-dir", str(tmp_path / "b")]) == 1
         u = solve_singular(ProblemSpec(m=2.0, p=0.5, q=0.5), make_graded_grid(2049, 3.0)).solution
-        want = getattr(mlap1d.analyzer, fit)(u, (1e-4, 1e-2))
+        want = mlap1d.analyzer.fit_log_profile(u, (1e-4, 1e-2))
         row = (tmp_path / "a" / "fit.csv").read_text().splitlines()[1].split(",")
         assert row[:2] == [f"{want.exponent:.17g}", f"{want.log_exponent:.17g}"]
 
@@ -758,7 +755,8 @@ def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):
 
 # reproduce-theorem1 measured values of the default matrix, as the
 # plain monotone alternation computed them before the relaxed loop; the
-# barrier_scale_log2 values are log2 of the first solve's bracket ratio
+# barrier_scale_log2 values are log2 of the first solve's bracket ratio, and
+# E2.log_exponent is the affine log-profile fit's
 REFERENCE_MEASURED = {
     "E1.barrier_scale_log2": 0.4170870231375284,
     "E1.boundary_exponent": 0.9898110588329754,
@@ -766,7 +764,7 @@ REFERENCE_MEASURED = {
     "E1.regime": 0.0,
     "E1.sandwich_violation": 0.0,
     "E2.barrier_scale_log2": 0.4911796005960552,
-    "E2.log_exponent": 0.7119840846223744,
+    "E2.log_exponent": 0.68360305291828616,
     "E2.regime": 1.0,
     "E2.sandwich_violation": 0.0,
     "E2.tau_2": 0.0,
@@ -795,6 +793,9 @@ def test_reproduce_keeps_the_reference_answers(tmp_path):
     tol = SolverConfig().picard_tol
     for claim_id, ref in REFERENCE_MEASURED.items():
         assert abs(measured[claim_id] - ref) <= tol, claim_id
+    # the log-profile fit reads 2/3 + 0.017 on E2's window from n = 4097 on
+    tolerance = {c.claim_id: c.tolerance for c in report.claims}
+    assert tolerance["E2.log_exponent"] == 0.03
 
 
 class TestRadialDomain:
@@ -928,6 +929,10 @@ class TestFixedRhsOnTheBall:
          "log scale A must exceed 1, got 1.0"),
         (["barrier-check", "--side", "both"], "side must be sub or super, got 'both'"),
         (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
+        (["fit-exponent", "--fit-kind", "log"],
+         "unknown fit kind 'log'; expected power or logaffine"),
+        (["fit-exponent", "--fit-kind", "logaffine", "--m", "2", "--p", "0.3", "--q", "0.3",
+          "--n", "2049"], "no log profile optimum for s in (0, 64]"),
         (["solve", "--rhs", "logpower", "--domain", "ball"],
          "rhs = logpower with a = 0.5 > 0 is infinite at the centre of the ball"),
         (["lemma-integral", "--a", "nan"], "exponent a must be finite, got nan"),
@@ -964,7 +969,8 @@ class TestFixedRhsOnTheBall:
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "gamma-above-1", "log-s-0", "log-s-nan", "log-a-1",
-         "side", "fit-kind", "logpower-ball", "lemma-a-nan", "lemma-a-inf", "tau-inf",
+         "side", "fit-kind", "fit-kind-log", "logaffine-subcritical", "logpower-ball",
+         "lemma-a-nan", "lemma-a-inf", "tau-inf",
          "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c",
          "expect-tol-inf", "expect-tol-nan", "expect-tol-negative", "expect-nan", "expect-inf",
          "picard-tol-inf", "scan-no-tau"],

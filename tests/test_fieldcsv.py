@@ -270,6 +270,21 @@ def test_cli_import_loads_no_scipy_fractions_or_decimal():
     assert out.stdout.strip() == ""
 
 
+def test_log_fits_load_no_scipy(tmp_path):
+    # the log-profile fit of fit-exponent and of E2's claim runs on numpy alone
+    code = (
+        "import sys, mlap1d.cli as cli; "
+        "cli.main(['fit-exponent', '--fit-kind', 'logaffine', '--m', '2', '--p', '0.5', "
+        f"'--q', '0.5', '--n', '2049', '--output-dir', {str(tmp_path / 'fit')!r}]); "
+        "cli.main(['reproduce-theorem1', '--matrix', 'E2', "
+        f"'--output-dir', {str(tmp_path / 'r')!r}]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "fit" / "fit.report").is_file()
+    assert (tmp_path / "r" / "reproduce.report").is_file()
+
+
 def _fresh_interpreter(code):
     """Standard output of ``code`` run by a new interpreter on this mlap1d."""
     src = str(Path(mlap1d.__file__).parents[1])
