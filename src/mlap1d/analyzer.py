@@ -313,13 +313,14 @@ def distance_integral_classify(
     increments scale like delta_min^(1-a), so their increment rate e gives
     the estimated exponent 1 - e, and threshold_scan's rule decides: Infinite
     iff e <= RATE_BAND (_rate_verdict).  When finite, the value is completed
-    with the geometric tail extrapolation.  A non-finite a raises
-    InvalidConfig.
+    with the geometric tail extrapolation.  The rate and the tail read the
+    last two increments, so three levels suffice.  A non-finite a, or fewer
+    than three levels, raises InvalidConfig.
     """
     if not math.isfinite(a):
         raise InvalidConfig(f"exponent a must be finite, got {a}")
-    if refinement_levels < 4:
-        raise InvalidConfig("need at least 4 refinement levels")
+    if refinement_levels < 3:
+        raise InvalidConfig("need at least 3 refinement levels")
     q = []
     for l in range(refinement_levels):
         grid = make_graded_grid(256 * 2**l + 1, grading, INTERVAL01)

@@ -600,9 +600,16 @@ def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
 
 
 def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | None) -> GridFunction:
-    """The default K, or ``k_values`` once K delta^q is checked to lie in the envelope."""
+    """The default K, or ``k_values`` once it is checked to live on ``grid``
+    and K delta^q to lie in the envelope."""
     if k_values is None:
         return default_k_values(spec, grid)
+    if not same_grid(k_values.grid, grid):
+        raise GridMismatch(
+            f"custom K is sampled on another grid ({k_values.grid.n} nodes, grading "
+            f"{k_values.grid.grading_exponent:g}) than the solve's ({grid.n} nodes, "
+            f"grading {grid.grading_exponent:g})"
+        )
     sl = grid.unknown_slice
     envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
     if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(envelope > spec.k_high * (1 + 1e-12)):

@@ -7,28 +7,31 @@ In one dimension the finite-volume equations
 fix every cell flux F up to one constant, so solve_dirichlet needs no
 Jacobian, line search or regularization.  Where the constant is known, the
 problem is a zero-flux chain from node k = Grid1D.chain_start to the
-Dirichlet node, solved by _chain_solve.  On the ball k = 0: no flux crosses
-r = 0.  An interval problem whose widths, dual-cell volumes and theta all
-equal their mirror images exactly has a symmetric solution and a flux odd
-about x = 1/2, so its right half is a chain from the centre k = (n-1)//2:
-the centre node of an odd grid gives F = -V_c theta_c / 2 to the cell on
-its right, the centre cell of an even grid carries zero flux, and the left
-half is mirrored.  On any other interval problem the constant is the
-root c of the increasing scalar equation sum_j h_j phi^(-1)(c - R_j) = 0,
-which says that u returns to zero at x = 1.  The loads R_j are accumulated
-outward from the cell where the flux changes sign, because prefix sums from
-x = 0 would cancel catastrophically there when theta is large near the
-boundary.  One root search finds c.  It starts in the cell where the m = 2
-flux, known in closed form, changes sign, and moves its anchor to the cell
-of smallest |flux| as it goes.  Each step keeps that peak cell's term exact:
-for m > 2, phi^(-1) has an infinite slope at zero flux, so the step is
-solved in the peak cell's gradient, where that term is linear.  Inverting
-the flux gives Du in every cell, and u is summed inward from the Dirichlet
-boundary, which leaves the rounding error of the closure in the peak cell.
-Every solution is checked a posteriori by its noise-aware scaled residual.
-An interval chain is checked from the centre node on: its fluxes are
-exactly odd and its noise terms exactly even, so that value is the whole
-grid's to the last bit.
+Dirichlet node, solved by _zero_flux_solution.  On the ball k = 0: no flux
+crosses r = 0.  An interval problem whose widths, dual-cell volumes and
+theta all equal their mirror images exactly has a symmetric solution and a
+flux odd about x = 1/2, so its right half is a chain from the centre
+k = (n-1)//2: the centre node of an odd grid gives F = -V_c theta_c / 2 to
+the cell on its right, the centre cell of an even grid carries zero flux,
+and the left half is mirrored.  On any other interval problem the constant
+is the root c of the increasing scalar equation
+sum_j h_j phi^(-1)(c - R_j) = 0, which says that u returns to zero at
+x = 1.  The loads R_j are accumulated outward from the cell where the flux
+changes sign, because prefix sums from x = 0 would cancel catastrophically
+there when theta is large near the boundary.  One root search finds c.  It
+starts in the cell where the m = 2 flux, known in closed form, changes
+sign, and moves its anchor to the cell of smallest |flux| as it goes.  Each
+step keeps that peak cell's term exact: for m > 2, phi^(-1) has an infinite
+slope at zero flux, so the step is solved in the peak cell's gradient,
+where that term is linear.  Inverting the flux gives Du in every cell, and
+u is summed inward from the Dirichlet boundary, which leaves the rounding
+error of the closure in the peak cell.  Every solution is checked a
+posteriori by its noise-aware scaled residual.  An interval chain is
+checked from the centre node on: its fluxes are exactly odd and its noise
+terms exactly even, so that value is the whole grid's to the last bit.
+Both paths are one kernel, _solve_into, that works in its caller's
+workspace: a lone solve allocates one per call, the singular loop one per
+solve.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
@@ -62,21 +65,22 @@ solve, and no eigenpair or search over scaling constants.
 Every ball problem is a chain, and so is every interval problem whose grid,
 K and v0 equal their mirror images to the last bit, since its unique
 solution is symmetric.  That is checked once per solve, from the inputs,
-and every sweep then runs on the chain, nodes k to n - 2, by _chain_solve
-in the loop's workspace, which its residual check and the bracket share,
-so a sweep allocates nothing.  At m = 2 the flux is Du itself, and the
-chain and the check skip the powers, which would be exact there.  On the
-interval every step is elementwise, so by
-induction every theta, w and iterate is an exact mirror, and every min and
-max over the right half is the whole grid's: the answers are those of the
-whole-grid loop to the last bit.  w is mirrored into a full-length array
-only where one leaves the loop: the first pair, the returned solution and
-the report of an error.  Other interval inputs solve by solve_dirichlet.
+and every sweep then runs on the chain, nodes k to n - 2, by _solve_into in
+the loop's workspace, which its residual check and the bracket share, so a
+sweep allocates nothing.  At m = 2 the flux is Du itself, and the chain and
+the check skip the powers, which would be exact there.  On the interval
+every step is elementwise, so by induction every theta, w and iterate is an
+exact mirror, and every min and max over the right half is the whole
+grid's: the answers are those of the whole-grid loop to the last bit.  w is
+mirrored into a full-length array only where one leaves the loop: the first
+pair, the returned solution and the report of an error.  Other interval
+inputs run on the whole grid, in the same kernel and a workspace with the
+closure's five rows: each sweep asks _chain_start of its theta alone, as
+solve_dirichlet would, and takes that chain or the closure search.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -163,9 +167,9 @@ class SolveReport:
 ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals, first=None, rows=None) -> float:
-    """sup over the unknowns from node ``first`` on (all of them by default)
-    of max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
+def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
+    """sup over the unknowns from node ``first`` on of
+    max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
     NaN, so that a solution that overflowed fails the check.
 
     g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
@@ -176,16 +180,11 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None, rows=None) -> fl
     solution from the centre on is the whole grid's.
 
     ``rows`` is scratch for four arrays over those cells (n - first + 1
-    wide will do): the singular loop passes its workspace and holds
-    np.errstate(divide="ignore") for phi'(0) = inf when m < 2.  Without
-    ``rows`` the check allocates both itself.
+    wide will do).  The caller holds np.errstate(divide="ignore") for
+    phi'(0) = inf when m < 2.
     """
-    sl = grid.unknown_slice if first is None else slice(first, grid.n - 1)
-    c = max(sl.start - 1, 0)  # the first cell that bounds a node in sl
+    c = max(first - 1, 0)  # the first cell that bounds a node checked
     cells = grid.n - 1 - c
-    state = contextlib.nullcontext()
-    if rows is None:
-        rows, state = np.empty((4, cells)), np.errstate(divide="ignore")
     du, fw, fn, noise = rows[:4, :cells]
     h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
     u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
@@ -203,14 +202,13 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first=None, rows=None) -> fl
         np.copysign(fw, du, out=fw)
         fw *= weights
         np.abs(du, out=fn)
-        with state:
-            np.power(fn, m - 2.0, out=fn)
+        np.power(fn, m - 2.0, out=fn)
         fn *= m - 1.0
         fn *= weights
         fn *= np.divide(u_scale, h, out=du)
     fn += np.abs(fw, out=du)
     res = 0.0
-    if sl.start == 0:  # the ball's node 0, where no flux enters
+    if first == 0:  # the ball's node 0, where no flux enters
         g0 = abs(fw[0] + loads[0]) - ASSEMBLY_NOISE * (fn[0] + abs(loads[0]))
         res = float(max(g0, 0.0) / (grid.cell_volumes[0] * (1.0 + abs(theta_vals[0]))))
     # node k of ``between`` lies between entries k and k + 1 of fw and fn
@@ -286,12 +284,15 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     _compensated_cumsum(hdu[::-1], u[k:-1][::-1], err, bp, flux)
 
 
-def _anchored_loads(loads, k):
+def _anchored_loads(loads, k, out):
     """R_j, the sum of the node loads between cell k and cell j, signed so that
-    the cell fluxes are F_j = F_k - R_j (R_k = 0)."""
-    return np.concatenate(
-        (-np.cumsum(loads[k:0:-1])[::-1], [0.0], np.cumsum(loads[k + 1 : -1]))
-    )
+    the cell fluxes are F_j = F_k - R_j (R_k = 0), written into ``out``, one
+    entry per cell."""
+    left = out[:k]
+    np.cumsum(loads[k:0:-1], out=left[::-1])
+    np.negative(left, out=left)
+    out[k] = 0.0
+    np.cumsum(loads[k + 1 : -1], out=out[k + 1 :])
 
 
 def _power_root(a, b, q, tau):
@@ -315,7 +316,7 @@ def _power_root(a, b, q, tau):
     return x
 
 
-def _closure_root(loads, h, m, k, c):
+def _closure_root(loads, h, m, k, c, rows):
     """One root search for the closure G(c) = sum_j h_j phi^(-1)(c - R_j).
 
     G increases in c.  The loads start anchored at cell k, and c is the flux
@@ -331,16 +332,17 @@ def _closure_root(loads, h, m, k, c):
     G is at the rounding level of its sum, or the bracket is down to
     adjacent floats, or the step is below the resolution of every flux but
     the peak cell's; such a step is applied to the peak cell alone.  Returns
-    the peak cell, h_j Du_j at the root and the number of closure
+    the peak cell, h_j Du_j at the root (in the last of ``rows``, five
+    scratch rows of a length per cell) and the number of closure
     evaluations.
     """
     eps = np.finfo(float).eps
     inv = 1.0 / (m - 1.0)
-    big_r = _anchored_loads(loads, k)
+    big_r, y, a, t, hdu = rows[:5, : h.size]
+    _anchored_loads(loads, k, big_r)
     lo, hi = float(big_r.min()), float(big_r.max())
     last_step = hi - lo
     r2 = None
-    y, a, t, hdu = (np.empty_like(big_r) for _ in range(4))
     for it in range(1, MAX_ROOT_STEPS + 1):
         np.subtract(c, big_r, out=y)
         np.abs(y, out=a)
@@ -416,29 +418,42 @@ def _chain_start(grid, *arrays):
     return k
 
 
-def _chain_solve(grid, loads, theta_vals, m, u, k, rows=None):
-    """Solve the zero-flux chain from node k (_chain_start) to the Dirichlet
-    node n - 1: k = 0 on the ball, and on the interval k = (n-1)//2, where
-    the centre node (odd n) keeps half its load and the centre cell (even n)
-    carries no flux.  Reads ``loads`` and ``theta_vals`` from node k on,
-    writes u from node k to node n - 2 (u[n-1] = 0 is left to the caller),
-    and on an odd interval grid u[k-1] too.  Returns the scaled residual
-    from node 0 on the ball and from the centre node n//2 on the interval,
-    where the flux weights are exact ones and u, h, V and theta exact
-    mirrors, so the fluxes are exactly odd and the noise terms exactly
-    even: that residual is the whole grid's to the last bit.
+def _solve_into(grid, theta_vals, m, k, loads, u, rows):
+    """One Dirichlet solve of -div(Phi) = theta into ``u``; returns the
+    number of closure evaluations and the scaled residual.
 
-    ``rows``, four rows of n - k, is the singular loop's scratch, which the
-    solve and its residual check share; a lone solve allocates its own.
+    With k from _chain_start it solves the zero-flux chain: it reads theta
+    and writes the loads from node k on, writes u from node k to n - 2 and,
+    on an odd interval grid, u[k-1] (the caller mirrors the rest), and
+    checks the residual from node 0 on the ball and from the centre node
+    n//2 on the interval.  With k None it runs the closure search on the
+    interval and writes the loads and u at every unknown.  The caller owns
+    ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
+    of n - k on a chain and five of n - 1 otherwise, and holds
+    np.errstate(divide="ignore").
     """
     n = grid.n
-    _zero_flux_solution(grid, loads, m, u, k, np.empty((4, n - k)) if rows is None else rows)
-    if k and n % 2:  # the check from the centre node reads u one node to its left
-        u[k - 1] = u[k + 1]
-    first = n // 2 if k else 0
-    if rows is None:
-        return _scaled_residual(grid, u, m, loads, theta_vals, first)
-    return _scaled_residual(grid, u, m, loads, theta_vals, first, rows)
+    if k is not None:
+        _zero_flux_solution(grid, _loads(grid, theta_vals, slice(k, n - 1), loads), m, u, k, rows)
+        if k and n % 2:  # the check from the centre node reads u one node to its left
+            u[k - 1] = u[k + 1]
+        return 0, _scaled_residual(grid, u, m, loads, theta_vals, n // 2 if k else 0, rows)
+    _loads(grid, theta_vals, grid.unknown_slice, loads)
+    # flux weights are 1 on the interval; the search starts anchored at the
+    # cell where the m = 2 flux is closest to zero
+    h = grid.h
+    prefix, dist = rows[:2, : n - 1]
+    _anchored_loads(loads, 0, prefix)
+    c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
+    k = int(np.argmin(np.abs(np.subtract(c0, prefix, out=dist), out=dist)))
+    k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k], rows)
+    # u summed inward from both ends, the right half on the negations, in
+    # the rows the search no longer reads
+    _compensated_cumsum(hdu[:k], u[1 : k + 1], *rows[1:4, :k])
+    right = u[k + 1 : -1]
+    _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])
+    np.negative(right, out=right)
+    return iterations, _scaled_residual(grid, u, m, loads, theta_vals, 1, rows)
 
 
 def _mirror_left(u, k):
@@ -476,28 +491,16 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     """
     _check_m(m)
     grid = theta.grid
-    theta_vals = theta.values  # read at the unknowns only
-    h = grid.h
     n = grid.n
-    loads = _loads(grid, theta_vals, grid.unknown_slice, np.zeros(n))
-    iterations = 0
+    k = _chain_start(grid, theta.values)
     u = np.zeros(n)
-    k = _chain_start(grid, theta_vals)
-    if k is not None:
-        res = _chain_solve(grid, loads, theta_vals, m, u, k)
-        _mirror_left(u, k)
-    else:
-        # flux weights are 1 on the interval; the search starts anchored
-        # at the cell where the m = 2 flux is closest to zero
-        prefix = _anchored_loads(loads, 0)
-        c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
-        k = int(np.argmin(np.abs(c0 - prefix)))
-        k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k])
-        _compensated_cumsum(hdu[:k], u[1 : k + 1], *np.empty((3, k)))
-        s = _compensated_cumsum(hdu[:k:-1], *np.empty((4, n - 2 - k)))
-        np.negative(s[::-1], out=u[k + 1 : -1])
-        res = _scaled_residual(grid, u, m, loads, theta_vals)
-    return _checked(grid, u, iterations, res)
+    # the loads and the scratch rows in one block: separate ones fragment the
+    # heap between solves and raise the peak resident size
+    r, c = (5, n - 1) if k is None else (4, n - k)
+    work = np.empty(n + r * c)
+    with np.errstate(divide="ignore"):
+        iterations, res = _solve_into(grid, theta.values, m, k, work[:n], u, work[n:].reshape(r, c))
+    return _checked(grid, _mirror_left(u, k), iterations, res)
 
 
 def solve_singular(
@@ -509,8 +512,8 @@ def solve_singular(
     """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
     K defaults to delta^(-q); a custom weight can be supplied through
-    ``k_values`` as long as it stays inside the spec's (k_low, k_high)
-    envelope.
+    ``k_values`` as long as it is sampled on ``grid`` (GridMismatch
+    otherwise) and stays inside the spec's (k_low, k_high) envelope.
 
     The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
     delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
@@ -631,10 +634,11 @@ def _singular_loop(spec, grid, cfg, k_vals):
     T(u) that the bracket and the step share, and the bracket's two log1p.
     It allocates one workspace per solve, ``work``, whose rows hold every
     array of a sweep: theta, the loads and w at full length, and log K,
-    log sub, L, Lt and the scratch of _chain_solve, its residual check and
+    log sub, L, Lt and the scratch of _solve_into, its residual check and
     the bracket over the chain's n - k nodes, half the grid on the
-    interval.  The exit check writes into the block too.  No sweep on the
-    chain allocates, and np.errstate is entered once per solve.  After
+    interval, or over the whole grid.  The exit check writes into the block
+    too.  A chain sweep allocates nothing, a whole-grid one only the mirror
+    comparison of theta, and np.errstate is entered once per solve.  After
     every solve _scaling_bracket puts the solution in
     [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
     (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
@@ -643,15 +647,12 @@ def _singular_loop(spec, grid, cfg, k_vals):
     is certified at every unknown node; the exit check confirms it.
 
     On the ball, and on the interval when the grid, K and v0 equal their
-    mirror images to the last bit (_chain_start), every sweep runs on the
-    zero-flux chain, nodes k to n - 2, by _chain_solve in the loop's
-    workspace, where solve_dirichlet would take the same chain.  On the
-    interval each step is elementwise, so by induction every theta, w and
-    iterate is an exact mirror too, and the whole grid's mins and maxes are
-    the right half's.  The answers and the checks (theta finite, the
-    residual, the bracket, the resolution floor and the exit check) are
-    those of the loop through solve_dirichlet to the last bit.  w is
-    mirrored into a full-length array only where one leaves the loop.
+    mirror images to the last bit (_chain_start), every sweep solves the
+    zero-flux chain, nodes k to n - 2, and w is mirrored only where one
+    leaves the loop; its answers and checks are the whole-grid loop's to the
+    last bit (see the module docstring).  The whole-grid loop asks
+    _chain_start of each sweep's theta alone, as solve_dirichlet does, and
+    takes that chain (mirroring w at once) or the closure search.
     """
     tol = cfg.picard_tol
     m, p = spec.m, spec.p
@@ -664,14 +665,12 @@ def _singular_loop(spec, grid, cfg, k_vals):
     size = n - 1 - sl.start
     # every array the sweeps reuse, in one block: separate arrays that
     # outlive the solves fragment the heap and raise the peak resident size.
-    # theta, the chain's loads and w are full length, index by node as the
-    # residual check does, and keep zeros at the boundary; solve_dirichlet
-    # does not keep theta, so every sweep rewrites it under the read-only
-    # view it hands over.  The other rows span sl and one node more: four
-    # hold log K, log sub, L and Lt, and the rest are scratch, four that
-    # _chain_solve and its residual check share and that then take log w,
-    # or on the whole grid log w alone
-    short = 4 + (1 if chain is None else 4)
+    # theta, the loads and w are full length, index by node as the residual
+    # check does, and keep zeros at the boundary.  The other rows span sl
+    # and one node more: four hold log K, log sub, L and Lt, and the rest
+    # are the scratch of _solve_into (four rows on a chain, the closure's
+    # five on the whole grid), which then takes log w
+    short = 4 + (5 if chain is None else 4)
     work = np.zeros(3 * n + short * (size + 1))
     theta, loads, w = work[: 3 * n].reshape(3, n)
     block = work[3 * n :].reshape(short, size + 1)
@@ -691,15 +690,12 @@ def _singular_loop(spec, grid, cfg, k_vals):
         while True:
             np.maximum(big_l, log_sub, out=lt)
             _singular_theta(p, k, lt, theta_sl)
-            if chain is None:
-                inner = solve_dirichlet(GridFunction(grid, theta.view()), m)
-                w, residual = inner.solution.values, inner.final_residual
-            else:
-                residual = _chain_solve(
-                    grid, _loads(grid, theta, sl, loads), theta, m, w, chain, scratch
-                )
-                if not residual <= RESIDUAL_TOL:
-                    _checked(grid, _mirror_left(w, chain).copy(), 0, residual)  # raises
+            start = _chain_start(grid, theta) if chain is None else chain
+            evaluations, residual = _solve_into(grid, theta, m, start, loads, w, scratch)
+            if chain is None:  # the whole grid's w, as solve_dirichlet returns it
+                _mirror_left(w, start)
+            if not residual <= RESIDUAL_TOL:
+                _checked(grid, _mirror_left(w, chain).copy(), evaluations, residual)  # raises
             iterations += 1
             np.log(w[sl], out=log_w)
             # max log (w^p/K), for the resolution floor below, in the loads'

@@ -365,8 +365,15 @@ class TestDistanceIntegral:
         assert res.finite and res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_level_validation(self):
-        with pytest.raises(InvalidConfig):
-            distance_integral_classify(0.5, refinement_levels=3)
+        with pytest.raises(InvalidConfig, match="need at least 3 refinement levels"):
+            distance_integral_classify(0.5, refinement_levels=2)
+
+    def test_three_levels_classify(self):
+        # the rate and the tail read the last two increments only
+        finite = distance_integral_classify(0.5, refinement_levels=3)
+        assert finite.finite and len(finite.increments) == 2
+        assert finite.value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-2)
+        assert not distance_integral_classify(1.0, refinement_levels=3).finite
 
 
 class TestGradientBound:

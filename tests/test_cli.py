@@ -680,7 +680,7 @@ class TestReproduceReuse:
         # E1's grids, K and start profile are exact mirrors, so every sweep
         # solves on the right half and none calls solve_dirichlet; a silent
         # fallback to the whole grid would fail here
-        calls = {"sweeps": 0, "chain": 0, "dirichlet": 0}
+        calls = {"sweeps": 0, "chain": 0, "whole": 0, "dirichlet": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -691,11 +691,22 @@ class TestReproduceReuse:
 
         solver = mlap1d.solver
         monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
-        monkeypatch.setattr(solver, "_chain_solve", counted("chain", solver._chain_solve))
+        monkeypatch.setattr(solver, "_solve_into", kernel_counted(calls, solver._solve_into))
         monkeypatch.setattr(solver, "solve_dirichlet", counted("dirichlet", solver.solve_dirichlet))
         self._run(tmp_path, "a", "--matrix", "E1")
         assert calls["sweeps"] == calls["chain"] == 14  # 7 sweeps at n = 4097 and 8193
-        assert calls["dirichlet"] == 0
+        assert calls["dirichlet"] == calls["whole"] == 0
+
+
+def kernel_counted(calls, solve_into):
+    """``solve_into`` counting its calls on a chain (k set) and on the whole
+    grid (k None) in ``calls``."""
+
+    def wrapper(*args):
+        calls["whole" if args[3] is None else "chain"] += 1
+        return solve_into(*args)
+
+    return wrapper
 
 
 @pytest.mark.parametrize(
@@ -713,7 +724,7 @@ def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, a
     # singular sweep and each Dirichlet solve of the inverse iteration runs
     # on the chain over the right half, and the closure search is never
     # entered; on the ball every sweep runs on the chain from r = 0
-    calls = {"sweeps": 0, "chain": 0, "dirichlet": 0, "closure": 0}
+    calls = {"sweeps": 0, "chain": 0, "whole": 0, "dirichlet": 0, "closure": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -724,12 +735,12 @@ def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, a
 
     solver = mlap1d.solver
     monkeypatch.setattr(solver, "_scaling_bracket", counted("sweeps", solver._scaling_bracket))
-    monkeypatch.setattr(solver, "_chain_solve", counted("chain", solver._chain_solve))
+    monkeypatch.setattr(solver, "_solve_into", kernel_counted(calls, solver._solve_into))
     monkeypatch.setattr(solver, "_closure_root", counted("closure", solver._closure_root))
     for mod in (solver, mlap1d.eigen):
         monkeypatch.setattr(mod, "solve_dirichlet", counted("dirichlet", mod.solve_dirichlet))
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0
-    assert calls["closure"] == 0
+    assert calls["closure"] == calls["whole"] == 0
     assert calls["chain"] == calls["sweeps"] + calls["dirichlet"] > 0
     if argv[0] == "solve":  # the loop solves on the chain itself
         assert calls["dirichlet"] == 0

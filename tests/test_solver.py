@@ -18,6 +18,7 @@ from mlap1d import (
 from mlap1d import eigen, solver
 from mlap1d.errors import (
     BarrierOrderViolation,
+    GridMismatch,
     InvalidConfig,
     NonConvergence,
     NonFiniteTheta,
@@ -29,6 +30,16 @@ from oracles import node_graded_nodes, torsion_exact
 
 def const_theta(grid, value):
     return GridFunction(grid, np.full(grid.n, float(value)))
+
+
+def kernel_spy(monkeypatch):
+    """Record (k, number of scratch rows) of every call to the Dirichlet
+    kernel: k is None on the whole grid."""
+    solves, solve_into = [], solver._solve_into
+    monkeypatch.setattr(
+        solver, "_solve_into", lambda *a: solves.append((a[3], len(a[6]))) or solve_into(*a)
+    )
+    return solves
 
 
 def node_graded_grid(n, grading):
@@ -45,6 +56,24 @@ class TestSolveDirichlet:
         with pytest.raises(NonFiniteTheta, match="theta must be finite") as info:
             solve_dirichlet(GridFunction(g, theta), 2.0)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "bad, start", [(np.inf, 32), (np.nan, None)], ids=["inf-mirror", "nan"]
+    )
+    def test_nonfinite_theta_on_either_path(self, bad, start, monkeypatch):
+        # a chain reads theta from its first node k on only: infs at a
+        # left-half node and its mirror image keep theta a mirror, and the
+        # chain meets the right one; a NaN at one node breaks the mirror
+        # and the closure path meets it
+        g = make_graded_grid(65, 3.0)
+        theta = const_theta(g, 1.0).values.copy()
+        theta[5] = bad
+        if start is not None:
+            theta[-6] = bad
+        solves = kernel_spy(monkeypatch)
+        with pytest.raises(NonFiniteTheta, match="^theta must be finite at the unknown nodes$"):
+            solve_dirichlet(GridFunction(g, theta), 2.0)
+        assert solves == [(start, 4 if start is not None else 5)]
 
     def test_m2_quadratic_exact(self):
         g = make_graded_grid(33, 1.0)
@@ -231,10 +260,15 @@ class TestMirrorSymmetricSolve:
         assert g.chain_start == (g.n - 1) // 2
         check = solver._scaled_residual
         firsts = []
+        rows = np.empty((4, g.n))
 
-        def spy(grid, u, m, loads, theta_vals, first=None):
+        def spy(grid, u, m, loads, theta_vals, first, rows):
             firsts.append(first)
-            return check(grid, u, m, loads, theta_vals, first)
+            return check(grid, u, m, loads, theta_vals, first, rows)
+
+        def replay(v, m, first=1):  # from node 1 on: the whole grid's
+            with np.errstate(divide="ignore"):
+                return check(g, v, m, loads, theta.values, first, rows)
 
         monkeypatch.setattr(solver, "_scaled_residual", spy)
         # two symmetric perturbations: a smooth one, and one at the centre
@@ -249,14 +283,14 @@ class TestMirrorSymmetricSolve:
                 rep = solve_dirichlet(theta, m)
                 u = rep.solution.values
                 assert rep.iterations == 0
-                assert rep.final_residual == check(g, u, m, loads, theta.values)
+                assert rep.final_residual == replay(u, m)
                 # the solve's residual is 0 here, so its check is replayed on
                 # symmetric u's with residuals well above the noise too
                 for b in bumps:
                     v = u * (1.0 + b)
                     assert np.array_equal(v, v[::-1])
-                    half = check(g, v, m, loads, theta.values, firsts[-1])
-                    assert half == check(g, v, m, loads, theta.values) > 0.0
+                    half = replay(v, m, firsts[-1])
+                    assert half == replay(v, m) > 0.0
 
     @pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("n", [2**k + 1 for k in range(6, 15)])
@@ -391,6 +425,21 @@ class TestSolveSingular:
         bad = GridFunction.interior_from_callable(g, lambda x: 3.0 / g.domain.delta(x))
         with pytest.raises(AdmissibilityViolation):
             solve_singular(spec, g, k_values=bad)
+
+    @pytest.mark.parametrize("n, grading", [(1025, 2.0), (2049, 3.0)], ids=["grading", "n"])
+    def test_custom_k_from_another_grid_rejected(self, n, grading):
+        # K sampled on another grid was once read at this grid's unknowns
+        # as it stood, and the solve answered another problem
+        spec = ProblemSpec(m=2.0, p=0.5, q=0.0, k_low=0.6, k_high=1.4)
+        g = make_graded_grid(1025, 3.0)
+
+        def k_on(grid):
+            return GridFunction.interior_from_callable(grid, lambda x: 1.0 + 0.4 * np.sin(40.0 * x))
+
+        with pytest.raises(GridMismatch, match=f"another grid \\({n} nodes, grading {grading:g}\\)"):
+            solve_singular(spec, g, k_values=k_on(make_graded_grid(n, grading)))
+        copy = Grid1D(nodes=g.nodes, grading_exponent=3.0)  # the same grid, built again
+        assert solve_singular(spec, g, k_values=k_on(copy)).converged
 
     def test_radial_singular_solve(self):
         spec = ProblemSpec(m=2.0, p=0.5, q=0.5, domain=Domain.ball(3))
@@ -741,29 +790,35 @@ class TestChainLoop:
 
     def chain_and_reference(self, spec, g, monkeypatch, config=None):
         spec = dataclasses.replace(spec, domain=g.domain)
-        chains, dirichlets = [], []
-        chain_solve, dirichlet = solver._chain_solve, solver.solve_dirichlet
-        monkeypatch.setattr(
-            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
-        )
+        solves, dirichlets = kernel_spy(monkeypatch), []
+        dirichlet = solver.solve_dirichlet
         monkeypatch.setattr(
             solver, "solve_dirichlet", lambda *a: dirichlets.append(1) or dirichlet(*a)
         )
         chain = self.outcome(spec, g, config)
-        # the loop solves on the chain only; solve_dirichlet is not called
-        assert len(chains) == chain[1].iterations
+        # the loop solves on the chain only, in its four chain rows;
+        # solve_dirichlet is not called
+        assert solves == [(g.chain_start, 4)] * chain[1].iterations
         assert dirichlets == []
-        chain_start = solver._chain_start
+        solves.clear()
+        chain_start, asked = solver._chain_start, []
         with monkeypatch.context() as mp:
-            # the loop asks with K and log v0, solve_dirichlet with theta
-            # alone: only the loop is forced off the chain
+            # the loop asks once with K and log v0, and on the whole grid
+            # again with each sweep's theta alone: only the first answer is
+            # forced off the chain
             mp.setattr(
                 solver,
                 "_chain_start",
-                lambda grid, *arrays: None if len(arrays) == 2 else chain_start(grid, *arrays),
+                lambda grid, *arrays: None
+                if len(arrays) == 2
+                else asked.append(1) or chain_start(grid, *arrays),
             )
             reference = self.outcome(spec, g, config)
-        assert len(dirichlets) == reference[1].iterations
+        # every theta is a mirror, so each sweep of the whole-grid loop takes
+        # the chain too, in the closure's five rows
+        assert len(asked) == reference[1].iterations
+        assert solves == [(g.chain_start, 5)] * reference[1].iterations
+        assert dirichlets == []
         return chain, reference
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -800,20 +855,16 @@ class TestChainLoop:
         g = self.GRIDS[grid]()
         spec = dataclasses.replace(self.SPECS["critical"], domain=g.domain)
         monkeypatch.setattr(solver, "RESIDUAL_TOL", -1.0)  # below every residual
-        chains = []
-        chain_solve = solver._chain_solve
-        monkeypatch.setattr(
-            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
-        )
+        solves = kernel_spy(monkeypatch)
         chain = self.outcome(spec, g)
-        assert chains == [1] and chain[0].startswith("a-posteriori check failed")
+        assert solves == [(g.chain_start, 4)] and chain[0].startswith("a-posteriori check failed")
         rep = chain[1]
         u = rep.solution.values
         assert u.shape == (g.n,) and not rep.converged and rep.final_residual >= 0.0
         assert np.all(u[g.unknown_slice] > 0.0)
         if not g.domain.is_ball:
             assert np.array_equal(u, u[::-1])
-        # the first solve through solve_dirichlet, which takes the same chain
+        # the first solve of the whole-grid loop, which takes the same chain
         # for theta alone, fails the same check with the same report
         chain_start = solver._chain_start
         with monkeypatch.context() as mp:
@@ -823,6 +874,7 @@ class TestChainLoop:
                 lambda grid, *arrays: None if len(arrays) == 2 else chain_start(grid, *arrays),
             )
             self.assert_identical(chain, self.outcome(spec, g))
+        assert solves == [(g.chain_start, 4), (g.chain_start, 5)]
 
     @pytest.mark.parametrize(
         "spec, bound",
@@ -857,13 +909,9 @@ class TestChainLoop:
         k = default_k_values(spec, g).values.copy()
         i = g.n // 3
         k[i] = np.nextafter(k[i], np.inf)
-        chains = []
-        chain_solve = solver._chain_solve
-        monkeypatch.setattr(
-            solver, "_chain_solve", lambda *a: chains.append(1) or chain_solve(*a)
-        )
+        solves = kernel_spy(monkeypatch)
         rep = solve_singular(spec, g, k_values=GridFunction(g, k))
-        assert chains == []
+        assert solves == [(None, 5)] * rep.iterations
         tol = SolverConfig().picard_tol
         assert rep.converged and rep.picard_gap <= tol
         assert np.all(rep.solution.values >= rep.sub_barrier.values - tol)
@@ -872,6 +920,56 @@ class TestChainLoop:
         assert not np.array_equal(u, u[::-1])
         sym = solve_singular(spec, g).solution.values
         assert np.max(np.abs(u - sym)) <= rep.picard_gap + 1e-13 * sym.max()
+
+
+class TestSolvePeaks:
+    """Traced peaks of each Dirichlet path at n = 16385, in full-length
+    arrays: the solve allocates its loads, u and the scratch rows, four of
+    n - k on a chain and five of n - 1 for the closure search, and nothing
+    else of that size."""
+
+    N = 16385
+
+    @staticmethod
+    def traced_peak(solve):
+        import tracemalloc
+
+        solve()  # the grid's cached geometry is not the solve's
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "domain, bound", [(Domain.interval(), 4.05), (Domain.ball(3), 6.05)], ids=["interval", "ball3"]
+    )
+    def test_chain_solve(self, domain, bound):
+        g = make_graded_grid(self.N, 3.0, domain)
+        theta = GridFunction.interior_from_callable(g, lambda x: 1.0 + 0.0 * x)
+        assert solve_dirichlet(theta, 3.0).iterations == 0
+        assert self.traced_peak(lambda: solve_dirichlet(theta, 3.0)) / (8 * g.n) <= bound
+
+    def test_closure_solve(self):
+        g = make_graded_grid(self.N, 3.0)
+        theta = GridFunction(g, 1.0 + g.nodes)
+        assert solve_dirichlet(theta, 3.0).iterations > 0
+        assert self.traced_peak(lambda: solve_dirichlet(theta, 3.0)) / (8 * g.n) <= 7.5
+
+    def test_whole_grid_singular_solve(self):
+        # the loop's block (theta, loads and w, then four rows of the
+        # unknowns and the closure's five), the start profile, the pair and
+        # the returned midpoint; no sweep allocates
+        spec = ProblemSpec(m=2.0, p=0.5, q=0.5, k_low=0.6, k_high=1.4)
+        g = make_graded_grid(self.N, 3.0)
+        sl = g.unknown_slice
+        k = np.zeros(g.n)
+        k[sl] = g.delta_nodes[sl] ** -spec.q * (1.0 + 0.4 * np.sin(40.0 * g.nodes[sl]))
+        k = GridFunction(g, k)
+        rep = solve_singular(spec, g, k_values=k)
+        assert rep.iterations > 1
+        assert self.traced_peak(lambda: solve_singular(spec, g, k_values=k)) / (8 * g.n) <= 15.5
 
 
 class TestSolverConfig:
