@@ -3,7 +3,7 @@
 Written one value at a time, the text of a field at n ≈ 16k nodes costs more
 than its solve: CPython's ``%.17g`` takes its slow bignum path for every
 value. This module writes the same bytes with numpy, a block of rows at a
-time.
+time, and each block goes to the file as soon as it is formatted.
 
 Digits. For a finite normal x with decimal exponent X = ⌊log10 |x|⌋, the 17
 significant digits are the integer D nearest to y = |x|·10^(16−X). X is read
@@ -33,12 +33,18 @@ four digits are all zeros, or whose digits before the point may reach them
 (10 ≤ |x| < 10^16), those rows move the digits after it one byte on, into the
 free byte. Every byte a value does not use is NUL, and
 ``bytes.translate`` drops the NULs. The tables are byte strings viewed as
-native words, so the layout does not depend on byte order.
+native words, so the layout does not depend on byte order. A block of
+ROWS_PER_BLOCK rows is filled from the columns, du taken from x and u for
+those rows alone, so the writer holds one block's values, slots and text
+whatever the field's length.
 
 Mirrors. On an interval grid built as an exact mirror, delta and a symmetric
 u equal their reverses to the bit, and x equals delta on the left half. When
 the input shows all three, each block of left rows is formatted with its
-mirror block, and each repeated value is formatted once.
+mirror block, and each repeated value is formatted once. Each block of left
+rows is written as soon as it is formatted; the mirror rows come last in the
+file, so their text, about half the field's, is held until the left half is
+written.
 """
 
 from __future__ import annotations
@@ -136,7 +142,7 @@ def _tables() -> dict[str, np.ndarray]:
         "trimmed": quads[2].view(_WORD).ravel(),
         # the digits after the lead up to the last significant one, at
         # 10000·group + its value
-        "ends": np.concatenate([ends + 4 * j * (ends > 0) for j in range(4)]),
+        "ends": np.concatenate([ends + 4 * j * (ends > 0) for j in range(4)]).astype(np.uint8),
         # words 1 and 2 that keep the first k of the 16 digits
         "keep1": keep[0::2].copy(),
         "keep2": keep[1::2].copy(),
@@ -184,7 +190,6 @@ class _Work:
         self.i = np.empty((10, n), dtype=np.int64)
         self.u = np.empty((4, n), dtype=_WORD)
         self.b = np.empty((4, n), dtype=bool)
-        self.pw = np.empty((n, 5))
 
     def fill_powers(self, i10: np.ndarray) -> None:
         """Fill the rows of ``powers`` that ``i10`` uses and that are empty."""
@@ -206,7 +211,9 @@ def _slots(v: np.ndarray, out: np.ndarray, work: _Work) -> None:
     top, i10, d, high, lead, q0, q1, q2, q3, k = work.i[:, :n]
     w1, w2, w3, head = work.u[:, :n]
     up, slow, mid, flag = work.b[:, :n]
-    pw = work.pw[:n]
+    # each value's row of powers, in the rows d..q1, which no step writes
+    # until y is formed
+    pw = work.i[2:7].reshape(-1)[: 5 * n].view(np.float64).reshape(n, 5)
     ai = a.view(np.int64)
     # Each step writes into ``work``: a block frees nothing for glibc to hand
     # back and fault in again. Every index is in range by construction, and
@@ -305,14 +312,25 @@ def _slots(v: np.ndarray, out: np.ndarray, work: _Work) -> None:
         text[i, : len(s)] = np.frombuffer(s, dtype=np.uint8)
 
 
-def _du(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The centered difference quotient at interior nodes and the one-sided
-    quotient at the endpoints."""
-    du = np.empty_like(v)
-    du[1:-1] = (v[2:] - v[:-2]) / (x[2:] - x[:-2])
-    du[0] = (v[1] - v[0]) / (x[1] - x[0])
-    du[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
-    return du
+class _Du:
+    """du of a field, sliced a block at a time: the centered difference
+    quotient at interior nodes and the one-sided quotient at the endpoints."""
+
+    def __init__(self, x: np.ndarray, v: np.ndarray):
+        self.x, self.v = x, v
+
+    def __getitem__(self, nodes: slice) -> np.ndarray:
+        x, v = self.x, self.v
+        start, stop, _ = nodes.indices(x.size)
+        du = np.empty(stop - start)
+        a, b = max(start, 1), min(stop, x.size - 1)  # the interior nodes
+        inner = np.subtract(v[a + 1 : b + 1], v[a - 1 : b - 1], out=du[a - start : b - start])
+        inner /= x[a + 1 : b + 1] - x[a - 1 : b - 1]
+        if start == 0:
+            du[0] = (v[1] - v[0]) / (x[1] - x[0])
+        if stop == x.size:
+            du[-1] = (v[-1] - v[-2]) / (x[-1] - x[-2])
+        return du
 
 
 def _buffer(rows: int):
@@ -327,27 +345,39 @@ def _text(buf: bytearray, rows: np.ndarray, n: int) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _blocks(table: np.ndarray):
-    """The CSV rows of a (rows, 4) float table, one block of bytes at a time."""
-    buf, rows = _buffer(min(ROWS_PER_BLOCK, len(table)))
-    work = _Work(rows.size // _SLOT, _ROW_SEPS)
-    for start in range(0, len(table), ROWS_PER_BLOCK):
-        block = np.ascontiguousarray(table[start : start + ROWS_PER_BLOCK])
-        _slots(block.reshape(-1), rows[: len(block)].reshape(-1, _SLOT), work)
-        yield _text(buf, rows, len(block))
+def _blocks(columns):
+    """The CSV rows of four columns, each sliceable into float arrays, one
+    block of bytes at a time."""
+    n = len(columns[0])
+    step = min(ROWS_PER_BLOCK, n)
+    block = np.empty((step, 4))
+    buf, rows = _buffer(step)
+    work = _Work(4 * step, _ROW_SEPS)
+    for s in range(0, n, step):
+        m = min(step, n - s)
+        for j, col in enumerate(columns):
+            block[:m, j] = col[s : s + m]
+        _slots(block[:m].reshape(-1), rows[:m].reshape(-1, _SLOT), work)
+        yield _text(buf, rows, m)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _mirror_blocks(x, d, v, du):
-    """The CSV rows of a field whose delta and u equal their reverses and
-    whose x equals delta on the left half, all to the bit; None otherwise."""
+def _is_mirror(x, d, v) -> bool:
+    """Whether delta and u equal their reverses and x equals delta on the
+    left half, all to the bit."""
+    left = (x.size + 1) // 2
+    return _same_bits(d, d[::-1]) and _same_bits(v, v[::-1]) and _same_bits(x[:left], d[:left])
+
+
+def _mirror_blocks(x, v, du):
+    """The CSV rows of a field that _is_mirror: each block of left rows as
+    soon as it is formatted, then the mirror rows, whose text is held until
+    the left half is written."""
     n = x.size
     left, right = (n + 1) // 2, n // 2
-    if not (_same_bits(d, d[::-1]) and _same_bits(v, v[::-1]) and _same_bits(x[:left], d[:left])):
-        return None
     step = min(ROWS_PER_BLOCK // 2, left)
     block = np.empty((step, 5))
     slots = np.empty((5 * step, _SLOT), dtype=_WORD)
@@ -356,31 +386,34 @@ def _mirror_blocks(x, d, v, du):
     # the slots of the left rows, and of their mirror rows in reverse order
     left_at = 5 * np.arange(step)[:, None] + _LEFT
     right_at = 5 * np.arange(step)[::-1, None] + _RIGHT
-    head, tail = [], []
+    tail = []
     for s in range(0, left, step):
         m = min(step, left - s)
-        for j, col in enumerate((x, v, du, x[::-1], du[::-1])):
-            block[:m, j] = col[s : s + m]
+        mirror = slice(n - s - m, n - s)
+        cols = x[s : s + m], v[s : s + m], du[s : s + m], x[mirror][::-1], du[mirror][::-1]
+        for j, col in enumerate(cols):
+            block[:m, j] = col
         _slots(block[:m].reshape(-1), slots[: 5 * m], work)
         np.take(slots, left_at[:m], axis=0, out=rows[:m], mode="clip")
-        head.append(_text(buf, rows, m))
+        yield _text(buf, rows, m)
         # the mirror rows n−1−i of left rows i < right; the centre of an odd
-        # grid is its own mirror and is written once
+        # grid is its own mirror and is written once. The text is copied to
+        # bytes: translate keeps the whole slot buffer's allocation
         k = min(m, right - s)
         if k > 0:
             np.take(slots, right_at[step - k :], axis=0, out=rows[:k], mode="clip")
-            tail.append(_text(buf, rows, k))
-    return head + tail[::-1]
+            tail.append(bytes(_text(buf, rows, k)))
+    yield from reversed(tail)
 
 
-def _csv_blocks(u: GridFunction) -> list:
+def _csv_blocks(u: GridFunction):
     """The field CSV of ``u`` in blocks of bytes, the header first."""
     x, d, v = u.grid.nodes, u.grid.delta_nodes, u.values
-    du = _du(x, v)
-    blocks = _mirror_blocks(x, d, v, du)
-    if blocks is None:
-        blocks = list(_blocks(np.column_stack((x, d, v, du))))
-    return [_HEADER, *blocks]
+    yield _HEADER
+    if _is_mirror(x, d, v):
+        yield from _mirror_blocks(x, v, _Du(x, v))
+    else:
+        yield from _blocks((x, d, v, _Du(x, v)))
 
 
 def field_csv_text(u: GridFunction) -> str:
@@ -393,6 +426,11 @@ def field_csv_text(u: GridFunction) -> str:
 
 
 def write_field_csv(path: Path, u: GridFunction) -> None:
+    """Write the bytes of ``field_csv_text(u)`` to ``path``, block by block.
+
+    Each block of rows is written as soon as it is formatted; on an exact
+    mirror the text of the right half is held until the left half is written.
+    """
     # The blocks as they are: in-process `nonlinear` passes (2 CPUs) that
     # joined them first took 2.7-3.4k minor page faults a pass against
     # 0.3-0.7k, and 6-9 % more time.

@@ -430,7 +430,9 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     interval and writes the loads and u at every unknown.  The caller owns
     ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
     of n - k on a chain and five of n - 1 otherwise, and holds
-    np.errstate(divide="ignore").
+    np.errstate(divide="ignore", over="ignore", invalid="ignore"): loads
+    that overflow turn u and the residual NaN, which the caller's check
+    turns into NonConvergence.
     """
     n = grid.n
     if k is not None:
@@ -498,7 +500,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     # heap between solves and raise the peak resident size
     r, c = (5, n - 1) if k is None else (4, n - k)
     work = np.empty(n + r * c)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         iterations, res = _solve_into(grid, theta.values, m, k, work[:n], u, work[n:].reshape(r, c))
     return _checked(grid, _mirror_left(u, k), iterations, res)
 
@@ -685,8 +687,10 @@ def _singular_loop(spec, grid, cfg, k_vals):
     del log_v0
     pair = None
     iterations = 0
-    # phi'(0) = inf in the residual check when m < 2, once for every sweep
-    with np.errstate(divide="ignore"):
+    # entered once for all sweeps: phi'(0) = inf in the residual check when
+    # m < 2, and loads that overflow, which end in a NaN residual and
+    # NonConvergence
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             np.maximum(big_l, log_sub, out=lt)
             _singular_theta(p, k, lt, theta_sl)

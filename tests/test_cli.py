@@ -175,6 +175,21 @@ def test_output_is_independent_of_the_blas_thread_count(tmp_path):
         assert reports[0] == reports[1], name
 
 
+def test_overflowing_solve_prints_only_its_typed_error(tmp_path):
+    # at m = 1.2 these loads overflow Du; the user sees the failed check and
+    # no numpy warning before it
+    src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "mlap1d", "solve", "--rhs", "const", "--theta-const", "1e100",
+         "--m", "1.2", "--n", "65", "--grading", "1", "--output-dir", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verification failed:"), out.stderr
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "args",

@@ -29,7 +29,7 @@ def _reference_rows(table):
 
 def _rows_text(table):
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
-    return b"".join(fieldcsv._blocks(table)).decode("ascii")
+    return b"".join(fieldcsv._blocks(table.T)).decode("ascii")
 
 
 _TINY = np.finfo(np.float64).smallest_normal
@@ -193,8 +193,7 @@ class TestWorkloadFields:
 
 
 def _writes_mirror_blocks(u):
-    x, d, v = u.grid.nodes, u.grid.delta_nodes, u.values
-    return fieldcsv._mirror_blocks(x, d, v, fieldcsv._du(x, v)) is not None
+    return fieldcsv._is_mirror(u.grid.nodes, u.grid.delta_nodes, u.values)
 
 
 # a mirror block pairs ROWS_PER_BLOCK // 2 left rows with their mirror rows
@@ -241,20 +240,56 @@ class TestMirrorReuse:
         assert field_csv_text(u) == _reference_field_csv(u)
 
 
-def test_write_peak_memory(tmp_path):
-    grid = make_graded_grid(16385, 3.0)
-    u = GridFunction(grid, grid.delta_nodes**0.4)
+def test_asymmetric_field_file_across_block_boundaries(tmp_path):
+    # the generic path, two full blocks and a row, through the file writer:
+    # du is taken block by block, with both endpoints in their own blocks
+    n = 2 * fieldcsv.ROWS_PER_BLOCK + 1
+    inner = np.sort(np.random.default_rng(n).random(n - 2))
+    grid = Grid1D(np.concatenate(([0.0], inner, [1.0])), 1.0)
+    u = GridFunction(grid, np.sin(np.pi * grid.nodes))
+    assert not np.array_equal(grid.nodes, 1.0 - grid.nodes[::-1])
+    assert not _writes_mirror_blocks(u)
+    path = tmp_path / "field.csv"
+    write_field_csv(path, u)
+    assert path.read_bytes() == _reference_field_csv(u).encode("ascii")
+
+
+def _write_peak(u, tmp_path):
+    """The traced peak of a second write of ``u``, in MiB: the first builds
+    the formatter's tables."""
     write_field_csv(tmp_path / "warm.csv", u)
     tracemalloc.start()
     try:
         write_field_csv(tmp_path / "field.csv", u)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    # One %-format over all rows peaked at 4.65 MiB on this field (2 CPUs,
-    # Python 3.11.7, numpy 2.4.6); the block formatter peaks at 3.68 MiB
-    # there, most of it the text blocks and the work arrays of one block.
-    assert peak < 4.04 * 2**20
+
+
+def _power_field(n, domain):
+    grid = make_graded_grid(n, 3.0, domain)
+    return GridFunction(grid, grid.delta_nodes**0.4)
+
+
+def test_write_peak_memory(tmp_path):
+    # On this field (2 CPUs, Python 3.11.7, numpy 2.4.6) one %-format over
+    # all rows peaked at 4.65 MiB, and the blocks joined or held in a list at
+    # 3.70 MiB. Written block by block the writer peaks at 2.03 MiB: one
+    # block's work arrays and the right half's text.
+    assert _write_peak(_power_field(16385, Domain.interval()), tmp_path) < 2.13
+
+
+def test_ball_write_peak_memory(tmp_path):
+    # 4.81 MiB with the whole text and a copy of the field held, 1.98 MiB
+    # block by block (the same host)
+    assert _write_peak(_power_field(16385, Domain.ball(3)), tmp_path) < 2.08
+
+
+def test_ball_write_peak_does_not_grow_with_n(tmp_path):
+    # one block at a time: the peak grew by 7.9 MiB from n = 16385 to 65537
+    # while the whole text was held, and by 0 MiB block by block
+    small = _write_peak(_power_field(16385, Domain.ball(3)), tmp_path)
+    assert _write_peak(_power_field(65537, Domain.ball(3)), tmp_path) < small + 0.5
 
 
 def test_cli_import_loads_no_scipy_fractions_or_decimal():

@@ -126,7 +126,8 @@ class TestSolveDirichlet:
         # at m = 1.2 these loads overflow Du, and u turns NaN; a NaN residual
         # must fail the check, not read as 0
         g = grid()
-        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="residual nan") as err:
+        # the solve ignores the warnings of its own overflow
+        with pytest.raises(NonConvergence, match="residual nan") as err:
             solve_dirichlet(const_theta(g, theta), 1.2)
         rep = err.value.report
         assert not rep.converged and np.isnan(rep.final_residual)
@@ -352,6 +353,23 @@ class TestClosureSearch:
 
 
 class TestSolveSingular:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            lambda: make_graded_grid(65, 1.0),
+            lambda: make_graded_grid(65, 1.0, Domain.ball(3)),
+            lambda: node_graded_grid(66, 1.0),
+        ],
+        ids=["mirror", "ball", "closure"],
+    )
+    def test_overflowing_loads_raise_the_typed_error(self, grid):
+        # at m = 1.2 a load of K = 1e300 overflows Du; the sweep's NaN
+        # residual must raise NonConvergence, and no RuntimeWarning first
+        g = grid()
+        spec = ProblemSpec(m=1.2, p=0.5, q=0.0, domain=g.domain, k_low=1e300, k_high=1e300)
+        with pytest.raises(NonConvergence, match="residual nan"):
+            solve_singular(spec, g, k_values=const_theta(g, 1e300))
+
     def test_p_zero_reduces_to_dirichlet(self):
         spec = ProblemSpec(m=2.0, p=0.0, q=0.5)
         g = make_graded_grid(513, 2.0)
