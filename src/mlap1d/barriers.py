@@ -232,14 +232,17 @@ def auto_scale(
     checked nodes, the residual at scale c is c^(m-1) A - c^(-p) R on the
     super side and c^(1-m) A - c^p R on the sub side (p = 0 for a fixed
     theta).  log2 c is bisected on these to the smallest value where every
-    margin, slack included, is >= 0.  One check confirms it, a doubling
+    margin, slack included, is >= 0, over the nodes that hold at c = 2^1023.
+    A node that fails there (as where A < 0 on the super side) caps c from
+    above or fails at every c, and is judged at the value found, so a window
+    of certifying scales gives its lower end.  One check confirms it, a doubling
     count of ulps higher (up to 2^32, a relative 1e-6) where rounding breaks
     the homogeneity, or else at the next power of two, which scales P
     exactly.  So c is an upper bound on the smallest certifying scale,
     sharp to 1e-6 unless a node's residual is rounding noise.
 
     Raises NoCertifiableScale, naming the node, when no c certifies (a node
-    that caps c from above, as a negative theta can, fails at c = 2^1023).
+    caps c below the scale the other nodes need, or fails at every c).
     That signals a wrong profile exponent or an under-resolved grid, or the
     flat top of the eigenfunction profiles: for m < 2 phi is 1 to within a
     few ulps next to its maximum (1 - 8.2e-15 at m = 1.2, n = 1025), and the
@@ -258,9 +261,10 @@ def auto_scale(
         with np.errstate(over="ignore", invalid="ignore"):
             return s * (np.exp2(s * (m - 1.0) * log2_c) * a - np.exp2(-s * p * log2_c) * r) + slack
 
-    lo, hi = 0.0, 0.0 if np.all(margins(0.0) >= 0.0) else _LOG2_MAX
+    floors = ~(margins(_LOG2_MAX) < 0.0)  # the nodes that bound c from below only
+    lo, hi = 0.0, 0.0 if np.all(margins(0.0)[floors] >= 0.0) else _LOG2_MAX
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if np.all(margins(mid) >= 0.0) else (mid, hi)
+        lo, hi = (lo, mid) if np.all(margins(mid)[floors] >= 0.0) else (mid, hi)
     k = int(np.argmin(worst := margins(hi)))
     if not worst[k] >= 0.0:
         raise NoCertifiableScale(

@@ -33,18 +33,11 @@ four digits are all zeros, or whose digits before the point may reach them
 (10 ≤ |x| < 10^16), those rows move the digits after it one byte on, into the
 free byte. Every byte a value does not use is NUL, and
 ``bytes.translate`` drops the NULs. The tables are byte strings viewed as
-native words, so the layout does not depend on byte order. A block of
-ROWS_PER_BLOCK rows is filled from the columns, du taken from x and u for
-those rows alone, so the writer holds one block's values, slots and text
-whatever the field's length.
+native words, so the layout does not depend on byte order.
 
-Mirrors. On an interval grid built as an exact mirror, delta and a symmetric
-u equal their reverses to the bit, and x equals delta on the left half. When
-the input shows all three, each block of left rows is formatted with its
-mirror block, and each repeated value is formatted once. Each block of left
-rows is written as soon as it is formatted; the mirror rows come last in the
-file, so their text, about half the field's, is held until the left half is
-written.
+Blocks. A block of ROWS_PER_BLOCK rows is filled from the columns, du taken
+from x and u for those rows alone, so the writer holds one block's values,
+slots and text whatever the field's length.
 """
 
 from __future__ import annotations
@@ -72,12 +65,6 @@ _SLOT = 4  # words per value
 _ABS = np.int64(2**63 - 1)
 # the separator of each column: 0 for ",", 1 for a newline
 _ROW_SEPS = [0, 0, 0, 1]
-# a mirror block formats x, u and du of its left rows and x and du of their
-# mirror rows; a left row takes the slots of columns 0, 0, 1, 2 and a mirror
-# row those of 3, 0, 1, 4
-_PAIR_SEPS = [0, 0, 1, 0, 1]
-_LEFT = np.array([0, 0, 1, 2])
-_RIGHT = np.array([3, 0, 1, 4])
 _AFTER_LEAD = np.arange(17)  # digit positions after the lead, and the free byte
 
 
@@ -179,11 +166,11 @@ def _power(i: int) -> tuple[float, ...]:
 
 
 class _Work:
-    """Arrays for up to ``n`` values, reused block after block, of whole rows
-    whose columns end in ``seps``; and the rows of _power a field has used."""
+    """Arrays for up to ``n`` values, reused block after block, of whole rows;
+    and the rows of _power a field has used."""
 
-    def __init__(self, n: int, seps: list[int]):
-        self.seps = np.tile(_NX * np.array(seps), n // len(seps))
+    def __init__(self, n: int):
+        self.seps = np.tile(_NX * np.array(_ROW_SEPS), n // len(_ROW_SEPS))
         self.powers = np.zeros((_NX, 5))
         self.built = np.zeros(_NX, dtype=bool)
         self.f = np.empty((6, n))
@@ -333,87 +320,29 @@ class _Du:
         return du
 
 
-def _buffer(rows: int):
-    """A bytearray for ``rows`` rows of slots, and a (rows, 4, 4) word view."""
-    buf = bytearray(rows * 4 * _SLOT * 8)
-    return buf, np.frombuffer(buf, dtype=_WORD).reshape(rows, 4, _SLOT)
-
-
-def _text(buf: bytearray, rows: np.ndarray, n: int) -> bytearray:
-    """The text of the first ``n`` rows of slots; the rest are cleared."""
-    rows[n:] = 0
-    return buf.translate(None, b"\0")
-
-
 def _blocks(columns):
     """The CSV rows of four columns, each sliceable into float arrays, one
     block of bytes at a time."""
     n = len(columns[0])
     step = min(ROWS_PER_BLOCK, n)
     block = np.empty((step, 4))
-    buf, rows = _buffer(step)
-    work = _Work(4 * step, _ROW_SEPS)
+    buf = bytearray(step * 4 * _SLOT * 8)
+    slots = np.frombuffer(buf, dtype=_WORD).reshape(-1, _SLOT)
+    work = _Work(4 * step)
     for s in range(0, n, step):
         m = min(step, n - s)
         for j, col in enumerate(columns):
             block[:m, j] = col[s : s + m]
-        _slots(block[:m].reshape(-1), rows[:m].reshape(-1, _SLOT), work)
-        yield _text(buf, rows, m)
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _is_mirror(x, d, v) -> bool:
-    """Whether delta and u equal their reverses and x equals delta on the
-    left half, all to the bit."""
-    left = (x.size + 1) // 2
-    return _same_bits(d, d[::-1]) and _same_bits(v, v[::-1]) and _same_bits(x[:left], d[:left])
-
-
-def _mirror_blocks(x, v, du):
-    """The CSV rows of a field that _is_mirror: each block of left rows as
-    soon as it is formatted, then the mirror rows, whose text is held until
-    the left half is written."""
-    n = x.size
-    left, right = (n + 1) // 2, n // 2
-    step = min(ROWS_PER_BLOCK // 2, left)
-    block = np.empty((step, 5))
-    slots = np.empty((5 * step, _SLOT), dtype=_WORD)
-    buf, rows = _buffer(step)
-    work = _Work(5 * step, _PAIR_SEPS)
-    # the slots of the left rows, and of their mirror rows in reverse order
-    left_at = 5 * np.arange(step)[:, None] + _LEFT
-    right_at = 5 * np.arange(step)[::-1, None] + _RIGHT
-    tail = []
-    for s in range(0, left, step):
-        m = min(step, left - s)
-        mirror = slice(n - s - m, n - s)
-        cols = x[s : s + m], v[s : s + m], du[s : s + m], x[mirror][::-1], du[mirror][::-1]
-        for j, col in enumerate(cols):
-            block[:m, j] = col
-        _slots(block[:m].reshape(-1), slots[: 5 * m], work)
-        np.take(slots, left_at[:m], axis=0, out=rows[:m], mode="clip")
-        yield _text(buf, rows, m)
-        # the mirror rows n−1−i of left rows i < right; the centre of an odd
-        # grid is its own mirror and is written once. The text is copied to
-        # bytes: translate keeps the whole slot buffer's allocation
-        k = min(m, right - s)
-        if k > 0:
-            np.take(slots, right_at[step - k :], axis=0, out=rows[:k], mode="clip")
-            tail.append(bytes(_text(buf, rows, k)))
-    yield from reversed(tail)
+        _slots(block[:m].reshape(-1), slots[: 4 * m], work)
+        slots[4 * m :] = 0  # the rows a short last block leaves
+        yield buf.translate(None, b"\0")
 
 
 def _csv_blocks(u: GridFunction):
     """The field CSV of ``u`` in blocks of bytes, the header first."""
-    x, d, v = u.grid.nodes, u.grid.delta_nodes, u.values
+    x, v = u.grid.nodes, u.values
     yield _HEADER
-    if _is_mirror(x, d, v):
-        yield from _mirror_blocks(x, v, _Du(x, v))
-    else:
-        yield from _blocks((x, d, v, _Du(x, v)))
+    yield from _blocks((x, u.grid.delta_nodes, v, _Du(x, v)))
 
 
 def field_csv_text(u: GridFunction) -> str:
@@ -428,8 +357,8 @@ def field_csv_text(u: GridFunction) -> str:
 def write_field_csv(path: Path, u: GridFunction) -> None:
     """Write the bytes of ``field_csv_text(u)`` to ``path``, block by block.
 
-    Each block of rows is written as soon as it is formatted; on an exact
-    mirror the text of the right half is held until the left half is written.
+    Each block of rows is written as soon as it is formatted, so the writer
+    holds one block's text whatever the field's length.
     """
     # The blocks as they are: in-process `nonlinear` passes (2 CPUs) that
     # joined them first took 2.7-3.4k minor page faults a pass against

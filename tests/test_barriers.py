@@ -420,15 +420,29 @@ class TestExactScale:
         with pytest.raises(NoCertifiableScale, match=r"^super fails at c = 2.21201 at node \d+$"):
             certified_pair(E3, eig_1025.grid, base=eig_1025)
 
-    def test_a_node_capping_c_from_above_is_named(self, eig_1025):
-        # the profile dips at the top (log(1.5) < s), so A < 0 there; a theta
-        # of 16 A where A > 0 and 2 A where A < 0 asks c >= 16 and c <= 2
+    @staticmethod
+    def _capped_theta(base, cap):
+        """The logpower profile dips at the top (log(1.5) < s), so A < 0 at
+        145 checked nodes; a theta of 16 A where A > 0 and ``cap`` A where
+        A < 0 asks c >= 16 and c <= cap."""
         family = BoundaryProfile.logpower(s=1.0, A=1.5)
-        unit = build_barrier(BarrierSpec(family, 1.0, SUPER, eig_1025))
+        unit = build_barrier(BarrierSpec(family, 1.0, SUPER, base))
         a = apply_mlap(unit, 2.0).values
-        theta = GridFunction(eig_1025.grid, np.where(a > 0.0, 16.0, 2.0) * a)
+        return family, GridFunction(base.grid, np.where(a > 0.0, 16.0, cap) * a)
+
+    @pytest.mark.parametrize("cap", [2.0, 8.0])
+    def test_a_node_capping_c_from_above_is_named(self, eig_1025, cap):
+        family, theta = self._capped_theta(eig_1025, cap)
         with pytest.raises(NoCertifiableScale, match=r"-div\(Phi\) = -[\d.]+ .* at node \d+$"):
             auto_scale(family, SUPER, theta, 2.0, eig_1025)
+
+    def test_a_window_of_scales_gives_its_lower_end(self, eig_1025):
+        # c = 16, 20 and 32 certify, 8 and 40 do not
+        family, theta = self._capped_theta(eig_1025, 32.0)
+        c, cert = auto_scale(family, SUPER, theta, 2.0, eig_1025)
+        assert cert.certified and 16.0 <= c <= 16.0 * (1 + 1e-6)
+        for c in (8.0, 40.0):
+            assert not check_scaled(family, SUPER, c, theta, 2.0, eig_1025, 0.0, 2)[1].certified
 
     def test_slack_bisects_to_the_smallest_scale(self, eig_1025):
         sub, _ = regime_profiles(E3)
