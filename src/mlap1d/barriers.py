@@ -54,7 +54,7 @@ from .errors import (
     NoCertifiableScale,
     NonPositiveCandidate,
 )
-from .operator import apply_mlap
+from .solver import apply_mlap
 
 __all__ = [
     "BarrierSpec",
@@ -166,13 +166,16 @@ def _rhs_at(candidate: GridFunction, rhs, side: str) -> np.ndarray:
         return rhs.values
     spec: ProblemSpec = rhs
     grid = candidate.grid
+    if spec.domain != grid.domain:
+        raise GridMismatch(f"the problem is posed on {spec.domain}, the grid on {grid.domain}")
     sl = grid.unknown_slice
     if np.any(candidate.values[sl] <= 0.0):
         raise NonPositiveCandidate("singular rhs needs a positive candidate")
     k0 = spec.k_low if side == SUB else spec.k_high
     vals = np.zeros(grid.n)
     delta = grid.delta_nodes[sl]
-    vals[sl] = k0 * delta ** (-spec.q) * candidate.values[sl] ** (-spec.p)
+    with np.errstate(over="ignore"):  # an infinite rhs fails super and holds sub, as it should
+        vals[sl] = k0 * delta ** (-spec.q) * candidate.values[sl] ** (-spec.p)
     return vals
 
 

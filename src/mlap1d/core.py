@@ -12,9 +12,9 @@ parameter range is
     m > 1,   p >= 0,   q >= 0,   p + q < 2 - (1 - p)/m,
 
 and the solution's boundary behaviour splits into three regimes at p + q = 1.
-Everything downstream (operator, solver, eigen, barriers, analyzer) works in
-terms of the types defined here.  All types are immutable after construction
-and every operation is a pure function, so values can be shared freely across
+Everything downstream (solver, eigen, barriers, analyzer) works in terms of
+the types defined here.  All types are immutable after construction and
+every operation is a pure function, so values can be shared freely across
 threads.
 """
 
@@ -82,6 +82,8 @@ class Domain:
             raise InvalidConfig(f"unknown domain kind {self.kind!r}")
         if self.kind == "ball" and self.ball_dim < 2:
             raise AdmissibilityViolation("ball domain requires dimension N >= 2")
+        if self.kind == "interval" and self.ball_dim != 1:
+            raise AdmissibilityViolation(f"interval domain has dimension 1, got {self.ball_dim}")
 
     @staticmethod
     def interval() -> "Domain":
@@ -601,7 +603,9 @@ def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
 
 def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | None) -> GridFunction:
     """The default K, or ``k_values`` once it is checked to live on ``grid``
-    and K delta^q to lie in the envelope."""
+    and K delta^q to lie in the envelope; ``spec`` must share ``grid``'s domain."""
+    if spec.domain != grid.domain:
+        raise GridMismatch(f"the problem is posed on {spec.domain}, the grid on {grid.domain}")
     if k_values is None:
         return default_k_values(spec, grid)
     if not same_grid(k_values.grid, grid):

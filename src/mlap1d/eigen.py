@@ -21,8 +21,7 @@ import numpy as np
 
 from .core import Grid1D, GridFunction, _check_m
 from .errors import NonConvergence
-from .operator import apply_mlap
-from .solver import solve_dirichlet
+from .solver import apply_mlap, solve_dirichlet
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
 

@@ -1,4 +1,19 @@
-"""Direct solver for -div(Phi) = theta and the singular outer iteration.
+"""The discrete m-Laplacian, its direct Dirichlet solver and the singular loop.
+
+apply_mlap is the finite-volume -div(Phi) with the midpoint flux
+Phi = |Du|^(m-2) Du, Du = (u_{i+1} - u_i) / h_{i+1/2}, weighted by
+w = r^(N-1) on the ball: at each unknown, the flux difference over the
+dual-cell volume V_i.  So <apply_mlap(u), v>_V = sum_cells w Phi(Du) Dv
+holds exactly (discrete summation by parts), and apply_mlap - theta is the
+gradient of the energy
+
+    E(u) = sum_cells w |Du|^m / m - sum_nodes V_i theta_i u_i,
+
+strictly convex for m > 1, so the discrete Dirichlet problem has exactly
+one solution.  Every forward flux, in apply_mlap and the residual check
+alike, comes from one kernel, _weighted_flux: a barrier certified with
+apply_mlap brackets the solver's discrete solution because both apply the
+same operator.
 
 In one dimension the finite-volume equations
 
@@ -20,18 +35,18 @@ x = 1.  The loads R_j are accumulated outward from the cell where the flux
 changes sign, because prefix sums from x = 0 would cancel catastrophically
 there when theta is large near the boundary.  One root search finds c.  It
 starts in the cell where the m = 2 flux, known in closed form, changes
-sign, and moves its anchor to the cell of smallest |flux| as it goes.  Each
-step keeps that peak cell's term exact: for m > 2, phi^(-1) has an infinite
-slope at zero flux, so the step is solved in the peak cell's gradient,
-where that term is linear.  Inverting the flux gives Du in every cell, and
-u is summed inward from the Dirichlet boundary, which leaves the rounding
-error of the closure in the peak cell.  Every solution is checked a
-posteriori by its noise-aware scaled residual.  An interval chain is
-checked from the centre node on: its fluxes are exactly odd and its noise
-terms exactly even, so that value is the whole grid's to the last bit.
-Both paths are one kernel, _solve_into, that works in its caller's
-workspace: a lone solve allocates one per call, the singular loop one per
-solve.
+sign, and moves its anchor to the cell of smallest |flux| as it goes,
+summing the loads afresh from there.  Each step keeps that peak cell's
+term exact: for m > 2, phi^(-1) has an infinite slope at zero flux, so the
+step is solved in the peak cell's gradient, where that term is linear.
+Inverting the flux gives Du in every cell, and u is summed inward from the
+Dirichlet boundary, which leaves the rounding error of the closure in the
+peak cell.  Every solution is checked a posteriori by its noise-aware
+scaled residual.  An interval chain is checked from the centre node on: its
+fluxes are exactly odd and its noise terms exactly even, so that value is
+the whole grid's to the last bit.  Both paths are one kernel, _solve_into,
+that works in its caller's workspace: a lone solve allocates one per call,
+the singular loop one per solve.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
@@ -100,7 +115,7 @@ from .errors import (
     NonConvergence,
     NonFiniteTheta,
 )
-__all__ = ["SolverConfig", "SolveReport", "solve_dirichlet", "solve_singular"]
+__all__ = ["SolverConfig", "SolveReport", "apply_mlap", "solve_dirichlet", "solve_singular"]
 
 # Bound on the noise-aware scaled residual of every Dirichlet solve.
 RESIDUAL_TOL = 1e-10
@@ -167,6 +182,33 @@ class SolveReport:
 ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
+def _weighted_flux(du, weights, m, out):
+    """The cell fluxes w |Du|^(m-1) sign(Du) (safe at Du = 0), written into ``out``."""
+    if m == 2.0:  # w Du, which the power gives exactly
+        return np.multiply(du, weights, out=out)
+    np.abs(du, out=out)
+    np.power(out, m - 1.0, out=out)
+    np.copysign(out, du, out=out)
+    out *= weights
+    return out
+
+
+def apply_mlap(u: GridFunction, m: float) -> GridFunction:
+    """Interior residual of -div(Phi) applied to ``u``.
+
+    Dirichlet boundary entries of the result are 0 by convention.  No flux
+    enters node 0, so where it is an unknown (the radial symmetry center
+    r = 0) it is treated with its one-sided dual cell.
+    """
+    g = u.grid
+    fw = np.zeros(g.n)  # fw[i]: the weighted flux of the cell left of node i
+    _weighted_flux(np.diff(u.values) / g.h, g.flux_weights, m, fw[1:])
+    out = np.zeros(g.n)
+    sl = g.unknown_slice
+    out[sl] = -(fw[1:][sl] - fw[sl]) / g.cell_volumes[sl]
+    return GridFunction(g, out)
+
+
 def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     """sup over the unknowns from node ``first`` on of
     max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
@@ -189,18 +231,14 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
     u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
     # the arithmetic of the formula above, written into the four rows:
-    # F = w sign(Du) |Du|^(m-1) and phi'(Du) = (m-1) |Du|^(m-2)
+    # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
     np.subtract(uc[1:], uc[:-1], out=du)
     du /= h
-    if m == 2.0:  # F = w Du and phi' = 1, which the powers give exactly
-        np.multiply(du, weights, out=fw)
+    _weighted_flux(du, weights, m, fw)
+    if m == 2.0:  # phi' = 1, which the power gives exactly
         np.divide(u_scale, h, out=fn)
         fn *= weights
     else:
-        np.abs(du, out=fw)
-        np.power(fw, m - 1.0, out=fw)
-        np.copysign(fw, du, out=fw)
-        fw *= weights
         np.abs(du, out=fn)
         np.power(fn, m - 2.0, out=fn)
         fn *= m - 1.0
@@ -321,8 +359,10 @@ def _closure_root(loads, h, m, k, c, rows):
 
     G increases in c.  The loads start anchored at cell k, and c is the flux
     F_k.  After every closure evaluation the loads are re-anchored at the
-    cell whose flux is closest to zero, the peak cell, by translating R, c
-    and the bracket [min R, max R] that safeguards the search.  Each step
+    cell whose flux is closest to zero, the peak cell j, by _anchored_loads
+    (R translated in place would carry the old anchor's rounding of small
+    loads into the peak cell); c and the bracket [min R, max R] that
+    safeguards the search translate by the old R_j.  Each step
     solves a model of G that keeps the peak cell's term exact and follows the
     tangent of the others.  For m > 2, phi^(-1) has an infinite slope at zero
     flux, which no tangent in c follows; in the peak cell's gradient s, with
@@ -366,7 +406,7 @@ def _closure_root(loads, h, m, k, c, rows):
         j = int(np.argmin(a))
         if j != k:
             shift = float(big_r[j])
-            big_r -= shift
+            _anchored_loads(loads, j, big_r)
             c, lo, hi, k, r2 = c - shift, lo - shift, hi - shift, j, None
         t[k] = 0.0
         rest = inv * float(np.einsum("i,i->", h, t))  # the other cells' slope dG/dc

@@ -127,8 +127,9 @@ class TestFitBoundaryExponent:
 class TestFitLogProfile:
     @pytest.mark.parametrize(
         "n,c,s,b,window",
-        [(8193, 3.0, 1.0 / 3.0, -2.6, (1e-8, 1e-4)), (4097, 1.0, 2.0 / 3.0, 0.0, (1e-4, 1e-2))],
-        ids=["offset", "no-offset"],
+        [(8193, 3.0, 1.0 / 3.0, -2.6, (1e-8, 1e-4)), (4097, 1.0, 2.0 / 3.0, 0.0, (1e-4, 1e-2)),
+         (4097, 1.0, 3.0, 0.0, (1e-4, 1e-2))],
+        ids=["offset", "no-offset", "bracket-doubled"],
     )
     def test_exact_affine_model(self, n, c, s, b, window):
         g = make_graded_grid(n, 3.0)
@@ -324,6 +325,16 @@ class TestThresholdScan:
         with pytest.raises(SolveFailed, match=msg) as info:
             threshold_scan(solve, [2.0], [257, 513, 1025, 2049])
         assert isinstance(info.value.__cause__, NonConvergence)
+
+    def test_a_non_finite_seminorm_is_refused(self):
+        def solve(n):
+            g = make_graded_grid(n, 3.0)
+            u = g.nodes * (1.0 - g.nodes)
+            u[n // 2] = np.nan
+            return GridFunction(g, u)
+
+        with pytest.raises(SolveFailed, match="non-finite seminorm in scan"):
+            threshold_scan(solve, [2.0], [257, 513, 1025])
 
     @pytest.mark.parametrize(
         ("nodes", "grading", "msg"),

@@ -346,6 +346,15 @@ class TestExactScale:
         assert pair.sub_cert.certified and pair.super_cert.certified
         assert pair.sub_cert.description == regime_profiles(spec)[0].describe()
 
+    def test_an_overflowing_rhs_decides_both_sides_quietly(self):
+        # K w^(-p) overflows where the sub barrier at c ~ 5e215 is tiny: an
+        # infinite rhs fails the super side and holds the sub side, with no
+        # RuntimeWarning on the way
+        ball = Domain.ball(3)
+        spec = ProblemSpec(1.2, 1.5, 0.3, domain=ball)
+        pair = certified_pair(spec, make_graded_grid(1026, 3.0, ball))
+        assert pair.c > 1e215 and pair.sub_cert.certified and pair.super_cert.certified
+
     @pytest.mark.parametrize("name", ["interval-2", "ball-1.2"])
     def test_pair_checks_only_the_smaller_side_again(self, scale_bases, monkeypatch, name):
         spec, base = SCALE_CASES[name], scale_bases[name]
@@ -484,6 +493,24 @@ class TestRefusals:
         grid = make_graded_grid(1025, 2.0)
         with pytest.raises(GridMismatch, match="base eigenpair was computed on a different grid"):
             certified_pair(E3, grid, base=eig_1025)
+
+    def test_fixed_theta_from_another_grid_is_refused(self, eig_1025):
+        cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
+        theta = GridFunction(make_graded_grid(1025, 2.0), np.ones(1025))
+        with pytest.raises(GridMismatch, match="fixed theta lives on a different grid"):
+            check_barrier(cand, SUB, theta, 2.0)
+
+    def test_a_spec_on_another_domain_is_refused(self, eig_1025):
+        # the interval's barriers were once certified for a ball problem
+        spec = dataclasses.replace(E3, domain=Domain.ball(3))
+        cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
+        match = "posed on Domain\\(kind='ball', ball_dim=3\\), the grid on Domain\\(kind='interval'"
+        with pytest.raises(GridMismatch, match=match):
+            check_barrier(cand, SUPER, spec, 2.0)
+        with pytest.raises(GridMismatch, match=match):
+            auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, spec, 2.0, eig_1025)
+        with pytest.raises(GridMismatch, match=match):
+            certified_pair(spec, eig_1025.grid, base=eig_1025)
 
     def test_a_barrier_lives_on_its_base_grid(self, eig_1025):
         spec = BarrierSpec(family=BoundaryProfile.power(0.5), c=2.0, side=SUB, base=eig_1025)

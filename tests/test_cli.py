@@ -1051,6 +1051,16 @@ def test_every_exported_name_resolves(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
+def test_readme_layout_names_every_module():
+    """The README's Layout block lists exactly the modules of the package."""
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1]
+    listed = {line.split()[0] for line in block.split("```")[1].splitlines()
+              if line.startswith("  ") and line.split()[0].endswith(".py")}
+    modules = {p.name for p in root.joinpath("src", "mlap1d").glob("*.py")}
+    assert listed == modules - {"__init__.py", "__main__.py"}
+
+
 def test_every_known_key_is_read():
     """Each configuration key is read as cfg[...] or self[...] in cli.py, so
     a removed option leaves no orphaned key behind."""

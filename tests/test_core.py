@@ -343,6 +343,11 @@ class TestGradedGrid:
         assert g.h[-1] < g.h[0]
         assert np.allclose(g.delta_nodes, 1.0 - g.nodes)
 
+    def test_ball_delta_mid(self):
+        # the distance of each cell's midpoint to the sphere r = 1
+        g = make_graded_grid(33, 2.0, Domain.ball(3))
+        assert np.array_equal(g.delta_mid, 1.0 - g.midpoints)
+
     def test_interval_delta(self):
         g = make_graded_grid(33, 1.0)
         assert np.allclose(g.delta_nodes, np.minimum(g.nodes, 1 - g.nodes))
@@ -433,6 +438,12 @@ def test_unknown_domain_kind_is_invalid_config():
 def test_ball_of_dimension_one_is_refused():
     with pytest.raises(AdmissibilityViolation, match="ball domain requires dimension N >= 2"):
         Domain("ball", 1)
+
+
+def test_interval_of_another_dimension_is_refused():
+    # its flux weights would be r^(N-1) over the interval's dual cells
+    with pytest.raises(AdmissibilityViolation, match="interval domain has dimension 1, got 3"):
+        Domain("interval", 3)
 
 
 def test_only_core_reads_the_domain_shape():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +352,18 @@ class TestClosureSearch:
         rep = solve_dirichlet(GridFunction(g, theta(g.nodes)), m)
         assert rep.converged and rep.iterations > 0
 
+    @pytest.mark.parametrize(
+        "a,m,n,grading", [(40.0, 50.0, 33, 1.0), (20.0, 1.05, 65, 3.0)], ids=["m50", "m1.05"]
+    )
+    def test_re_anchoring_keeps_the_small_loads(self, a, m, n, grading):
+        # the search starts anchored at the m = 2 peak, where the left
+        # cells' loads (~0.4 at m = 50) are summed behind loads of ~5e13 and
+        # keep only that sum's ulps; re-anchored by translation, R carried
+        # that rounding to the peak cell and failed the residual check
+        g = make_graded_grid(n, grading)
+        rep = solve_dirichlet(GridFunction(g, np.exp(a * g.nodes)), m)
+        assert rep.iterations > 1 and rep.final_residual <= RESIDUAL_TOL
+
 
 class TestSolveSingular:
     @pytest.mark.parametrize(
@@ -458,6 +471,14 @@ class TestSolveSingular:
             solve_singular(spec, g, k_values=k_on(make_graded_grid(n, grading)))
         copy = Grid1D(nodes=g.nodes, grading_exponent=3.0)  # the same grid, built again
         assert solve_singular(spec, g, k_values=k_on(copy)).converged
+
+    @pytest.mark.parametrize("domain", [Domain.ball(3), Domain.interval()], ids=["ball", "interval"])
+    def test_a_spec_on_another_domain_is_refused(self, domain):
+        # a ball problem on an interval grid once returned the interval's solution
+        other = Domain.interval() if domain.is_ball else Domain.ball(3)
+        spec = ProblemSpec(2.0, 0.5, 1.0, domain=domain)
+        with pytest.raises(GridMismatch, match=re.escape(f"posed on {domain}, the grid on {other}")):
+            solve_singular(spec, make_graded_grid(1025, 3.0, other))
 
     def test_radial_singular_solve(self):
         spec = ProblemSpec(m=2.0, p=0.5, q=0.5, domain=Domain.ball(3))
