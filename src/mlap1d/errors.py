@@ -6,10 +6,14 @@ class MlapError(Exception):
 
     ``exit_status`` is the command line's exit status for the error: 2,
     invalid input, unless the class is a failed solve or certification,
-    which exits 1.
+    which exits 1.  ``report`` is the SolveReport of a failed solve, or None.
     """
 
     exit_status = 2
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class AdmissibilityViolation(MlapError):
@@ -50,20 +54,15 @@ class NonFiniteTheta(MlapError, ValueError):
 
 
 class NonConvergence(MlapError):
-    """An iteration exhausted its budget, or a solve failed its residual check.
-
-    Carries the partial solver state in ``report`` when one is available.
-    """
+    """An iteration exhausted its budget or its resolution, a solve failed its
+    residual check, or no scale brackets a singular solve; a failed solve
+    carries its record in ``report``, the eigenpair's budget error none."""
 
     exit_status = 1
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class BarrierOrderViolation(MlapError):
-    """A monotone-iteration iterate escaped the sub/supersolution bracket."""
+    """The singular solve's midpoint left its certified pair; ``report`` holds both."""
 
     exit_status = 1
 

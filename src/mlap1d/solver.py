@@ -72,10 +72,12 @@ assembly noise, so the width cannot fall below about 2 max s sup u/(m-1+p):
 a tolerance under that resolution floor raises NonConvergence.  The first
 solve, w0 = T(v0) with v0 an explicit profile in delta with the predicted
 boundary behaviour, gives the pair: lam_lo w0 and lam_hi w0 are a sub- and
-a supersolution at every unknown node, for the K being solved, so the
-comparison principle puts the solution between them.  The pair is the
-clamp, the loop's start and the check its result must pass; it costs one
-solve, and no eigenpair or search over scaling constants.
+a supersolution at every unknown node, for the K being solved, up to the
+slack s, so the comparison principle puts the solution between them
+(barriers.check_barrier with slack 0 refuses 144 of the 204 lattice pairs
+at n = 1025, 37 of them, all m = 1.2, by over 1e-6 relative at the flat
+top).  The pair is the clamp, the loop's start and the check its result
+must pass; it costs one solve, and no eigenpair or scale search.
 
 Every ball problem is a chain, and so is every interval problem whose grid,
 K and v0 equal their mirror images to the last bit, since its unique
@@ -158,10 +160,12 @@ class SolveReport:
     Dirichlet solve, and ``converged`` means it is at most RESIDUAL_TOL.
     ``iterations`` counts the closure evaluations of the one interval root
     search for a Dirichlet solve (0 on a zero-flux chain) and Dirichlet
-    solves for a singular one.  Singular solves attach the certified
-    barrier pair used to initialize and guard the iteration, and report
-    ``picard_gap``, the width of the scaling bracket, for every p >= 0: a
-    certified bound, the solution is within picard_gap/2 of ``solution``.
+    solves for a singular one, a failed one included.  Singular solves
+    attach the certified barrier pair used to initialize and guard the
+    iteration, once there is one, and report ``picard_gap``, the width of
+    the scaling bracket, for every p >= 0: a certified bound, the solution
+    is within picard_gap/2 of ``solution``.  It is None on a singular solve
+    that failed its residual check, which no bracket holds.
     """
 
     solution: GridFunction
@@ -506,20 +510,20 @@ def _mirror_left(u, k):
     return u
 
 
-def _checked(grid, u, iterations, res) -> SolveReport:
-    """The Dirichlet solve's report, or NonConvergence with it attached when
-    the scaled residual ``res`` exceeds RESIDUAL_TOL."""
-    report = SolveReport(
+def _report(grid, u, iterations, residual, converged, gap=None, pair=None) -> SolveReport:
+    """Every solve's report: ``u`` with the last Dirichlet solve's residual,
+    the solve's count, and for a singular solve its bracket width and the
+    certified pair if there is one."""
+    return SolveReport(
         solution=GridFunction(grid, u),
         iterations=iterations,
-        final_residual=res,
-        converged=res <= RESIDUAL_TOL,
+        final_residual=residual,
+        converged=converged,
+        picard_gap=gap,
+        sub_barrier=pair and pair.sub,
+        super_barrier=pair and pair.super_,
+        barrier_c=pair and pair.c,
     )
-    if not report.converged:
-        raise NonConvergence(
-            f"a-posteriori check failed: scaled residual {res:g}", report=report
-        )
-    return report
 
 
 def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
@@ -542,7 +546,10 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     work = np.empty(n + r * c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         iterations, res = _solve_into(grid, theta.values, m, k, work[:n], u, work[n:].reshape(r, c))
-    return _checked(grid, _mirror_left(u, k), iterations, res)
+    report = _report(grid, _mirror_left(u, k), iterations, res, res <= RESIDUAL_TOL)
+    if not report.converged:
+        raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
+    return report
 
 
 def solve_singular(
@@ -560,17 +567,20 @@ def solve_singular(
     The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
     delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
     and lam_hi w0 are a sub- and a supersolution for this K at every unknown
-    node, so the comparison principle puts the discrete solution between
-    them.  That pair clamps the iteration, which starts at lam_lo w0 and
-    applies T(v) = solve_dirichlet(K v^(-p)) (see the module docstring).
+    node up to the bracket's slack, so the comparison principle puts the
+    discrete solution between them.  That pair clamps the iteration, which
+    starts at lam_lo w0 and applies T(v) = solve_dirichlet(K v^(-p)) (see
+    the module docstring).
     For every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
     the error; p = 0 takes one solve.  ``iterations`` counts every
     Dirichlet solve, the first included, and ``barrier_c`` is the first
-    bracket's ratio lam_hi/lam_lo.  A first solve with no bracket raises
-    NonConvergence.  BarrierOrderViolation, raised when the result leaves
-    the pair by more than ``picard_tol``, names the side, the node and the
-    excess, and signals a defect rather than a property of the input.
+    bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
+    no bracket, a tolerance below the resolution floor and an exhausted
+    budget raise NonConvergence.  BarrierOrderViolation, raised when the
+    result leaves the pair by more than ``picard_tol``, names the side, the
+    node and the excess, and signals a defect rather than a property of the
+    input.  Every one carries the loop's record in ``report``.
 
     The grid should resolve delta^gamma boundary layers for the predicted
     exponent gamma; grading >= 2/gamma is a good default.
@@ -603,22 +613,6 @@ def _log_profile(spec, grid, out):
     regime_profiles(spec)[0].log_of(out)
 
 
-def _singular_report(grid, u, residual, pair, iterations, gap, converged):
-    """A singular solve's report: ``u`` with the last Dirichlet solve's
-    residual, the loop's solve count and bracket width, and the certified
-    pair if there is one."""
-    return SolveReport(
-        solution=GridFunction(grid, u),
-        iterations=iterations,
-        final_residual=residual,
-        converged=converged,
-        picard_gap=gap,
-        sub_barrier=pair and pair.sub,
-        super_barrier=pair and pair.super_,
-        barrier_c=pair and pair.c,
-    )
-
-
 def _singular_theta(p, k, lt, out):
     """theta = K exp(-p Lt) on the unknowns, written into ``out`` (which may
     be ``lt``), where Lt = max(log v, log sub) is the log iterate clamped at
@@ -641,6 +635,8 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     lam^(m-1+p) (1 + s) <= (vt/w)^p.  K u^(-p) decreases in u, so the
     comparison principle puts the solution between the two.  Takes the
     unknowns only, and (vt/w)^p in log space: ``log_ratio`` = p log(vt/w).
+    The bracket, and so the first solve's pair, holds up to the slack s
+    only, not as an exact discrete sub- and supersolution.
     Overwrites ``theta`` and uses ``out`` as scratch.  Returns (0, inf)
     when the slack swamps the load.
     """
@@ -688,6 +684,11 @@ def _singular_loop(spec, grid, cfg, k_vals):
     comparison principle already puts that solution inside the pair, which
     is certified at every unknown node; the exit check confirms it.
 
+    Every failure leaves by one exit, which raises with the loop's record:
+    the whole field (w, or the midpoint the exit check rejected), the last
+    residual, the pair, the solve count and the width (None after a failed
+    residual check).
+
     On the ball, and on the interval when the grid, K and v0 equal their
     mirror images to the last bit (_chain_start), every sweep solves the
     zero-flux chain, nodes k to n - 2, and w is mirrored only where one
@@ -727,6 +728,7 @@ def _singular_loop(spec, grid, cfg, k_vals):
     del log_v0
     pair = None
     iterations = 0
+    error, why = NonConvergence, None  # a failure sets why and breaks to the one exit
     # entered once for all sweeps: phi'(0) = inf in the residual check when
     # m < 2, and loads that overflow, which end in a NaN residual and
     # NonConvergence
@@ -735,12 +737,13 @@ def _singular_loop(spec, grid, cfg, k_vals):
             np.maximum(big_l, log_sub, out=lt)
             _singular_theta(p, k, lt, theta_sl)
             start = _chain_start(grid, theta) if chain is None else chain
-            evaluations, residual = _solve_into(grid, theta, m, start, loads, w, scratch)
+            residual = _solve_into(grid, theta, m, start, loads, w, scratch)[1]
             if chain is None:  # the whole grid's w, as solve_dirichlet returns it
                 _mirror_left(w, start)
-            if not residual <= RESIDUAL_TOL:
-                _checked(grid, _mirror_left(w, chain).copy(), evaluations, residual)  # raises
             iterations += 1
+            if not residual <= RESIDUAL_TOL:  # no bracket holds this solve
+                why, width = f"a-posteriori check failed: scaled residual {residual:g}", None
+                break
             np.log(w[sl], out=log_w)
             # max log (w^p/K), for the resolution floor below, in the loads'
             # storage, which no one reads until the next solve
@@ -759,14 +762,11 @@ def _singular_loop(spec, grid, cfg, k_vals):
             w_max = float(np.maximum.reduce(w[sl.start :]))  # left of sl: 0 or mirror images
             width = (lam_hi - lam_lo) * w_max
             if lam_lo == 0.0:
-                raise NonConvergence(
+                why = (
                     "no scale brackets the solve: the slack swamps the load "
-                    f"(bracket width {width:g})",
-                    report=_singular_report(
-                        grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width,
-                        False,
-                    ),
+                    f"(bracket width {width:g})"
                 )
+                break
             if pair is None:
                 pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
                 np.log(pair.sub.values[sl], out=log_sub)
@@ -776,34 +776,34 @@ def _singular_loop(spec, grid, cfg, k_vals):
             # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),
             # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
             # at the certified lower bracket v = lam_lo w, not at the iterate:
-            # early iterates overshoot the solution and would overstate it
-            load = lam_lo**p * float(np.exp(log_load))
+            # early iterates overshoot the solution and would overstate it.
+            # max v^p/K is formed in log space, where lam_lo^p alone can overflow
+            load = float(np.exp(p * math.log(lam_lo) + log_load))
             resolution = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
-            why = None
             if resolution > tol:
                 why = f"picard_tol {tol:g} is below the resolution {resolution:g}"
             elif iterations >= cfg.max_picard_iters:
                 why = "singular iteration budget exhausted"
             if why:
-                raise NonConvergence(
-                    f"{why}: bracket width {width:g}",
-                    report=_singular_report(
-                        grid, _mirror_left(w, chain).copy(), residual, pair, iterations, width,
-                        False,
-                    ),
+                why = f"{why}: bracket width {width:g}"
+                break
+    u = _mirror_left(w, chain)
+    if why is None:
+        mid = 0.5 * (lam_lo + lam_hi) * u
+        # each side's excess in the loads' row, which no solve reads again
+        for side, a, b in (
+            ("below the subsolution", pair.sub.values, mid),
+            ("above the supersolution", mid, pair.super_.values),
+        ):
+            excess = np.subtract(a, b, out=loads)
+            i = int(np.argmax(excess))
+            if excess[i] > tol:
+                error, u = BarrierOrderViolation, mid
+                why = (
+                    f"the bracketed solution lies {side} of the certified pair "
+                    f"at node {i} by {excess[i]:g}"
                 )
-
-    mid = 0.5 * (lam_lo + lam_hi) * _mirror_left(w, chain)
-    # each side's excess in the loads' row, which no solve reads again
-    for side, a, b in (
-        ("below the subsolution", pair.sub.values, mid),
-        ("above the supersolution", mid, pair.super_.values),
-    ):
-        excess = np.subtract(a, b, out=loads)
-        i = int(np.argmax(excess))
-        if excess[i] > tol:
-            raise BarrierOrderViolation(
-                f"the bracketed solution lies {side} of the certified pair "
-                f"at node {i} by {excess[i]:g}"
-            )
-    return _singular_report(grid, mid, residual, pair, iterations, width, True)
+                break
+        else:
+            return _report(grid, mid, iterations, residual, True, width, pair)
+    raise error(why, report=_report(grid, u.copy(), iterations, residual, False, width, pair))

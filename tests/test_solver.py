@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,17 +528,24 @@ class TestSolveSingular:
         low = GridFunction(g, 0.5 * rep.solution.values)
         excess = rep.solution.values - low.values
         node = int(np.argmax(excess))
-        first_pair = solver._first_pair
+        first_pair, pairs = solver._first_pair, []
         monkeypatch.setattr(
             solver,
             "_first_pair",
-            lambda *a: dataclasses.replace(first_pair(*a), super_=low),
+            lambda *a: pairs.append(dataclasses.replace(first_pair(*a), super_=low)) or pairs[-1],
         )
         with pytest.raises(BarrierOrderViolation) as err:
             solve_singular(spec, g)
         msg = str(err.value)
         assert f"above the supersolution of the certified pair at node {node} " in msg
         assert float(msg.rpartition(" by ")[2]) == pytest.approx(excess[node], rel=1e-5)
+        # the record holds the midpoint the exit check rejected, with the pair
+        [pair] = pairs
+        report = err.value.report
+        assert not report.converged and report.iterations == rep.iterations == 1
+        assert np.array_equal(report.solution.values, rep.solution.values)
+        assert report.super_barrier is low and report.sub_barrier is pair.sub
+        assert report.barrier_c == pair.c and report.picard_gap == rep.picard_gap
 
     def test_large_boundary_load_converges(self):
         # sum V theta reaches ~1e7 here while the peak flux is ~1e-3: loads
@@ -658,6 +667,38 @@ class TestCertifiedBracket:
         report = err.value.report
         assert report.iterations == 1 and report.picard_gap == np.inf
         assert report.sub_barrier is None and report.barrier_c is None
+
+    def test_a_failed_residual_check_reports_the_loop(self, monkeypatch):
+        # the second sweep's solve fails its residual check: the record is
+        # the loop's, with both solves counted and the first pair, and no
+        # width, since no bracket holds that solve
+        g = make_graded_grid(1025, 3.0)
+        pairs, fields = [], []
+        first_pair = solver._first_pair
+        monkeypatch.setattr(
+            solver, "_first_pair", lambda *a: pairs.append(first_pair(*a)) or pairs[-1]
+        )
+        solve_into = solver._solve_into
+
+        def second_fails(*a):
+            evaluations, residual = solve_into(*a)
+            fields.append(a[5].copy())
+            return evaluations, 1.0 if len(fields) == 2 else residual
+
+        monkeypatch.setattr(solver, "_solve_into", second_fails)
+        why = "^a-posteriori check failed: scaled residual 1$"
+        with pytest.raises(NonConvergence, match=why) as err:
+            solve_singular(self.SPEC, g)
+        [pair] = pairs
+        report = err.value.report
+        assert report.iterations == 2 and report.picard_gap is None
+        assert not report.converged and report.final_residual == 1.0
+        assert report.sub_barrier is pair.sub and report.super_barrier is pair.super_
+        assert report.barrier_c == pair.c
+        # the whole field of the failed solve, its left half mirrored
+        u = fields[1]
+        u[: g.n // 2] = u[::-1][: g.n // 2]
+        assert np.array_equal(report.solution.values, u)
 
     def test_unreachable_tolerance_raises_with_the_width(self):
         g = make_graded_grid(1025, 3.0)
@@ -1061,3 +1102,29 @@ class TestStrongCouplingAndOtherM:
 
         fit = fit_boundary_exponent(rep.solution, (1e-4, 1e-2))
         assert fit.exponent == pytest.approx(0.8, abs=0.05)
+
+
+def test_every_failed_solve_raises_from_one_place():
+    """In the solver, a failed Dirichlet solve raises in solve_dirichlet and
+    every failure of the singular loop at its one exit, with the loop's
+    record; the other raises refuse invalid input before any solve."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Raise):
+            call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((func, call.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(Path(solver.__file__).read_text(encoding="utf-8")), None)
+    assert sorted(found) == [
+        ("__post_init__", "InvalidConfig"),
+        ("__post_init__", "InvalidConfig"),
+        ("__post_init__", "InvalidConfig"),
+        ("_loads", "NonFiniteTheta"),
+        ("_singular_loop", "error"),
+        ("solve_dirichlet", "NonConvergence"),
+    ]
