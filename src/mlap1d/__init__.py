@@ -1,89 +1,19 @@
 """Desk-scale solver and verification toolkit for degenerate m-Laplace
-Dirichlet problems with boundary-singular reaction terms."""
+Dirichlet problems with boundary-singular reaction terms.
 
-from .analyzer import (
-    DistanceIntegralResult,
-    FitResult,
-    GradientBoundReport,
-    ScanReport,
-    Verdict,
-    distance_integral_classify,
-    fit_boundary_exponent,
-    fit_log_profile,
-    gradient_bound_check,
-    sobolev_seminorm,
-    threshold_scan,
-)
-from .barriers import (
-    SUB,
-    SUPER,
-    BarrierCertificate,
-    BarrierPair,
-    BarrierSpec,
-    auto_scale,
-    build_barrier,
-    certified_pair,
-    check_barrier,
-)
-from .core import (
-    INTERVAL01,
-    BoundaryProfile,
-    Domain,
-    Grid1D,
-    GridFunction,
-    ProblemSpec,
-    Regime,
-    RegimeReport,
-    classify_regime,
-    default_k_values,
-    make_graded_grid,
-    regime_profiles,
-)
-from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
-from .solver import SolverConfig, SolveReport, apply_mlap, solve_dirichlet, solve_singular
+The package's public names are its layers' ``__all__``s, re-exported as
+they stand."""
+
+from . import analyzer, barriers, core, eigen, solver
+from .analyzer import *  # noqa: F403
+from .barriers import *  # noqa: F403
+from .core import *  # noqa: F403
+from .eigen import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Domain",
-    "INTERVAL01",
-    "ProblemSpec",
-    "Regime",
-    "RegimeReport",
-    "Grid1D",
-    "GridFunction",
-    "BoundaryProfile",
-    "classify_regime",
-    "make_graded_grid",
-    "default_k_values",
-    "regime_profiles",
-    "apply_mlap",
-    "SolverConfig",
-    "SolveReport",
-    "solve_dirichlet",
-    "solve_singular",
-    "EigenPair",
-    "first_eigenpair",
-    "rayleigh_quotient",
-    "BarrierSpec",
-    "BarrierCertificate",
-    "BarrierPair",
-    "SUB",
-    "SUPER",
-    "build_barrier",
-    "check_barrier",
-    "auto_scale",
-    "certified_pair",
-    "FitResult",
-    "Verdict",
-    "ScanReport",
-    "DistanceIntegralResult",
-    "GradientBoundReport",
-    "fit_boundary_exponent",
-    "fit_log_profile",
-    "sobolev_seminorm",
-    "threshold_scan",
-    "distance_integral_classify",
-    "gradient_bound_check",
+    *core.__all__, *solver.__all__, *eigen.__all__, *barriers.__all__, *analyzer.__all__,
     "__version__",
 ]

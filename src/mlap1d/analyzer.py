@@ -188,11 +188,18 @@ def _check_tau(tau: float) -> None:
 
 
 def sobolev_seminorm(u: GridFunction, tau: float) -> float:
-    """(sum_cells w |Du|^tau)^(1/tau), radially weighted in the ball case."""
+    """(sum_cells w |Du|^tau)^(1/tau), radially weighted in the ball case.
+
+    A sum that overflows double precision raises DomainError naming tau.
+    """
     _check_tau(tau)
     g = u.grid
     du = np.diff(u.values) / g.h
-    return float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** tau) ** (1.0 / tau))
+    with np.errstate(over="ignore"):
+        total = float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** tau))
+    if total == math.inf:
+        raise DomainError(f"sum w |Du|^tau overflows double precision at tau = {tau:g}")
+    return total ** (1.0 / tau)
 
 
 class Verdict(enum.Enum):
@@ -314,8 +321,11 @@ def distance_integral_classify(
     the estimated exponent 1 - e, and threshold_scan's rule decides: Infinite
     iff e <= RATE_BAND (_rate_verdict).  When finite, the value is completed
     with the geometric tail extrapolation.  The rate and the tail read the
-    last two increments, so three levels suffice.  A non-finite a, or fewer
-    than three levels, raises InvalidConfig.
+    last two increments, so three levels suffice.  A level sum that
+    overflows, which needs a > 1 (each term h delta_mid^(-a) is at most 2
+    for a <= 1), reads Infinite, its exponent estimated from the finite
+    levels (nan with fewer than three).  A non-finite a, or fewer than
+    three levels, raises InvalidConfig.
     """
     if not math.isfinite(a):
         raise InvalidConfig(f"exponent a must be finite, got {a}")
@@ -324,10 +334,12 @@ def distance_integral_classify(
     q = []
     for l in range(refinement_levels):
         grid = make_graded_grid(256 * 2**l + 1, grading, INTERVAL01)
-        q.append(float(np.einsum("i,i->", grid.h, grid.delta_mid ** (-a))))
-    d = np.diff(q)
-    e = _increment_rate(q, grading)
-    if _rate_verdict(e) is Verdict.DIVERGENT:
+        with np.errstate(over="ignore"):
+            q.append(float(np.einsum("i,i->", grid.h, grid.delta_mid ** (-a))))
+    finite = [v for v in q if v < math.inf]  # the sums grow with the level
+    d = np.diff(finite)
+    e = _increment_rate(finite, grading) if len(finite) >= 3 else math.nan
+    if len(finite) < len(q) or _rate_verdict(e) is Verdict.DIVERGENT:
         return DistanceIntegralResult(False, None, 1.0 - e, tuple(d))
     rho = d[-1] / d[-2] if math.isfinite(e) else 0.0
     return DistanceIntegralResult(True, q[-1] + d[-1] * rho / (1.0 - rho), 1.0 - e, tuple(d))

@@ -35,7 +35,7 @@ below the resolved scale, but refinement exposes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "SUPER",
     "build_barrier",
     "check_barrier",
-    "check_scaled",
     "auto_scale",
     "certified_pair",
 ]
@@ -126,17 +125,8 @@ class BarrierCertificate:
     description: str = ""
 
     def report_items(self) -> list[tuple[str, object]]:
-        """(key, value) rows of the certificate, values unformatted."""
-        return [
-            ("side", self.side),
-            ("certified", self.certified),
-            ("worst_node", self.worst_node),
-            ("worst_margin", self.worst_margin),
-            ("checked_nodes", self.checked_nodes),
-            ("slack", self.slack),
-            ("skip_cells", self.skip_cells),
-            ("description", self.description),
-        ]
+        """(key, value) rows of the certificate in field order, values unformatted."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def _checked_indices(grid: Grid1D, skip_cells: int, slack: float) -> np.ndarray:

@@ -6,7 +6,8 @@ Configuration is flat ``key = value`` text (diff-friendly experiment records)
 in four layers, in increasing precedence: config file, environment variables
 prefixed ``MLAP1D_``, ``--key value`` flags, and generic ``--set key=value``.
 Every value goes through ``RunConfig.set``; unknown or abbreviated keys and
-malformed values are rejected.  Every command that solves builds its problem
+malformed values, such as a word outside an enumerated key's options, are
+rejected.  Every command that solves builds its problem
 with ``_problem``: the singular or fixed right-hand side on the configured
 domain (interval or ball).  All outputs are deterministic: identical
 configuration yields bit-identical files.
@@ -80,18 +81,23 @@ def _list_of(kind):
     return lambda s: tuple(kind(t.strip()) for t in s.split(",") if t.strip())
 
 
-def _parse_formats(s: str) -> tuple[str, ...]:
-    kinds = _list_of(str)(s)
-    unknown = [t for t in kinds if t not in ("csv", "report")]
-    if unknown:
-        raise ValueError(f"unknown output formats {unknown}; expected csv, report")
-    return kinds
+def _choice(*options):
+    """Parser of a word that must be one of ``options``."""
+
+    def parse(s: str) -> str:
+        if s not in options:
+            raise ValueError(f"{s!r} is not one of {', '.join(options)}")
+        return s
+
+    return parse
 
 
 def _float_or(word: str):
     """Parser of a float key that also accepts the literal ``word``."""
     return lambda s: s if s == word else float(s)
 
+
+FITS = {"power": fit_boundary_exponent, "logaffine": fit_log_profile}
 
 # key -> (parser, default).  Every key can come from config file, environment
 # (MLAP1D_<KEY>), or flags; unknown keys are rejected.
@@ -102,7 +108,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "q": (float, 0.0),
     "k_low": (float, 1.0),
     "k_high": (float, 1.0),
-    "domain": (str, "interval"),
+    "domain": (_choice("interval", "ball"), "interval"),
     "ball_dim": (int, 3),
     # grid
     "n": (int, 1025),
@@ -111,7 +117,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "picard_tol": (float, 1e-8),
     "max_picard_iters": (int, 100),
     # right-hand side selection for solve/fit/scan/barrier-check
-    "rhs": (str, "singular"),  # singular | const | power | logpower
+    "rhs": (_choice("singular", "const", "power", "logpower"), "singular"),
     "theta_const": (float, 1.0),
     "a": (float, 0.5),  # exponent of delta^-a (power) / log^-a (logpower)
     # analyzer
@@ -120,22 +126,22 @@ KNOWN_KEYS: dict[str, tuple] = {
     "taus": (_list_of(float), (2.0, 2.5, 3.0, 3.5, 4.0)),
     "levels": (_list_of(int), (257, 513, 1025, 2049)),
     "int_levels": (int, 6),
-    "fit_kind": (str, "power"),  # power | logaffine
+    "fit_kind": (_choice(*FITS), "power"),
     "expect": (_float_or(""), ""),
     "expect_tol": (float, 0.05),
     "verify": (_parse_bool, False),
     # barriers
-    "family": (str, "regime"),  # regime | power | logpower
+    "family": (_choice("regime", "power", "logpower"), "regime"),
     "gamma": (float, 1.0),
     "log_s": (float, 0.5),
     "log_a": (float, 0.0),  # 0 = default scale
-    "side": (str, "super"),
+    "side": (_choice(barriers.SUB, barriers.SUPER), barriers.SUPER),
     "c": (_float_or("auto"), "auto"),
     "slack": (float, 0.0),
     "skip_cells": (int, 2),
     # output
     "output_dir": (str, "mlap1d-out"),
-    "formats": (_parse_formats, ("csv", "report")),
+    "formats": (_list_of(_choice("csv", "report")), ("csv", "report")),
     # reproduce
     "matrix": (_list_of(str), ("E1", "E2", "E3")),
 }
@@ -170,12 +176,9 @@ class RunConfig:
             raise InvalidConfig(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
     def domain(self) -> Domain:
-        kind = self["domain"]
-        if kind == "interval":
-            return Domain.interval()
-        if kind == "ball":
+        if self["domain"] == "ball":
             return Domain.ball(self["ball_dim"])
-        raise InvalidConfig(f"unknown domain {kind!r}; expected interval or ball")
+        return Domain.interval()
 
     def problem_spec(self) -> ProblemSpec:
         return ProblemSpec(
@@ -296,7 +299,7 @@ def _problem(cfg: RunConfig, n: int):
             theta[sl] = cfg["theta_const"]
         elif kind == "power":
             theta[sl] = d ** (-a)
-        elif kind == "logpower":
+        else:  # logpower
             if a > 0.0 and cfg["domain"] == "ball":
                 # log(1/delta) is 0 at the centre r = 0
                 raise InvalidConfig(
@@ -304,8 +307,6 @@ def _problem(cfg: RunConfig, n: int):
                     "of the ball, where delta = 1"
                 )
             theta[sl] = d ** (-1.0) * np.log(1.0 / d) ** (-a)
-        else:
-            raise InvalidConfig(f"unknown rhs kind {kind!r}")
     return None, grid, GridFunction(grid, theta)
 
 
@@ -383,18 +384,15 @@ def _barrier_family(cfg: RunConfig, spec: ProblemSpec | None):
     if kind == "logpower":
         big_a = cfg["log_a"] or default_log_scale(cfg.domain(), cfg["log_s"])
         return BoundaryProfile.logpower(cfg["log_s"], big_a)
-    if kind == "regime":
-        if spec is None:
-            raise InvalidConfig("family=regime requires a singular rhs")
-        sub, sup = regime_profiles(spec)
-        return sub if cfg["side"] == "sub" else sup
-    raise InvalidConfig(f"unknown barrier family {kind!r}")
+    # family = regime
+    if spec is None:
+        raise InvalidConfig("family=regime requires a singular rhs")
+    sub, sup = regime_profiles(spec)
+    return sub if cfg["side"] == barriers.SUB else sup
 
 
 def cmd_barrier_check(cfg: RunConfig) -> int:
     side = cfg["side"]
-    if side not in (barriers.SUB, barriers.SUPER):
-        raise InvalidConfig(f"side must be sub or super, got {side!r}")
     spec, grid, rhs = _problem(cfg, cfg["n"])
     base = first_eigenpair(grid, cfg["m"])
     family = _barrier_family(cfg, spec)
@@ -410,13 +408,8 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     return 0 if cert.certified else 1
 
 
-FITS = {"power": fit_boundary_exponent, "logaffine": fit_log_profile}
-
-
 def cmd_fit_exponent(cfg: RunConfig) -> int:
     kind = cfg["fit_kind"]
-    if kind not in FITS:
-        raise InvalidConfig(f"unknown fit kind {kind!r}; expected {' or '.join(FITS)}")
     # no measurement meets a NaN or infinite expectation, and every one meets
     # an infinite tolerance: both would make the pass line vacuous
     if cfg["expect"] != "" and not math.isfinite(cfg["expect"]):

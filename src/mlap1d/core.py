@@ -49,11 +49,9 @@ __all__ = [
     "GridFunction",
     "BoundaryProfile",
     "classify_regime",
-    "default_log_scale",
     "default_k_values",
     "make_graded_grid",
     "regime_profiles",
-    "same_grid",
 ]
 
 # Absolute tolerance on p + q - 1 when deciding the critical regime.  Inputs

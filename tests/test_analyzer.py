@@ -196,6 +196,13 @@ class TestSobolevSeminorm:
         g = make_graded_grid(65, 1.0)
         assert sobolev_seminorm(GridFunction(g, np.zeros(g.n)), 3.0) == 0.0
 
+    def test_an_overflowing_sum_is_refused_without_a_warning(self):
+        # |Du| < 100, 100^150 = 1e300 is a double and 100^400 is not
+        u = sampled(make_graded_grid(65, 1.0), lambda x: 100.0 * x * (1.0 - x))
+        assert 50.0 < sobolev_seminorm(u, 150.0) < 100.0
+        with pytest.raises(DomainError, match="overflows double precision at tau = 400"):
+            sobolev_seminorm(u, 400.0)
+
     def test_sine(self):
         g = make_graded_grid(4097, 1.0)
         u = sampled(g, lambda x: np.sin(np.pi * x))
@@ -366,6 +373,18 @@ class TestDistanceIntegral:
     @pytest.mark.parametrize("a", [1.0, 1.1])
     def test_infinite_side(self, a):
         assert not distance_integral_classify(a).finite
+
+    @pytest.mark.parametrize("a", [27.0, 30.0])
+    def test_an_overflowing_level_sum_reads_infinite(self, a):
+        # the finer levels overflow; the exponent comes from the finite ones
+        res = distance_integral_classify(a)
+        assert not res.finite and res.value is None
+        assert res.estimated_exponent == pytest.approx(a, rel=1e-6)
+        assert all(math.isfinite(d) for d in res.increments)
+
+    def test_too_few_finite_levels_leave_no_exponent(self):
+        res = distance_integral_classify(300.0)
+        assert not res.finite and math.isnan(res.estimated_exponent)
 
     def test_half_exponent_value(self):
         res = distance_integral_classify(0.5)

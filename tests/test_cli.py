@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -548,6 +549,25 @@ class TestLemmaIntegralCommand:
         out = capsys.readouterr().out
         assert "Finite" in out
 
+    @pytest.mark.parametrize("a", ["27", "30"])
+    def test_an_overflowing_quadrature_reads_infinite(self, tmp_path, capsys, a):
+        code = main(["lemma-integral", "--a", a, "--output-dir", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict = Infinite" in out and f"estimated_exponent = {a}\n" in out
+        assert "value" not in out
+
+
+def test_an_overflowing_seminorm_is_refused_in_one_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    args = ["scan-threshold", "--m", "2", "--p", "0.5", "--q", "1", "--levels", "257,513,1025",
+            "--taus", "400", "--output-dir", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: sum w |Du|^tau overflows double precision at tau = 400\n"
+    )
+    assert not out.exists()
+
 
 class TestReports:
     def test_round_trip(self):
@@ -822,6 +842,8 @@ def test_reproduce_keeps_the_reference_answers(tmp_path):
     # the log-profile fit reads 2/3 + 0.017 on E2's window from n = 4097 on
     tolerance = {c.claim_id: c.tolerance for c in report.claims}
     assert tolerance["E2.log_exponent"] == 0.03
+    # the gradient factor's max(r, 1/r) - 1 halves per level: 1.44e-4 at (4097, 8193)
+    assert tolerance["E1.gradient_factor"] == 1e-3
 
 
 class TestRadialDomain:
@@ -930,8 +952,10 @@ class TestFixedRhsOnTheBall:
         (["barrier-check", "--set", "c_max=64"], "unknown configuration key 'c_max'"),
         (["barrier-check", "--c", "big"], "bad value for 'c'"),
         (["fit-exponent", "--expect", "two"], "bad value for 'expect'"),
-        (["solve", "--domain", "bal"], "unknown domain 'bal'"),
-        (["eigen", "--formats", "cvs"], "unknown output formats ['cvs']"),
+        (["solve", "--domain", "bal"],
+         "bad value for 'domain': 'bal' ('bal' is not one of interval, ball)"),
+        (["eigen", "--formats", "cvs"],
+         "bad value for 'formats': 'cvs' ('cvs' is not one of csv, report)"),
         (["reproduce-theorem1", "--set", "e3.boundary_exponent=half"],
          "bad value for override 'e3.boundary_exponent'"),
         (["solve", "--rhs", "power", "--a", "400"], "theta must be finite at the unknown nodes"),
@@ -941,10 +965,12 @@ class TestFixedRhsOnTheBall:
         (["reproduce-theorem1", "--set", ".boundary_exponent=0.5"],
          "malformed override key '.boundary_exponent'"),
         (["solve", "--set", "m"], "--set expects key=value, got 'm'"),
-        (["solve", "--rhs", "cubic"], "unknown rhs kind 'cubic'"),
+        (["solve", "--rhs", "cubic"],
+         "bad value for 'rhs': 'cubic' ('cubic' is not one of singular, const, power, logpower)"),
         (["barrier-check", "--rhs", "const", "--n", "257"],
          "family=regime requires a singular rhs"),
-        (["barrier-check", "--family", "cubic", "--n", "257"], "unknown barrier family 'cubic'"),
+        (["barrier-check", "--family", "cubic", "--n", "257"],
+         "bad value for 'family': 'cubic' ('cubic' is not one of regime, power, logpower)"),
         (["barrier-check", "--family", "power", "--gamma", "1.2", "--n", "65"],
          "power barrier exponent must be in (0, 1], got 1.2"),
         (["barrier-check", "--family", "logpower", "--log-s", "0", "--n", "65"],
@@ -953,10 +979,12 @@ class TestFixedRhsOnTheBall:
          "log barrier exponent must be positive, got nan"),
         (["barrier-check", "--family", "logpower", "--log-a", "1", "--n", "65"],
          "log scale A must exceed 1, got 1.0"),
-        (["barrier-check", "--side", "both"], "side must be sub or super, got 'both'"),
-        (["fit-exponent", "--fit-kind", "cubic"], "unknown fit kind 'cubic'"),
+        (["barrier-check", "--side", "both"],
+         "bad value for 'side': 'both' ('both' is not one of sub, super)"),
+        (["fit-exponent", "--fit-kind", "cubic"],
+         "bad value for 'fit_kind': 'cubic' ('cubic' is not one of power, logaffine)"),
         (["fit-exponent", "--fit-kind", "log"],
-         "unknown fit kind 'log'; expected power or logaffine"),
+         "bad value for 'fit_kind': 'log' ('log' is not one of power, logaffine)"),
         (["fit-exponent", "--fit-kind", "logaffine", "--m", "2", "--p", "0.3", "--q", "0.3",
           "--n", "2049"], "no log profile optimum for s in (0, 64]"),
         (["solve", "--rhs", "logpower", "--domain", "ball"],
@@ -1049,6 +1077,47 @@ def test_help_lists_every_command_and_key(tmp_path, flag):
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_the_package_exports_its_layers_all_once():
+    """mlap1d.__all__ is the layers' __all__s plus __version__, each name
+    once; each layer exports only what it defines, and the package holds no
+    other public name than those and its modules."""
+    layers = [importlib.import_module(f"mlap1d.{name}")
+              for name in ("core", "solver", "eigen", "barriers", "analyzer")]
+    names = [name for mod in layers for name in mod.__all__] + ["__version__"]
+    assert mlap1d.__all__ == names and len(set(names)) == len(names)
+    for mod in layers:
+        for name in mod.__all__:
+            value = getattr(mod, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == mod.__name__, name
+    public = {name for name in dir(mlap1d) if not name.startswith("_")}
+    modules = {name for name in public if inspect.ismodule(getattr(mlap1d, name))}
+    assert public - modules == set(names) - {"__version__"}
+
+
+# each enumerated key, a bad value for it, and the message naming its options
+BAD_CHOICES = [
+    ("domain", "bal", "'bal' is not one of interval, ball"),
+    ("rhs", "cubic", "'cubic' is not one of singular, const, power, logpower"),
+    ("fit_kind", "log", "'log' is not one of power, logaffine"),
+    ("family", "cubic", "'cubic' is not one of regime, power, logpower"),
+    ("side", "both", "'both' is not one of sub, super"),
+    ("formats", "csv,cvs", "'cvs' is not one of csv, report"),
+]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize(("key", "bad", "why"), BAD_CHOICES, ids=[c[0] for c in BAD_CHOICES])
+def test_every_command_refuses_a_bad_choice_before_any_work(tmp_path, capsys, command, key,
+                                                             bad, why):
+    out = tmp_path / "o"
+    flag = "--" + key.replace("_", "-")
+    assert main([command, flag, bad, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"invalid input: bad value for {key!r}: {bad!r} ({why})\n"
 
 
 def test_readme_layout_names_every_module():

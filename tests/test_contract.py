@@ -3,6 +3,8 @@
 Every admissible (m, p, q), on any domain, grid size and grading, either
 raises a typed error that names its cause or returns a certified solution.
 The draws are derandomized, so the suite sees the same ones on every run.
+Off the chain the draws add a custom K, jittered nodes and even n, which
+run the whole-grid loop and the closure search of the interval.
 The m -> 1 corner below once escaped as an untyped OverflowError, from the
 resolution floor's lam_lo^p; it is an exhausted budget.
 """
@@ -14,7 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlap1d import Domain, ProblemSpec, SolverConfig, make_graded_grid, solve_singular
+from mlap1d import (
+    Domain,
+    Grid1D,
+    GridFunction,
+    ProblemSpec,
+    SolverConfig,
+    make_graded_grid,
+    solve_singular,
+)
 from mlap1d.cli import main
 from mlap1d.errors import BarrierOrderViolation, MlapError, NonConvergence
 
@@ -52,8 +62,49 @@ def draws(draw):
     return m, p, q, dim, n, grading
 
 
+@st.composite
+def off_chain_draws(draw):
+    """draws()'s (m, p, q, n, grading) on the interval with n made even,
+    a jitter amplitude in [0, 1/3] of each node's smaller cell and the seed
+    of its pattern, and K = delta^(-q) (1 + eps sin(k x)) for |eps| < 0.4
+    and k in [1, 40]."""
+    m, p, q, _, n, grading = draw(draws())
+    jitter = draw(st.floats(0.0, 1.0 / 3.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    eps = draw(st.floats(-0.4, 0.4, exclude_min=True, exclude_max=True))
+    k = draw(st.floats(1.0, 40.0))
+    return m, p, q, n + n % 2, grading, jitter, seed, eps, k
+
+
+def jittered_grid(n, grading, jitter, seed):
+    """make_graded_grid's interval nodes, each interior one moved by up to
+    ``jitter`` times its smaller cell: nodes stay in order for jitter < 1/2."""
+    x = make_graded_grid(n, grading).nodes.copy()
+    room = np.minimum(x[1:-1] - x[:-2], x[2:] - x[1:-1])
+    x[1:-1] += jitter * room * np.random.default_rng(seed).uniform(-1.0, 1.0, n - 2)
+    return Grid1D(x, grading)
+
+
 def assert_typed(exc):
     assert type(exc) is not MlapError and str(exc)
+
+
+def assert_certified_or_typed(spec, grid, k_values=None):
+    """The contract: a typed error, with the loop's record on a failed
+    solve, or a certified positive solution."""
+    tol = SolverConfig().picard_tol
+    try:
+        rep = solve_singular(spec, grid, k_values=k_values)
+    except MlapError as exc:
+        assert_typed(exc)
+        if isinstance(exc, (NonConvergence, BarrierOrderViolation)):
+            record = exc.report
+            assert record.solution.values.shape == (grid.n,)
+            assert not record.converged and record.iterations >= 1
+        return
+    u = rep.solution.values[grid.unknown_slice]
+    assert rep.converged and rep.picard_gap <= tol
+    assert np.all(np.isfinite(u)) and np.all(u > 0.0)
 
 
 @given(draws())
@@ -74,19 +125,23 @@ def test_every_draw_certifies_or_raises_a_typed_error(point):
     except MlapError as exc:
         assert_typed(exc)
         return
-    tol = SolverConfig().picard_tol
+    assert_certified_or_typed(spec, grid)
+
+
+@given(off_chain_draws())
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_every_off_chain_draw_certifies_or_raises_a_typed_error(point):
+    m, p, q, n, grading, jitter, seed, eps, k = point
     try:
-        rep = solve_singular(spec, grid)
+        spec = ProblemSpec(m=m, p=p, q=q, k_low=1.0 - abs(eps), k_high=1.0 + abs(eps))
+        grid = jittered_grid(n, grading, jitter, seed)
     except MlapError as exc:
         assert_typed(exc)
-        if isinstance(exc, (NonConvergence, BarrierOrderViolation)):
-            record = exc.report
-            assert record.solution.values.shape == (n,)
-            assert not record.converged and record.iterations >= 1
         return
-    u = rep.solution.values[grid.unknown_slice]
-    assert rep.converged and rep.picard_gap <= tol
-    assert np.all(np.isfinite(u)) and np.all(u > 0.0)
+    assert grid.chain_start is None
+    sl, weight = grid.unknown_slice, np.zeros(n)
+    weight[sl] = grid.delta_nodes[sl] ** (-q) * (1.0 + eps * np.sin(k * grid.nodes[sl]))
+    assert_certified_or_typed(spec, grid, GridFunction(grid, weight))
 
 
 @pytest.mark.parametrize("point", CORNER)
