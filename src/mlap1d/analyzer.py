@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridFunction, INTERVAL01, MIN_NODES, make_graded_grid
+from .core import DEFAULT_GRADING, GridFunction, INTERVAL01, MIN_NODES, make_graded_grid
 from .errors import (
     DomainError,
     GridMismatch,
@@ -54,6 +54,7 @@ RATE_BAND = 0.005
 
 # Cells next to each Dirichlet boundary that gradient_bound_check skips.
 GRADIENT_SKIP_CELLS = 2
+DISTANCE_LEVELS = 6  # nested grids distance_integral_classify sums on by default
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,8 @@ def _rate_verdict(e: float) -> Verdict:
 
 
 def threshold_scan(
-    solve_level: Callable[[int], GridFunction], tau_values, refinement_levels, grading: float = 3.0
+    solve_level: Callable[[int], GridFunction], tau_values, refinement_levels,
+    grading: float = DEFAULT_GRADING,
 ) -> ScanReport:
     """Classify each tau by the increment rate e of ||Du||_tau^tau over the
     fields ``solve_level(n)`` (_rate_verdict).  e tracks 1 - tau/tau*, so the
@@ -312,7 +314,7 @@ class DistanceIntegralResult:
 
 
 def distance_integral_classify(
-    a: float, refinement_levels: int = 6, grading: float = 3.0
+    a: float, refinement_levels: int = DISTANCE_LEVELS, grading: float = DEFAULT_GRADING
 ) -> DistanceIntegralResult:
     """Decide whether the integral of delta^(-a) over (0,1) is finite.
 

@@ -1,7 +1,7 @@
 """Sub/supersolution barriers, exact scales, and certification.
 
 A barrier is a core.BoundaryProfile of the first eigenfunction phi
-(sup-norm 1), sampled on the grid of that eigenpair:
+(sup-norm 1), sampled on the grid of that eigenpair and checked at its m:
 
   * power:      c^(+-1) * phi^gamma,              gamma in (0, 1]
   * log-power:  c^(+-1) * phi * log^s (A / phi),   s > 0, A > sup phi
@@ -12,8 +12,8 @@ same ones the singular solve starts from with delta in place of phi.
 
 A candidate w is numerically certified as a subsolution of -div(Phi) = rhs
 when the discrete residual -div(Phi(w)) - rhs(w) is <= slack at every
-checked node, and as a supersolution when it is >= -slack.  By
-default check_barrier skips the innermost cells next to each Dirichlet
+checked node, and as a supersolution when it is >= -slack.  By default
+check_barrier skips the SKIP_CELLS innermost cells next to each Dirichlet
 boundary, where the one-sided stencil meets the boundary singularity, so
 that a refinement study compares interior statements.  certified_pair
 checks every unknown node instead: the discrete comparison principle places
@@ -22,7 +22,8 @@ node.  These are the paper's barriers, the device of its proof; the
 singular solve does not use them, and certifies its own pair from its first
 Dirichlet solve (solver.solve_singular).  For the singular problem the
 right-hand side is evaluated at the candidate itself, K * w^(-p), which is
-the definition of a sub/supersolution of that equation.
+the definition of a sub/supersolution of that equation.  A ProblemSpec
+posed at another m than the check's is refused.
 
 Both sides of the inequality are homogeneous in c, so auto_scale finds a
 side's scale from one operator application to the unit barrier, and
@@ -70,6 +71,7 @@ __all__ = [
 
 SUB = "sub"
 SUPER = "super"
+SKIP_CELLS = 2  # boundary cells a check skips unless told otherwise
 _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
 
@@ -142,7 +144,7 @@ def _checked_indices(grid: Grid1D, skip_cells: int, slack: float) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _rhs_at(candidate: GridFunction, rhs, side: str) -> np.ndarray:
+def _rhs_at(candidate: GridFunction, rhs, side: str, m: float) -> np.ndarray:
     """Right-hand side values at the nodes, fixed theta or K * candidate^(-p).
 
     For the singular right-hand side the weight envelope is used one-sidedly:
@@ -158,6 +160,8 @@ def _rhs_at(candidate: GridFunction, rhs, side: str) -> np.ndarray:
     grid = candidate.grid
     if spec.domain != grid.domain:
         raise GridMismatch(f"the problem is posed on {spec.domain}, the grid on {grid.domain}")
+    if spec.m != m:
+        raise DomainError(f"the problem is posed at m = {spec.m}, the operator at m = {m}")
     sl = grid.unknown_slice
     if np.any(candidate.values[sl] <= 0.0):
         raise NonPositiveCandidate("singular rhs needs a positive candidate")
@@ -175,7 +179,7 @@ def check_barrier(
     rhs,
     m: float,
     slack: float = 0.0,
-    skip_cells: int = 2,
+    skip_cells: int = SKIP_CELLS,
     description: str = "",
 ) -> BarrierCertificate:
     """Certify the discrete sub/supersolution inequality for ``candidate``.
@@ -184,11 +188,12 @@ def check_barrier(
     case the singular right-hand side K * candidate^(-p) is used (candidate
     must then be positive at interior nodes).  Sub is certified iff the
     residual -div(Phi(candidate)) - rhs is <= slack at every checked node,
-    super iff it is >= -slack.  A non-finite slack raises DomainError.
+    super iff it is >= -slack.  A non-finite slack, or a ProblemSpec posed
+    at another m, raises DomainError.
     """
     if side not in (SUB, SUPER):
         raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
-    res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side)
+    res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side, m)
     idx = _checked_indices(candidate.grid, skip_cells, slack)
     margins = (1.0 if side == SUPER else -1.0) * res[idx] + slack
     k = int(np.argmin(margins))
@@ -204,22 +209,21 @@ def check_barrier(
     )
 
 
-def check_scaled(family, side, c, rhs, m, base, slack, skip_cells):
-    """The barrier of ``family`` at scale c and its certificate."""
+def check_scaled(family, side, c, rhs, base, slack, skip_cells):
+    """The barrier of ``family`` at scale c and its certificate at base.m."""
     cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base))
-    return cand, check_barrier(cand, side, rhs, m, slack, skip_cells, family.describe())
+    return cand, check_barrier(cand, side, rhs, base.m, slack, skip_cells, family.describe())
 
 
 def auto_scale(
     family: BoundaryProfile,
     side: str,
     rhs,
-    m: float,
     base: EigenPair,
     slack: float = 0.0,
-    skip_cells: int = 2,
+    skip_cells: int = SKIP_CELLS,
 ) -> tuple[float, BarrierCertificate]:
-    """The barrier's scale c >= 1 and its certificate.
+    """The barrier's scale c >= 1 and its certificate, at the m of ``base``.
 
     With A = -div(Phi(P)) and R the rhs of the unit barrier P (c = 1) at the
     checked nodes, the residual at scale c is c^(m-1) A - c^(-p) R on the
@@ -244,9 +248,10 @@ def auto_scale(
     and none does as m nears 1 (on the ball, w_0 = w_1 and the residual at
     r = 0 is -K w^(-p)).
     """
+    m = base.m
     unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base))
     idx = _checked_indices(base.grid, skip_cells, slack)
-    a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side)[idx]
+    a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side, m)[idx]
     p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
     s = 1.0 if side == SUPER else -1.0
 
@@ -267,7 +272,7 @@ def auto_scale(
     c0 = 2.0**hi
     steps = (c0 + 2.0**j * math.ulp(c0) for j in range(33))
     for c in (c0, *steps, 2.0 ** math.ceil(hi)):
-        _, cert = check_scaled(family, side, c, rhs, m, base, slack, skip_cells)
+        _, cert = check_scaled(family, side, c, rhs, base, slack, skip_cells)
         if cert.certified:
             return c, cert
     raise NoCertifiableScale(
@@ -297,19 +302,19 @@ def certified_pair(
     Both sides are checked at every unknown node (no skipped boundary cells),
     at the larger of their two scales (auto_scale), so the comparison
     principle puts the discrete solution between them everywhere; the side
-    that set that scale keeps its certificate.
+    that set that scale keeps its certificate.  A base at another m is refused.
     """
     if base is None:
         base = first_eigenpair(grid, spec.m)
     elif not same_grid(base.grid, grid):
         raise GridMismatch("barrier base eigenpair was computed on a different grid")
     families = dict(zip((SUB, SUPER), regime_profiles(spec)))
-    scales = {s: auto_scale(f, s, spec, spec.m, base, skip_cells=0) for s, f in families.items()}
+    scales = {s: auto_scale(f, s, spec, base, skip_cells=0) for s, f in families.items()}
     c = max(c for c, _ in scales.values())
     found = {
         s: (build_barrier(BarrierSpec(family=f, c=c, side=s, base=base)), scales[s][1])
         if scales[s][0] == c
-        else check_scaled(f, s, c, spec, spec.m, base, 0.0, 0)
+        else check_scaled(f, s, c, spec, base, 0.0, 0)
         for s, f in families.items()
     }
     for _, cert in found.values():

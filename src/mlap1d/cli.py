@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import barriers
+from . import analyzer, barriers, core, repro
 from .analyzer import (
     distance_integral_classify,
     fit_boundary_exponent,
@@ -99,23 +99,23 @@ def _float_or(word: str):
 
 FITS = {"power": fit_boundary_exponent, "logaffine": fit_log_profile}
 
-# key -> (parser, default).  Every key can come from config file, environment
-# (MLAP1D_<KEY>), or flags; unknown keys are rejected.
+# key -> (parser, default; the library's default where it has one).  Every key
+# can come from config file, environment (MLAP1D_<KEY>), or flags; unknown keys are rejected.
 KNOWN_KEYS: dict[str, tuple] = {
     # problem
     "m": (float, 2.0),
     "p": (float, 0.0),
     "q": (float, 0.0),
-    "k_low": (float, 1.0),
-    "k_high": (float, 1.0),
+    "k_low": (float, ProblemSpec.k_low),
+    "k_high": (float, ProblemSpec.k_high),
     "domain": (_choice("interval", "ball"), "interval"),
     "ball_dim": (int, 3),
     # grid
     "n": (int, 1025),
-    "grading": (float, 3.0),
+    "grading": (float, core.DEFAULT_GRADING),
     # solver
-    "picard_tol": (float, 1e-8),
-    "max_picard_iters": (int, 100),
+    "picard_tol": (float, SolverConfig.picard_tol),
+    "max_picard_iters": (int, SolverConfig.max_picard_iters),
     # right-hand side selection for solve/fit/scan/barrier-check
     "rhs": (_choice("singular", "const", "power", "logpower"), "singular"),
     "theta_const": (float, 1.0),
@@ -125,7 +125,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "window_hi": (float, 1e-2),
     "taus": (_list_of(float), (2.0, 2.5, 3.0, 3.5, 4.0)),
     "levels": (_list_of(int), (257, 513, 1025, 2049)),
-    "int_levels": (int, 6),
+    "int_levels": (int, analyzer.DISTANCE_LEVELS),
     "fit_kind": (_choice(*FITS), "power"),
     "expect": (_float_or(""), ""),
     "expect_tol": (float, 0.05),
@@ -138,12 +138,12 @@ KNOWN_KEYS: dict[str, tuple] = {
     "side": (_choice(barriers.SUB, barriers.SUPER), barriers.SUPER),
     "c": (_float_or("auto"), "auto"),
     "slack": (float, 0.0),
-    "skip_cells": (int, 2),
+    "skip_cells": (int, barriers.SKIP_CELLS),
     # output
     "output_dir": (str, "mlap1d-out"),
     "formats": (_list_of(_choice("csv", "report")), ("csv", "report")),
     # reproduce
-    "matrix": (_list_of(str), ("E1", "E2", "E3")),
+    "matrix": (_list_of(str), repro.DEFAULT_RUN),
 }
 
 
@@ -398,10 +398,10 @@ def cmd_barrier_check(cfg: RunConfig) -> int:
     family = _barrier_family(cfg, spec)
     slack, skip = cfg["slack"], cfg["skip_cells"]
     if cfg["c"] == "auto":
-        c, cert = barriers.auto_scale(family, side, rhs, cfg["m"], base, slack, skip)
+        c, cert = barriers.auto_scale(family, side, rhs, base, slack, skip)
     else:
         c = cfg["c"]
-        _, cert = barriers.check_scaled(family, side, c, rhs, cfg["m"], base, slack, skip)
+        _, cert = barriers.check_scaled(family, side, c, rhs, base, slack, skip)
     block = [("command", "barrier-check"), ("family", family.describe()), ("c", c)]
     block += cert.report_items()
     _emit(cfg, "barrier", block)

@@ -62,6 +62,9 @@ CRITICAL_EQ_TOL = 1e-12
 # Fewest nodes make_graded_grid builds a grid with.
 MIN_NODES = 16
 
+# Grading of the grids the analyzer, repro and the command line build by default.
+DEFAULT_GRADING = 3.0
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -449,7 +452,7 @@ class Grid1D:
         x <= 1/2 and x > 1/2 on the interval, every node on the ball."""
         if self.domain.is_ball:
             return (slice(0, self.n),)
-        half = int(np.searchsorted(self.nodes, 0.5, side="right"))
+        half = self._centre[1]
         return (slice(0, half), slice(half, self.n))
 
     @property
@@ -538,28 +541,16 @@ class GridFunction:
             )
 
     @staticmethod
-    def from_callable(
-        grid: Grid1D,
-        f: Callable[[np.ndarray], np.ndarray],
-        dirichlet: bool = False,
-    ) -> "GridFunction":
-        """Sample ``f`` at ``grid.nodes``.
-
-        With ``dirichlet=True`` the boundary entries are forced to exactly 0,
-        which also suppresses sampling artifacts of functions singular at the
-        boundary (f is still evaluated there; use interior_from_callable to
-        avoid that).
+    def from_callable(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
+        """Sample ``f`` at ``grid.nodes``, the boundary included; use
+        interior_from_callable for boundary entries of 0.
 
         On a graded interval grid the right-half nodes are 1 − delta, which
         rounds delta to ulp(1) off n = 2^k + 1, so a function of the distance
         sampled here is not an exact mirror.  Build such a function from
         ``grid.delta_nodes`` instead.
         """
-        v = np.asarray(f(grid.nodes), dtype=float).copy()
-        if dirichlet:
-            for i in grid.dirichlet_indices():
-                v[i] = 0.0
-        return GridFunction(grid, v)
+        return GridFunction(grid, np.asarray(f(grid.nodes), dtype=float).copy())
 
     @staticmethod
     def interior_from_callable(

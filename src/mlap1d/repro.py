@@ -23,7 +23,9 @@ from .analyzer import (
     gradient_bound_check,
     threshold_scan,
 )
-from .core import Domain, Grid1D, ProblemSpec, Regime, classify_regime, make_graded_grid
+from .core import (
+    DEFAULT_GRADING, Domain, Grid1D, ProblemSpec, Regime, classify_regime, make_graded_grid,
+)
 from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
@@ -117,7 +119,7 @@ class MatrixEntry:
     spec: ProblemSpec
     fit_n: int
     window: tuple[float, float]
-    grading: float = 3.0
+    grading: float = DEFAULT_GRADING
     scan_taus: tuple[float, ...] = ()
     scan_levels: tuple[int, ...] = ()
     gradient_ns: tuple[int, int] | None = None
@@ -148,7 +150,7 @@ def default_matrix() -> dict[str, MatrixEntry]:
             scan_taus=(2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
             scan_levels=(2049, 4097, 8193),
         ),
-        # m != 2, run on request only (--matrix E4,E5)
+        # m != 2, so not in DEFAULT_RUN: run on request only (--matrix E4,E5)
         "E4": MatrixEntry(
             "E4", ProblemSpec(m=3.0, p=0.5, q=1.0), fit_n=8193, window=(1e-4, 1e-2),
             scan_taus=(4.0, 4.75, 5.0, 5.25, 6.0), scan_levels=(2049, 4097, 8193),
@@ -159,6 +161,9 @@ def default_matrix() -> dict[str, MatrixEntry]:
             scan_taus=(1.5, 1.75, 2.0, 2.25, 2.5), scan_levels=(2049, 4097, 8193),
         ),
     }
+
+
+DEFAULT_RUN = ("E1", "E2", "E3")  # the entries a run takes unless told otherwise
 
 
 def _predictions(spec: ProblemSpec) -> dict[str, float]:
@@ -282,7 +287,4 @@ def reproduce(
     grids: dict[tuple[Domain, int, float], Grid1D] = {}
     for name in names:
         claims.extend(_entry_claims(matrix[name], predictions, config, grids))
-    ids = [c.claim_id for c in claims]
-    if len(ids) != len(set(ids)):
-        raise InvalidConfig("duplicate claim ids in reproduction run")
     return ReproReport(tuple(claims))

@@ -262,8 +262,8 @@ def test_criterion_9_solver_oracles():
             if m == 2.0:
                 # the m = 2 torsion solution is quadratic, hence exact on any
                 # grid; use the sine manufactured solution instead
-                theta = GridFunction.from_callable(
-                    gg, lambda x: np.pi**2 * np.sin(np.pi * x), dirichlet=True
+                theta = GridFunction.interior_from_callable(
+                    gg, lambda x: np.pi**2 * np.sin(np.pi * x)
                 )
                 exact = np.sin(np.pi * gg.nodes)
             else:
@@ -312,11 +312,11 @@ def test_criterion_11_negative_controls(tmp_path):
     # refinement: the coarse-grid scale is destroyed on the fine grid, where
     # no c <= 2^6 certifies
     eig_coarse = first_eigenpair(make_graded_grid(257, 3.0), 2.0)
-    c_coarse, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_coarse)
+    c_coarse, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, eig_coarse)
     assert c_coarse <= 2.0**6
     eig_fine = first_eigenpair(make_graded_grid(4097, 3.0), 2.0)
     try:
-        c_fine, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, 2.0, eig_fine)
+        c_fine, _ = auto_scale(BoundaryProfile.power(0.3), SUB, E3, eig_fine)
     except NoCertifiableScale:
         c_fine = math.inf
     assert c_fine > 2.0**6

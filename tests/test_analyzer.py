@@ -38,7 +38,7 @@ from oracles import log_profile_exponent, quad_integral
 
 
 def sampled(grid, f):
-    return GridFunction.from_callable(grid, f, dirichlet=True)
+    return GridFunction.interior_from_callable(grid, f)
 
 
 def singular_levels(spec):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -37,6 +38,11 @@ def eig_1025():
     return first_eigenpair(make_graded_grid(1025, 3.0), 2.0)
 
 
+@pytest.fixture(scope="module")
+def eig3_1025():
+    return first_eigenpair(make_graded_grid(1025, 3.0), 3.0)
+
+
 def assert_between_paper_barriers(spec, grid, rep):
     """The singular solve's answer lies within picard_tol of the paper's
     certified phi-barrier pair on the same grid."""
@@ -50,7 +56,7 @@ def assert_between_paper_barriers(spec, grid, rep):
 def synthetic_sine_pair(n=13):
     """An exact analytic stand-in base: sin(pi x) with lambda = pi^2."""
     g = make_graded_grid(n, 1.0)
-    phi = GridFunction.from_callable(g, lambda x: np.sin(np.pi * x), dirichlet=True)
+    phi = GridFunction.interior_from_callable(g, lambda x: np.sin(np.pi * x))
     from mlap1d.eigen import EigenPair
 
     return EigenPair(eigenfunction=phi, eigenvalue=np.pi**2, m=2.0, residual=0.0)
@@ -144,8 +150,8 @@ class TestCheckBarrier:
             g, lambda x: g.domain.delta(x) ** (-4.0 / 3.0)
         )
         fam = BoundaryProfile.power(2.0 / 3.0)
-        c_sup, cert_sup = auto_scale(fam, SUPER, theta, 2.0, eig)
-        c_sub, cert_sub = auto_scale(fam, SUB, theta, 2.0, eig)
+        c_sup, cert_sup = auto_scale(fam, SUPER, theta, eig)
+        c_sub, cert_sub = auto_scale(fam, SUB, theta, eig)
         assert cert_sup.certified and cert_sub.certified
         assert c_sup <= 2.0**10 and c_sub <= 2.0**10
 
@@ -162,7 +168,7 @@ class TestCheckBarrier:
     def test_worst_node_reported(self):
         g = make_graded_grid(65, 2.0)
         theta = GridFunction(g, np.full(g.n, 1.0))
-        u = GridFunction.from_callable(g, lambda x: x * (1 - x), dirichlet=True)
+        u = GridFunction.interior_from_callable(g, lambda x: x * (1 - x))
         cert = check_barrier(u, SUPER, theta, 2.0)
         assert cert.certified  # -lap = 2 >= 1
         assert 0 < cert.worst_node < g.n - 1
@@ -172,7 +178,7 @@ class TestCheckBarrier:
 class TestAutoScale:
     def test_regime_family_certifies_both_sides(self, eig_1025):
         for side in (SUB, SUPER):
-            c, cert = auto_scale(BoundaryProfile.power(2.0 / 3.0), side, E3, 2.0, eig_1025)
+            c, cert = auto_scale(BoundaryProfile.power(2.0 / 3.0), side, E3, eig_1025)
             assert cert.certified and c <= 2.0**10
 
     def test_certification_monotone_in_c(self):
@@ -180,7 +186,7 @@ class TestAutoScale:
         eig = synthetic_sine_pair(129)
         g = eig.grid
         theta = GridFunction(g, np.full(g.n, 5.0))
-        c_star, _ = auto_scale(BoundaryProfile.power(1.0), SUPER, theta, 2.0, eig)
+        c_star, _ = auto_scale(BoundaryProfile.power(1.0), SUPER, theta, eig)
         for c in (c_star, 2 * c_star, 8 * c_star, 64 * c_star):
             bspec = BarrierSpec(family=BoundaryProfile.power(1.0), c=c, side=SUPER, base=eig)
             cert = check_barrier(build_barrier(bspec), SUPER, theta, 2.0)
@@ -194,7 +200,7 @@ class TestAutoScale:
         for n in (257, 1025, 4097):
             eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0)
             try:
-                c_by_n[n], _ = auto_scale(wrong, SUB, E3, 2.0, eig)
+                c_by_n[n], _ = auto_scale(wrong, SUB, E3, eig)
             except NoCertifiableScale:
                 c_by_n[n] = math.inf
         assert c_by_n[257] <= 2.0**6  # spuriously certified when coarse
@@ -209,7 +215,7 @@ class TestAutoScale:
         cs = []
         for n in (257, 1025, 4097):
             eig = first_eigenpair(make_graded_grid(n, 3.0), 2.0)
-            c, _ = auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, E3, 2.0, eig)
+            c, _ = auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, E3, eig)
             cs.append(c)
         assert max(cs) - min(cs) <= 1e-3 * min(cs)
 
@@ -287,7 +293,7 @@ class TestCertifiedPair:
 
 
 def _check_at(family, side, c, spec, base, skip_cells):
-    _, cert = check_scaled(family, side, c, spec, spec.m, base, 0.0, skip_cells)
+    _, cert = check_scaled(family, side, c, spec, base, 0.0, skip_cells)
     return cert.certified
 
 
@@ -321,7 +327,7 @@ class TestExactScale:
     def test_scale_certifies_and_just_below_does_not(self, scale_bases, name, side, skip_cells):
         spec, base = SCALE_CASES[name], scale_bases[name]
         family = dict(zip((SUB, SUPER), regime_profiles(spec)))[side]
-        c, cert = auto_scale(family, side, spec, spec.m, base, skip_cells=skip_cells)
+        c, cert = auto_scale(family, side, spec, base, skip_cells=skip_cells)
         assert cert.certified and cert.skip_cells == skip_cells
         assert _check_at(family, side, c, spec, base, skip_cells)
         if side == SUB and name in FLAT_TOP_SCALES:
@@ -338,7 +344,7 @@ class TestExactScale:
     def test_pair_shares_the_larger_scale(self, scale_bases, name):
         spec, base = SCALE_CASES[name], scale_bases[name]
         scales = [
-            auto_scale(family, side, spec, spec.m, base, skip_cells=0)[0]
+            auto_scale(family, side, spec, base, skip_cells=0)[0]
             for family, side in zip(regime_profiles(spec), (SUB, SUPER))
         ]
         pair = certified_pair(spec, base.grid, base=base)
@@ -375,16 +381,16 @@ class TestExactScale:
         spec = ProblemSpec(m=1.2, p=0.2, q=0.3, domain=Domain.ball(3))
         base = first_eigenpair(make_graded_grid(1025, 3.0, spec.domain), spec.m)
         sub, _ = regime_profiles(spec)
-        c, cert = auto_scale(sub, SUB, spec, spec.m, base, skip_cells=0)
+        c, cert = auto_scale(sub, SUB, spec, base, skip_cells=0)
         assert cert.certified and c == pytest.approx(52.4091, rel=1e-5)
         assert _check_at(sub, SUB, 0.9 * c, spec, base, 0)
         assert not _check_at(sub, SUB, 0.8 * c, spec, base, 0)
 
     def test_e3_scales(self, eig_1025):
         sub, sup = regime_profiles(E3)
-        c_sub, _ = auto_scale(sub, SUB, E3, 2.0, eig_1025)
-        c_super, _ = auto_scale(sup, SUPER, E3, 2.0, eig_1025)
-        c_super_0, _ = auto_scale(sup, SUPER, E3, 2.0, eig_1025, skip_cells=0)
+        c_sub, _ = auto_scale(sub, SUB, E3, eig_1025)
+        c_super, _ = auto_scale(sup, SUPER, E3, eig_1025)
+        c_super_0, _ = auto_scale(sup, SUPER, E3, eig_1025, skip_cells=0)
         assert c_sub == pytest.approx(2.21201, rel=2e-6)
         assert c_super == pytest.approx(1.30312, rel=2e-6)
         assert c_super_0 == pytest.approx(1.70595, rel=2e-6)
@@ -397,12 +403,12 @@ class TestExactScale:
         # the super side has A <= 0 on the flat top (nodes 401 to 623), so no
         # c serves; the refusal names the node where A is most negative
         with pytest.raises(NoCertifiableScale, match="-div.Phi. = -5298.25 .* at node 416$"):
-            auto_scale(sup, SUPER, spec, spec.m, base, skip_cells=0)
+            auto_scale(sup, SUPER, spec, base, skip_cells=0)
         # the sub side's homogeneous scale 2.41e38 fails its check at node
         # 481; the next power of two keeps the unit barrier's rounding
-        c, cert = auto_scale(sub, SUB, spec, spec.m, base, skip_cells=0)
+        c, cert = auto_scale(sub, SUB, spec, base, skip_cells=0)
         assert c == 2.0**128 and cert.certified
-        _, near = check_scaled(sub, SUB, 2.41e38, spec, spec.m, base, 0.0, 0)
+        _, near = check_scaled(sub, SUB, 2.41e38, spec, base, 0.0, 0)
         assert not near.certified and near.worst_node == 481
 
     def test_a_scale_the_check_refuses_is_not_returned(self, eig_1025, monkeypatch):
@@ -414,7 +420,7 @@ class TestExactScale:
         monkeypatch.setattr(mlap1d.barriers, "check_barrier", refusing)
         sub, _ = regime_profiles(E3)
         with pytest.raises(NoCertifiableScale, match="fails its check .* at node \\d+$"):
-            auto_scale(sub, SUB, E3, 2.0, eig_1025)
+            auto_scale(sub, SUB, E3, eig_1025)
 
     def test_pair_refuses_a_side_failing_at_the_shared_scale(self, eig_1025, monkeypatch):
         check = mlap1d.barriers.check_scaled
@@ -443,31 +449,31 @@ class TestExactScale:
     def test_a_node_capping_c_from_above_is_named(self, eig_1025, cap):
         family, theta = self._capped_theta(eig_1025, cap)
         with pytest.raises(NoCertifiableScale, match=r"-div\(Phi\) = -[\d.]+ .* at node \d+$"):
-            auto_scale(family, SUPER, theta, 2.0, eig_1025)
+            auto_scale(family, SUPER, theta, eig_1025)
 
     def test_a_window_of_scales_gives_its_lower_end(self, eig_1025):
         # c = 16, 20 and 32 certify, 8 and 40 do not
         family, theta = self._capped_theta(eig_1025, 32.0)
-        c, cert = auto_scale(family, SUPER, theta, 2.0, eig_1025)
+        c, cert = auto_scale(family, SUPER, theta, eig_1025)
         assert cert.certified and 16.0 <= c <= 16.0 * (1 + 1e-6)
         for c in (8.0, 40.0):
-            assert not check_scaled(family, SUPER, c, theta, 2.0, eig_1025, 0.0, 2)[1].certified
+            assert not check_scaled(family, SUPER, c, theta, eig_1025, 0.0, 2)[1].certified
 
     def test_slack_bisects_to_the_smallest_scale(self, eig_1025):
         sub, _ = regime_profiles(E3)
-        c0, _ = auto_scale(sub, SUB, E3, 2.0, eig_1025)
+        c0, _ = auto_scale(sub, SUB, E3, eig_1025)
         for slack in (1e-3, -1e-3):
-            c, cert = auto_scale(sub, SUB, E3, 2.0, eig_1025, slack=slack)
+            c, cert = auto_scale(sub, SUB, E3, eig_1025, slack=slack)
             assert cert.certified and cert.slack == slack
             assert (c < c0) if slack > 0 else (c > c0)
             _, below = check_scaled(
-                sub, SUB, c * (1 - 1e-6), E3, 2.0, eig_1025, slack, 2
+                sub, SUB, c * (1 - 1e-6), E3, eig_1025, slack, 2
             )
             assert not below.certified
         # -div(Phi(phi/c)) > 0 is never <= theta + slack = -1
         theta = GridFunction(eig_1025.grid, np.full(eig_1025.grid.n, 1.0))
         with pytest.raises(NoCertifiableScale, match="no finite c .* at node"):
-            auto_scale(BoundaryProfile.power(1.0), SUB, theta, 2.0, eig_1025, slack=-2.0)
+            auto_scale(BoundaryProfile.power(1.0), SUB, theta, eig_1025, slack=-2.0)
 
     @pytest.mark.parametrize("skip_cells", [-1, -5])
     def test_negative_skip_cells_is_refused(self, eig_1025, skip_cells):
@@ -508,9 +514,23 @@ class TestRefusals:
         with pytest.raises(GridMismatch, match=match):
             check_barrier(cand, SUPER, spec, 2.0)
         with pytest.raises(GridMismatch, match=match):
-            auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, spec, 2.0, eig_1025)
+            auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, spec, eig_1025)
         with pytest.raises(GridMismatch, match=match):
             certified_pair(spec, eig_1025.grid, base=eig_1025)
+
+    @pytest.mark.parametrize("entry", ["check_barrier", "auto_scale", "certified_pair"])
+    def test_a_spec_at_another_m_is_refused(self, eig3_1025, entry):
+        # E3 (m = 2) was once checked with the m = 3 operator: auto_scale
+        # certified c = 11.2103, certified_pair a pair at c = 12.9074
+        sub, _ = regime_profiles(E3)
+        calls = {
+            "check_barrier": lambda: check_barrier(eig3_1025.eigenfunction, SUB, E3, 3.0),
+            "auto_scale": lambda: auto_scale(sub, SUB, E3, eig3_1025),
+            "certified_pair": lambda: certified_pair(E3, eig3_1025.grid, base=eig3_1025),
+        }
+        match = "^the problem is posed at m = 2.0, the operator at m = 3.0$"
+        with pytest.raises(DomainError, match=match):
+            calls[entry]()
 
     def test_a_barrier_lives_on_its_base_grid(self, eig_1025):
         spec = BarrierSpec(family=BoundaryProfile.power(0.5), c=2.0, side=SUB, base=eig_1025)
@@ -518,3 +538,18 @@ class TestRefusals:
         assert w.grid is eig_1025.grid
         phi = eig_1025.eigenfunction.values
         assert np.array_equal(w.values[1:-1], 0.5 * phi[1:-1] ** 0.5)
+
+
+def test_no_barrier_entry_point_takes_an_m_beside_an_eigenpair():
+    """A check samples one eigenpair and takes its m; check_barrier, whose
+    bare candidate carries none, is the one entry point that takes m."""
+    takes_m = set()
+    for name, obj in vars(mlap1d.barriers).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != "mlap1d.barriers":
+            continue
+        params = inspect.signature(obj).parameters
+        base = [p for p in params.values() if p.name == "base" or "EigenPair" in str(p.annotation)]
+        assert not (base and "m" in params), name
+        if "m" in params:
+            takes_m.add(name)
+    assert takes_m == {"check_barrier"}

@@ -18,7 +18,8 @@ import mlap1d.cli
 import mlap1d.eigen
 import mlap1d.repro
 import mlap1d.solver
-from mlap1d.analyzer import threshold_scan
+from mlap1d.analyzer import distance_integral_classify, threshold_scan
+from mlap1d.barriers import auto_scale, check_barrier
 from mlap1d.cli import (
     COMMANDS,
     field_csv_text,
@@ -29,8 +30,10 @@ from mlap1d.cli import (
 from mlap1d.core import Domain, GridFunction, ProblemSpec, make_graded_grid
 from mlap1d.errors import InvalidConfig
 from mlap1d.repro import (
+    DEFAULT_RUN,
     RATE_ERROR,
     ClaimRecord,
+    MatrixEntry,
     ReproReport,
     _entry_claims,
     default_matrix,
@@ -1143,6 +1146,39 @@ def test_every_known_key_is_read():
         and isinstance(node.slice, ast.Constant)
     }
     assert set(mlap1d.cli.KNOWN_KEYS) - read == set()
+
+
+def test_every_key_the_library_defaults_takes_the_library_default():
+    """The key table and the library cannot drift apart: each such key's
+    default equals every library default it stands for."""
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    spec, config = ProblemSpec(2.0, 0.0, 0.0), SolverConfig()
+    library = {
+        "picard_tol": [config.picard_tol],
+        "max_picard_iters": [config.max_picard_iters],
+        "k_low": [spec.k_low],
+        "k_high": [spec.k_high],
+        "grading": [default(threshold_scan, "grading"),
+                    default(distance_integral_classify, "grading"),
+                    {f.name: f.default for f in dataclasses.fields(MatrixEntry)}["grading"]],
+        "int_levels": [default(distance_integral_classify, "refinement_levels")],
+        "skip_cells": [default(check_barrier, "skip_cells"), default(auto_scale, "skip_cells")],
+        "matrix": [DEFAULT_RUN],
+    }
+    for key, values in library.items():
+        assert values == [mlap1d.cli.KNOWN_KEYS[key][1]] * len(values), key
+    # a run takes the m = 2 entries unless others are named
+    assert DEFAULT_RUN == tuple(k for k, e in default_matrix().items() if e.spec.m == 2.0)
+
+
+def test_every_scanned_tau_has_its_own_claim_id():
+    """Claim ids start with their entry's id, which is unique, so the scanned
+    taus of one entry are the only ids that could collide: tau_<tau:g>."""
+    for entry in default_matrix().values():
+        names = [f"tau_{tau:g}" for tau in entry.scan_taus]
+        assert len(set(names)) == len(names), entry.entry_id
 
 
 def test_repro_imports_nothing_from_cli():

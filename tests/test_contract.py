@@ -5,11 +5,17 @@ raises a typed error that names its cause or returns a certified solution.
 The draws are derandomized, so the suite sees the same ones on every run.
 Off the chain the draws add a custom K, jittered nodes and even n, which
 run the whole-grid loop and the closure search of the interval.
+A few draws also run through ``mlap1d solve``, which must write the
+library's answer or print its typed error.
 The m -> 1 corner below once escaped as an untyped OverflowError, from the
 resolution floor's lam_lo^p; it is an exhausted budget.
 """
 
+import io
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +31,7 @@ from mlap1d import (
     make_graded_grid,
     solve_singular,
 )
-from mlap1d.cli import main
+from mlap1d.cli import field_csv_text, main, parse_report
 from mlap1d.errors import BarrierOrderViolation, MlapError, NonConvergence
 
 # (m, p, q, N, n, grading) where lam_lo^p overflowed: the lattice points
@@ -142,6 +148,42 @@ def test_every_off_chain_draw_certifies_or_raises_a_typed_error(point):
     sl, weight = grid.unknown_slice, np.zeros(n)
     weight[sl] = grid.delta_nodes[sl] ** (-q) * (1.0 + eps * np.sin(k * grid.nodes[sl]))
     assert_certified_or_typed(spec, grid, GridFunction(grid, weight))
+
+
+@given(draws())
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@example(CORNER[4])  # an exhausted budget, exit 1
+@example((2.0, 0.5, 0.0, 1, 1499, 5.9))  # a grid that collapses, exit 2
+def test_a_draw_solved_on_the_command_line_matches_the_library(point):
+    """``mlap1d solve`` writes the library solve's field and report numbers,
+    or exits with the library's typed error as its one line."""
+    m, p, q, dim, n, grading = point
+    argv = ["solve", "--m", repr(m), "--p", repr(p), "--q", repr(q), "--n", str(n),
+            "--grading", repr(grading)]
+    if dim > 1:
+        argv += ["--domain", "ball", "--ball-dim", str(dim)]
+    error = None
+    try:
+        spec = ProblemSpec(m=m, p=p, q=q, domain=domain(dim))
+        rep = solve_singular(spec, make_graded_grid(n, grading, spec.domain))
+    except MlapError as exc:
+        error = exc
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--output-dir", tmp])
+        csv = Path(tmp, "solution.csv").read_bytes() if code == 0 else None
+        report = Path(tmp, "solve.report").read_text(encoding="utf-8") if code == 0 else None
+    if error is not None:
+        what = "verification failed" if error.exit_status == 1 else "invalid input"
+        assert code == error.exit_status in (1, 2)
+        assert (out.getvalue(), err.getvalue()) == ("", f"{what}: {error}\n")
+        return
+    assert code == 0 and err.getvalue() == ""
+    assert csv == field_csv_text(rep.solution).encode("ascii")
+    block = parse_report(report)[0]
+    assert int(block["iterations"]) == rep.iterations
+    assert float(block["picard_gap"]) == rep.picard_gap
+    assert float(block["barrier_c"]) == rep.barrier_c
 
 
 @pytest.mark.parametrize("point", CORNER)

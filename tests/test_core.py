@@ -395,12 +395,14 @@ class TestGridFunction:
 
     def test_dirichlet_sampling(self):
         g = make_graded_grid(33, 1.0)
-        u = GridFunction.from_callable(g, lambda x: np.sin(np.pi * x), dirichlet=True)
+        u = GridFunction.interior_from_callable(g, lambda x: np.sin(np.pi * x))
         assert u.values[0] == 0.0 and u.values[-1] == 0.0
+        # from_callable samples the boundary nodes too
+        assert GridFunction.from_callable(g, lambda x: 1.0 + x).values[[0, -1]].tolist() == [1, 2]
 
     def test_ball_dirichlet_only_right(self):
         g = make_graded_grid(33, 1.0, Domain.ball(2))
-        u = GridFunction.from_callable(g, lambda r: 1.0 - r**2, dirichlet=True)
+        u = GridFunction.interior_from_callable(g, lambda r: 1.0 - r**2)
         assert u.values[-1] == 0.0
         assert u.values[0] == 1.0  # the center is not a boundary node
 

@@ -59,7 +59,7 @@ class TestFirstEigenpair:
         for m in (2.0, 3.0):
             pair = first_eigenpair(g, m)
             for f in (lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)):
-                trial = GridFunction.from_callable(g, f, dirichlet=True)
+                trial = GridFunction.interior_from_callable(g, f)
                 assert pair.eigenvalue <= rayleigh_quotient(trial, m) * (1 + 1e-9)
 
     def test_residual_small(self):

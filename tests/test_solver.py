@@ -108,8 +108,8 @@ class TestSolveDirichlet:
 
     def test_m2_sine_recovery(self):
         g = make_graded_grid(257, 1.0)
-        theta = GridFunction.from_callable(
-            g, lambda x: np.pi**2 * np.sin(np.pi * x), dirichlet=True
+        theta = GridFunction.interior_from_callable(
+            g, lambda x: np.pi**2 * np.sin(np.pi * x)
         )
         rep = solve_dirichlet(theta, 2.0)
         err = np.max(np.abs(rep.solution.values - np.sin(np.pi * g.nodes)))
@@ -168,8 +168,8 @@ class TestSolveDirichlet:
     def test_homogeneity(self, m, c):
         # solve(c^(m-1) theta) = c * solve(theta)
         g = make_graded_grid(129, 1.5)
-        theta = GridFunction.from_callable(
-            g, lambda x: 1.0 + np.sin(np.pi * x), dirichlet=True
+        theta = GridFunction.interior_from_callable(
+            g, lambda x: 1.0 + np.sin(np.pi * x)
         )
         base = solve_dirichlet(theta, m).solution.values
         scaled = solve_dirichlet(
@@ -198,8 +198,8 @@ class TestSolveDirichlet:
             if m == 2.0:
                 # m = 2 torsion is quadratic (exact on every grid); use the
                 # sine manufactured solution to see the discretization order
-                theta = GridFunction.from_callable(
-                    g, lambda x: np.pi**2 * np.sin(np.pi * x), dirichlet=True
+                theta = GridFunction.interior_from_callable(
+                    g, lambda x: np.pi**2 * np.sin(np.pi * x)
                 )
                 exact = np.sin(np.pi * g.nodes)
             else:
@@ -253,7 +253,7 @@ class TestMirrorSymmetricSolve:
 
     def test_asymmetric_theta_takes_the_closure_path(self):
         g = make_graded_grid(1025, 3.0)
-        theta = GridFunction.from_callable(g, lambda x: 1.0 + x, dirichlet=True)
+        theta = GridFunction.interior_from_callable(g, lambda x: 1.0 + x)
         rep = solve_dirichlet(theta, 3.0)
         assert rep.converged and rep.iterations > 0
 
@@ -399,8 +399,8 @@ class TestSolveSingular:
         # K built so that sin(pi x)^(2/3) is the exact discrete solution
         spec_mpq = dict(m=2.0, p=0.5, q=1.0)
         g = make_graded_grid(2049, 3.0)
-        u_star = GridFunction.from_callable(
-            g, lambda x: np.sin(np.pi * x) ** (2.0 / 3.0), dirichlet=True
+        u_star = GridFunction.interior_from_callable(
+            g, lambda x: np.sin(np.pi * x) ** (2.0 / 3.0)
         )
         neg_lap = apply_mlap(u_star, 2.0)
         sl = g.unknown_slice
