@@ -7,8 +7,11 @@ A barrier is a core.BoundaryProfile of the first eigenfunction phi
   * log-power:  c^(+-1) * phi * log^s (A / phi),   s > 0, A > sup phi
 
 with the same constant c >= 1 scaling the supersolution up and the subsolution
-down.  core.regime_profiles picks each regime's (sub, super) profiles, the
-same ones the singular solve starts from with delta in place of phi.
+down.  build_barrier(family, side, c, base) is the one way to build one, so
+every barrier takes its grid and m from its eigenpair alone; certified_pair
+(spec, base) builds both sides on base.grid.  core.regime_profiles picks
+each regime's (sub, super) profiles, the same ones the singular solve starts
+from with delta in place of phi.
 
 A candidate w is numerically certified as a subsolution of -div(Phi) = rhs
 when the discrete residual -div(Phi(w)) - rhs(w) is <= slack at every
@@ -48,7 +51,9 @@ from .core import (
     regime_profiles,
     same_grid,
 )
-from .eigen import EigenPair, first_eigenpair
+# first_eigenpair is unused here but stays importable as barriers.first_eigenpair:
+# bench/tests/test_bench.py checks that the tracer wraps it at this import site.
+from .eigen import EigenPair, first_eigenpair  # noqa: F401
 from .errors import (
     DomainError,
     GridMismatch,
@@ -58,7 +63,6 @@ from .errors import (
 from .solver import apply_mlap
 
 __all__ = [
-    "BarrierSpec",
     "BarrierCertificate",
     "BarrierPair",
     "SUB",
@@ -75,36 +79,21 @@ SKIP_CELLS = 2  # boundary cells a check skips unless told otherwise
 _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
 
-@dataclass(frozen=True, eq=False)
-class BarrierSpec:
-    """One barrier: profile family, scaling c, side, and the base eigenpair."""
-
-    family: BoundaryProfile
-    c: float
-    side: str
-    base: EigenPair
-
-    def __post_init__(self):
-        if self.side not in (SUB, SUPER):
-            raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
-        if not 1.0 <= self.c < math.inf:
-            raise DomainError(f"scaling constant must be >= 1 and finite, got {self.c}")
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / self.c if self.side == SUB else self.c
-
-
-def build_barrier(spec: BarrierSpec) -> GridFunction:
-    """Sample the barrier on the grid of its base eigenpair."""
-    phi = spec.base.eigenfunction.values
-    grid = spec.base.grid
-    prof = spec.family
-    if prof.log_exponent is not None and prof.log_scale <= phi.max():
-        raise DomainError(f"log scale A={prof.log_scale:g} must exceed max phi = {phi.max():g}")
+def build_barrier(family: BoundaryProfile, side: str, c: float, base: EigenPair) -> GridFunction:
+    """The barrier c^(+-1) * family(phi) on ``side``, sampled on the grid of
+    its base eigenpair; c >= 1 scales the supersolution up and the
+    subsolution down."""
+    if side not in (SUB, SUPER):
+        raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
+    if not 1.0 <= c < math.inf:
+        raise DomainError(f"scaling constant must be >= 1 and finite, got {c}")
+    phi = base.eigenfunction.values
+    grid = base.grid
+    if family.log_exponent is not None and family.log_scale <= phi.max():
+        raise DomainError(f"log scale A={family.log_scale:g} must exceed max phi = {phi.max():g}")
     vals = np.zeros(grid.n)
     sl = grid.unknown_slice
-    vals[sl] = prof.scaled(phi[sl], spec.scale)
+    vals[sl] = family.scaled(phi[sl], 1.0 / c if side == SUB else c)
     return GridFunction(grid, vals)
 
 
@@ -211,7 +200,7 @@ def check_barrier(
 
 def check_scaled(family, side, c, rhs, base, slack, skip_cells):
     """The barrier of ``family`` at scale c and its certificate at base.m."""
-    cand = build_barrier(BarrierSpec(family=family, c=c, side=side, base=base))
+    cand = build_barrier(family, side, c, base)
     return cand, check_barrier(cand, side, rhs, base.m, slack, skip_cells, family.describe())
 
 
@@ -249,7 +238,7 @@ def auto_scale(
     r = 0 is -K w^(-p)).
     """
     m = base.m
-    unit = build_barrier(BarrierSpec(family=family, c=1.0, side=side, base=base))
+    unit = build_barrier(family, side, 1.0, base)
     idx = _checked_indices(base.grid, skip_cells, slack)
     a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side, m)[idx]
     p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
@@ -292,27 +281,21 @@ class BarrierPair:
     super_cert: BarrierCertificate
 
 
-def certified_pair(
-    spec: ProblemSpec,
-    grid: Grid1D,
-    base: EigenPair | None = None,
-) -> BarrierPair:
-    """Certified sub/supersolution pair for the singular problem on ``grid``.
+def certified_pair(spec: ProblemSpec, base: EigenPair) -> BarrierPair:
+    """Certified sub/supersolution pair for the singular problem on ``base.grid``.
 
-    Both sides are checked at every unknown node (no skipped boundary cells),
-    at the larger of their two scales (auto_scale), so the comparison
-    principle puts the discrete solution between them everywhere; the side
-    that set that scale keeps its certificate.  A base at another m is refused.
+    The grid and m are the eigenpair's: a spec at another m (DomainError)
+    or on another domain (GridMismatch) is refused.  Both sides are checked
+    at every unknown node (no skipped boundary cells), at the larger of
+    their two scales (auto_scale), so the comparison principle puts the
+    discrete solution between them everywhere; the side that set that scale
+    keeps its certificate.
     """
-    if base is None:
-        base = first_eigenpair(grid, spec.m)
-    elif not same_grid(base.grid, grid):
-        raise GridMismatch("barrier base eigenpair was computed on a different grid")
     families = dict(zip((SUB, SUPER), regime_profiles(spec)))
     scales = {s: auto_scale(f, s, spec, base, skip_cells=0) for s, f in families.items()}
     c = max(c for c, _ in scales.values())
     found = {
-        s: (build_barrier(BarrierSpec(family=f, c=c, side=s, base=base)), scales[s][1])
+        s: (build_barrier(f, s, c, base), scales[s][1])
         if scales[s][0] == c
         else check_scaled(f, s, c, spec, base, 0.0, 0)
         for s, f in families.items()

@@ -66,6 +66,15 @@ MIN_NODES = 16
 DEFAULT_GRADING = 3.0
 
 
+def is_whole(x) -> bool:
+    """Whether x is a finite whole number and not a bool (3 and 3.0 are, 2.5,
+    nan, inf and True are not)."""
+    try:
+        return not isinstance(x, bool) and x == int(x)
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        return False
+
+
 @dataclass(frozen=True)
 class Domain:
     """Computational domain: the open unit interval or the radial unit ball.
@@ -81,6 +90,11 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("interval", "ball"):
             raise InvalidConfig(f"unknown domain kind {self.kind!r}")
+        if not is_whole(self.ball_dim):
+            raise AdmissibilityViolation(
+                f"dimension N must be a whole number, got N = {self.ball_dim}"
+            )
+        object.__setattr__(self, "ball_dim", int(self.ball_dim))
         if self.kind == "ball" and self.ball_dim < 2:
             raise AdmissibilityViolation("ball domain requires dimension N >= 2")
         if self.kind == "interval" and self.ball_dim != 1:
@@ -92,7 +106,7 @@ class Domain:
 
     @staticmethod
     def ball(n: int) -> "Domain":
-        return Domain("ball", int(n))
+        return Domain("ball", n)
 
     @property
     def is_ball(self) -> bool:
@@ -541,29 +555,17 @@ class GridFunction:
             )
 
     @staticmethod
-    def from_callable(grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        """Sample ``f`` at ``grid.nodes``, the boundary included; use
-        interior_from_callable for boundary entries of 0.
-
-        On a graded interval grid the right-half nodes are 1 − delta, which
-        rounds delta to ulp(1) off n = 2^k + 1, so a function of the distance
-        sampled here is not an exact mirror.  Build such a function from
-        ``grid.delta_nodes`` instead.
-        """
-        return GridFunction(grid, np.asarray(f(grid.nodes), dtype=float).copy())
-
-    @staticmethod
     def interior_from_callable(
         grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]
     ) -> "GridFunction":
         """Sample ``f`` at the non-Dirichlet ``grid.nodes`` only; boundary
         entries are 0.
 
-        This is how singular right-hand sides are realized: they are sampled
-        on the graded grid, never at the boundary itself.  As in
-        from_callable, the right-half nodes 1 − delta of a graded interval
-        grid round delta to ulp(1), so a function of the distance meant to be
-        an exact mirror is built from ``grid.delta_nodes``.
+        This is the one sampler, and how singular right-hand sides are
+        realized: they are sampled on the graded grid, never at the boundary
+        itself.  The right-half nodes 1 − delta of a graded interval grid
+        round delta to ulp(1) off n = 2^k + 1, so a function of the distance
+        meant to be an exact mirror is built from ``grid.delta_nodes``.
         """
         v = np.zeros(grid.n)
         sl = grid.unknown_slice

@@ -119,7 +119,6 @@ class MatrixEntry:
     spec: ProblemSpec
     fit_n: int
     window: tuple[float, float]
-    grading: float = DEFAULT_GRADING
     scan_taus: tuple[float, ...] = ()
     scan_levels: tuple[int, ...] = ()
     gradient_ns: tuple[int, int] | None = None
@@ -179,16 +178,17 @@ def _entry_claims(
     entry: MatrixEntry,
     overrides: dict[str, float],
     config: SolverConfig,
-    grids: dict[tuple[Domain, int, float], Grid1D] | None = None,
+    grids: dict[tuple[Domain, int], Grid1D] | None = None,
 ) -> list[ClaimRecord]:
     """Run one matrix entry end to end and emit its claim records.
 
     ``overrides`` maps lower-case ``<entry>.<claim>`` keys to predictions
     that replace the theorem's.  Every singular solve of the entry goes
     through one memo keyed on n, so the fit solve, the gradient check and
-    the scan levels share their solves.  Grids come from ``grids``, keyed on
-    (domain, n, grading), which entries run together may share, so each grid
-    and its cached geometry is built once.
+    the scan levels share their solves.  Every grid is graded at
+    core.DEFAULT_GRADING and comes from ``grids``, keyed on (domain, n),
+    which entries run together may share, so each grid and its cached
+    geometry is built once.
     """
     eid = entry.entry_id.lower()
     spec = entry.spec
@@ -202,9 +202,9 @@ def _entry_claims(
 
     def solve_at(n: int) -> SolveReport:
         if n not in solves:
-            key = (spec.domain, n, entry.grading)
+            key = (spec.domain, n)
             if key not in grids:
-                grids[key] = make_graded_grid(n, entry.grading, spec.domain)
+                grids[key] = make_graded_grid(n, DEFAULT_GRADING, spec.domain)
             solves[n] = solve_singular(spec, grids[key], config)
         return solves[n]
 
@@ -243,9 +243,7 @@ def _entry_claims(
         claim("gradient_factor", 1.0, max(gb.ratio, 1.0 / gb.ratio), 1e-3)
 
     if entry.scan_taus:
-        scan = threshold_scan(
-            lambda n: solve_at(n).solution, entry.scan_taus, entry.scan_levels, entry.grading
-        )
+        scan = threshold_scan(lambda n: solve_at(n).solution, entry.scan_taus, entry.scan_levels)
         claims += scan_claims(scan, regime.tau_sup, f"{entry.entry_id}.")
     return claims
 
@@ -284,7 +282,7 @@ def reproduce(
             raise InvalidConfig(f"bad value for override {key!r}: {raw!r}") from exc
 
     claims: list[ClaimRecord] = []
-    grids: dict[tuple[Domain, int, float], Grid1D] = {}
+    grids: dict[tuple[Domain, int], Grid1D] = {}
     for name in names:
         claims.extend(_entry_claims(matrix[name], predictions, config, grids))
     return ReproReport(tuple(claims))

@@ -109,6 +109,7 @@ from .core import (
     ProblemSpec,
     _check_m,
     _k_in_envelope,
+    is_whole,
     regime_profiles,
 )
 from .errors import (
@@ -135,7 +136,7 @@ class SolverConfig:
     ``picard_tol`` is the sup-norm width of the scaling bracket at which the
     singular loop stops, positive and finite: at inf the first solve would
     stop with no claim on the answer; ``max_picard_iters`` bounds its
-    Dirichlet solves.
+    Dirichlet solves, a whole number >= 1 (not a bool, NaN or inf).
     """
 
     picard_tol: float = 1e-8
@@ -146,6 +147,9 @@ class SolverConfig:
             raise InvalidConfig(f"picard_tol must be positive, got {self.picard_tol}")
         if not self.picard_tol < math.inf:
             raise InvalidConfig(f"picard_tol must be finite, got {self.picard_tol}")
+        if not is_whole(self.max_picard_iters):
+            raise InvalidConfig(f"max_picard_iters must be a count, got {self.max_picard_iters!r}")
+        object.__setattr__(self, "max_picard_iters", int(self.max_picard_iters))
         if self.max_picard_iters < 1:
             raise InvalidConfig(
                 f"max_picard_iters must be at least 1, got {self.max_picard_iters}"

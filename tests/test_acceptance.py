@@ -287,12 +287,13 @@ def test_criterion_9_solver_oracles():
 def test_criterion_10_barrier_certification(e1_solves, e2_solve, e3_solve):
     details = []
     ok = True
+    base = first_eigenpair(make_graded_grid(4097, 3.0), 2.0)  # m = 2 for E1-E3
     for spec, solve in (
         (E1, e1_solves[1]),
         (E2, e2_solve),
         (E3, e3_solve),
     ):
-        pair = certified_pair(spec, make_graded_grid(4097, 3.0))
+        pair = certified_pair(spec, base)
         certified = pair.sub_cert.certified and pair.super_cert.certified
         u = solve.solution.values
         inside = bool(
@@ -320,11 +321,9 @@ def test_criterion_11_negative_controls(tmp_path):
     except NoCertifiableScale:
         c_fine = math.inf
     assert c_fine > 2.0**6
-    from mlap1d.barriers import BarrierSpec, build_barrier, check_barrier
+    from mlap1d.barriers import build_barrier, check_barrier
 
-    stale = build_barrier(
-        BarrierSpec(family=BoundaryProfile.power(0.3), c=c_coarse, side=SUB, base=eig_fine),
-    )
+    stale = build_barrier(BoundaryProfile.power(0.3), SUB, c_coarse, eig_fine)
     refinement_kills_it = not check_barrier(stale, SUB, E3, 2.0).certified
 
     # a falsified prediction makes the reproduction runner exit 1

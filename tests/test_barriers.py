@@ -7,7 +7,6 @@ import pytest
 
 import mlap1d
 from mlap1d import (
-    BarrierSpec,
     Domain,
     BoundaryProfile,
     GridFunction,
@@ -46,7 +45,7 @@ def eig3_1025():
 def assert_between_paper_barriers(spec, grid, rep):
     """The singular solve's answer lies within picard_tol of the paper's
     certified phi-barrier pair on the same grid."""
-    pair = certified_pair(spec, grid)
+    pair = certified_pair(spec, first_eigenpair(grid, spec.m))
     assert pair.sub_cert.certified and pair.super_cert.certified
     u, tol = rep.solution.values, SolverConfig().picard_tol
     assert np.all(u >= pair.sub.values - tol)
@@ -65,14 +64,12 @@ def synthetic_sine_pair(n=13):
 class TestBuildBarrier:
     def test_identity_scaling(self):
         base = synthetic_sine_pair(33)
-        spec = BarrierSpec(family=BoundaryProfile.power(1.0), c=1.0, side=SUPER, base=base)
-        w = build_barrier(spec)
+        w = build_barrier(BoundaryProfile.power(1.0), SUPER, 1.0, base)
         assert np.allclose(w.values, base.eigenfunction.values, atol=0)
 
     def test_power_two_thirds(self):
         base = synthetic_sine_pair(33)  # odd n: node at x = 1/2
-        spec = BarrierSpec(family=BoundaryProfile.power(2.0 / 3.0), c=2.0, side=SUPER, base=base)
-        w = build_barrier(spec)
+        w = build_barrier(BoundaryProfile.power(2.0 / 3.0), SUPER, 2.0, base)
         mid = base.grid.n // 2
         assert w.values[mid] == pytest.approx(2.0, abs=1e-12)
         expected = 2.0 * np.sin(np.pi * base.grid.nodes[1]) ** (2.0 / 3.0)
@@ -81,10 +78,7 @@ class TestBuildBarrier:
     def test_log_power_value(self):
         # at the node where phi = 1/2: (1/2) log^(1/3)(4) = 0.5575 (about 0.5567)
         base = synthetic_sine_pair(25)  # x = 1/6 gives sin = 1/2
-        spec = BarrierSpec(
-            family=BoundaryProfile.logpower(s=1.0 / 3.0, A=2.0), c=1.0, side=SUPER, base=base
-        )
-        w = build_barrier(spec)
+        w = build_barrier(BoundaryProfile.logpower(s=1.0 / 3.0, A=2.0), SUPER, 1.0, base)
         i = 4  # x = 4/24 = 1/6
         phi_i = base.eigenfunction.values[i]
         assert phi_i == pytest.approx(0.5, abs=1e-12)
@@ -94,10 +88,7 @@ class TestBuildBarrier:
 
     def test_dirichlet_zeros_exact(self):
         base = synthetic_sine_pair(33)
-        spec = BarrierSpec(
-            family=BoundaryProfile.logpower(s=0.5, A=3.0), c=4.0, side=SUB, base=base
-        )
-        w = build_barrier(spec)
+        w = build_barrier(BoundaryProfile.logpower(s=0.5, A=3.0), SUB, 4.0, base)
         assert w.values[0] == 0.0 and w.values[-1] == 0.0
 
     def test_log_scale_must_exceed_max_phi(self):
@@ -109,11 +100,8 @@ class TestBuildBarrier:
         from mlap1d.eigen import EigenPair
 
         tall_base = EigenPair(eigenfunction=tall, eigenvalue=np.pi**2, m=2.0, residual=0.0)
-        spec = BarrierSpec(
-            family=BoundaryProfile.logpower(s=0.5, A=1.2), c=2.0, side=SUB, base=tall_base
-        )
         with pytest.raises(DomainError):
-            build_barrier(spec)
+            build_barrier(BoundaryProfile.logpower(s=0.5, A=1.2), SUB, 2.0, tall_base)
 
     def test_family_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -188,8 +176,8 @@ class TestAutoScale:
         theta = GridFunction(g, np.full(g.n, 5.0))
         c_star, _ = auto_scale(BoundaryProfile.power(1.0), SUPER, theta, eig)
         for c in (c_star, 2 * c_star, 8 * c_star, 64 * c_star):
-            bspec = BarrierSpec(family=BoundaryProfile.power(1.0), c=c, side=SUPER, base=eig)
-            cert = check_barrier(build_barrier(bspec), SUPER, theta, 2.0)
+            w = build_barrier(BoundaryProfile.power(1.0), SUPER, c, eig)
+            cert = check_barrier(w, SUPER, theta, 2.0)
             assert cert.certified
 
     def test_wrong_exponent_fails_under_refinement(self):
@@ -207,8 +195,7 @@ class TestAutoScale:
         assert c_by_n[4097] > 2.0**6  # exposed by refinement
         # and the coarse-certified constant fails the fine-grid check
         eig4 = first_eigenpair(make_graded_grid(4097, 3.0), 2.0)
-        bspec = BarrierSpec(family=wrong, c=c_by_n[257], side=SUB, base=eig4)
-        cert = check_barrier(build_barrier(bspec), SUB, E3, 2.0)
+        cert = check_barrier(build_barrier(wrong, SUB, c_by_n[257], eig4), SUB, E3, 2.0)
         assert not cert.certified
 
     def test_correct_exponent_stable_under_refinement(self):
@@ -232,7 +219,7 @@ class TestCertifiedPair:
     )
     def test_ordered_and_certified(self, spec):
         g = make_graded_grid(1025, 3.0)
-        pair = certified_pair(spec, g)
+        pair = certified_pair(spec, first_eigenpair(g, spec.m))
         assert pair.sub_cert.certified and pair.super_cert.certified
         # every unknown node is checked, the cells next to the boundary too
         assert pair.sub_cert.checked_nodes == pair.super_cert.checked_nodes == g.n - 2
@@ -347,7 +334,7 @@ class TestExactScale:
             auto_scale(family, side, spec, base, skip_cells=0)[0]
             for family, side in zip(regime_profiles(spec), (SUB, SUPER))
         ]
-        pair = certified_pair(spec, base.grid, base=base)
+        pair = certified_pair(spec, base)
         assert pair.c == max(scales)
         assert pair.sub_cert.certified and pair.super_cert.certified
         assert pair.sub_cert.description == regime_profiles(spec)[0].describe()
@@ -358,7 +345,7 @@ class TestExactScale:
         # RuntimeWarning on the way
         ball = Domain.ball(3)
         spec = ProblemSpec(1.2, 1.5, 0.3, domain=ball)
-        pair = certified_pair(spec, make_graded_grid(1026, 3.0, ball))
+        pair = certified_pair(spec, first_eigenpair(make_graded_grid(1026, 3.0, ball), spec.m))
         assert pair.c > 1e215 and pair.sub_cert.certified and pair.super_cert.certified
 
     @pytest.mark.parametrize("name", ["interval-2", "ball-1.2"])
@@ -372,7 +359,7 @@ class TestExactScale:
             return check(family, side, c, *args)
 
         monkeypatch.setattr(mlap1d.barriers, "check_scaled", counted)
-        pair = certified_pair(spec, base.grid, base=base)
+        pair = certified_pair(spec, base)
         # the side that set the shared scale confirmed it in auto_scale
         assert sorted(side for side, c in calls if c == pair.c) == [SUB, SUPER]
 
@@ -394,7 +381,7 @@ class TestExactScale:
         assert c_sub == pytest.approx(2.21201, rel=2e-6)
         assert c_super == pytest.approx(1.30312, rel=2e-6)
         assert c_super_0 == pytest.approx(1.70595, rel=2e-6)
-        assert certified_pair(E3, eig_1025.grid, base=eig_1025).c == c_sub
+        assert certified_pair(E3, eig_1025).c == c_sub
 
     def test_flat_top_at_m_1_05(self):
         spec = ProblemSpec(m=1.05, p=0.0, q=0.0)
@@ -433,7 +420,7 @@ class TestExactScale:
         monkeypatch.setattr(mlap1d.barriers, "check_scaled", super_fails_above_2)
         # the super scale 1.706 confirms; the shared sub scale 2.212 does not
         with pytest.raises(NoCertifiableScale, match=r"^super fails at c = 2.21201 at node \d+$"):
-            certified_pair(E3, eig_1025.grid, base=eig_1025)
+            certified_pair(E3, eig_1025)
 
     @staticmethod
     def _capped_theta(base, cap):
@@ -441,7 +428,7 @@ class TestExactScale:
         145 checked nodes; a theta of 16 A where A > 0 and ``cap`` A where
         A < 0 asks c >= 16 and c <= cap."""
         family = BoundaryProfile.logpower(s=1.0, A=1.5)
-        unit = build_barrier(BarrierSpec(family, 1.0, SUPER, base))
+        unit = build_barrier(family, SUPER, 1.0, base)
         a = apply_mlap(unit, 2.0).values
         return family, GridFunction(base.grid, np.where(a > 0.0, 16.0, cap) * a)
 
@@ -484,21 +471,16 @@ class TestExactScale:
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.5])
     def test_scale_must_be_finite_and_at_least_one(self, eig_1025, c):
         with pytest.raises(DomainError, match="scaling constant must be >= 1 and finite"):
-            BarrierSpec(family=BoundaryProfile.power(1.0), c=c, side=SUB, base=eig_1025)
+            build_barrier(BoundaryProfile.power(1.0), SUB, c, eig_1025)
 
 
 class TestRefusals:
     def test_unknown_side_is_refused(self, eig_1025):
         with pytest.raises(DomainError, match="side must be 'sub' or 'super'"):
-            BarrierSpec(family=BoundaryProfile.power(1.0), c=1.0, side="both", base=eig_1025)
+            build_barrier(BoundaryProfile.power(1.0), "both", 1.0, eig_1025)
         cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
         with pytest.raises(DomainError, match="side must be 'sub' or 'super'"):
             check_barrier(cand, "both", E3, 2.0)
-
-    def test_pair_refuses_a_base_from_another_grid(self, eig_1025):
-        grid = make_graded_grid(1025, 2.0)
-        with pytest.raises(GridMismatch, match="base eigenpair was computed on a different grid"):
-            certified_pair(E3, grid, base=eig_1025)
 
     def test_fixed_theta_from_another_grid_is_refused(self, eig_1025):
         cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
@@ -516,7 +498,7 @@ class TestRefusals:
         with pytest.raises(GridMismatch, match=match):
             auto_scale(BoundaryProfile.power(2.0 / 3.0), SUB, spec, eig_1025)
         with pytest.raises(GridMismatch, match=match):
-            certified_pair(spec, eig_1025.grid, base=eig_1025)
+            certified_pair(spec, eig_1025)
 
     @pytest.mark.parametrize("entry", ["check_barrier", "auto_scale", "certified_pair"])
     def test_a_spec_at_another_m_is_refused(self, eig3_1025, entry):
@@ -526,15 +508,14 @@ class TestRefusals:
         calls = {
             "check_barrier": lambda: check_barrier(eig3_1025.eigenfunction, SUB, E3, 3.0),
             "auto_scale": lambda: auto_scale(sub, SUB, E3, eig3_1025),
-            "certified_pair": lambda: certified_pair(E3, eig3_1025.grid, base=eig3_1025),
+            "certified_pair": lambda: certified_pair(E3, eig3_1025),
         }
         match = "^the problem is posed at m = 2.0, the operator at m = 3.0$"
         with pytest.raises(DomainError, match=match):
             calls[entry]()
 
     def test_a_barrier_lives_on_its_base_grid(self, eig_1025):
-        spec = BarrierSpec(family=BoundaryProfile.power(0.5), c=2.0, side=SUB, base=eig_1025)
-        w = build_barrier(spec)
+        w = build_barrier(BoundaryProfile.power(0.5), SUB, 2.0, eig_1025)
         assert w.grid is eig_1025.grid
         phi = eig_1025.eigenfunction.values
         assert np.array_equal(w.values[1:-1], 0.5 * phi[1:-1] ** 0.5)

@@ -33,7 +33,6 @@ from mlap1d.repro import (
     DEFAULT_RUN,
     RATE_ERROR,
     ClaimRecord,
-    MatrixEntry,
     ReproReport,
     _entry_claims,
     default_matrix,
@@ -1082,6 +1081,22 @@ def test_every_exported_name_resolves(module):
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
+def test_the_public_surface_is_pinned():
+    """A name that leaves a layer's __all__ leaves the package: this list
+    changes only with the surface."""
+    assert sorted(mlap1d.__all__) == [
+        "BarrierCertificate", "BarrierPair", "BoundaryProfile", "DistanceIntegralResult",
+        "Domain", "EigenPair", "FitResult", "GradientBoundReport", "Grid1D", "GridFunction",
+        "INTERVAL01", "ProblemSpec", "Regime", "RegimeReport", "SUB", "SUPER", "ScanReport",
+        "SolveReport", "SolverConfig", "Verdict", "__version__", "apply_mlap", "auto_scale",
+        "build_barrier", "certified_pair", "check_barrier", "classify_regime",
+        "default_k_values", "distance_integral_classify", "first_eigenpair",
+        "fit_boundary_exponent", "fit_log_profile", "gradient_bound_check", "make_graded_grid",
+        "rayleigh_quotient", "regime_profiles", "sobolev_seminorm", "solve_dirichlet",
+        "solve_singular", "threshold_scan",
+    ]
+
+
 def test_the_package_exports_its_layers_all_once():
     """mlap1d.__all__ is the layers' __all__s plus __version__, each name
     once; each layer exports only what it defines, and the package holds no
@@ -1161,8 +1176,7 @@ def test_every_key_the_library_defaults_takes_the_library_default():
         "k_low": [spec.k_low],
         "k_high": [spec.k_high],
         "grading": [default(threshold_scan, "grading"),
-                    default(distance_integral_classify, "grading"),
-                    {f.name: f.default for f in dataclasses.fields(MatrixEntry)}["grading"]],
+                    default(distance_integral_classify, "grading")],
         "int_levels": [default(distance_integral_classify, "refinement_levels")],
         "skip_cells": [default(check_barrier, "skip_cells"), default(auto_scale, "skip_cells")],
         "matrix": [DEFAULT_RUN],

@@ -1071,6 +1071,18 @@ class TestSolverConfig:
         with pytest.raises(InvalidConfig, match="picard_tol must be finite, got inf"):
             SolverConfig(picard_tol=float("inf"))
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 2.5, True])
+    def test_a_budget_that_is_not_a_count_is_refused(self, budget):
+        # a NaN budget once turned the budget off, 2.5 acted as 3 and True as 1
+        match = re.escape(f"max_picard_iters must be a count, got {budget!r}")
+        with pytest.raises(InvalidConfig, match=match):
+            SolverConfig(max_picard_iters=budget)
+
+    @pytest.mark.parametrize("budget", [np.int64(7), 7.0])
+    def test_a_whole_budget_is_stored_as_an_int(self, budget):
+        cfg = SolverConfig(max_picard_iters=budget)
+        assert cfg.max_picard_iters == 7 and type(cfg.max_picard_iters) is int
+
 
 class TestStrongCouplingAndOtherM:
     def test_strong_coupling_damped_path(self):
@@ -1121,6 +1133,7 @@ def test_every_failed_solve_raises_from_one_place():
 
     visit(ast.parse(Path(solver.__file__).read_text(encoding="utf-8")), None)
     assert sorted(found) == [
+        ("__post_init__", "InvalidConfig"),
         ("__post_init__", "InvalidConfig"),
         ("__post_init__", "InvalidConfig"),
         ("__post_init__", "InvalidConfig"),
