@@ -68,10 +68,10 @@ DEFAULT_GRADING = 3.0
 
 def is_whole(x) -> bool:
     """Whether x is a finite whole number and not a bool (3 and 3.0 are, 2.5,
-    nan, inf and True are not)."""
+    nan, inf, True, None and "3" are not)."""
     try:
         return not isinstance(x, bool) and x == int(x)
-    except (OverflowError, ValueError):  # int(inf), int(nan)
+    except (OverflowError, ValueError, TypeError):  # int(inf), int(nan), int(None)
         return False
 
 
@@ -335,13 +335,22 @@ class Grid1D:
     For the interval both endpoints are Dirichlet boundary; for the radial
     ball only the last node (r = 1) is, and node 0 sits at the symmetry
     center r = 0.  Nodes are strictly increasing with exact endpoints.
-    Derived quantities (cell widths, dual-cell volumes, radially weighted
-    interval measures) are cached on first use.
 
-    On the interval they are derived from ``delta_nodes``, the distance to
-    the nearer boundary, with formulas that map to themselves under the
-    mirror x -> 1 - x: a cell on one side of x = 1/2 takes the difference of
-    its nodes' distances, so a grid whose distances are exact mirrors has
+    A grid caches, on first use, only its defining arrays (``nodes`` and
+    ``delta_nodes``) and the arrays every solver sweep reads: the cell
+    widths ``h``, the dual-cell volumes ``cell_volumes`` and, on the ball,
+    the flux weights.  On the interval the flux weights r^0 are all 1, so
+    ``flux_weights`` is a read-only zero-stride view of 1.0 that holds no
+    array of n doubles, and multiplying by it is exact.  The midpoints, the
+    midpoint distances and the radially weighted interval measures are
+    computed where they are read.  A graded grid then stores 4n doubles on
+    the interval and 5n on the ball.
+
+    On the interval the widths, volumes and midpoint distances are derived
+    from ``delta_nodes``, the distance to the nearer boundary, with formulas
+    that map to themselves under the mirror x -> 1 - x: a cell on one side
+    of x = 1/2 takes the difference of its nodes' distances, so a grid whose
+    distances are exact mirrors has
     exact mirror widths, volumes and midpoint distances.  make_graded_grid
     supplies the distances in closed form, and its nodes, 1 - delta on the
     right half, are kept for output and validation.  For nodes given
@@ -388,7 +397,7 @@ class Grid1D:
             h[right - 1] = self.nodes[right] - self.nodes[right - 1]
         return _freeze(h)
 
-    @cached_property
+    @property
     def midpoints(self) -> np.ndarray:
         return _freeze(0.5 * (self.nodes[1:] + self.nodes[:-1]))
 
@@ -396,7 +405,7 @@ class Grid1D:
     def delta_nodes(self) -> np.ndarray:
         return _freeze(self.domain.delta(self.nodes))
 
-    @cached_property
+    @property
     def delta_mid(self) -> np.ndarray:
         """Distance of each cell's midpoint to the nearer boundary."""
         if self.domain.is_ball:
@@ -408,16 +417,22 @@ class Grid1D:
             dm[right - 1] = 0.5 - 0.5 * abs(d[right - 1] - d[right])
         return _freeze(dm)
 
-    @cached_property
+    @property
     def interval_weights(self) -> np.ndarray:
         """Measure of each cell, h * r_mid^(N-1); on the interval (N = 1) the
-        array h itself, so no copy is cached."""
+        array h itself."""
         return _freeze(self.h * self.flux_weights) if self.domain.is_ball else self.h
 
-    @cached_property
+    @property
     def flux_weights(self) -> np.ndarray:
         """Per-cell weight r_mid^(N-1) of the midpoint flux, 1 on the interval
         (the cell width enters through the dual-cell volume, not here)."""
+        if self.domain.is_ball:
+            return self._radial_weights
+        return np.broadcast_to(1.0, self.n - 1)
+
+    @cached_property
+    def _radial_weights(self) -> np.ndarray:
         return _freeze(self.midpoints ** (self.domain.ball_dim - 1))
 
     @cached_property
@@ -504,12 +519,16 @@ def make_graded_grid(n: int, grading: float, domain: Domain = INTERVAL01) -> Gri
     widths shrink like delta^(1 - 1/grading) toward the graded boundary;
     grading = 1 is uniform.
 
-    Raises TooFewNodes for n < MIN_NODES, and InvalidGrading for a grading
-    below 1 or one that makes the nodes next to the graded boundary collapse
-    at double precision.
+    Raises InvalidConfig for an n that is not a whole number (an integral
+    float such as 17.0 is taken as 17), TooFewNodes for n < MIN_NODES, and
+    InvalidGrading for a grading below 1 or one that makes the nodes next to
+    the graded boundary collapse at double precision.
     """
     if not grading >= 1.0:
         raise InvalidGrading(f"grading must be >= 1, got {grading}")
+    if not is_whole(n):
+        raise InvalidConfig(f"node count n must be a whole number, got n = {n!r}")
+    n = int(n)
     if n < MIN_NODES:
         raise TooFewNodes(f"need at least {MIN_NODES} nodes, got {n}")
     t = np.linspace(0.0, 1.0, n)

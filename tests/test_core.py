@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from mlap1d import (
     first_eigenpair,
     make_graded_grid,
     solve_dirichlet,
+    solve_singular,
 )
 from mlap1d.core import INTERVAL01, same_grid
 from mlap1d.errors import (
@@ -301,6 +303,20 @@ class TestGradedGrid:
         with pytest.raises(TooFewNodes, match="need at least 16 nodes, got 8"):
             make_graded_grid(8, 2.0)
 
+    @pytest.mark.parametrize("n", [17.5, math.nan, math.inf, True, None, "17"])
+    def test_a_node_count_that_is_not_a_whole_number_is_refused(self, n):
+        # 17.5, nan and inf once raised a bare TypeError from np.linspace,
+        # and True was counted as one node
+        match = re.escape(f"node count n must be a whole number, got n = {n!r}")
+        with pytest.raises(InvalidConfig, match=f"{match}$"):
+            make_graded_grid(n, 3.0)
+
+    @pytest.mark.parametrize("domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"])
+    def test_a_whole_float_node_count_is_taken_as_an_int(self, domain):
+        g = make_graded_grid(17.0, 3.0, domain)
+        assert type(g.n) is int
+        assert same_grid(g, make_graded_grid(17, 3.0, domain))
+
     @pytest.mark.parametrize(
         "nodes,domain,error,msg",
         [
@@ -357,6 +373,8 @@ class TestGradedGrid:
         g = make_graded_grid(n, grading)
         assert g.domain.ball_dim == 1
         assert np.array_equal(g.flux_weights, np.ones(n - 1))
+        # a read-only view of one 1.0, not an array of n - 1 ones
+        assert g.flux_weights.strides == (0,) and not g.flux_weights.flags.writeable
         assert g.interval_weights is g.h
         # half-sums of the adjacent widths (half a width at each end), to rounding
         half_sums = 0.5 * (np.append(g.h, 0.0) + np.insert(g.h, 0, 0.0))
@@ -385,6 +403,28 @@ class TestGradedGrid:
         g = make_graded_grid(33, 1.0)
         with pytest.raises(ValueError):
             g.nodes[3] = 0.5
+
+    @pytest.mark.parametrize("domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"])
+    def test_a_solved_grid_stores_only_what_a_sweep_reads(self, domain):
+        # 7n doubles on the interval and 6n on the ball while grids also
+        # cached their midpoints, the midpoint distances and the interval's
+        # flux weights as an array of ones
+        g = make_graded_grid(1025, 3.0, domain)
+        solve_singular(ProblemSpec(m=2.0, p=0.5, q=0.5, domain=domain), g)
+
+        def stored():
+            return {id(v) for v in vars(g).values() if isinstance(v, np.ndarray)}
+
+        kept = [g.nodes, g.delta_nodes, g.h, g.cell_volumes]
+        if domain.is_ball:
+            kept.append(g.flux_weights)
+        assert stored() == {id(v) for v in kept}
+        assert sum(v.nbytes for v in kept) == 8 * (5 * g.n - 2 if domain.is_ball else 4 * g.n - 1)
+        # computed where they are read, and never cached
+        for a in (g.midpoints, g.delta_mid, g.interval_weights):
+            assert not a.flags.writeable
+        assert "midpoints" not in vars(g) and "delta_mid" not in vars(g)
+        assert stored() == {id(v) for v in kept}
 
 
 class TestGridFunction:
@@ -440,7 +480,7 @@ def test_ball_of_dimension_one_is_refused():
         Domain("ball", 1)
 
 
-@pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("n", [2.5, math.nan, math.inf, None])
 def test_a_dimension_that_is_not_a_whole_number_is_refused(n):
     # Domain("ball", 2.5) once solved with flux weights r^1.5, and
     # Domain.ball(2.5) quietly truncated to N = 2
