@@ -46,7 +46,8 @@ scaled residual.  An interval chain is checked from the centre node on: its
 fluxes are exactly odd and its noise terms exactly even, so that value is
 the whole grid's to the last bit.  Both paths are one kernel, _solve_into,
 that works in its caller's workspace: a lone solve allocates one per call,
-the singular loop one per solve.
+the singular loop one per solve.  A chain's theta and loads start at its
+first node, so its workspace spans the chain only.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
@@ -77,7 +78,8 @@ slack s, so the comparison principle puts the solution between them
 (barriers.check_barrier with slack 0 refuses 144 of the 204 lattice pairs
 at n = 1025, 37 of them, all m = 1.2, by over 1e-6 relative at the flat
 top).  The pair is the clamp, the loop's start and the check its result
-must pass; it costs one solve, and no eigenpair or scale search.
+must pass; it costs one solve, and no eigenpair or scale search.  It is
+kept as what it is, one field and two scales: w0 and lam_lo, lam_hi.
 
 Every ball problem is a chain, and so is every interval problem whose grid,
 K and v0 equal their mirror images to the last bit, since its unique
@@ -89,9 +91,11 @@ the check skip the powers, which would be exact there.  On the interval
 every step is elementwise, so by induction every theta, w and iterate is an
 exact mirror, and every min and max over the right half is the whole
 grid's: the answers are those of the whole-grid loop to the last bit.  w is
-mirrored into a full-length array only where one leaves the loop: the first
-pair, the returned solution and the report of an error.  Other interval
-inputs run on the whole grid, in the same kernel and a workspace with the
+the loop's one full-length array besides the pair's w0, and is mirrored
+only where one leaves the loop: the first pair, the returned solution and
+the report of an error.  Every other array of a chain loop, theta and the
+loads included, spans the chain.  Other interval inputs run on the whole
+grid, in the same kernel and a workspace with the
 closure's five rows: each sweep asks _chain_start of its theta alone, as
 solve_dirichlet would, and takes that chain or the closure search.
 """
@@ -165,11 +169,18 @@ class SolveReport:
     ``iterations`` counts the closure evaluations of the one interval root
     search for a Dirichlet solve (0 on a zero-flux chain) and Dirichlet
     solves for a singular one, a failed one included.  Singular solves
-    attach the certified barrier pair used to initialize and guard the
-    iteration, once there is one, and report ``picard_gap``, the width of
-    the scaling bracket, for every p >= 0: a certified bound, the solution
-    is within picard_gap/2 of ``solution``.  It is None on a singular solve
-    that failed its residual check, which no bracket holds.
+    report ``picard_gap``, the width of the scaling bracket, for every
+    p >= 0: a certified bound, the solution is within picard_gap/2 of
+    ``solution``.  It is None on a singular solve that failed its residual
+    check, which no bracket holds.
+
+    Singular solves also attach the certified barrier pair used to
+    initialize and guard the iteration, once there is one, as one field and
+    two scales: ``barrier_base`` is w0, the first Dirichlet solve, and the
+    pair is (barrier_lo w0, barrier_hi w0).  ``sub_barrier`` and
+    ``super_barrier`` form those products anew on every read, and
+    ``barrier_c`` is barrier_hi/barrier_lo.  All three are None without a
+    pair.
     """
 
     solution: GridFunction
@@ -177,9 +188,25 @@ class SolveReport:
     final_residual: float
     converged: bool
     picard_gap: float | None = None
-    sub_barrier: GridFunction | None = None
-    super_barrier: GridFunction | None = None
-    barrier_c: float | None = None
+    barrier_base: GridFunction | None = None
+    barrier_lo: float | None = None
+    barrier_hi: float | None = None
+
+    def _barrier(self, lam: float | None) -> GridFunction | None:
+        w0 = self.barrier_base
+        return None if w0 is None else GridFunction(w0.grid, lam * w0.values)
+
+    @property
+    def sub_barrier(self) -> GridFunction | None:
+        return self._barrier(self.barrier_lo)
+
+    @property
+    def super_barrier(self) -> GridFunction | None:
+        return self._barrier(self.barrier_hi)
+
+    @property
+    def barrier_c(self) -> float | None:
+        return None if self.barrier_base is None else self.barrier_hi / self.barrier_lo
 
 
 # Residuals are recomputed from flux differences, which near a graded boundary
@@ -220,7 +247,8 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
 def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     """sup over the unknowns from node ``first`` on of
     max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
-    NaN, so that a solution that overflowed fails the check.
+    NaN, so that a solution that overflowed fails the check.  ``loads`` and
+    ``theta_vals`` start at node ``first``; ``u`` is indexed by node.
 
     g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
     enters the ball's node 0).  The noise model is first-order rounding:
@@ -257,19 +285,22 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     if first == 0:  # the ball's node 0, where no flux enters
         g0 = abs(fw[0] + loads[0]) - ASSEMBLY_NOISE * (fn[0] + abs(loads[0]))
         res = float(max(g0, 0.0) / (grid.cell_volumes[0] * (1.0 + abs(theta_vals[0]))))
-    # node k of ``between`` lies between entries k and k + 1 of fw and fn
+        loads, theta_vals = loads[1:], theta_vals[1:]
+    # node k of ``between`` lies between entries k and k + 1 of fw and fn,
+    # and is entry k of the loads and theta
     between = slice(c + 1, grid.n - 1)
+    loads, theta_vals = loads[: cells - 1], theta_vals[: cells - 1]
     g = np.subtract(fw[:-1], fw[1:], out=du[:-1])
-    g -= loads[between]
+    g -= loads
     np.abs(g, out=g)
     noise = np.add(fn[:-1], fn[1:], out=noise[:-1])
-    noise += np.abs(loads[between], out=fw[:-1])
+    noise += np.abs(loads, out=fw[:-1])
     noise *= ASSEMBLY_NOISE
     g -= noise
     if np.maximum.reduce(g) <= 0.0:  # every term is 0; a NaN takes the full path
         return res
     np.maximum(g, 0.0, out=g)
-    den = np.abs(theta_vals[between], out=noise)
+    den = np.abs(theta_vals, out=noise)
     den += 1.0
     den *= grid.cell_volumes[between]
     g /= den
@@ -312,13 +343,14 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     load and the centre cell of an even grid carries no flux.  The cell
     fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
     summed inward from the Dirichlet end, both sums on the negations (exact
-    under rounding).  ``rows``: four scratch rows of at least n - 1 - k.
+    under rounding).  ``loads`` starts at node k.  ``rows``: four scratch
+    rows of at least n - 1 - k.
     """
     n = grid.n
     flux, hdu, err, bp = rows[:4, : n - 1 - k]
-    np.copyto(flux, loads[k:-1])
+    np.copyto(flux, loads[: n - 1 - k])
     if k:
-        flux[0] = 0.5 * loads[k] if n % 2 else 0.0
+        flux[0] = 0.5 * loads[0] if n % 2 else 0.0
     np.add.accumulate(flux, out=flux)
     if not k:  # the interval's flux weights, from its centre on, are ones
         flux /= grid.flux_weights
@@ -446,13 +478,15 @@ def _closure_root(loads, h, m, k, c, rows):
     return k, hdu, it
 
 
-def _loads(grid, theta_vals, sl, out):
-    """The loads V theta at the nodes of ``sl``, written into ``out``, once
-    theta is checked finite there (its max and min are: NaN propagates)."""
-    if not (math.isfinite(np.maximum.reduce(theta_vals[sl]))
-            and math.isfinite(np.minimum.reduce(theta_vals[sl]))):
+def _loads(volumes, theta_vals, out):
+    """The loads V theta, written into ``out``, once theta is checked finite
+    (its max and min are: NaN propagates).  The three arrays start at one
+    node, and ``volumes`` says how many nodes there are."""
+    theta_vals = theta_vals[: volumes.size]
+    if not (math.isfinite(np.maximum.reduce(theta_vals))
+            and math.isfinite(np.minimum.reduce(theta_vals))):
         raise NonFiniteTheta("theta must be finite at the unknown nodes")
-    np.multiply(grid.cell_volumes[sl], theta_vals[sl], out=out[sl])
+    np.multiply(volumes, theta_vals, out=out[: volumes.size])
     return out
 
 
@@ -470,12 +504,14 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     """One Dirichlet solve of -div(Phi) = theta into ``u``; returns the
     number of closure evaluations and the scaled residual.
 
-    With k from _chain_start it solves the zero-flux chain: it reads theta
-    and writes the loads from node k on, writes u from node k to n - 2 and,
-    on an odd interval grid, u[k-1] (the caller mirrors the rest), and
-    checks the residual from node 0 on the ball and from the centre node
-    n//2 on the interval.  With k None it runs the closure search on the
-    interval and writes the loads and u at every unknown.  The caller owns
+    With k from _chain_start it solves the zero-flux chain: theta and the
+    loads start at node k, and it reads theta and writes the loads from
+    there to node n - 2, writes u from node k to n - 2 and, on an odd
+    interval grid, u[k-1] (the caller mirrors the rest), and checks the
+    residual from node 0 on the ball and from the centre node n//2 on the
+    interval.  With k None theta and the loads are indexed by node, and it
+    runs the closure search on the interval and writes the loads and u at
+    every unknown.  u is always indexed by node.  The caller owns
     ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
     of n - k on a chain and five of n - 1 otherwise, and holds
     np.errstate(divide="ignore", over="ignore", invalid="ignore"): loads
@@ -484,11 +520,15 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     """
     n = grid.n
     if k is not None:
-        _zero_flux_solution(grid, _loads(grid, theta_vals, slice(k, n - 1), loads), m, u, k, rows)
+        _zero_flux_solution(grid, _loads(grid.cell_volumes[k:-1], theta_vals, loads), m, u, k, rows)
         if k and n % 2:  # the check from the centre node reads u one node to its left
             u[k - 1] = u[k + 1]
-        return 0, _scaled_residual(grid, u, m, loads, theta_vals, n // 2 if k else 0, rows)
-    _loads(grid, theta_vals, grid.unknown_slice, loads)
+        first = n // 2 if k else 0
+        return 0, _scaled_residual(
+            grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows
+        )
+    sl = grid.unknown_slice
+    _loads(grid.cell_volumes[sl], theta_vals[sl], loads[sl])
     # flux weights are 1 on the interval; the search starts anchored at the
     # cell where the m = 2 flux is closest to zero
     h = grid.h
@@ -503,7 +543,7 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     right = u[k + 1 : -1]
     _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])
     np.negative(right, out=right)
-    return iterations, _scaled_residual(grid, u, m, loads, theta_vals, 1, rows)
+    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows)
 
 
 def _mirror_left(u, k):
@@ -524,9 +564,9 @@ def _report(grid, u, iterations, residual, converged, gap=None, pair=None) -> So
         final_residual=residual,
         converged=converged,
         picard_gap=gap,
-        sub_barrier=pair and pair.sub,
-        super_barrier=pair and pair.super_,
-        barrier_c=pair and pair.c,
+        barrier_base=pair and pair.w0,
+        barrier_lo=pair and pair.lam_lo,
+        barrier_hi=pair and pair.lam_hi,
     )
 
 
@@ -543,13 +583,15 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     grid = theta.grid
     n = grid.n
     k = _chain_start(grid, theta.values)
+    start = k or 0  # the first node of theta and the loads that _solve_into takes
     u = np.zeros(n)
     # the loads and the scratch rows in one block: separate ones fragment the
     # heap between solves and raise the peak resident size
     r, c = (5, n - 1) if k is None else (4, n - k)
-    work = np.empty(n + r * c)
+    work = np.empty(n - start + r * c)
+    loads, rows = work[: n - start], work[n - start :].reshape(r, c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        iterations, res = _solve_into(grid, theta.values, m, k, work[:n], u, work[n:].reshape(r, c))
+        iterations, res = _solve_into(grid, theta.values[start:], m, k, loads, u, rows)
     report = _report(grid, _mirror_left(u, k), iterations, res, res <= RESIDUAL_TOL)
     if not report.converged:
         raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
@@ -589,23 +631,22 @@ def solve_singular(
     The grid should resolve delta^gamma boundary layers for the predicted
     exponent gamma; grading >= 2/gamma is a good default.
     """
-    cfg = config or SolverConfig()
-    k_values = _k_in_envelope(spec, grid, k_values)
-    return _singular_loop(spec, grid, cfg, k_values.values)
+    return _singular_loop(spec, grid, config or SolverConfig(), k_values)
 
 
 @dataclass(frozen=True, eq=False)
 class _Pair:
-    """The certified bracket of the first solve: sub = lam_lo w0,
-    super_ = lam_hi w0 and c = lam_hi/lam_lo."""
+    """The certified bracket of the first solve, one field and two scales:
+    the sub- and supersolution are lam_lo w0 and lam_hi w0."""
 
-    sub: GridFunction
-    super_: GridFunction
-    c: float
+    w0: GridFunction
+    lam_lo: float
+    lam_hi: float
 
 
 def _first_pair(grid, w, lam_lo, lam_hi) -> _Pair:
-    return _Pair(GridFunction(grid, lam_lo * w), GridFunction(grid, lam_hi * w), lam_hi / lam_lo)
+    """The pair of the first solve's whole field ``w``, which is copied."""
+    return _Pair(GridFunction(grid, w.copy()), lam_lo, lam_hi)
 
 
 def _log_profile(spec, grid, out):
@@ -660,7 +701,7 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     return lam_lo, lam_hi
 
 
-def _singular_loop(spec, grid, cfg, k_vals):
+def _singular_loop(spec, grid, cfg, k_values):
     """Relaxed iteration that stops on its own scaling bracket.
 
     With rho = p/(m-1) the linearisation of log T at the fixed point has its
@@ -675,18 +716,23 @@ def _singular_loop(spec, grid, cfg, k_vals):
     sweep makes four transcendental passes: the exp in theta, the log of
     T(u) that the bracket and the step share, and the bracket's two log1p.
     It allocates one workspace per solve, ``work``, whose rows hold every
-    array of a sweep: theta, the loads and w at full length, and log K,
-    log sub, L, Lt and the scratch of _solve_into, its residual check and
-    the bracket over the chain's n - k nodes, half the grid on the
-    interval, or over the whole grid.  The exit check writes into the block
-    too.  A chain sweep allocates nothing, a whole-grid one only the mirror
-    comparison of theta, and np.errstate is entered once per solve.  After
+    array of a sweep but w: theta, the loads, log K, log sub, L, Lt, the
+    default K (a caller's K is read in place) and the scratch of
+    _solve_into, its residual check and the bracket, each over the chain's
+    nodes k to n - 1, half the grid on the interval, or over the whole grid.
+    w has an array of its own, which holds log v0 until the first solve and
+    becomes the returned solution.  The pair keeps w0, a copy of the first
+    solve's mirrored w, and its two scales, and the exit check forms
+    lam_lo w0 and lam_hi w0 in the block's first 2n entries.  A chain sweep
+    allocates nothing, a whole-grid one only the mirror comparison of
+    theta, and np.errstate is entered once per solve.  After
     every solve _scaling_bracket puts the solution in
     [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
     (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
-    midpoint, which is within half the width of the solution.  The
-    comparison principle already puts that solution inside the pair, which
-    is certified at every unknown node; the exit check confirms it.
+    midpoint, scaled into w in place, which is within half the width of the
+    solution.  The comparison principle already puts that solution inside
+    the pair, which is certified at every unknown node; the exit check
+    confirms it.
 
     Every failure leaves by one exit, which raises with the loop's record:
     the whole field (w, or the midpoint the exit check rejected), the last
@@ -705,31 +751,41 @@ def _singular_loop(spec, grid, cfg, k_vals):
     m, p = spec.m, spec.p
     n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
-    log_v0 = np.zeros(n)
-    _log_profile(spec, grid, log_v0[grid.unknown_slice])
-    chain = _chain_start(grid, k_vals, log_v0)
+    k_full = _k_in_envelope(spec, grid, k_values).values
+    # w has its own array, outside the block: it is the returned solution.
+    # Until the first solve writes it, it holds log v0 on the unknowns
+    w = np.zeros(n)
+    _log_profile(spec, grid, w[grid.unknown_slice])
+    chain = _chain_start(grid, k_full, w)
     sl = grid.unknown_slice if chain is None else slice(chain, n - 1)
     size = n - 1 - sl.start
     # every array the sweeps reuse, in one block: separate arrays that
     # outlive the solves fragment the heap and raise the peak resident size.
-    # theta, the loads and w are full length, index by node as the residual
-    # check does, and keep zeros at the boundary.  The other rows span sl
-    # and one node more: four hold log K, log sub, L and Lt, and the rest
-    # are the scratch of _solve_into (four rows on a chain, the closure's
-    # five on the whole grid), which then takes log w
-    short = 4 + (5 if chain is None else 4)
-    work = np.zeros(3 * n + short * (size + 1))
-    theta, loads, w = work[: 3 * n].reshape(3, n)
-    block = work[3 * n :].reshape(short, size + 1)
-    log_k, log_sub, big_l, lt = block[:4, :size]
-    scratch = block[4:]
+    # Its rows start at node origin, the chain's first node or node 0 on the
+    # whole grid, and end at the Dirichlet node n - 1.  theta and the loads
+    # are the first two rows.  log K, log sub, L and Lt span sl, and so does
+    # K itself when it is the default, which the loop then owns (a caller's
+    # K is read in place).  The last rows are the scratch of _solve_into
+    # (four on a chain, the closure's five on the whole grid), which then
+    # takes log w
+    origin = chain or 0
+    head = 6 if k_values is not None else 7
+    work = np.zeros((head + (5 if chain is None else 4)) * (n - origin))
+    block = work.reshape(-1, n - origin)
+    theta, loads = block[:2]
+    log_k, log_sub, big_l, lt = block[2:6, :size]
+    scratch = block[head:]
     log_w = scratch[0, :size]
-    theta_sl = theta[sl]
-    k = k_vals[sl]
+    theta_sl, loads_sl = theta[sl.start - origin :][:size], loads[sl.start - origin :][:size]
+    if k_values is None:
+        k = block[6, :size]
+        k[:] = k_full[sl]
+    else:
+        k = k_full[sl]
+    del k_full
     np.log(k, out=log_k)
     log_sub.fill(-np.inf)  # nothing clamps the first solve
-    big_l[:] = log_v0[sl]
-    del log_v0
+    big_l[:] = w[sl]
     pair = None
     iterations = 0
     error, why = NonConvergence, None  # a failure sets why and breaks to the one exit
@@ -741,7 +797,8 @@ def _singular_loop(spec, grid, cfg, k_vals):
             np.maximum(big_l, log_sub, out=lt)
             _singular_theta(p, k, lt, theta_sl)
             start = _chain_start(grid, theta) if chain is None else chain
-            residual = _solve_into(grid, theta, m, start, loads, w, scratch)[1]
+            o = (start or 0) - origin  # the row entry of the solve's first node
+            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch)[1]
             if chain is None:  # the whole grid's w, as solve_dirichlet returns it
                 _mirror_left(w, start)
             iterations += 1
@@ -751,7 +808,7 @@ def _singular_loop(spec, grid, cfg, k_vals):
             np.log(w[sl], out=log_w)
             # max log (w^p/K), for the resolution floor below, in the loads'
             # storage, which no one reads until the next solve
-            log_load = np.multiply(log_w, p, out=loads[sl])
+            log_load = np.multiply(log_w, p, out=loads_sl)
             log_load -= log_k
             log_load = float(np.maximum.reduce(log_load))
             lt -= log_w
@@ -773,7 +830,8 @@ def _singular_loop(spec, grid, cfg, k_vals):
                 break
             if pair is None:
                 pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
-                np.log(pair.sub.values[sl], out=log_sub)
+                np.multiply(pair.w0.values[sl], pair.lam_lo, out=log_sub)
+                np.log(log_sub, out=log_sub)
                 big_l[:] = log_sub
             if width <= tol:
                 break
@@ -791,23 +849,23 @@ def _singular_loop(spec, grid, cfg, k_vals):
             if why:
                 why = f"{why}: bracket width {width:g}"
                 break
-    u = _mirror_left(w, chain)
+    _mirror_left(w, chain)
     if why is None:
-        mid = 0.5 * (lam_lo + lam_hi) * u
-        # each side's excess in the loads' row, which no solve reads again
-        for side, a, b in (
-            ("below the subsolution", pair.sub.values, mid),
-            ("above the supersolution", mid, pair.super_.values),
-        ):
-            excess = np.subtract(a, b, out=loads)
+        w *= 0.5 * (lam_lo + lam_hi)  # the midpoint, in w's own array
+        # the pair and each side's excess in the block's first 2n entries,
+        # which no solve reads again
+        sub = np.multiply(pair.w0.values, pair.lam_lo, out=work[:n])
+        sup = np.multiply(pair.w0.values, pair.lam_hi, out=work[n : 2 * n])
+        for side, a, b in (("below the subsolution", sub, w), ("above the supersolution", w, sup)):
+            excess = np.subtract(a, b, out=sub)
             i = int(np.argmax(excess))
             if excess[i] > tol:
-                error, u = BarrierOrderViolation, mid
+                error = BarrierOrderViolation
                 why = (
                     f"the bracketed solution lies {side} of the certified pair "
                     f"at node {i} by {excess[i]:g}"
                 )
                 break
         else:
-            return _report(grid, mid, iterations, residual, True, width, pair)
-    raise error(why, report=_report(grid, u.copy(), iterations, residual, False, width, pair))
+            return _report(grid, w, iterations, residual, True, width, pair)
+    raise error(why, report=_report(grid, w, iterations, residual, False, width, pair))

@@ -18,7 +18,7 @@ from mlap1d import (
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d import eigen, solver
+from mlap1d import eigen, repro, solver
 from mlap1d.errors import (
     BarrierOrderViolation,
     GridMismatch,
@@ -273,7 +273,7 @@ class TestMirrorSymmetricSolve:
 
         def replay(v, m, first=1):  # from node 1 on: the whole grid's
             with np.errstate(divide="ignore"):
-                return check(g, v, m, loads, theta.values, first, rows)
+                return check(g, v, m, loads[first:], theta.values[first:], first, rows)
 
         monkeypatch.setattr(solver, "_scaled_residual", spy)
         # two symmetric perturbations: a smooth one, and one at the centre
@@ -521,20 +521,22 @@ class TestSolveSingular:
         # a supersolution below the solution must not pass the exit check,
         # and the error names the side, the node and the excess; at p = 0
         # the solution does not depend on the barriers.  There the first
-        # solve's pair is tight to rounding, so half the solution stands in
-        # for a supersolution below it
+        # solve's pair is tight to rounding, so half its subsolution, the
+        # scale lam_hi = lam_lo/2, stands in for a supersolution below it
         spec = ProblemSpec(m=1.5, p=0.0, q=1.3, domain=domain)
         g = make_graded_grid(1025, 3.0, domain)
         rep = solve_singular(spec, g)
-        low = GridFunction(g, 0.5 * rep.solution.values)
-        excess = rep.solution.values - low.values
+        low = 0.5 * rep.sub_barrier.values  # exactly (lam_lo/2) w0
+        excess = rep.solution.values - low
         node = int(np.argmax(excess))
         first_pair, pairs = solver._first_pair, []
-        monkeypatch.setattr(
-            solver,
-            "_first_pair",
-            lambda *a: pairs.append(dataclasses.replace(first_pair(*a), super_=low)) or pairs[-1],
-        )
+
+        def halved(*a):
+            pair = first_pair(*a)
+            pairs.append(dataclasses.replace(pair, lam_hi=0.5 * pair.lam_lo))
+            return pairs[-1]
+
+        monkeypatch.setattr(solver, "_first_pair", halved)
         with pytest.raises(BarrierOrderViolation) as err:
             solve_singular(spec, g)
         msg = str(err.value)
@@ -545,8 +547,10 @@ class TestSolveSingular:
         report = err.value.report
         assert not report.converged and report.iterations == rep.iterations == 1
         assert np.array_equal(report.solution.values, rep.solution.values)
-        assert report.super_barrier is low and report.sub_barrier is pair.sub
-        assert report.barrier_c == pair.c and report.picard_gap == rep.picard_gap
+        assert report.barrier_base is pair.w0 and report.barrier_hi == pair.lam_hi
+        assert np.array_equal(report.super_barrier.values, low)
+        assert np.array_equal(report.sub_barrier.values, rep.sub_barrier.values)
+        assert report.barrier_c == 0.5 and report.picard_gap == rep.picard_gap
 
     def test_large_boundary_load_converges(self):
         # sum V theta reaches ~1e7 here while the peak flux is ~1e-3: loads
@@ -667,6 +671,7 @@ class TestCertifiedBracket:
         assert brackets == [(0.0, np.inf)]
         report = err.value.report
         assert report.iterations == 1 and report.picard_gap == np.inf
+        assert report.barrier_base is None and report.barrier_lo is None
         assert report.sub_barrier is None and report.barrier_c is None
 
     def test_a_failed_residual_check_reports_the_loop(self, monkeypatch):
@@ -694,8 +699,8 @@ class TestCertifiedBracket:
         report = err.value.report
         assert report.iterations == 2 and report.picard_gap is None
         assert not report.converged and report.final_residual == 1.0
-        assert report.sub_barrier is pair.sub and report.super_barrier is pair.super_
-        assert report.barrier_c == pair.c
+        assert report.barrier_base is pair.w0
+        assert (report.barrier_lo, report.barrier_hi) == (pair.lam_lo, pair.lam_hi)
         # the whole field of the failed solve, its left half mirrored
         u = fields[1]
         u[: g.n // 2] = u[::-1][: g.n // 2]
@@ -761,9 +766,8 @@ class TestCertifiedBracket:
         [pair] = pairs
         report = err.value.report
         assert not report.converged
-        assert report.barrier_c == pair.c
-        assert np.array_equal(report.sub_barrier.values, pair.sub.values)
-        assert np.array_equal(report.super_barrier.values, pair.super_.values)
+        assert report.barrier_base is pair.w0
+        assert (report.barrier_lo, report.barrier_hi) == (pair.lam_lo, pair.lam_hi)
 
     @pytest.mark.parametrize(
         "point, domain, solves",
@@ -960,16 +964,20 @@ class TestChainLoop:
     @pytest.mark.parametrize(
         "spec, bound",
         [
-            (ProblemSpec(m=2.0, p=0.5, q=0.5), 11.6),
-            (ProblemSpec(m=3.0, p=1.5, q=0.3, domain=Domain.ball(3)), 16.1),
+            (ProblemSpec(m=2.0, p=0.5, q=0.5), 7.65),
+            (ProblemSpec(m=3.0, p=1.5, q=0.3, domain=Domain.ball(3)), 13.15),
         ],
         ids=["interval", "ball3"],
     )
     def test_traced_peak_of_one_solve(self, spec, bound):
         # one singular solve at n = 16385, in full-length arrays: the loop's
-        # block, the pair, K and the returned midpoint.  The sweeps allocate
-        # nothing, and the exit check writes into the block (the interval's
-        # chain rows are half length)
+        # block, w and the pair's w0.  The block's eleven rows span the
+        # chain, half the grid on the interval; w is scaled into the
+        # midpoint in place, the exit check writes into the block and the
+        # sweeps allocate nothing.  Measured at 7.55n and 13.04n with numpy
+        # 2.4.6; 11.04n and 15.03n while theta and the loads were full
+        # length, the report held both barriers and the loop held the
+        # default K and a separate midpoint
         g = make_graded_grid(16385, 3.0, spec.domain)
         solve_singular(spec, g)  # the grid's cached geometry is not the solve's
         assert traced_peak(lambda: solve_singular(spec, g), g.n) <= bound
@@ -1009,9 +1017,11 @@ class TestSolvePeaks:
         return traced_peak(solve, cls.N)
 
     @pytest.mark.parametrize(
-        "domain, bound", [(Domain.interval(), 4.05), (Domain.ball(3), 6.05)], ids=["interval", "ball3"]
+        "domain, bound", [(Domain.interval(), 3.6), (Domain.ball(3), 6.05)], ids=["interval", "ball3"]
     )
     def test_chain_solve(self, domain, bound):
+        # u, and the loads with four scratch rows from the chain's first
+        # node on: 3.53n on the interval and 6.03n on the ball
         g = make_graded_grid(self.N, 3.0, domain)
         theta = GridFunction.interior_from_callable(g, lambda x: 1.0 + 0.0 * x)
         assert solve_dirichlet(theta, 3.0).iterations == 0
@@ -1024,9 +1034,11 @@ class TestSolvePeaks:
         assert self.warm_peak(lambda: solve_dirichlet(theta, 3.0)) <= 7.5
 
     def test_whole_grid_singular_solve(self):
-        # the loop's block (theta, loads and w, then four rows of the
-        # unknowns and the closure's five), the start profile, the pair and
-        # the returned midpoint; no sweep allocates
+        # the loop's block (theta, the loads, four rows of the unknowns and
+        # the closure's five), w, the pair's w0 and the mirror comparison of
+        # each sweep's theta; the caller's K is read in place.  Measured at
+        # 13.18n with numpy 2.4.6, 15.03n while the loop kept a separate
+        # midpoint and the report both barriers
         spec = ProblemSpec(m=2.0, p=0.5, q=0.5, k_low=0.6, k_high=1.4)
         g = make_graded_grid(self.N, 3.0)
         sl = g.unknown_slice
@@ -1035,17 +1047,19 @@ class TestSolvePeaks:
         k = GridFunction(g, k)
         rep = solve_singular(spec, g, k_values=k)
         assert rep.iterations > 1
-        assert self.warm_peak(lambda: solve_singular(spec, g, k_values=k)) <= 15.5
+        assert self.warm_peak(lambda: solve_singular(spec, g, k_values=k)) <= 13.3
 
     @pytest.mark.parametrize(
-        "domain, bound", [(Domain.interval(), 15.5), (Domain.ball(3), 20.5)], ids=["interval", "ball3"]
+        "domain, bound", [(Domain.interval(), 11.65), (Domain.ball(3), 18.15)], ids=["interval", "ball3"]
     )
     def test_singular_solve_that_builds_its_grid(self, domain, bound):
         # the solve's arrays plus the grid's stored geometry, 4n doubles on
-        # the interval and 5n on the ball.  Measured at 15.06n and 20.04n
-        # with numpy 2.4.6; 18.06n and 21.04n while grids also cached their
-        # midpoints, the midpoint distances and, on the interval, an array
-        # of ones
+        # the interval and 5n on the ball.  Measured at 11.55n and 18.05n
+        # with numpy 2.4.6; 15.06n and 20.04n while the loop's theta and
+        # loads were full length, the report held both barriers and the loop
+        # a separate midpoint and K; 18.06n and 21.04n while grids also
+        # cached their midpoints, the midpoint distances and, on the
+        # interval, an array of ones
         spec = ProblemSpec(m=2.0, p=0.5, q=0.5, domain=domain)
 
         def solve():
@@ -1053,6 +1067,67 @@ class TestSolvePeaks:
 
         solve()  # first-use set-up outside the grid
         assert traced_peak(solve, self.N) <= bound
+
+    def test_reproduction_pass(self):
+        # E1, E3 and E2 of reproduce-theorem1 on grids built afresh.  E2 runs
+        # last, and its n = 16385 solve sets the peak.  Measured at 15.12n
+        # (1.89 MiB) with numpy 2.4.6; 18.61n (2.33 MiB) while the loop's
+        # theta and loads were full length, the report held both barriers
+        # and the loop a separate midpoint and K
+        def run():
+            return repro.reproduce(("E1", "E3", "E2"), {}, SolverConfig())
+
+        assert run().overall  # first-use set-up
+        assert traced_peak(run, self.N) <= 15.25
+
+
+class TestReportPair:
+    """A singular report keeps its certified pair as what it is, one field
+    and two scales, and forms each barrier from them when it is read.  The
+    error reports carry it too (test_p_zero_outside_bracket_raises,
+    test_error_reports_carry_the_certified_pair)."""
+
+    SPEC = ProblemSpec(m=3.0, p=1.5, q=0.3)
+    DOMAINS = pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+
+    @DOMAINS
+    def test_barriers_are_the_scaled_base(self, domain, monkeypatch):
+        # bit for bit lam_lo w and lam_hi w of the whole field w the loop's
+        # first pair is built from
+        g = make_graded_grid(1025, 3.0, domain)
+        first_pair, given = solver._first_pair, []
+
+        def spy(grid, w, lam_lo, lam_hi):
+            given.append((lam_lo * w, lam_hi * w, lam_hi / lam_lo))
+            return first_pair(grid, w, lam_lo, lam_hi)
+
+        monkeypatch.setattr(solver, "_first_pair", spy)
+        rep = solve_singular(dataclasses.replace(self.SPEC, domain=domain), g)
+        [(sub, sup, c)] = given
+        w0, lo, hi = rep.barrier_base.values, rep.barrier_lo, rep.barrier_hi
+        assert rep.converged and 0.0 < lo <= hi
+        assert rep.barrier_base.grid is g and not w0.flags.writeable
+        assert rep.sub_barrier.values.tobytes() == sub.tobytes() == (lo * w0).tobytes()
+        assert rep.super_barrier.values.tobytes() == sup.tobytes() == (hi * w0).tobytes()
+        assert rep.barrier_c == c == hi / lo
+        if not domain.is_ball:  # the whole field, mirrored
+            assert np.array_equal(w0, w0[::-1])
+
+    @DOMAINS
+    def test_a_report_holds_two_arrays(self, domain):
+        # the solution and w0, each a whole array of n doubles and not a
+        # view that would keep the loop's block alive
+        g = make_graded_grid(1025, 3.0, domain)
+        rep = solve_singular(dataclasses.replace(self.SPEC, domain=domain), g)
+        held = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        arrays = [v.values if isinstance(v, GridFunction) else v for v in held
+                  if isinstance(v, (GridFunction, np.ndarray))]
+        assert len(arrays) == 2
+        assert arrays[0] is rep.solution.values and arrays[1] is rep.barrier_base.values
+        for a in arrays:
+            assert a.shape == (g.n,) and a.dtype == np.float64 and a.base is None
 
 
 class TestSolverConfig:
