@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_GRADING, GridFunction, INTERVAL01, MIN_NODES, make_graded_grid
+from .core import DEFAULT_GRADING, GridFunction, INTERVAL01, MIN_NODES, is_whole, make_graded_grid
 from .errors import (
     DomainError,
     GridMismatch,
@@ -256,14 +256,18 @@ def threshold_scan(
     solves with its other checks.  ``refinement_levels`` are increasing node
     counts, each refining the last (n - 1 doubles).  The rate reads the last
     two increments, so three levels suffice; the earlier levels of a longer
-    scan only fill rows of ``norms``.  Fewer than three levels, one below
-    MIN_NODES nodes, unnested ones, no tau or a tau not in [1, inf) raise
-    InvalidConfig and a grading below 1 InvalidGrading, all before any
+    scan only fill rows of ``norms``.  Fewer than three levels, one that is
+    not a whole number (a whole float such as 257.0 is taken as 257) or is
+    below MIN_NODES nodes, unnested ones, no tau or a tau not in [1, inf)
+    raise InvalidConfig and a grading below 1 InvalidGrading, all before any
     solve.  A level whose solve raises a package error becomes SolveFailed
     naming n, the error chained; any other exception propagates as itself.
     A field on a grid of another node count or grading raises GridMismatch.
     """
-    levels = [int(n) for n in refinement_levels]
+    levels = list(refinement_levels)
+    if not all(map(is_whole, levels)):
+        raise InvalidConfig(f"levels must be whole node counts, got {levels!r}")
+    levels = [int(n) for n in levels]
     if len(levels) < 3:
         raise InvalidConfig("need at least 3 refinement levels")
     for a, b in zip(levels, levels[1:]):
@@ -326,15 +330,17 @@ def distance_integral_classify(
     last two increments, so three levels suffice.  A level sum that
     overflows, which needs a > 1 (each term h delta_mid^(-a) is at most 2
     for a <= 1), reads Infinite, its exponent estimated from the finite
-    levels (nan with fewer than three).  A non-finite a, or fewer than
-    three levels, raises InvalidConfig.
+    levels (nan with fewer than three).  A non-finite a, or a level count
+    that is not a whole number (3.0 is taken as 3) or is below three, raises
+    InvalidConfig.
     """
     if not math.isfinite(a):
         raise InvalidConfig(f"exponent a must be finite, got {a}")
-    if refinement_levels < 3:
-        raise InvalidConfig("need at least 3 refinement levels")
+    if not is_whole(refinement_levels) or refinement_levels < 3:
+        raise InvalidConfig(f"need at least 3 refinement levels, a whole number, got "
+                            f"{refinement_levels!r}")
     q = []
-    for l in range(refinement_levels):
+    for l in range(int(refinement_levels)):
         grid = make_graded_grid(256 * 2**l + 1, grading, INTERVAL01)
         with np.errstate(over="ignore"):
             q.append(float(np.einsum("i,i->", grid.h, grid.delta_mid ** (-a))))

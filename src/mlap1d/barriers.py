@@ -48,6 +48,7 @@ from .core import (
     Grid1D,
     GridFunction,
     ProblemSpec,
+    is_whole,
     regime_profiles,
     same_grid,
 )
@@ -124,8 +125,11 @@ def _checked_indices(grid: Grid1D, skip_cells: int, slack: float) -> np.ndarray:
     """The nodes a check reads, once its skip_cells and slack are valid."""
     if not math.isfinite(slack):
         raise DomainError(f"slack must be finite, got {slack}")
+    if not is_whole(skip_cells):
+        raise DomainError(f"skip_cells must be a whole number, got {skip_cells!r}")
     if skip_cells < 0:
         raise DomainError(f"skip_cells must be >= 0, got {skip_cells}")
+    skip_cells = int(skip_cells)
     hi = grid.n - 2 - skip_cells  # last node whose right cell is clear of the boundary zone
     lo = skip_cells + 1 if 0 in grid.dirichlet_indices() else 0
     if hi < lo:
@@ -193,7 +197,7 @@ def check_barrier(
         worst_margin=float(margins[k]),
         checked_nodes=idx.size,
         slack=slack,
-        skip_cells=skip_cells,
+        skip_cells=int(skip_cells),
         description=description,
     )
 

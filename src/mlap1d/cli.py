@@ -3,14 +3,15 @@ report and scan CSV files.  Field CSVs are written by ``fieldcsv``; the
 reproduction matrix, its claims and its runner live in ``repro``.
 
 Configuration is flat ``key = value`` text (diff-friendly experiment records)
-in four layers, in increasing precedence: config file, environment variables
-prefixed ``MLAP1D_``, ``--key value`` flags, and generic ``--set key=value``.
-Every value goes through ``RunConfig.set``; unknown or abbreviated keys and
-malformed values, such as a word outside an enumerated key's options, are
-rejected.  Every command that solves builds its problem
-with ``_problem``: the singular or fixed right-hand side on the configured
-domain (interval or ball).  All outputs are deterministic: identical
-configuration yields bit-identical files.
+in three layers, in increasing precedence: config file, ``--key value`` flags,
+and generic ``--set key=value``, so the command line names every source.
+Every value goes through ``RunConfig.set``; unknown or abbreviated keys,
+malformed values, such as a word outside an enumerated key's options, and
+claim overrides (dotted keys) given to any command but reproduce-theorem1
+are rejected.  Every command that solves builds its problem with
+``_problem``: the singular or fixed right-hand side on the configured domain
+(interval or ball).  All outputs are deterministic: identical configuration
+yields bit-identical files.
 
 Subcommands: classify, solve, eigen, barrier-check, fit-exponent,
 scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
@@ -20,7 +21,6 @@ scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
 from __future__ import annotations
 
 import math
-import os
 import sys
 import textwrap
 from dataclasses import dataclass, field
@@ -56,9 +56,6 @@ from .repro import (  # noqa: F401 (_entry_claims: cli API, timed by bench/)
     scan_claims,
 )
 from .solver import SolverConfig, solve_dirichlet, solve_singular
-
-ENV_PREFIX = "MLAP1D_"
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -99,8 +96,7 @@ def _float_or(word: str):
 
 FITS = {"power": fit_boundary_exponent, "logaffine": fit_log_profile}
 
-# key -> (parser, default; the library's default where it has one).  Every key
-# can come from config file, environment (MLAP1D_<KEY>), or flags; unknown keys are rejected.
+# key -> (parser, default: the library's default where it has one); unknown keys are rejected.
 KNOWN_KEYS: dict[str, tuple] = {
     # problem
     "m": (float, 2.0),
@@ -197,7 +193,6 @@ class RunConfig:
         )
 
 
-
 def load_config_file(cfg: RunConfig, path: str) -> None:
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -208,13 +203,6 @@ def load_config_file(cfg: RunConfig, path: str) -> None:
             raise InvalidConfig(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         cfg.set(key, raw)
-
-
-def load_env(cfg: RunConfig) -> None:
-    for key in KNOWN_KEYS:
-        var = ENV_PREFIX + key.upper()
-        if var in os.environ:
-            cfg.set(key, os.environ[var])
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +538,7 @@ def usage() -> str:
                                 break_on_hyphens=False).fill
     flags = " ".join("--" + key.replace("_", "-") for key in KNOWN_KEYS)
     return (f"usage: mlap1d COMMAND [--KEY VALUE | --KEY=VALUE]...\n\ncommands:\n"
-            f"{fill(' '.join(COMMANDS))}\nkeys, each also an environment variable "
-            f"{ENV_PREFIX}<KEY>:\n{fill(flags)}\n"
+            f"{fill(' '.join(COMMANDS))}\nkeys:\n{fill(flags)}\n"
             "--config FILE (key = value lines) is read first, --set KEY=VALUE last.\n")
 
 
@@ -560,8 +547,9 @@ def parse_argv(argv) -> tuple[str, RunConfig]:
 
     Every other word is ``--key value`` or ``--key=value``: a configuration
     key with - for _, ``config`` or ``set``.  A value is the next word unless
-    that starts with --.  The layers apply file < environment < flags < --set
-    in any order in argv, each value through RunConfig.set.
+    that starts with --.  The layers apply file < flags < --set in any order
+    in argv, each value through RunConfig.set.  A dotted key (a claim
+    override) is refused unless the command is reproduce-theorem1.
     """
     command, config, flags, sets = None, None, [], []
     words = iter(argv)
@@ -594,9 +582,10 @@ def parse_argv(argv) -> tuple[str, RunConfig]:
     cfg = RunConfig()
     if config is not None:
         load_config_file(cfg, config)
-    load_env(cfg)
     for key, raw in flags + sets:
         cfg.set(key, raw)
+    if cfg.overrides and command != "reproduce-theorem1":
+        raise InvalidConfig(f"{command} reads no claim override, got {', '.join(cfg.overrides)}")
     return command, cfg
 
 

@@ -263,6 +263,26 @@ class TestThresholdScan:
             threshold_scan(solve, [2.0], [257, 513, 1025, 2000])  # not nested
 
     @pytest.mark.parametrize(
+        "levels",
+        [[257.5, 513, 1025], [257, 513, 1025.9], ["257", 513, 1025], [None, 513, 1025],
+         [math.inf, 513, 1025], [257, math.nan, 1025], [True, 513, 1025]],
+    )
+    def test_a_level_that_is_not_a_whole_number_is_refused_before_any_solve(self, levels):
+        def solve(n):
+            raise AssertionError(f"solved at n = {n}")
+
+        with pytest.raises(InvalidConfig, match="levels must be whole node counts"):
+            threshold_scan(solve, [2.0], levels)
+
+    def test_whole_float_levels_are_taken_as_ints(self):
+        solve = singular_levels(ProblemSpec(m=2.0, p=0.5, q=1.0))
+        floats = threshold_scan(solve, [2.0], [257.0, np.float64(513), 1025])
+        ints = threshold_scan(solve, [2.0], [257, 513, 1025])
+        assert floats.level_ns == (257, 513, 1025)
+        assert all(type(n) is int for n in floats.level_ns)
+        assert np.array_equal(floats.norms, ints.norms) and floats.rates == ints.rates
+
+    @pytest.mark.parametrize(
         "spec, taus, levels",
         [
             (ProblemSpec(m=2.0, p=0.5, q=1.0), (2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
@@ -397,6 +417,14 @@ class TestDistanceIntegral:
     def test_level_validation(self):
         with pytest.raises(InvalidConfig, match="need at least 3 refinement levels"):
             distance_integral_classify(0.5, refinement_levels=2)
+
+    @pytest.mark.parametrize("levels", [3.5, math.nan, math.inf, None, "4", True])
+    def test_a_level_count_that_is_not_a_whole_number_is_refused(self, levels):
+        with pytest.raises(InvalidConfig, match="need at least 3 refinement levels"):
+            distance_integral_classify(0.5, refinement_levels=levels)
+
+    def test_a_whole_float_level_count_is_taken_as_an_int(self):
+        assert distance_integral_classify(0.5, 4.0) == distance_integral_classify(0.5, 4)
 
     def test_three_levels_classify(self):
         # the rate and the tail read the last two increments only

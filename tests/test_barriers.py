@@ -468,6 +468,22 @@ class TestExactScale:
         with pytest.raises(DomainError, match=f"skip_cells must be >= 0, got {skip_cells}"):
             check_barrier(cand, SUPER, E3, 2.0, skip_cells=skip_cells)
 
+    @pytest.mark.parametrize("skip_cells", [1.5, math.nan, math.inf, None, "2", True])
+    def test_skip_cells_that_is_not_a_whole_number_is_refused(self, eig_1025, skip_cells):
+        cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
+        match = "skip_cells must be a whole number"
+        with pytest.raises(DomainError, match=match):
+            check_barrier(cand, SUPER, E3, 2.0, skip_cells=skip_cells)
+        with pytest.raises(DomainError, match=match):
+            auto_scale(BoundaryProfile.power(1.0), SUPER, E3, eig_1025, skip_cells=skip_cells)
+
+    def test_a_whole_float_skip_cells_is_taken_as_an_int(self, eig_1025):
+        cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
+        as_float = check_barrier(cand, SUPER, E3, 2.0, skip_cells=2.0)
+        as_int = check_barrier(cand, SUPER, E3, 2.0, skip_cells=2)
+        assert as_float.report_items() == as_int.report_items()
+        assert type(as_float.skip_cells) is int
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, 0.5])
     def test_scale_must_be_finite_and_at_least_one(self, eig_1025, c):
         with pytest.raises(DomainError, match="scaling constant must be >= 1 and finite"):

@@ -77,10 +77,20 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "Supercritical" in out  # flag q=1 overrode file q=0.5
 
-    def test_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_the_environment_is_not_a_source(self, capsys, monkeypatch):
+        # q stays at its default 0, as argv gives it, whatever MLAP1D_Q says
         monkeypatch.setenv("MLAP1D_Q", "1")
         assert main(["classify", "--m", "2", "--p", "0.5"]) == 0
-        assert "Supercritical" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("regime = Subcritical\n")
+
+    def test_a_reproduction_reads_no_environment_variable(self, tmp_path, monkeypatch):
+        argv = ["reproduce-theorem1", "--matrix", "E1", "--output-dir"]
+        assert main(argv + [str(tmp_path / "clean")]) == 0
+        monkeypatch.setenv("MLAP1D_PICARD_TOL", "1e-4")
+        monkeypatch.setenv("MLAP1D_MAX_PICARD_ITERS", "2")
+        assert main(argv + [str(tmp_path / "env")]) == 0
+        clean, env = (tmp_path / d / "reproduce.report" for d in ("clean", "env"))
+        assert env.read_bytes() == clean.read_bytes()
 
     def test_set_flag(self, capsys):
         assert main(["classify", "--set", "m=2", "--set", "p=0.5", "--set", "q=1"]) == 0
@@ -95,6 +105,17 @@ class TestConfigHandling:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nm = 2\np = 0.5\nq = 1\n")
         assert main(["classify", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("key", ["picard.tol", "e1.boundary_exponent"])
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "reproduce-theorem1"])
+    def test_only_reproduce_takes_a_claim_override(self, tmp_path, capsys, command, key):
+        out, cfg = tmp_path / "o", tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        for argv in (["--set", f"{key}=5"], ["--config", str(cfg)]):
+            assert main([command, *argv, "--output-dir", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == f"invalid input: {command} reads no claim override, got {key}\n"
 
 
 class TestSolveCommand:
@@ -1067,7 +1088,7 @@ def test_help_lists_every_command_and_key(tmp_path, flag):
                          capture_output=True, text=True)
     assert run.returncode == 0 and run.stderr == ""
     words = set(run.stdout.split())
-    assert set(COMMANDS) <= words and "MLAP1D_<KEY>:" in words
+    assert set(COMMANDS) <= words and "MLAP1D" not in run.stdout
     assert {"--" + key.replace("_", "-") for key in mlap1d.cli.KNOWN_KEYS} <= words
 
 
@@ -1193,6 +1214,26 @@ def test_every_scanned_tau_has_its_own_claim_id():
     for entry in default_matrix().values():
         names = [f"tau_{tau:g}" for tau in entry.scan_taus]
         assert len(set(names)) == len(names), entry.entry_id
+
+
+def test_no_module_reads_the_process_environment():
+    """The command line names every source of a run's configuration: no
+    module of the package names environ, getenv or putenv."""
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.alias):
+                yield node.name
+
+    found = {}
+    for path in Path(mlap1d.cli.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if hits := {"environ", "getenv", "putenv"} & set(names(tree)):
+            found[path.name] = sorted(hits)
+    assert found == {}
 
 
 def test_repro_imports_nothing_from_cli():
