@@ -197,7 +197,7 @@ def sobolev_seminorm(u: GridFunction, tau: float) -> float:
     g = u.grid
     du = np.diff(u.values) / g.h
     with np.errstate(over="ignore"):
-        total = float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** tau))
+        total = float(np.einsum("i,i->", g.cell_measures, np.abs(du) ** tau))
     if total == math.inf:
         raise DomainError(f"sum w |Du|^tau overflows double precision at tau = {tau:g}")
     return total ** (1.0 / tau)

@@ -342,7 +342,7 @@ class Grid1D:
     the flux weights.  On the interval the flux weights r^0 are all 1, so
     ``flux_weights`` is a read-only zero-stride view of 1.0 that holds no
     array of n doubles, and multiplying by it is exact.  The midpoints, the
-    midpoint distances and the radially weighted interval measures are
+    midpoint distances and the radially weighted cell measures are
     computed where they are read.  A graded grid then stores 4n doubles on
     the interval and 5n on the ball.
 
@@ -418,7 +418,7 @@ class Grid1D:
         return _freeze(dm)
 
     @property
-    def interval_weights(self) -> np.ndarray:
+    def cell_measures(self) -> np.ndarray:
         """Measure of each cell, h * r_mid^(N-1); on the interval (N = 1) the
         array h itself."""
         return _freeze(self.h * self.flux_weights) if self.domain.is_ball else self.h
@@ -439,7 +439,7 @@ class Grid1D:
     def cell_volumes(self) -> np.ndarray:
         """Dual-cell measure around each node: the exact integral of r^(N-1)
         over the dual cell, which keeps the discrete divergence in exact
-        summation-by-parts duality with the interval weights.  At N = 1 it is
+        summation-by-parts duality with the cell measures.  At N = 1 it is
         the half-sum of the adjacent widths, the distance between the
         adjacent midpoints, taken from their distances to the boundary.
         """

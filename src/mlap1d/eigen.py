@@ -15,12 +15,13 @@ pi_m = 2 pi / (m sin(pi/m)), which the tests use as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid1D, GridFunction, _check_m
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 from .solver import apply_mlap, solve_dirichlet
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
@@ -47,10 +48,12 @@ class EigenPair:
 
 
 def rayleigh_quotient(u: GridFunction, m: float) -> float:
-    """sum_cells w |Du|^m / sum_nodes V |u|^m on the grid of ``u``."""
+    """sum_cells w |Du|^m / sum_nodes V |u|^m on the grid of ``u``; inf,
+    without a warning, where the numerator overflows double precision."""
     g = u.grid
     du = np.diff(u.values) / g.h
-    num = float(np.einsum("i,i->", g.interval_weights, np.abs(du) ** m))
+    with np.errstate(over="ignore"):
+        num = float(np.einsum("i,i->", g.cell_measures, np.abs(du) ** m))
     den = float(np.einsum("i,i->", g.cell_volumes, np.abs(u.values) ** m))
     return num / den
 
@@ -74,8 +77,9 @@ def first_eigenpair(grid: Grid1D, m: float) -> EigenPair:
     Rayleigh-quotient eigenvalue changes by at most ``TOL * max(1, lambda)``
     between iterations.  Every iterate is positive inside: its load
     phi^(m-1) is, and a positive load gives a positive solve.  Raises
-    AdmissibilityViolation unless 1 < m < inf, and NonConvergence if
-    MAX_ITERS inverse iterations are not enough.
+    AdmissibilityViolation unless 1 < m < inf, DomainError naming m as soon
+    as an iterate's quotient overflows double precision (the start field's
+    may), and NonConvergence if MAX_ITERS inverse iterations are not enough.
     """
     _check_m(m)
     phi = _initial_field(grid)
@@ -84,6 +88,8 @@ def first_eigenpair(grid: Grid1D, m: float) -> EigenPair:
         psi = solve_dirichlet(GridFunction(grid, phi.values ** (m - 1.0)), m).solution
         phi = GridFunction(grid, psi.values / psi.values.max())
         lam_new = rayleigh_quotient(phi, m)
+        if not math.isfinite(lam_new):
+            raise DomainError(f"the Rayleigh quotient overflows double precision at m = {m:g}")
         if abs(lam_new - lam) <= TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break

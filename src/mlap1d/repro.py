@@ -23,9 +23,7 @@ from .analyzer import (
     gradient_bound_check,
     threshold_scan,
 )
-from .core import (
-    DEFAULT_GRADING, Domain, Grid1D, ProblemSpec, Regime, classify_regime, make_graded_grid,
-)
+from .core import DEFAULT_GRADING, Domain, ProblemSpec, Regime, classify_regime, make_graded_grid
 from .errors import InvalidConfig
 from .solver import SolveReport, SolverConfig, solve_singular
 
@@ -175,20 +173,16 @@ def _predictions(spec: ProblemSpec) -> dict[str, float]:
 
 
 def _entry_claims(
-    entry: MatrixEntry,
-    overrides: dict[str, float],
-    config: SolverConfig,
-    grids: dict[tuple[Domain, int], Grid1D] | None = None,
+    entry: MatrixEntry, overrides: dict[str, float], config: SolverConfig
 ) -> list[ClaimRecord]:
     """Run one matrix entry end to end and emit its claim records.
 
     ``overrides`` maps lower-case ``<entry>.<claim>`` keys to predictions
     that replace the theorem's.  Every singular solve of the entry goes
     through one memo keyed on n, so the fit solve, the gradient check and
-    the scan levels share their solves.  Every grid is graded at
-    core.DEFAULT_GRADING and comes from ``grids``, keyed on (domain, n),
-    which entries run together may share, so each grid and its cached
-    geometry is built once.
+    the scan levels share their solves.  Each solve builds its grid,
+    graded at core.DEFAULT_GRADING, so an entry shares no state with
+    another and its grids are freed with its solves when it returns.
     """
     eid = entry.entry_id.lower()
     spec = entry.spec
@@ -198,14 +192,11 @@ def _entry_claims(
         for name, value in _predictions(spec).items()
     }
     solves: dict[int, SolveReport] = {}
-    grids = {} if grids is None else grids
 
     def solve_at(n: int) -> SolveReport:
         if n not in solves:
-            key = (spec.domain, n)
-            if key not in grids:
-                grids[key] = make_graded_grid(n, DEFAULT_GRADING, spec.domain)
-            solves[n] = solve_singular(spec, grids[key], config)
+            grid = make_graded_grid(n, DEFAULT_GRADING, spec.domain)
+            solves[n] = solve_singular(spec, grid, config)
         return solves[n]
 
     claims: list[ClaimRecord] = []
@@ -282,7 +273,6 @@ def reproduce(
             raise InvalidConfig(f"bad value for override {key!r}: {raw!r}") from exc
 
     claims: list[ClaimRecord] = []
-    grids: dict[tuple[Domain, int], Grid1D] = {}
     for name in names:
-        claims.extend(_entry_claims(matrix[name], predictions, config, grids))
+        claims.extend(_entry_claims(matrix[name], predictions, config))
     return ReproReport(tuple(claims))

@@ -244,7 +244,7 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     return GridFunction(g, out)
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
+def _scaled_residual(grid, u, m, loads, theta_vals, first, rows, weights) -> float:
     """sup over the unknowns from node ``first`` on of
     max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
     NaN, so that a solution that overflowed fails the check.  ``loads`` and
@@ -258,13 +258,13 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     solution from the centre on is the whole grid's.
 
     ``rows`` is scratch for four arrays over those cells (n - first + 1
-    wide will do).  The caller holds np.errstate(divide="ignore") for
-    phi'(0) = inf when m < 2.
+    wide will do), and ``weights`` is grid.flux_weights.  The caller holds
+    np.errstate(divide="ignore") for phi'(0) = inf when m < 2.
     """
     c = max(first - 1, 0)  # the first cell that bounds a node checked
     cells = grid.n - 1 - c
     du, fw, fn, noise = rows[:4, :cells]
-    h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
+    h, weights, uc = grid.h[c:], weights[c:], u[c:]
     u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
     # the arithmetic of the formula above, written into the four rows:
     # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
@@ -334,7 +334,7 @@ def _compensated_cumsum(x, s, err, bp, t):
     return s
 
 
-def _zero_flux_solution(grid, loads, m, u, k, rows):
+def _zero_flux_solution(grid, loads, m, u, k, rows, weights):
     """u from node k to node n - 2, written into ``u``, on the chain that
     starts at node k with zero flux on its left (Grid1D.chain_start) and
     ends at the Dirichlet node n - 1 (u = 0).
@@ -344,7 +344,7 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
     summed inward from the Dirichlet end, both sums on the negations (exact
     under rounding).  ``loads`` starts at node k.  ``rows``: four scratch
-    rows of at least n - 1 - k.
+    rows of at least n - 1 - k.  ``weights`` is grid.flux_weights.
     """
     n = grid.n
     flux, hdu, err, bp = rows[:4, : n - 1 - k]
@@ -353,7 +353,7 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
         flux[0] = 0.5 * loads[0] if n % 2 else 0.0
     np.add.accumulate(flux, out=flux)
     if not k:  # the interval's flux weights, from its centre on, are ones
-        flux /= grid.flux_weights
+        flux /= weights
     if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
         np.multiply(flux, grid.h[k:], out=hdu)
     else:
@@ -500,7 +500,7 @@ def _chain_start(grid, *arrays):
     return k
 
 
-def _solve_into(grid, theta_vals, m, k, loads, u, rows):
+def _solve_into(grid, theta_vals, m, k, loads, u, rows, weights):
     """One Dirichlet solve of -div(Phi) = theta into ``u``; returns the
     number of closure evaluations and the scaled residual.
 
@@ -513,19 +513,22 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     runs the closure search on the interval and writes the loads and u at
     every unknown.  u is always indexed by node.  The caller owns
     ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
-    of n - k on a chain and five of n - 1 otherwise, and holds
-    np.errstate(divide="ignore", over="ignore", invalid="ignore"): loads
-    that overflow turn u and the residual NaN, which the caller's check
-    turns into NonConvergence.
+    of n - k on a chain and five of n - 1 otherwise, and ``weights``,
+    grid.flux_weights read once per solve rather than once per sweep.  It
+    holds np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    loads that overflow turn u and the residual NaN, which the caller's
+    check turns into NonConvergence.
     """
     n = grid.n
     if k is not None:
-        _zero_flux_solution(grid, _loads(grid.cell_volumes[k:-1], theta_vals, loads), m, u, k, rows)
+        _zero_flux_solution(
+            grid, _loads(grid.cell_volumes[k:-1], theta_vals, loads), m, u, k, rows, weights
+        )
         if k and n % 2:  # the check from the centre node reads u one node to its left
             u[k - 1] = u[k + 1]
         first = n // 2 if k else 0
         return 0, _scaled_residual(
-            grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows
+            grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows, weights
         )
     sl = grid.unknown_slice
     _loads(grid.cell_volumes[sl], theta_vals[sl], loads[sl])
@@ -543,7 +546,7 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     right = u[k + 1 : -1]
     _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])
     np.negative(right, out=right)
-    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows)
+    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows, weights)
 
 
 def _mirror_left(u, k):
@@ -591,7 +594,9 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     work = np.empty(n - start + r * c)
     loads, rows = work[: n - start], work[n - start :].reshape(r, c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        iterations, res = _solve_into(grid, theta.values[start:], m, k, loads, u, rows)
+        iterations, res = _solve_into(
+            grid, theta.values[start:], m, k, loads, u, rows, grid.flux_weights
+        )
     report = _report(grid, _mirror_left(u, k), iterations, res, res <= RESIDUAL_TOL)
     if not report.converged:
         raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
@@ -711,10 +716,11 @@ def _singular_loop(spec, grid, cfg, k_values):
     first solve takes v0 = exp(_log_profile) unclamped, and its bracket
     gives the certified pair (lam_lo w0, lam_hi w0); the iteration then
     starts at the pair's sub and is held as L = log u on the unknowns, where
-    the step is L <- (1-w) L + w log T(u).  The loop takes log sub and
-    log K once and the clamp Lt = max(L, log sub) once a sweep, so each
-    sweep makes four transcendental passes: the exp in theta, the log of
-    T(u) that the bracket and the step share, and the bracket's two log1p.
+    the step is L <- (1-w) L + w log T(u).  The loop takes log sub, log K
+    and the flux weights once and the clamp Lt = max(L, log sub) once a
+    sweep, so each sweep makes four transcendental passes: the exp in
+    theta, the log of T(u) that the bracket and the step share, and the
+    bracket's two log1p.
     It allocates one workspace per solve, ``work``, whose rows hold every
     array of a sweep but w: theta, the loads, log K, log sub, L, Lt, the
     default K (a caller's K is read in place) and the scratch of
@@ -752,6 +758,7 @@ def _singular_loop(spec, grid, cfg, k_values):
     n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
     k_full = _k_in_envelope(spec, grid, k_values).values
+    weights = grid.flux_weights  # on the interval a new view at every read
     # w has its own array, outside the block: it is the returned solution.
     # Until the first solve writes it, it holds log v0 on the unknowns
     w = np.zeros(n)
@@ -798,7 +805,7 @@ def _singular_loop(spec, grid, cfg, k_values):
             _singular_theta(p, k, lt, theta_sl)
             start = _chain_start(grid, theta) if chain is None else chain
             o = (start or 0) - origin  # the row entry of the solve's first node
-            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch)[1]
+            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch, weights)[1]
             if chain is None:  # the whole grid's w, as solve_dirichlet returns it
                 _mirror_left(w, start)
             iterations += 1

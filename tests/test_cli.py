@@ -720,19 +720,20 @@ class TestReproduceReuse:
         assert parse_repro_report(backward.decode()) == parse_repro_report(forward.decode())
         assert backward == forward
 
-    def test_one_grid_per_node_count(self, tmp_path, monkeypatch):
-        # E1-E3 make 8 solves on grids of 4 node counts, all at grading 3
-        # on the interval; the entries of one run share them, and a second
-        # run builds its own
+    def test_one_grid_per_entry_and_node_count(self, tmp_path, monkeypatch):
+        # E1-E3 make 8 solves, all at grading 3 on the interval; each entry
+        # builds the grid of each of its node counts once and shares it with
+        # no other entry, and a second run builds its own
         built = []
         make = mlap1d.repro.make_graded_grid
         monkeypatch.setattr(
             mlap1d.repro, "make_graded_grid", lambda *a: built.append(a) or make(*a)
         )
         self._run(tmp_path, "a")
-        assert sorted(a[0] for a in built) == [2049, 4097, 8193, 16385]
+        assert sorted(a[0] for a in built) == [2049, 4097, 4097, 4097, 8193, 8193, 8193, 16385]
+        assert {a[1:] for a in built} == {(3.0, Domain.interval())}
         self._run(tmp_path, "b")
-        assert len(built) == 8
+        assert len(built) == 16
 
     def test_every_sweep_of_e1_runs_on_the_right_half(self, tmp_path, monkeypatch):
         # E1's grids, K and start profile are exact mirrors, so every sweep

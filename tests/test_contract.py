@@ -49,6 +49,12 @@ CORNER = [
 ]
 
 
+def budget(examples):
+    """``examples`` under Hypothesis's default profile, scaled by the loaded
+    profile's max_examples over the default's 100 (conftest.py)."""
+    return examples * settings.default.max_examples // 100
+
+
 def domain(dim):
     return Domain.interval() if dim == 1 else Domain.ball(dim)
 
@@ -114,7 +120,7 @@ def assert_certified_or_typed(spec, grid, k_values=None):
 
 
 @given(draws())
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@settings(max_examples=budget(150), derandomize=True, deadline=None, database=None)
 @example(CORNER[0])
 @example(CORNER[1])
 @example(CORNER[2])
@@ -135,7 +141,7 @@ def test_every_draw_certifies_or_raises_a_typed_error(point):
 
 
 @given(off_chain_draws())
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=budget(60), derandomize=True, deadline=None, database=None)
 def test_every_off_chain_draw_certifies_or_raises_a_typed_error(point):
     m, p, q, n, grading, jitter, seed, eps, k = point
     try:
@@ -151,7 +157,7 @@ def test_every_off_chain_draw_certifies_or_raises_a_typed_error(point):
 
 
 @given(draws())
-@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@settings(max_examples=budget(10), derandomize=True, deadline=None, database=None)
 @example(CORNER[4])  # an exhausted budget, exit 1
 @example((2.0, 0.5, 0.0, 1, 1499, 5.9))  # a grid that collapses, exit 2
 def test_a_draw_solved_on_the_command_line_matches_the_library(point):

@@ -369,13 +369,13 @@ class TestGradedGrid:
         assert np.allclose(g.delta_nodes, np.minimum(g.nodes, 1 - g.nodes))
 
     @pytest.mark.parametrize("n,grading", [(33, 1.0), (1026, 3.0), (4097, 2.5)])
-    def test_interval_weights_are_the_radial_ones_at_n_1(self, n, grading):
+    def test_cell_measures_are_the_radial_ones_at_n_1(self, n, grading):
         g = make_graded_grid(n, grading)
         assert g.domain.ball_dim == 1
         assert np.array_equal(g.flux_weights, np.ones(n - 1))
         # a read-only view of one 1.0, not an array of n - 1 ones
         assert g.flux_weights.strides == (0,) and not g.flux_weights.flags.writeable
-        assert g.interval_weights is g.h
+        assert g.cell_measures is g.h
         # half-sums of the adjacent widths (half a width at each end), to rounding
         half_sums = 0.5 * (np.append(g.h, 0.0) + np.insert(g.h, 0, 0.0))
         assert np.allclose(g.cell_volumes, half_sums, rtol=0.0, atol=np.finfo(float).eps)
@@ -421,7 +421,7 @@ class TestGradedGrid:
         assert stored() == {id(v) for v in kept}
         assert sum(v.nbytes for v in kept) == 8 * (5 * g.n - 2 if domain.is_ball else 4 * g.n - 1)
         # computed where they are read, and never cached
-        for a in (g.midpoints, g.delta_mid, g.interval_weights):
+        for a in (g.midpoints, g.delta_mid, g.cell_measures):
             assert not a.flags.writeable
         assert "midpoints" not in vars(g) and "delta_mid" not in vars(g)
         assert stored() == {id(v) for v in kept}

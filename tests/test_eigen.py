@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,26 @@ def test_exhausted_budget_raises(monkeypatch):
     monkeypatch.setattr(mlap1d.eigen, "MAX_ITERS", 1)
     with pytest.raises(NonConvergence, match="eigen iteration did not settle in 1 steps"):
         first_eigenpair(make_graded_grid(129, 1.0), 2.0)
+
+
+def test_start_field_overflow_stays_inside_the_iteration():
+    # at m = 1000 the start field's quotient overflows double precision, and
+    # no iterate's does: the eigenpair is returned without a warning
+    pair = first_eigenpair(make_graded_grid(1025, 3.0), 1000.0)
+    assert math.isfinite(pair.eigenvalue) and pair.eigenvalue > 1e303
+    assert math.isfinite(pair.residual)
+
+
+def test_iterate_overflow_is_a_domain_error(monkeypatch):
+    # at m = 3000 every quotient overflows; the first iterate's stops the
+    # iteration, which would otherwise spend its budget and blame it
+    import mlap1d.eigen
+    from mlap1d.errors import DomainError
+
+    solves = []
+    solve = mlap1d.eigen.solve_dirichlet
+    monkeypatch.setattr(mlap1d.eigen, "solve_dirichlet", lambda *a: solves.append(a) or solve(*a))
+    why = "^the Rayleigh quotient overflows double precision at m = 3000$"
+    with pytest.raises(DomainError, match=why):
+        first_eigenpair(make_graded_grid(1025, 3.0), 3000.0)
+    assert len(solves) == 1

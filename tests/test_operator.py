@@ -84,7 +84,7 @@ class TestApplyMlap:
             )
         )
         du = np.diff(u.values) / g.h
-        rhs = float(np.dot(g.interval_weights, np.abs(du) ** m))
+        rhs = float(np.dot(g.cell_measures, np.abs(du) ** m))
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
