@@ -11,11 +11,8 @@ claim overrides (dotted keys) given to any command but reproduce-theorem1
 are rejected.  Every command that solves builds its problem with
 ``_problem``: the singular or fixed right-hand side on the configured domain
 (interval or ball).  All outputs are deterministic: identical configuration
-yields bit-identical files.
-
-Subcommands: classify, solve, eigen, barrier-check, fit-exponent,
-scan-threshold, lemma-integral, reproduce-theorem1.  Exit codes: 0 success,
-1 failed verification, 2 invalid input.
+yields bit-identical files.  Exit codes: 0 success, 1 failed verification,
+2 invalid input.
 """
 
 from __future__ import annotations
@@ -194,7 +191,10 @@ class RunConfig:
 
 
 def load_config_file(cfg: RunConfig, path: str) -> None:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text at byte {exc.start}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -406,15 +406,14 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
         raise InvalidConfig(f"expect_tol must be finite and >= 0, got {cfg['expect_tol']}")
     fit = FITS[kind](_solve(cfg, cfg["n"]).solution, (cfg["window_lo"], cfg["window_hi"]))
     measured = fit.exponent if kind == "power" else fit.log_exponent
-    block = [
-        ("command", "fit-exponent"),
-        ("fit_kind", kind),
+    fields = [
         ("exponent", fit.exponent),
         ("log_exponent", "" if fit.log_exponent is None else fit.log_exponent),
         ("r_squared", fit.r_squared),
         ("window_lo", fit.window[0]),
         ("window_hi", fit.window[1]),
     ]
+    block = [("command", "fit-exponent"), ("fit_kind", kind)] + fields
     code = 0
     if cfg["expect"] != "":
         expected = cfg["expect"]
@@ -426,13 +425,8 @@ def cmd_fit_exponent(cfg: RunConfig) -> int:
         ]
         code = 0 if ok else 1
     if "csv" in cfg["formats"]:
-        log_exp = "" if fit.log_exponent is None else f"{fit.log_exponent:.17g}"
-        (_outdir(cfg) / "fit.csv").write_text(
-            "exponent,log_exponent,r_squared,window_lo,window_hi\n"
-            f"{fit.exponent:.17g},{log_exp},{fit.r_squared:.17g},"
-            f"{fit.window[0]:.17g},{fit.window[1]:.17g}\n",
-            encoding="utf-8",
-        )
+        rows = (",".join(k for k, _ in fields), ",".join(_fmt(v) for _, v in fields))
+        (_outdir(cfg) / "fit.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     _emit(cfg, "fit", block)
     return code
 
@@ -548,8 +542,9 @@ def parse_argv(argv) -> tuple[str, RunConfig]:
     Every other word is ``--key value`` or ``--key=value``: a configuration
     key with - for _, ``config`` or ``set``.  A value is the next word unless
     that starts with --.  The layers apply file < flags < --set in any order
-    in argv, each value through RunConfig.set.  A dotted key (a claim
-    override) is refused unless the command is reproduce-theorem1.
+    in argv, each value through RunConfig.set; ``config`` may be given once.
+    A dotted key (a claim override) is refused unless the command is
+    reproduce-theorem1.
     """
     command, config, flags, sets = None, None, [], []
     words = iter(argv)
@@ -566,6 +561,8 @@ def parse_argv(argv) -> tuple[str, RunConfig]:
                 raise InvalidConfig(f"{flag} expects a value")
         key = flag[2:].replace("-", "_")
         if flag == "--config":
+            if config is not None:
+                raise InvalidConfig(f"--config may be given once, got {config!r} and {raw!r}")
             config = raw
         elif flag == "--set":
             key, eq, raw = raw.partition("=")

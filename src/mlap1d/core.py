@@ -77,28 +77,24 @@ def is_whole(x) -> bool:
 
 @dataclass(frozen=True)
 class Domain:
-    """Computational domain: the open unit interval or the radial unit ball.
+    """Computational domain of dimension N: the open unit interval at N = 1,
+    the radially reduced unit ball at N >= 2.
 
-    ``ball_dim`` is the ambient dimension N of the ball (N >= 2); it is 1 for
-    the interval, whose cell weights are the radial ones at N = 1.  The radial
-    reduction keeps r in [0, 1], Dirichlet at r = 1 and zero flux at r = 0.
+    ``ball_dim`` is N, and the cell weights are the radial ones, r^(N-1).
+    The radial reduction keeps r in [0, 1], Dirichlet at r = 1 and zero flux
+    at r = 0.
     """
 
-    kind: str
     ball_dim: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("interval", "ball"):
-            raise InvalidConfig(f"unknown domain kind {self.kind!r}")
         if not is_whole(self.ball_dim):
             raise AdmissibilityViolation(
                 f"dimension N must be a whole number, got N = {self.ball_dim}"
             )
         object.__setattr__(self, "ball_dim", int(self.ball_dim))
-        if self.kind == "ball" and self.ball_dim < 2:
-            raise AdmissibilityViolation("ball domain requires dimension N >= 2")
-        if self.kind == "interval" and self.ball_dim != 1:
-            raise AdmissibilityViolation(f"interval domain has dimension 1, got {self.ball_dim}")
+        if self.ball_dim < 1:
+            raise AdmissibilityViolation(f"dimension N must be at least 1, got N = {self.ball_dim}")
 
     @staticmethod
     def interval() -> "Domain":
@@ -106,11 +102,13 @@ class Domain:
 
     @staticmethod
     def ball(n: int) -> "Domain":
-        return Domain("ball", n)
+        if is_whole(n) and n < 2:
+            raise AdmissibilityViolation("ball domain requires dimension N >= 2")
+        return Domain(n)
 
     @property
     def is_ball(self) -> bool:
-        return self.kind == "ball"
+        return self.ball_dim > 1
 
     @property
     def diameter(self) -> float:
@@ -125,7 +123,7 @@ class Domain:
         return np.minimum(x, 1.0 - x)
 
 
-INTERVAL01 = Domain("interval")
+INTERVAL01 = Domain()
 
 
 def _check_m(m: float) -> None:
@@ -577,14 +575,12 @@ class GridFunction:
     def interior_from_callable(
         grid: Grid1D, f: Callable[[np.ndarray], np.ndarray]
     ) -> "GridFunction":
-        """Sample ``f`` at the non-Dirichlet ``grid.nodes`` only; boundary
-        entries are 0.
+        """Sample ``f``, a function of the node coordinate, at the
+        non-Dirichlet ``grid.nodes`` only; boundary entries are 0.
 
-        This is the one sampler, and how singular right-hand sides are
-        realized: they are sampled on the graded grid, never at the boundary
-        itself.  The right-half nodes 1 − delta of a graded interval grid
-        round delta to ulp(1) off n = 2^k + 1, so a function of the distance
-        meant to be an exact mirror is built from ``grid.delta_nodes``.
+        The right-half nodes 1 − delta of a graded interval grid round delta
+        to ulp(1) off n = 2^k + 1, so a function of the distance meant to be
+        an exact mirror is sampled from ``grid.delta_nodes`` instead.
         """
         v = np.zeros(grid.n)
         sl = grid.unknown_slice

@@ -603,42 +603,6 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     return report
 
 
-def solve_singular(
-    spec: ProblemSpec,
-    grid: Grid1D,
-    config: SolverConfig | None = None,
-    k_values: GridFunction | None = None,
-) -> SolveReport:
-    """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
-
-    K defaults to delta^(-q); a custom weight can be supplied through
-    ``k_values`` as long as it is sampled on ``grid`` (GridMismatch
-    otherwise) and stays inside the spec's (k_low, k_high) envelope.
-
-    The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
-    delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
-    and lam_hi w0 are a sub- and a supersolution for this K at every unknown
-    node up to the bracket's slack, so the comparison principle puts the
-    discrete solution between them.  That pair clamps the iteration, which
-    starts at lam_lo w0 and applies T(v) = solve_dirichlet(K v^(-p)) (see
-    the module docstring).
-    For every p >= 0 it stops on a scaling bracket of width at most
-    ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; p = 0 takes one solve.  ``iterations`` counts every
-    Dirichlet solve, the first included, and ``barrier_c`` is the first
-    bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
-    no bracket, a tolerance below the resolution floor and an exhausted
-    budget raise NonConvergence.  BarrierOrderViolation, raised when the
-    result leaves the pair by more than ``picard_tol``, names the side, the
-    node and the excess, and signals a defect rather than a property of the
-    input.  Every one carries the loop's record in ``report``.
-
-    The grid should resolve delta^gamma boundary layers for the predicted
-    exponent gamma; grading >= 2/gamma is a good default.
-    """
-    return _singular_loop(spec, grid, config or SolverConfig(), k_values)
-
-
 @dataclass(frozen=True, eq=False)
 class _Pair:
     """The certified bracket of the first solve, one field and two scales:
@@ -706,53 +670,40 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     return lam_lo, lam_hi
 
 
-def _singular_loop(spec, grid, cfg, k_values):
-    """Relaxed iteration that stops on its own scaling bracket.
+def solve_singular(
+    spec: ProblemSpec,
+    grid: Grid1D,
+    config: SolverConfig | None = None,
+    k_values: GridFunction | None = None,
+) -> SolveReport:
+    """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
-    With rho = p/(m-1) the linearisation of log T at the fixed point has its
-    spectrum in [-rho, 0], so the relaxed step u <- u^(1-w) T(u)^w with
-    w = 2/(2+rho) contracts by rho/(2+rho) per solve, for every rho; at
-    p = 0, w = 1 and T does not depend on u, so one solve decides.  The
-    first solve takes v0 = exp(_log_profile) unclamped, and its bracket
-    gives the certified pair (lam_lo w0, lam_hi w0); the iteration then
-    starts at the pair's sub and is held as L = log u on the unknowns, where
-    the step is L <- (1-w) L + w log T(u).  The loop takes log sub, log K
-    and the flux weights once and the clamp Lt = max(L, log sub) once a
-    sweep, so each sweep makes four transcendental passes: the exp in
-    theta, the log of T(u) that the bracket and the step share, and the
-    bracket's two log1p.
-    It allocates one workspace per solve, ``work``, whose rows hold every
-    array of a sweep but w: theta, the loads, log K, log sub, L, Lt, the
-    default K (a caller's K is read in place) and the scratch of
-    _solve_into, its residual check and the bracket, each over the chain's
-    nodes k to n - 1, half the grid on the interval, or over the whole grid.
-    w has an array of its own, which holds log v0 until the first solve and
-    becomes the returned solution.  The pair keeps w0, a copy of the first
-    solve's mirrored w, and its two scales, and the exit check forms
-    lam_lo w0 and lam_hi w0 in the block's first 2n entries.  A chain sweep
-    allocates nothing, a whole-grid one only the mirror comparison of
-    theta, and np.errstate is entered once per solve.  After
-    every solve _scaling_bracket puts the solution in
-    [lam_lo T(u), lam_hi T(u)]; the loop stops once the width
-    (lam_hi - lam_lo) sup T(u) is at most picard_tol and returns the
-    midpoint, scaled into w in place, which is within half the width of the
-    solution.  The comparison principle already puts that solution inside
-    the pair, which is certified at every unknown node; the exit check
-    confirms it.
+    K defaults to delta^(-q); a custom weight can be supplied through
+    ``k_values`` as long as it is sampled on ``grid`` (GridMismatch
+    otherwise) and stays inside the spec's (k_low, k_high) envelope.
 
-    Every failure leaves by one exit, which raises with the loop's record:
-    the whole field (w, or the midpoint the exit check rejected), the last
-    residual, the pair, the solve count and the width (None after a failed
-    residual check).
+    The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
+    delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
+    and lam_hi w0 are a sub- and a supersolution for this K at every unknown
+    node up to the bracket's slack, so the comparison principle puts the
+    discrete solution between them.  That pair clamps the iteration, which
+    starts at lam_lo w0 and applies T(v) = solve_dirichlet(K v^(-p)) (see
+    the module docstring).
+    For every p >= 0 it stops on a scaling bracket of width at most
+    ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
+    the error; p = 0 takes one solve.  ``iterations`` counts every
+    Dirichlet solve, the first included, and ``barrier_c`` is the first
+    bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
+    no bracket, a tolerance below the resolution floor and an exhausted
+    budget raise NonConvergence.  BarrierOrderViolation, raised when the
+    result leaves the pair by more than ``picard_tol``, names the side, the
+    node and the excess, and signals a defect rather than a property of the
+    input.  Every one carries the loop's record in ``report``.
 
-    On the ball, and on the interval when the grid, K and v0 equal their
-    mirror images to the last bit (_chain_start), every sweep solves the
-    zero-flux chain, nodes k to n - 2, and w is mirrored only where one
-    leaves the loop; its answers and checks are the whole-grid loop's to the
-    last bit (see the module docstring).  The whole-grid loop asks
-    _chain_start of each sweep's theta alone, as solve_dirichlet does, and
-    takes that chain (mirroring w at once) or the closure search.
+    The grid should resolve delta^gamma boundary layers for the predicted
+    exponent gamma; grading >= 2/gamma is a good default.
     """
+    cfg = config or SolverConfig()
     tol = cfg.picard_tol
     m, p = spec.m, spec.p
     n = grid.n
@@ -795,7 +746,10 @@ def _singular_loop(spec, grid, cfg, k_values):
     big_l[:] = w[sl]
     pair = None
     iterations = 0
-    error, why = NonConvergence, None  # a failure sets why and breaks to the one exit
+    # a failure sets why and breaks to the one exit, which raises with the
+    # loop's record: the whole field, the last residual, the pair, the solve
+    # count and the width (None after a failed residual check)
+    error, why = NonConvergence, None
     # entered once for all sweeps: phi'(0) = inf in the residual check when
     # m < 2, and loads that overflow, which end in a NaN residual and
     # NonConvergence
@@ -803,6 +757,7 @@ def _singular_loop(spec, grid, cfg, k_values):
         while True:
             np.maximum(big_l, log_sub, out=lt)
             _singular_theta(p, k, lt, theta_sl)
+            # a whole-grid sweep's one allocation: _chain_start's mirror comparison
             start = _chain_start(grid, theta) if chain is None else chain
             o = (start or 0) - origin  # the row entry of the solve's first node
             residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch, weights)[1]
@@ -859,8 +814,9 @@ def _singular_loop(spec, grid, cfg, k_values):
     _mirror_left(w, chain)
     if why is None:
         w *= 0.5 * (lam_lo + lam_hi)  # the midpoint, in w's own array
-        # the pair and each side's excess in the block's first 2n entries,
-        # which no solve reads again
+        # the comparison principle already puts the solution inside the pair;
+        # this confirms it.  The pair and each side's excess are formed in the
+        # block's first 2n entries, which no solve reads again
         sub = np.multiply(pair.w0.values, pair.lam_lo, out=work[:n])
         sup = np.multiply(pair.w0.values, pair.lam_hi, out=work[n : 2 * n])
         for side, a, b in (("below the subsolution", sub, w), ("above the supersolution", w, sup)):

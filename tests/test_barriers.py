@@ -508,7 +508,7 @@ class TestRefusals:
         # the interval's barriers were once certified for a ball problem
         spec = dataclasses.replace(E3, domain=Domain.ball(3))
         cand = GridFunction(eig_1025.grid, eig_1025.eigenfunction.values)
-        match = "posed on Domain\\(kind='ball', ball_dim=3\\), the grid on Domain\\(kind='interval'"
+        match = "posed on Domain\\(ball_dim=3\\), the grid on Domain\\(ball_dim=1\\)"
         with pytest.raises(GridMismatch, match=match):
             check_barrier(cand, SUPER, spec, 2.0)
         with pytest.raises(GridMismatch, match=match):

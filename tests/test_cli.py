@@ -101,6 +101,25 @@ class TestConfigHandling:
         cfg.write_text("just a line\n")
         assert main(["classify", "--config", str(cfg)]) == 2
 
+    def test_a_second_config_is_refused(self, tmp_path, capsys):
+        # the first file was once dropped unread, even when it did not exist
+        missing, cfg = tmp_path / "missing.cfg", tmp_path / "b.cfg"
+        cfg.write_text("m = 2\n")
+        assert main(["classify", "--config", str(missing), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid input: --config may be given once, got {str(missing)!r} and {str(cfg)!r}\n"
+        )
+
+    def test_a_config_that_is_not_utf8_is_invalid_input(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"m = 2\n\xff\xfe")
+        assert main(["classify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {cfg}: not UTF-8 text at byte 6\n"
+
     def test_comments_and_blanks_ok(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\n\nm = 2\np = 0.5\nq = 1\n")
@@ -168,7 +187,8 @@ def test_fixed_rhs_is_a_function_of_the_distance(tmp_path, monkeypatch, rhs, dom
     assert main(args + ["--output-dir", str(tmp_path / "o")]) == 0
     (got,) = solved
     grid = make_graded_grid(257, 3.0, got.grid.domain)
-    assert got.grid.domain.kind == domain and np.array_equal(got.grid.nodes, grid.nodes)
+    assert got.grid.domain.is_ball == (domain == "ball")
+    assert np.array_equal(got.grid.nodes, grid.nodes)
     sl = grid.unknown_slice
     assert np.array_equal(got.values[sl], theta(grid.delta_nodes[sl]))
     assert all(got.values[i] == 0.0 for i in grid.dirichlet_indices())

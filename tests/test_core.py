@@ -470,40 +470,41 @@ def test_grid_function_values_immutable():
         u.values[0] = 1.0
 
 
-def test_unknown_domain_kind_is_invalid_config():
-    with pytest.raises(InvalidConfig, match="unknown domain kind 'bal'"):
-        Domain("bal")
-
-
 def test_ball_of_dimension_one_is_refused():
     with pytest.raises(AdmissibilityViolation, match="ball domain requires dimension N >= 2"):
-        Domain("ball", 1)
+        Domain.ball(1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_dimension_below_one_is_refused(n):
+    match = f"dimension N must be at least 1, got N = {n}$"
+    with pytest.raises(AdmissibilityViolation, match=match):
+        Domain(n)
+
+
+def test_dimension_one_is_the_interval():
+    assert Domain(1) == Domain() == Domain.interval() and not Domain(1).is_ball
+    assert Domain(2).is_ball
 
 
 @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, None])
 def test_a_dimension_that_is_not_a_whole_number_is_refused(n):
-    # Domain("ball", 2.5) once solved with flux weights r^1.5, and
+    # Domain(2.5) once solved with flux weights r^1.5, and
     # Domain.ball(2.5) quietly truncated to N = 2
     match = f"dimension N must be a whole number, got N = {n}$"
     with pytest.raises(AdmissibilityViolation, match=match):
-        Domain("ball", n)
+        Domain(n)
     with pytest.raises(AdmissibilityViolation, match=match):
         Domain.ball(n)
 
 
 def test_a_whole_float_dimension_is_stored_as_an_int():
-    d = Domain("ball", 3.0)
+    d = Domain(3.0)
     assert d == Domain.ball(3) and type(d.ball_dim) is int
 
 
-def test_interval_of_another_dimension_is_refused():
-    # its flux weights would be r^(N-1) over the interval's dual cells
-    with pytest.raises(AdmissibilityViolation, match="interval domain has dimension 1, got 3"):
-        Domain("interval", 3)
-
-
 def test_only_core_reads_the_domain_shape():
-    """The domain's kind is decided in core: outside it, ``is_ball`` appears
+    """The domain's shape is decided in core: outside it, ``is_ball`` appears
     only in the one place that builds a different field on the ball, and
     no module computes the distance to the boundary itself."""
     allowed = {("eigen.py", "_initial_field")}

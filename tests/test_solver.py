@@ -1222,6 +1222,6 @@ def test_every_failed_solve_raises_from_one_place():
         ("__post_init__", "InvalidConfig"),
         ("__post_init__", "InvalidConfig"),
         ("_loads", "NonFiniteTheta"),
-        ("_singular_loop", "error"),
         ("solve_dirichlet", "NonConvergence"),
+        ("solve_singular", "error"),
     ]
