@@ -114,7 +114,6 @@ class BarrierCertificate:
     checked_nodes: int
     slack: float
     skip_cells: int
-    description: str = ""
 
     def report_items(self) -> list[tuple[str, object]]:
         """(key, value) rows of the certificate in field order, values unformatted."""
@@ -173,7 +172,6 @@ def check_barrier(
     m: float,
     slack: float = 0.0,
     skip_cells: int = SKIP_CELLS,
-    description: str = "",
 ) -> BarrierCertificate:
     """Certify the discrete sub/supersolution inequality for ``candidate``.
 
@@ -181,15 +179,19 @@ def check_barrier(
     case the singular right-hand side K * candidate^(-p) is used (candidate
     must then be positive at interior nodes).  Sub is certified iff the
     residual -div(Phi(candidate)) - rhs is <= slack at every checked node,
-    super iff it is >= -slack.  A non-finite slack, or a ProblemSpec posed
-    at another m, raises DomainError.
+    super iff it is >= -slack.  A non-finite slack, a ProblemSpec posed at
+    another m, or fluxes that overflow to a residual inf - inf (NaN) at a
+    checked node raise DomainError; an infinite rhs alone decides the side.
     """
     if side not in (SUB, SUPER):
         raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
-    res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = apply_mlap(candidate, m).values - _rhs_at(candidate, rhs, side, m)
     idx = _checked_indices(candidate.grid, skip_cells, slack)
     margins = (1.0 if side == SUPER else -1.0) * res[idx] + slack
-    k = int(np.argmin(margins))
+    k = int(np.argmin(margins))  # the first NaN, if there is one
+    if math.isnan(margins[k]):
+        raise DomainError(f"the {side} residual is NaN at node {idx[k]}: a flux overflows")
     return BarrierCertificate(
         side=side,
         certified=bool(margins[k] >= 0.0),
@@ -198,14 +200,13 @@ def check_barrier(
         checked_nodes=idx.size,
         slack=slack,
         skip_cells=int(skip_cells),
-        description=description,
     )
 
 
 def check_scaled(family, side, c, rhs, base, slack, skip_cells):
     """The barrier of ``family`` at scale c and its certificate at base.m."""
     cand = build_barrier(family, side, c, base)
-    return cand, check_barrier(cand, side, rhs, base.m, slack, skip_cells, family.describe())
+    return cand, check_barrier(cand, side, rhs, base.m, slack, skip_cells)
 
 
 def auto_scale(

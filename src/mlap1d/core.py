@@ -587,10 +587,6 @@ class GridFunction:
         v[sl] = f(grid.nodes[sl])
         return GridFunction(grid, v)
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.values[self.grid.unknown_slice]
-
 
 def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
     """Sample the default weight K = delta^(-q) at the unknown nodes.

@@ -33,6 +33,10 @@ VERDICT_CODE = {Verdict.CONVERGENT: 0, Verdict.MARGINAL: 1, Verdict.DIVERGENT: 2
 # A scan's rate tracks 1 - tau/tau* within 8e-4 at levels 1025-8193 (README)
 RATE_ERROR = 1e-3
 
+# The sandwich claim's loosest tolerance, the default picard_tol: a run at a
+# tighter picard_tol is judged at its own, a looser one is not loosened
+SANDWICH_TOL = SolverConfig.picard_tol
+
 
 def predicted_verdict(tau: float, tstar: float) -> tuple[float, float] | None:
     """(verdict code, tolerance) Theorem 1 predicts for a scan at ``tau``: by
@@ -223,7 +227,7 @@ def _entry_claims(
     claim("barrier_scale_log2", 0.0, math.log2(solve.barrier_c), 20.0)
     below = float(np.max(solve.sub_barrier.values - u.values))
     above = float(np.max(u.values - solve.super_barrier.values))
-    claim("sandwich_violation", 0.0, max(0.0, below, above), config.picard_tol)
+    claim("sandwich_violation", 0.0, max(0.0, below, above), min(config.picard_tol, SANDWICH_TOL))
 
     if entry.gradient_ns is not None:
         n0, n1 = entry.gradient_ns

@@ -161,6 +161,19 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class _Pair:
+    """The certified bracket of the first solve, one field and two scales:
+    the sub- and supersolution are lam_lo w0 and lam_hi w0."""
+
+    w0: GridFunction
+    lam_lo: float
+    lam_hi: float
+
+    def scaled(self, lam: float) -> GridFunction:
+        return GridFunction(self.w0.grid, lam * self.w0.values)
+
+
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a solve.
 
@@ -174,13 +187,11 @@ class SolveReport:
     ``solution``.  It is None on a singular solve that failed its residual
     check, which no bracket holds.
 
-    Singular solves also attach the certified barrier pair used to
-    initialize and guard the iteration, once there is one, as one field and
-    two scales: ``barrier_base`` is w0, the first Dirichlet solve, and the
-    pair is (barrier_lo w0, barrier_hi w0).  ``sub_barrier`` and
-    ``super_barrier`` form those products anew on every read, and
-    ``barrier_c`` is barrier_hi/barrier_lo.  All three are None without a
-    pair.
+    Singular solves also attach ``pair``, the certified barrier pair used to
+    initialize and guard the iteration, once there is one.  ``sub_barrier``
+    and ``super_barrier`` form its products lam_lo w0 and lam_hi w0 anew on
+    every read, and ``barrier_c`` is lam_hi/lam_lo.  All three are None
+    without a pair.
     """
 
     solution: GridFunction
@@ -188,25 +199,19 @@ class SolveReport:
     final_residual: float
     converged: bool
     picard_gap: float | None = None
-    barrier_base: GridFunction | None = None
-    barrier_lo: float | None = None
-    barrier_hi: float | None = None
-
-    def _barrier(self, lam: float | None) -> GridFunction | None:
-        w0 = self.barrier_base
-        return None if w0 is None else GridFunction(w0.grid, lam * w0.values)
+    pair: _Pair | None = None
 
     @property
     def sub_barrier(self) -> GridFunction | None:
-        return self._barrier(self.barrier_lo)
+        return None if self.pair is None else self.pair.scaled(self.pair.lam_lo)
 
     @property
     def super_barrier(self) -> GridFunction | None:
-        return self._barrier(self.barrier_hi)
+        return None if self.pair is None else self.pair.scaled(self.pair.lam_hi)
 
     @property
     def barrier_c(self) -> float | None:
-        return None if self.barrier_base is None else self.barrier_hi / self.barrier_lo
+        return None if self.pair is None else self.pair.lam_hi / self.pair.lam_lo
 
 
 # Residuals are recomputed from flux differences, which near a graded boundary
@@ -567,9 +572,7 @@ def _report(grid, u, iterations, residual, converged, gap=None, pair=None) -> So
         final_residual=residual,
         converged=converged,
         picard_gap=gap,
-        barrier_base=pair and pair.w0,
-        barrier_lo=pair and pair.lam_lo,
-        barrier_hi=pair and pair.lam_hi,
+        pair=pair,
     )
 
 
@@ -601,16 +604,6 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     if not report.converged:
         raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
     return report
-
-
-@dataclass(frozen=True, eq=False)
-class _Pair:
-    """The certified bracket of the first solve, one field and two scales:
-    the sub- and supersolution are lam_lo w0 and lam_hi w0."""
-
-    w0: GridFunction
-    lam_lo: float
-    lam_hi: float
 
 
 def _first_pair(grid, w, lam_lo, lam_hi) -> _Pair:

@@ -337,7 +337,17 @@ class TestExactScale:
         pair = certified_pair(spec, base)
         assert pair.c == max(scales)
         assert pair.sub_cert.certified and pair.super_cert.certified
-        assert pair.sub_cert.description == regime_profiles(spec)[0].describe()
+        sub = build_barrier(regime_profiles(spec)[0], SUB, pair.c, base)
+        assert pair.sub.values.tobytes() == sub.values.tobytes()
+
+    def test_an_overflowing_flux_is_refused(self):
+        # the m = 3 fluxes of this super barrier overflow, and -div(Phi) reads
+        # inf - inf: no certificate can be judged there
+        spec = ProblemSpec(3.0, 0.5, 1.0)
+        base = first_eigenpair(make_graded_grid(65, 3.0), spec.m)
+        cand = build_barrier(regime_profiles(spec)[1], SUPER, 1e300, base)
+        with pytest.raises(DomainError, match="^the super residual is NaN at node 3: a flux"):
+            check_barrier(cand, SUPER, spec, spec.m)
 
     def test_an_overflowing_rhs_decides_both_sides_quietly(self):
         # K w^(-p) overflows where the sub barrier at c ~ 5e215 is tiny: an

@@ -489,6 +489,17 @@ class TestBarrierCheckCommand:
         )
         assert code == 1
 
+    def test_the_report_names_its_family_once(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["barrier-check", "--side", "sub", "--m", "2", "--p", "0.5", "--q", "1",
+                "--n", "1025", "--output-dir", str(out)]
+        assert main(argv) == 0
+        [block] = parse_report((out / "barrier.report").read_text())
+        assert "description" not in block
+        assert list(block)[:2] == ["command", "family"]
+        assert block["family"] == "power(gamma=0.666667)"
+        assert capsys.readouterr().out.count("power(gamma=0.666667)") == 1
+
 
 class TestFitCommand:
     def test_expectation_pass_and_fail(self, tmp_path):
@@ -631,6 +642,9 @@ class TestReports:
         assert back == rep
         assert back.overall
 
+    def test_parse_skips_a_blank_line_inside_a_block(self):
+        assert parse_report("a = 1\n   \nb = 2\n") == [{"a": "1", "b": "2"}]
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidConfig):
             parse_repro_report("nonsense\n")
@@ -693,6 +707,18 @@ class TestReproduceSmall:
         measured = {c.claim_id: c.measured for c in report.claims}
         assert len(measured) == 18
         assert measured["E4.tau_5"] == measured["E5.tau_2"] == 2.0
+
+    @pytest.mark.parametrize("picard_tol, tolerance", [("1e-4", 1e-8), ("1e-9", 1e-9)])
+    def test_the_sandwich_tolerance_never_exceeds_the_default(
+        self, tmp_path, picard_tol, tolerance
+    ):
+        # a looser picard_tol loosens the solver's own order check, not the claim
+        out = tmp_path / "o"
+        argv = ["reproduce-theorem1", "--matrix", "E1", "--picard-tol", picard_tol]
+        assert main(argv + ["--output-dir", str(out)]) == 0
+        report = parse_repro_report((out / "reproduce.report").read_text())
+        [claim] = [c for c in report.claims if c.claim_id == "E1.sandwich_violation"]
+        assert claim.tolerance == tolerance and claim.measured == 0.0
 
     def test_override_of_a_prediction_is_a_negative_control(self, tmp_path):
         assert main(["reproduce-theorem1", "--matrix", "E3", "--set",
@@ -1025,6 +1051,8 @@ class TestFixedRhsOnTheBall:
          "log scale A must exceed 1, got 1.0"),
         (["barrier-check", "--side", "both"],
          "bad value for 'side': 'both' ('both' is not one of sub, super)"),
+        (["barrier-check", "--m", "3", "--p", "0.5", "--q", "1", "--n", "65", "--c", "1e300"],
+         "the super residual is NaN at node 3: a flux overflows"),
         (["fit-exponent", "--fit-kind", "cubic"],
          "bad value for 'fit_kind': 'cubic' ('cubic' is not one of power, logaffine)"),
         (["fit-exponent", "--fit-kind", "log"],
@@ -1067,7 +1095,7 @@ class TestFixedRhsOnTheBall:
          "domain", "formats", "override-text", "theta-overflow", "verify-fixed-theta",
          "bool-text", "override-key", "set-without-value", "rhs", "regime-fixed-theta", "family",
          "gamma-above-1", "log-s-0", "log-s-nan", "log-a-1",
-         "side", "fit-kind", "fit-kind-log", "logaffine-subcritical", "logpower-ball",
+         "side", "flux-overflow", "fit-kind", "fit-kind-log", "logaffine-subcritical", "logpower-ball",
          "lemma-a-nan", "lemma-a-inf", "tau-inf",
          "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c",
          "expect-tol-inf", "expect-tol-nan", "expect-tol-negative", "expect-nan", "expect-inf",
@@ -1099,6 +1127,17 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("regime = Supercritical\n")
+
+
+def test_help_in_process_prints_the_commands_and_the_keys(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    head, _, rest = out.partition("\n\ncommands:\n")
+    commands, _, rest = rest.partition("\nkeys:\n")
+    keys, _, tail = rest.partition("\n--config FILE")
+    assert err == "" and head.startswith("usage: mlap1d COMMAND") and tail
+    assert commands.split() == list(COMMANDS)
+    assert keys.split() == ["--" + key.replace("_", "-") for key in mlap1d.cli.KNOWN_KEYS]
 
 
 @pytest.mark.parametrize("flag", ["--help", "-h"])

@@ -422,7 +422,7 @@ class TestSolveSingular:
         u = rep.solution
         assert rep.converged
         assert rep.final_residual <= RESIDUAL_TOL
-        assert np.all(u.interior > 0)
+        assert np.all(u.values[g.unknown_slice] > 0)
         tol = SolverConfig().picard_tol
         assert np.all(u.values >= rep.sub_barrier.values - tol)
         assert np.all(u.values <= rep.super_barrier.values + tol)
@@ -550,7 +550,7 @@ class TestSolveSingular:
         report = err.value.report
         assert not report.converged and report.iterations == rep.iterations == 1
         assert np.array_equal(report.solution.values, rep.solution.values)
-        assert report.barrier_base is pair.w0 and report.barrier_hi == pair.lam_hi
+        assert report.pair is pair
         assert np.array_equal(report.super_barrier.values, low)
         assert np.array_equal(report.sub_barrier.values, rep.sub_barrier.values)
         assert report.barrier_c == 0.5 and report.picard_gap == rep.picard_gap
@@ -674,7 +674,7 @@ class TestCertifiedBracket:
         assert brackets == [(0.0, np.inf)]
         report = err.value.report
         assert report.iterations == 1 and report.picard_gap == np.inf
-        assert report.barrier_base is None and report.barrier_lo is None
+        assert report.pair is None
         assert report.sub_barrier is None and report.barrier_c is None
 
     def test_a_failed_residual_check_reports_the_loop(self, monkeypatch):
@@ -702,8 +702,7 @@ class TestCertifiedBracket:
         report = err.value.report
         assert report.iterations == 2 and report.picard_gap is None
         assert not report.converged and report.final_residual == 1.0
-        assert report.barrier_base is pair.w0
-        assert (report.barrier_lo, report.barrier_hi) == (pair.lam_lo, pair.lam_hi)
+        assert report.pair is pair
         # the whole field of the failed solve, its left half mirrored
         u = fields[1]
         u[: g.n // 2] = u[::-1][: g.n // 2]
@@ -769,8 +768,7 @@ class TestCertifiedBracket:
         [pair] = pairs
         report = err.value.report
         assert not report.converged
-        assert report.barrier_base is pair.w0
-        assert (report.barrier_lo, report.barrier_hi) == (pair.lam_lo, pair.lam_hi)
+        assert report.pair is pair
 
     @pytest.mark.parametrize(
         "point, domain, solves",
@@ -1112,9 +1110,9 @@ class TestReportPair:
         monkeypatch.setattr(solver, "_first_pair", spy)
         rep = solve_singular(dataclasses.replace(self.SPEC, domain=domain), g)
         [(sub, sup, c)] = given
-        w0, lo, hi = rep.barrier_base.values, rep.barrier_lo, rep.barrier_hi
+        w0, lo, hi = rep.pair.w0.values, rep.pair.lam_lo, rep.pair.lam_hi
         assert rep.converged and 0.0 < lo <= hi
-        assert rep.barrier_base.grid is g and not w0.flags.writeable
+        assert rep.pair.w0.grid is g and not w0.flags.writeable
         assert rep.sub_barrier.values.tobytes() == sub.tobytes() == (lo * w0).tobytes()
         assert rep.super_barrier.values.tobytes() == sup.tobytes() == (hi * w0).tobytes()
         assert rep.barrier_c == c == hi / lo
@@ -1127,11 +1125,11 @@ class TestReportPair:
         # view that would keep the loop's block alive
         g = make_graded_grid(1025, 3.0, domain)
         rep = solve_singular(dataclasses.replace(self.SPEC, domain=domain), g)
-        held = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        held = [getattr(r, f.name) for r in (rep, rep.pair) for f in dataclasses.fields(r)]
         arrays = [v.values if isinstance(v, GridFunction) else v for v in held
                   if isinstance(v, (GridFunction, np.ndarray))]
         assert len(arrays) == 2
-        assert arrays[0] is rep.solution.values and arrays[1] is rep.barrier_base.values
+        assert arrays[0] is rep.solution.values and arrays[1] is rep.pair.w0.values
         for a in arrays:
             assert a.shape == (g.n,) and a.dtype == np.float64 and a.base is None
 
@@ -1193,7 +1191,7 @@ class TestStrongCouplingAndOtherM:
         g = make_graded_grid(1025, 3.0)
         rep = solve_singular(spec, g)
         assert rep.converged
-        assert np.all(rep.solution.interior > 0)
+        assert np.all(rep.solution.values[g.unknown_slice] > 0)
         from mlap1d import fit_boundary_exponent
 
         fit = fit_boundary_exponent(rep.solution, (1e-4, 1e-2))
