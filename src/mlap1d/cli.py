@@ -75,6 +75,19 @@ def _list_of(kind):
     return lambda s: tuple(kind(t.strip()) for t in s.split(",") if t.strip())
 
 
+def _count(s: str) -> int:
+    """Parser of a whole number: an integer literal, exact at any size, or a
+    float that core.is_whole accepts (1025.0, 1e3)."""
+    for parse in (int, float):
+        try:
+            x = parse(s)
+        except ValueError:
+            continue
+        if core.is_whole(x):
+            return int(x)
+    raise ValueError(f"{s!r} is not a whole number")
+
+
 def _choice(*options):
     """Parser of a word that must be one of ``options``."""
 
@@ -102,13 +115,13 @@ KNOWN_KEYS: dict[str, tuple] = {
     "k_low": (float, ProblemSpec.k_low),
     "k_high": (float, ProblemSpec.k_high),
     "domain": (_choice("interval", "ball"), "interval"),
-    "ball_dim": (int, 3),
+    "ball_dim": (_count, 3),
     # grid
-    "n": (int, 1025),
+    "n": (_count, 1025),
     "grading": (float, core.DEFAULT_GRADING),
     # solver
     "picard_tol": (float, SolverConfig.picard_tol),
-    "max_picard_iters": (int, SolverConfig.max_picard_iters),
+    "max_picard_iters": (_count, SolverConfig.max_picard_iters),
     # right-hand side selection for solve/fit/scan/barrier-check
     "rhs": (_choice("singular", "const", "power", "logpower"), "singular"),
     "theta_const": (float, 1.0),
@@ -117,8 +130,8 @@ KNOWN_KEYS: dict[str, tuple] = {
     "window_lo": (float, 1e-4),
     "window_hi": (float, 1e-2),
     "taus": (_list_of(float), (2.0, 2.5, 3.0, 3.5, 4.0)),
-    "levels": (_list_of(int), (257, 513, 1025, 2049)),
-    "int_levels": (int, analyzer.DISTANCE_LEVELS),
+    "levels": (_list_of(_count), (257, 513, 1025, 2049)),
+    "int_levels": (_count, analyzer.DISTANCE_LEVELS),
     "fit_kind": (_choice(*FITS), "power"),
     "expect": (_float_or(""), ""),
     "expect_tol": (float, 0.05),
@@ -131,7 +144,7 @@ KNOWN_KEYS: dict[str, tuple] = {
     "side": (_choice(barriers.SUB, barriers.SUPER), barriers.SUPER),
     "c": (_float_or("auto"), "auto"),
     "slack": (float, 0.0),
-    "skip_cells": (int, barriers.SKIP_CELLS),
+    "skip_cells": (_count, barriers.SKIP_CELLS),
     # output
     "output_dir": (str, "mlap1d-out"),
     "formats": (_list_of(_choice("csv", "report")), ("csv", "report")),

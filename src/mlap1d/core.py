@@ -336,13 +336,17 @@ class Grid1D:
 
     A grid caches, on first use, only its defining arrays (``nodes`` and
     ``delta_nodes``) and the arrays every solver sweep reads: the cell
-    widths ``h``, the dual-cell volumes ``cell_volumes`` and, on the ball,
-    the flux weights.  On the interval the flux weights r^0 are all 1, so
-    ``flux_weights`` is a read-only zero-stride view of 1.0 that holds no
-    array of n doubles, and multiplying by it is exact.  The midpoints, the
-    midpoint distances and the radially weighted cell measures are
-    computed where they are read.  A graded grid then stores 4n doubles on
-    the interval and 5n on the ball.
+    widths ``h``, the dual-cell volumes ``cell_volumes`` and the flux
+    weights ``flux_weights``.  On the interval those are r^0 = 1, a
+    read-only zero-stride view of one double that holds no array of n
+    doubles, and multiplying by it is exact.  The midpoints, the midpoint
+    distances and the radially weighted cell measures are computed where
+    they are read.  A graded grid then stores 4n doubles on the interval
+    and 5n on the ball.
+
+    A ball grid whose centre dual cell, of volume (r_1/2)^N/N, rounds to
+    no volume at all is refused with InvalidGrid: every balance at r = 0
+    divides by that volume.
 
     On the interval the widths, volumes and midpoint distances are derived
     from ``delta_nodes``, the distance to the nearer boundary, with formulas
@@ -369,6 +373,13 @@ class Grid1D:
             raise InvalidGrid("grid endpoints must be exactly 0 and 1")
         if not np.all(np.diff(x) > 0.0):
             raise InvalidGrid("grid nodes must be strictly increasing")
+        nn = self.domain.ball_dim
+        if self.domain.is_ball and (0.5 * x[1]) ** nn / nn == 0.0:
+            # the centre's dual-cell volume, which the residual check divides by
+            raise InvalidGrid(
+                f"the centre cell of the N = {nn} ball has no volume in double precision: "
+                f"(r_1/2)^N/N rounds to 0 at r_1 = {x[1]:g}"
+            )
 
     @property
     def n(self) -> int:
@@ -421,17 +432,13 @@ class Grid1D:
         array h itself."""
         return _freeze(self.h * self.flux_weights) if self.domain.is_ball else self.h
 
-    @property
+    @cached_property
     def flux_weights(self) -> np.ndarray:
         """Per-cell weight r_mid^(N-1) of the midpoint flux, 1 on the interval
         (the cell width enters through the dual-cell volume, not here)."""
         if self.domain.is_ball:
-            return self._radial_weights
+            return _freeze(self.midpoints ** (self.domain.ball_dim - 1))
         return np.broadcast_to(1.0, self.n - 1)
-
-    @cached_property
-    def _radial_weights(self) -> np.ndarray:
-        return _freeze(self.midpoints ** (self.domain.ball_dim - 1))
 
     @cached_property
     def cell_volumes(self) -> np.ndarray:

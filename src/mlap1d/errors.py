@@ -37,7 +37,9 @@ class InvalidGrading(MlapError):
 
 
 class InvalidGrid(MlapError):
-    """Grid nodes that do not rise strictly from exactly 0 to exactly 1."""
+    """Grid nodes that do not rise strictly from exactly 0 to exactly 1, or
+    a ball grid whose centre dual cell, (r_1/2)^N/N, rounds to no volume in
+    double precision; that message names N and r_1."""
 
 
 class TooFewNodes(MlapError):

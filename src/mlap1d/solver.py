@@ -249,7 +249,7 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     return GridFunction(g, out)
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals, first, rows, weights) -> float:
+def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     """sup over the unknowns from node ``first`` on of
     max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
     NaN, so that a solution that overflowed fails the check.  ``loads`` and
@@ -263,13 +263,13 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows, weights) -> flo
     solution from the centre on is the whole grid's.
 
     ``rows`` is scratch for four arrays over those cells (n - first + 1
-    wide will do), and ``weights`` is grid.flux_weights.  The caller holds
-    np.errstate(divide="ignore") for phi'(0) = inf when m < 2.
+    wide will do).  The caller holds np.errstate(divide="ignore") for
+    phi'(0) = inf when m < 2.
     """
     c = max(first - 1, 0)  # the first cell that bounds a node checked
     cells = grid.n - 1 - c
     du, fw, fn, noise = rows[:4, :cells]
-    h, weights, uc = grid.h[c:], weights[c:], u[c:]
+    h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
     u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
     # the arithmetic of the formula above, written into the four rows:
     # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
@@ -339,7 +339,7 @@ def _compensated_cumsum(x, s, err, bp, t):
     return s
 
 
-def _zero_flux_solution(grid, loads, m, u, k, rows, weights):
+def _zero_flux_solution(grid, loads, m, u, k, rows):
     """u from node k to node n - 2, written into ``u``, on the chain that
     starts at node k with zero flux on its left (Grid1D.chain_start) and
     ends at the Dirichlet node n - 1 (u = 0).
@@ -349,7 +349,7 @@ def _zero_flux_solution(grid, loads, m, u, k, rows, weights):
     fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
     summed inward from the Dirichlet end, both sums on the negations (exact
     under rounding).  ``loads`` starts at node k.  ``rows``: four scratch
-    rows of at least n - 1 - k.  ``weights`` is grid.flux_weights.
+    rows of at least n - 1 - k.
     """
     n = grid.n
     flux, hdu, err, bp = rows[:4, : n - 1 - k]
@@ -358,7 +358,7 @@ def _zero_flux_solution(grid, loads, m, u, k, rows, weights):
         flux[0] = 0.5 * loads[0] if n % 2 else 0.0
     np.add.accumulate(flux, out=flux)
     if not k:  # the interval's flux weights, from its centre on, are ones
-        flux /= weights
+        flux /= grid.flux_weights
     if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
         np.multiply(flux, grid.h[k:], out=hdu)
     else:
@@ -431,9 +431,8 @@ def _closure_root(loads, h, m, k, c, rows):
     for it in range(1, MAX_ROOT_STEPS + 1):
         np.subtract(c, big_r, out=y)
         np.abs(y, out=a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.power(a, inv - 1.0, out=t)  # |Du_j|/|y_j|
-            np.multiply(y, t, out=hdu)
+        np.power(a, inv - 1.0, out=t)  # |Du_j|/|y_j|
+        np.multiply(y, t, out=hdu)
         hdu *= h
         val = float(np.sum(hdu))
         if np.isnan(val):  # 0 * inf at a flux that is exactly zero, m > 2
@@ -505,7 +504,7 @@ def _chain_start(grid, *arrays):
     return k
 
 
-def _solve_into(grid, theta_vals, m, k, loads, u, rows, weights):
+def _solve_into(grid, theta_vals, m, k, loads, u, rows):
     """One Dirichlet solve of -div(Phi) = theta into ``u``; returns the
     number of closure evaluations and the scaled residual.
 
@@ -518,22 +517,20 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows, weights):
     runs the closure search on the interval and writes the loads and u at
     every unknown.  u is always indexed by node.  The caller owns
     ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
-    of n - k on a chain and five of n - 1 otherwise, and ``weights``,
-    grid.flux_weights read once per solve rather than once per sweep.  It
-    holds np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-    loads that overflow turn u and the residual NaN, which the caller's
-    check turns into NonConvergence.
+    of n - k on a chain and five of n - 1 otherwise, and holds
+    np.errstate(divide="ignore", over="ignore", invalid="ignore"), which
+    the closure search runs in too: loads that overflow turn u and the
+    residual NaN, which the caller's check turns into NonConvergence.
     """
     n = grid.n
     if k is not None:
-        _zero_flux_solution(
-            grid, _loads(grid.cell_volumes[k:-1], theta_vals, loads), m, u, k, rows, weights
-        )
+        _loads(grid.cell_volumes[k:-1], theta_vals, loads)
+        _zero_flux_solution(grid, loads, m, u, k, rows)
         if k and n % 2:  # the check from the centre node reads u one node to its left
             u[k - 1] = u[k + 1]
         first = n // 2 if k else 0
         return 0, _scaled_residual(
-            grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows, weights
+            grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows
         )
     sl = grid.unknown_slice
     _loads(grid.cell_volumes[sl], theta_vals[sl], loads[sl])
@@ -551,7 +548,7 @@ def _solve_into(grid, theta_vals, m, k, loads, u, rows, weights):
     right = u[k + 1 : -1]
     _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])
     np.negative(right, out=right)
-    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows, weights)
+    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows)
 
 
 def _mirror_left(u, k):
@@ -560,20 +557,6 @@ def _mirror_left(u, k):
         n = u.size
         u[: n // 2] = u[::-1][: n // 2]
     return u
-
-
-def _report(grid, u, iterations, residual, converged, gap=None, pair=None) -> SolveReport:
-    """Every solve's report: ``u`` with the last Dirichlet solve's residual,
-    the solve's count, and for a singular solve its bracket width and the
-    certified pair if there is one."""
-    return SolveReport(
-        solution=GridFunction(grid, u),
-        iterations=iterations,
-        final_residual=residual,
-        converged=converged,
-        picard_gap=gap,
-        pair=pair,
-    )
 
 
 def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
@@ -597,10 +580,8 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     work = np.empty(n - start + r * c)
     loads, rows = work[: n - start], work[n - start :].reshape(r, c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        iterations, res = _solve_into(
-            grid, theta.values[start:], m, k, loads, u, rows, grid.flux_weights
-        )
-    report = _report(grid, _mirror_left(u, k), iterations, res, res <= RESIDUAL_TOL)
+        evals, res = _solve_into(grid, theta.values[start:], m, k, loads, u, rows)
+    report = SolveReport(GridFunction(grid, _mirror_left(u, k)), evals, res, res <= RESIDUAL_TOL)
     if not report.converged:
         raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
     return report
@@ -702,7 +683,6 @@ def solve_singular(
     n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
     k_full = _k_in_envelope(spec, grid, k_values).values
-    weights = grid.flux_weights  # on the interval a new view at every read
     # w has its own array, outside the block: it is the returned solution.
     # Until the first solve writes it, it holds log v0 on the unknowns
     w = np.zeros(n)
@@ -753,7 +733,7 @@ def solve_singular(
             # a whole-grid sweep's one allocation: _chain_start's mirror comparison
             start = _chain_start(grid, theta) if chain is None else chain
             o = (start or 0) - origin  # the row entry of the solve's first node
-            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch, weights)[1]
+            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch)[1]
             if chain is None:  # the whole grid's w, as solve_dirichlet returns it
                 _mirror_left(w, start)
             iterations += 1
@@ -823,5 +803,6 @@ def solve_singular(
                 )
                 break
         else:
-            return _report(grid, w, iterations, residual, True, width, pair)
-    raise error(why, report=_report(grid, w, iterations, residual, False, width, pair))
+            return SolveReport(GridFunction(grid, w), iterations, residual, True, width, pair)
+    report = SolveReport(GridFunction(grid, w), iterations, residual, False, width, pair)
+    raise error(why, report=report)

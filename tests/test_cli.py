@@ -1219,6 +1219,57 @@ def test_every_command_refuses_a_bad_choice_before_any_work(tmp_path, capsys, co
     assert captured.err == f"invalid input: bad value for {key!r}: {bad!r} ({why})\n"
 
 
+@pytest.mark.parametrize("flag", ["--n", "--levels"])
+def test_a_count_written_as_a_whole_float_is_that_count(tmp_path, capsys, flag):
+    command, whole, written = {
+        "--n": (["solve", "--p", "0.5", "--q", "1"], "1025", "1025.0"),
+        "--levels": (["scan-threshold", "--taus", "2"], "257,513,1025", "257.0,513,1025"),
+    }[flag]
+    runs = []
+    for sub, value in (("int", whole), ("float", written)):
+        d = tmp_path / sub
+        assert main([*command, flag, value, "--output-dir", str(d)]) == 0
+        files = sorted((f.name, f.read_bytes()) for f in d.iterdir())
+        runs.append((files, capsys.readouterr().out.replace(str(d), "<out>")))
+    assert runs[0] == runs[1] and runs[0][0]
+
+
+@pytest.mark.parametrize("bad", ["2.5", "nan", "1e400", "ten"])
+def test_a_count_that_is_not_whole_exits_2_before_any_work(tmp_path, capsys, bad):
+    out = tmp_path / "o"
+    assert main(["solve", "--n", bad, "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    why = f"{bad!r} is not a whole number"
+    assert captured.err == f"invalid input: bad value for 'n': {bad!r} ({why})\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--p", "0.5", "--q", "1", "--n", "16385", "--ball-dim", "80"],
+     ["eigen", "--n", "1025", "--ball-dim", "150"]],
+    ids=["solve", "eigen"],
+)
+def test_a_ball_centre_cell_without_volume_is_invalid_input(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--domain", "ball", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: the centre cell of the N = ") and "r_1 = " in err
+    assert not out.exists()
+
+
+def test_every_readme_example_parses():
+    """Each ``mlap1d ...`` line of the README's sh blocks, backslash
+    continuations joined, is a valid command line (parsed, not run)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("\n", 1)[1] for b in text.split("```")[1::2] if b.startswith("sh\n")]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [line.split() for line in lines if line.startswith("mlap1d ")]
+    assert examples
+    for words in examples:
+        mlap1d.cli.parse_argv(words[1:])
+
+
 def test_readme_layout_names_every_module():
     """The README's Layout block lists exactly the modules of the package."""
     root = Path(__file__).resolve().parents[1]

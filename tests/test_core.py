@@ -325,12 +325,35 @@ class TestGradedGrid:
             ([0.0, 1.0], Domain.ball(3), TooFewNodes, "at least three nodes"),
             ([0.0, 0.5, 0.9], INTERVAL01, InvalidGrid, "endpoints must be exactly 0 and 1"),
             ([0.0, 0.5, 0.5, 1.0], INTERVAL01, InvalidGrid, "strictly increasing"),
+            ([0.0, 1e-10, 1.0], Domain.ball(40), InvalidGrid, "N = 40 ball has no volume"),
         ],
-        ids=["one-node", "two-node", "two-node-ball", "endpoint", "repeated-node"],
+        ids=["one-node", "two-node", "two-node-ball", "endpoint", "repeated-node",
+             "ball-centre-without-volume"],
     )
     def test_direct_construction_is_validated(self, nodes, domain, error, msg):
         with pytest.raises(error, match=msg):
             Grid1D(nodes=np.array(nodes), grading_exponent=1.0, domain=domain)
+
+    @pytest.mark.parametrize("n,dim", [(16385, 80), (1025, 150)])
+    def test_a_ball_centre_cell_without_volume_is_refused(self, n, dim):
+        # (r_1/2)^N/N rounds to 0.0, and the residual check at r = 0 would
+        # divide 0 by 0 and fail every solve with a NaN residual
+        with pytest.raises(InvalidGrid, match=rf"N = {dim} ball .* at r_1 = "):
+            make_graded_grid(n, 3.0, Domain.ball(dim))
+
+    @pytest.mark.parametrize("n,dim", [(16385, 79), (1025, 100)])
+    def test_a_ball_centre_cell_of_tiny_volume_solves(self, n, dim):
+        # subnormal, 1.2e-321, at N = 79 and n = 16385
+        g = make_graded_grid(n, 3.0, Domain.ball(dim))
+        assert g.cell_volumes[0] > 0.0
+        rep = solve_singular(ProblemSpec(m=2.0, p=0.5, q=1.0, domain=g.domain), g)
+        assert rep.converged and rep.final_residual <= 1e-10
+
+    @pytest.mark.parametrize("domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"])
+    def test_the_flux_weights_are_cached(self, domain):
+        g = make_graded_grid(65, 3.0, domain)
+        assert g.flux_weights is g.flux_weights
+        assert not g.flux_weights.flags.writeable
 
     @pytest.mark.parametrize(
         "n,grading,domain,node",
@@ -415,11 +438,13 @@ class TestGradedGrid:
         def stored():
             return {id(v) for v in vars(g).values() if isinstance(v, np.ndarray)}
 
-        kept = [g.nodes, g.delta_nodes, g.h, g.cell_volumes]
-        if domain.is_ball:
-            kept.append(g.flux_weights)
+        kept = [g.nodes, g.delta_nodes, g.h, g.cell_volumes, g.flux_weights]
         assert stored() == {id(v) for v in kept}
-        assert sum(v.nbytes for v in kept) == 8 * (5 * g.n - 2 if domain.is_ball else 4 * g.n - 1)
+        held = kept
+        if not domain.is_ball:  # the flux weights: a read-only view of one double
+            *held, w = kept
+            assert w.strides == (0,) and not w.flags.writeable and w.base.size == 1
+        assert sum(v.nbytes for v in held) == 8 * (5 * g.n - 2 if domain.is_ball else 4 * g.n - 1)
         # computed where they are read, and never cached
         for a in (g.midpoints, g.delta_mid, g.cell_measures):
             assert not a.flags.writeable

@@ -268,15 +268,13 @@ class TestMirrorSymmetricSolve:
         firsts = []
         rows = np.empty((4, g.n))
 
-        def spy(grid, u, m, loads, theta_vals, first, rows, weights):
+        def spy(grid, u, m, loads, theta_vals, first, rows):
             firsts.append(first)
-            return check(grid, u, m, loads, theta_vals, first, rows, weights)
+            return check(grid, u, m, loads, theta_vals, first, rows)
 
         def replay(v, m, first=1):  # from node 1 on: the whole grid's
             with np.errstate(divide="ignore"):
-                return check(
-                    g, v, m, loads[first:], theta.values[first:], first, rows, g.flux_weights
-                )
+                return check(g, v, m, loads[first:], theta.values[first:], first, rows)
 
         monkeypatch.setattr(solver, "_scaled_residual", spy)
         # two symmetric perturbations: a smooth one, and one at the centre
