@@ -16,7 +16,7 @@ from with delta in place of phi.
 A candidate w is numerically certified as a subsolution of -div(Phi) = rhs
 when the discrete residual -div(Phi(w)) - rhs(w) is <= slack at every
 checked node, and as a supersolution when it is >= -slack.  By default
-check_barrier skips the SKIP_CELLS innermost cells next to each Dirichlet
+check_barrier skips the core.SKIP_CELLS innermost cells next to each Dirichlet
 boundary, where the one-sided stencil meets the boundary singularity, so
 that a refinement study compares interior statements.  certified_pair
 checks every unknown node instead: the discrete comparison principle places
@@ -43,7 +43,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (
+from .core import (  # noqa: F401 (SUB, SUPER: re-exported)
+    SKIP_CELLS,
+    SUB,
+    SUPER,
     BoundaryProfile,
     Grid1D,
     GridFunction,
@@ -74,9 +77,6 @@ __all__ = [
     "certified_pair",
 ]
 
-SUB = "sub"
-SUPER = "super"
-SKIP_CELLS = 2  # boundary cells a check skips unless told otherwise
 _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
 

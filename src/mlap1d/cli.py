@@ -13,19 +13,27 @@ are rejected.  Every command that solves builds its problem with
 (interval or ball).  All outputs are deterministic: identical configuration
 yields bit-identical files.  Exit codes: 0 success, 1 failed verification,
 2 invalid input.
+
+Importing this module loads only the layers its key table, ``RunConfig``,
+``FITS`` and ``main`` read: errors, core, solver and analyzer.  Each command
+imports the rest where it runs: barrier-check loads barriers and eigen,
+eigen loads eigen and fieldcsv, solve loads fieldcsv, and
+reproduce-theorem1, ``scan-threshold --verify`` and ``parse_repro_report``
+load repro.  The names of those layers that callers read from this module
+(``_LAZY``) load their layer on first read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import textwrap
 from dataclasses import dataclass, field
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from . import analyzer, barriers, core, repro
+from . import analyzer, core
 from .analyzer import (
     distance_integral_classify,
     fit_boundary_exponent,
@@ -33,6 +41,9 @@ from .analyzer import (
     threshold_scan,
 )
 from .core import (
+    SKIP_CELLS,
+    SUB,
+    SUPER,
     BoundaryProfile,
     Domain,
     GridFunction,
@@ -42,17 +53,31 @@ from .core import (
     make_graded_grid,
     regime_profiles,
 )
-from .eigen import first_eigenpair
 from .errors import InvalidConfig, MlapError
-from .fieldcsv import field_csv_text, write_field_csv  # noqa: F401 (cli API)
-from .repro import (  # noqa: F401 (_entry_claims: cli API, timed by bench/)
-    ClaimRecord,
-    ReproReport,
-    _entry_claims,
-    reproduce,
-    scan_claims,
-)
 from .solver import SolverConfig, solve_dirichlet, solve_singular
+
+# the entries a reproduce-theorem1 run takes unless told otherwise
+DEFAULT_RUN = ("E1", "E2", "E3")
+
+# name -> its layer, for the names of the layers loaded on demand that
+# callers read from this module (bench/ times _entry_claims here)
+_LAZY = {
+    "first_eigenpair": "eigen",
+    "field_csv_text": "fieldcsv",
+    "write_field_csv": "fieldcsv",
+    "ClaimRecord": "repro",
+    "ReproReport": "repro",
+    "_entry_claims": "repro",
+    "reproduce": "repro",
+    "scan_claims": "repro",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{_LAZY[name]}"), name)
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -141,15 +166,15 @@ KNOWN_KEYS: dict[str, tuple] = {
     "gamma": (float, 1.0),
     "log_s": (float, 0.5),
     "log_a": (float, 0.0),  # 0 = default scale
-    "side": (_choice(barriers.SUB, barriers.SUPER), barriers.SUPER),
+    "side": (_choice(SUB, SUPER), SUPER),
     "c": (_float_or("auto"), "auto"),
     "slack": (float, 0.0),
-    "skip_cells": (_count, barriers.SKIP_CELLS),
+    "skip_cells": (_count, SKIP_CELLS),
     # output
     "output_dir": (str, "mlap1d-out"),
     "formats": (_list_of(_choice("csv", "report")), ("csv", "report")),
     # reproduce
-    "matrix": (_list_of(str), repro.DEFAULT_RUN),
+    "matrix": (_list_of(str), DEFAULT_RUN),
 }
 
 
@@ -341,6 +366,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     report = _solve(cfg, cfg["n"])
     u = report.solution
     if "csv" in cfg["formats"]:
+        from .fieldcsv import write_field_csv
+
         write_field_csv(_outdir(cfg) / "solution.csv", u)
     peak = int(np.argmax(u.values))
     block = [
@@ -363,8 +390,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
+    from .eigen import first_eigenpair
+
     pair = first_eigenpair(make_graded_grid(cfg["n"], cfg["grading"], cfg.domain()), cfg["m"])
     if "csv" in cfg["formats"]:
+        from .fieldcsv import write_field_csv
+
         write_field_csv(_outdir(cfg) / "eigenfunction.csv", pair.eigenfunction)
     block = [
         ("command", "eigen"),
@@ -389,10 +420,13 @@ def _barrier_family(cfg: RunConfig, spec: ProblemSpec | None):
     if spec is None:
         raise InvalidConfig("family=regime requires a singular rhs")
     sub, sup = regime_profiles(spec)
-    return sub if cfg["side"] == barriers.SUB else sup
+    return sub if cfg["side"] == SUB else sup
 
 
 def cmd_barrier_check(cfg: RunConfig) -> int:
+    from . import barriers
+    from .eigen import first_eigenpair
+
     side = cfg["side"]
     spec, grid, rhs = _problem(cfg, cfg["n"])
     base = first_eigenpair(grid, cfg["m"])
@@ -464,6 +498,8 @@ def cmd_scan_threshold(cfg: RunConfig) -> int:
     for j, tau in enumerate(scan.tau_values):
         print(f"tau = {_fmt(tau)}: {scan.verdicts[j].value}")
     if cfg["verify"]:
+        from .repro import scan_claims
+
         return 0 if all(c.passed for c in scan_claims(scan, tstar)) else 1
     return 0
 
@@ -488,6 +524,8 @@ def cmd_lemma_integral(cfg: RunConfig) -> int:
 
 
 def parse_repro_report(text: str) -> ReproReport:
+    from .repro import ClaimRecord, ReproReport
+
     blocks = parse_report(text)
     if not blocks or blocks[0].get("report") != "reproduce-theorem1":
         raise InvalidConfig("not a reproduce-theorem1 report")
@@ -511,6 +549,8 @@ def parse_repro_report(text: str) -> ReproReport:
 
 
 def cmd_reproduce(cfg: RunConfig) -> int:
+    from .repro import reproduce
+
     report = reproduce(cfg["matrix"], cfg.overrides, cfg.solver_config())
     write_report(_outdir(cfg) / "reproduce.report", report.blocks())
     for c in sorted(report.claims, key=lambda c: c.claim_id):
@@ -541,6 +581,8 @@ COMMANDS = {
 
 def usage() -> str:
     """The ``--help`` text: the commands, every key and the layers."""
+    import textwrap
+
     fill = textwrap.TextWrapper(78, initial_indent="  ", subsequent_indent="  ",
                                 break_on_hyphens=False).fill
     flags = " ".join("--" + key.replace("_", "-") for key in KNOWN_KEYS)

@@ -95,6 +95,14 @@ class Domain:
         object.__setattr__(self, "ball_dim", int(self.ball_dim))
         if self.ball_dim < 1:
             raise AdmissibilityViolation(f"dimension N must be at least 1, got N = {self.ball_dim}")
+        # the grid raises r to the power N, which an N past the double range
+        # (about 1.8e308) would crash untyped
+        try:
+            float(self.ball_dim)
+        except OverflowError:
+            raise AdmissibilityViolation(
+                f"dimension N overflows a double: N >= 2^{self.ball_dim.bit_length() - 1}"
+            ) from None
 
     @staticmethod
     def interval() -> "Domain":
@@ -171,6 +179,10 @@ class ProblemSpec:
             raise AdmissibilityViolation(
                 f"k_low <= k_high fails: {self.k_low} > {self.k_high}"
             )
+        # an infinite envelope bounds nothing: a barrier checked against it
+        # is vacuous on one side and refused on the other
+        if not self.k_high < math.inf:
+            raise AdmissibilityViolation(f"k_high < inf fails: k_high = {self.k_high}")
 
     @property
     def admissibility_bound(self) -> float:
@@ -298,6 +310,13 @@ class BoundaryProfile:
         if self.log_exponent is not None:  # exponent 1: log_f is still log f
             log_f += self.log_exponent * np.log(np.log(self.log_scale) - log_f)
         return log_f
+
+
+# The two sides of a barrier check, and the boundary cells a check skips
+# unless told otherwise (barriers re-exports SUB and SUPER).
+SUB = "sub"
+SUPER = "super"
+SKIP_CELLS = 2
 
 
 def regime_profiles(spec: ProblemSpec) -> tuple[BoundaryProfile, BoundaryProfile]:

@@ -151,7 +151,7 @@ def default_matrix() -> dict[str, MatrixEntry]:
             scan_taus=(2.0, 2.5, 2.9, 3.0, 3.5, 4.0),
             scan_levels=(2049, 4097, 8193),
         ),
-        # m != 2, so not in DEFAULT_RUN: run on request only (--matrix E4,E5)
+        # m != 2, so not in cli.DEFAULT_RUN: run on request only (--matrix E4,E5)
         "E4": MatrixEntry(
             "E4", ProblemSpec(m=3.0, p=0.5, q=1.0), fit_n=8193, window=(1e-4, 1e-2),
             scan_taus=(4.0, 4.75, 5.0, 5.25, 6.0), scan_levels=(2049, 4097, 8193),
@@ -162,9 +162,6 @@ def default_matrix() -> dict[str, MatrixEntry]:
             scan_taus=(1.5, 1.75, 2.0, 2.25, 2.5), scan_levels=(2049, 4097, 8193),
         ),
     }
-
-
-DEFAULT_RUN = ("E1", "E2", "E3")  # the entries a run takes unless told otherwise
 
 
 def _predictions(spec: ProblemSpec) -> dict[str, float]:

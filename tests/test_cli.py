@@ -22,6 +22,7 @@ from mlap1d.analyzer import distance_integral_classify, threshold_scan
 from mlap1d.barriers import auto_scale, check_barrier
 from mlap1d.cli import (
     COMMANDS,
+    DEFAULT_RUN,
     field_csv_text,
     main,
     parse_report,
@@ -30,7 +31,6 @@ from mlap1d.cli import (
 from mlap1d.core import Domain, GridFunction, ProblemSpec, make_graded_grid
 from mlap1d.errors import InvalidConfig
 from mlap1d.repro import (
-    DEFAULT_RUN,
     RATE_ERROR,
     ClaimRecord,
     ReproReport,
@@ -860,9 +860,11 @@ def test_singular_solves_use_no_eigenpair_and_no_ladder(tmp_path, monkeypatch):
     def spied(name, fn):
         return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
 
+    # a name cli or the package only reads through on demand is not bound
+    # there, and patching it would leave the spy bound after the test
     for mod in (mlap1d, mlap1d.eigen, mlap1d.barriers, mlap1d.cli, mlap1d.repro):
         for name in ("first_eigenpair", "certified_pair", "check_barrier"):
-            if hasattr(mod, name):
+            if name in vars(mod):
                 monkeypatch.setattr(mod, name, spied(name, getattr(mod, name)))
     assert solve_singular(ProblemSpec(m=2.0, p=0.5, q=1.0), make_graded_grid(1025, 3.0)).converged
     assert main(["reproduce-theorem1", "--matrix", "E1", "--output-dir", str(tmp_path / "o")]) == 0
@@ -1087,6 +1089,19 @@ class TestFixedRhsOnTheBall:
          "picard_tol must be finite, got inf"),
         (["scan-threshold", "--rhs", "singular", "--m", "2", "--p", "0.5", "--q", "1", "--taus", "",
           "--levels", "257,513,1025,2049", "--verify", "true"], "need at least one tau"),
+        # an infinite K envelope once gave a vacuous sub certificate (exit 0)
+        # and a failed super verification (exit 1)
+        (["barrier-check", "--m", "2", "--p", ".5", "--q", "1", "--n", "65", "--k-low", "inf",
+          "--k-high", "inf", "--side", "sub"], "k_high < inf fails: k_high = inf"),
+        (["barrier-check", "--m", "2", "--p", ".5", "--q", "1", "--n", "65", "--k-high", "inf",
+          "--side", "super"], "k_high < inf fails: k_high = inf"),
+        (["classify", "--m", "2", "--p", ".5", "--q", "1", "--k-high", "inf"],
+         "k_high < inf fails: k_high = inf"),
+        # a whole N past the double range once crashed the grid with OverflowError
+        (["solve", "--domain", "ball", "--ball-dim", "1" + "0" * 400],
+         "dimension N overflows a double: N >= 2^1328"),
+        (["eigen", "--domain", "ball", "--ball-dim", "1" + "0" * 400],
+         "dimension N overflows a double: N >= 2^1328"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
          "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c",
@@ -1099,7 +1114,8 @@ class TestFixedRhsOnTheBall:
          "lemma-a-nan", "lemma-a-inf", "tau-inf",
          "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c",
          "expect-tol-inf", "expect-tol-nan", "expect-tol-negative", "expect-nan", "expect-inf",
-         "picard-tol-inf", "scan-no-tau"],
+         "picard-tol-inf", "scan-no-tau", "k-envelope-inf-sub", "k-high-inf-super",
+         "classify-k-high-inf", "solve-ball-dim-overflow", "eigen-ball-dim-overflow"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
@@ -1116,6 +1132,82 @@ def test_cli_keeps_the_names_the_benchmark_reads():
         assert hasattr(mlap1d.cli, name), name
     # the theorem1 timing replaces the runner wherever it is bound
     assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
+
+
+def test_cli_serves_the_names_of_the_layers_it_loads_on_demand():
+    # each is its layer's own object, read through, and no other name is made up
+    for name, layer in mlap1d.cli._LAZY.items():
+        assert getattr(mlap1d.cli, name) is getattr(importlib.import_module(f"mlap1d.{layer}"), name)
+    assert {"field_csv_text", "write_field_csv", "first_eigenpair", "ClaimRecord"} <= set(
+        mlap1d.cli._LAZY
+    )
+    with pytest.raises(AttributeError, match="has no attribute 'certified_pair'"):
+        mlap1d.cli.certified_pair
+
+
+def _layers_loaded(steps):
+    """The mlap1d modules a fresh interpreter holds after each of ``steps``
+    (Python statements), without the package prefix."""
+    code = "\n".join(
+        ["import contextlib, io, sys", "seen = []",
+         "loaded = lambda: seen.append(sorted(m[7:] for m in sys.modules if m[:7] == 'mlap1d.'))"]
+        + [f"{step}\nloaded()" for step in steps]
+        + ["print(seen)"]
+    )
+    src = str(Path(mlap1d.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    return ast.literal_eval(run.stdout)
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    """A fresh process compiles only what it runs: the package loads no
+    layer, the command line its key table's four, and each command adds its
+    own (reproduce-theorem1 never loads barriers, eigen or the field writer)."""
+    commands = [
+        ["classify", "--m", "2", "--p", "0.5", "--q", "1"],
+        ["reproduce-theorem1", "--matrix", "E1"],
+        ["solve", "--n", "65"],
+        ["eigen", "--n", "65"],
+        ["barrier-check", "--n", "65"],
+    ]
+    runs = [
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert mlap1d.cli.main({argv + ['--output-dir', str(tmp_path / str(i))]!r}) == 0"
+        for i, argv in enumerate(commands)
+    ]
+    base = ["analyzer", "cli", "core", "errors", "solver"]
+    assert _layers_loaded(["import mlap1d", "import mlap1d.cli", *runs]) == [
+        [],
+        base,
+        base,  # classify
+        sorted(base + ["repro"]),  # reproduce-theorem1
+        sorted(base + ["fieldcsv", "repro"]),  # solve
+        sorted(base + ["eigen", "fieldcsv", "repro"]),  # eigen
+        sorted(base + ["barriers", "eigen", "fieldcsv", "repro"]),  # barrier-check
+    ]
+
+
+def test_a_package_name_loads_the_layers_up_to_its_own():
+    # names are looked up in the layers in __all__ order; a submodule loads alone
+    steps = ["import mlap1d", "mlap1d.Domain", "mlap1d.first_eigenpair", "mlap1d.fieldcsv",
+             "mlap1d.__all__"]
+    layers = ["analyzer", "barriers", "core", "eigen", "errors", "fieldcsv", "solver"]
+    assert _layers_loaded(steps) == [
+        [],
+        ["core", "errors"],
+        ["core", "eigen", "errors", "solver"],
+        ["core", "eigen", "errors", "fieldcsv", "solver"],
+        layers,
+    ]
+
+
+def test_the_package_has_no_name_its_layers_do_not_export():
+    for name in ("DEFAULT_RUN", "__wrapped__"):
+        with pytest.raises(AttributeError, match=f"module 'mlap1d' has no attribute '{name}'"):
+            getattr(mlap1d, name)
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

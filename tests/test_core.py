@@ -84,6 +84,20 @@ class TestValidateSpec:
         with pytest.raises(NonPositiveK):
             ProblemSpec(m=2, p=0.0, q=0.0, k_low=0.0)
 
+    @pytest.mark.parametrize("k_low", [1.0, math.inf])
+    def test_an_infinite_k_envelope_is_refused(self, k_low):
+        # k_low <= k_high, so a finite k_high bounds k_low too
+        with pytest.raises(AdmissibilityViolation, match=r"^k_high < inf fails: k_high = inf$"):
+            ProblemSpec(m=2, p=0.5, q=1.0, k_low=k_low, k_high=math.inf)
+
+    def test_a_nan_k_high_is_refused(self):
+        with pytest.raises(AdmissibilityViolation, match="k_low <= k_high fails"):
+            ProblemSpec(m=2, p=0.5, q=1.0, k_high=math.nan)
+
+    def test_the_largest_finite_k_envelope_is_accepted(self):
+        big = np.finfo(float).max
+        assert ProblemSpec(m=2, p=0.5, q=1.0, k_low=big, k_high=big).k_high == big
+
     @pytest.mark.parametrize(
         "m,msg",
         [(math.inf, "m < inf fails: m = inf"), (math.nan, "m > 1 fails: m = nan"),
@@ -521,6 +535,26 @@ def test_a_dimension_that_is_not_a_whole_number_is_refused(n):
         Domain(n)
     with pytest.raises(AdmissibilityViolation, match=match):
         Domain.ball(n)
+
+
+@pytest.mark.parametrize(
+    "n,bits",
+    [(10**400, 1328), (2**1024, 1024), (2**1024 - 1, 1023)],
+    ids=["1e400", "2^1024", "2^1024-1"],
+)
+def test_a_dimension_past_the_double_range_is_refused(n, bits):
+    # a whole N that float() cannot hold once crashed the grid's r^N with
+    # OverflowError; 2^1024 - 1 rounds up to 2^1024 and overflows too
+    match = rf"^dimension N overflows a double: N >= 2\^{bits}$"
+    with pytest.raises(AdmissibilityViolation, match=match):
+        Domain(n)
+    with pytest.raises(AdmissibilityViolation, match=match):
+        Domain.ball(n)
+
+
+def test_the_largest_dimension_a_double_holds_is_a_domain():
+    n = int(np.finfo(float).max)
+    assert Domain(n).ball_dim == n
 
 
 def test_a_whole_float_dimension_is_stored_as_an_int():
