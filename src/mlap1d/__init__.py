@@ -6,7 +6,8 @@ they stand.  ``import mlap1d`` loads no layer: a public name, ``__all__``
 and a submodule (``mlap1d.barriers``) are each loaded on first use (PEP
 562), so a process compiles only the layers it reads.  A name is looked up
 in the layers in ``__all__`` order, each imported only when the ones before
-it do not export the name.
+it do not export the name.  Each name is exported by the layer that defines
+it, so ``mlap1d.SUB`` loads only core and errors.
 """
 
 from importlib import import_module as _import_module, util as _util

@@ -31,10 +31,6 @@ from .errors import (
     SolveFailed,
 )
 
-# Unused here: bench/tests/test_bench.py checks that the benchmark's tracer
-# wraps this import site too.
-from .solver import solve_dirichlet  # noqa: F401
-
 __all__ = [
     "FitResult",
     "Verdict",

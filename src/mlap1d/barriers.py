@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (  # noqa: F401 (SUB, SUPER: re-exported)
+from .core import (
     SKIP_CELLS,
     SUB,
     SUPER,
@@ -55,9 +55,7 @@ from .core import (  # noqa: F401 (SUB, SUPER: re-exported)
     regime_profiles,
     same_grid,
 )
-# first_eigenpair is unused here but stays importable as barriers.first_eigenpair:
-# bench/tests/test_bench.py checks that the tracer wraps it at this import site.
-from .eigen import EigenPair, first_eigenpair  # noqa: F401
+from .eigen import EigenPair
 from .errors import (
     DomainError,
     GridMismatch,
@@ -69,8 +67,6 @@ from .solver import apply_mlap
 __all__ = [
     "BarrierCertificate",
     "BarrierPair",
-    "SUB",
-    "SUPER",
     "build_barrier",
     "check_barrier",
     "auto_scale",
@@ -83,7 +79,7 @@ _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 def build_barrier(family: BoundaryProfile, side: str, c: float, base: EigenPair) -> GridFunction:
     """The barrier c^(+-1) * family(phi) on ``side``, sampled on the grid of
     its base eigenpair; c >= 1 scales the supersolution up and the
-    subsolution down."""
+    subsolution down.  Raises DomainError when a sample overflows."""
     if side not in (SUB, SUPER):
         raise DomainError(f"side must be {SUB!r} or {SUPER!r}")
     if not 1.0 <= c < math.inf:
@@ -94,7 +90,10 @@ def build_barrier(family: BoundaryProfile, side: str, c: float, base: EigenPair)
         raise DomainError(f"log scale A={family.log_scale:g} must exceed max phi = {phi.max():g}")
     vals = np.zeros(grid.n)
     sl = grid.unknown_slice
-    vals[sl] = family.scaled(phi[sl], 1.0 / c if side == SUB else c)
+    with np.errstate(over="ignore"):
+        vals[sl] = family.scaled(phi[sl], 1.0 / c if side == SUB else c)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"the {side} barrier {family.describe()} at c = {c:g} overflows a double")
     return GridFunction(grid, vals)
 
 

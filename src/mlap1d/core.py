@@ -52,6 +52,8 @@ __all__ = [
     "default_k_values",
     "make_graded_grid",
     "regime_profiles",
+    "SUB",
+    "SUPER",
 ]
 
 # Absolute tolerance on p + q - 1 when deciding the critical regime.  Inputs
@@ -252,8 +254,12 @@ def default_log_scale(domain: Domain, s: float) -> float:
     Exceeds 1 + diam(domain), and also e^s so that the profile stays concave
     at the maximum of f (log^s(A/f) needs log(A) > s there for the
     supersolution inequality to have the right sign at interior maxima).
+    Raises DomainError when e^s overflows a double (s > 709.78).
     """
-    return max(domain.diameter + 2.0, math.e**s + 1.0)
+    try:
+        return max(domain.diameter + 2.0, math.e**s + 1.0)
+    except OverflowError:
+        raise DomainError(f"the default log scale e^s + 1 overflows at s = {s:g}") from None
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,7 @@ class BoundaryProfile:
     The paper's barriers take the first eigenfunction for f
     (barriers.build_barrier), the singular solve's starting profile takes
     delta (solver.solve_singular).  Construction raises DomainError for
-    values outside these ranges.
+    values outside these ranges, and for an infinite s or A.
     """
 
     exponent: float
@@ -284,6 +290,9 @@ class BoundaryProfile:
             raise DomainError(f"log barrier exponent must be positive, got {self.log_exponent}")
         if not self.log_scale > 1.0:
             raise DomainError(f"log scale A must exceed 1, got {self.log_scale}")
+        if not (math.isfinite(self.log_exponent) and math.isfinite(self.log_scale)):
+            s, a = self.log_exponent, self.log_scale
+            raise DomainError(f"a log profile needs a finite s and A, got s = {s}, A = {a}")
 
     @staticmethod
     def power(gamma: float) -> "BoundaryProfile":
@@ -313,7 +322,7 @@ class BoundaryProfile:
 
 
 # The two sides of a barrier check, and the boundary cells a check skips
-# unless told otherwise (barriers re-exports SUB and SUPER).
+# unless told otherwise.
 SUB = "sub"
 SUPER = "super"
 SKIP_CELLS = 2

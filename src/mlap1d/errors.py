@@ -71,9 +71,10 @@ class BarrierOrderViolation(MlapError):
 
 class DomainError(MlapError):
     """Barrier or check parameter outside its valid range (e.g. log scale
-    A <= max phi, c outside [1, inf), a non-finite slack, skip_cells < 0
-    or leaving no cell, a problem posed at another m than its check, or a
-    sum or quotient that overflows double precision)."""
+    A <= max phi, an infinite log exponent or scale, c outside [1, inf), a
+    non-finite slack, skip_cells < 0 or leaving no cell, a problem posed at
+    another m than its check, or a default log scale, barrier sample, sum or
+    quotient that overflows double precision)."""
 
 
 class NoCertifiableScale(MlapError):

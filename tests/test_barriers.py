@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -501,6 +502,30 @@ class TestExactScale:
 
 
 class TestRefusals:
+    def test_the_largest_finite_samples_are_built(self, eig_1025):
+        # the largest double still scales phi <= 1 finitely
+        top = build_barrier(BoundaryProfile.power(1.0), SUPER, sys.float_info.max, eig_1025)
+        assert top.values.max() == sys.float_info.max
+        tall = build_barrier(BoundaryProfile.logpower(100.0, 3.0), SUPER, 1.0, eig_1025)
+        assert np.isfinite(tall.values).all()
+
+    @pytest.mark.parametrize(
+        "s, a, side, c, msg",
+        [
+            (700.0, 3.0, SUPER, 1.0,
+             "the super barrier logpower(s=700, A=3) at c = 1 overflows a double"),
+            (0.5, 1e308, SUB, 1.0,
+             "the sub barrier logpower(s=0.5, A=1e+308) at c = 1 overflows a double"),
+            (0.5, 3.0, SUPER, sys.float_info.max,
+             "the super barrier logpower(s=0.5, A=3) at c = 1.79769e+308 overflows a double"),
+        ],
+        ids=["log-power", "log-quotient", "scale"],
+    )
+    def test_a_barrier_whose_samples_overflow_is_refused(self, eig_1025, s, a, side, c, msg):
+        with pytest.raises(DomainError) as err:
+            build_barrier(BoundaryProfile.logpower(s, a), side, c, eig_1025)
+        assert str(err.value) == msg
+
     def test_unknown_side_is_refused(self, eig_1025):
         with pytest.raises(DomainError, match="side must be 'sub' or 'super'"):
             build_barrier(BoundaryProfile.power(1.0), "both", 1.0, eig_1025)

@@ -23,13 +23,13 @@ from mlap1d.barriers import auto_scale, check_barrier
 from mlap1d.cli import (
     COMMANDS,
     DEFAULT_RUN,
-    field_csv_text,
     main,
     parse_report,
     parse_repro_report,
 )
 from mlap1d.core import Domain, GridFunction, ProblemSpec, make_graded_grid
 from mlap1d.errors import InvalidConfig
+from mlap1d.fieldcsv import field_csv_text
 from mlap1d.repro import (
     RATE_ERROR,
     ClaimRecord,
@@ -742,8 +742,8 @@ class TestReproduceReuse:
         monkeypatch.setattr(
             mlap1d.repro, "solve_singular", counted("solve_singular", mlap1d.repro.solve_singular)
         )
-        for mod in (mlap1d.eigen, mlap1d.barriers):
-            monkeypatch.setattr(mod, "first_eigenpair", counted("first_eigenpair", mod.first_eigenpair))
+        first = mlap1d.eigen.first_eigenpair
+        monkeypatch.setattr(mlap1d.eigen, "first_eigenpair", counted("first_eigenpair", first))
         return calls
 
     @staticmethod
@@ -1102,6 +1102,23 @@ class TestFixedRhsOnTheBall:
          "dimension N overflows a double: N >= 2^1328"),
         (["eigen", "--domain", "ball", "--ball-dim", "1" + "0" * 400],
          "dimension N overflows a double: N >= 2^1328"),
+        # admissible specs with m + p < 1.00141 once crashed with OverflowError:
+        # their log exponent s = 1/(m+p-1) puts the default log scale e^s past a double
+        *[([cmd, "--m", "1.001", "--p", "0", "--q", q, "--n", "65"],
+           "the default log scale e^s + 1 overflows at s = 1000")
+          for cmd in ("solve", "fit-exponent", "scan-threshold", "barrier-check")
+          for q in ("1", "0.5", "0")],
+        (["barrier-check", "--family", "logpower", "--log-s", "1000", "--n", "65"],
+         "the default log scale e^s + 1 overflows at s = 1000"),
+        # log profiles a double cannot sample once printed RuntimeWarnings and exited 1
+        (["barrier-check", "--family", "logpower", "--log-a", "inf", "--n", "65"],
+         "a log profile needs a finite s and A, got s = 0.5, A = inf"),
+        (["barrier-check", "--family", "logpower", "--log-s", "inf", "--n", "65"],
+         "a log profile needs a finite s and A, got s = inf, A = inf"),
+        (["barrier-check", "--family", "logpower", "--log-a", "1e308", "--n", "65"],
+         "the super barrier logpower(s=0.5, A=1e+308) at c = 1 overflows a double"),
+        (["barrier-check", "--family", "logpower", "--log-s", "700", "--n", "65"],
+         "the super barrier logpower(s=700, A=1.01423e+304) at c = 1 overflows a double"),
     ],
     ids=["eigen-m", "solve-m", "picard-tol", "picard-tol-nan", "singular-m-inf", "solve-m-inf",
          "solve-m-nan", "eigen-m-inf", "eigen-m-nan", "picard-iters", "tau", "barrier-c",
@@ -1115,13 +1132,17 @@ class TestFixedRhsOnTheBall:
          "tau-nan", "grading-nan", "scan-grading-nan", "slack-nan", "slack-inf-fixed-c",
          "expect-tol-inf", "expect-tol-nan", "expect-tol-negative", "expect-nan", "expect-inf",
          "picard-tol-inf", "scan-no-tau", "k-envelope-inf-sub", "k-high-inf-super",
-         "classify-k-high-inf", "solve-ball-dim-overflow", "eigen-ball-dim-overflow"],
+         "classify-k-high-inf", "solve-ball-dim-overflow", "eigen-ball-dim-overflow",
+         *[f"{cmd}-log-scale-overflow-q{q}" for cmd in ("solve", "fit", "scan", "barrier")
+           for q in ("1", "0.5", "0")],
+         "log-s-1000", "log-a-inf", "log-s-inf", "log-a-1e308", "log-s-700"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
     assert main(argv + ["--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and msg in err
+    assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
 
 
@@ -1134,15 +1155,13 @@ def test_cli_keeps_the_names_the_benchmark_reads():
     assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
 
 
-def test_cli_serves_the_names_of_the_layers_it_loads_on_demand():
-    # each is its layer's own object, read through, and no other name is made up
-    for name, layer in mlap1d.cli._LAZY.items():
-        assert getattr(mlap1d.cli, name) is getattr(importlib.import_module(f"mlap1d.{layer}"), name)
-    assert {"field_csv_text", "write_field_csv", "first_eigenpair", "ClaimRecord"} <= set(
-        mlap1d.cli._LAZY
-    )
-    with pytest.raises(AttributeError, match="has no attribute 'certified_pair'"):
-        mlap1d.cli.certified_pair
+def test_cli_serves_no_name_of_another_layer_but_the_benchmark_hook():
+    # each of these is read from the layer that defines it
+    for name in ("first_eigenpair", "field_csv_text", "write_field_csv", "ClaimRecord",
+                 "ReproReport", "reproduce", "scan_claims", "certified_pair"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(mlap1d.cli, name)
+    assert mlap1d.cli._entry_claims is mlap1d.repro._entry_claims
 
 
 def _layers_loaded(steps):
@@ -1192,11 +1211,12 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
 
 def test_a_package_name_loads_the_layers_up_to_its_own():
     # names are looked up in the layers in __all__ order; a submodule loads alone
-    steps = ["import mlap1d", "mlap1d.Domain", "mlap1d.first_eigenpair", "mlap1d.fieldcsv",
-             "mlap1d.__all__"]
+    steps = ["import mlap1d", "mlap1d.SUB", "mlap1d.Domain", "mlap1d.first_eigenpair",
+             "mlap1d.fieldcsv", "mlap1d.__all__"]
     layers = ["analyzer", "barriers", "core", "eigen", "errors", "fieldcsv", "solver"]
     assert _layers_loaded(steps) == [
         [],
+        ["core", "errors"],  # SUB and SUPER are core's
         ["core", "errors"],
         ["core", "eigen", "errors", "solver"],
         ["core", "eigen", "errors", "fieldcsv", "solver"],
@@ -1437,6 +1457,30 @@ def test_no_module_reads_the_process_environment():
         if hits := {"environ", "getenv", "putenv"} & set(names(tree)):
             found[path.name] = sorted(hits)
     assert found == {}
+
+
+def test_every_module_level_import_is_read_or_exported():
+    """A module imports a name at module level only to read it or to export
+    it in its __all__, so no layer serves another's name by accident."""
+    unused = []
+    for path in sorted(Path(mlap1d.cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []
 
 
 def test_repro_imports_nothing_from_cli():

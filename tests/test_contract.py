@@ -31,8 +31,9 @@ from mlap1d import (
     make_graded_grid,
     solve_singular,
 )
-from mlap1d.cli import field_csv_text, main, parse_report
+from mlap1d.cli import main, parse_report
 from mlap1d.errors import BarrierOrderViolation, MlapError, NonConvergence
+from mlap1d.fieldcsv import field_csv_text
 
 # (m, p, q, N, n, grading) where lam_lo^p overflowed: the lattice points
 # m = 1.05, q = 0 and p >= 2.5 at n = 129 and 1025, and a seeded random draw

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,11 @@ from mlap1d import (
     default_k_values,
     first_eigenpair,
     make_graded_grid,
+    regime_profiles,
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d.core import INTERVAL01, same_grid
+from mlap1d.core import INTERVAL01, default_log_scale, same_grid
 from mlap1d.errors import (
     AdmissibilityViolation,
     DomainError,
@@ -191,13 +193,28 @@ class TestBoundaryProfile:
              "log barrier exponent must be positive, got nan"),
             (lambda: BoundaryProfile.logpower(s=0.5, A=1.0), "log scale A must exceed 1, got 1.0"),
             (lambda: BoundaryProfile(0.5, 1.0, 3.0), "a log profile has exponent 1, got 0.5"),
+            (lambda: BoundaryProfile.logpower(s=math.inf, A=3.0),
+             "a log profile needs a finite s and A, got s = inf, A = 3.0"),
+            (lambda: BoundaryProfile.logpower(s=0.5, A=math.inf),
+             "a log profile needs a finite s and A, got s = 0.5, A = inf"),
         ],
-        ids=["gamma-0", "gamma-1.2", "s-0", "s-nan", "A-1", "log-exponent-0.5"],
+        ids=["gamma-0", "gamma-1.2", "s-0", "s-nan", "A-1", "log-exponent-0.5", "s-inf", "A-inf"],
     )
     def test_values_are_checked_at_construction(self, make, msg):
         with pytest.raises(DomainError) as err:
             make()
         assert str(err.value) == msg
+
+    def test_the_largest_finite_s_and_a_are_accepted(self):
+        big = BoundaryProfile.logpower(s=sys.float_info.max, A=sys.float_info.max)
+        assert big.log_exponent == big.log_scale == sys.float_info.max
+
+    def test_a_default_log_scale_past_the_double_range_is_refused(self):
+        # e^s overflows past s = 709.78
+        assert math.isfinite(default_log_scale(Domain(), 709.0))
+        match = r"^the default log scale e\^s \+ 1 overflows at s = 710$"
+        with pytest.raises(DomainError, match=match):
+            default_log_scale(Domain(), 710.0)
 
     def test_describe(self):
         assert BoundaryProfile.power(gamma=2.0 / 3.0).describe() == "power(gamma=0.666667)"
@@ -215,6 +232,26 @@ class TestBoundaryProfile:
         assert profile.log_of(log_f) is log_f
         assert np.allclose(log_f, np.log(profile.scaled(f, 1.0)), rtol=1e-14, atol=1e-14)
         assert np.allclose(profile.scaled(f, 3.0), 3.0 * np.exp(log_f), rtol=1e-13)
+
+
+class TestTheLogExponentNearMEqualsOne:
+    """s = 1/(m+p-1) grows without bound as m + p nears 1; past s = 709.78
+    the default log scale e^s + 1 of the critical and subcritical profiles
+    overflows."""
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.0], ids=["critical", "subcritical", "q0"])
+    def test_a_spec_whose_log_scale_overflows_is_refused(self, q):
+        spec = ProblemSpec(1.001, 0.0, q)
+        assert admissible(spec.m, spec.p, spec.q)
+        match = r"^the default log scale e\^s \+ 1 overflows at s = 1000$"
+        with pytest.raises(DomainError, match=match):
+            regime_profiles(spec)
+        with pytest.raises(DomainError, match=match):
+            solve_singular(spec, make_graded_grid(65, 3.0))
+
+    def test_a_spec_just_inside_the_double_range_solves(self):
+        # s = 666.7, e^s = 3.4e289
+        assert solve_singular(ProblemSpec(1.0015, 0.0, 0.2), make_graded_grid(257, 3.0)).converged
 
 
 class TestGradedGrid:

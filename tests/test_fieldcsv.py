@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import mlap1d
 from mlap1d import fieldcsv
-from mlap1d.cli import field_csv_text, write_field_csv
 from mlap1d.core import Domain, Grid1D, GridFunction, ProblemSpec, make_graded_grid
 from mlap1d.eigen import first_eigenpair
+from mlap1d.fieldcsv import field_csv_text, write_field_csv
 from mlap1d.solver import solve_singular
 
 from test_cli import _reference_field_csv
