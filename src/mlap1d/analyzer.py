@@ -190,10 +190,18 @@ def sobolev_seminorm(u: GridFunction, tau: float) -> float:
     A sum that overflows double precision raises DomainError naming tau.
     """
     _check_tau(tau)
-    g = u.grid
-    du = np.diff(u.values) / g.h
+    return _seminorm(_abs_gradient(u), u.grid.cell_measures, tau)
+
+
+def _abs_gradient(u: GridFunction) -> np.ndarray:
+    """|Du| per cell, which every seminorm of ``u`` reads."""
+    return np.abs(np.diff(u.values) / u.grid.h)
+
+
+def _seminorm(abs_du, measures, tau: float) -> float:
+    """sobolev_seminorm from |Du| and the cell measures, tau already checked."""
     with np.errstate(over="ignore"):
-        total = float(np.einsum("i,i->", g.cell_measures, np.abs(du) ** tau))
+        total = float(np.einsum("i,i->", measures, abs_du**tau))
     if total == math.inf:
         raise DomainError(f"sum w |Du|^tau overflows double precision at tau = {tau:g}")
     return total ** (1.0 / tau)
@@ -289,8 +297,9 @@ def threshold_scan(
         if g.n != n or g.grading_exponent != grading:
             raise GridMismatch(f"level n={n} at grading {grading:g} got a field on "
                                f"{g.n} nodes at grading {g.grading_exponent:g}")
+        abs_du = _abs_gradient(u)  # once per level, for every tau
         for j, tau in enumerate(taus):
-            norms[l, j] = sobolev_seminorm(u, tau)
+            norms[l, j] = _seminorm(abs_du, g.cell_measures, tau)
     if not np.all(np.isfinite(norms)):
         raise SolveFailed("non-finite seminorm in scan")
     rates = tuple(_increment_rate(norms[:, j] ** t, grading) for j, t in enumerate(taus))

@@ -55,13 +55,17 @@ lower bound of the solution to rule out overflow from undershoot.  T is
 order-reversing, and its linearisation in log u has its spectrum in
 [-rho, 0], rho = p/(m-1).  One loop serves every p >= 0: it relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
-solve (at p = 0, w = 1 and one solve decides), and every solve brings its
-own certificate, the scaling bracket.  The loop holds its iterate as
-L = log u on the unknowns, in one block it allocates once, so a sweep takes
-four transcendental passes over the unknowns: exp for
-theta = K exp(-p Lt) with Lt = max(L, log sub), one log of the solve's
-result shared by the bracket and the relaxation, and the bracket's two
-log1p.
+solve (at p = 0, w = 1 and one solve decides), and every solve has its own
+certificate, the scaling bracket.  The loop holds its iterate as L = log u
+on the unknowns, in one block it allocates once, so a sweep takes two
+transcendental passes over the unknowns: exp for theta = K exp(-p Lt) with
+Lt = max(L, log sub), and one log of the solve's result, shared by the
+relaxation and the log ratio the bracket reads.  The bracket itself, with
+its two log1p passes, and the resolution floor's pass are formed only on a
+sweep that can leave the loop: the first, whose bracket is the pair, and
+any later one whose scalar pre-test, _sweep_goes_on, cannot prove that it
+neither stops nor refuses.  Every width, pair and message that leaves the
+loop is the bracket's.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -223,13 +227,19 @@ ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
 
 
 def _weighted_flux(du, weights, m, out):
-    """The cell fluxes w |Du|^(m-1) sign(Du) (safe at Du = 0), written into ``out``."""
+    """The cell fluxes w |Du|^(m-1) sign(Du) (safe at Du = 0), written into
+    ``out``.  ``weights`` is None on the interval, whose unit weights
+    multiply nothing (x 1.0 = x)."""
     if m == 2.0:  # w Du, which the power gives exactly
+        if weights is None:
+            np.copyto(out, du)
+            return out
         return np.multiply(du, weights, out=out)
     np.abs(du, out=out)
     np.power(out, m - 1.0, out=out)
     np.copysign(out, du, out=out)
-    out *= weights
+    if weights is not None:
+        out *= weights
     return out
 
 
@@ -269,7 +279,9 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     c = max(first - 1, 0)  # the first cell that bounds a node checked
     cells = grid.n - 1 - c
     du, fw, fn, noise = rows[:4, :cells]
-    h, weights, uc = grid.h[c:], grid.flux_weights[c:], u[c:]
+    h, uc = grid.h[c:], u[c:]
+    # only the ball checks from node 0; the interval's weights are ones
+    weights = grid.flux_weights[c:] if first == 0 else None
     u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
     # the arithmetic of the formula above, written into the four rows:
     # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
@@ -278,12 +290,14 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     _weighted_flux(du, weights, m, fw)
     if m == 2.0:  # phi' = 1, which the power gives exactly
         np.divide(u_scale, h, out=fn)
-        fn *= weights
+        if weights is not None:
+            fn *= weights
     else:
         np.abs(du, out=fn)
         np.power(fn, m - 2.0, out=fn)
         fn *= m - 1.0
-        fn *= weights
+        if weights is not None:
+            fn *= weights
         fn *= np.divide(u_scale, h, out=du)
     fn += np.abs(fw, out=du)
     res = 0.0
@@ -611,8 +625,18 @@ def _singular_theta(p, k, lt, out):
     return out
 
 
+def _slack(theta, residual, out=None):
+    """The slack r (1 + 1/theta) of _scaling_bracket, r = max(residual,
+    ASSEMBLY_NOISE), written into ``out``, or of one value of theta."""
+    s = np.divide(1.0, theta, out=out)
+    s += 1.0
+    s *= max(residual, ASSEMBLY_NOISE)
+    return s
+
+
 def _scaling_bracket(spec, log_ratio, theta, residual, out):
-    """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w].
+    """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w],
+    formed on the sweeps that can leave the loop (see _sweep_goes_on).
 
     w = T(v) solves -Delta_m w = theta with theta = K vt^(-p),
     vt = max(v, sub), up to the scaled residual r (1 + theta), where the
@@ -628,9 +652,7 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     Overwrites ``theta`` and uses ``out`` as scratch.  Returns (0, inf)
     when the slack swamps the load.
     """
-    s = np.divide(1.0, theta, out=theta)  # the slack, in theta's storage
-    s += 1.0
-    s *= max(residual, ASSEMBLY_NOISE)
+    s = _slack(theta, residual, theta)  # in theta's storage
     if float(np.maximum.reduce(s)) >= 1.0:
         return 0.0, np.inf
     e = 1.0 / (spec.m - 1.0 + spec.p)
@@ -642,6 +664,46 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
     np.subtract(log_ratio, s, out=s)
     lam_hi = float(np.exp(e * np.maximum.reduce(s)))
     return lam_lo, lam_hi
+
+
+# Relative margin for the rounding of exp in _sweep_goes_on: a few ulps, where
+# a faithful exp is off by at most one
+_EXP_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _sweep_goes_on(spec, log_ratio, theta, residual, w_max, min_log_k, tol) -> bool:
+    """True only if the sweep's scaling bracket provably neither stops the
+    loop nor refuses: a bracket exists, its width exceeds ``tol`` and its
+    resolution floor is at most ``tol``.  Decided from scalars, so that such
+    a sweep skips _scaling_bracket and the floor's pass; a NaN anywhere gives
+    False.  Takes _scaling_bracket's arguments, before it overwrites
+    ``theta``, and sup w, the solve's min log K and the loop's tolerance.
+
+    The slack s = r (1 + 1/theta) rounds monotonically in theta, op for op,
+    so its max is the same ops at min theta, bit for bit: the bracket exists
+    exactly when that is below 1 and lam_lo does not underflow, which
+    log1p(s) < log 2 < 1 rules out once exp(e (min log_ratio - 2)) > 0.
+    log1p(s) >= 0 puts the slack-free scales exp(e min log_ratio) and
+    exp(e max log_ratio) inside [lam_lo, lam_hi], so their width, narrowed
+    by _EXP_ROUNDING, is at most the bracket's.  The floor grows with lam_lo
+    and with max log(w^p/K) <= p log sup w - min log K; at the slack-free
+    lam_lo that bound, doubled for the rounding of the logs and exps, is
+    above it.
+    """
+    m, p = spec.m, spec.p
+    theta_min = np.minimum.reduce(theta)
+    if not (theta_min > 0.0 and _slack(theta_min, residual) < 1.0):
+        return False
+    e = 1.0 / (m - 1.0 + p)
+    lo, hi = np.minimum.reduce(log_ratio), np.maximum.reduce(log_ratio)
+    if not np.exp(e * (lo - 2.0)) > 0.0:
+        return False
+    lam_lo, lam_hi = np.exp(e * lo), np.exp(e * hi)
+    if not (lam_hi * (1.0 - _EXP_ROUNDING) - lam_lo * (1.0 + _EXP_ROUNDING)) * w_max > tol:
+        return False
+    load = np.exp(p * np.log(lam_lo) + (p * np.log(w_max) - min_log_k))
+    floor = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
+    return 2.0 * floor <= tol
 
 
 def solve_singular(
@@ -665,9 +727,12 @@ def solve_singular(
     the module docstring).
     For every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; p = 0 takes one solve.  ``iterations`` counts every
-    Dirichlet solve, the first included, and ``barrier_c`` is the first
-    bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
+    the error; p = 0 takes one solve.  A later sweep forms its bracket only
+    when _sweep_goes_on cannot prove from scalars that it neither stops nor
+    refuses, so every width, pair and message is a bracket's, and the
+    answers are those of a loop that brackets every sweep, bit for bit.
+    ``iterations`` counts every Dirichlet solve, the first included, and
+    ``barrier_c`` is the first bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
     no bracket, a tolerance below the resolution floor and an exhausted
     budget raise NonConvergence.  BarrierOrderViolation, raised when the
     result leaves the pair by more than ``picard_tol``, names the side, the
@@ -715,6 +780,7 @@ def solve_singular(
         k = k_full[sl]
     del k_full
     np.log(k, out=log_k)
+    min_log_k = float(np.minimum.reduce(log_k))
     log_sub.fill(-np.inf)  # nothing clamps the first solve
     big_l[:] = w[sl]
     pair = None
@@ -741,21 +807,28 @@ def solve_singular(
                 why, width = f"a-posteriori check failed: scaled residual {residual:g}", None
                 break
             np.log(w[sl], out=log_w)
-            # max log (w^p/K), for the resolution floor below, in the loads'
-            # storage, which no one reads until the next solve
-            log_load = np.multiply(log_w, p, out=loads_sl)
-            log_load -= log_k
-            log_load = float(np.maximum.reduce(log_load))
             lt -= log_w
             lt *= p  # p log (max(u, sub)/w)
+            w_max = float(np.maximum.reduce(w[sl.start :]))  # left of sl: 0 or mirror images
+            # a sweep that provably neither stops nor refuses forms no bracket
+            certify = pair is None or iterations >= cfg.max_picard_iters or not _sweep_goes_on(
+                spec, lt, theta_sl, residual, w_max, min_log_k, tol
+            )
+            if certify:
+                # max log (w^p/K), for the resolution floor below, in the
+                # loads' storage, which no one reads until the next solve
+                log_load = np.multiply(log_w, p, out=loads_sl)
+                log_load -= log_k
+                log_load = float(np.maximum.reduce(log_load))
             # the relaxed step, taken before the bracket so that it can use
             # log_w's storage; the loop returns w, not the stepped iterate, and
             # the first solve's step is replaced by the start at the pair's sub
             big_l *= 1.0 - omega
             log_w *= omega
             big_l += log_w
+            if not certify:
+                continue
             lam_lo, lam_hi = _scaling_bracket(spec, lt, theta_sl, residual, log_w)
-            w_max = float(np.maximum.reduce(w[sl.start :]))  # left of sl: 0 or mirror images
             width = (lam_hi - lam_lo) * w_max
             if lam_lo == 0.0:
                 why = (

@@ -375,7 +375,8 @@ class TestThresholdScan:
         import mlap1d.analyzer
 
         measured = []
-        monkeypatch.setattr(mlap1d.analyzer, "sobolev_seminorm", lambda u, tau: measured.append(u))
+        # a scan forms each field's |Du| once, before any of its seminorms
+        monkeypatch.setattr(mlap1d.analyzer, "_abs_gradient", lambda u: measured.append(u))
         field = sampled(make_graded_grid(nodes, grading), lambda x: x * (1 - x))
         with pytest.raises(GridMismatch, match=f"level n=257 at grading 3 {msg}"):
             threshold_scan(lambda n: field, [2.0], [257, 513, 1025, 2049])

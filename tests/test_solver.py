@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlap1d import (
     Domain,
@@ -19,11 +21,12 @@ from mlap1d import (
     solve_dirichlet,
     solve_singular,
 )
-from mlap1d import eigen, repro, solver
+from mlap1d import repro, solver
 from mlap1d.errors import (
     BarrierOrderViolation,
     GridMismatch,
     InvalidConfig,
+    MlapError,
     NonConvergence,
     NonFiniteTheta,
 )
@@ -782,18 +785,15 @@ class TestCertifiedBracket:
     )
     def test_sweep_counts_at_grading_3(self, point, domain, solves, monkeypatch):
         # every Dirichlet solve of one singular solve, pinned exactly: a
-        # faster sweep must not come with more of them.  Each sweep, on the
-        # whole grid or on the right half of a mirror problem, brackets its
-        # solve once.  A spy sits on eigen's solves too, so an eigenpair's
-        # inner solves would count
-        calls = []
+        # faster sweep must not come with more of them.  The spy sits on the
+        # Dirichlet kernel, which every solve runs, the whole grid's, the
+        # right half's of a mirror problem and an eigenpair's inner ones
+        # alike.  Only the first sweep and the one that stops form a
+        # certified bracket
+        calls, brackets = kernel_spy(monkeypatch), []
         bracket = solver._scaling_bracket
         monkeypatch.setattr(
-            solver, "_scaling_bracket", lambda *a: calls.append(1) or bracket(*a)
-        )
-        dirichlet = eigen.solve_dirichlet
-        monkeypatch.setattr(
-            eigen, "solve_dirichlet", lambda *a: calls.append(1) or dirichlet(*a)
+            solver, "_scaling_bracket", lambda *a: brackets.append(1) or bracket(*a)
         )
         m, p, q = point
         dom = Domain.ball(3) if domain == "ball" else Domain.interval()
@@ -801,8 +801,10 @@ class TestCertifiedBracket:
         counts = {}
         for n in solves:
             calls.clear()
+            brackets.clear()
             rep = solve_singular(spec, make_graded_grid(n, 3.0, dom))
             assert rep.iterations == len(calls)
+            assert rep.converged and len(brackets) == 2
             counts[n] = len(calls)
         assert counts == solves
 
@@ -825,6 +827,164 @@ class TestCertifiedBracket:
         spec = ProblemSpec(m=2.0, p=1.2, q=0.0)
         rep = solve_singular(spec, make_graded_grid(1025, 3.0))
         assert rep.iterations <= 14
+
+
+def admissible_lattice(m):
+    """(p, q) of the benchmark's lattice with p + q < 2 - (1 - p)/m."""
+    return [
+        (p, q)
+        for p, q in itertools.product((0.0, 0.2, 0.5, 0.9, 1.5), (0.0, 0.3, 0.7, 1.0, 1.3))
+        if p + q < 2.0 - (1.0 - p) / m
+    ]
+
+
+class TestBracketOnlyWhereASweepEnds:
+    """A sweep after the first forms its certified bracket only when a
+    scalar pre-test cannot rule out that it stops or refuses; every answer
+    is that of the loop that brackets every sweep, to the last bit."""
+
+    @staticmethod
+    def outcome(spec, g, config=None):
+        """The error type and message, or None, and the report of one solve."""
+        try:
+            return None, solve_singular(spec, g, config)
+        except MlapError as exc:
+            return (type(exc), str(exc)), exc.report
+
+    def default_and_forced(self, monkeypatch, spec, g, config=None, counter=None):
+        """The outcome with the pre-test and with every sweep bracketed,
+        which must match to the last bit, and the sweeps the first skipped.
+        ``counter``, a spy's call list, is cleared between the two."""
+        brackets = []
+        bracket = solver._scaling_bracket
+        monkeypatch.setattr(
+            solver, "_scaling_bracket", lambda *a: brackets.append(1) or bracket(*a)
+        )
+        default = self.outcome(spec, g, config)
+        skipped = default[1].iterations - len(brackets)
+        brackets.clear()
+        if counter is not None:
+            counter.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_sweep_goes_on", lambda *a: False)
+            forced = self.outcome(spec, g, config)
+        # forced, every sweep is bracketed but one that fails its residual check
+        assert len(brackets) == forced[1].iterations - (forced[1].picard_gap is None)
+        assert default[0] == forced[0]
+        ra, rb = default[1], forced[1]
+        assert np.array_equal(ra.solution.values, rb.solution.values)
+        for name in ("iterations", "picard_gap", "final_residual", "converged"):
+            assert getattr(ra, name) == getattr(rb, name), name
+        assert (ra.pair is None) == (rb.pair is None)
+        if ra.pair is not None:
+            assert np.array_equal(ra.pair.w0.values, rb.pair.w0.values)
+            assert (ra.pair.lam_lo, ra.pair.lam_hi) == (rb.pair.lam_lo, rb.pair.lam_hi)
+        return default, skipped
+
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_the_lattice_matches_the_loop_that_brackets_every_sweep(self, m, domain, monkeypatch):
+        g = make_graded_grid(257, 3.0, domain)
+        skipped = 0
+        for p, q in admissible_lattice(m):
+            spec = ProblemSpec(m=m, p=p, q=q, domain=domain)
+            (error, report), skips = self.default_and_forced(monkeypatch, spec, g)
+            assert error is None and report.converged
+            skipped += skips
+        assert skipped > 0  # the pre-test decides somewhere
+
+    def swamped_third_sweep(self, monkeypatch):
+        # the third sweep's theta, scaled below the assembly noise, leaves no
+        # bracket for its solve, though the slack-free one is wider than
+        # picard_tol and its floor far below it
+        calls, singular_theta = [], solver._singular_theta
+
+        def tiny(*a):
+            calls.append(1)
+            out = singular_theta(*a)
+            if len(calls) == 3:
+                out *= 1e-16
+            return out
+
+        monkeypatch.setattr(solver, "_singular_theta", tiny)
+        return calls
+
+    def failed_third_residual(self, monkeypatch):
+        solves, solve_into = [], solver._solve_into
+
+        def third_fails(*a):
+            solves.append(1)
+            evaluations, residual = solve_into(*a)
+            return evaluations, 1.0 if len(solves) == 3 else residual
+
+        monkeypatch.setattr(solver, "_solve_into", third_fails)
+        return solves
+
+    @pytest.mark.parametrize(
+        "case, why, sweeps, brackets",
+        [
+            ("budget", "^singular iteration budget exhausted: bracket width", 4, 2),
+            ("resolution", "^picard_tol 1e-13 is below the resolution", 2, 2),
+            ("slack", "^no scale brackets the solve: the slack swamps the load", 3, 2),
+            ("residual", "^a-posteriori check failed: scaled residual 1$", 3, 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_each_refusal_matches_the_loop_that_brackets_every_sweep(
+        self, case, why, sweeps, brackets, domain, monkeypatch
+    ):
+        spec, n, config = ProblemSpec(m=2.0, p=0.5, q=1.0, domain=domain), 257, None
+        counter = None
+        if case == "budget":
+            config = SolverConfig(max_picard_iters=4)
+        elif case == "resolution":  # test_resolution_floor_counts_the_load_slack's case
+            spec, n = ProblemSpec(m=1.2, p=0.9, q=1.0, domain=domain), 1025
+            config = SolverConfig(picard_tol=1e-13)
+        elif case == "slack":
+            spec = ProblemSpec(m=3.0, p=1.5, q=0.3, domain=domain)
+            counter = self.swamped_third_sweep(monkeypatch)
+        else:
+            counter = self.failed_third_residual(monkeypatch)
+        g = make_graded_grid(n, 3.0, domain)
+        (error, report), skipped = self.default_and_forced(monkeypatch, spec, g, config, counter)
+        assert error[0] is NonConvergence and re.match(why, error[1])
+        assert report.iterations == sweeps and report.pair is not None
+        # the first sweep and the one that refuses, if it has a bracket
+        assert sweeps - skipped == brackets
+
+    @settings(deadline=None)
+    @given(
+        m=st.floats(1.05, 6.0),
+        p=st.floats(0.0, 1.5),
+        residual=st.floats(0.0, RESIDUAL_TOL),
+        rows=st.lists(
+            st.tuples(st.floats(-40.0, 40.0), st.floats(1e-300, 1e300)), min_size=1, max_size=30
+        ),
+    )
+    def test_the_pre_test_rests_on_two_invariants(self, m, p, residual, rows):
+        # the slack's largest value is the scalar slack at min theta, bit for
+        # bit, and the slack-free scales lie inside _scaling_bracket's, up to
+        # the rounding margin of exp
+        log_ratio, theta = (np.array(c) for c in zip(*rows))
+        s = solver._slack(theta, residual, np.empty_like(theta))
+        assert solver._slack(np.minimum.reduce(theta), residual) == np.maximum.reduce(s)
+        spec = ProblemSpec(m=m, p=p, q=0.0)
+        e = 1.0 / (m - 1.0 + p)
+        with np.errstate(over="ignore"):  # the scales may overflow, as in the loop
+            lam_lo, lam_hi = solver._scaling_bracket(
+                spec, log_ratio, theta.copy(), residual, np.empty_like(theta)
+            )
+            free_lo, free_hi = (np.exp(e * f.reduce(log_ratio)) for f in (np.minimum, np.maximum))
+        if np.maximum.reduce(s) >= 1.0:
+            assert (lam_lo, lam_hi) == (0.0, np.inf)
+        elif lam_lo > 0.0:  # exp can underflow
+            margin = solver._EXP_ROUNDING
+            assert lam_lo <= free_lo * (1.0 + margin)
+            assert free_hi * (1.0 - margin) <= lam_hi
 
 
 class TestChainLoop:
