@@ -49,7 +49,7 @@ __all__ = [
     "GridFunction",
     "BoundaryProfile",
     "classify_regime",
-    "default_k_values",
+    "k_values",
     "make_graded_grid",
     "regime_profiles",
     "SUB",
@@ -146,15 +146,18 @@ def _check_m(m: float) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parameters (m, p, q, K-envelope, domain) of the singular problem.
+    """Parameters (m, p, q, K-envelope, domain, K) of the singular problem.
 
-    ``k_low`` and ``k_high`` bound K(x) * delta(x)^q from below and above; the
-    default realization used by the solver is K(x) = delta(x)^(-q), i.e. both
-    bounds 1.  Regime classification depends only on (m, p, q).
+    ``k_low`` and ``k_high`` bound K(x) * delta(x)^q from below and above.
+    ``k`` is K: None for delta(x)^(-q), or a callable k(x, delta) of node
+    coordinates and their distances to the boundary, one K per node, which
+    k_values samples on each grid.  Barriers certify for the whole envelope
+    and ignore ``k``.  Regime classification depends only on (m, p, q).
 
     Only admissible specs are built: construction raises
-    AdmissibilityViolation naming the failed inequality, or NonPositiveK
-    when the reaction-weight envelope is not positive.
+    AdmissibilityViolation naming the failed inequality, NonPositiveK
+    when the reaction-weight envelope is not positive, or InvalidConfig for
+    a ``k`` that is neither None nor callable.
     """
 
     m: float
@@ -163,6 +166,7 @@ class ProblemSpec:
     k_low: float = 1.0
     k_high: float = 1.0
     domain: Domain = INTERVAL01
+    k: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         _check_m(self.m)
@@ -185,6 +189,8 @@ class ProblemSpec:
         # is vacuous on one side and refused on the other
         if not self.k_high < math.inf:
             raise AdmissibilityViolation(f"k_high < inf fails: k_high = {self.k_high}")
+        if not (self.k is None or callable(self.k)):
+            raise InvalidConfig(f"K must be None or a callable k(x, delta), got {self.k!r}")
 
     @property
     def admissibility_bound(self) -> float:
@@ -623,39 +629,36 @@ class GridFunction:
         return GridFunction(grid, v)
 
 
-def default_k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
-    """Sample the default weight K = delta^(-q) at the unknown nodes.
-
-    K delta^q = 1 must lie in the spec's [k_low, k_high] envelope; other
-    weights go to solve_singular as ``k_values``.
+def k_values(spec: ProblemSpec, grid: Grid1D) -> GridFunction:
+    """The spec's K at the unknown nodes of ``grid``, 0 at the Dirichlet
+    nodes: the one sampler of K.  A custom ``spec.k`` is called with the
+    unknown nodes and their distances ``grid.delta_nodes``, must give one
+    value per node (GridMismatch), and K delta^q must lie in [k_low, k_high]
+    up to a relative 1e-12 (AdmissibilityViolation; a NaN fails the first
+    solve instead), as must 1 for the default delta^(-q).  A grid on
+    another domain than the spec's raises GridMismatch.
     """
-    if not (spec.k_low <= 1.0 <= spec.k_high):
-        raise AdmissibilityViolation(
-            f"the default K = delta^(-q) leaves the envelope [{spec.k_low}, {spec.k_high}]"
-        )
-    k, sl = np.zeros(grid.n), grid.unknown_slice
-    k[sl] = grid.delta_nodes[sl] ** (-spec.q)
-    return GridFunction(grid, k)
-
-
-def _k_in_envelope(spec: ProblemSpec, grid: Grid1D, k_values: GridFunction | None) -> GridFunction:
-    """The default K, or ``k_values`` once it is checked to live on ``grid``
-    and K delta^q to lie in the envelope; ``spec`` must share ``grid``'s domain."""
     if spec.domain != grid.domain:
         raise GridMismatch(f"the problem is posed on {spec.domain}, the grid on {grid.domain}")
-    if k_values is None:
-        return default_k_values(spec, grid)
-    if not same_grid(k_values.grid, grid):
+    k, sl = np.zeros(grid.n), grid.unknown_slice
+    d = grid.delta_nodes[sl]
+    if spec.k is None:
+        if not (spec.k_low <= 1.0 <= spec.k_high):
+            raise AdmissibilityViolation(
+                f"the default K = delta^(-q) leaves the envelope [{spec.k_low}, {spec.k_high}]"
+            )
+        k[sl] = d ** (-spec.q)
+        return GridFunction(grid, k)
+    custom = spec.k(grid.nodes[sl], d)
+    if np.shape(custom) != d.shape:
         raise GridMismatch(
-            f"custom K is sampled on another grid ({k_values.grid.n} nodes, grading "
-            f"{k_values.grid.grading_exponent:g}) than the solve's ({grid.n} nodes, "
-            f"grading {grid.grading_exponent:g})"
+            f"custom K gives values of shape {np.shape(custom)} at {d.size} unknown nodes"
         )
-    sl = grid.unknown_slice
-    envelope = k_values.values[sl] * grid.delta_nodes[sl] ** spec.q
+    k[sl] = custom
+    envelope = k[sl] * d**spec.q
     if np.any(envelope < spec.k_low * (1 - 1e-12)) or np.any(envelope > spec.k_high * (1 + 1e-12)):
         raise AdmissibilityViolation(
             "custom K leaves the (k_low, k_high) envelope: "
             f"K delta^q in [{envelope.min():g}, {envelope.max():g}]"
         )
-    return k_values
+    return GridFunction(grid, k)

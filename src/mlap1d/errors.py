@@ -48,7 +48,9 @@ class TooFewNodes(MlapError):
 
 
 class GridMismatch(MlapError):
-    """Two grid functions (or a function and a grid) live on different grids."""
+    """Two grid functions (or a function and a grid) live on different grids,
+    a problem and its grid on different domains, or a problem's K gives not
+    one value per unknown node."""
 
 
 class NonFiniteTheta(MlapError, ValueError):
@@ -106,4 +108,5 @@ class SolveFailed(MlapError):
 
 
 class InvalidConfig(MlapError):
-    """Run configuration is malformed (unknown key, empty matrix, bad levels)."""
+    """Run configuration is malformed (unknown key, empty matrix, bad levels),
+    or a problem's K is neither None nor callable."""

@@ -56,8 +56,9 @@ order-reversing, and its linearisation in log u has its spectrum in
 [-rho, 0], rho = p/(m-1).  One loop serves every p >= 0: it relaxes,
 u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
 solve (at p = 0, w = 1 and one solve decides), and every solve has its own
-certificate, the scaling bracket.  The loop holds its iterate as L = log u
-on the unknowns, in one block it allocates once, so a sweep takes two
+certificate, the scaling bracket.  K is the spec's, sampled once per solve
+by core.k_values.  The loop holds it and its iterate as L = log u on the
+unknowns, in one block it allocates once, so a sweep takes two
 transcendental passes over the unknowns: exp for theta = K exp(-p Lt) with
 Lt = max(L, log sub), and one log of the solve's result, shared by the
 relaxation and the log ratio the bracket reads.  The bracket itself, with
@@ -116,8 +117,8 @@ from .core import (
     GridFunction,
     ProblemSpec,
     _check_m,
-    _k_in_envelope,
     is_whole,
+    k_values,
     regime_profiles,
 )
 from .errors import (
@@ -707,16 +708,13 @@ def _sweep_goes_on(spec, log_ratio, theta, residual, w_max, min_log_k, tol) -> b
 
 
 def solve_singular(
-    spec: ProblemSpec,
-    grid: Grid1D,
-    config: SolverConfig | None = None,
-    k_values: GridFunction | None = None,
+    spec: ProblemSpec, grid: Grid1D, config: SolverConfig | None = None
 ) -> SolveReport:
     """Solve -div(|Du|^(m-2) Du) = K u^(-p) by bracketed monotone iteration.
 
-    K defaults to delta^(-q); a custom weight can be supplied through
-    ``k_values`` as long as it is sampled on ``grid`` (GridMismatch
-    otherwise) and stays inside the spec's (k_low, k_high) envelope.
+    K is the spec's weight, sampled on ``grid`` by core.k_values, which
+    refuses a grid on another domain and a K outside the spec's
+    (k_low, k_high) envelope before any solve.
 
     The first Dirichlet solve, w0 = T(v0) with v0 the regime's profile in
     delta (see _log_profile), is bracketed by _scaling_bracket: lam_lo w0
@@ -747,7 +745,7 @@ def solve_singular(
     m, p = spec.m, spec.p
     n = grid.n
     omega = 2.0 / (2.0 + p / (m - 1.0))
-    k_full = _k_in_envelope(spec, grid, k_values).values
+    k_full = k_values(spec, grid).values
     # w has its own array, outside the block: it is the returned solution.
     # Until the first solve writes it, it holds log v0 on the unknowns
     w = np.zeros(n)
@@ -759,25 +757,19 @@ def solve_singular(
     # outlive the solves fragment the heap and raise the peak resident size.
     # Its rows start at node origin, the chain's first node or node 0 on the
     # whole grid, and end at the Dirichlet node n - 1.  theta and the loads
-    # are the first two rows.  log K, log sub, L and Lt span sl, and so does
-    # K itself when it is the default, which the loop then owns (a caller's
-    # K is read in place).  The last rows are the scratch of _solve_into
-    # (four on a chain, the closure's five on the whole grid), which then
-    # takes log w
+    # are the first two rows.  K, log K, log sub, L and Lt span sl: the loop
+    # owns its copy of K, and the full-length sample is released.  The last
+    # rows are the scratch of _solve_into (four on a chain, the closure's
+    # five on the whole grid), which then takes log w
     origin = chain or 0
-    head = 6 if k_values is not None else 7
-    work = np.zeros((head + (5 if chain is None else 4)) * (n - origin))
+    work = np.zeros((7 + (5 if chain is None else 4)) * (n - origin))
     block = work.reshape(-1, n - origin)
     theta, loads = block[:2]
-    log_k, log_sub, big_l, lt = block[2:6, :size]
-    scratch = block[head:]
+    k, log_k, log_sub, big_l, lt = block[2:7, :size]
+    scratch = block[7:]
     log_w = scratch[0, :size]
     theta_sl, loads_sl = theta[sl.start - origin :][:size], loads[sl.start - origin :][:size]
-    if k_values is None:
-        k = block[6, :size]
-        k[:] = k_full[sl]
-    else:
-        k = k_full[sl]
+    k[:] = k_full[sl]
     del k_full
     np.log(k, out=log_k)
     min_log_k = float(np.minimum.reduce(log_k))

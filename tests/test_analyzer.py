@@ -12,6 +12,7 @@ from mlap1d import (
     GridFunction,
     ProblemSpec,
     Verdict,
+    classify_regime,
     distance_integral_classify,
     fit_boundary_exponent,
     fit_log_profile,
@@ -238,6 +239,32 @@ class TestThresholdScan:
         scan = threshold_scan(singular_levels(spec), [2.5, 3.5], [1025, 2049, 4097, 8193])
         assert scan.verdict_for(2.5) is Verdict.CONVERGENT
         assert scan.verdict_for(3.5) is Verdict.DIVERGENT
+
+    @pytest.mark.parametrize("domain", [Domain.interval(), Domain.ball(2)], ids=["interval", "ball2"])
+    def test_a_custom_k_reaches_every_level(self, domain):
+        # the spec carries K = delta^(-q) (1 + 0.4 sin 40x), and each level's
+        # solve samples it on its own grid: the caller builds no K.  The
+        # verdicts flip at tau*, and each rate is within 3.17e-4 of
+        # 1 - tau/tau* (measured, worst at 0.8 tau* on the ball)
+        sampled = []
+
+        def k(x, d):
+            sampled.append(d.size)
+            return d**-1.0 * (1.0 + 0.4 * np.sin(40.0 * x))
+
+        spec = ProblemSpec(m=2.0, p=0.5, q=1.0, k_low=0.6, k_high=1.4, domain=domain, k=k)
+        levels = [1025, 2049, 4097, 8193]
+        fractions = [0.8, 0.95, 1.0, 1.05, 1.2]
+        tau_star = classify_regime(spec).tau_sup
+        scan = threshold_scan(
+            lambda n: solve_singular(spec, make_graded_grid(n, 3.0, domain)).solution,
+            [f * tau_star for f in fractions],
+            levels,
+        )
+        c, d = Verdict.CONVERGENT, Verdict.DIVERGENT
+        assert scan.verdicts == (c, c, d, d, d)
+        assert np.max(np.abs(np.subtract(scan.rates, np.subtract(1.0, fractions)))) <= 3.5e-4
+        assert sampled == [n - (1 if domain.is_ball else 2) for n in levels]  # once per level
 
     def test_optimality_construction_dichotomy(self):
         # sharpness probe w = sin(pi x)^(2/3): tau* = (m-1)/(a-1) = 3; below

@@ -1290,8 +1290,8 @@ def test_the_public_surface_is_pinned():
         "INTERVAL01", "ProblemSpec", "Regime", "RegimeReport", "SUB", "SUPER", "ScanReport",
         "SolveReport", "SolverConfig", "Verdict", "__version__", "apply_mlap", "auto_scale",
         "build_barrier", "certified_pair", "check_barrier", "classify_regime",
-        "default_k_values", "distance_integral_classify", "first_eigenpair",
-        "fit_boundary_exponent", "fit_log_profile", "gradient_bound_check", "make_graded_grid",
+        "distance_integral_classify", "first_eigenpair", "fit_boundary_exponent",
+        "fit_log_profile", "gradient_bound_check", "k_values", "make_graded_grid",
         "rayleigh_quotient", "regime_profiles", "sobolev_seminorm", "solve_dirichlet",
         "solve_singular", "threshold_scan",
     ]

@@ -13,6 +13,8 @@ resolution floor's lam_lo^p; it is an exhausted budget.
 
 import io
 import math
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -25,7 +27,6 @@ from hypothesis import strategies as st
 from mlap1d import (
     Domain,
     Grid1D,
-    GridFunction,
     ProblemSpec,
     SolverConfig,
     make_graded_grid,
@@ -102,12 +103,12 @@ def assert_typed(exc):
     assert type(exc) is not MlapError and str(exc)
 
 
-def assert_certified_or_typed(spec, grid, k_values=None):
+def assert_certified_or_typed(spec, grid):
     """The contract: a typed error, with the loop's record on a failed
     solve, or a certified positive solution."""
     tol = SolverConfig().picard_tol
     try:
-        rep = solve_singular(spec, grid, k_values=k_values)
+        rep = solve_singular(spec, grid)
     except MlapError as exc:
         assert_typed(exc)
         if isinstance(exc, (NonConvergence, BarrierOrderViolation)):
@@ -146,15 +147,16 @@ def test_every_draw_certifies_or_raises_a_typed_error(point):
 def test_every_off_chain_draw_certifies_or_raises_a_typed_error(point):
     m, p, q, n, grading, jitter, seed, eps, k = point
     try:
-        spec = ProblemSpec(m=m, p=p, q=q, k_low=1.0 - abs(eps), k_high=1.0 + abs(eps))
+        spec = ProblemSpec(
+            m=m, p=p, q=q, k_low=1.0 - abs(eps), k_high=1.0 + abs(eps),
+            k=lambda x, d: d ** (-q) * (1.0 + eps * np.sin(k * x)),
+        )
         grid = jittered_grid(n, grading, jitter, seed)
     except MlapError as exc:
         assert_typed(exc)
         return
     assert grid.chain_start is None
-    sl, weight = grid.unknown_slice, np.zeros(n)
-    weight[sl] = grid.delta_nodes[sl] ** (-q) * (1.0 + eps * np.sin(k * grid.nodes[sl]))
-    assert_certified_or_typed(spec, grid, GridFunction(grid, weight))
+    assert_certified_or_typed(spec, grid)
 
 
 @given(draws())
@@ -207,3 +209,26 @@ def test_the_m_to_1_corner_fails_verification_on_the_command_line(tmp_path, caps
     assert main(args + ["--output-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failed: singular iteration budget exhausted")
+
+
+def test_a_failing_hypothesis_test_shows_its_example(tmp_path):
+    """Under the suite's warning filters a failing @given test prints its
+    falsifying example.  Hypothesis then imports libcst, whose deprecation
+    warning the filters once turned into an INTERNALERROR that ended the
+    session."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "@settings(database=None, derandomize=True)\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n",
+        encoding="utf-8",
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -17,13 +17,14 @@ from mlap1d import (
     ProblemSpec,
     Regime,
     classify_regime,
-    default_k_values,
     first_eigenpair,
+    k_values,
     make_graded_grid,
     regime_profiles,
     solve_dirichlet,
     solve_singular,
 )
+from mlap1d import solver
 from mlap1d.core import INTERVAL01, default_log_scale, same_grid
 from mlap1d.errors import (
     AdmissibilityViolation,
@@ -32,6 +33,7 @@ from mlap1d.errors import (
     InvalidConfig,
     InvalidGrading,
     InvalidGrid,
+    NonFiniteTheta,
     NonPositiveK,
     TooFewNodes,
 )
@@ -95,6 +97,22 @@ class TestValidateSpec:
     def test_a_nan_k_high_is_refused(self):
         with pytest.raises(AdmissibilityViolation, match="k_low <= k_high fails"):
             ProblemSpec(m=2, p=0.5, q=1.0, k_high=math.nan)
+
+    @pytest.mark.parametrize("k", [1.0, "delta^-q", np.ones(3)], ids=["float", "str", "array"])
+    def test_a_k_that_is_not_callable_is_refused(self, k):
+        with pytest.raises(InvalidConfig, match="K must be None or a callable k"):
+            ProblemSpec(m=2, p=0.5, q=1.0, k=k)
+
+    def test_specs_compare_and_hash_their_k(self):
+        # the benchmark's tracer keys singular solves by their spec
+        def k(x, d):
+            return d**-1.0
+
+        spec = ProblemSpec(m=2, p=0.5, q=1.0, k=k)
+        assert spec == spec and hash(spec) == hash(ProblemSpec(m=2, p=0.5, q=1.0, k=k))
+        assert len({spec, ProblemSpec(m=2, p=0.5, q=1.0, k=k)}) == 1
+        other = ProblemSpec(m=2, p=0.5, q=1.0, k=lambda x, d: d**-1.0)
+        assert spec != other and spec != ProblemSpec(m=2, p=0.5, q=1.0)
 
     def test_the_largest_finite_k_envelope_is_accepted(self):
         big = np.finfo(float).max
@@ -531,12 +549,65 @@ class TestGridFunction:
     def test_default_k_envelope(self):
         g = make_graded_grid(33, 1.0)
         spec = ProblemSpec(m=2, p=0.5, q=1.0)
-        k = default_k_values(spec, g)
+        k = k_values(spec, g)
         d = g.delta_nodes[1:-1]
         assert np.allclose(k.values[1:-1] * d, 1.0)
         with pytest.raises(AdmissibilityViolation, match="envelope"):
             # K delta^q = 1 lies outside [2, 3]
-            default_k_values(ProblemSpec(m=2, p=0.5, q=1.0, k_low=2.0, k_high=3.0), g)
+            k_values(ProblemSpec(m=2, p=0.5, q=1.0, k_low=2.0, k_high=3.0), g)
+
+
+class TestCustomK:
+    """A spec's own K(x, delta), sampled by core.k_values on any grid."""
+
+    @staticmethod
+    def spec(k, **kw):
+        return ProblemSpec(m=2.0, p=0.5, q=1.0, k_low=0.6, k_high=1.4, k=k, **kw)
+
+    @pytest.mark.parametrize("n", [1025, 1030, 4099])
+    def test_k_reads_the_exact_distances(self, n):
+        # off n = 2^k + 1 the right half's nodes 1 - delta are rounded, but
+        # a K written in delta is sampled from the exact distances, so it is
+        # a mirror on every graded interval grid
+        g = make_graded_grid(n, 3.0)
+        seen = []
+
+        def k(x, d):
+            seen.append((x, d))
+            return d**-1.0 * (1.0 + 0.4 * np.cos(1.0 / d))
+
+        values = k_values(self.spec(k), g).values
+        [(x, d)] = seen
+        sl = g.unknown_slice
+        assert np.array_equal(x, g.nodes[sl]) and np.array_equal(d, g.delta_nodes[sl])
+        assert values[0] == values[-1] == 0.0 and np.array_equal(values, values[::-1])
+
+    @pytest.mark.parametrize(
+        "k, shape",
+        [(lambda x, d: (1.0 / d)[:-1], (254,)), (lambda x, d: 1.0 / d[:, None], (255, 1)),
+         (lambda x, d: 2.0, ())],
+        ids=["short", "column", "scalar"],
+    )
+    def test_k_must_give_one_value_per_unknown_node(self, k, shape, monkeypatch):
+        # numpy once refused the short and column shapes with its own
+        # ValueError, inside the solve
+        solves = []
+        monkeypatch.setattr(solver, "_solve_into", lambda *a: solves.append(a))
+        with pytest.raises(GridMismatch, match=re.escape(f"shape {shape} at 255 unknown nodes")):
+            solve_singular(self.spec(k), make_graded_grid(257, 3.0))
+        assert solves == []
+
+    def test_an_infinite_k_leaves_the_envelope(self):
+        g = make_graded_grid(257, 3.0)
+        spec = self.spec(lambda x, d: np.where(x == x[7], np.inf, 1.0 / d))
+        with pytest.raises(AdmissibilityViolation, match="envelope: K delta\\^q in \\[1, inf\\]"):
+            solve_singular(spec, g)
+
+    def test_a_nan_k_fails_the_first_solve(self):
+        g = make_graded_grid(257, 3.0)
+        spec = self.spec(lambda x, d: np.where(x == x[7], np.nan, 1.0 / d))
+        with pytest.raises(NonFiniteTheta, match="theta must be finite"):
+            solve_singular(spec, g)
 
 
 def test_grid_function_values_immutable():

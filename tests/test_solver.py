@@ -16,7 +16,7 @@ from mlap1d import (
     ProblemSpec,
     SolverConfig,
     apply_mlap,
-    default_k_values,
+    k_values,
     make_graded_grid,
     solve_dirichlet,
     solve_singular,
@@ -386,15 +386,18 @@ class TestSolveSingular:
         # at m = 1.2 a load of K = 1e300 overflows Du; the sweep's NaN
         # residual must raise NonConvergence, and no RuntimeWarning first
         g = grid()
-        spec = ProblemSpec(m=1.2, p=0.5, q=0.0, domain=g.domain, k_low=1e300, k_high=1e300)
+        spec = ProblemSpec(
+            m=1.2, p=0.5, q=0.0, domain=g.domain, k_low=1e300, k_high=1e300,
+            k=lambda x, d: np.full_like(d, 1e300),
+        )
         with pytest.raises(NonConvergence, match="residual nan"):
-            solve_singular(spec, g, k_values=const_theta(g, 1e300))
+            solve_singular(spec, g)
 
     def test_p_zero_reduces_to_dirichlet(self):
         spec = ProblemSpec(m=2.0, p=0.0, q=0.5)
         g = make_graded_grid(513, 2.0)
         rep = solve_singular(spec, g)
-        direct = solve_dirichlet(default_k_values(spec, g), spec.m)
+        direct = solve_dirichlet(k_values(spec, g), spec.m)
         assert np.max(np.abs(rep.solution.values - direct.solution.values)) <= 1e-10
         # one solve, whose scaling bracket is as wide as its residual slack
         assert rep.iterations == 1
@@ -412,8 +415,9 @@ class TestSolveSingular:
         k_vals = np.zeros(g.n)
         k_vals[sl] = neg_lap.values[sl] * u_star.values[sl] ** 0.5
         env = k_vals[sl] * g.delta_nodes[sl]
-        spec = ProblemSpec(**spec_mpq, k_low=env.min(), k_high=env.max())
-        rep = solve_singular(spec, g, k_values=GridFunction(g, k_vals))
+        # a K known on this grid only, given at its unknown nodes
+        spec = ProblemSpec(**spec_mpq, k_low=env.min(), k_high=env.max(), k=lambda x, d: k_vals[sl])
+        rep = solve_singular(spec, g)
         assert np.max(np.abs(rep.solution.values - u_star.values)) <= 5e-3
 
     def test_supercritical_solution_positive_and_bracketed(self):
@@ -437,7 +441,7 @@ class TestSolveSingular:
         rep = solve_singular(spec, g)
         tol = SolverConfig().picard_tol
         sl = g.unknown_slice
-        k = default_k_values(spec, g).values[sl]
+        k = k_values(spec, g).values[sl]
         sub = rep.sub_barrier
         log_sub = np.log(sub.values[sl])
 
@@ -458,26 +462,10 @@ class TestSolveSingular:
     def test_custom_k_outside_envelope_rejected(self):
         from mlap1d.errors import AdmissibilityViolation
 
-        spec = ProblemSpec(m=2.0, p=0.5, q=1.0)
+        spec = ProblemSpec(m=2.0, p=0.5, q=1.0, k=lambda x, d: 3.0 / d)
         g = make_graded_grid(257, 3.0)
-        bad = GridFunction.interior_from_callable(g, lambda x: 3.0 / g.domain.delta(x))
         with pytest.raises(AdmissibilityViolation):
-            solve_singular(spec, g, k_values=bad)
-
-    @pytest.mark.parametrize("n, grading", [(1025, 2.0), (2049, 3.0)], ids=["grading", "n"])
-    def test_custom_k_from_another_grid_rejected(self, n, grading):
-        # K sampled on another grid was once read at this grid's unknowns
-        # as it stood, and the solve answered another problem
-        spec = ProblemSpec(m=2.0, p=0.5, q=0.0, k_low=0.6, k_high=1.4)
-        g = make_graded_grid(1025, 3.0)
-
-        def k_on(grid):
-            return GridFunction.interior_from_callable(grid, lambda x: 1.0 + 0.4 * np.sin(40.0 * x))
-
-        with pytest.raises(GridMismatch, match=f"another grid \\({n} nodes, grading {grading:g}\\)"):
-            solve_singular(spec, g, k_values=k_on(make_graded_grid(n, grading)))
-        copy = Grid1D(nodes=g.nodes, grading_exponent=3.0)  # the same grid, built again
-        assert solve_singular(spec, g, k_values=k_on(copy)).converged
+            solve_singular(spec, g)
 
     @pytest.mark.parametrize("domain", [Domain.ball(3), Domain.interval()], ids=["ball", "interval"])
     def test_a_spec_on_another_domain_is_refused(self, domain):
@@ -581,7 +569,7 @@ class TestCertifiedBracket:
         sl = g.unknown_slice
         v = np.zeros(g.n)
         v[sl] = ref.solution.values[sl] ** (1.0 - weight) * sub[sl] ** weight
-        k = default_k_values(self.SPEC, g).values[sl]
+        k = k_values(self.SPEC, g).values[sl]
         lt = np.maximum(np.log(v[sl]), np.log(sub[sl]))
         theta = np.zeros(g.n)
         solver._singular_theta(self.SPEC.p, k, lt, theta[sl])
@@ -607,7 +595,7 @@ class TestCertifiedBracket:
         rep = solve_singular(spec, g)
         sl = g.unknown_slice
         sub = rep.sub_barrier.values[sl]
-        k = default_k_values(spec, g).values[sl]
+        k = k_values(spec, g).values[sl]
         v = rep.solution.values[sl] * 10.0 ** np.cos(40.0 * g.nodes[sl])
         assert np.any(v < sub) and np.any(v > sub)
         vt = np.maximum(v, sub)
@@ -662,16 +650,17 @@ class TestCertifiedBracket:
     def test_slack_that_swamps_the_load_gives_no_bracket(self, monkeypatch):
         # theta ~ K^((m-1)/(m-1+p)) = 1e-15 at K = 1e-20 is below the assembly
         # noise, so no scale brackets the first solve and there is no pair
-        spec = ProblemSpec(m=4.0, p=1.0, q=0.0, k_low=1e-20, k_high=1e-20)
+        spec = ProblemSpec(
+            m=4.0, p=1.0, q=0.0, k_low=1e-20, k_high=1e-20, k=lambda x, d: np.full_like(d, 1e-20)
+        )
         g = make_graded_grid(257, 3.0)
         brackets = []
         bracket = solver._scaling_bracket
         monkeypatch.setattr(
             solver, "_scaling_bracket", lambda *a: brackets.append(bracket(*a)) or brackets[-1]
         )
-        k = GridFunction(g, np.full(g.n, 1e-20))
         with pytest.raises(NonConvergence, match="the slack swamps the load") as err:
-            solve_singular(spec, g, SolverConfig(max_picard_iters=3), k_values=k)
+            solve_singular(spec, g, SolverConfig(max_picard_iters=3))
         assert brackets == [(0.0, np.inf)]
         report = err.value.report
         assert report.iterations == 1 and report.picard_gap == np.inf
@@ -1013,10 +1002,10 @@ class TestChainLoop:
     }
 
     @staticmethod
-    def outcome(spec, g, config=None, k_values=None):
+    def outcome(spec, g, config=None):
         """The report, or the error and its report, of one singular solve."""
         try:
-            return None, solve_singular(spec, g, config, k_values)
+            return None, solve_singular(spec, g, config)
         except NonConvergence as exc:
             return str(exc), exc.report
 
@@ -1144,13 +1133,16 @@ class TestChainLoop:
     def test_one_ulp_of_asymmetric_k_takes_the_whole_grid(self, monkeypatch):
         # the interval chain checks residuals from the centre on only, so
         # this guard alone keeps it from solving a symmetrised problem
-        spec = self.SPECS["critical"]
         g = make_graded_grid(1025, 3.0)
-        k = default_k_values(spec, g).values.copy()
-        i = g.n // 3
-        k[i] = np.nextafter(k[i], np.inf)
+
+        def k(x, d):  # delta^(-q), one ulp up at node n // 3
+            v = d ** -self.SPECS["critical"].q
+            v[g.n // 3 - 1] = np.nextafter(v[g.n // 3 - 1], np.inf)
+            return v
+
+        spec = dataclasses.replace(self.SPECS["critical"], k=k)
         solves = kernel_spy(monkeypatch)
-        rep = solve_singular(spec, g, k_values=GridFunction(g, k))
+        rep = solve_singular(spec, g)
         assert solves == [(None, 5)] * rep.iterations
         tol = SolverConfig().picard_tol
         assert rep.converged and rep.picard_gap <= tol
@@ -1158,7 +1150,7 @@ class TestChainLoop:
         assert np.all(rep.solution.values <= rep.super_barrier.values + tol)
         u = rep.solution.values
         assert not np.array_equal(u, u[::-1])
-        sym = solve_singular(spec, g).solution.values
+        sym = solve_singular(self.SPECS["critical"], g).solution.values
         assert np.max(np.abs(u - sym)) <= rep.picard_gap + 1e-13 * sym.max()
 
 
@@ -1193,20 +1185,21 @@ class TestSolvePeaks:
         assert self.warm_peak(lambda: solve_dirichlet(theta, 3.0)) <= 7.5
 
     def test_whole_grid_singular_solve(self):
-        # the loop's block (theta, the loads, four rows of the unknowns and
-        # the closure's five), w, the pair's w0 and the mirror comparison of
-        # each sweep's theta; the caller's K is read in place.  Measured at
-        # 13.18n with numpy 2.4.6, 15.03n while the loop kept a separate
-        # midpoint and the report both barriers
-        spec = ProblemSpec(m=2.0, p=0.5, q=0.5, k_low=0.6, k_high=1.4)
+        # the spec's K sampled on the grid, the loop's block (theta, the
+        # loads, five rows of the unknowns, K's copy among them, and the
+        # closure's five), w, the pair's w0 and the mirror comparison of
+        # each sweep's theta.  Measured at 14.17n with numpy 2.4.6, as was
+        # a K passed to the solve as an array and built inside the traced
+        # call; 13.17n while that array was built outside it, 15.03n while
+        # the loop kept a separate midpoint and the report both barriers
+        spec = ProblemSpec(
+            m=2.0, p=0.5, q=0.5, k_low=0.6, k_high=1.4,
+            k=lambda x, d: d**-0.5 * (1.0 + 0.4 * np.sin(40.0 * x)),
+        )
         g = make_graded_grid(self.N, 3.0)
-        sl = g.unknown_slice
-        k = np.zeros(g.n)
-        k[sl] = g.delta_nodes[sl] ** -spec.q * (1.0 + 0.4 * np.sin(40.0 * g.nodes[sl]))
-        k = GridFunction(g, k)
-        rep = solve_singular(spec, g, k_values=k)
+        rep = solve_singular(spec, g)
         assert rep.iterations > 1
-        assert self.warm_peak(lambda: solve_singular(spec, g, k_values=k)) <= 13.3
+        assert self.warm_peak(lambda: solve_singular(spec, g)) <= 14.29
 
     @pytest.mark.parametrize(
         "domain, bound", [(Domain.interval(), 11.65), (Domain.ball(3), 18.15)], ids=["interval", "ball3"]
@@ -1335,7 +1328,7 @@ class TestStrongCouplingAndOtherM:
         assert np.all(rep.solution.values >= rep.sub_barrier.values - 1e-8)
         assert np.all(rep.solution.values <= rep.super_barrier.values + 1e-8)
         # self-consistency of the fixed point
-        k = default_k_values(spec, g).values
+        k = k_values(spec, g).values
         theta = np.zeros(g.n)
         sl = g.unknown_slice
         theta[sl] = k[sl] * rep.solution.values[sl] ** (-spec.p)
