@@ -314,10 +314,11 @@ class BoundaryProfile:
         return f"logpower(s={self.log_exponent:g}, A={self.log_scale:g})"
 
     def scaled(self, f: np.ndarray, scale: float) -> np.ndarray:
-        """scale times the profile of f (f > 0)."""
+        """scale times the profile of f (f > 0).  log(A/f) is taken as
+        log A - log f, as in log_of: A/f itself can overflow."""
         if self.log_exponent is None:
             return scale * f**self.exponent
-        return scale * f * np.log(self.log_scale / f) ** self.log_exponent
+        return scale * f * (np.log(self.log_scale) - np.log(f)) ** self.log_exponent
 
     def log_of(self, log_f: np.ndarray) -> np.ndarray:
         """The log of the profile, written over ``log_f`` = log f and returned."""

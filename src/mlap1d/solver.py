@@ -44,10 +44,11 @@ Dirichlet boundary, which leaves the rounding error of the closure in the
 peak cell.  Every solution is checked a posteriori by its noise-aware
 scaled residual.  An interval chain is checked from the centre node on: its
 fluxes are exactly odd and its noise terms exactly even, so that value is
-the whole grid's to the last bit.  Both paths are one kernel, _solve_into,
-that works in its caller's workspace: a lone solve allocates one per call,
-the singular loop one per solve.  A chain's theta and loads start at its
-first node, so its workspace spans the chain only.
+the whole grid's to the last bit.  Both paths are one kernel, bound by
+_bind to its caller's workspace, every view taken once, and run by
+_solve_into: a lone solve allocates and binds one per call, the singular
+loop one per solve.  A chain's theta and loads start at its first node, so
+its workspace spans the chain only.
 
 solve_singular treats -div(Phi) = K u^(-p) as the fixed point of
 T(v) = solve(K v^(-p)), with the singular term clamped below at a certified
@@ -58,15 +59,16 @@ u <- u^(1-w) T(u)^w with w = 2/(2+rho), which contracts by rho/(2+rho) per
 solve (at p = 0, w = 1 and one solve decides), and every solve has its own
 certificate, the scaling bracket.  K is the spec's, sampled once per solve
 by core.k_values.  The loop holds it and its iterate as L = log u on the
-unknowns, in one block it allocates once, so a sweep takes two
-transcendental passes over the unknowns: exp for theta = K exp(-p Lt) with
-Lt = max(L, log sub), and one log of the solve's result, shared by the
-relaxation and the log ratio the bracket reads.  The bracket itself, with
-its two log1p passes, and the resolution floor's pass are formed only on a
-sweep that can leave the loop: the first, whose bracket is the pair, and
-any later one whose scalar pre-test, _sweep_goes_on, cannot prove that it
-neither stops nor refuses.  Every width, pair and message that leaves the
-loop is the bracket's.
+unknowns, in one block it allocates once and binds its kernel to once, so
+a sweep takes two transcendental passes over the unknowns: exp for
+theta = K exp(-p Lt) with Lt = max(L, log sub), and one log of the solve's
+result, shared by the relaxation and the log ratio the bracket reads; the
+solve hands back min theta and sup w, which its checks reduce anyway.  The
+bracket itself, with its two log1p passes, and the resolution floor's pass
+are formed only on a sweep that can leave the loop: the first, whose
+bracket is the pair, and any later one whose pre-test on floats,
+_sweep_goes_on, cannot prove that it neither stops nor refuses.  Every
+width, pair and message that leaves the loop is the bracket's.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -89,26 +91,30 @@ kept as what it is, one field and two scales: w0 and lam_lo, lam_hi.
 Every ball problem is a chain, and so is every interval problem whose grid,
 K and v0 equal their mirror images to the last bit, since its unique
 solution is symmetric.  That is checked once per solve, from the inputs,
-and every sweep then runs on the chain, nodes k to n - 2, by _solve_into in
-the loop's workspace, which its residual check and the bracket share, so a
-sweep allocates nothing.  At m = 2 the flux is Du itself, and the chain and
-the check skip the powers, which would be exact there.  On the interval
-every step is elementwise, so by induction every theta, w and iterate is an
-exact mirror, and every min and max over the right half is the whole
-grid's: the answers are those of the whole-grid loop to the last bit.  w is
-the loop's one full-length array besides the pair's w0, and is mirrored
-only where one leaves the loop: the first pair, the returned solution and
-the report of an error.  Every other array of a chain loop, theta and the
-loads included, spans the chain.  Other interval inputs run on the whole
-grid, in the same kernel and a workspace with the
-closure's five rows: each sweep asks _chain_start of its theta alone, as
-solve_dirichlet would, and takes that chain or the closure search.
+and every sweep then runs on the chain, nodes k to n - 2, by the kernel
+bound to the loop's workspace, which its residual check and the bracket
+share, so a sweep allocates nothing and slices no view.  At m = 2 the flux
+is Du itself, and the chain and the check skip the powers, which would be
+exact there.  On the interval every step is elementwise, so by induction
+every theta, w and iterate is an exact mirror, and every min and max over
+the right half is the whole grid's: the answers are those of the
+whole-grid loop to the last bit.  w is the loop's one full-length array
+besides the pair's w0, and is mirrored only where one leaves the loop: the
+first pair, the returned solution and the report of an error.  Every other
+array of a chain loop, theta and the loads included, spans the chain.
+Other interval inputs run on the whole grid, in the same kernel and a
+workspace with the closure's five rows, bound for the closure search and
+for the chain on the first sweep that takes each: each sweep asks
+_chain_start of its theta alone, as solve_dirichlet would, and takes that
+chain or the closure search.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,7 +230,18 @@ class SolveReport:
 # and for m < 2 the flux derivative amplifies the rounding of Du itself.
 # Anything below this multiple of machine epsilon times the assembly scale is
 # numerically indistinguishable from zero and must not block convergence.
-ASSEMBLY_NOISE = 64.0 * np.finfo(float).eps
+# A Python float, so that the scalar arithmetic of the loop stays off numpy.
+ASSEMBLY_NOISE = 64.0 * float(np.finfo(float).eps)
+
+
+def _power(x, a):
+    """x^a in place for x >= 0: np.sqrt at a = 0.5 and x itself at a = 1,
+    the bits np.power gives there through a loop ten times slower."""
+    if a == 0.5:
+        return np.sqrt(x, out=x)
+    if a != 1.0:
+        np.power(x, a, out=x)
+    return x
 
 
 def _weighted_flux(du, weights, m, out):
@@ -236,8 +253,7 @@ def _weighted_flux(du, weights, m, out):
             np.copyto(out, du)
             return out
         return np.multiply(du, weights, out=out)
-    np.abs(du, out=out)
-    np.power(out, m - 1.0, out=out)
+    _power(np.abs(du, out=out), m - 1.0)
     np.copysign(out, du, out=out)
     if weights is not None:
         out *= weights
@@ -260,11 +276,13 @@ def apply_mlap(u: GridFunction, m: float) -> GridFunction:
     return GridFunction(g, out)
 
 
-def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
+def _scaled_residual(grid, u, m, loads, theta_vals, first, rows):
     """sup over the unknowns from node ``first`` on of
     max(|g_i| - noise_i, 0) / (V_i (1 + |theta_i|)), NaN if any term is
-    NaN, so that a solution that overflowed fails the check.  ``loads`` and
-    ``theta_vals`` start at node ``first``; ``u`` is indexed by node.
+    NaN, so that a solution that overflowed fails the check, and sup u over
+    the cells it reads, bound to its arrays: each call checks what they hold
+    then.  ``loads`` and ``theta_vals`` start at node ``first``;
+    ``u`` is indexed by node.
 
     g_i = F_{i-1} - F_i - V_i theta_i is the flux balance at node i (no flux
     enters the ball's node 0).  The noise model is first-order rounding:
@@ -283,81 +301,92 @@ def _scaled_residual(grid, u, m, loads, theta_vals, first, rows) -> float:
     h, uc = grid.h[c:], u[c:]
     # only the ball checks from node 0; the interval's weights are ones
     weights = grid.flux_weights[c:] if first == 0 else None
-    u_scale = max(1e-300, float(np.maximum.reduce(uc)), -float(np.minimum.reduce(uc)))
-    # the arithmetic of the formula above, written into the four rows:
-    # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
-    np.subtract(uc[1:], uc[:-1], out=du)
-    du /= h
-    _weighted_flux(du, weights, m, fw)
-    if m == 2.0:  # phi' = 1, which the power gives exactly
-        np.divide(u_scale, h, out=fn)
-        if weights is not None:
-            fn *= weights
-    else:
-        np.abs(du, out=fn)
-        np.power(fn, m - 2.0, out=fn)
-        fn *= m - 1.0
-        if weights is not None:
-            fn *= weights
-        fn *= np.divide(u_scale, h, out=du)
-    fn += np.abs(fw, out=du)
-    res = 0.0
-    if first == 0:  # the ball's node 0, where no flux enters
-        g0 = abs(fw[0] + loads[0]) - ASSEMBLY_NOISE * (fn[0] + abs(loads[0]))
-        res = float(max(g0, 0.0) / (grid.cell_volumes[0] * (1.0 + abs(theta_vals[0]))))
-        loads, theta_vals = loads[1:], theta_vals[1:]
-    # node k of ``between`` lies between entries k and k + 1 of fw and fn,
-    # and is entry k of the loads and theta
-    between = slice(c + 1, grid.n - 1)
-    loads, theta_vals = loads[: cells - 1], theta_vals[: cells - 1]
-    g = np.subtract(fw[:-1], fw[1:], out=du[:-1])
-    g -= loads
-    np.abs(g, out=g)
-    noise = np.add(fn[:-1], fn[1:], out=noise[:-1])
-    noise += np.abs(loads, out=fw[:-1])
-    noise *= ASSEMBLY_NOISE
-    g -= noise
-    if np.maximum.reduce(g) <= 0.0:  # every term is 0; a NaN takes the full path
-        return res
-    np.maximum(g, 0.0, out=g)
-    den = np.abs(theta_vals, out=noise)
-    den += 1.0
-    den *= grid.cell_volumes[between]
-    g /= den
-    return float(np.maximum(res, np.maximum.reduce(g)))  # NaN, unlike max(), propagates
+    # entry k of g is the node between entries k and k + 1 of fw and fn, and
+    # entry k of its loads, theta and volumes, which skip the ball's node 0
+    skip = int(first == 0)
+    loads_b, theta_b = loads[skip : skip + cells - 1], theta_vals[skip : skip + cells - 1]
+    volumes, g, noise = grid.cell_volumes[c + 1 : grid.n - 1], du[:-1], noise[:-1]
+    u_next, u_prev = uc[1:], uc[:-1]
+    fw_prev, fw_next, fn_prev, fn_next = fw[:-1], fw[1:], fn[:-1], fn[1:]
+
+    def check():
+        u_max = float(np.maximum.reduce(uc))
+        u_scale = max(1e-300, u_max, -float(np.minimum.reduce(uc)))
+        # the arithmetic of the formula above, written into the four rows:
+        # F from _weighted_flux and phi'(Du) = (m-1) |Du|^(m-2)
+        np.subtract(u_next, u_prev, out=du)
+        np.divide(du, h, out=du)
+        _weighted_flux(du, weights, m, fw)
+        if m == 2.0:  # phi' = 1, which the power gives exactly
+            np.divide(u_scale, h, out=fn)
+            if weights is not None:
+                np.multiply(fn, weights, out=fn)
+        else:
+            _power(np.abs(du, out=fn), m - 2.0)
+            np.multiply(fn, m - 1.0, out=fn)
+            if weights is not None:
+                np.multiply(fn, weights, out=fn)
+            np.multiply(fn, np.divide(u_scale, h, out=du), out=fn)
+        np.add(fn, np.abs(fw, out=du), out=fn)
+        res = 0.0
+        if first == 0:  # the ball's node 0, where no flux enters
+            g0 = abs(fw[0] + loads[0]) - ASSEMBLY_NOISE * (fn[0] + abs(loads[0]))
+            res = float(max(g0, 0.0) / (grid.cell_volumes[0] * (1.0 + abs(theta_vals[0]))))
+        np.subtract(fw_prev, fw_next, out=g)
+        np.subtract(g, loads_b, out=g)
+        np.abs(g, out=g)
+        np.add(fn_prev, fn_next, out=noise)
+        np.add(noise, np.abs(loads_b, out=fw_prev), out=noise)
+        np.multiply(noise, ASSEMBLY_NOISE, out=noise)
+        np.subtract(g, noise, out=g)
+        if np.maximum.reduce(g) <= 0.0:  # every term is 0; a NaN takes the full path
+            return res, u_max
+        np.maximum(g, 0.0, out=g)
+        den = np.abs(theta_b, out=noise)
+        np.add(den, 1.0, out=den)
+        np.multiply(den, volumes, out=den)
+        np.divide(g, den, out=g)
+        return float(np.maximum(res, np.maximum.reduce(g))), u_max  # NaN, unlike max(), propagates
+
+    return check
 
 
 def _inverse_flux(y, m, out):
     """Du with |Du|^(m-2) Du = y, written into ``out``."""
-    du = np.abs(y, out=out)
-    np.power(du, 1.0 / (m - 1.0), out=du)
+    du = _power(np.abs(y, out=out), 1.0 / (m - 1.0))
     return np.copysign(du, y, out=du)
 
 
 def _compensated_cumsum(x, s, err, bp, t):
-    """Cumulative sum of ``x`` correct to rounding at every entry, written
-    into ``s``; ``err``, ``bp`` and ``t`` are scratch as long as ``x``.
+    """Cumulative sum of ``x`` correct to rounding at every entry, bound to
+    its arrays: each call writes it into ``s`` for what ``x`` holds then;
+    ``err``, ``bp`` and ``t`` are scratch as long as ``x``.
 
     A plain cumulative sum drifts like sqrt(n) ulps; u is summed inward from
     both boundaries, so that drift would land in the peak cell as a jump
     the residual check cannot tell from a wrong flux when m < 2.  The exact
     rounding error of every step (TwoSum) is summed and added back.
     """
-    np.add.accumulate(x, out=s)
-    err[:1] = 0.0  # the first step is exact; prev holds the sum before each later one
-    prev, cur, e, bp, t = s[:-1], s[1:], err[1:], bp[1:], t[1:]
-    np.subtract(cur, prev, out=bp)
-    np.subtract(cur, bp, out=t)
-    np.subtract(prev, t, out=e)
-    e += np.subtract(x[1:], bp, out=t)
-    s += np.add.accumulate(err, out=err)
-    return s
+    # the first step is exact; prev holds the sum before each later one
+    err0, prev, cur, e, x1, bp, t = err[:1], s[:-1], s[1:], err[1:], x[1:], bp[1:], t[1:]
+
+    def cumsum():
+        np.add.accumulate(x, out=s)
+        err0.fill(0.0)
+        np.subtract(cur, prev, out=bp)
+        np.subtract(cur, bp, out=t)
+        np.subtract(prev, t, out=e)
+        np.add(e, np.subtract(x1, bp, out=t), out=e)
+        np.add(s, np.add.accumulate(err, out=err), out=s)
+
+    return cumsum
 
 
 def _zero_flux_solution(grid, loads, m, u, k, rows):
-    """u from node k to node n - 2, written into ``u``, on the chain that
-    starts at node k with zero flux on its left (Grid1D.chain_start) and
-    ends at the Dirichlet node n - 1 (u = 0).
+    """u from node k to node n - 2 on the chain that starts at node k with
+    zero flux on its left (Grid1D.chain_start) and ends at the Dirichlet
+    node n - 1 (u = 0), bound to its arrays: each call writes it into ``u``
+    for what ``loads`` holds then.
 
     On the interval (k > 0) the centre node of an odd grid keeps half its
     load and the centre cell of an even grid carries no flux.  The cell
@@ -368,18 +397,24 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     """
     n = grid.n
     flux, hdu, err, bp = rows[:4, : n - 1 - k]
-    np.copyto(flux, loads[: n - 1 - k])
-    if k:
-        flux[0] = 0.5 * loads[0] if n % 2 else 0.0
-    np.add.accumulate(flux, out=flux)
-    if not k:  # the interval's flux weights, from its centre on, are ones
-        flux /= grid.flux_weights
-    if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
-        np.multiply(flux, grid.h[k:], out=hdu)
-    else:
-        _inverse_flux(flux, m, hdu)
-        hdu *= grid.h[k:]
-    _compensated_cumsum(hdu[::-1], u[k:-1][::-1], err, bp, flux)
+    loads, h = loads[: n - 1 - k], grid.h[k:]
+    weights = None if k else grid.flux_weights  # the interval's, from its centre on, are ones
+    cumsum = _compensated_cumsum(hdu[::-1], u[k:-1][::-1], err, bp, flux)
+
+    def solve():
+        np.copyto(flux, loads)
+        if k:
+            flux[0] = 0.5 * loads[0] if n % 2 else 0.0
+        np.add.accumulate(flux, out=flux)
+        if weights is not None:
+            np.divide(flux, weights, out=flux)
+        if m == 2.0:  # Du = flux, which _inverse_flux gives exactly
+            np.multiply(flux, h, out=hdu)
+        else:
+            np.multiply(_inverse_flux(flux, m, hdu), h, out=hdu)
+        cumsum()
+
+    return solve
 
 
 def _anchored_loads(loads, k, out):
@@ -499,14 +534,13 @@ def _closure_root(loads, h, m, k, c, rows):
 
 def _loads(volumes, theta_vals, out):
     """The loads V theta, written into ``out``, once theta is checked finite
-    (its max and min are: NaN propagates).  The three arrays start at one
-    node, and ``volumes`` says how many nodes there are."""
-    theta_vals = theta_vals[: volumes.size]
-    if not (math.isfinite(np.maximum.reduce(theta_vals))
-            and math.isfinite(np.minimum.reduce(theta_vals))):
+    (its max and min are: NaN propagates); returns min theta.  The three
+    arrays span the same nodes."""
+    theta_min = float(np.minimum.reduce(theta_vals))
+    if not (math.isfinite(np.maximum.reduce(theta_vals)) and math.isfinite(theta_min)):
         raise NonFiniteTheta("theta must be finite at the unknown nodes")
-    np.multiply(volumes, theta_vals, out=out[: volumes.size])
-    return out
+    np.multiply(volumes, theta_vals, out=out)
+    return theta_min
 
 
 def _chain_start(grid, *arrays):
@@ -519,51 +553,79 @@ def _chain_start(grid, *arrays):
     return k
 
 
-def _solve_into(grid, theta_vals, m, k, loads, u, rows):
-    """One Dirichlet solve of -div(Phi) = theta into ``u``; returns the
-    number of closure evaluations and the scaled residual.
+class _Kernel(NamedTuple):
+    """A Dirichlet solve that _bind bound: its chain start k (None on the
+    whole grid), the ``u`` and scratch ``rows`` it writes, and ``run``."""
 
+    k: int | None
+    u: np.ndarray
+    rows: np.ndarray
+    run: Callable[[], tuple[int, float, float, float]]
+
+
+def _bind(grid, theta_vals, m, k, loads, u, rows) -> _Kernel:
+    """The Dirichlet solve of -div(Phi) = theta into ``u``, with every view
+    it reads taken once: each _solve_into solves for what theta holds then.
     With k from _chain_start it solves the zero-flux chain: theta and the
-    loads start at node k, and it reads theta and writes the loads from
-    there to node n - 2, writes u from node k to n - 2 and, on an odd
+    loads start at node k, it writes u from node k to n - 2 and, on an odd
     interval grid, u[k-1] (the caller mirrors the rest), and checks the
     residual from node 0 on the ball and from the centre node n//2 on the
     interval.  With k None theta and the loads are indexed by node, and it
-    runs the closure search on the interval and writes the loads and u at
-    every unknown.  u is always indexed by node.  The caller owns
-    ``loads``, ``u`` (zero at the Dirichlet nodes) and ``rows``, four rows
-    of n - k on a chain and five of n - 1 otherwise, and holds
-    np.errstate(divide="ignore", over="ignore", invalid="ignore"), which
-    the closure search runs in too: loads that overflow turn u and the
+    runs the closure search.  The caller owns ``loads``, ``u`` (indexed by
+    node, zero at the Dirichlet nodes) and ``rows``, four rows of n - k on a
+    chain and five of n - 1 otherwise, and holds np.errstate(divide="ignore",
+    over="ignore", invalid="ignore"): loads that overflow turn u and the
     residual NaN, which the caller's check turns into NonConvergence.
     """
     n = grid.n
     if k is not None:
-        _loads(grid.cell_volumes[k:-1], theta_vals, loads)
-        _zero_flux_solution(grid, loads, m, u, k, rows)
-        if k and n % 2:  # the check from the centre node reads u one node to its left
-            u[k - 1] = u[k + 1]
+        size = n - 1 - k
+        volumes, theta_c, loads_c = grid.cell_volumes[k:-1], theta_vals[:size], loads[:size]
+        chain = _zero_flux_solution(grid, loads, m, u, k, rows)
         first = n // 2 if k else 0
-        return 0, _scaled_residual(
+        check = _scaled_residual(
             grid, u, m, loads[first - k :], theta_vals[first - k :], first, rows
         )
+        mirror = k and n % 2  # the check from the centre node reads u one node to its left
+
+        def run():
+            theta_min = _loads(volumes, theta_c, loads_c)
+            chain()
+            if mirror:
+                u[k - 1] = u[k + 1]
+            return (0, *check(), theta_min)
+
+        return _Kernel(k, u, rows, run)
     sl = grid.unknown_slice
-    _loads(grid.cell_volumes[sl], theta_vals[sl], loads[sl])
-    # flux weights are 1 on the interval; the search starts anchored at the
-    # cell where the m = 2 flux is closest to zero
-    h = grid.h
+    volumes, theta_u, loads_u = grid.cell_volumes[sl], theta_vals[sl], loads[sl]
+    h = grid.h  # flux weights are 1 on the interval
     prefix, dist = rows[:2, : n - 1]
-    _anchored_loads(loads, 0, prefix)
-    c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
-    k = int(np.argmin(np.abs(np.subtract(c0, prefix, out=dist), out=dist)))
-    k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k], rows)
-    # u summed inward from both ends, the right half on the negations, in
-    # the rows the search no longer reads
-    _compensated_cumsum(hdu[:k], u[1 : k + 1], *rows[1:4, :k])
-    right = u[k + 1 : -1]
-    _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])
-    np.negative(right, out=right)
-    return iterations, _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows)
+    check = _scaled_residual(grid, u, m, loads[1:], theta_vals[1:], 1, rows)
+
+    def run():
+        theta_min = _loads(volumes, theta_u, loads_u)
+        # the search starts anchored at the cell where the m = 2 flux is
+        # closest to zero
+        _anchored_loads(loads, 0, prefix)
+        c0 = float(np.einsum("i,i->", h, prefix))  # the exact root for m = 2 (sum h = 1)
+        k = int(np.argmin(np.abs(np.subtract(c0, prefix, out=dist), out=dist)))
+        k, hdu, iterations = _closure_root(loads, h, m, k, c0 - prefix[k], rows)
+        # u summed inward from both ends, the right half on the negations, in
+        # the rows the search no longer reads
+        _compensated_cumsum(hdu[:k], u[1 : k + 1], *rows[1:4, :k])()
+        right = u[k + 1 : -1]
+        _compensated_cumsum(hdu[:k:-1], right[::-1], *rows[1:4, : n - 2 - k])()
+        np.negative(right, out=right)
+        return (iterations, *check(), theta_min)
+
+    return _Kernel(None, u, rows, run)
+
+
+def _solve_into(kernel):
+    """One Dirichlet solve, the entry of every one, lone or a sweep's: the
+    number of closure evaluations, the scaled residual, sup u over the nodes
+    its check reads and min theta over those its loads span."""
+    return kernel.run()
 
 
 def _mirror_left(u, k):
@@ -587,7 +649,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     grid = theta.grid
     n = grid.n
     k = _chain_start(grid, theta.values)
-    start = k or 0  # the first node of theta and the loads that _solve_into takes
+    start = k or 0  # the first node of theta and the loads that _bind takes
     u = np.zeros(n)
     # the loads and the scratch rows in one block: separate ones fragment the
     # heap between solves and raise the peak resident size
@@ -595,7 +657,7 @@ def solve_dirichlet(theta: GridFunction, m: float) -> SolveReport:
     work = np.empty(n - start + r * c)
     loads, rows = work[: n - start], work[n - start :].reshape(r, c)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        evals, res = _solve_into(grid, theta.values[start:], m, k, loads, u, rows)
+        evals, res = _solve_into(_bind(grid, theta.values[start:], m, k, loads, u, rows))[:2]
     report = SolveReport(GridFunction(grid, _mirror_left(u, k)), evals, res, res <= RESIDUAL_TOL)
     if not report.converged:
         raise NonConvergence(f"a-posteriori check failed: scaled residual {res:g}", report=report)
@@ -628,7 +690,10 @@ def _singular_theta(p, k, lt, out):
 
 def _slack(theta, residual, out=None):
     """The slack r (1 + 1/theta) of _scaling_bracket, r = max(residual,
-    ASSEMBLY_NOISE), written into ``out``, or of one value of theta."""
+    ASSEMBLY_NOISE), written into ``out``, or of one float theta, in the
+    same operations on floats."""
+    if out is None:
+        return (1.0 / theta + 1.0) * max(residual, ASSEMBLY_NOISE)
     s = np.divide(1.0, theta, out=out)
     s += 1.0
     s *= max(residual, ASSEMBLY_NOISE)
@@ -669,16 +734,25 @@ def _scaling_bracket(spec, log_ratio, theta, residual, out):
 
 # Relative margin for the rounding of exp in _sweep_goes_on: a few ulps, where
 # a faithful exp is off by at most one
-_EXP_ROUNDING = 4.0 * np.finfo(float).eps
+_EXP_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-def _sweep_goes_on(spec, log_ratio, theta, residual, w_max, min_log_k, tol) -> bool:
+def _exp(x: float) -> float:
+    """math.exp, but inf where the result overflows, as np.exp gives."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _sweep_goes_on(spec, log_ratio, theta_min, residual, w_max, min_log_k, tol) -> bool:
     """True only if the sweep's scaling bracket provably neither stops the
     loop nor refuses: a bracket exists, its width exceeds ``tol`` and its
-    resolution floor is at most ``tol``.  Decided from scalars, so that such
-    a sweep skips _scaling_bracket and the floor's pass; a NaN anywhere gives
-    False.  Takes _scaling_bracket's arguments, before it overwrites
-    ``theta``, and sup w, the solve's min log K and the loop's tolerance.
+    resolution floor is at most ``tol``.  Decided on Python floats, so that
+    such a sweep skips _scaling_bracket and the floor's pass; a NaN anywhere
+    gives False and an overflow inf, never an error.  Takes _scaling_bracket's
+    log ratio and residual, the solve's min theta and sup w, min log K and
+    the loop's tolerance.
 
     The slack s = r (1 + 1/theta) rounds monotonically in theta, op for op,
     so its max is the same ops at min theta, bit for bit: the bracket exists
@@ -689,20 +763,21 @@ def _sweep_goes_on(spec, log_ratio, theta, residual, w_max, min_log_k, tol) -> b
     by _EXP_ROUNDING, is at most the bracket's.  The floor grows with lam_lo
     and with max log(w^p/K) <= p log sup w - min log K; at the slack-free
     lam_lo that bound, doubled for the rounding of the logs and exps, is
-    above it.
+    above it.  The proof asks only a faithful exp, as math.exp and np.exp
+    both are.  A sup w <= 0 has no log and gives False, as np.log's NaN did.
     """
     m, p = spec.m, spec.p
-    theta_min = np.minimum.reduce(theta)
-    if not (theta_min > 0.0 and _slack(theta_min, residual) < 1.0):
+    if not (theta_min > 0.0 and w_max > 0.0 and _slack(theta_min, residual) < 1.0):
         return False
     e = 1.0 / (m - 1.0 + p)
-    lo, hi = np.minimum.reduce(log_ratio), np.maximum.reduce(log_ratio)
-    if not np.exp(e * (lo - 2.0)) > 0.0:
+    lo, hi = float(np.minimum.reduce(log_ratio)), float(np.maximum.reduce(log_ratio))
+    if not _exp(e * (lo - 2.0)) > 0.0:
         return False
-    lam_lo, lam_hi = np.exp(e * lo), np.exp(e * hi)
-    if not (lam_hi * (1.0 - _EXP_ROUNDING) - lam_lo * (1.0 + _EXP_ROUNDING)) * w_max > tol:
+    lam_lo, lam_hi = _exp(e * lo), _exp(e * hi)
+    width = (lam_hi * (1.0 - _EXP_ROUNDING) - lam_lo * (1.0 + _EXP_ROUNDING)) * w_max
+    if not (lam_lo > 0.0 and width > tol):  # the test above implies lam_lo > 0; math.log needs it
         return False
-    load = np.exp(p * np.log(lam_lo) + (p * np.log(w_max) - min_log_k))
+    load = _exp(p * math.log(lam_lo) + (p * math.log(w_max) - min_log_k))
     floor = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
     return 2.0 * floor <= tol
 
@@ -774,7 +849,11 @@ def solve_singular(
     np.log(k, out=log_k)
     min_log_k = float(np.minimum.reduce(log_k))
     log_sub.fill(-np.inf)  # nothing clamps the first solve
-    big_l[:] = w[sl]
+    w_sl = w[sl]
+    big_l[:] = w_sl
+    # the kernels bound to the block and w, each on its first sweep: the
+    # chain's, or on the whole grid the closure search's and the chain's
+    kernels = {}
     pair = None
     iterations = 0
     # a failure sets why and breaks to the one exit, which raises with the
@@ -790,21 +869,24 @@ def solve_singular(
             _singular_theta(p, k, lt, theta_sl)
             # a whole-grid sweep's one allocation: _chain_start's mirror comparison
             start = _chain_start(grid, theta) if chain is None else chain
-            o = (start or 0) - origin  # the row entry of the solve's first node
-            residual = _solve_into(grid, theta[o:], m, start, loads[o:], w, scratch)[1]
+            if start not in kernels:
+                o = (start or 0) - origin  # the row entry of the solve's first node
+                kernels[start] = _bind(grid, theta[o:], m, start, loads[o:], w, scratch)
+            # the check's sup u is sup w over sl: the nodes it adds left of
+            # sl are zeros or mirror images
+            residual, w_max, theta_min = _solve_into(kernels[start])[1:]
             if chain is None:  # the whole grid's w, as solve_dirichlet returns it
                 _mirror_left(w, start)
             iterations += 1
             if not residual <= RESIDUAL_TOL:  # no bracket holds this solve
                 why, width = f"a-posteriori check failed: scaled residual {residual:g}", None
                 break
-            np.log(w[sl], out=log_w)
+            np.log(w_sl, out=log_w)
             lt -= log_w
             lt *= p  # p log (max(u, sub)/w)
-            w_max = float(np.maximum.reduce(w[sl.start :]))  # left of sl: 0 or mirror images
             # a sweep that provably neither stops nor refuses forms no bracket
             certify = pair is None or iterations >= cfg.max_picard_iters or not _sweep_goes_on(
-                spec, lt, theta_sl, residual, w_max, min_log_k, tol
+                spec, lt, theta_min, residual, w_max, min_log_k, tol
             )
             if certify:
                 # max log (w^p/K), for the resolution floor below, in the

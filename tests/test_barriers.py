@@ -400,7 +400,7 @@ class TestExactScale:
         sub, sup = regime_profiles(spec)
         # the super side has A <= 0 on the flat top (nodes 401 to 623), so no
         # c serves; the refusal names the node where A is most negative
-        with pytest.raises(NoCertifiableScale, match="-div.Phi. = -5298.25 .* at node 416$"):
+        with pytest.raises(NoCertifiableScale, match="-div.Phi. = -5475.25 .* at node 407$"):
             auto_scale(sup, SUPER, spec, base, skip_cells=0)
         # the sub side's homogeneous scale 2.41e38 fails its check at node
         # 481; the next power of two keeps the unit barrier's rounding
@@ -508,18 +508,21 @@ class TestRefusals:
         assert top.values.max() == sys.float_info.max
         tall = build_barrier(BoundaryProfile.logpower(100.0, 3.0), SUPER, 1.0, eig_1025)
         assert np.isfinite(tall.values).all()
+        # log(A/phi) is log A - log phi: A/phi overflows here, the samples do not
+        wide = build_barrier(BoundaryProfile.logpower(0.5, 1e308), SUB, 1.0, eig_1025)
+        assert np.isfinite(wide.values).all()
 
     @pytest.mark.parametrize(
         "s, a, side, c, msg",
         [
             (700.0, 3.0, SUPER, 1.0,
              "the super barrier logpower(s=700, A=3) at c = 1 overflows a double"),
-            (0.5, 1e308, SUB, 1.0,
-             "the sub barrier logpower(s=0.5, A=1e+308) at c = 1 overflows a double"),
+            (150.0, 1e308, SUB, 1.0,
+             "the sub barrier logpower(s=150, A=1e+308) at c = 1 overflows a double"),
             (0.5, 3.0, SUPER, sys.float_info.max,
              "the super barrier logpower(s=0.5, A=3) at c = 1.79769e+308 overflows a double"),
         ],
-        ids=["log-power", "log-quotient", "scale"],
+        ids=["log-power", "log-power-huge-a", "scale"],
     )
     def test_a_barrier_whose_samples_overflow_is_refused(self, eig_1025, s, a, side, c, msg):
         with pytest.raises(DomainError) as err:

@@ -810,9 +810,9 @@ def kernel_counted(calls, solve_into):
     """``solve_into`` counting its calls on a chain (k set) and on the whole
     grid (k None) in ``calls``."""
 
-    def wrapper(*args):
-        calls["whole" if args[3] is None else "chain"] += 1
-        return solve_into(*args)
+    def wrapper(kernel):
+        calls["whole" if kernel.k is None else "chain"] += 1
+        return solve_into(kernel)
 
     return wrapper
 
@@ -1122,8 +1122,8 @@ class TestFixedRhsOnTheBall:
          "a log profile needs a finite s and A, got s = 0.5, A = inf"),
         (["barrier-check", "--family", "logpower", "--log-s", "inf", "--n", "65"],
          "a log profile needs a finite s and A, got s = inf, A = inf"),
-        (["barrier-check", "--family", "logpower", "--log-a", "1e308", "--n", "65"],
-         "the super barrier logpower(s=0.5, A=1e+308) at c = 1 overflows a double"),
+        (["barrier-check", "--family", "logpower", "--log-s", "150", "--log-a", "1e308", "--n",
+          "65"], "the super barrier logpower(s=150, A=1e+308) at c = 1 overflows a double"),
         (["barrier-check", "--family", "logpower", "--log-s", "700", "--n", "65"],
          "the super barrier logpower(s=700, A=1.01423e+304) at c = 1 overflows a double"),
     ],
@@ -1142,7 +1142,7 @@ class TestFixedRhsOnTheBall:
          "classify-k-high-inf", "solve-ball-dim-overflow", "eigen-ball-dim-overflow",
          *[f"{cmd}-log-scale-overflow-q{q}" for cmd in ("solve", "fit", "scan", "barrier")
            for q in ("1", "0.5", "0")],
-         "log-s-1000", "log-a-inf", "log-s-inf", "log-a-1e308", "log-s-700"],
+         "log-s-1000", "log-a-inf", "log-s-inf", "log-s-150-log-a-1e308", "log-s-700"],
 )
 def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     out = tmp_path / "o"
@@ -1151,6 +1151,17 @@ def test_invalid_input_exits_2_with_a_typed_error(tmp_path, capsys, argv, msg):
     assert err.startswith("invalid input: ") and msg in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("log_a, n", [("1e301", "1025"), ("1e308", "65")])
+def test_a_log_barrier_whose_a_over_phi_overflows_answers(tmp_path, capsys, log_a, n):
+    # log(A/phi) is taken as log A - log phi: A/phi itself once overflowed
+    # and the check exited 2
+    argv = ["barrier-check", "--family", "logpower", "--log-a", log_a, "--n", n]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"family = logpower(s=0.5, A={float(log_a):g})\n" in out
+    assert "certified = true\n" in out
 
 
 def test_cli_keeps_the_names_the_benchmark_reads():

@@ -45,7 +45,9 @@ def kernel_spy(monkeypatch):
     kernel: k is None on the whole grid."""
     solves, solve_into = [], solver._solve_into
     monkeypatch.setattr(
-        solver, "_solve_into", lambda *a: solves.append((a[3], len(a[6]))) or solve_into(*a)
+        solver,
+        "_solve_into",
+        lambda kernel: solves.append((kernel.k, len(kernel.rows))) or solve_into(kernel),
     )
     return solves
 
@@ -277,7 +279,7 @@ class TestMirrorSymmetricSolve:
 
         def replay(v, m, first=1):  # from node 1 on: the whole grid's
             with np.errstate(divide="ignore"):
-                return check(g, v, m, loads[first:], theta.values[first:], first, rows)
+                return check(g, v, m, loads[first:], theta.values[first:], first, rows)()[0]
 
         monkeypatch.setattr(solver, "_scaled_residual", spy)
         # two symmetric perturbations: a smooth one, and one at the centre
@@ -679,10 +681,10 @@ class TestCertifiedBracket:
         )
         solve_into = solver._solve_into
 
-        def second_fails(*a):
-            evaluations, residual = solve_into(*a)
-            fields.append(a[5].copy())
-            return evaluations, 1.0 if len(fields) == 2 else residual
+        def second_fails(kernel):
+            evaluations, residual, *extremes = solve_into(kernel)
+            fields.append(kernel.u.copy())
+            return evaluations, 1.0 if len(fields) == 2 else residual, *extremes
 
         monkeypatch.setattr(solver, "_solve_into", second_fails)
         why = "^a-posteriori check failed: scaled residual 1$"
@@ -903,10 +905,10 @@ class TestBracketOnlyWhereASweepEnds:
     def failed_third_residual(self, monkeypatch):
         solves, solve_into = [], solver._solve_into
 
-        def third_fails(*a):
+        def third_fails(kernel):
             solves.append(1)
-            evaluations, residual = solve_into(*a)
-            return evaluations, 1.0 if len(solves) == 3 else residual
+            evaluations, residual, *extremes = solve_into(kernel)
+            return evaluations, 1.0 if len(solves) == 3 else residual, *extremes
 
         monkeypatch.setattr(solver, "_solve_into", third_fails)
         return solves
@@ -960,7 +962,7 @@ class TestBracketOnlyWhereASweepEnds:
         # the rounding margin of exp
         log_ratio, theta = (np.array(c) for c in zip(*rows))
         s = solver._slack(theta, residual, np.empty_like(theta))
-        assert solver._slack(np.minimum.reduce(theta), residual) == np.maximum.reduce(s)
+        assert solver._slack(float(np.minimum.reduce(theta)), residual) == np.maximum.reduce(s)
         spec = ProblemSpec(m=m, p=p, q=0.0)
         e = 1.0 / (m - 1.0 + p)
         with np.errstate(over="ignore"):  # the scales may overflow, as in the loop
@@ -974,6 +976,132 @@ class TestBracketOnlyWhereASweepEnds:
             margin = solver._EXP_ROUNDING
             assert lam_lo <= free_lo * (1.0 + margin)
             assert free_hi * (1.0 - margin) <= lam_hi
+
+    @staticmethod
+    def numpy_goes_on(spec, log_ratio, theta_min, residual, w_max, min_log_k, tol):
+        """The pre-test on numpy scalars, as it read before it took floats."""
+        m, p = spec.m, spec.p
+        theta_min, w_max = np.float64(theta_min), np.float64(w_max)
+        slack = np.divide(1.0, theta_min)
+        slack += 1.0
+        slack *= max(residual, solver.ASSEMBLY_NOISE)
+        if not (theta_min > 0.0 and slack < 1.0):
+            return False
+        e = 1.0 / (m - 1.0 + p)
+        lo, hi = np.minimum.reduce(log_ratio), np.maximum.reduce(log_ratio)
+        if not np.exp(e * (lo - 2.0)) > 0.0:
+            return False
+        lam_lo, lam_hi = np.exp(e * lo), np.exp(e * hi)
+        margin = solver._EXP_ROUNDING
+        if not (lam_hi * (1.0 - margin) - lam_lo * (1.0 + margin)) * w_max > tol:
+            return False
+        load = np.exp(p * np.log(lam_lo) + (p * np.log(w_max) - min_log_k))
+        floor = 2.0 * solver.ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
+        return bool(2.0 * floor <= tol)
+
+    def test_the_float_pre_test_is_the_numpy_one(self):
+        # on a sampled grid of inputs with NaN, infinities, scales that
+        # overflow (e hi > 709.8) and exps that underflow, the pre-test on
+        # Python floats decides as the numpy one does, and never raises
+        nan, inf = np.nan, np.inf
+        log_ratios = [
+            (0.0, 1e-3), (-1.0, 1.0), (-0.5, 0.5), (-2000.0, 5.0), (0.0, 800.0), (700.0, 720.0),
+            (-40000.0, -39999.0), (-1500.0, -1490.0), (nan, 0.0), (-inf, 1.0), (0.0, inf),
+            (-inf, inf), (1e-9, 2e-9), (0.0, 0.0),
+        ]
+        grid = {
+            "m": (1.05, 1.5, 2.0, 3.0, 6.0),
+            "p": (0.0, 0.5, 1.5),
+            "theta_min": (nan, -1.0, 0.0, 5e-324, 1e-20, 1e-12, 1.0, 1e300, inf),
+            "residual": (0.0, 1e-12, 1e-10, 1.0, nan),
+            "w_max": (nan, -inf, -1.0, 0.0, 1e-300, 1e-3, 1.0, 1e300, inf),
+            "min_log_k": (-inf, -50.0, 0.0, 50.0, nan),
+            "tol": (1e-300, 1e-8, 1.0, 1e300),
+        }
+        rng = np.random.default_rng(20261022)
+        decided = set()
+        for _ in range(20000):
+            args = {key: values[rng.integers(len(values))] for key, values in grid.items()}
+            log_ratio = np.array(log_ratios[rng.integers(len(log_ratios))])
+            spec = ProblemSpec(m=args["m"], p=args["p"], q=0.0)
+            rest = [args[key] for key in ("theta_min", "residual", "w_max", "min_log_k", "tol")]
+            got = solver._sweep_goes_on(spec, log_ratio, *rest)
+            with np.errstate(all="ignore"):
+                assert got is self.numpy_goes_on(spec, log_ratio, *rest), (args, log_ratio)
+            decided.add(got)
+        assert decided == {True, False}
+
+
+class TestBoundKernel:
+    """One workspace, bound once, solving a sequence of theta: each solve is
+    a fresh one's to the last bit, so no state of an earlier theta leaks."""
+
+    @staticmethod
+    def thetas(g, mirror):
+        """Full-length theta of mixed scale and sign, mirror images if asked."""
+        rng = np.random.default_rng(g.n)
+        for scale in (1.0, 1e3, -1.0, 1e-3, 7.0):
+            theta = scale * rng.uniform(0.1, 10.0, g.n)
+            if mirror:
+                theta[: g.n // 2] = theta[::-1][: g.n // 2]
+            yield theta
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("case", ["odd-interval", "even-interval", "ball3", "closure"])
+    def test_a_bound_workspace_solves_each_theta_afresh(self, case, m):
+        dom = Domain.ball(3) if case == "ball3" else Domain.interval()
+        g = make_graded_grid(1030 if case == "even-interval" else 1025, 3.0, dom)
+        k = None if case == "closure" else g.chain_start
+        start, rows = (0, 5) if k is None else (k, 4)
+        # the workspace starts as garbage, as solve_dirichlet's does; u is
+        # zero at the Dirichlet nodes
+        theta, loads = np.full(g.n - start, np.nan), np.full(g.n - start, np.nan)
+        u, scratch = np.zeros(g.n), np.full((rows, g.n - start), np.nan)
+        kernel = solver._bind(g, theta, m, k, loads, u, scratch)
+        assert kernel.k == k and kernel.u is u and kernel.rows is scratch
+        first, stop = (1 if k is None else k), g.n - 1  # the nodes the loads span
+        checked = g.n // 2 - 1 if k else 0  # the first node the residual check reads
+        for full in self.thetas(g, mirror=k is not None):
+            theta[:] = full[start:]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                evaluations, residual, u_max, theta_min = solver._solve_into(kernel)
+            fresh = solve_dirichlet(GridFunction(g, full), m)
+            assert np.array_equal(solver._mirror_left(u.copy(), k), fresh.solution.values)
+            assert (evaluations, residual) == (fresh.iterations, fresh.final_residual)
+            volumes = g.cell_volumes[first:stop]
+            assert np.array_equal(loads[first - start : stop - start], volumes * full[first:stop])
+            assert theta_min == full[first:stop].min()
+            assert u_max == u[checked:].max()
+            if k and g.n % 2:  # the mirror node the centre's check reads
+                assert u[k - 1] == u[k + 1]
+
+
+@pytest.mark.parametrize("m", [1.5, 3.0])
+def test_the_fast_powers_are_np_power_to_the_last_bit(m):
+    # sqrt for x^0.5 and x itself for x^1 are the premise of solver._power:
+    # every non-negative bit pattern sampled, subnormals, inf and NaN
+    # included, and the three powers that take them at m = 3 and m = 1.5
+    rng = np.random.default_rng(int(10 * m))
+    x = rng.integers(0, 0x7FF0000000000000, 1_000_000, dtype=np.uint64).view(np.float64)
+    x = np.concatenate((x, [0.0, 5e-324, 2.2e-308, 1.0, 4.0, np.inf, np.nan]))
+
+    def same(a, b):
+        return np.array_equal(a, b, equal_nan=True) and np.array_equal(
+            np.signbit(a), np.signbit(b)
+        )
+
+    for a in (0.5, 1.0):
+        assert same(solver._power(x.copy(), a), np.power(x, a))
+    signed = np.where(rng.random(x.size) < 0.5, -x, x)
+    power = {3.0: 1.0 / (3.0 - 1.0), 1.5: 1.5 - 1.0}[m]  # the inverse flux's, the flux's
+    expect = np.copysign(np.power(np.abs(signed), power), signed)
+    if m == 3.0:
+        got = solver._inverse_flux(signed, m, np.empty_like(signed))
+        # phi' = (m-1) |Du|^(m-2) of the residual check
+        assert same(solver._power(np.abs(signed), m - 2.0), np.power(np.abs(signed), m - 2.0))
+    else:
+        got = solver._weighted_flux(signed, None, m, np.empty_like(signed))
+    assert same(got, expect)
 
 
 class TestChainLoop:
@@ -1122,10 +1250,12 @@ class TestChainLoop:
         # block, w and the pair's w0.  The block's eleven rows span the
         # chain, half the grid on the interval; w is scaled into the
         # midpoint in place, the exit check writes into the block and the
-        # sweeps allocate nothing.  Measured at 7.55n and 13.04n with numpy
-        # 2.4.6; 11.04n and 15.03n while theta and the loads were full
-        # length, the report held both barriers and the loop held the
-        # default K and a separate midpoint
+        # sweeps allocate nothing.  Measured at 7.59n and 13.08n with numpy
+        # 2.4.6, 0.04n of it the bound kernel's views and closures; 7.55n
+        # and 13.04n while each sweep took its views afresh, 11.04n and
+        # 15.03n while theta and the loads were full length, the report
+        # held both barriers and the loop held the default K and a
+        # separate midpoint
         g = make_graded_grid(16385, 3.0, spec.domain)
         solve_singular(spec, g)  # the grid's cached geometry is not the solve's
         assert traced_peak(lambda: solve_singular(spec, g), g.n) <= bound
@@ -1168,11 +1298,14 @@ class TestSolvePeaks:
         return traced_peak(solve, cls.N)
 
     @pytest.mark.parametrize(
-        "domain, bound", [(Domain.interval(), 3.6), (Domain.ball(3), 6.05)], ids=["interval", "ball3"]
+        "domain, bound", [(Domain.interval(), 3.6), (Domain.ball(3), 6.095)], ids=["interval", "ball3"]
     )
     def test_chain_solve(self, domain, bound):
         # u, and the loads with four scratch rows from the chain's first
-        # node on: 3.53n on the interval and 6.03n on the ball
+        # node on: 3.57n on the interval and 6.07n on the ball with numpy
+        # 2.4.6.  0.04n of that is the bound kernel's views and closures,
+        # about 7 KB whatever n; 3.53n and 6.03n while each solve took its
+        # views one at a time
         g = make_graded_grid(self.N, 3.0, domain)
         theta = GridFunction.interior_from_callable(g, lambda x: 1.0 + 0.0 * x)
         assert solve_dirichlet(theta, 3.0).iterations == 0
@@ -1188,10 +1321,12 @@ class TestSolvePeaks:
         # the spec's K sampled on the grid, the loop's block (theta, the
         # loads, five rows of the unknowns, K's copy among them, and the
         # closure's five), w, the pair's w0 and the mirror comparison of
-        # each sweep's theta.  Measured at 14.17n with numpy 2.4.6, as was
-        # a K passed to the solve as an array and built inside the traced
-        # call; 13.17n while that array was built outside it, 15.03n while
-        # the loop kept a separate midpoint and the report both barriers
+        # each sweep's theta.  Measured at 14.21n with numpy 2.4.6, 0.04n of
+        # it the bound kernel's views and closures; 14.17n while each sweep
+        # took its views afresh (so was a K passed to the solve as an array
+        # and built inside the traced call), 13.17n while that array was
+        # built outside it, 15.03n while the loop kept a separate midpoint
+        # and the report both barriers
         spec = ProblemSpec(
             m=2.0, p=0.5, q=0.5, k_low=0.6, k_high=1.4,
             k=lambda x, d: d**-0.5 * (1.0 + 0.4 * np.sin(40.0 * x)),
@@ -1206,7 +1341,7 @@ class TestSolvePeaks:
     )
     def test_singular_solve_that_builds_its_grid(self, domain, bound):
         # the solve's arrays plus the grid's stored geometry, 4n doubles on
-        # the interval and 5n on the ball.  Measured at 11.55n and 18.05n
+        # the interval and 5n on the ball.  Measured at 11.59n and 18.09n
         # with numpy 2.4.6; 15.06n and 20.04n while the loop's theta and
         # loads were full length, the report held both barriers and the loop
         # a separate midpoint and K; 18.06n and 21.04n while grids also
@@ -1224,7 +1359,7 @@ class TestSolvePeaks:
     def test_reproduction_pass(self, order):
         # E1-E3 of reproduce-theorem1 in every order, each entry on grids
         # it builds and frees, so E2's n = 16385 solve sets the peak
-        # wherever it runs.  Measured at 13.58n-13.61n (1.70 MiB) with numpy
+        # wherever it runs.  Measured at 13.65n-13.68n (1.71 MiB) with numpy
         # 2.4.6; up to 15.12n (1.89 MiB) while the entries of a run shared
         # their grids, and 18.61n (2.33 MiB) for E1, E3, E2 while the loop's
         # theta and loads were full length, the report held both barriers
