@@ -39,9 +39,10 @@ sign, and moves its anchor to the cell of smallest |flux| as it goes,
 summing the loads afresh from there.  Each step keeps that peak cell's
 term exact: for m > 2, phi^(-1) has an infinite slope at zero flux, so the
 step is solved in the peak cell's gradient, where that term is linear.
-Inverting the flux gives Du in every cell, and u is summed inward from the
-Dirichlet boundary, which leaves the rounding error of the closure in the
-peak cell.  Every solution is checked a posteriori by its noise-aware
+Inverting the flux gives Du in every cell, and u is summed inward from
+both Dirichlet boundaries by compensated sums (a chain takes one plain sum
+from its Dirichlet node), which leaves the rounding error of the closure
+in the peak cell.  Every solution is checked a posteriori by its noise-aware
 scaled residual.  An interval chain is checked from the centre node on: its
 fluxes are exactly odd and its noise terms exactly even, so that value is
 the whole grid's to the last bit.  Both paths are one kernel, bound by
@@ -362,8 +363,8 @@ def _compensated_cumsum(x, s, err, bp, t):
     its arrays: each call writes it into ``s`` for what ``x`` holds then;
     ``err``, ``bp`` and ``t`` are scratch as long as ``x``.
 
-    A plain cumulative sum drifts like sqrt(n) ulps; u is summed inward from
-    both boundaries, so that drift would land in the peak cell as a jump
+    Only the closure search uses it: it sums u inward from both ends, where
+    a plain sum's sqrt(n)-ulp drift would meet in the peak cell as a jump
     the residual check cannot tell from a wrong flux when m < 2.  The exact
     rounding error of every step (TwoSum) is summed and added back.
     """
@@ -391,15 +392,14 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
     On the interval (k > 0) the centre node of an odd grid keeps half its
     load and the centre cell of an even grid carries no flux.  The cell
     fluxes are w_j |Du_j|^(m-2) Du_j = -sum_{i <= j} loads_i, and u is
-    summed inward from the Dirichlet end, both sums on the negations (exact
-    under rounding).  ``loads`` starts at node k.  ``rows``: four scratch
-    rows of at least n - 1 - k.
+    summed inward from the Dirichlet end by a plain cumulative sum, which no
+    other sum meets; both sums run on the negations (exact under rounding).
+    ``loads`` starts at node k; the sums use two of ``rows``, n - 1 - k wide.
     """
     n = grid.n
-    flux, hdu, err, bp = rows[:4, : n - 1 - k]
-    loads, h = loads[: n - 1 - k], grid.h[k:]
+    flux, hdu = rows[:2, : n - 1 - k]
+    loads, h, hdu_in, u_out = loads[: n - 1 - k], grid.h[k:], hdu[::-1], u[k:-1][::-1]
     weights = None if k else grid.flux_weights  # the interval's, from its centre on, are ones
-    cumsum = _compensated_cumsum(hdu[::-1], u[k:-1][::-1], err, bp, flux)
 
     def solve():
         np.copyto(flux, loads)
@@ -412,7 +412,7 @@ def _zero_flux_solution(grid, loads, m, u, k, rows):
             np.multiply(flux, h, out=hdu)
         else:
             np.multiply(_inverse_flux(flux, m, hdu), h, out=hdu)
-        cumsum()
+        np.add.accumulate(hdu_in, out=u_out)
 
     return solve
 

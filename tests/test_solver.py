@@ -22,6 +22,7 @@ from mlap1d import (
     solve_singular,
 )
 from mlap1d import repro, solver
+from mlap1d.eigen import first_eigenpair
 from mlap1d.errors import (
     BarrierOrderViolation,
     GridMismatch,
@@ -126,6 +127,19 @@ class TestSolveDirichlet:
         g = make_graded_grid(129, 2.0)
         rep = solve_dirichlet(const_theta(g, 1.0), 2.5)
         assert rep.converged and rep.final_residual <= RESIDUAL_TOL
+        # every chain solve passes its residual check: u is one plain sum
+        # from the Dirichlet end, whose drift moves no difference of
+        # neighbouring u by more than rounding
+        for dim, n, grading in itertools.product((1, 3), (1025, 1026, 16385, 16388), (1.0, 3.0)):
+            g = make_graded_grid(n, grading, Domain(dim))
+            delta = g.delta_nodes[g.unknown_slice]
+            for theta in (1.0, delta**-0.5, delta**-1.3, 1e-6, 1e6):
+                values = np.zeros(g.n)
+                values[g.unknown_slice] = theta
+                for m in (1.02, 1.05, 1.2, 1.5, 2.0, 3.0, 8.0):
+                    rep = solve_dirichlet(GridFunction(g, values), m)
+                    assert rep.converged and rep.iterations == 0
+                    assert rep.final_residual <= RESIDUAL_TOL
 
     @pytest.mark.parametrize(
         "grid,theta",
@@ -133,15 +147,21 @@ class TestSolveDirichlet:
         ids=["mirror", "closure"],
     )
     def test_overflow_to_nan_fails_the_check(self, grid, theta):
-        # at m = 1.2 these loads overflow Du, and u turns NaN; a NaN residual
-        # must fail the check, not read as 0
+        # at m = 1.2 these loads overflow Du: the mirror chain's plain sum
+        # leaves every unknown at +inf, the closure's compensated sums turn u
+        # NaN (inf - inf); either way the residual is NaN and must fail the
+        # check, not read as 0
         g = grid()
         # the solve ignores the warnings of its own overflow
         with pytest.raises(NonConvergence, match="residual nan") as err:
             solve_dirichlet(const_theta(g, theta), 1.2)
         rep = err.value.report
         assert not rep.converged and np.isnan(rep.final_residual)
-        assert np.isnan(rep.solution.values).any()
+        unknowns = rep.solution.values[g.unknown_slice]
+        if g.chain_start is not None:
+            assert np.all(unknowns == np.inf)
+        else:
+            assert np.isnan(unknowns).any()
         assert (rep.iterations == 0) == (g.chain_start is not None)
 
     def test_nonconvergence_carries_partial_state(self, monkeypatch):
@@ -1074,6 +1094,29 @@ class TestBoundKernel:
             assert u_max == u[checked:].max()
             if k and g.n % 2:  # the mirror node the centre's check reads
                 assert u[k - 1] == u[k + 1]
+
+
+@pytest.mark.parametrize("case", ["odd-interval", "even-interval", "ball3"])
+def test_only_the_closure_search_compensates(case, monkeypatch):
+    # a chain sums u from its one Dirichlet end, so no two sums meet and it
+    # takes the plain cumulative sum: its lone solves, singular sweeps and
+    # inverse iterations never compensate, while the closure search, which
+    # sums inward from both ends, compensates both of its sums
+    calls, cumsum = [], solver._compensated_cumsum
+    monkeypatch.setattr(
+        solver, "_compensated_cumsum", lambda *args: calls.append(args) or cumsum(*args)
+    )
+    dom = Domain.ball(3) if case == "ball3" else Domain.interval()
+    g = make_graded_grid(1030 if case == "even-interval" else 1025, 3.0, dom)
+    assert g.chain_start is not None
+    solve_dirichlet(const_theta(g, 1.0), 1.5)
+    solve_singular(ProblemSpec(3.0, 1.5, 0.3, domain=dom), g)
+    first_eigenpair(g, 1.5)
+    assert calls == []
+    closure = node_graded_grid(1026, 3.0)
+    for theta in (1.0, 1e3):
+        assert solve_dirichlet(const_theta(closure, theta), 1.5).iterations > 0
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("m", [1.5, 3.0])
