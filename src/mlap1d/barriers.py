@@ -75,6 +75,10 @@ __all__ = [
 
 _LOG2_MAX = 1023.0  # c = 2^1023 is the largest power-of-two float
 
+# The smallest positive double: a super check's singular rhs never rounds
+# below it, so an rhs that underflows to 0 cannot let -div(Phi) = 0 pass
+_TINY = math.ulp(0.0)
+
 
 def build_barrier(family: BoundaryProfile, side: str, c: float, base: EigenPair) -> GridFunction:
     """The barrier c^(+-1) * family(phi) on ``side``, sampled on the grid of
@@ -141,7 +145,10 @@ def _rhs_at(candidate: GridFunction, rhs, side: str, m: float) -> np.ndarray:
     For the singular right-hand side the weight envelope is used one-sidedly:
     a subsolution of k_low delta^(-q) u^(-p) is a subsolution for every
     admissible K >= k_low delta^(-q), and symmetrically for supersolutions
-    with k_high, so certificates hold for the whole envelope.
+    with k_high, so certificates hold for the whole envelope.  On the super
+    side it is clamped below at the smallest positive double: where
+    K w^(-p) underflows to 0, a -div(Phi) of 0 would pass a check that the
+    exact inequality fails.  That only raises what a super check must beat.
     """
     if isinstance(rhs, GridFunction):
         if not same_grid(rhs.grid, candidate.grid):
@@ -161,6 +168,8 @@ def _rhs_at(candidate: GridFunction, rhs, side: str, m: float) -> np.ndarray:
     delta = grid.delta_nodes[sl]
     with np.errstate(over="ignore"):  # an infinite rhs fails super and holds sub, as it should
         vals[sl] = k0 * delta ** (-spec.q) * candidate.values[sl] ** (-spec.p)
+    if side == SUPER:
+        np.maximum(vals[sl], _TINY, out=vals[sl])
     return vals
 
 
@@ -221,7 +230,8 @@ def auto_scale(
     With A = -div(Phi(P)) and R the rhs of the unit barrier P (c = 1) at the
     checked nodes, the residual at scale c is c^(m-1) A - c^(-p) R on the
     super side and c^(1-m) A - c^p R on the sub side (p = 0 for a fixed
-    theta).  log2 c is bisected on these to the smallest value where every
+    theta), with the super side's singular c^(-p) R clamped as _rhs_at
+    clamps it.  log2 c is bisected on these to the smallest value where every
     margin, slack included, is >= 0, over the nodes that hold at c = 2^1023.
     A node that fails there (as where A < 0 on the super side) caps c from
     above or fails at every c, and is judged at the value found, so a window
@@ -245,12 +255,15 @@ def auto_scale(
     unit = build_barrier(family, side, 1.0, base)
     idx = _checked_indices(base.grid, skip_cells, slack)
     a, r = apply_mlap(unit, m).values[idx], _rhs_at(unit, rhs, side, m)[idx]
-    p = rhs.p if isinstance(rhs, ProblemSpec) else 0.0
+    singular = isinstance(rhs, ProblemSpec)
+    p = rhs.p if singular else 0.0
     s = 1.0 if side == SUPER else -1.0
+    rhs_min = _TINY if singular and side == SUPER else -math.inf  # as _rhs_at clamps
 
     def margins(log2_c):
         with np.errstate(over="ignore", invalid="ignore"):
-            return s * (np.exp2(s * (m - 1.0) * log2_c) * a - np.exp2(-s * p * log2_c) * r) + slack
+            rhs_c = np.maximum(np.exp2(-s * p * log2_c) * r, rhs_min)
+            return s * (np.exp2(s * (m - 1.0) * log2_c) * a - rhs_c) + slack
 
     floors = ~(margins(_LOG2_MAX) < 0.0)  # the nodes that bound c from below only
     lo, hi = 0.0, 0.0 if np.all(margins(0.0)[floors] >= 0.0) else _LOG2_MAX

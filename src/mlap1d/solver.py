@@ -64,12 +64,9 @@ unknowns, in one block it allocates once and binds its kernel to once, so
 a sweep takes two transcendental passes over the unknowns: exp for
 theta = K exp(-p Lt) with Lt = max(L, log sub), and one log of the solve's
 result, shared by the relaxation and the log ratio the bracket reads; the
-solve hands back min theta and sup w, which its checks reduce anyway.  The
-bracket itself, with its two log1p passes, and the resolution floor's pass
-are formed only on a sweep that can leave the loop: the first, whose
-bracket is the pair, and any later one whose pre-test on floats,
-_sweep_goes_on, cannot prove that it neither stops nor refuses.  Every
-width, pair and message that leaves the loop is the bracket's.
+solve hands back min theta and sup w, which its checks reduce anyway.
+Every sweep forms its bracket, _scaling_bracket, on floats from those two
+and the extremes of the log ratio.
 -Delta_m is (m-1)-homogeneous and K u^(-p) decreases in u, so with
 w = T(u), lam w is a supersolution if lam^(m-1+p) >= (max(u, sub)/w)^p at
 every unknown node and a subsolution if <= holds at every one.  The extreme
@@ -77,8 +74,11 @@ scales lam_lo <= lam_hi put the solution in [lam_lo w, lam_hi w]; the loop
 stops once the width (lam_hi - lam_lo) sup w is at most picard_tol and
 returns the midpoint, within half the width of the solution.  The solve's
 scaled residual r enters lam as slack s = r (1 + u^p/K), r never below the
-assembly noise, so the width cannot fall below about 2 max s sup u/(m-1+p):
-a tolerance under that resolution floor raises NonConvergence.  The first
+assembly noise, and the bracket takes the largest s, the one at min theta,
+at every node.  So the width cannot fall below about 2 max s sup u/(m-1+p),
+and the resolution floor bounds that from above, with r at the assembly
+noise and u^p/K at most lam_lo^p (sup w)^p/min K: a tolerance under the
+floor raises NonConvergence.  The first
 solve, w0 = T(v0) with v0 an explicit profile in delta with the predicted
 boundary behaviour, gives the pair: lam_lo w0 and lam_hi w0 are a sub- and
 a supersolution at every unknown node, for the K being solved, up to the
@@ -688,52 +688,8 @@ def _singular_theta(p, k, lt, out):
     return out
 
 
-def _slack(theta, residual, out=None):
-    """The slack r (1 + 1/theta) of _scaling_bracket, r = max(residual,
-    ASSEMBLY_NOISE), written into ``out``, or of one float theta, in the
-    same operations on floats."""
-    if out is None:
-        return (1.0 / theta + 1.0) * max(residual, ASSEMBLY_NOISE)
-    s = np.divide(1.0, theta, out=out)
-    s += 1.0
-    s *= max(residual, ASSEMBLY_NOISE)
-    return s
-
-
-def _scaling_bracket(spec, log_ratio, theta, residual, out):
-    """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w],
-    formed on the sweeps that can leave the loop (see _sweep_goes_on).
-
-    w = T(v) solves -Delta_m w = theta with theta = K vt^(-p),
-    vt = max(v, sub), up to the scaled residual r (1 + theta), where the
-    slack r is the solve's measured ``residual`` but never below
-    ASSEMBLY_NOISE.  By (m-1)-homogeneity lam w is a supersolution of
-    -Delta_m u = K u^(-p) wherever lam^(m-1+p) (1 - s) >= (vt/w)^p, with
-    s = r (1 + 1/theta) (vt^p/K is 1/theta), and a subsolution wherever
-    lam^(m-1+p) (1 + s) <= (vt/w)^p.  K u^(-p) decreases in u, so the
-    comparison principle puts the solution between the two.  Takes the
-    unknowns only, and (vt/w)^p in log space: ``log_ratio`` = p log(vt/w).
-    The bracket, and so the first solve's pair, holds up to the slack s
-    only, not as an exact discrete sub- and supersolution.
-    Overwrites ``theta`` and uses ``out`` as scratch.  Returns (0, inf)
-    when the slack swamps the load.
-    """
-    s = _slack(theta, residual, theta)  # in theta's storage
-    if float(np.maximum.reduce(s)) >= 1.0:
-        return 0.0, np.inf
-    e = 1.0 / (spec.m - 1.0 + spec.p)
-    np.log1p(s, out=out)
-    np.subtract(log_ratio, out, out=out)
-    lam_lo = float(np.exp(e * np.minimum.reduce(out)))
-    np.negative(s, out=s)
-    np.log1p(s, out=s)
-    np.subtract(log_ratio, s, out=s)
-    lam_hi = float(np.exp(e * np.maximum.reduce(s)))
-    return lam_lo, lam_hi
-
-
-# Relative margin for the rounding of exp in _sweep_goes_on: a few ulps, where
-# a faithful exp is off by at most one
+# Relative margin for the rounding of exp in _scaling_bracket: a few ulps,
+# where a faithful exp is off by at most one
 _EXP_ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -745,41 +701,41 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _sweep_goes_on(spec, log_ratio, theta_min, residual, w_max, min_log_k, tol) -> bool:
-    """True only if the sweep's scaling bracket provably neither stops the
-    loop nor refuses: a bracket exists, its width exceeds ``tol`` and its
-    resolution floor is at most ``tol``.  Decided on Python floats, so that
-    such a sweep skips _scaling_bracket and the floor's pass; a NaN anywhere
-    gives False and an overflow inf, never an error.  Takes _scaling_bracket's
-    log ratio and residual, the solve's min theta and sup w, min log K and
-    the loop's tolerance.
+def _scaling_bracket(m, p, lo, hi, theta_min, residual):
+    """Scales lam_lo <= lam_hi with the solution in [lam_lo w, lam_hi w],
+    from the extremes lo <= hi of the log ratio p log(vt/w) over the
+    unknowns, the solve's min theta and its scaled residual.
 
-    The slack s = r (1 + 1/theta) rounds monotonically in theta, op for op,
-    so its max is the same ops at min theta, bit for bit: the bracket exists
-    exactly when that is below 1 and lam_lo does not underflow, which
-    log1p(s) < log 2 < 1 rules out once exp(e (min log_ratio - 2)) > 0.
-    log1p(s) >= 0 puts the slack-free scales exp(e min log_ratio) and
-    exp(e max log_ratio) inside [lam_lo, lam_hi], so their width, narrowed
-    by _EXP_ROUNDING, is at most the bracket's.  The floor grows with lam_lo
-    and with max log(w^p/K) <= p log sup w - min log K; at the slack-free
-    lam_lo that bound, doubled for the rounding of the logs and exps, is
-    above it.  The proof asks only a faithful exp, as math.exp and np.exp
-    both are.  A sup w <= 0 has no log and gives False, as np.log's NaN did.
+    w = T(v) solves -Delta_m w = theta with theta = K vt^(-p),
+    vt = max(v, sub), up to the scaled residual r (1 + theta), where the
+    slack r is the solve's measured ``residual`` but never below
+    ASSEMBLY_NOISE.  By (m-1)-homogeneity lam w is a supersolution of
+    -Delta_m u = K u^(-p) wherever lam^(m-1+p) (1 - s) >= (vt/w)^p, with
+    s = r (1 + 1/theta) (vt^p/K is 1/theta), and a subsolution wherever
+    lam^(m-1+p) (1 + s) <= (vt/w)^p.  K u^(-p) decreases in u, so the
+    comparison principle puts the solution between the two.  The bracket,
+    and so the first solve's pair, holds up to the slack s only, not as an
+    exact discrete sub- and supersolution.
+
+    All on floats.  The slack rounds monotonically in theta, op for op, so
+    S, its ops at min theta, is the largest node slack bit for bit, and
+    np.log1p takes it as it takes an array's entries.  With e = 1/(m-1+p),
+    every node's condition then holds at lam_lo = exp(e (lo - log1p S)) and
+    lam_hi = exp(e (hi - log1p(-S))): these contain the scales of a bracket
+    that gives each node its own slack.  Each is stepped outward by
+    _EXP_ROUNDING for the rounding of exp.  Returns (0, inf), no bracket,
+    when S >= 1 (the slack swamps the load), when lam_lo underflows or
+    overflows and on a NaN; a lam_hi that overflows gives an infinite width.
     """
-    m, p = spec.m, spec.p
-    if not (theta_min > 0.0 and w_max > 0.0 and _slack(theta_min, residual) < 1.0):
-        return False
+    s = (1.0 / theta_min + 1.0) * max(residual, ASSEMBLY_NOISE) if theta_min > 0.0 else math.inf
+    if not s < 1.0:
+        return 0.0, math.inf
     e = 1.0 / (m - 1.0 + p)
-    lo, hi = float(np.minimum.reduce(log_ratio)), float(np.maximum.reduce(log_ratio))
-    if not _exp(e * (lo - 2.0)) > 0.0:
-        return False
-    lam_lo, lam_hi = _exp(e * lo), _exp(e * hi)
-    width = (lam_hi * (1.0 - _EXP_ROUNDING) - lam_lo * (1.0 + _EXP_ROUNDING)) * w_max
-    if not (lam_lo > 0.0 and width > tol):  # the test above implies lam_lo > 0; math.log needs it
-        return False
-    load = _exp(p * math.log(lam_lo) + (p * math.log(w_max) - min_log_k))
-    floor = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
-    return 2.0 * floor <= tol
+    lam_lo = _exp(e * (lo - float(np.log1p(s)))) * (1.0 - _EXP_ROUNDING)
+    lam_hi = _exp(e * (hi - float(np.log1p(-s)))) * (1.0 + _EXP_ROUNDING)
+    if not (0.0 < lam_lo < math.inf and lam_lo <= lam_hi):  # False on a NaN
+        return 0.0, math.inf
+    return lam_lo, lam_hi
 
 
 def solve_singular(
@@ -800,17 +756,16 @@ def solve_singular(
     the module docstring).
     For every p >= 0 it stops on a scaling bracket of width at most
     ``picard_tol`` and returns its midpoint, so ``picard_gap`` bounds twice
-    the error; p = 0 takes one solve.  A later sweep forms its bracket only
-    when _sweep_goes_on cannot prove from scalars that it neither stops nor
-    refuses, so every width, pair and message is a bracket's, and the
-    answers are those of a loop that brackets every sweep, bit for bit.
-    ``iterations`` counts every Dirichlet solve, the first included, and
-    ``barrier_c`` is the first bracket's ratio lam_hi/lam_lo.  A failed residual check, a solve with
-    no bracket, a tolerance below the resolution floor and an exhausted
-    budget raise NonConvergence.  BarrierOrderViolation, raised when the
-    result leaves the pair by more than ``picard_tol``, names the side, the
-    node and the excess, and signals a defect rather than a property of the
-    input.  Every one carries the loop's record in ``report``.
+    the error; p = 0 takes one solve.  The stop, the refusals and the budget
+    all read the sweep's one bracket.  ``iterations`` counts every Dirichlet
+    solve, the first included, and ``barrier_c`` is the first bracket's
+    ratio lam_hi/lam_lo.  A failed residual check, a solve with no bracket
+    (the slack swamps the load, or the log ratio is NaN), a tolerance below
+    the resolution floor and an exhausted budget raise NonConvergence.
+    BarrierOrderViolation, raised when the result leaves the pair by more
+    than ``picard_tol``, names the side, the node and the excess, and
+    signals a defect rather than a property of the input.  Every one
+    carries the loop's record in ``report``.
 
     The grid should resolve delta^gamma boundary layers for the predicted
     exponent gamma; grading >= 2/gamma is a good default.
@@ -832,22 +787,23 @@ def solve_singular(
     # outlive the solves fragment the heap and raise the peak resident size.
     # Its rows start at node origin, the chain's first node or node 0 on the
     # whole grid, and end at the Dirichlet node n - 1.  theta and the loads
-    # are the first two rows.  K, log K, log sub, L and Lt span sl: the loop
+    # are the first two rows.  K, log sub, L and Lt span sl: the loop
     # owns its copy of K, and the full-length sample is released.  The last
     # rows are the scratch of _solve_into (four on a chain, the closure's
     # five on the whole grid), which then takes log w
     origin = chain or 0
-    work = np.zeros((7 + (5 if chain is None else 4)) * (n - origin))
+    work = np.zeros((6 + (5 if chain is None else 4)) * (n - origin))
     block = work.reshape(-1, n - origin)
     theta, loads = block[:2]
-    k, log_k, log_sub, big_l, lt = block[2:7, :size]
-    scratch = block[7:]
+    k, log_sub, big_l, lt = block[2:6, :size]
+    scratch = block[6:]
     log_w = scratch[0, :size]
-    theta_sl, loads_sl = theta[sl.start - origin :][:size], loads[sl.start - origin :][:size]
+    theta_sl = theta[sl.start - origin :][:size]
     k[:] = k_full[sl]
     del k_full
-    np.log(k, out=log_k)
-    min_log_k = float(np.minimum.reduce(log_k))
+    # for the resolution floor; K > 0 (core.k_values), or a NaN, which fails
+    # the first solve
+    min_log_k = math.log(float(np.minimum.reduce(k)))
     log_sub.fill(-np.inf)  # nothing clamps the first solve
     w_sl = w[sl]
     big_l[:] = w_sl
@@ -884,45 +840,32 @@ def solve_singular(
             np.log(w_sl, out=log_w)
             lt -= log_w
             lt *= p  # p log (max(u, sub)/w)
-            # a sweep that provably neither stops nor refuses forms no bracket
-            certify = pair is None or iterations >= cfg.max_picard_iters or not _sweep_goes_on(
-                spec, lt, theta_min, residual, w_max, min_log_k, tol
-            )
-            if certify:
-                # max log (w^p/K), for the resolution floor below, in the
-                # loads' storage, which no one reads until the next solve
-                log_load = np.multiply(log_w, p, out=loads_sl)
-                log_load -= log_k
-                log_load = float(np.maximum.reduce(log_load))
-            # the relaxed step, taken before the bracket so that it can use
-            # log_w's storage; the loop returns w, not the stepped iterate, and
-            # the first solve's step is replaced by the start at the pair's sub
-            big_l *= 1.0 - omega
-            log_w *= omega
-            big_l += log_w
-            if not certify:
-                continue
-            lam_lo, lam_hi = _scaling_bracket(spec, lt, theta_sl, residual, log_w)
+            lo, hi = float(np.minimum.reduce(lt)), float(np.maximum.reduce(lt))
+            lam_lo, lam_hi = _scaling_bracket(m, p, lo, hi, theta_min, residual)
             width = (lam_hi - lam_lo) * w_max
             if lam_lo == 0.0:
-                why = (
-                    "no scale brackets the solve: the slack swamps the load "
-                    f"(bracket width {width:g})"
-                )
+                cause = "the log ratio is nan" if math.isnan(lo) else "the slack swamps the load"
+                why = f"no scale brackets the solve: {cause} (bracket width {width:g})"
                 break
-            if pair is None:
+            if pair is None:  # the loop starts at the pair's sub
                 pair = _first_pair(grid, _mirror_left(w, chain), lam_lo, lam_hi)
                 np.multiply(pair.w0.values[sl], pair.lam_lo, out=log_sub)
                 np.log(log_sub, out=log_sub)
                 big_l[:] = log_sub
+            else:  # the relaxed step; the loop returns w, not the stepped iterate
+                big_l *= 1.0 - omega
+                log_w *= omega
+                big_l += log_w
             if width <= tol:
                 break
-            # _scaling_bracket's slack s, at least ASSEMBLY_NOISE (1 + v^p/K),
-            # alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).  s is taken
-            # at the certified lower bracket v = lam_lo w, not at the iterate:
-            # early iterates overshoot the solution and would overstate it.
-            # max v^p/K is formed in log space, where lam_lo^p alone can overflow
-            load = float(np.exp(p * math.log(lam_lo) + log_load))
+            # the slack s of _scaling_bracket, at least ASSEMBLY_NOISE
+            # (1 + v^p/K), alone keeps lam_hi/lam_lo above 1 + 2 max(s)/(m-1+p).
+            # s is taken at the certified lower bracket v = lam_lo w, not at
+            # the iterate: early iterates overshoot the solution and would
+            # overstate it.  max v^p/K is bounded by lam_lo^p (sup w)^p/min K,
+            # in log space, where lam_lo^p alone can overflow; a bracket
+            # leaves sup w in (0, inf), so it has a log
+            load = _exp(p * math.log(lam_lo) + (p * math.log(w_max) - min_log_k))
             resolution = 2.0 * ASSEMBLY_NOISE * (1.0 + load) / (m - 1.0 + p) * lam_lo * w_max
             if resolution > tol:
                 why = f"picard_tol {tol:g} is below the resolution {resolution:g}"

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -351,13 +352,22 @@ class TestExactScale:
             check_barrier(cand, SUPER, spec, spec.m)
 
     def test_an_overflowing_rhs_decides_both_sides_quietly(self):
-        # K w^(-p) overflows where the sub barrier at c ~ 5e215 is tiny: an
-        # infinite rhs fails the super side and holds the sub side, with no
+        # at c ~ 5e215, K w^(-p) overflows where the sub barrier is tiny and
+        # underflows to 0 where the super barrier is huge.  There the super
+        # barrier's -div(Phi) at node 0 is -0, which beats no positive rhs:
+        # the rhs clamped at the smallest double refuses that side, with no
         # RuntimeWarning on the way
         ball = Domain.ball(3)
         spec = ProblemSpec(1.2, 1.5, 0.3, domain=ball)
-        pair = certified_pair(spec, first_eigenpair(make_graded_grid(2049, 3.0, ball), spec.m))
-        assert pair.c > 1e215 and pair.sub_cert.certified and pair.super_cert.certified
+        base = first_eigenpair(make_graded_grid(2049, 3.0, ball), spec.m)
+        why = (
+            r"^no finite c certifies power\(gamma=0.529412\) \(super\): the unit barrier "
+            r"has -div\(Phi\) = -0 against the rhs 1 at node 0$"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoCertifiableScale, match=why):
+                certified_pair(spec, base)
 
     @pytest.mark.parametrize("name", ["interval-2", "ball-1.2"])
     def test_pair_checks_only_the_smaller_side_again(self, scale_bases, monkeypatch, name):

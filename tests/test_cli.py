@@ -784,9 +784,8 @@ class TestReproduceReuse:
     def test_every_sweep_of_e1_runs_on_the_right_half(self, tmp_path, monkeypatch):
         # E1's grids, K and start profile are exact mirrors, so every sweep
         # solves on the right half and none calls solve_dirichlet; a silent
-        # fallback to the whole grid would fail here.  Each solve forms two
-        # certified brackets, its first sweep's and its last one's
-        calls = {"brackets": 0, "chain": 0, "whole": 0, "dirichlet": 0}
+        # fallback to the whole grid would fail here
+        calls = {"chain": 0, "whole": 0, "dirichlet": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -796,13 +795,10 @@ class TestReproduceReuse:
             return wrapper
 
         solver = mlap1d.solver
-        bracket = solver._scaling_bracket
-        monkeypatch.setattr(solver, "_scaling_bracket", counted("brackets", bracket))
         monkeypatch.setattr(solver, "_solve_into", kernel_counted(calls, solver._solve_into))
         monkeypatch.setattr(solver, "solve_dirichlet", counted("dirichlet", solver.solve_dirichlet))
         self._run(tmp_path, "a", "--matrix", "E1")
         assert calls["chain"] == 14  # 7 sweeps at n = 4097 and 8193
-        assert calls["brackets"] == 4
         assert calls["dirichlet"] == calls["whole"] == 0
 
 
@@ -832,10 +828,8 @@ def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, a
     # every graded interval grid is an exact mirror, so at any n each
     # singular sweep and each Dirichlet solve of the inverse iteration runs
     # on the chain over the right half, and the closure search is never
-    # entered; on the ball every sweep runs on the chain from r = 0.  A
-    # singular solve forms two certified brackets, its first sweep's and
-    # its last one's
-    calls = {"brackets": 0, "chain": 0, "whole": 0, "dirichlet": 0, "closure": 0}
+    # entered; on the ball every sweep runs on the chain from r = 0
+    calls = {"chain": 0, "whole": 0, "dirichlet": 0, "closure": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -845,7 +839,6 @@ def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, a
         return wrapper
 
     solver = mlap1d.solver
-    monkeypatch.setattr(solver, "_scaling_bracket", counted("brackets", solver._scaling_bracket))
     monkeypatch.setattr(solver, "_solve_into", kernel_counted(calls, solver._solve_into))
     monkeypatch.setattr(solver, "_closure_root", counted("closure", solver._closure_root))
     for mod in (solver, mlap1d.eigen):
@@ -853,7 +846,6 @@ def test_solves_off_dyadic_n_run_on_the_zero_flux_chain(tmp_path, monkeypatch, a
     assert main([*argv, "--output-dir", str(tmp_path)]) == 0
     assert calls["closure"] == calls["whole"] == 0
     assert calls["chain"] == sweeps + calls["dirichlet"] > 0
-    assert calls["brackets"] == (2 if sweeps else 0)
     if argv[0] == "solve":  # the loop solves on the chain itself
         assert calls["dirichlet"] == 0
 
