@@ -884,6 +884,117 @@ class TestCertifiedBracket:
         assert rep.iterations <= 14
 
 
+def admissible_lattice(m):
+    """(p, q) of the benchmark's lattice with p + q < 2 - (1 - p)/m."""
+    return [
+        (p, q)
+        for p, q in itertools.product((0.0, 0.2, 0.5, 0.9, 1.5), (0.0, 0.3, 0.7, 1.0, 1.3))
+        if p + q < 2.0 - (1.0 - p) / m
+    ]
+
+
+class TestOneBracketPerSweep:
+    """Every sweep whose solve passes its residual check forms one bracket,
+    and the stop, the refusals and the pair all read that bracket."""
+
+    @staticmethod
+    def bracket_spy(monkeypatch):
+        """The scales of every bracket formed, in order."""
+        brackets, bracket = [], solver._scaling_bracket
+        monkeypatch.setattr(
+            solver, "_scaling_bracket", lambda *a: brackets.append(bracket(*a)) or brackets[-1]
+        )
+        return brackets
+
+    @pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_the_lattice_brackets_every_sweep(self, m, domain, monkeypatch):
+        # each converged solve formed one bracket per sweep; the first is the
+        # pair, the last gives picard_gap, and the solution lies in the pair
+        g = make_graded_grid(257, 3.0, domain)
+        tol = SolverConfig().picard_tol
+        brackets = self.bracket_spy(monkeypatch)
+        for p, q in admissible_lattice(m):
+            brackets.clear()
+            report = solve_singular(ProblemSpec(m=m, p=p, q=q, domain=domain), g)
+            assert report.converged and report.iterations == len(brackets)
+            assert all(0.0 < lo <= hi < np.inf for lo, hi in brackets)
+            assert (report.pair.lam_lo, report.pair.lam_hi) == brackets[0]
+            u = report.solution.values
+            assert np.all(report.sub_barrier.values - tol <= u)
+            assert np.all(u <= report.super_barrier.values + tol)
+            # u is the last bracket's midpoint times w, and picard_gap its
+            # width times sup w
+            lam_lo, lam_hi = brackets[-1]
+            assert report.picard_gap <= tol
+            np.testing.assert_allclose(
+                report.picard_gap / np.max(u), (lam_hi - lam_lo) / (0.5 * (lam_lo + lam_hi)),
+                rtol=1e-13,
+            )
+
+    @pytest.mark.parametrize(
+        "case, why, sweeps",
+        [
+            ("budget", "^singular iteration budget exhausted: bracket width", 4),
+            ("resolution", "^picard_tol 1e-13 is below the resolution", 2),
+            ("slack", "^no scale brackets the solve: the slack swamps the load", 3),
+            ("residual", "^a-posteriori check failed: scaled residual 1$", 3),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "domain", [Domain.interval(), Domain.ball(3)], ids=["interval", "ball"]
+    )
+    def test_each_refusal_reads_the_last_bracket(self, case, why, sweeps, domain, monkeypatch):
+        # every sweep brackets its solve but one that fails its residual
+        # check; the report's width is the last bracket's, or none after a
+        # failed check, and the pair is the first bracket's
+        spec, n, config = ProblemSpec(m=2.0, p=0.5, q=1.0, domain=domain), 257, None
+        if case == "budget":
+            config = SolverConfig(max_picard_iters=4)
+        elif case == "resolution":  # test_resolution_floor_counts_the_load_slack's case
+            spec, n = ProblemSpec(m=1.2, p=0.9, q=1.0, domain=domain), 1025
+            config = SolverConfig(picard_tol=1e-13)
+        elif case == "slack":  # the third sweep's theta scaled below the assembly noise
+            spec = ProblemSpec(m=3.0, p=1.5, q=0.3, domain=domain)
+            calls, singular_theta = [], solver._singular_theta
+
+            def tiny(*a):
+                calls.append(1)
+                out = singular_theta(*a)
+                if len(calls) == 3:
+                    out *= 1e-16
+                return out
+
+            monkeypatch.setattr(solver, "_singular_theta", tiny)
+        else:  # the third solve fails its residual check
+            solves, solve_into = [], solver._solve_into
+
+            def third_fails(kernel):
+                solves.append(1)
+                evaluations, residual, *extremes = solve_into(kernel)
+                return evaluations, 1.0 if len(solves) == 3 else residual, *extremes
+
+            monkeypatch.setattr(solver, "_solve_into", third_fails)
+        brackets = self.bracket_spy(monkeypatch)
+        with pytest.raises(NonConvergence) as err:
+            solve_singular(spec, make_graded_grid(n, 3.0, domain), config)
+        assert re.match(why, str(err.value))
+        report = err.value.report
+        assert report.iterations == sweeps and not report.converged
+        assert len(brackets) == sweeps - (case == "residual")
+        assert (report.pair.lam_lo, report.pair.lam_hi) == brackets[0]
+        if case == "residual":
+            assert report.picard_gap is None
+        elif case == "slack":
+            assert brackets[-1] == (0.0, np.inf) and report.picard_gap == np.inf
+        else:
+            lam_lo, lam_hi = brackets[-1]
+            w_max = np.max(report.solution.values)
+            assert report.picard_gap == (lam_hi - lam_lo) * w_max
+
+
 class TestScalingBracket:
     """The sweep's bracket on floats: the extremes of the log ratio, min
     theta and the scaled residual."""
